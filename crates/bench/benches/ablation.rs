@@ -15,9 +15,6 @@ use dvs_core::pairing::PairingStrategy;
 use dvs_hypergraph::builder::{design_level, gate_level};
 use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
 use dvs_hypergraph::partition::{BalanceConstraint, Partition};
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, StateSaving, TimeWarpConfig};
 use dvs_verilog::flatten::Frontier;
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -130,50 +127,10 @@ fn bench_granularity(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_state_saving(c: &mut Criterion) {
-    // Incremental undo vs periodic checkpointing in the Time Warp kernel —
-    // the classic state-saving trade-off, measured on a real optimistic run.
-    let src = generate_viterbi(&ViterbiParams {
-        constraint_len: 5,
-        ..ViterbiParams::paper_class()
-    });
-    let nl = dvs_verilog::parse_and_elaborate(&src)
-        .expect("decoder elaborates")
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(2, 15.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, 2);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 3);
-
-    let mut group = c.benchmark_group("ablation_state_saving");
-    group.sample_size(10);
-    for (name, mode) in [
-        ("incremental_undo", StateSaving::IncrementalUndo),
-        ("checkpoint_8", StateSaving::Checkpoint { interval: 8 }),
-        ("checkpoint_64", StateSaving::Checkpoint { interval: 64 }),
-    ] {
-        group.bench_function(name, |b| {
-            let cfg = TimeWarpConfig::builder()
-                .state_saving(mode)
-                .build()
-                .expect("valid config");
-            b.iter(|| {
-                black_box(
-                    run_timewarp(&nl, &plan, &stim, 40, &cfg)
-                        .expect("bench run stalled")
-                        .stats
-                        .events,
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_pairing_strategies,
     bench_initial_partitioning,
-    bench_granularity,
-    bench_state_saving
+    bench_granularity
 );
 criterion_main!(benches);

@@ -20,12 +20,8 @@
 //! (`dvs_bench::gate::tcp_chaos_case` — a bit-flipped frame, a stalled
 //! link caught by the heartbeat prober, and a poisoned restore chain
 //! falling back to the last full base, each recovering byte-identically
-//! with its exact counters pinned) and the message-batching leg
-//! (`dvs_bench::gate::batched_transport_case` — TCP under the bursty
-//! schedule with per-quantum batching on vs off, byte-identical artifacts
-//! and an at-least-2x frame reduction, exact frame/message counters
-//! pinned), writes `BENCH_<label>.json`, and compares against the
-//! checked-in baseline.
+//! with its exact counters pinned), writes `BENCH_<label>.json`, and
+//! compares against the checked-in baseline.
 //!
 //! With `--case large`: runs only the paper-scale nightly case
 //! (`dvs_bench::gate::large_case`). The serial-vs-threaded determinism
@@ -41,8 +37,8 @@
 //!   missing `tw_worker` binary).
 
 use dvs_bench::gate::{
-    batched_transport_case, bench_artifact, compare, delta_checkpoint_case, large_case,
-    process_case, run_case, smoke_grid, tcp_case, tcp_chaos_case, Tolerances,
+    bench_artifact, compare, delta_checkpoint_case, large_case, process_case, run_case, smoke_grid,
+    tcp_case, tcp_chaos_case, Tolerances,
 };
 use dvs_core::json::Json;
 use std::path::PathBuf;
@@ -146,7 +142,6 @@ fn main() {
             ("process_transport", process_case as Leg),
             ("tcp_transport", tcp_case as Leg),
             ("tcp_chaos", tcp_chaos_case as Leg),
-            ("batched_transport", batched_transport_case as Leg),
         ] {
             let t = Instant::now();
             match leg(&worker) {

@@ -29,8 +29,8 @@ use dvs_core::{
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{
-    run_timewarp, BatchPolicy, CheckpointCadence, NetDir, NetFault, NetFaultKind, NetPlan,
-    TimeWarpConfig, Transport,
+    run_timewarp, CheckpointCadence, NetDir, NetFault, NetFaultKind, NetPlan, TimeWarpConfig,
+    Transport,
 };
 use dvs_sim::{FaultPlan, SchedulePolicy};
 use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
@@ -187,128 +187,6 @@ fn wire_transport_case(
             .float("inproc_seconds", inproc_seconds)
             .float("transport_seconds", transport_seconds)
             .float("crash_recovery_seconds", crash_seconds)
-            .build(),
-    })
-}
-
-/// The message-batching leg of the gate (`batched_transport` case): the
-/// TCP transport under the adversarial [`SchedulePolicy::Bursty`] schedule
-/// (alternating build/drain phases that deepen channel queues, so batches
-/// grow real tails), three runs —
-///
-/// * clean in-process, batching off — the byte-identity reference;
-/// * clean TCP, batching off — the transport must stay invisible;
-/// * clean TCP, batching **on** ([`BatchPolicy::per_quantum`]) — `msg_batch`
-///   frames carry message tails that the worker stages and the supervisor
-///   releases one `deliver_next` at a time.
-///
-/// All three canonical artifacts must be byte-identical, and the batched
-/// leg must ship **at least twice as many messages as frames** (this PR's
-/// acceptance bar for coalescing actually happening). The exact
-/// `messages_sent` / `frames_sent` / `messages_folded` counters and the
-/// FNV-1a artifact hash are pinned in the baseline, so drift anywhere in
-/// the batching path — staging, release order, hello negotiation — fails
-/// the gate rather than passing silently.
-pub fn batched_transport_case(worker: &Path) -> Result<CaseArtifact, String> {
-    let name = "batched_transport";
-    let ctx = |e: String| format!("case `{name}`: {e}");
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = dvs_verilog::parse_and_elaborate(&src)
-        .map_err(|e| ctx(e.to_string()))?
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(PROCESS_CLUSTERS, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, PROCESS_CLUSTERS as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
-    let policy = SchedulePolicy::Bursty;
-
-    let run = |transport: Transport, batching: BatchPolicy| {
-        let cfg = TimeWarpConfig::builder()
-            .transport(transport)
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .message_batching(batching)
-            .build()
-            .map_err(|e| ctx(e.to_string()))?;
-        let t = Instant::now();
-        let tw = run_timewarp(&nl, &plan, &stim, PROCESS_VECTORS, &cfg)
-            .map_err(|e| ctx(e.to_string()))?;
-        let seconds = t.elapsed().as_secs_f64();
-        let canonical = tw_run_canonical_json(&tw)
-            .emit()
-            .map_err(|e| ctx(e.to_string()))?;
-        Ok::<_, String>((tw, canonical, seconds))
-    };
-    let tcp = || Transport::tcp_with_worker(DST_SEED, policy, worker.to_path_buf());
-
-    let (_, clean, inproc_seconds) = run(Transport::in_proc(DST_SEED, policy), BatchPolicy::Off)?;
-    let (off, off_bytes, off_seconds) = run(tcp(), BatchPolicy::Off)?;
-    if off_bytes != clean {
-        return Err(ctx(
-            "unbatched TCP run diverged from the in-process run".to_string()
-        ));
-    }
-    let (on, on_bytes, on_seconds) = run(tcp(), BatchPolicy::per_quantum())?;
-    if on_bytes != clean {
-        return Err(ctx(
-            "batched TCP run diverged from the unbatched artifact — batching \
-             leaked into the canonical results"
-                .to_string(),
-        ));
-    }
-    let r = &on.recovery;
-    if r.messages_folded != 0 {
-        return Err(ctx(format!(
-            "deterministic transport folded {} messages — folding is a \
-             threads-mode optimisation only",
-            r.messages_folded
-        )));
-    }
-    if off.recovery.frames_sent != off.recovery.messages_sent {
-        return Err(ctx(format!(
-            "batching-off leg shipped {} frames for {} messages — unbatched \
-             sends must be one frame per message",
-            off.recovery.frames_sent, off.recovery.messages_sent
-        )));
-    }
-    if r.messages_sent != off.recovery.messages_sent {
-        return Err(ctx(format!(
-            "batched leg shipped {} messages, unbatched shipped {} — batching \
-             may change framing, never the message stream",
-            r.messages_sent, off.recovery.messages_sent
-        )));
-    }
-    // The acceptance bar: coalescing must at least halve the frame count.
-    if r.frames_sent * 2 > r.messages_sent {
-        return Err(ctx(format!(
-            "batched leg shipped {} frames for {} messages — expected at \
-             least a 2x frame reduction under the bursty schedule",
-            r.frames_sent, r.messages_sent
-        )));
-    }
-
-    Ok(CaseArtifact {
-        name: name.to_string(),
-        report: ObjBuilder::new()
-            .str(
-                "artifact_fnv1a",
-                &format!("{:016x}", fnv1a(clean.as_bytes())),
-            )
-            .uint("messages_sent", r.messages_sent)
-            .uint("frames_sent", r.frames_sent)
-            .uint("messages_folded", r.messages_folded)
-            .uint("unbatched_frames_sent", off.recovery.frames_sent)
-            .float(
-                "frame_reduction",
-                r.messages_sent as f64 / r.frames_sent.max(1) as f64,
-            )
-            .field("stats", on.stats.to_json())
-            .uint("gvt_rounds", on.gvt_rounds)
-            .build(),
-        host: ObjBuilder::new()
-            .float("inproc_seconds", inproc_seconds)
-            .float("unbatched_seconds", off_seconds)
-            .float("batched_seconds", on_seconds)
             .build(),
     })
 }
@@ -669,92 +547,7 @@ pub fn large_case() -> Result<CaseArtifact, String> {
     if let Json::Object(members) = &mut artifact.host {
         members.push(("compaction".to_string(), compaction_host));
     }
-    // The nightly batching-latency sweep: free-running threads with the
-    // send buffers allowed to age `max_delay` quanta before a forced
-    // flush. Tracks how delayed delivery trades message folding against
-    // induced rollbacks (a message that sat in a buffer arrives later, so
-    // optimistic receivers straggle further). Threads counters are
-    // nondeterministic, so this lives in the nightly tracking artifact
-    // only — never in the pinned baseline.
-    let (batching, batching_host) = batching_sweep_probe(&source, 4, PROCESS_VECTORS)?;
-    if let Json::Object(members) = &mut artifact.report {
-        members.push(("batching_sweep".to_string(), batching));
-    }
-    if let Json::Object(members) = &mut artifact.host {
-        members.push(("batching_sweep".to_string(), batching_host));
-    }
     Ok(artifact)
-}
-
-/// Body of the nightly batching-latency sweep (see [`large_case`]): one
-/// threads-mode run per `max_delay` in {1, 4, 16} plus an unbatched
-/// reference, recording rollbacks, folded messages, and the frame/message
-/// ratio at each point. The conservation invariant (`emitted == shipped +
-/// folded`) is enforced on every leg — the sweep is a tracking probe, not
-/// a correctness waiver.
-fn batching_sweep_probe(source: &str, k: u32, vectors: u64) -> Result<(Json, Json), String> {
-    let ctx = |e: String| format!("case `batching_sweep`: {e}");
-    let nl = dvs_verilog::parse_and_elaborate(source)
-        .map_err(|e| ctx(e.to_string()))?
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(k, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, k as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
-    let run = |policy: BatchPolicy| {
-        let cfg = TimeWarpConfig::builder()
-            .transport(Transport::Threads)
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .message_batching(policy)
-            .build()
-            .map_err(|e| ctx(e.to_string()))?;
-        let t = Instant::now();
-        let tw = run_timewarp(&nl, &plan, &stim, vectors, &cfg).map_err(|e| ctx(e.to_string()))?;
-        let seconds = t.elapsed().as_secs_f64();
-        let emitted = tw.stats.messages + tw.stats.anti_messages;
-        if emitted != tw.recovery.messages_sent + tw.recovery.messages_folded {
-            return Err(ctx(format!(
-                "conservation violated: {emitted} emitted vs {} shipped + {} folded",
-                tw.recovery.messages_sent, tw.recovery.messages_folded
-            )));
-        }
-        Ok::<_, String>((tw, seconds))
-    };
-    let mut legs = Vec::new();
-    let mut host_legs = Vec::new();
-    let mut points = vec![("off".to_string(), BatchPolicy::Off)];
-    for max_delay in [1u64, 4, 16] {
-        points.push((
-            format!("delay_{max_delay}"),
-            BatchPolicy::PerQuantum {
-                max_size: 32,
-                max_delay,
-            },
-        ));
-    }
-    for (label, policy) in points {
-        let (tw, seconds) = run(policy)?;
-        legs.push(
-            ObjBuilder::new()
-                .str("leg", &label)
-                .uint("rollbacks", tw.stats.rollbacks)
-                .uint("messages_sent", tw.recovery.messages_sent)
-                .uint("frames_sent", tw.recovery.frames_sent)
-                .uint("messages_folded", tw.recovery.messages_folded)
-                .build(),
-        );
-        host_legs.push(
-            ObjBuilder::new()
-                .str("leg", &label)
-                .float("seconds", seconds)
-                .build(),
-        );
-    }
-    Ok((
-        ObjBuilder::new().array("legs", legs).build(),
-        ObjBuilder::new().array("legs", host_legs).build(),
-    ))
 }
 
 /// 64-bit FNV-1a over the canonical artifact bytes: a compact exact pin of

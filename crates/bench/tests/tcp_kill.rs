@@ -20,8 +20,8 @@ use dvs_core::{partition_multiway, MultiwayConfig};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{
-    run_timewarp, BatchPolicy, CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig,
-    Transport, TwRunResult,
+    run_timewarp, CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport,
+    TwRunResult,
 };
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -66,20 +66,6 @@ fn config_cadenced(transport: Transport, fault: FaultPlan, cadence: u32) -> Time
         .epochs_per_quantum(2)
         .gvt_interval(1)
         .checkpoint_cadence(CheckpointCadence::every_n_rounds(cadence))
-        .fault(fault)
-        .build()
-        .expect("valid config")
-}
-
-/// Same kernel knobs as [`config`] but with per-quantum message batching
-/// on — `msg_batch` wire frames stage message tails worker-side.
-fn config_batched(transport: Transport, fault: FaultPlan) -> TimeWarpConfig {
-    TimeWarpConfig::builder()
-        .transport(transport)
-        .window(8)
-        .epochs_per_quantum(2)
-        .gvt_interval(1)
-        .message_batching(BatchPolicy::per_quantum())
         .fault(fault)
         .build()
         .expect("valid config")
@@ -185,73 +171,6 @@ fn sigkilled_tcp_worker_recovers_byte_identically() {
         assert_identical(&clean, &canonical(&tw), &label);
     }
     assert!(fired >= 2, "sweep fired only {fired} kills — widen indices");
-}
-
-/// The batching leg over TCP: `SIGKILL`s and a connection reset land while
-/// batched tails sit staged on the worker. The respawned worker starts
-/// with batching renegotiated from its fresh hello and an empty stage; the
-/// supervisor's input-log replay must still converge on the byte-identical
-/// artifact of an **unbatched** undisturbed in-proc run.
-#[test]
-fn faults_with_batching_recover_byte_identically() {
-    let _g = lock();
-    let (nl, gb, stim) = fixture();
-    let policy = SchedulePolicy::SeededRandom;
-    let clean = canonical(&run(
-        &nl,
-        &gb,
-        &stim,
-        &config(in_proc(policy), FaultPlan::default()),
-    ));
-    // Clean batched run first: prove the staging path is exercised.
-    let quiet = run(
-        &nl,
-        &gb,
-        &stim,
-        &config_batched(tcp(policy), FaultPlan::default()),
-    );
-    assert_eq!(quiet.recovery.crashes, 0, "phantom crash under batching");
-    assert_eq!(
-        quiet.recovery.messages_folded, 0,
-        "deterministic transports never fold"
-    );
-    assert!(
-        quiet.recovery.frames_sent < quiet.recovery.messages_sent,
-        "batching shipped no multi-message frames ({} frames / {} messages)",
-        quiet.recovery.frames_sent,
-        quiet.recovery.messages_sent
-    );
-    assert_identical(&clean, &canonical(&quiet), "clean batched tcp");
-    // Kill legs at the depths the unbatched sweep uses.
-    let mut fired = 0u32;
-    for (victim, at) in [(0u32, 3u64), (1, 47), (2, 211)] {
-        let tw = run(
-            &nl,
-            &gb,
-            &stim,
-            &config_batched(tcp(policy), FaultPlan::crash(victim, at)),
-        );
-        let label = format!("batched kill cluster {victim} at decision {at}");
-        assert_eq!(
-            tw.recovery.crashes, tw.recovery.restarts,
-            "{label}: every kill must be recovered"
-        );
-        assert!(!tw.recovery.degraded, "{label}: unexpected degradation");
-        fired += tw.recovery.crashes;
-        assert_identical(&clean, &canonical(&tw), &label);
-    }
-    assert!(fired >= 2, "sweep fired only {fired} kills — widen indices");
-    // Reset leg: stream torn down with staged tails, process survives.
-    std::env::set_var("DVS_TW_TCP_FAULT", "reset");
-    let reset = run(
-        &nl,
-        &gb,
-        &stim,
-        &config_batched(tcp(policy), FaultPlan::crash(1, 47)),
-    );
-    std::env::remove_var("DVS_TW_TCP_FAULT");
-    assert_eq!(reset.recovery.crashes, 1, "batched reset did not fire");
-    assert_identical(&clean, &canonical(&reset), "batched reset cluster 1");
 }
 
 /// Supervisor-side connection reset (`DVS_TW_TCP_FAULT=reset`): the stream

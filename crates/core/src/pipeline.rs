@@ -35,7 +35,7 @@ use crate::presim::{
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{BatchPolicy, FaultPlan, Transport};
+use dvs_sim::timewarp::{FaultPlan, Transport};
 use dvs_verilog::stats::{stats, DesignStats};
 use dvs_verilog::{Error, Netlist};
 use std::fmt;
@@ -205,7 +205,6 @@ pub struct FlowBuilder<'a> {
     timewarp_presim: Option<TwPresimConfig>,
     fault_plan: Option<FaultPlan>,
     transport: Option<Transport>,
-    message_batching: Option<BatchPolicy>,
 }
 
 impl<'a> FlowBuilder<'a> {
@@ -225,7 +224,6 @@ impl<'a> FlowBuilder<'a> {
             timewarp_presim: None,
             fault_plan: None,
             transport: None,
-            message_batching: None,
         }
     }
 
@@ -312,18 +310,6 @@ impl<'a> FlowBuilder<'a> {
         self
     }
 
-    /// Coalesce Time Warp messages per destination channel (see
-    /// [`BatchPolicy`]). Batching changes how many wire frames (or channel
-    /// pushes) carry the same messages — never which messages are applied
-    /// or in what order — so canonical artifacts are byte-identical with
-    /// batching on or off on every transport. When no
-    /// [`FlowBuilder::timewarp_presim`] configuration was supplied, a
-    /// default deterministic leg is enabled to carry the policy.
-    pub fn message_batching(mut self, policy: BatchPolicy) -> Self {
-        self.message_batching = Some(policy);
-        self
-    }
-
     /// Inject a crash fault into a second deterministic Time Warp leg per
     /// candidate partition, recording its counters in
     /// [`PresimPoint::tw_crash`]. Recovery is exact, so the crash leg's
@@ -381,13 +367,6 @@ impl<'a> FlowBuilder<'a> {
                 .get_or_insert_with(|| TwPresimConfig::new(0xFA17))
                 .kernel
                 .transport = tr;
-        }
-        if let Some(policy) = self.message_batching {
-            presim
-                .timewarp
-                .get_or_insert_with(|| TwPresimConfig::new(0xFA17))
-                .kernel
-                .batch_policy = policy;
         }
         Ok(Flow {
             nl,

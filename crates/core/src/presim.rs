@@ -45,8 +45,7 @@ pub struct TwPresimConfig {
     /// Vectors simulated under the executor. Kept smaller than the modeled
     /// run's `vectors` — the executor simulates every gate for real.
     pub vectors: u64,
-    /// Kernel tuning (window, epochs per quantum, GVT cadence, message
-    /// batching, state saving). The
+    /// Kernel tuning (window, epochs per quantum, GVT cadence). The
     /// `transport` field's seed and schedule are overridden by `seed` and
     /// `schedule` above, and [`Transport::Threads`] is mapped to the
     /// in-process deterministic executor: the run is always deterministic.

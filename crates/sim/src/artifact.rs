@@ -167,7 +167,6 @@ impl ToJson for RecoveryOutcome {
             .uint("chaos_faults_injected", self.chaos_faults_injected)
             .uint("messages_sent", self.messages_sent)
             .uint("frames_sent", self.frames_sent)
-            .uint("messages_folded", self.messages_folded)
             .bool("degraded", self.degraded)
             .build()
     }
@@ -194,7 +193,6 @@ impl FromJson for RecoveryOutcome {
             chaos_faults_injected: opt_uint("chaos_faults_injected")?,
             messages_sent: opt_uint("messages_sent")?,
             frames_sent: opt_uint("frames_sent")?,
-            messages_folded: opt_uint("messages_folded")?,
             degraded: v.field("degraded")?.as_bool()?,
         })
     }
@@ -368,16 +366,6 @@ impl ToJson for Checkpoint {
                     .collect(),
             )
             .array(
-                "snapshots",
-                self.snapshots
-                    .iter()
-                    .map(|(t, vals)| {
-                        Json::Array(vec![Json::Int(*t as i64), Json::Str(logic_str(vals))])
-                    })
-                    .collect(),
-            )
-            .uint("epochs_since_snapshot", self.epochs_since_snapshot as u64)
-            .array(
                 "outlog",
                 self.outlog
                     .iter()
@@ -468,19 +456,6 @@ impl FromJson for Checkpoint {
                     }
                 })
                 .collect::<Result<_, _>>()?,
-            snapshots: v
-                .field("snapshots")?
-                .as_array()?
-                .iter()
-                .map(|s| {
-                    let parts = s.as_array()?;
-                    match parts {
-                        [t, vals] => Ok((t.as_u64()?, logic_vec(vals)?)),
-                        _ => Err(JsonError::new("snapshot entry must be [time, values]")),
-                    }
-                })
-                .collect::<Result<_, _>>()?,
-            epochs_since_snapshot: v.field("epochs_since_snapshot")?.as_u64()? as u32,
             outlog: v
                 .field("outlog")?
                 .as_array()?
@@ -524,17 +499,6 @@ fn undo_entry_from(u: &Json) -> Result<(VTime, u32, Logic), JsonError> {
     match u.as_array()? {
         [t, net, val] => Ok((t.as_u64()?, net.as_u64()? as u32, logic_from_json(val)?)),
         _ => Err(JsonError::new("undo entry must be [time, net, value]")),
-    }
-}
-
-fn snapshot_entry_json((t, vals): &(VTime, Vec<Logic>)) -> Json {
-    Json::Array(vec![Json::Int(*t as i64), Json::Str(logic_str(vals))])
-}
-
-fn snapshot_entry_from(s: &Json) -> Result<(VTime, Vec<Logic>), JsonError> {
-    match s.as_array()? {
-        [t, vals] => Ok((t.as_u64()?, logic_vec(vals)?)),
-        _ => Err(JsonError::new("snapshot entry must be [time, values]")),
     }
 }
 
@@ -764,12 +728,6 @@ impl ToJson for CheckpointDelta {
         if !self.undo.is_keep_all() {
             b = b.field("undo", log_delta_json(&self.undo, undo_entry_json));
         }
-        if !self.snapshots.is_keep_all() {
-            b = b.field(
-                "snapshots",
-                log_delta_json(&self.snapshots, snapshot_entry_json),
-            );
-        }
         if !self.outlog.is_keep_all() {
             b = b.field("outlog", log_delta_json(&self.outlog, outlog_compact_json));
         }
@@ -779,8 +737,7 @@ impl ToJson for CheckpointDelta {
                 log_delta_json(&self.sched_log, |&(t, lseq)| uint_array(&[t, lseq])),
             );
         }
-        b.uint("epochs_since_snapshot", self.epochs_since_snapshot as u64)
-            .uint("stim_cycle", self.stim_cycle)
+        b.uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
             .uint("order", self.order)
@@ -870,8 +827,6 @@ impl FromJson for CheckpointDelta {
             tomb_local_added: tomb_local("tomb_local_added")?,
             processed: log_opt(v, "processed", ckpt_event_compact_from)?,
             undo: log_opt(v, "undo", undo_entry_from)?,
-            snapshots: log_opt(v, "snapshots", snapshot_entry_from)?,
-            epochs_since_snapshot: v.field("epochs_since_snapshot")?.as_u64()? as u32,
             outlog: log_opt(v, "outlog", outlog_compact_from)?,
             sched_log: log_opt(v, "sched_log", uint_pair)?,
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
@@ -936,8 +891,7 @@ mod tests {
             heartbeats_missed: 30,
             chaos_faults_injected: 1,
             messages_sent: 4111,
-            frames_sent: 207,
-            messages_folded: 18,
+            frames_sent: 4111,
             degraded: false,
         };
         let text = r.to_json().emit().unwrap();
@@ -946,7 +900,7 @@ mod tests {
 
         // Artifacts written before the victim list existed have no
         // `victims` key; they read back with an empty list. Likewise the
-        // batching counters read back as zero when absent.
+        // message counters read back as zero when absent.
         let mut v = r.to_json();
         if let Json::Object(members) = &mut v {
             members.retain(|(k, _)| k != "victims" && k != "frames_sent");
@@ -999,12 +953,6 @@ mod tests {
                 keep: 0,
                 append: vec![(131, 5, Logic::One)],
             },
-            snapshots: LogDelta {
-                drop_front: 1,
-                keep: 2,
-                append: vec![(140, vec![Logic::Zero, Logic::X])],
-            },
-            epochs_since_snapshot: 3,
             outlog: LogDelta {
                 drop_front: 4,
                 keep: 0,
@@ -1069,7 +1017,6 @@ mod tests {
         d.tomb_local_added.clear();
         d.processed = LogDelta::keep_all();
         d.undo = LogDelta::keep_all();
-        d.snapshots = LogDelta::keep_all();
         d.outlog = LogDelta::keep_all();
         d.sched_log = LogDelta::keep_all();
         let v = d.to_json();
@@ -1083,7 +1030,6 @@ mod tests {
             "tomb_local_added",
             "processed",
             "undo",
-            "snapshots",
             "outlog",
             "sched_log",
         ] {
@@ -1109,15 +1055,19 @@ mod tests {
         let err = CheckpointDelta::from_json(&v).unwrap_err();
         assert!(err.msg.contains("tw_checkpoint_delta"), "{err}");
 
-        let mut v = d.to_json();
-        if let Json::Object(members) = &mut v {
-            for (k, val) in members.iter_mut() {
-                if k == "checkpoint_schema" {
-                    *val = Json::Int(999);
+        // A future schema, and schema 2 (which still carried the removed
+        // snapshot keys).
+        for schema in [999, 2] {
+            let mut v = d.to_json();
+            if let Json::Object(members) = &mut v {
+                for (k, val) in members.iter_mut() {
+                    if k == "checkpoint_schema" {
+                        *val = Json::Int(schema);
+                    }
                 }
             }
+            let err = CheckpointDelta::from_json(&v).unwrap_err();
+            assert!(err.msg.contains("checkpoint_schema"), "{err}");
         }
-        let err = CheckpointDelta::from_json(&v).unwrap_err();
-        assert!(err.msg.contains("checkpoint_schema"), "{err}");
     }
 }

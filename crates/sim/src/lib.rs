@@ -51,6 +51,6 @@ pub use seq::{SeqSim, SimConfig};
 pub use stats::SimStats;
 pub use stimulus::VectorStimulus;
 pub use timewarp::{
-    BatchPolicy, Checkpoint, FaultPlan, RecoveryOutcome, SchedulePolicy, TimeWarpBuilder,
-    TimeWarpConfig, TimeWarpError, Transport,
+    Checkpoint, FaultPlan, RecoveryOutcome, SchedulePolicy, TimeWarpBuilder, TimeWarpConfig,
+    TimeWarpError, Transport,
 };

@@ -13,7 +13,7 @@
 //! The image is *behaviorally exact*: restoring it produces a process whose
 //! subsequent execution is bit-identical to the original's — including heap
 //! tie-break order (`order` stamps are preserved), rollback history
-//! (processed/undo/snapshots), annihilation state (tombstones), send/receive
+//! (processed/undo), annihilation state (tombstones), send/receive
 //! cursors (`mseq`/`lseq`) and statistics. That is what lets the recovery
 //! supervisor ([`super::recovery`]) replay a crashed cluster's input log on
 //! top of its last checkpoint and land in exactly the pre-crash state.
@@ -46,10 +46,12 @@ use crate::wheel::VTime;
 
 /// Schema version of the checkpoint image. Bumped when the layout changes
 /// incompatibly; serializers embed it next to the artifact schema version.
-/// Version 2 introduced delta images and the base+delta restore payload —
-/// the wire hello negotiates this next to the frame version, so a v1 peer
+/// Version 2 introduced delta images and the base+delta restore payload;
+/// version 3 dropped the two snapshot keys of the removed
+/// checkpoint/coast-forward rollback mode. The wire hello
+/// negotiates this next to the frame version, so a peer on an older schema
 /// is rejected at the handshake instead of failing mid-restore.
-pub const CHECKPOINT_SCHEMA: u32 = 2;
+pub const CHECKPOINT_SCHEMA: u32 = 3;
 
 /// How often a full base image is captured. `every_n_rounds == 1` (the
 /// default) reproduces the classic behaviour: a full [`Checkpoint`] at
@@ -119,10 +121,6 @@ pub struct Checkpoint {
     pub processed: Vec<CkptEvent>,
     /// Incremental undo log: `(time, net, previous value)`.
     pub undo: Vec<(VTime, u32, Logic)>,
-    /// Periodic snapshots: `(time of last included epoch, values)`.
-    pub snapshots: Vec<(VTime, Vec<Logic>)>,
-    /// Epochs processed since the last snapshot (checkpoint state saving).
-    pub epochs_since_snapshot: u32,
     /// Sent messages awaiting fossil collection: `(created_at, message)`.
     pub outlog: Vec<(VTime, TwMessage)>,
     /// Locally scheduled events: `(created_at, lseq)`.
@@ -198,7 +196,7 @@ pub enum ValuesDelta {
 }
 
 /// Edit script for a log-like field (processed history, undo log,
-/// snapshots, output log, schedule log): fossil collection drains the
+/// output log, schedule log): fossil collection drains the
 /// front, rollback truncates the back and new entries append, so the next
 /// image is a contiguous window of the previous one plus appended entries:
 /// `next = prev[drop_front .. drop_front + keep] ++ append`. When no window
@@ -273,10 +271,6 @@ pub struct CheckpointDelta {
     pub processed: LogDelta<CkptEvent>,
     /// Window-plus-append edit of the undo log.
     pub undo: LogDelta<(VTime, u32, Logic)>,
-    /// Window-plus-append edit of the snapshot list.
-    pub snapshots: LogDelta<(VTime, Vec<Logic>)>,
-    /// Replacement value (scalar — stored directly).
-    pub epochs_since_snapshot: u32,
     /// Window-plus-append edit of the output log.
     pub outlog: LogDelta<(VTime, TwMessage)>,
     /// Window-plus-append edit of the schedule log.
@@ -606,8 +600,6 @@ impl CheckpointDelta {
             tomb_local_added,
             processed: log_delta(&prev.processed, &next.processed),
             undo: log_delta(&prev.undo, &next.undo),
-            snapshots: log_delta(&prev.snapshots, &next.snapshots),
-            epochs_since_snapshot: next.epochs_since_snapshot,
             outlog: log_delta(&prev.outlog, &next.outlog),
             sched_log: log_delta(&prev.sched_log, &next.sched_log),
             stim_cycle: next.stim_cycle,
@@ -678,8 +670,6 @@ impl Checkpoint {
             )?,
             processed: log_apply(&self.processed, &d.processed, "processed")?,
             undo: log_apply(&self.undo, &d.undo, "undo")?,
-            snapshots: log_apply(&self.snapshots, &d.snapshots, "snapshots")?,
-            epochs_since_snapshot: d.epochs_since_snapshot,
             outlog: log_apply(&self.outlog, &d.outlog, "outlog")?,
             sched_log: log_apply(&self.sched_log, &d.sched_log, "sched_log")?,
             stim_cycle: d.stim_cycle,

@@ -129,13 +129,12 @@ pub enum SchedulePolicy {
     /// delay), behaving round-robin otherwise. Forces rollback storms on
     /// the receiving cluster while preserving FIFO within the channel.
     DelayChannel { src: u32, dst: u32 },
-    /// Adversarial for message batching: alternate a *build* phase that
+    /// Adversarial for queue depth: alternate a *build* phase that
     /// prefers stepping clusters — letting per-channel queues deepen while
     /// nothing is delivered — with a *drain* phase that prefers delivering,
-    /// releasing the backlog all at once. Deep queues make batched tails as
-    /// long as the policy allows, and the sudden drains land stale
+    /// releasing the backlog all at once. The sudden drains land stale
     /// timestamps on clusters that ran ahead during the build phase, so
-    /// batch flush boundaries interleave with rollback storms. Ignores the
+    /// long delivery runs interleave with rollback storms. Ignores the
     /// seed.
     Bursty,
 }
@@ -307,9 +306,7 @@ struct Bursty {
 
 impl Schedule for Bursty {
     fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        // Half a period of building, half a period of draining. The period
-        // is long enough that a drain releases queues deeper than any
-        // sensible batch `max_size`, forcing multi-frame drains.
+        // Half a period of building, half a period of draining.
         const HALF_PERIOD: u64 = 48;
         let building = (self.cursor / HALF_PERIOD).is_multiple_of(2);
         let i = self.cursor;
@@ -397,18 +394,7 @@ pub fn run_with_schedule(
     label: &str,
 ) -> Result<TwRunResult, TimeWarpError> {
     let mut workers: Vec<InProcWorker<'_, '_>> = (0..plan.k)
-        .map(|me| {
-            InProcWorker::new(
-                nl,
-                plan,
-                stim.clone(),
-                cycles,
-                cfg.state_saving,
-                check,
-                label,
-                me as u32,
-            )
-        })
+        .map(|me| InProcWorker::new(nl, plan, stim.clone(), cycles, check, label, me as u32))
         .collect();
     // Recovery bookkeeping is only paid for when a crash fault is armed or
     // a delta cadence is in effect (capture is side-effect-free, so clean

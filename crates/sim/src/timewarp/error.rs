@@ -47,11 +47,10 @@ pub enum TimeWarpError {
         detail: String,
     },
     /// A worker stopped responding: no frame arrived within the read
-    /// timeout (the `io_timeout` builder knob, env fallback
-    /// `DVS_TW_TIMEOUT_MS`). On the Unix transport a wedged local worker
-    /// is not crash-stop (its state may still mutate), so the run fails
-    /// instead of attempting recovery — this is the process-transport arm
-    /// of the stall watchdog. Over TCP this error is reserved for the
+    /// timeout (the `io_timeout` builder knob). On the Unix transport a
+    /// wedged local worker is not crash-stop (its state may still
+    /// mutate), so the run fails instead of attempting recovery — this is
+    /// the process-transport arm of the stall watchdog. Over TCP this error is reserved for the
     /// spawn/handshake phase (before the first checkpoint exists); once a
     /// run is underway, post-handshake silence is heartbeat-probed
     /// (`heartbeat_interval` / `heartbeat_budget`) and an exhausted

@@ -47,12 +47,6 @@ pub struct GvtState {
     /// the wire transports count on the supervisor side instead). Relaxed
     /// ordering: pure telemetry, never part of the GVT protocol.
     pub messages_sent: AtomicU64,
-    /// Channel pushes that carried those messages — one per flush batch,
-    /// the threads-mode stand-in for a wire frame.
-    pub frames_sent: AtomicU64,
-    /// Messages annihilated inside an unsent buffer (counts both members
-    /// of each positive/anti pair).
-    pub messages_folded: AtomicU64,
     /// At most one sampler at a time.
     sample_lock: Mutex<()>,
 }
@@ -68,8 +62,6 @@ impl GvtState {
             abort: AtomicBool::new(false),
             stalled: AtomicBool::new(false),
             messages_sent: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            messages_folded: AtomicU64::new(0),
             sample_lock: Mutex::new(()),
         }
     }

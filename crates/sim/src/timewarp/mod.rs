@@ -11,12 +11,11 @@
 //! * **optimistic execution** — each cluster processes its earliest pending
 //!   epoch without waiting for neighbours, bounded by an optional optimism
 //!   window above GVT;
-//! * **state saving** ([`StateSaving`]) — either an incremental undo log of
-//!   (time, net, old-value) records, or periodic full-state checkpoints with
-//!   coast-forward replay on rollback. Both are cluster-level: gates inside
-//!   a cluster save nothing individually, and a rollback of the cluster
-//!   rolls back all of its children together, exactly as the paper
-//!   describes for Verilog-instance LPs (§4.3);
+//! * **state saving** — an incremental undo log of (time, net, old-value)
+//!   records. It is cluster-level: gates inside a cluster save nothing
+//!   individually, and a rollback of the cluster rolls back all of its
+//!   children together, exactly as the paper describes for
+//!   Verilog-instance LPs (§4.3);
 //! * **rollback** — a straggler or anti-message with a timestamp at or below
 //!   the cluster's local clock restores net values from the undo log,
 //!   requeues processed events that remain valid, discards locally scheduled
@@ -87,74 +86,6 @@ pub struct TwMessage {
     pub anti: bool,
 }
 
-/// Upper bound on messages carried by one `msg_batch` wire frame. The
-/// worker side rejects a batch whose *declared* length exceeds this before
-/// materializing any of its messages, and
-/// [`TimeWarpBuilder::message_batching`] rejects policies above it at
-/// build time.
-pub const MAX_BATCH_MSGS: usize = 4096;
-
-/// Per-channel message batching policy, threaded through every transport.
-///
-/// Under [`Transport::Threads`] batching buffers outgoing messages per
-/// destination and flushes them in groups — folding positive/anti pairs
-/// that cancel while still unsent — so the channel (and, on a real
-/// deployment, the wire) sees fewer, larger pushes. Under the
-/// deterministic wire transports ([`Transport::Process`] /
-/// [`Transport::Tcp`]) batching pre-ships the committed FIFO tail of a
-/// channel in a single `msg_batch` frame the first time that channel is
-/// delivered; subsequent delivers of the staged messages are payload-free
-/// `deliver_next` commands, amortizing the 12-byte header + CRC pass per
-/// message. In both cases the *semantics* are unchanged: every transport
-/// produces artifacts byte-identical to its unbatched run (the
-/// `batch_equivalence` suite sweeps exactly this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BatchPolicy {
-    /// No batching: one message per channel push / wire frame. The
-    /// default.
-    #[default]
-    Off,
-    /// Batch per scheduling quantum.
-    PerQuantum {
-        /// Maximum messages per batch; a buffer reaching this size
-        /// flushes immediately. Must be in `1..=`[`MAX_BATCH_MSGS`].
-        max_size: usize,
-        /// Maximum quanta a threaded worker may hold an unsent buffer
-        /// before a quantum boundary flushes it. `1` flushes at every
-        /// boundary; larger values trade latency (and potentially more
-        /// rollbacks at the receiver) for bigger batches. Measured in
-        /// quanta, never wall-clock, so runs stay deterministic. Ignored
-        /// by the supervisor-driven transports, which ship batches
-        /// eagerly at delivery decisions.
-        max_delay: u64,
-    },
-}
-
-impl BatchPolicy {
-    /// The default `PerQuantum` policy: batches of up to 32 messages,
-    /// flushed at every quantum boundary.
-    pub fn per_quantum() -> Self {
-        BatchPolicy::PerQuantum {
-            max_size: 32,
-            max_delay: 1,
-        }
-    }
-
-    /// Whether any batching is enabled.
-    pub fn is_on(&self) -> bool {
-        !matches!(self, BatchPolicy::Off)
-    }
-
-    /// Effective batch size cap (`1` when off).
-    pub(crate) fn max_size(&self) -> usize {
-        match self {
-            BatchPolicy::Off => 1,
-            BatchPolicy::PerQuantum { max_size, .. } => *max_size,
-        }
-    }
-}
-
 /// Kernel tuning parameters. Construct via [`TimeWarpConfig::builder`]
 /// (see [`TimeWarpBuilder`]) — the struct is `#[non_exhaustive]`, so
 /// literal construction is reserved to this crate and new knobs can be
@@ -166,12 +97,8 @@ pub struct TimeWarpConfig {
     /// [`Transport`]).
     pub transport: Transport,
     /// Epochs processed per scheduling quantum before re-checking
-    /// channels. (Formerly named `batch`; renamed so it cannot be
-    /// confused with message batching, which is [`BatchPolicy`].)
+    /// channels.
     pub epochs_per_quantum: usize,
-    /// Per-channel message batching (see [`BatchPolicy`]). Off by
-    /// default.
-    pub batch_policy: BatchPolicy,
     /// Attempt a GVT computation every this many quanta.
     pub gvt_interval: usize,
     /// Optimism window: a cluster will not execute events more than this far
@@ -180,8 +107,6 @@ pub struct TimeWarpConfig {
     /// the cut), so small windows — a few vector periods — avoid rollback
     /// storms; this mirrors CTW practice of throttling cluster optimism.
     pub window: VTime,
-    /// State-saving strategy for rollback (see [`StateSaving`]).
-    pub state_saving: StateSaving,
     /// Crash-fault injection and recovery plan (see [`FaultPlan`]). The
     /// default injects nothing; recovery machinery is only engaged when a
     /// crash is armed.
@@ -209,19 +134,14 @@ pub struct TimeWarpConfig {
     /// transport this bounds every response wait outright; over TCP the
     /// heartbeat loop bounds silence instead (see
     /// [`TimeWarpConfig::heartbeat_interval`]) and this bounds the
-    /// handshake. Resolved by [`TimeWarpBuilder::build`]: explicit knob,
-    /// else `DVS_TW_TIMEOUT_MS` (malformed values are a typed error, not a
-    /// silent default), else 30 s.
+    /// handshake. Default 30 s.
     pub io_timeout: std::time::Duration,
     /// How long a worker gets to (re)connect — process spawn plus the
-    /// broker accept window on TCP. Resolved like
-    /// [`TimeWarpConfig::io_timeout`] from `DVS_TW_CONNECT_MS`, default
-    /// 10 s.
+    /// broker accept window on TCP. Default 10 s.
     pub connect_timeout: std::time::Duration,
     /// TCP heartbeat idle interval: when a response is this late, the
     /// supervisor counts a missed beat and probes the worker with a
-    /// `ping`. Resolved like [`TimeWarpConfig::io_timeout`] from
-    /// `DVS_TW_HEARTBEAT_MS`, default 1 s.
+    /// `ping`. Default 1 s.
     pub heartbeat_interval: std::time::Duration,
     /// Consecutive missed beats before the supervisor declares the
     /// connection half-open and tears it down for recovery. Detection
@@ -234,20 +154,15 @@ pub struct TimeWarpConfig {
     pub chaos: Option<NetPlan>,
 }
 
-/// How a cluster preserves enough history to roll back — the classic Time
-/// Warp design trade-off.
+/// How a cluster preserves enough history to roll back. One variant: the
+/// type (and the sixth parameter of [`ClusterProcess::new`]) stays only
+/// because `benchmark/src/workloads/probes.rs` names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StateSaving {
-    /// Incremental: log `(time, net, old value)` per change; rollback
-    /// replays the log backwards. Cheap rollbacks, per-change overhead.
+    /// Log `(time, net, old value)` per change; rollback replays the log
+    /// backwards.
     IncrementalUndo,
-    /// Periodic: snapshot the full net-value state every `interval`
-    /// processed epochs; rollback restores the newest snapshot below the
-    /// target and *coast-forwards* by re-applying the retained processed
-    /// events (no re-sends — their messages remain valid). Cheap forward
-    /// path, costlier rollbacks.
-    Checkpoint { interval: u32 },
 }
 
 impl Default for TimeWarpConfig {
@@ -255,10 +170,8 @@ impl Default for TimeWarpConfig {
         TimeWarpConfig {
             transport: Transport::Threads,
             epochs_per_quantum: 16,
-            batch_policy: BatchPolicy::Off,
             gvt_interval: 1,
             window: 16,
-            state_saving: StateSaving::IncrementalUndo,
             fault: FaultPlan::default(),
             checkpoint_cadence: CheckpointCadence::default(),
             thread_jitter: None,
@@ -276,24 +189,6 @@ const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
 const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 10_000;
 const DEFAULT_HEARTBEAT_MS: u64 = 1_000;
 const DEFAULT_HEARTBEAT_BUDGET: u32 = 30;
-
-/// Strictly parse an environment variable holding a millisecond count.
-/// Absent is fine (`Ok(None)`); present-but-malformed or zero is a typed
-/// error — a timeout knob that silently falls back to a default turns a
-/// typo into a 30-second mystery.
-fn env_millis(var: &str) -> Result<Option<std::time::Duration>, TimeWarpError> {
-    let invalid = |got: &str| TimeWarpError::InvalidConfig {
-        reason: format!("{var} must be a positive integer of milliseconds, got `{got}`"),
-    };
-    match std::env::var(var) {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(0) => Err(invalid(&s)),
-            Ok(ms) => Ok(Some(std::time::Duration::from_millis(ms))),
-            Err(_) => Err(invalid(&s)),
-        },
-        Err(_) => Ok(None),
-    }
-}
 
 impl TimeWarpConfig {
     /// Start building a configuration from the defaults.
@@ -322,12 +217,6 @@ impl TimeWarpConfig {
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct TimeWarpBuilder {
     cfg: TimeWarpConfig,
-    // Timeout knobs stay unset until `build`, where an explicit value
-    // wins, the environment is consulted next (strictly — malformed
-    // values error), and the default applies last.
-    io_timeout: Option<std::time::Duration>,
-    connect_timeout: Option<std::time::Duration>,
-    heartbeat_interval: Option<std::time::Duration>,
 }
 
 impl TimeWarpBuilder {
@@ -335,9 +224,6 @@ impl TimeWarpBuilder {
     pub fn new() -> Self {
         TimeWarpBuilder {
             cfg: TimeWarpConfig::default(),
-            io_timeout: None,
-            connect_timeout: None,
-            heartbeat_interval: None,
         }
     }
 
@@ -353,22 +239,6 @@ impl TimeWarpBuilder {
         self
     }
 
-    /// Deprecated name for [`epochs_per_quantum`]: "batch" now refers to
-    /// message batching (see [`message_batching`]), not epoch grouping.
-    ///
-    /// [`epochs_per_quantum`]: TimeWarpBuilder::epochs_per_quantum
-    /// [`message_batching`]: TimeWarpBuilder::message_batching
-    #[deprecated(note = "renamed to `epochs_per_quantum`; `batch` now means message batching")]
-    pub fn batch(self, batch: usize) -> Self {
-        self.epochs_per_quantum(batch)
-    }
-
-    /// Per-channel message batching policy (see [`BatchPolicy`]).
-    pub fn message_batching(mut self, policy: BatchPolicy) -> Self {
-        self.cfg.batch_policy = policy;
-        self
-    }
-
     /// Attempt a GVT computation every this many quanta.
     pub fn gvt_interval(mut self, gvt_interval: usize) -> Self {
         self.cfg.gvt_interval = gvt_interval;
@@ -378,12 +248,6 @@ impl TimeWarpBuilder {
     /// Optimism window above GVT (`u64::MAX` = unthrottled).
     pub fn window(mut self, window: VTime) -> Self {
         self.cfg.window = window;
-        self
-    }
-
-    /// State-saving strategy for rollback.
-    pub fn state_saving(mut self, state_saving: StateSaving) -> Self {
-        self.cfg.state_saving = state_saving;
         self
     }
 
@@ -411,24 +275,21 @@ impl TimeWarpBuilder {
         self
     }
 
-    /// Per-command read timeout for the wire transports (replaces raw
-    /// `DVS_TW_TIMEOUT_MS` consultation; the env var remains a fallback
-    /// when this knob is unset).
+    /// Per-command read timeout for the wire transports.
     pub fn io_timeout(mut self, d: std::time::Duration) -> Self {
-        self.io_timeout = Some(d);
+        self.cfg.io_timeout = d;
         self
     }
 
-    /// Worker (re)connect window for the wire transports (env fallback:
-    /// `DVS_TW_CONNECT_MS`).
+    /// Worker (re)connect window for the wire transports.
     pub fn connect_timeout(mut self, d: std::time::Duration) -> Self {
-        self.connect_timeout = Some(d);
+        self.cfg.connect_timeout = d;
         self
     }
 
-    /// TCP heartbeat idle interval (env fallback: `DVS_TW_HEARTBEAT_MS`).
+    /// TCP heartbeat idle interval.
     pub fn heartbeat_interval(mut self, d: std::time::Duration) -> Self {
-        self.heartbeat_interval = Some(d);
+        self.cfg.heartbeat_interval = d;
         self
     }
 
@@ -446,39 +307,15 @@ impl TimeWarpBuilder {
     }
 
     /// Validate and produce the configuration.
-    pub fn build(mut self) -> Result<TimeWarpConfig, TimeWarpError> {
+    pub fn build(self) -> Result<TimeWarpConfig, TimeWarpError> {
         let invalid = |reason: &str| TimeWarpError::InvalidConfig {
             reason: reason.to_string(),
         };
         if self.cfg.epochs_per_quantum == 0 {
             return Err(invalid("epochs_per_quantum must be at least 1"));
         }
-        if let BatchPolicy::PerQuantum {
-            max_size,
-            max_delay,
-        } = self.cfg.batch_policy
-        {
-            if max_size == 0 {
-                return Err(invalid("message batching max_size must be at least 1"));
-            }
-            if max_size > MAX_BATCH_MSGS {
-                return Err(TimeWarpError::InvalidConfig {
-                    reason: format!(
-                        "message batching max_size {max_size} exceeds the wire cap {MAX_BATCH_MSGS}"
-                    ),
-                });
-            }
-            if max_delay == 0 {
-                return Err(invalid(
-                    "message batching max_delay must be at least 1 quantum",
-                ));
-            }
-        }
         if self.cfg.gvt_interval == 0 {
             return Err(invalid("gvt_interval must be at least 1"));
-        }
-        if let StateSaving::Checkpoint { interval: 0 } = self.cfg.state_saving {
-            return Err(invalid("checkpoint interval must be at least 1"));
         }
         if self.cfg.checkpoint_cadence.every_n_rounds == 0 {
             return Err(invalid("checkpoint cadence must be at least 1 round"));
@@ -491,25 +328,6 @@ impl TimeWarpBuilder {
         if self.cfg.heartbeat_budget == 0 {
             return Err(invalid("heartbeat budget must be at least 1 missed beat"));
         }
-        // Timeout resolution: explicit knob > environment (strict) >
-        // default. A malformed environment value is an error even when the
-        // knob is set — a typo'd deployment should fail loudly, not run
-        // with whichever half of its settings happened to parse.
-        let io_env = env_millis("DVS_TW_TIMEOUT_MS")?;
-        let connect_env = env_millis("DVS_TW_CONNECT_MS")?;
-        let heartbeat_env = env_millis("DVS_TW_HEARTBEAT_MS")?;
-        self.cfg.io_timeout = self
-            .io_timeout
-            .or(io_env)
-            .unwrap_or(std::time::Duration::from_millis(DEFAULT_IO_TIMEOUT_MS));
-        self.cfg.connect_timeout = self
-            .connect_timeout
-            .or(connect_env)
-            .unwrap_or(std::time::Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS));
-        self.cfg.heartbeat_interval = self
-            .heartbeat_interval
-            .or(heartbeat_env)
-            .unwrap_or(std::time::Duration::from_millis(DEFAULT_HEARTBEAT_MS));
         Ok(self.cfg)
     }
 }
@@ -680,8 +498,14 @@ fn run_threads_once(
             let cfg = cfg.clone();
             let stim = stim.clone();
             handles.push(scope.spawn(move || {
-                let mut proc =
-                    ClusterProcess::new(nl, plan_ref, me as u32, stim, cycles, cfg.state_saving);
+                let mut proc = ClusterProcess::new(
+                    nl,
+                    plan_ref,
+                    me as u32,
+                    stim,
+                    cycles,
+                    StateSaving::IncrementalUndo,
+                );
                 // A worker death — injected or genuine — is contained here
                 // and turned into a missing result; the supervisor decides
                 // whether to restart or degrade. The unwind boundary makes
@@ -719,14 +543,11 @@ fn run_threads_once(
         per_cluster,
         shared.gvt_rounds.load(Ordering::SeqCst),
     );
-    // Exact transport provenance for the successful attempt. Under free-
-    // running threads the values depend on interleaving (unlike the
-    // deterministic transports), but the invariant `emitted ==
-    // messages_sent + messages_folded` always holds — the batching fuzz
-    // suite asserts it.
+    // Transport provenance for the successful attempt: one channel push
+    // per message. Under free-running threads the value depends on
+    // interleaving (unlike the deterministic transports).
     r.recovery.messages_sent = shared.messages_sent.load(Ordering::SeqCst);
-    r.recovery.frames_sent = shared.frames_sent.load(Ordering::SeqCst);
-    r.recovery.messages_folded = shared.messages_folded.load(Ordering::SeqCst);
+    r.recovery.frames_sent = r.recovery.messages_sent;
     ThreadsAttempt::Done(Box::new(r))
 }
 
@@ -781,7 +602,16 @@ fn worker_loop(
     injector: Option<&PanicInjector>,
 ) {
     let mut quantum = 0u64;
-    let mut out = BatchedSender::new(shared, senders, cfg.batch_policy);
+    // Messages count as in transit from the moment they are pushed, so GVT
+    // can never advance past one. A failed send means the receiver died in
+    // a crash fault; the message is lost with it — exactly the crash-stop
+    // model — and the supervisor restarts the attempt.
+    let mut send = |m: TwMessage| {
+        shared.send_epoch.fetch_add(1, Ordering::SeqCst);
+        shared.in_transit.fetch_add(1, Ordering::SeqCst);
+        shared.messages_sent.fetch_add(1, Ordering::Relaxed);
+        let _ = senders[m.dst as usize].send(m);
+    };
     // Scheduler-noise injection: a per-worker seeded RNG (the shared seed
     // xor'd with the cluster id, so workers de-correlate) decides between
     // quanta whether to yield the OS slice or sleep a few tens of
@@ -815,17 +645,8 @@ fn worker_loop(
         // GVT samples sound.
         let mut drained = 0i64;
         while let Ok(msg) = rx.try_recv() {
-            proc.handle_message(msg, &mut |m: TwMessage| {
-                out.push(m, quantum);
-            });
+            proc.handle_message(msg, &mut send);
             drained += 1;
-        }
-        // Rollback eagerness: a drained straggler or anti-message may have
-        // rolled us back and emitted fresh anti-messages. Any that did not
-        // fold against a buffered positive must not linger — the receiver
-        // is executing down a path our annihilations are about to undo.
-        if out.pending_anti {
-            out.flush_all();
         }
         shared.publish_lvt(me, proc.lvt());
         if drained > 0 {
@@ -845,9 +666,7 @@ fn worker_loop(
         let limit = gvt.saturating_add(cfg.window);
         let mut worked = false;
         for _ in 0..cfg.epochs_per_quantum {
-            if !proc.process_next_epoch(limit, &mut |m: TwMessage| {
-                out.push(m, quantum);
-            }) {
+            if !proc.process_next_epoch(limit, &mut send) {
                 break;
             }
             worked = true;
@@ -855,10 +674,6 @@ fn worker_loop(
         shared.publish_lvt(me, proc.lvt());
 
         quantum += 1;
-        // Quantum boundary: flush every buffer whose oldest message has
-        // aged `max_delay` quanta (with the default delay of 1, that is
-        // every non-empty buffer).
-        out.flush_expired(quantum);
         if let Some(inj) = injector {
             if inj.should_fire(me, quantum) {
                 // Crash-stop this worker. The abort flag is raised first so
@@ -869,11 +684,6 @@ fn worker_loop(
             }
         }
         if quantum.is_multiple_of(cfg.gvt_interval as u64) || !worked {
-            // GVT eagerness: a buffered message counts as in transit, so
-            // holding one through a sample attempt would only invalidate
-            // our own sample (and, run-wide, stall GVT). Ship everything
-            // first.
-            out.flush_all();
             if let Some(new_gvt) = shared.try_compute_gvt() {
                 proc.fossil_collect(new_gvt);
             } else {
@@ -894,134 +704,6 @@ fn worker_loop(
         }
         if worked {
             idle_spins = 0;
-        }
-    }
-}
-
-/// Per-destination send buffering for the threaded transport.
-///
-/// Pushed messages are counted in transit immediately (so GVT can never
-/// advance past an unsent buffer) but handed to the channel only when the
-/// buffer flushes: at `max_size`, at a quantum boundary once the buffer
-/// has aged `max_delay` quanta, eagerly before every GVT sample attempt,
-/// and eagerly after a drain phase that emitted anti-messages. An
-/// anti-message whose positive still sits unsent in the same buffer
-/// *folds*: both are dropped on the spot — annihilation performed before
-/// the channel ever sees the pair. FIFO per channel is preserved (buffers
-/// flush in push order, and a positive always precedes its anti: either
-/// both are buffered, in order, or the positive was flushed earlier).
-///
-/// With [`BatchPolicy::Off`] every push ships immediately, matching the
-/// historical one-message-per-send behaviour exactly.
-struct BatchedSender<'a> {
-    shared: &'a GvtState,
-    senders: &'a [crossbeam::channel::Sender<TwMessage>],
-    /// One unsent FIFO buffer per destination cluster. Empty vecs when
-    /// batching is off.
-    bufs: Vec<Vec<TwMessage>>,
-    /// Quantum at which each buffer's oldest unsent message was pushed;
-    /// `u64::MAX` when the buffer is empty.
-    oldest: Vec<u64>,
-    max_size: usize,
-    max_delay: u64,
-    /// Set when a push buffered an anti-message (rather than folding it);
-    /// the worker loop flushes eagerly after the drain phase that set it.
-    pending_anti: bool,
-}
-
-impl<'a> BatchedSender<'a> {
-    fn new(
-        shared: &'a GvtState,
-        senders: &'a [crossbeam::channel::Sender<TwMessage>],
-        policy: BatchPolicy,
-    ) -> Self {
-        let k = senders.len();
-        let (max_size, max_delay) = match policy {
-            BatchPolicy::Off => (1, 1),
-            BatchPolicy::PerQuantum {
-                max_size,
-                max_delay,
-            } => (max_size, max_delay),
-        };
-        BatchedSender {
-            shared,
-            senders,
-            bufs: vec![Vec::new(); k],
-            oldest: vec![u64::MAX; k],
-            max_size,
-            max_delay,
-            pending_anti: false,
-        }
-    }
-
-    fn push(&mut self, m: TwMessage, quantum: u64) {
-        self.shared.send_epoch.fetch_add(1, Ordering::SeqCst);
-        if self.max_size <= 1 {
-            self.shared.in_transit.fetch_add(1, Ordering::SeqCst);
-            self.shared.messages_sent.fetch_add(1, Ordering::Relaxed);
-            self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-            // A failed send means the receiver died in a crash fault; the
-            // message is lost with it — exactly the crash-stop model — and
-            // the supervisor restarts the attempt.
-            let _ = self.senders[m.dst as usize].send(m);
-            return;
-        }
-        let d = m.dst as usize;
-        if m.anti {
-            // Fold: `(src, seq)` identifies the positive this anti
-            // annihilates, and src is always this worker, so a match on
-            // seq within the per-destination buffer is exact. The
-            // positive was already counted in transit; the pair nets out
-            // to nothing.
-            if let Some(i) = self.bufs[d].iter().position(|p| !p.anti && p.seq == m.seq) {
-                self.bufs[d].remove(i);
-                self.shared.in_transit.fetch_sub(1, Ordering::SeqCst);
-                self.shared.messages_folded.fetch_add(2, Ordering::Relaxed);
-                if self.bufs[d].is_empty() {
-                    self.oldest[d] = u64::MAX;
-                }
-                return;
-            }
-            self.pending_anti = true;
-        }
-        self.shared.in_transit.fetch_add(1, Ordering::SeqCst);
-        if self.bufs[d].is_empty() {
-            self.oldest[d] = quantum;
-        }
-        self.bufs[d].push(m);
-        if self.bufs[d].len() >= self.max_size {
-            self.flush_dst(d);
-        }
-    }
-
-    fn flush_dst(&mut self, d: usize) {
-        if self.bufs[d].is_empty() {
-            return;
-        }
-        self.shared
-            .messages_sent
-            .fetch_add(self.bufs[d].len() as u64, Ordering::Relaxed);
-        self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-        for m in self.bufs[d].drain(..) {
-            let _ = self.senders[d].send(m);
-        }
-        self.oldest[d] = u64::MAX;
-    }
-
-    fn flush_all(&mut self) {
-        for d in 0..self.bufs.len() {
-            self.flush_dst(d);
-        }
-        self.pending_anti = false;
-    }
-
-    /// Quantum-boundary flush: ship every buffer whose oldest message has
-    /// aged at least `max_delay` quanta.
-    fn flush_expired(&mut self, quantum: u64) {
-        for d in 0..self.bufs.len() {
-            if quantum.saturating_sub(self.oldest[d]) >= self.max_delay {
-                self.flush_dst(d);
-            }
         }
     }
 }

@@ -117,16 +117,8 @@ pub struct ClusterProcess<'nl, 'p> {
     tomb_local: HashSet<u64>,
     /// Processed events in processing order (time nondecreasing).
     processed: Vec<Pend>,
-    /// Incremental state saving: (time, net, previous value). Unused in
-    /// checkpoint mode.
+    /// Incremental state saving: (time, net, previous value).
     undo: Vec<(VTime, u32, Logic)>,
-    /// Periodic full-state snapshots: (time of last included epoch, values).
-    /// Unused in incremental mode. A time-0 snapshot is always present
-    /// until fossil collection replaces it with a newer safe base.
-    snapshots: Vec<(VTime, Vec<Logic>)>,
-    state_saving: StateSaving,
-    /// Processed epochs since the last snapshot (checkpoint mode).
-    epochs_since_snapshot: u32,
     /// Sent messages awaiting fossil collection (for anti-messages).
     outlog: Vec<OutRec>,
     /// Locally scheduled events: (created_at, lseq), for rollback discard.
@@ -159,7 +151,8 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         me: u32,
         stim: VectorStimulus,
         cycles: u64,
-        state_saving: StateSaving,
+        // Unused: kept because `benchmark/src/workloads/probes.rs` passes it.
+        _state_saving: StateSaving,
     ) -> Self {
         let cluster = &plan.clusters[me as usize];
         let mut mine = vec![false; nl.gate_count()];
@@ -196,9 +189,6 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             tomb_local: HashSet::new(),
             processed: Vec::new(),
             undo: Vec::new(),
-            snapshots: Vec::new(),
-            state_saving,
-            epochs_since_snapshot: 0,
             outlog: Vec::new(),
             sched_log: Vec::new(),
             stim,
@@ -241,8 +231,6 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             tomb_local,
             processed: self.processed.iter().map(pend_to_ckpt).collect(),
             undo: self.undo.clone(),
-            snapshots: self.snapshots.clone(),
-            epochs_since_snapshot: self.epochs_since_snapshot,
             outlog: self.outlog.iter().map(|r| (r.created_at, r.msg)).collect(),
             sched_log: self.sched_log.clone(),
             stim_cycle: self.stim_cycle,
@@ -267,18 +255,22 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         plan: &'p ClusterPlan,
         stim: VectorStimulus,
         cycles: u64,
-        state_saving: StateSaving,
         ck: &Checkpoint,
     ) -> Self {
-        let mut p = ClusterProcess::new(nl, plan, ck.cluster, stim, cycles, state_saving);
+        let mut p = ClusterProcess::new(
+            nl,
+            plan,
+            ck.cluster,
+            stim,
+            cycles,
+            StateSaving::IncrementalUndo,
+        );
         p.values.clone_from(&ck.values);
         p.pending = ck.pending.iter().map(ckpt_to_pend).collect();
         p.tomb_remote = ck.tomb_remote.iter().copied().collect();
         p.tomb_local = ck.tomb_local.iter().copied().collect();
         p.processed = ck.processed.iter().map(ckpt_to_pend).collect();
         p.undo.clone_from(&ck.undo);
-        p.snapshots.clone_from(&ck.snapshots);
-        p.epochs_since_snapshot = ck.epochs_since_snapshot;
         p.outlog = ck
             .outlog
             .iter()
@@ -313,12 +305,11 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         plan: &'p ClusterPlan,
         stim: VectorStimulus,
         cycles: u64,
-        state_saving: StateSaving,
         base: &Checkpoint,
         deltas: &[CheckpointDelta],
     ) -> Result<(Self, Checkpoint), DeltaError> {
         let image = base.apply_chain(deltas)?;
-        let p = ClusterProcess::from_checkpoint(nl, plan, stim, cycles, state_saving, &image);
+        let p = ClusterProcess::from_checkpoint(nl, plan, stim, cycles, &image);
         Ok((p, image))
     }
 
@@ -414,10 +405,6 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     /// schedule disagreements at t=1 (exported ones are also sent).
     fn settle(&mut self, send: &mut impl FnMut(TwMessage)) {
         self.settled = true;
-        if matches!(self.state_saving, StateSaving::Checkpoint { .. }) {
-            // The permanent base: state before any epoch.
-            self.snapshots.push((0, self.values.clone()));
-        }
         for gi in 0..self.nl.gates.len() {
             if !self.mine[gi] || self.nl.gates[gi].kind.is_sequential() {
                 continue;
@@ -481,40 +468,14 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     fn rollback(&mut self, t: VTime, send: &mut impl FnMut(TwMessage)) {
         self.stats.rollbacks += 1;
 
-        // 1. Restore net values.
-        match self.state_saving {
-            StateSaving::IncrementalUndo => {
-                // Undo log is time-nondecreasing; replay backwards.
-                while let Some(&(ut, net, old)) = self.undo.last() {
-                    if ut < t {
-                        break;
-                    }
-                    self.values[net as usize] = old;
-                    self.undo.pop();
-                }
+        // 1. Restore net values: the undo log is time-nondecreasing;
+        // replay it backwards.
+        while let Some(&(ut, net, old)) = self.undo.last() {
+            if ut < t {
+                break;
             }
-            StateSaving::Checkpoint { .. } => {
-                // Restore the newest snapshot strictly below `t`, then
-                // coast-forward: every later value change was recorded as a
-                // processed event, so re-applying processed events with
-                // snapshot_time < time < t rebuilds the state exactly. No
-                // messages are re-sent — the originals remain valid.
-                let si = self
-                    .snapshots
-                    .iter()
-                    .rposition(|&(st, _)| st < t)
-                    .expect("a base snapshot below any rollback target is retained");
-                // Invalidated snapshots (time >= t) are discarded.
-                self.snapshots.truncate(si + 1);
-                let (snap_t, snap_vals) = &self.snapshots[si];
-                self.values.copy_from_slice(snap_vals);
-                let lo = self.processed.partition_point(|p| p.ev.time <= *snap_t);
-                let hi = self.processed.partition_point(|p| p.ev.time < t);
-                for rec in &self.processed[lo..hi] {
-                    self.values[rec.ev.net.idx()] = rec.ev.value;
-                }
-                self.epochs_since_snapshot = 0;
-            }
+            self.values[net as usize] = old;
+            self.undo.pop();
         }
 
         // 2. Requeue or discard processed events.
@@ -563,21 +524,9 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         if gvt == 0 {
             return;
         }
-        // In checkpoint mode, processed events must be retained back to the
-        // newest snapshot below GVT (they are the coast-forward source);
-        // older snapshots are dropped first.
-        let horizon = match self.state_saving {
-            StateSaving::IncrementalUndo => gvt,
-            StateSaving::Checkpoint { .. } => {
-                if let Some(si) = self.snapshots.iter().rposition(|&(t, _)| t < gvt) {
-                    self.snapshots.drain(..si);
-                }
-                self.snapshots.first().map_or(0, |&(t, _)| t + 1).min(gvt)
-            }
-        };
-        let u = self.undo.partition_point(|&(t, _, _)| t < horizon);
+        let u = self.undo.partition_point(|&(t, _, _)| t < gvt);
         self.undo.drain(..u);
-        let p = self.processed.partition_point(|r| r.ev.time < horizon);
+        let p = self.processed.partition_point(|r| r.ev.time < gvt);
         self.stats.fossil_collected += p as u64;
         self.processed.drain(..p);
         let o = self.outlog.partition_point(|r| r.created_at < gvt);
@@ -644,16 +593,13 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         // Phase 1: apply changes, logging previous values.
         self.changed.clear();
         let epoch = std::mem::take(&mut self.epoch_buf);
-        let log_undo = matches!(self.state_saving, StateSaving::IncrementalUndo);
         for p in &epoch {
             self.stats.events += 1;
             let ni = p.ev.net.idx();
             let old = self.values[ni];
             if old != p.ev.value {
                 self.values[ni] = p.ev.value;
-                if log_undo {
-                    self.undo.push((t, ni as u32, old));
-                }
+                self.undo.push((t, ni as u32, old));
                 self.stats.net_toggles += 1;
                 self.changed.push((ni as u32, old, p.ev.value));
             }
@@ -751,14 +697,6 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             }
         }
         self.affected = affected;
-
-        if let StateSaving::Checkpoint { interval } = self.state_saving {
-            self.epochs_since_snapshot += 1;
-            if self.epochs_since_snapshot >= interval {
-                self.snapshots.push((t, self.values.clone()));
-                self.epochs_since_snapshot = 0;
-            }
-        }
         true
     }
 

@@ -155,23 +155,14 @@ pub struct RecoveryOutcome {
     /// (benign ones — duplicates, split writes, latency — included).
     pub chaos_faults_injected: u64,
     /// Messages shipped toward their receivers: channel pushes under
-    /// [`super::Transport::Threads`], supervisor→worker message payloads
-    /// on the wire transports (a `msg_batch` counts every message it
-    /// carries; a `deliver_next` carries none). Exact and
-    /// seed-reproducible on the deterministic transports,
-    /// interleaving-dependent under free-running threads.
+    /// [`super::Transport::Threads`], supervisor→worker `deliver` payloads
+    /// on the wire transports. Exact and seed-reproducible on the
+    /// deterministic transports, interleaving-dependent under
+    /// free-running threads.
     pub messages_sent: u64,
-    /// Pushes/frames that carried those messages. With batching off this
-    /// equals [`messages_sent`](RecoveryOutcome::messages_sent); with
-    /// batching on, `messages_sent / frames_sent` is the realized batch
-    /// depth.
+    /// Pushes/frames that carried those messages: one per message, so
+    /// always equal to [`messages_sent`](RecoveryOutcome::messages_sent).
     pub frames_sent: u64,
-    /// Messages annihilated inside a still-unsent threads-mode buffer,
-    /// counting both members of each positive/anti pair. Always zero on
-    /// the deterministic transports: their per-channel FIFO delivers a
-    /// positive before its anti can be staged, so no unsent pair ever
-    /// coexists (see EXPERIMENTS.md "Message batching").
-    pub messages_folded: u64,
     /// The restart budget ran out and the run fell back to the sequential
     /// simulator; `values`/`stats` are the sequential run's.
     pub degraded: bool,

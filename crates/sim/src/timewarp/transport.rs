@@ -81,7 +81,7 @@ use super::wire::{
     hello_json, hello_parse, json_kind, parse_json, read_frame, run_token, send_json, DialJitter,
     FrameSink, FrameSource, WireError, WireStream,
 };
-use super::{merge_results, StateSaving, TimeWarpConfig, TwMessage, TwRunResult, MAX_BATCH_MSGS};
+use super::{merge_results, StateSaving, TimeWarpConfig, TwMessage, TwRunResult};
 use crate::artifact::{logic_str, logic_vec};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
@@ -320,14 +320,8 @@ pub(crate) struct WireCounters {
     pub heartbeats_missed: u64,
     /// Faults the chaos shim actually injected on this worker's streams.
     pub chaos_faults_injected: u64,
-    /// Message payloads shipped to this worker: a plain `deliver` counts
-    /// one, a `msg_batch` counts every message it carries, a
-    /// `deliver_next` counts zero.
+    /// `deliver` frames shipped to this worker, one message each.
     pub messages_sent: u64,
-    /// Frames that carried those payloads (`deliver` + `msg_batch`
-    /// frames; `deliver_next` frames carry none). With batching off this
-    /// equals `messages_sent`.
-    pub frames_sent: u64,
 }
 
 /// One Time Warp cluster as seen by the transport-generic supervisor.
@@ -346,23 +340,6 @@ pub(crate) trait ClusterWorker {
     /// are appended to `sends`. Returns the new LVT.
     fn deliver(&mut self, m: TwMessage, sends: &mut Vec<TwMessage>)
         -> Result<VTime, WorkerFailure>;
-    /// Deliver `m` now, with `tail` naming the committed FIFO successors
-    /// already queued on the same channel. A wire transport may pre-ship
-    /// the tail in the same frame (receiver-side staging, the `msg_batch`
-    /// command) so that later delivers of those messages are payload-free
-    /// — but the *semantics* must equal [`Self::deliver`]`(m, sends)`
-    /// exactly: one message applied, same response. The supervisor treats
-    /// the tail as a hint it will re-offer (identically, since channel
-    /// queues only pop on delivery) on every subsequent decision, so an
-    /// implementation is free to ignore it — the default does.
-    fn deliver_batched(
-        &mut self,
-        m: TwMessage,
-        _tail: &[TwMessage],
-        sends: &mut Vec<TwMessage>,
-    ) -> Result<VTime, WorkerFailure> {
-        self.deliver(m, sends)
-    }
     /// Fossil-collect history strictly below `gvt`.
     fn fossil(&mut self, gvt: VTime) -> Result<(), WorkerFailure>;
     /// Capture a full base checkpoint image at `gvt`. The worker retains
@@ -410,7 +387,6 @@ pub(crate) struct InProcWorker<'nl, 'p> {
     plan: &'p ClusterPlan,
     stim: VectorStimulus,
     cycles: u64,
-    state_saving: StateSaving,
     check: bool,
     label: String,
     me: u32,
@@ -421,24 +397,28 @@ pub(crate) struct InProcWorker<'nl, 'p> {
 }
 
 impl<'nl, 'p> InProcWorker<'nl, 'p> {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         nl: &'nl Netlist,
         plan: &'p ClusterPlan,
         stim: VectorStimulus,
         cycles: u64,
-        state_saving: StateSaving,
         check: bool,
         label: &str,
         me: u32,
     ) -> Self {
-        let proc = ClusterProcess::new(nl, plan, me, stim.clone(), cycles, state_saving);
+        let proc = ClusterProcess::new(
+            nl,
+            plan,
+            me,
+            stim.clone(),
+            cycles,
+            StateSaving::IncrementalUndo,
+        );
         InProcWorker {
             nl,
             plan,
             stim,
             cycles,
-            state_saving,
             check,
             label: label.to_string(),
             me,
@@ -517,7 +497,6 @@ impl ClusterWorker for InProcWorker<'_, '_> {
             self.plan,
             self.stim.clone(),
             self.cycles,
-            self.state_saving,
             base,
             deltas,
         )
@@ -839,7 +818,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             }
 
             // Periodic GVT, mirroring the threaded workers' cadence of one
-            // attempt per `gvt_interval` quanta of `batch` epochs.
+            // attempt per `gvt_interval` quanta of `epochs_per_quantum` epochs.
             if decision.is_multiple_of(gvt_cadence) {
                 if let Some(new_gvt) = self.shared.try_compute_gvt() {
                     try_op!(self.gvt_round(new_gvt, false));
@@ -934,30 +913,9 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 self.label
             );
         }
-        // The committed FIFO successors of `msg` on this channel, offered
-        // to the transport for receiver-side staging (capped at the
-        // policy's batch size, head included). Recomputed per decision
-        // from the queue itself, which only pops on delivery — so a
-        // worker that staged a tail and then died is offered the
-        // identical tail again after recovery.
-        let tail: Vec<TwMessage> = if self.cfg.batch_policy.is_on() {
-            self.queues[ch]
-                .iter()
-                .skip(1)
-                .take(self.cfg.batch_policy.max_size().saturating_sub(1))
-                .copied()
-                .collect()
-        } else {
-            Vec::new()
-        };
         loop {
             sends.clear();
-            let delivered = if self.cfg.batch_policy.is_on() {
-                self.workers[dst].deliver_batched(msg, &tail, sends)
-            } else {
-                self.workers[dst].deliver(msg, sends)
-            };
-            match delivered {
+            match self.workers[dst].deliver(msg, sends) {
                 Ok(lvt) => {
                     self.queues[ch].pop_front();
                     if let Some(log) = self.log.as_mut() {
@@ -1140,7 +1098,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         r.recovery.chaos_faults_injected = self.outcome.chaos_faults_injected;
         r.recovery.messages_sent = self.outcome.messages_sent;
         r.recovery.frames_sent = self.outcome.frames_sent;
-        r.recovery.messages_folded = self.outcome.messages_folded;
         OpOutcome::Degraded(Box::new(r))
     }
 
@@ -1153,7 +1110,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.outcome.heartbeats_missed += c.heartbeats_missed;
             self.outcome.chaos_faults_injected += c.chaos_faults_injected;
             self.outcome.messages_sent += c.messages_sent;
-            self.outcome.frames_sent += c.frames_sent;
+            self.outcome.frames_sent += c.messages_sent;
         }
     }
 
@@ -1287,29 +1244,6 @@ fn done_json(lvt: VTime, sends: &[TwMessage]) -> Json {
         .build()
 }
 
-fn state_saving_json(s: StateSaving) -> Json {
-    match s {
-        StateSaving::IncrementalUndo => ObjBuilder::new().str("kind", "incremental").build(),
-        StateSaving::Checkpoint { interval } => ObjBuilder::new()
-            .str("kind", "checkpoint")
-            .uint("interval", interval as u64)
-            .build(),
-    }
-}
-
-fn state_saving_from_json(v: &Json) -> Result<StateSaving, String> {
-    match json_kind(v)? {
-        "incremental" => Ok(StateSaving::IncrementalUndo),
-        "checkpoint" => Ok(StateSaving::Checkpoint {
-            interval: v
-                .field("interval")
-                .and_then(Json::as_u64)
-                .map_err(|e| e.msg)? as u32,
-        }),
-        other => Err(format!("unknown state-saving kind {other:?}")),
-    }
-}
-
 fn replay_op_json(op: &ReplayOp) -> Json {
     match *op {
         ReplayOp::Step { limit } => ObjBuilder::new()
@@ -1347,13 +1281,11 @@ fn replay_op_from_json(v: &Json) -> Result<ReplayOp, String> {
 /// partition assignment, and the stimulus parameters. The worker reruns
 /// [`ClusterPlan::new`] locally, which is deterministic, so both sides
 /// derive identical cut channels.
-#[allow(clippy::too_many_arguments)]
 fn init_json(
     nl: &Netlist,
     plan: &ClusterPlan,
     stim: &VectorStimulus,
     cycles: u64,
-    state_saving: StateSaving,
     check: bool,
     cluster: u32,
     label: &str,
@@ -1380,7 +1312,6 @@ fn init_json(
         .bool("check", check)
         .str("label", label)
         .uint("cycles", cycles)
-        .field("state_saving", state_saving_json(state_saving))
         .uint("nets", nl.net_count() as u64)
         .field("const0", opt_net(nl.const0_net))
         .field("const1", opt_net(nl.const1_net))
@@ -1433,7 +1364,6 @@ struct WorkerInit {
     cluster: u32,
     check: bool,
     cycles: u64,
-    state_saving: StateSaving,
     stim: VectorStimulus,
     label: String,
 }
@@ -1537,7 +1467,6 @@ fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         cluster,
         check: v.field("check").and_then(Json::as_bool).map_err(err)?,
         cycles: v.field("cycles").and_then(Json::as_u64).map_err(err)?,
-        state_saving: state_saving_from_json(v.field("state_saving").map_err(err)?)?,
         stim,
         label: v
             .field("label")
@@ -1554,9 +1483,8 @@ fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
 /// How long the supervisor waits for a freshly spawned worker to connect.
 const SPAWN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Wire-level timing knobs shared by every process/TCP worker, resolved
-/// once from the run's [`TimeWarpConfig`] (builder knob, then strict env
-/// fallback, then default — see [`super::TimeWarpBuilder::io_timeout`]).
+/// Wire-level timing knobs shared by every process/TCP worker, copied
+/// once from the run's [`TimeWarpConfig`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireTiming {
     /// Per-response read window. Unix: fatal on expiry (a hung local
@@ -1734,9 +1662,8 @@ pub(crate) struct TcpBroker {
     /// The configured dial-in window, reported in timeout failures (the
     /// caller owns the actual deadline).
     connect_window: Duration,
-    /// Parked hello-negotiated connections, keyed by cluster, each with
-    /// the `batch` capability its worker hello advertised.
-    pending: RefCell<HashMap<u32, (WireStream, bool)>>,
+    /// Parked hello-negotiated connections, keyed by cluster.
+    pending: RefCell<HashMap<u32, WireStream>>,
 }
 
 impl TcpBroker {
@@ -1776,7 +1703,7 @@ impl TcpBroker {
         cluster: u32,
         deadline: Instant,
         mut child: Option<&mut Child>,
-    ) -> Result<(WireStream, bool), WorkerFailure> {
+    ) -> Result<WireStream, WorkerFailure> {
         loop {
             if let Some(s) = self.pending.borrow_mut().remove(&cluster) {
                 return Ok(s);
@@ -1784,14 +1711,14 @@ impl TcpBroker {
             match self.listener.accept() {
                 // greet() returns None for stray peers, dropped quietly.
                 Ok((conn, _)) => {
-                    if let Some((who, stream, batch)) = self.greet(conn)? {
+                    if let Some((who, stream)) = self.greet(conn)? {
                         if who == cluster {
-                            return Ok((stream, batch));
+                            return Ok(stream);
                         }
                         // Another cluster's worker arrived first; park it
                         // for that cluster's next accept (latest wins — a
                         // re-dial supersedes a stale parked connection).
-                        self.pending.borrow_mut().insert(who, (stream, batch));
+                        self.pending.borrow_mut().insert(who, stream);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1818,11 +1745,10 @@ impl TcpBroker {
         }
     }
 
-    /// Hello exchange on a fresh dial-in. `Ok(Some((cluster, stream,
-    /// batch)))` is a negotiated worker with its advertised `msg_batch`
-    /// capability; `Ok(None)` a stray to drop (wrong token, malformed
-    /// hello, vanished mid-handshake).
-    fn greet(&self, conn: TcpStream) -> Result<Option<(u32, WireStream, bool)>, WorkerFailure> {
+    /// Hello exchange on a fresh dial-in. `Ok(Some((cluster, stream)))` is
+    /// a negotiated worker; `Ok(None)` a stray to drop (wrong token,
+    /// malformed hello, vanished mid-handshake).
+    fn greet(&self, conn: TcpStream) -> Result<Option<(u32, WireStream)>, WorkerFailure> {
         let setup = conn
             .set_nodelay(true)
             .and_then(|()| conn.set_nonblocking(false))
@@ -1836,7 +1762,7 @@ impl TcpBroker {
         };
         // The supervisor speaks first, exactly as on the Unix transport;
         // the worker validates our token before revealing anything.
-        if send_json(&mut writer, &hello_json(&self.token, None, true)).is_err() {
+        if send_json(&mut writer, &hello_json(&self.token, None)).is_err() {
             return Ok(None);
         }
         let Ok(Some(bytes)) = read_frame(&mut stream) else {
@@ -1858,7 +1784,7 @@ impl TcpBroker {
                 detail: "TCP worker hello did not declare a cluster".to_string(),
             });
         };
-        Ok(Some((who, stream, theirs.batch)))
+        Ok(Some((who, stream)))
     }
 }
 
@@ -1901,17 +1827,7 @@ pub(crate) struct ProcessWorker {
     probing: bool,
     corrupt_frames: u64,
     heartbeats_missed: u64,
-    /// Whether the current connection's worker hello advertised the
-    /// `msg_batch` capability. A pre-batching v3 peer omits the flag and
-    /// keeps receiving plain `deliver` frames.
-    batch_ok: bool,
-    /// Supervisor-side mirror of the worker's per-source stash depth:
-    /// how many staged messages from each source the worker still holds.
-    /// Dies with the connection (a respawned or reconnected worker has an
-    /// empty stash).
-    staged: HashMap<u32, u64>,
     messages_sent: u64,
-    frames_sent: u64,
 }
 
 impl ProcessWorker {
@@ -1936,10 +1852,7 @@ impl ProcessWorker {
             probing: false,
             corrupt_frames: 0,
             heartbeats_missed: 0,
-            batch_ok: false,
-            staged: HashMap::new(),
             messages_sent: 0,
-            frames_sent: 0,
         }
     }
 
@@ -1965,10 +1878,7 @@ impl ProcessWorker {
             probing: false,
             corrupt_frames: 0,
             heartbeats_missed: 0,
-            batch_ok: false,
-            staged: HashMap::new(),
             messages_sent: 0,
-            frames_sent: 0,
         }
     }
 
@@ -1986,9 +1896,6 @@ impl ProcessWorker {
         self.reader = None;
         self.writer = None;
         self.probing = false;
-        // Staged messages live in the worker's per-connection stash; they
-        // die with the stream.
-        self.staged.clear();
     }
 
     /// Spawn (or respawn / await reconnection of) the worker, negotiate
@@ -1997,8 +1904,6 @@ impl ProcessWorker {
     fn spawn(&mut self) -> Result<(), WorkerFailure> {
         self.kill_child();
         self.probing = false;
-        self.batch_ok = false;
-        self.staged.clear();
         let proto = |detail: String| WorkerFailure::Protocol { detail };
         let link = self.link.clone();
         // `greeted` marks streams whose hello exchange the broker already
@@ -2062,9 +1967,7 @@ impl ProcessWorker {
                     self.child = Some(child);
                 }
                 let deadline = Instant::now() + self.timing.connect;
-                let (stream, batch) =
-                    broker.accept_for(self.cluster, deadline, self.child.as_mut())?;
-                self.batch_ok = batch;
+                let stream = broker.accept_for(self.cluster, deadline, self.child.as_mut())?;
                 (stream, true)
             }
         };
@@ -2087,7 +1990,7 @@ impl ProcessWorker {
             let mut hello_writer = stream
                 .try_clone()
                 .map_err(|e| proto(format!("clone stream: {e}")))?;
-            send_json(&mut hello_writer, &hello_json("", None, true)).map_err(|e| {
+            send_json(&mut hello_writer, &hello_json("", None)).map_err(|e| {
                 WorkerFailure::Lost {
                     detail: format!("write failed: {e}"),
                 }
@@ -2121,7 +2024,6 @@ impl ProcessWorker {
                     theirs: theirs.versions(),
                 });
             }
-            self.batch_ok = theirs.batch;
         }
         // Past the hello every frame is v3 — checksummed and sequenced —
         // and, when a chaos plan targets this cluster, routed through the
@@ -2327,7 +2229,6 @@ impl ProcessWorker {
         self.reader = None;
         self.writer = None;
         self.probing = false;
-        self.staged.clear();
         if let Some(path) = self.socket_path.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -2360,57 +2261,7 @@ impl ClusterWorker for ProcessWorker {
         let r = self.command(&cmd)?;
         let lvt = self.expect_done(&r, sends)?;
         self.messages_sent += 1;
-        self.frames_sent += 1;
         Ok(lvt)
-    }
-
-    fn deliver_batched(
-        &mut self,
-        m: TwMessage,
-        tail: &[TwMessage],
-        sends: &mut Vec<TwMessage>,
-    ) -> Result<VTime, WorkerFailure> {
-        // Negotiated off (the worker's hello never advertised `batch`):
-        // plain one-message delivers, exactly as before batching existed.
-        if !self.batch_ok {
-            return self.deliver(m, sends);
-        }
-        let held = self.staged.get(&m.src).copied().unwrap_or(0);
-        if held > 0 {
-            // The worker already holds `m` at the front of its stash for
-            // this source: tell it to apply the next staged message. The
-            // (seq, anti) echo lets the worker assert the two sides agree
-            // on *which* message that is — any divergence is a protocol
-            // bug, and a typed error beats silently diverging state.
-            let cmd = ObjBuilder::new()
-                .str("kind", "deliver_next")
-                .uint("src", m.src as u64)
-                .uint("seq", m.seq)
-                .bool("anti", m.anti)
-                .build();
-            let r = self.command(&cmd)?;
-            let lvt = self.expect_done(&r, sends)?;
-            self.staged.insert(m.src, held - 1);
-            Ok(lvt)
-        } else {
-            // Ship the head plus the channel's committed tail in one
-            // frame; the worker applies the head now and stashes the rest
-            // for payload-free `deliver_next` commands.
-            let mut msgs = Vec::with_capacity(1 + tail.len());
-            msgs.push(m.to_json());
-            msgs.extend(tail.iter().map(|t| t.to_json()));
-            let cmd = ObjBuilder::new()
-                .str("kind", "msg_batch")
-                .uint("src", m.src as u64)
-                .array("msgs", msgs)
-                .build();
-            let r = self.command(&cmd)?;
-            let lvt = self.expect_done(&r, sends)?;
-            self.messages_sent += 1 + tail.len() as u64;
-            self.frames_sent += 1;
-            self.staged.insert(m.src, tail.len() as u64);
-            Ok(lvt)
-        }
     }
 
     fn fossil(&mut self, gvt: VTime) -> Result<(), WorkerFailure> {
@@ -2529,7 +2380,6 @@ impl ClusterWorker for ProcessWorker {
             heartbeats_missed: self.heartbeats_missed,
             chaos_faults_injected: self.chaos.as_ref().map_or(0, |c| c.borrow().fired()),
             messages_sent: self.messages_sent,
-            frames_sent: self.frames_sent,
         }
     }
 }
@@ -2571,16 +2421,7 @@ pub(crate) fn run_process(
             ProcessWorker::new(
                 me as u32,
                 bin.clone(),
-                init_json(
-                    nl,
-                    plan,
-                    stim,
-                    cycles,
-                    cfg.state_saving,
-                    check,
-                    me as u32,
-                    &label,
-                ),
+                init_json(nl, plan, stim, cycles, check, me as u32, &label),
                 timing,
                 (!chaos_plan.is_empty()).then(|| chaos_plan.for_cluster(me as u32)),
             )
@@ -2652,16 +2493,7 @@ pub(crate) fn run_tcp(
                 me as u32,
                 Rc::clone(&broker),
                 spawn_bin.clone(),
-                init_json(
-                    nl,
-                    plan,
-                    stim,
-                    cycles,
-                    cfg.state_saving,
-                    check,
-                    me as u32,
-                    &label,
-                ),
+                init_json(nl, plan, stim, cycles, check, me as u32, &label),
                 timing,
                 (!chaos_plan.is_empty()).then(|| chaos_plan.for_cluster(me as u32)),
             )
@@ -2783,12 +2615,7 @@ fn serve_wire(stream: WireStream, identity: Option<u32>, token: &str) -> io::Res
         Some(bytes) => bytes,
         None => return Ok(()),
     };
-    // Advertise the `msg_batch` capability — unless the `DVS_TW_NO_BATCH`
-    // test hook simulates a pre-batching v3 peer, whose hello simply
-    // lacks the flag (negotiation then keeps the supervisor on plain
-    // `deliver` frames).
-    let advertise_batch = std::env::var_os("DVS_TW_NO_BATCH").is_none();
-    send_json(&mut writer, &hello_json(token, identity, advertise_batch))?;
+    send_json(&mut writer, &hello_json(token, identity))?;
     let theirs = parse_json(&hello)
         .and_then(|j| hello_parse(&j))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -2847,7 +2674,6 @@ fn serve_cluster(
         cluster,
         check,
         cycles,
-        state_saving,
         stim,
         label,
     } = init;
@@ -2858,7 +2684,7 @@ fn serve_cluster(
         cluster,
         stim.clone(),
         cycles,
-        state_saving,
+        StateSaving::IncrementalUndo,
     ));
     sink.send_json(&ready_json(lvt_of(&mut proc)))
         .map_err(wire_io)?;
@@ -2866,11 +2692,6 @@ fn serve_cluster(
     // Reference image for delta capture: the last full or reconstructed
     // checkpoint this incarnation produced or was restored from.
     let mut prev_ckpt: Option<Checkpoint> = None;
-    // Staged messages from `msg_batch` frames, FIFO per source channel,
-    // applied one at a time by `deliver_next` commands. Connection-local
-    // by construction: a respawned or reconnected worker starts empty,
-    // mirroring the supervisor's cleared staging mirror.
-    let mut stash: HashMap<u32, VecDeque<TwMessage>> = HashMap::new();
 
     loop {
         let bytes = match worker_recv(&mut source)? {
@@ -2913,14 +2734,12 @@ fn serve_cluster(
                 &plan,
                 &stim,
                 cycles,
-                state_saving,
                 check,
                 &label,
                 cluster,
                 &mut proc,
                 &mut selfkill,
                 &mut prev_ckpt,
-                &mut stash,
             )
         }));
         match outcome {
@@ -2985,14 +2804,12 @@ fn dispatch<'nl, 'p>(
     plan: &'p ClusterPlan,
     stim: &VectorStimulus,
     cycles: u64,
-    state_saving: StateSaving,
     check: bool,
     label: &str,
     cluster: u32,
     proc: &mut Option<ClusterProcess<'nl, 'p>>,
     selfkill: &mut Option<u64>,
     prev_ckpt: &mut Option<Checkpoint>,
-    stash: &mut HashMap<u32, VecDeque<TwMessage>>,
 ) -> Result<Option<Json>, String>
 where
     'nl: 'p,
@@ -3017,77 +2834,6 @@ where
             live(proc)?;
             let m =
                 TwMessage::from_json(cmd.field("msg").map_err(|e| e.msg)?).map_err(|e| e.msg)?;
-            let p = proc.as_mut().expect("live() checked presence");
-            let mut sends = Vec::new();
-            p.handle_message(m, &mut |m: TwMessage| sends.push(m));
-            Ok(Some(done_json(p.lvt(), &sends)))
-        }
-        "msg_batch" => {
-            live(proc)?;
-            let src = cmd.field("src").and_then(Json::as_u64).map_err(|e| e.msg)? as u32;
-            let msgs = cmd
-                .field("msgs")
-                .and_then(Json::as_array)
-                .map_err(|e| e.msg)?;
-            if msgs.is_empty() {
-                return Err("msg_batch with no messages".to_string());
-            }
-            // Reject an oversized batch from its declared length, before
-            // materializing a single message out of it.
-            if msgs.len() > MAX_BATCH_MSGS {
-                return Err(format!(
-                    "msg_batch of {} messages exceeds the cap of {MAX_BATCH_MSGS}",
-                    msgs.len()
-                ));
-            }
-            if stash.get(&src).is_some_and(|q| !q.is_empty()) {
-                return Err(format!(
-                    "msg_batch for source {src} while staged messages remain"
-                ));
-            }
-            let mut parsed = Vec::with_capacity(msgs.len());
-            for m in msgs {
-                let m = TwMessage::from_json(m).map_err(|e| e.msg)?;
-                if m.src != src || m.dst != cluster {
-                    return Err(format!(
-                        "msg_batch message {}->{} does not belong to channel {src}->{cluster}",
-                        m.src, m.dst
-                    ));
-                }
-                parsed.push(m);
-            }
-            // Apply the head exactly as a plain deliver would; stage the
-            // FIFO tail for payload-free `deliver_next` commands.
-            let mut it = parsed.into_iter();
-            let head = it.next().expect("non-empty batch checked above");
-            stash.entry(src).or_default().extend(it);
-            let p = proc.as_mut().expect("live() checked presence");
-            let mut sends = Vec::new();
-            p.handle_message(head, &mut |m: TwMessage| sends.push(m));
-            Ok(Some(done_json(p.lvt(), &sends)))
-        }
-        "deliver_next" => {
-            live(proc)?;
-            let src = cmd.field("src").and_then(Json::as_u64).map_err(|e| e.msg)? as u32;
-            let seq = cmd.field("seq").and_then(Json::as_u64).map_err(|e| e.msg)?;
-            let anti = cmd
-                .field("anti")
-                .and_then(Json::as_bool)
-                .map_err(|e| e.msg)?;
-            let m = stash
-                .get_mut(&src)
-                .and_then(VecDeque::pop_front)
-                .ok_or_else(|| format!("deliver_next for source {src} with an empty stash"))?;
-            // The supervisor echoes which message it believes is next on
-            // the channel; a mismatch means the two sides' FIFO views
-            // diverged, and a typed error beats silently corrupting state.
-            if m.seq != seq || m.anti != anti {
-                return Err(format!(
-                    "deliver_next desync on channel {src}->{cluster}: supervisor expects \
-                     seq {seq} (anti {anti}), stash head is seq {} (anti {})",
-                    m.seq, m.anti
-                ));
-            }
             let p = proc.as_mut().expect("live() checked presence");
             let mut sends = Vec::new();
             p.handle_message(m, &mut |m: TwMessage| sends.push(m));
@@ -3160,30 +2906,23 @@ where
             {
                 ops.push(replay_op_from_json(op)?);
             }
-            let (mut p, image) = match ClusterProcess::from_chain(
-                nl,
-                plan,
-                stim.clone(),
-                cycles,
-                state_saving,
-                &base,
-                &deltas,
-            ) {
-                Ok(pair) => pair,
-                // Integrity failures in the shipped chain are recoverable
-                // on the supervisor side (it falls back to the last full
-                // base), so answer with a typed frame and keep serving on
-                // this connection instead of hanging up.
-                Err(e @ (DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. })) => {
-                    return Ok(Some(
-                        ObjBuilder::new()
-                            .str("kind", "restore_corrupt")
-                            .str("detail", &format!("restore chain rejected: {e}"))
-                            .build(),
-                    ));
-                }
-                Err(other) => return Err(format!("restore chain rejected: {other}")),
-            };
+            let (mut p, image) =
+                match ClusterProcess::from_chain(nl, plan, stim.clone(), cycles, &base, &deltas) {
+                    Ok(pair) => pair,
+                    // Integrity failures in the shipped chain are recoverable
+                    // on the supervisor side (it falls back to the last full
+                    // base), so answer with a typed frame and keep serving on
+                    // this connection instead of hanging up.
+                    Err(e @ (DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. })) => {
+                        return Ok(Some(
+                            ObjBuilder::new()
+                                .str("kind", "restore_corrupt")
+                                .str("detail", &format!("restore chain rejected: {e}"))
+                                .build(),
+                        ));
+                    }
+                    Err(other) => return Err(format!("restore chain rejected: {other}")),
+                };
             replay_ops(&mut p, &ops);
             let lvt = p.lvt();
             *proc = Some(p);
@@ -3191,12 +2930,6 @@ where
             // A restored worker is a fresh process as far as the fault
             // model is concerned; it must not re-arm the self-kill hook.
             *selfkill = None;
-            // Staged messages belong to the pre-restore incarnation; the
-            // supervisor re-offers them from its (never-popped-early)
-            // channel queues. In practice a restore always arrives on a
-            // fresh connection with an empty stash — this is defense in
-            // depth.
-            stash.clear();
             Ok(Some(ready_json(lvt)))
         }
         "quiesce" => {
@@ -3251,17 +2984,6 @@ mod tests {
     }
 
     #[test]
-    fn state_saving_round_trips() {
-        for s in [
-            StateSaving::IncrementalUndo,
-            StateSaving::Checkpoint { interval: 7 },
-        ] {
-            let j = state_saving_json(s);
-            assert_eq!(state_saving_from_json(&j).expect("round trip"), s);
-        }
-    }
-
-    #[test]
     fn replay_ops_round_trip() {
         let ops = [
             ReplayOp::Step { limit: VTime::MAX },
@@ -3287,11 +3009,16 @@ mod tests {
 
     #[test]
     fn hello_mismatch_shuts_the_worker_down_quietly() {
-        // Both directions of skew: a future supervisor with a newer wire
-        // version, and a stale v2 supervisor predating checksummed frames.
-        // Hellos stay on the legacy length-only framing precisely so this
-        // exchange parses on both sides regardless of version.
-        for wire in [WIRE_VERSION + 1, WIRE_VERSION - 1] {
+        // Both directions of wire skew: a future supervisor with a newer
+        // wire version, and a stale v2 supervisor predating checksummed
+        // frames; plus a current-wire supervisor still on checkpoint
+        // schema 2. Hellos stay on the legacy length-only framing precisely
+        // so this exchange parses on both sides regardless of version.
+        for (wire, schema) in [
+            (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
+            (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
+            (WIRE_VERSION, CHECKPOINT_SCHEMA - 1),
+        ] {
             let (sup, worker) = UnixStream::pair().expect("socketpair");
             let handle = std::thread::spawn(move || serve_wire(WireStream::Unix(worker), None, ""));
 
@@ -3300,7 +3027,7 @@ mod tests {
             let bad_hello = ObjBuilder::new()
                 .str("kind", "hello")
                 .uint("wire", wire as u64)
-                .uint("checkpoint_schema", CHECKPOINT_SCHEMA as u64)
+                .uint("checkpoint_schema", schema as u64)
                 .build();
             send_json(&mut writer, &bad_hello).expect("send hello");
 
@@ -3327,7 +3054,7 @@ mod tests {
 
         let mut writer = sup.try_clone().expect("clone");
         let mut reader = io::BufReader::new(sup);
-        send_json(&mut writer, &hello_json("wrong", None, false)).expect("send hello");
+        send_json(&mut writer, &hello_json("wrong", None)).expect("send hello");
 
         let reply = read_frame(&mut reader)
             .expect("read")
@@ -3348,7 +3075,7 @@ mod tests {
             let mut stream = WireStream::Tcp(conn);
             let mut writer = stream.try_clone().expect("clone");
             let _sup_hello = read_frame(&mut stream).expect("read").expect("sup hello");
-            send_json(&mut writer, &hello_json(&token, Some(cluster), true)).expect("send hello");
+            send_json(&mut writer, &hello_json(&token, Some(cluster))).expect("send hello");
             stream
         })
     }
@@ -3371,8 +3098,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let genuine = dial(broker.addr, "good-token", 0);
         let deadline = Instant::now() + Duration::from_secs(5);
-        let (got, batch) = broker.accept_for(0, deadline, None).expect("accept");
-        assert!(batch, "dial() advertises batching in its hello");
+        let got = broker.accept_for(0, deadline, None).expect("accept");
         // The genuine worker's connection is the one handed back: prove it
         // by round-tripping a frame (the stray's socket was dropped, so
         // writing to it would fail or go nowhere).
@@ -3403,9 +3129,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let w0 = dial(broker.addr, "tok", 0);
         let deadline = Instant::now() + Duration::from_secs(5);
-        let (s0, _) = broker.accept_for(0, deadline, None).expect("accept 0");
+        let s0 = broker.accept_for(0, deadline, None).expect("accept 0");
         // Cluster 1 is already parked: no new dial-in needed.
-        let (s1, _) = broker
+        let s1 = broker
             .accept_for(1, Instant::now() + Duration::from_millis(200), None)
             .expect("accept 1 from pending");
         drop(s0);
@@ -3414,52 +3140,54 @@ mod tests {
         drop(w1.join().expect("w1 thread"));
     }
 
-    /// A correct-token peer with a mismatched wire version is fatal — the
-    /// checkpoint payload must never cross a mixed-version pair. The peer
-    /// here presents `WIRE_VERSION - 1`: a v2 worker (pre-checksum
-    /// framing) meeting a v3 supervisor surfaces as the typed
-    /// [`TimeWarpError::VersionMismatch`], not as garbled frames — hellos
-    /// deliberately stay on the legacy framing both versions can parse.
+    /// A correct-token peer with a mismatched wire version or checkpoint
+    /// schema is fatal — the checkpoint payload must never cross a
+    /// mixed-version pair. A v2 worker (pre-checksum framing) or a
+    /// schema-2 worker (the only kind that could still expect a
+    /// `state_saving` key in `init`) meeting this supervisor surfaces as
+    /// the typed [`TimeWarpError::VersionMismatch`], not as garbled frames
+    /// — hellos deliberately stay on the legacy framing every version can
+    /// parse.
     #[test]
     fn broker_rejects_version_mismatch_as_fatal() {
-        let broker = TcpBroker::bind(
-            "127.0.0.1:0",
-            "tok".to_string(),
-            Duration::from_millis(2_000),
-            Duration::from_millis(2_000),
-        )
-        .expect("bind");
-        let addr = broker.addr;
-        let old = std::thread::spawn(move || {
-            let conn = TcpStream::connect(addr).expect("connect");
-            let mut stream = WireStream::Tcp(conn);
-            let mut writer = stream.try_clone().expect("clone");
-            let _ = read_frame(&mut stream).expect("read").expect("sup hello");
-            let stale = ObjBuilder::new()
-                .str("kind", "hello")
-                .uint("wire", (WIRE_VERSION - 1) as u64)
-                .uint("checkpoint_schema", CHECKPOINT_SCHEMA as u64)
-                .str("token", "tok")
-                .uint("cluster", 0)
-                .build();
-            send_json(&mut writer, &stale).expect("send hello");
-            stream
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let err = broker
-            .accept_for(0, deadline, None)
-            .expect_err("version mismatch must be fatal");
-        assert_eq!(
-            err,
-            WorkerFailure::Version {
-                theirs: (WIRE_VERSION - 1, CHECKPOINT_SCHEMA)
-            }
-        );
-        assert!(matches!(
-            fatal(0, err),
-            TimeWarpError::VersionMismatch { .. }
-        ));
-        drop(old.join().expect("old peer thread"));
+        for theirs in [
+            (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
+            (WIRE_VERSION, CHECKPOINT_SCHEMA - 1),
+        ] {
+            let broker = TcpBroker::bind(
+                "127.0.0.1:0",
+                "tok".to_string(),
+                Duration::from_millis(2_000),
+                Duration::from_millis(2_000),
+            )
+            .expect("bind");
+            let addr = broker.addr;
+            let old = std::thread::spawn(move || {
+                let conn = TcpStream::connect(addr).expect("connect");
+                let mut stream = WireStream::Tcp(conn);
+                let mut writer = stream.try_clone().expect("clone");
+                let _ = read_frame(&mut stream).expect("read").expect("sup hello");
+                let stale = ObjBuilder::new()
+                    .str("kind", "hello")
+                    .uint("wire", theirs.0 as u64)
+                    .uint("checkpoint_schema", theirs.1 as u64)
+                    .str("token", "tok")
+                    .uint("cluster", 0)
+                    .build();
+                send_json(&mut writer, &stale).expect("send hello");
+                stream
+            });
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let err = broker
+                .accept_for(0, deadline, None)
+                .expect_err("version mismatch must be fatal");
+            assert_eq!(err, WorkerFailure::Version { theirs });
+            assert!(matches!(
+                fatal(0, err),
+                TimeWarpError::VersionMismatch { .. }
+            ));
+            drop(old.join().expect("old peer thread"));
+        }
     }
 
     /// A TCP worker that completes the hello but goes silent during the
@@ -3485,7 +3213,7 @@ mod tests {
             let mut stream = WireStream::Tcp(conn);
             let mut writer = stream.try_clone().expect("clone");
             let _ = read_frame(&mut stream).expect("read").expect("sup hello");
-            send_json(&mut writer, &hello_json(&token, Some(0), true)).expect("send hello");
+            send_json(&mut writer, &hello_json(&token, Some(0))).expect("send hello");
             // Swallow the init frame, then go silent until the supervisor
             // gives up (keep the socket open so no EOF arrives).
             let _init = read_frame(&mut stream).expect("read init");
@@ -3536,7 +3264,7 @@ mod tests {
             let writer = stream.try_clone().expect("clone");
             let _ = read_frame(&mut stream).expect("read").expect("sup hello");
             let mut legacy_writer = writer.try_clone().expect("clone");
-            send_json(&mut legacy_writer, &hello_json(&token, Some(0), true)).expect("send hello");
+            send_json(&mut legacy_writer, &hello_json(&token, Some(0))).expect("send hello");
             // Post-hello traffic rides the checksummed v3 framing:
             // acknowledge init like a real worker, then never answer again.
             let mut source = FrameSource::new(io::BufReader::new(stream));
@@ -3601,8 +3329,6 @@ mod tests {
             tomb_local: vec![3],
             processed: Vec::new(),
             undo: vec![(12, 1, Logic::X)],
-            snapshots: Vec::new(),
-            epochs_since_snapshot: 2,
             outlog: Vec::new(),
             sched_log: vec![(11, 7)],
             stim_cycle: 5,
@@ -3639,7 +3365,7 @@ mod tests {
 
     /// Hand-authored `init` frame for a two-cluster chain `net0 → not →
     /// net1 → not → net2`. The served worker is cluster 1, whose single
-    /// gate reads net 1 — the 0→1 message channel the batch tests drive.
+    /// gate reads net 1 — the 0→1 message channel the tests below drive.
     /// The stimulus seed deliberately exceeds `i64::MAX`: it must survive
     /// the JSON codec's decimal-string fallback losslessly (a saturated
     /// seed once made workers simulate a different stimulus than their
@@ -3657,12 +3383,8 @@ mod tests {
             .uint("cluster", 1)
             .uint("k", 2)
             .bool("check", true)
-            .str("label", "batch-unit")
+            .str("label", "serve-unit")
             .uint("cycles", 4)
-            .field(
-                "state_saving",
-                state_saving_json(StateSaving::IncrementalUndo),
-            )
             .uint("nets", 3)
             .field("const0", Json::Null)
             .field("const1", Json::Null)
@@ -3690,17 +3412,17 @@ mod tests {
     /// Complete the hello + init handshake against a real [`serve_wire`]
     /// worker over a Unix socketpair, returning the supervisor side of
     /// the checksummed v3 framing with the worker ready for commands.
-    fn batch_worker_session() -> WorkerSession {
+    fn worker_session() -> WorkerSession {
         let (sup, worker) = UnixStream::pair().expect("socketpair");
         let handle = std::thread::spawn(move || serve_wire(WireStream::Unix(worker), None, ""));
         let mut writer = WireStream::Unix(sup).try_clone().expect("clone");
         let mut reader = io::BufReader::new(writer.try_clone().expect("clone"));
-        send_json(&mut writer, &hello_json("", None, true)).expect("send hello");
+        send_json(&mut writer, &hello_json("", None)).expect("send hello");
         let reply = read_frame(&mut reader)
             .expect("read")
             .expect("worker hello");
         let reply = hello_parse(&parse_json(&reply).expect("parse")).expect("hello");
-        assert!(reply.batch, "worker must advertise msg_batch by default");
+        assert_eq!(reply.versions(), (WIRE_VERSION, CHECKPOINT_SCHEMA));
         let mut sink = FrameSink::new(writer);
         let mut source = FrameSource::new(reader);
         sink.send_json(&tiny_init_json()).expect("send init");
@@ -3724,130 +3446,72 @@ mod tests {
         }
     }
 
-    /// A `msg_batch` frame round-trips through a real worker over a real
-    /// socket: the head applies immediately, the staged tail is released
-    /// in FIFO order by payload-free `deliver_next` commands, and one
-    /// more release past the end of the stash is a typed protocol error.
+    /// Plain `deliver` frames round-trip through a real worker over a real
+    /// socket — a worker whose `init` carried a stimulus seed above
+    /// `i64::MAX` (see [`tiny_init_json`]) — each answered with `done`.
     #[test]
-    fn msg_batch_round_trips_through_a_real_worker() {
-        let (mut sink, mut source, handle) = batch_worker_session();
-        let batch = [
+    fn deliver_round_trips_through_a_real_worker() {
+        let (mut sink, mut source, handle) = worker_session();
+        for m in [
             channel_msg(1, 1, Logic::One),
             channel_msg(2, 2, Logic::Zero),
             channel_msg(3, 3, Logic::One),
-        ];
-        let cmd = ObjBuilder::new()
-            .str("kind", "msg_batch")
-            .uint("src", 0)
-            .array("msgs", batch.iter().map(TwMessage::to_json).collect())
-            .build();
-        sink.send_json(&cmd).expect("send batch");
-        let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-        assert_eq!(
-            json_kind(&reply).expect("kind"),
-            "done",
-            "the batch head applies like a plain deliver"
-        );
-        // Release the staged tail one message at a time; the (seq, anti)
-        // echo must match the worker's stash head.
-        for m in &batch[1..] {
+        ] {
             let cmd = ObjBuilder::new()
-                .str("kind", "deliver_next")
-                .uint("src", 0)
-                .uint("seq", m.seq)
-                .bool("anti", m.anti)
+                .str("kind", "deliver")
+                .field("msg", m.to_json())
                 .build();
-            sink.send_json(&cmd).expect("send deliver_next");
+            sink.send_json(&cmd).expect("send deliver");
             let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
             assert_eq!(
                 json_kind(&reply).expect("kind"),
                 "done",
-                "staged message seq {} must be released",
+                "message seq {} must be applied",
                 m.seq
             );
         }
-        // The stash is drained: another release is a protocol error, and
-        // the worker reports it and hangs up instead of guessing.
-        let cmd = ObjBuilder::new()
-            .str("kind", "deliver_next")
-            .uint("src", 0)
-            .uint("seq", 4)
-            .bool("anti", false)
-            .build();
-        sink.send_json(&cmd).expect("send deliver_next");
+        sink.send_json(&ok_json_cmd("finish")).expect("send finish");
         let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-        assert_eq!(json_kind(&reply).expect("kind"), "error");
-        let detail = reply
-            .field("detail")
-            .and_then(Json::as_str)
-            .expect("detail");
-        assert!(
-            detail.contains("empty stash"),
-            "unexpected detail: {detail}"
-        );
+        assert_eq!(json_kind(&reply).expect("kind"), "finished");
         assert_eq!(source.recv().expect("clean eof"), None);
         handle.join().expect("join").expect("serve_wire exits Ok");
     }
 
-    /// An oversized batch is rejected from its declared length alone,
-    /// before a single message is materialized: the `msgs` entries here
-    /// are `null`, which would fail message parsing with a different
-    /// error if the worker ever looked past the length.
+    /// The removed batching vocabulary is rejected, not ignored: a worker
+    /// handed `msg_batch` or `deliver_next` answers with a typed `error`
+    /// frame (which the supervisor maps to [`WorkerFailure::Protocol`])
+    /// and hangs up.
     #[test]
-    fn oversize_msg_batch_is_rejected_before_materializing() {
-        let (mut sink, mut source, handle) = batch_worker_session();
-        let cmd = ObjBuilder::new()
-            .str("kind", "msg_batch")
-            .uint("src", 0)
-            .array("msgs", vec![Json::Null; MAX_BATCH_MSGS + 1])
-            .build();
-        sink.send_json(&cmd).expect("send oversize batch");
-        let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-        assert_eq!(json_kind(&reply).expect("kind"), "error");
-        let detail = reply
-            .field("detail")
-            .and_then(Json::as_str)
-            .expect("detail");
-        assert!(
-            detail.contains("exceeds the cap"),
-            "expected the declared-length rejection, got: {detail}"
-        );
-        assert_eq!(source.recv().expect("clean eof"), None);
-        handle.join().expect("join").expect("serve_wire exits Ok");
-    }
-
-    /// A flipped bit inside a `msg_batch` frame surfaces as the typed
-    /// [`WireError::Corrupt`] (CRC mismatch), which `is_corrupt` routes
-    /// into connection recovery — a multi-message frame gets no weaker
-    /// integrity checking than a single-message one.
-    #[test]
-    fn bit_flip_in_a_batched_frame_is_corrupt() {
-        let cmd = ObjBuilder::new()
-            .str("kind", "msg_batch")
-            .uint("src", 0)
-            .array(
-                "msgs",
-                vec![
-                    channel_msg(1, 3, Logic::One).to_json(),
-                    channel_msg(2, 5, Logic::Zero).to_json(),
-                ],
-            )
-            .build();
-        let mut sink = FrameSink::new(Vec::new());
-        sink.send_json(&cmd).expect("encode");
-        let clean = sink.get_ref().clone();
-        // Sanity: the unflipped frame decodes back to the same command.
-        let mut src = FrameSource::new(io::Cursor::new(clean.clone()));
-        let bytes = src.recv().expect("recv").expect("frame");
-        assert_eq!(parse_json(&bytes).expect("parse"), cmd);
-        // Flip one bit in the final byte — inside the JSON body, past the
-        // header, so only the payload CRC can catch it.
-        let mut flipped = clean;
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        let mut src = FrameSource::new(io::Cursor::new(flipped));
-        let err = src.recv().expect_err("corrupt frame must not decode");
-        assert!(matches!(err, WireError::Corrupt(_)), "got {err:?}");
-        assert!(err.is_corrupt(), "recovery keys on is_corrupt");
+    fn removed_batch_commands_are_unknown() {
+        let m = channel_msg(1, 1, Logic::One);
+        let removed = [
+            ObjBuilder::new()
+                .str("kind", "msg_batch")
+                .uint("src", 0)
+                .array("msgs", vec![m.to_json()])
+                .build(),
+            ObjBuilder::new()
+                .str("kind", "deliver_next")
+                .uint("src", 0)
+                .uint("seq", m.seq)
+                .bool("anti", m.anti)
+                .build(),
+        ];
+        for cmd in &removed {
+            let (mut sink, mut source, handle) = worker_session();
+            sink.send_json(cmd).expect("send removed command");
+            let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+            assert_eq!(json_kind(&reply).expect("kind"), "error");
+            let detail = reply
+                .field("detail")
+                .and_then(Json::as_str)
+                .expect("detail");
+            assert!(
+                detail.contains("unknown command kind"),
+                "unexpected detail: {detail}"
+            );
+            assert_eq!(source.recv().expect("clean eof"), None);
+            handle.join().expect("join").expect("serve_wire exits Ok");
+        }
     }
 }

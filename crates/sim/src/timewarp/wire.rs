@@ -34,10 +34,9 @@ use std::time::Duration;
 
 /// Version of the framing and command vocabulary. Negotiated in the
 /// `hello` exchange together with [`CHECKPOINT_SCHEMA`] (the restore
-/// payload is a serialized base checkpoint plus, under checkpoint schema
-/// 2, an optional delta chain to fold onto it, so both must match — a
-/// schema-1 peer is rejected at the handshake rather than failing when a
-/// `ckpt_delta` command or a chained `restore` frame arrives). Version 2
+/// payload is a serialized base checkpoint plus an optional delta chain to
+/// fold onto it, so both must match — a peer on an older schema is rejected
+/// at the handshake rather than failing when an image arrives). Version 2
 /// added the per-run `token` and the worker `cluster` identity to the
 /// hello frame for the TCP transport. Version 3 added the checksummed,
 /// sequence-numbered command-frame header and the `ping`/`pong` heartbeat
@@ -530,12 +529,6 @@ pub(crate) struct Hello {
     /// its cluster; `None` in supervisor hellos and on the Unix transport,
     /// where the socket path identifies the cluster.
     pub cluster: Option<u32>,
-    /// Whether the peer understands the `msg_batch`/`deliver_next`
-    /// commands. Optional on the wire and absent from older v3 peers'
-    /// hellos, so negotiation degrades gracefully: the supervisor batches
-    /// toward a worker only when the worker's hello advertised the
-    /// capability, and sends plain `deliver` frames otherwise.
-    pub batch: bool,
 }
 
 impl Hello {
@@ -545,10 +538,8 @@ impl Hello {
 }
 
 /// Build a `hello` frame carrying our versions, the run token, and — from
-/// a TCP worker — its cluster identity. `batch` advertises the
-/// `msg_batch` capability; when false the field is omitted entirely,
-/// which is also what a pre-batching v3 peer's hello looks like.
-pub(crate) fn hello_json(token: &str, cluster: Option<u32>, batch: bool) -> Json {
+/// a TCP worker — its cluster identity.
+pub(crate) fn hello_json(token: &str, cluster: Option<u32>) -> Json {
     let mut b = ObjBuilder::new()
         .str("kind", "hello")
         .uint("wire", WIRE_VERSION as u64)
@@ -556,9 +547,6 @@ pub(crate) fn hello_json(token: &str, cluster: Option<u32>, batch: bool) -> Json
         .str("token", token);
     if let Some(c) = cluster {
         b = b.uint("cluster", c as u64);
-    }
-    if batch {
-        b = b.bool("batch", true);
     }
     b.build()
 }
@@ -584,16 +572,11 @@ pub(crate) fn hello_parse(j: &Json) -> Result<Hello, String> {
         Ok(v) => Some(v.as_u64().map_err(err)? as u32),
         Err(_) => None,
     };
-    let batch = match j.field("batch") {
-        Ok(v) => v.as_bool().map_err(err)?,
-        Err(_) => false,
-    };
     Ok(Hello {
         wire,
         checkpoint_schema,
         token,
         cluster,
-        batch,
     })
 }
 
@@ -931,7 +914,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let sender = std::thread::spawn(move || {
             let mut s = WireStream::Tcp(TcpStream::connect(addr).expect("connect"));
-            send_json(&mut s, &hello_json("tok-1", Some(3), true)).expect("send hello");
+            send_json(&mut s, &hello_json("tok-1", Some(3))).expect("send hello");
             let mut sink = FrameSink::new(s);
             sink.send(b"{\"kind\":\"step\"}").expect("send command");
         });
@@ -942,7 +925,6 @@ mod tests {
         assert_eq!(hello.versions(), (WIRE_VERSION, CHECKPOINT_SCHEMA));
         assert_eq!(hello.token, "tok-1");
         assert_eq!(hello.cluster, Some(3));
-        assert!(hello.batch);
         let mut src = FrameSource::new(r);
         assert_eq!(
             src.recv().expect("command").as_deref(),
@@ -953,17 +935,12 @@ mod tests {
 
     #[test]
     fn hello_round_trips_with_and_without_identity() {
-        for (token, cluster, batch) in [
-            ("", None, false),
-            ("run-abc", Some(0), true),
-            ("t", Some(7), false),
-        ] {
-            let j = hello_json(token, cluster, batch);
+        for (token, cluster) in [("", None), ("run-abc", Some(0)), ("t", Some(7))] {
+            let j = hello_json(token, cluster);
             let h = hello_parse(&j).expect("parse");
             assert_eq!(h.versions(), (WIRE_VERSION, CHECKPOINT_SCHEMA));
             assert_eq!(h.token, token);
             assert_eq!(h.cluster, cluster);
-            assert_eq!(h.batch, batch);
         }
         // A version-2 hello (token but no command-frame checksums) still
         // parses; version negotiation is what rejects it.
@@ -977,9 +954,6 @@ mod tests {
         assert_eq!(h.wire, 2);
         assert_eq!(h.token, "old-run");
         assert_eq!(h.cluster, None);
-        // No `batch` field — the capability negotiates off, exactly how a
-        // pre-batching v3 peer is handled.
-        assert!(!h.batch);
     }
 
     #[test]

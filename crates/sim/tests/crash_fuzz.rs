@@ -24,7 +24,7 @@ use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::dst::run_deterministic;
 use dvs_sim::timewarp::{
-    CheckpointCadence, FaultPlan, SchedulePolicy, StateSaving, TimeWarpConfig, TwRunResult,
+    CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig, TwRunResult,
 };
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
@@ -43,7 +43,6 @@ struct CrashCase {
     stim_seed: u64,
     sched_seed: u64,
     policy_sel: u8,
-    checkpoint: bool,
     cycles: u64,
     victim: u32,
     crash_at: u64,
@@ -53,7 +52,7 @@ struct CrashCase {
 
 fn case_strategy() -> impl Strategy<Value = CrashCase> {
     let circuit = (any::<bool>(), 2u32..6, 2usize..4, any::<u64>());
-    let seeds = (any::<u64>(), any::<u64>(), 0u8..3, any::<bool>());
+    let seeds = (any::<u64>(), any::<u64>(), 0u8..3);
     // Crash points span immediate (0) through mid-run; points past the end
     // of the run simply never fire, which is itself a valid case. Cadences
     // above 1 interleave delta checkpoints between bases, so crashes land
@@ -62,7 +61,7 @@ fn case_strategy() -> impl Strategy<Value = CrashCase> {
     (circuit, seeds, fault).prop_map(
         |(
             (counter_not_lfsr, bits, k, part_seed),
-            (stim_seed, sched_seed, policy_sel, checkpoint),
+            (stim_seed, sched_seed, policy_sel),
             ((cycles, victim), (crash_at, crashes, cadence)),
         )| CrashCase {
             counter_not_lfsr,
@@ -72,7 +71,6 @@ fn case_strategy() -> impl Strategy<Value = CrashCase> {
             stim_seed,
             sched_seed,
             policy_sel,
-            checkpoint,
             cycles,
             victim: victim % k as u32,
             crash_at,
@@ -124,11 +122,6 @@ fn run_with_fault(case: &CrashCase, fault: FaultPlan) -> TwRunResult {
         .window(8)
         .epochs_per_quantum(2)
         .checkpoint_cadence(CheckpointCadence::every_n_rounds(case.cadence))
-        .state_saving(if case.checkpoint {
-            StateSaving::Checkpoint { interval: 4 }
-        } else {
-            StateSaving::IncrementalUndo
-        })
         .fault(fault)
         .build()
         .expect("valid config");
@@ -260,7 +253,6 @@ fn fixed_cases_per_policy() {
             stim_seed: 22,
             sched_seed: 33,
             policy_sel,
-            checkpoint: false,
             cycles: 25,
             victim: 1,
             crash_at: 9,
@@ -288,7 +280,6 @@ fn fixed_cadence_three_retention_is_safe() {
             stim_seed: 22,
             sched_seed: 33,
             policy_sel: 1,
-            checkpoint: false,
             cycles: 25,
             victim: 1,
             crash_at,

@@ -20,7 +20,7 @@ use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::dst::{first_cut_channel, run_deterministic};
-use dvs_sim::timewarp::{BatchPolicy, SchedulePolicy, StateSaving, TimeWarpConfig};
+use dvs_sim::timewarp::{SchedulePolicy, TimeWarpConfig};
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
 use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
@@ -39,9 +39,7 @@ struct FuzzCase {
     sched_seed: u64,
     policy_sel: u8,
     window: u64,
-    batch: usize,
-    checkpoint: bool,
-    batching: bool,
+    epochs_per_quantum: usize,
     cycles: u64,
 }
 
@@ -51,14 +49,13 @@ fn case_strategy() -> impl Strategy<Value = FuzzCase> {
     let kernel = (
         prop_oneof![Just(4u64), Just(16u64), Just(64u64)],
         prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
-        (any::<bool>(), any::<bool>()),
         10u64..40,
     );
     (circuit, seeds, kernel).prop_map(
         |(
             (counter_not_lfsr, bits, k, part_seed),
             (stim_seed, sched_seed, policy_sel),
-            (window, batch, (checkpoint, batching), cycles),
+            (window, epochs_per_quantum, cycles),
         )| FuzzCase {
             counter_not_lfsr,
             bits,
@@ -68,9 +65,7 @@ fn case_strategy() -> impl Strategy<Value = FuzzCase> {
             sched_seed,
             policy_sel,
             window,
-            batch,
-            checkpoint,
-            batching,
+            epochs_per_quantum,
             cycles,
         },
     )
@@ -120,17 +115,7 @@ fn run_case(case: &FuzzCase) {
 
     let cfg = TimeWarpConfig::builder()
         .window(case.window)
-        .epochs_per_quantum(case.batch)
-        .message_batching(if case.batching {
-            BatchPolicy::per_quantum()
-        } else {
-            BatchPolicy::Off
-        })
-        .state_saving(if case.checkpoint {
-            StateSaving::Checkpoint { interval: 4 }
-        } else {
-            StateSaving::IncrementalUndo
-        })
+        .epochs_per_quantum(case.epochs_per_quantum)
         .build()
         .expect("valid config");
 
@@ -223,22 +208,18 @@ proptest! {
 #[test]
 fn named_policies_on_fixed_case() {
     for policy_sel in 0..5u8 {
-        for batching in [false, true] {
-            let case = FuzzCase {
-                counter_not_lfsr: true,
-                bits: 4,
-                k: 3,
-                part_seed: 11,
-                stim_seed: 22,
-                sched_seed: 33,
-                policy_sel,
-                window: 8,
-                batch: 2,
-                checkpoint: false,
-                batching,
-                cycles: 30,
-            };
-            run_case_with_dump(&case, "named_policies");
-        }
+        let case = FuzzCase {
+            counter_not_lfsr: true,
+            bits: 4,
+            k: 3,
+            part_seed: 11,
+            stim_seed: 22,
+            sched_seed: 33,
+            policy_sel,
+            window: 8,
+            epochs_per_quantum: 2,
+            cycles: 30,
+        };
+        run_case_with_dump(&case, "named_policies");
     }
 }

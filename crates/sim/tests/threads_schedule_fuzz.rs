@@ -18,7 +18,7 @@
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, BatchPolicy, StateSaving, TimeWarpConfig, Transport};
+use dvs_sim::timewarp::{run_timewarp, TimeWarpConfig, Transport};
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
 use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
@@ -36,9 +36,7 @@ struct FuzzCase {
     stim_seed: u64,
     jitter_seed: u64,
     window: u64,
-    batch: usize,
-    checkpoint: bool,
-    batching: bool,
+    epochs_per_quantum: usize,
     cycles: u64,
 }
 
@@ -48,14 +46,13 @@ fn case_strategy() -> impl Strategy<Value = FuzzCase> {
     let kernel = (
         prop_oneof![Just(4u64), Just(16u64), Just(64u64)],
         prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
-        (any::<bool>(), any::<bool>()),
         10u64..30,
     );
     (circuit, seeds, kernel).prop_map(
         |(
             (counter_not_lfsr, bits, k, part_seed),
             (stim_seed, jitter_seed),
-            (window, batch, (checkpoint, batching), cycles),
+            (window, epochs_per_quantum, cycles),
         )| FuzzCase {
             counter_not_lfsr,
             bits,
@@ -64,9 +61,7 @@ fn case_strategy() -> impl Strategy<Value = FuzzCase> {
             stim_seed,
             jitter_seed,
             window,
-            batch,
-            checkpoint,
-            batching,
+            epochs_per_quantum,
             cycles,
         },
     )
@@ -103,45 +98,24 @@ fn run_case(case: &FuzzCase) {
     let cfg = TimeWarpConfig::builder()
         .transport(Transport::Threads)
         .window(case.window)
-        .epochs_per_quantum(case.batch)
-        .message_batching(if case.batching {
-            BatchPolicy::per_quantum()
-        } else {
-            BatchPolicy::Off
-        })
+        .epochs_per_quantum(case.epochs_per_quantum)
         .thread_jitter(case.jitter_seed)
-        .state_saving(if case.checkpoint {
-            StateSaving::Checkpoint { interval: 4 }
-        } else {
-            StateSaving::IncrementalUndo
-        })
         .build()
         .expect("valid config");
 
     let tw = run_timewarp(&nl, &plan, &stim, case.cycles, &cfg).expect("threads run failed");
 
-    // Conservation: every message the clusters emitted was either shipped
-    // into a channel or annihilated against its anti inside an unsent
-    // buffer — batching may only change *how* messages travel, never lose
-    // or duplicate one.
+    // Conservation: every message the clusters emitted was shipped into a
+    // channel exactly once, one message per push.
     let emitted = tw.stats.messages + tw.stats.anti_messages;
     assert_eq!(
-        emitted,
-        tw.recovery.messages_sent + tw.recovery.messages_folded,
-        "emitted messages must equal shipped + folded (batching={})",
-        case.batching
+        emitted, tw.recovery.messages_sent,
+        "emitted messages must equal shipped messages"
     );
-    assert!(
-        tw.recovery.frames_sent <= tw.recovery.messages_sent,
-        "a frame carries at least one message"
+    assert_eq!(
+        tw.recovery.frames_sent, tw.recovery.messages_sent,
+        "sends ship one message per push"
     );
-    if !case.batching {
-        assert_eq!(tw.recovery.messages_folded, 0, "folding requires batching");
-        assert_eq!(
-            tw.recovery.frames_sent, tw.recovery.messages_sent,
-            "unbatched sends ship one message per push"
-        );
-    }
 
     // Sequential equivalence on every driven net and primary input — the
     // jitter may change *when* rollbacks happen, never *what* converges.
@@ -207,21 +181,17 @@ proptest! {
 #[test]
 fn fixed_case_across_jitter_seeds() {
     for jitter_seed in [1u64, 0x00FF_00FF, u64::MAX] {
-        for batching in [false, true] {
-            let case = FuzzCase {
-                counter_not_lfsr: true,
-                bits: 4,
-                k: 3,
-                part_seed: 11,
-                stim_seed: 22,
-                jitter_seed,
-                window: 8,
-                batch: 2,
-                checkpoint: false,
-                batching,
-                cycles: 25,
-            };
-            run_case_with_dump(&case, "fixed_case_across_jitter_seeds");
-        }
+        let case = FuzzCase {
+            counter_not_lfsr: true,
+            bits: 4,
+            k: 3,
+            part_seed: 11,
+            stim_seed: 22,
+            jitter_seed,
+            window: 8,
+            epochs_per_quantum: 2,
+            cycles: 25,
+        };
+        run_case_with_dump(&case, "fixed_case_across_jitter_seeds");
     }
 }

@@ -5,7 +5,7 @@
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, FaultPlan, StateSaving, TimeWarpConfig};
+use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig};
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
 
@@ -161,7 +161,6 @@ fn tight_window_still_correct() {
         .window(8)
         .epochs_per_quantum(2)
         .gvt_interval(1)
-        .state_saving(StateSaving::IncrementalUndo)
         .build()
         .expect("valid config");
     let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
@@ -207,75 +206,21 @@ fn async_reset_across_clusters() {
     }
 }
 
+/// Threads bit-identity at a benchmark shape: the 6 126-gate decoder of the
+/// `decoder_6k_process` workload under a design-driven k=2 partition, where
+/// free-running workers roll back far deeper than on the counters above.
 #[test]
-fn checkpoint_state_saving_matches_incremental() {
-    // Both state-saving strategies must converge to the sequential result,
-    // across checkpoint intervals that force frequent and rare coast-
-    // forwards.
-    let nl = parse_and_elaborate(COUNTER).unwrap().into_netlist();
-    let gb = round_robin(&nl, 2);
-    let plan = ClusterPlan::new(&nl, &gb, 2);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 21);
-    let cycles = 50;
+fn threads_match_sequential_on_the_6k_decoder() {
+    use dvs_core::multiway::{partition_multiway, MultiwayConfig};
+    use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 
-    let mut seq = SeqSim::new(
-        &nl,
-        &SimConfig {
-            cycles,
-            init_zero: true,
-        },
-    );
-    seq.run(&stim, cycles, &mut NullObserver);
-
-    for interval in [1u32, 4, 32, 1000] {
-        let cfg = TimeWarpConfig::builder()
-            .state_saving(StateSaving::Checkpoint { interval })
-            .build()
-            .expect("valid config");
-        let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
-        for (ni, net) in nl.nets.iter().enumerate() {
-            if net.driver.is_some() {
-                assert_eq!(
-                    tw.values[ni],
-                    seq.value(dvs_verilog::NetId(ni as u32)),
-                    "net `{}` differs (checkpoint interval {interval})",
-                    net.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn checkpoint_mode_with_reset_circuit() {
-    let nl = parse_and_elaborate(RESET_COUNTER).unwrap().into_netlist();
-    let gb = round_robin(&nl, 3);
-    let plan = ClusterPlan::new(&nl, &gb, 3);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 31);
-    let cycles = 40;
-    let mut seq = SeqSim::new(
-        &nl,
-        &SimConfig {
-            cycles,
-            init_zero: true,
-        },
-    );
-    seq.run(&stim, cycles, &mut NullObserver);
-    let cfg = TimeWarpConfig::builder()
-        .state_saving(StateSaving::Checkpoint { interval: 8 })
-        .build()
-        .expect("valid config");
-    let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs",
-                net.name
-            );
-        }
-    }
+    let src = generate_viterbi(&ViterbiParams {
+        constraint_len: 6,
+        ..ViterbiParams::paper_class()
+    });
+    let nl = parse_and_elaborate(&src).unwrap().into_netlist();
+    let part = partition_multiway(&nl, &MultiwayConfig::new(2, 10.0));
+    assert_tw_matches_seq(&nl, &part.gate_blocks, 2, 200, 2008);
 }
 
 /// Acceptance criterion for crash-fault tolerance in Threads mode: a worker

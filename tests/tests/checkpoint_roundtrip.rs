@@ -30,12 +30,20 @@ fn pump_two_clusters<'a>(
     plan: &'a ClusterPlan,
     stim_seed: u64,
     epochs: u32,
-    state_saving: StateSaving,
 ) -> Vec<ClusterProcess<'a, 'a>> {
     let stim = VectorStimulus::from_netlist(nl, 10, stim_seed);
     let cycles = 30;
     let mut procs: Vec<ClusterProcess> = (0..2)
-        .map(|c| ClusterProcess::new(nl, plan, c, stim.clone(), cycles, state_saving))
+        .map(|c| {
+            ClusterProcess::new(
+                nl,
+                plan,
+                c,
+                stim.clone(),
+                cycles,
+                StateSaving::IncrementalUndo,
+            )
+        })
         .collect();
     let mut queues: Vec<Vec<TwMessage>> = vec![Vec::new(); 2];
     for step in 0..epochs {
@@ -71,12 +79,20 @@ fn image_sequence<'a>(
     stim_seed: u64,
     rounds: u32,
     stride: u32,
-    state_saving: StateSaving,
 ) -> Vec<Vec<Checkpoint>> {
     let stim = VectorStimulus::from_netlist(nl, 10, stim_seed);
     let cycles = 30;
     let mut procs: Vec<ClusterProcess> = (0..2)
-        .map(|c| ClusterProcess::new(nl, plan, c, stim.clone(), cycles, state_saving))
+        .map(|c| {
+            ClusterProcess::new(
+                nl,
+                plan,
+                c,
+                stim.clone(),
+                cycles,
+                StateSaving::IncrementalUndo,
+            )
+        })
         .collect();
     let mut queues: Vec<Vec<TwMessage>> = vec![Vec::new(); 2];
     let mut images: Vec<Vec<Checkpoint>> = vec![Vec::new(); 2];
@@ -114,16 +130,10 @@ proptest! {
         stim_seed in any::<u64>(),
         epochs in 1u32..40,
         gvt in 0u64..50,
-        checkpoint_saving in any::<bool>(),
     ) {
         let (nl, gb) = two_cluster_fixture();
         let plan = ClusterPlan::new(&nl, &gb, 2);
-        let saving = if checkpoint_saving {
-            StateSaving::Checkpoint { interval: 4 }
-        } else {
-            StateSaving::IncrementalUndo
-        };
-        let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs, saving);
+        let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs);
         for p in &procs {
             let ck = p.checkpoint(gvt);
             let text = ck.to_json().emit().expect("emit");
@@ -148,7 +158,7 @@ proptest! {
         let (nl, gb) = two_cluster_fixture();
         let plan = ClusterPlan::new(&nl, &gb, 2);
         let stim = VectorStimulus::from_netlist(&nl, 10, stim_seed);
-        let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs, StateSaving::IncrementalUndo);
+        let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs);
         for p in &procs {
             let ck = p.checkpoint(7);
             let restored = ClusterProcess::from_checkpoint(
@@ -156,7 +166,6 @@ proptest! {
                 &plan,
                 stim.clone(),
                 30,
-                StateSaving::IncrementalUndo,
                 &ck,
             );
             prop_assert_eq!(restored.checkpoint(7), ck);
@@ -174,16 +183,10 @@ proptest! {
     fn delta_chain_roundtrip_is_bit_exact(
         stim_seed in any::<u64>(),
         stride in 1u32..8,
-        checkpoint_saving in any::<bool>(),
     ) {
         let (nl, gb) = two_cluster_fixture();
         let plan = ClusterPlan::new(&nl, &gb, 2);
-        let saving = if checkpoint_saving {
-            StateSaving::Checkpoint { interval: 4 }
-        } else {
-            StateSaving::IncrementalUndo
-        };
-        let images = image_sequence(&nl, &plan, stim_seed, 6, stride, saving);
+        let images = image_sequence(&nl, &plan, stim_seed, 6, stride);
         for seq in &images {
             for pair in seq.windows(2) {
                 let d = CheckpointDelta::between(&pair[0], &pair[1]);
@@ -209,7 +212,7 @@ proptest! {
         let (nl, gb) = two_cluster_fixture();
         let plan = ClusterPlan::new(&nl, &gb, 2);
         let stim = VectorStimulus::from_netlist(&nl, 10, stim_seed);
-        let images = image_sequence(&nl, &plan, stim_seed, 5, stride, StateSaving::IncrementalUndo);
+        let images = image_sequence(&nl, &plan, stim_seed, 5, stride);
         for seq in &images {
             let base = &seq[0];
             let deltas: Vec<CheckpointDelta> = seq
@@ -227,7 +230,6 @@ proptest! {
                     &plan,
                     stim.clone(),
                     30,
-                    StateSaving::IncrementalUndo,
                     base,
                     &deltas[..r],
                 )
@@ -247,7 +249,7 @@ proptest! {
 fn broken_delta_chains_fail_with_typed_errors() {
     let (nl, gb) = two_cluster_fixture();
     let plan = ClusterPlan::new(&nl, &gb, 2);
-    let images = image_sequence(&nl, &plan, 5, 4, 3, StateSaving::IncrementalUndo);
+    let images = image_sequence(&nl, &plan, 5, 4, 3);
     let seq = &images[0];
     let deltas: Vec<CheckpointDelta> = seq
         .windows(2)
@@ -280,11 +282,14 @@ fn broken_delta_chains_fail_with_typed_errors() {
     let err = seq[0].apply_delta(&corrupt).unwrap_err();
     assert!(matches!(err, DeltaError::Corrupt(_)), "{err}");
 
-    // Foreign schema version.
-    let mut wrong_schema = deltas[0].clone();
-    wrong_schema.schema = 999;
-    let err = seq[0].apply_delta(&wrong_schema).unwrap_err();
-    assert!(matches!(err, DeltaError::SchemaMismatch { .. }), "{err}");
+    // Foreign schema version: a future one, and the schema-2 deltas that
+    // still carried the removed snapshot fields.
+    for schema in [999, 2] {
+        let mut wrong_schema = deltas[0].clone();
+        wrong_schema.schema = schema;
+        let err = seq[0].apply_delta(&wrong_schema).unwrap_err();
+        assert!(matches!(err, DeltaError::SchemaMismatch { .. }), "{err}");
+    }
 }
 
 /// Schema and kind are enforced on read: a tampered artifact is rejected
@@ -293,7 +298,7 @@ fn broken_delta_chains_fail_with_typed_errors() {
 fn checkpoint_rejects_wrong_kind_and_schema() {
     let (nl, gb) = two_cluster_fixture();
     let plan = ClusterPlan::new(&nl, &gb, 2);
-    let procs = pump_two_clusters(&nl, &plan, 1, 8, StateSaving::IncrementalUndo);
+    let procs = pump_two_clusters(&nl, &plan, 1, 8);
     let ck = procs[0].checkpoint(3);
 
     let mut wrong_kind = ck.to_json();
@@ -306,15 +311,18 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
     }
     assert!(Checkpoint::from_json(&wrong_kind).is_err());
 
-    let mut wrong_schema = ck.to_json();
-    if let Json::Object(members) = &mut wrong_schema {
-        for (k, v) in members.iter_mut() {
-            if k == "checkpoint_schema" {
-                *v = Json::Int(999);
+    for schema in [999, 2] {
+        let mut wrong_schema = ck.to_json();
+        if let Json::Object(members) = &mut wrong_schema {
+            for (k, v) in members.iter_mut() {
+                if k == "checkpoint_schema" {
+                    *v = Json::Int(schema);
+                }
             }
         }
+        let err = Checkpoint::from_json(&wrong_schema).unwrap_err();
+        assert!(err.msg.contains("checkpoint_schema"), "{err}");
     }
-    assert!(Checkpoint::from_json(&wrong_schema).is_err());
 }
 
 /// The satellite acceptance sweep: a crash-and-restore in the middle of a
@@ -344,7 +352,6 @@ fn mid_run_restore_is_invisible_for_sixteen_seeds_and_all_policies() {
                 .window(8)
                 .epochs_per_quantum(2)
                 .gvt_interval(1)
-                .state_saving(StateSaving::IncrementalUndo)
                 .build()
                 .expect("valid config");
             let clean = run_timewarp(&nl, &plan, &stim, 20, &base).expect("clean run stalled");
@@ -353,7 +360,6 @@ fn mid_run_restore_is_invisible_for_sixteen_seeds_and_all_policies() {
                 .window(8)
                 .epochs_per_quantum(2)
                 .gvt_interval(1)
-                .state_saving(StateSaving::IncrementalUndo)
                 .fault(FaultPlan::crash((seed % 3) as u32, 20 + seed * 9))
                 .build()
                 .expect("valid config");
@@ -399,7 +405,6 @@ fn mid_run_restore_with_delta_cadence_is_invisible() {
             .window(8)
             .epochs_per_quantum(2)
             .gvt_interval(1)
-            .state_saving(StateSaving::IncrementalUndo)
             .checkpoint_cadence(CheckpointCadence::every_n_rounds(cadence));
         if let Some(fault) = fault {
             b = b.fault(fault);

@@ -8,7 +8,7 @@ use dvs_integration_tests::elaborate;
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, SchedulePolicy, StateSaving, TimeWarpConfig, Transport};
+use dvs_sim::timewarp::{run_timewarp, SchedulePolicy, TimeWarpConfig, Transport};
 use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
 use dvs_workloads::seqcirc::generate_counter;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -114,7 +114,6 @@ fn deterministic_mode_matches_golden_counters() {
             .window(8)
             .epochs_per_quantum(2)
             .gvt_interval(1)
-            .state_saving(StateSaving::IncrementalUndo)
             .build()
             .expect("valid config");
         let tw = run_timewarp(&nl, &plan, &stim, 40, &cfg).expect("time warp run stalled");

@@ -12,7 +12,7 @@ use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::dst::first_cut_channel;
 use dvs_sim::timewarp::{
-    run_timewarp, FaultPlan, SchedulePolicy, StateSaving, TimeWarpConfig, Transport, TwRunResult,
+    run_timewarp, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport, TwRunResult,
 };
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -37,7 +37,6 @@ fn dst_config(seed: u64, schedule: SchedulePolicy) -> TimeWarpConfig {
         .window(8)
         .epochs_per_quantum(2)
         .gvt_interval(1)
-        .state_saving(StateSaving::IncrementalUndo)
         .build()
         .expect("valid config")
 }
