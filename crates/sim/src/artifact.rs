@@ -239,10 +239,9 @@ impl ToJson for TwRunResult {
 fn ckpt_source_json(s: &CkptSource) -> Json {
     match *s {
         CkptSource::Stimulus => ObjBuilder::new().str("kind", "stimulus").build(),
-        CkptSource::Local { created_at, lseq } => ObjBuilder::new()
+        CkptSource::Local { created_at } => ObjBuilder::new()
             .str("kind", "local")
             .uint("created_at", created_at)
-            .uint("lseq", lseq)
             .build(),
         CkptSource::Remote { src, seq } => ObjBuilder::new()
             .str("kind", "remote")
@@ -257,7 +256,6 @@ fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
         "stimulus" => Ok(CkptSource::Stimulus),
         "local" => Ok(CkptSource::Local {
             created_at: v.field("created_at")?.as_u64()?,
-            lseq: v.field("lseq")?.as_u64()?,
         }),
         "remote" => Ok(CkptSource::Remote {
             src: v.field("src")?.as_u64()? as u32,
@@ -341,14 +339,6 @@ impl ToJson for Checkpoint {
                 self.pending.iter().map(|e| e.to_json()).collect(),
             )
             .array(
-                "tomb_remote",
-                self.tomb_remote
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            )
-            .field("tomb_local", uint_array(&self.tomb_local))
-            .array(
                 "processed",
                 self.processed.iter().map(|e| e.to_json()).collect(),
             )
@@ -372,18 +362,10 @@ impl ToJson for Checkpoint {
                     .map(|(t, m)| Json::Array(vec![Json::Int(*t as i64), m.to_json()]))
                     .collect(),
             )
-            .array(
-                "sched_log",
-                self.sched_log
-                    .iter()
-                    .map(|&(t, lseq)| uint_array(&[t, lseq]))
-                    .collect(),
-            )
             .uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
             .uint("order", self.order)
-            .uint("lseq", self.lseq)
             .uint("mseq", self.mseq)
             .field("stats", self.stats.to_json())
             .build()
@@ -434,13 +416,6 @@ impl FromJson for Checkpoint {
             gvt: v.field("gvt")?.as_u64()?,
             values: logic_vec(v.field("values")?)?,
             pending: events("pending")?,
-            tomb_remote: v
-                .field("tomb_remote")?
-                .as_array()?
-                .iter()
-                .map(|p| uint_pair(p).map(|(src, seq)| (src as u32, seq)))
-                .collect::<Result<_, _>>()?,
-            tomb_local: uint_vec(v.field("tomb_local")?)?,
             processed: events("processed")?,
             undo: v
                 .field("undo")?
@@ -468,17 +443,10 @@ impl FromJson for Checkpoint {
                     }
                 })
                 .collect::<Result<_, _>>()?,
-            sched_log: v
-                .field("sched_log")?
-                .as_array()?
-                .iter()
-                .map(uint_pair)
-                .collect::<Result<_, _>>()?,
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
             last_time: v.field("last_time")?.as_u64()?,
             settled: v.field("settled")?.as_bool()?,
             order: v.field("order")?.as_u64()?,
-            lseq: v.field("lseq")?.as_u64()?,
             mseq: v.field("mseq")?.as_u64()?,
             stats: SimStats::from_json(v.field("stats")?)?,
         })
@@ -504,8 +472,8 @@ fn undo_entry_from(u: &Json) -> Result<(VTime, u32, Logic), JsonError> {
 
 /// Compact array form of a [`CkptEvent`] used only inside delta artifacts,
 /// where events are the bulk of the payload: `[time, net, "v", order]` for
-/// stimulus events, plus a `"l", created_at, lseq` or `"r", src, seq` tail
-/// for local and remote ones. The full-image codec keeps the verbose
+/// stimulus events, plus a `"l", created_at` or `"r", src, seq` tail for
+/// local and remote ones. The full-image codec keeps the verbose
 /// object form — images are shipped rarely, deltas every round.
 fn ckpt_event_compact_json(e: &CkptEvent) -> Json {
     let mut a = vec![
@@ -516,10 +484,9 @@ fn ckpt_event_compact_json(e: &CkptEvent) -> Json {
     ];
     match e.source {
         CkptSource::Stimulus => {}
-        CkptSource::Local { created_at, lseq } => {
+        CkptSource::Local { created_at } => {
             a.push(Json::Str("l".into()));
             a.push(Json::Int(created_at as i64));
-            a.push(Json::Int(lseq as i64));
         }
         CkptSource::Remote { src, seq } => {
             a.push(Json::Str("r".into()));
@@ -534,16 +501,12 @@ fn ckpt_event_compact_from(v: &Json) -> Result<CkptEvent, JsonError> {
     let a = v.as_array()?;
     let source = match a {
         [_, _, _, _] => CkptSource::Stimulus,
-        [_, _, _, _, tag, x, y] => match tag.as_str()? {
-            "l" => CkptSource::Local {
-                created_at: x.as_u64()?,
-                lseq: y.as_u64()?,
-            },
-            "r" => CkptSource::Remote {
-                src: x.as_u64()? as u32,
-                seq: y.as_u64()?,
-            },
-            t => return Err(JsonError::new(format!("unknown event source tag `{t}`"))),
+        [_, _, _, _, tag, created_at] if tag.as_str()? == "l" => CkptSource::Local {
+            created_at: created_at.as_u64()?,
+        },
+        [_, _, _, _, tag, src, seq] if tag.as_str()? == "r" => CkptSource::Remote {
+            src: src.as_u64()? as u32,
+            seq: seq.as_u64()?,
         },
         _ => {
             return Err(JsonError::new(
@@ -695,30 +658,6 @@ impl ToJson for CheckpointDelta {
                     .collect(),
             );
         }
-        if !self.tomb_remote_removed.is_empty() {
-            b = b.array(
-                "tomb_remote_removed",
-                self.tomb_remote_removed
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            );
-        }
-        if !self.tomb_remote_added.is_empty() {
-            b = b.array(
-                "tomb_remote_added",
-                self.tomb_remote_added
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            );
-        }
-        if !self.tomb_local_removed.is_empty() {
-            b = b.field("tomb_local_removed", uint_array(&self.tomb_local_removed));
-        }
-        if !self.tomb_local_added.is_empty() {
-            b = b.field("tomb_local_added", uint_array(&self.tomb_local_added));
-        }
         if !self.processed.is_keep_all() {
             b = b.field(
                 "processed",
@@ -731,17 +670,10 @@ impl ToJson for CheckpointDelta {
         if !self.outlog.is_keep_all() {
             b = b.field("outlog", log_delta_json(&self.outlog, outlog_compact_json));
         }
-        if !self.sched_log.is_keep_all() {
-            b = b.field(
-                "sched_log",
-                log_delta_json(&self.sched_log, |&(t, lseq)| uint_array(&[t, lseq])),
-            );
-        }
         b.uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
             .uint("order", self.order)
-            .uint("lseq", self.lseq)
             .uint("mseq", self.mseq)
             .field("stats", self.stats.to_json())
             .build()
@@ -770,22 +702,6 @@ impl FromJson for CheckpointDelta {
         }
         // Absent fields are the no-change defaults the serializer elided:
         // empty set edits, the empty-runs values edit, `KEEP_ALL` log edits.
-        let tomb_remote = |key: &str| -> Result<Vec<(u32, u64)>, JsonError> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(a) => a
-                    .as_array()?
-                    .iter()
-                    .map(|p| uint_pair(p).map(|(src, seq)| (src as u32, seq)))
-                    .collect(),
-            }
-        };
-        let tomb_local = |key: &str| -> Result<Vec<u64>, JsonError> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(a) => uint_vec(a),
-            }
-        };
         fn log_opt<T>(
             v: &Json,
             key: &str,
@@ -821,19 +737,13 @@ impl FromJson for CheckpointDelta {
                     .map(ckpt_event_compact_from)
                     .collect::<Result<_, _>>()?,
             },
-            tomb_remote_removed: tomb_remote("tomb_remote_removed")?,
-            tomb_remote_added: tomb_remote("tomb_remote_added")?,
-            tomb_local_removed: tomb_local("tomb_local_removed")?,
-            tomb_local_added: tomb_local("tomb_local_added")?,
             processed: log_opt(v, "processed", ckpt_event_compact_from)?,
             undo: log_opt(v, "undo", undo_entry_from)?,
             outlog: log_opt(v, "outlog", outlog_compact_from)?,
-            sched_log: log_opt(v, "sched_log", uint_pair)?,
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
             last_time: v.field("last_time")?.as_u64()?,
             settled: v.field("settled")?.as_bool()?,
             order: v.field("order")?.as_u64()?,
-            lseq: v.field("lseq")?.as_u64()?,
             mseq: v.field("mseq")?.as_u64()?,
             stats: SimStats::from_json(v.field("stats")?)?,
         })
@@ -930,10 +840,6 @@ mod tests {
                 source: CkptSource::Remote { src: 1, seq: 9 },
                 order: 31,
             }],
-            tomb_remote_removed: vec![(0, 5)],
-            tomb_remote_added: vec![(1, 8), (1, 9)],
-            tomb_local_removed: vec![2],
-            tomb_local_added: vec![7, 9],
             processed: LogDelta {
                 drop_front: 2,
                 keep: 1,
@@ -941,10 +847,7 @@ mod tests {
                     time: 133,
                     net: 2,
                     value: Logic::Zero,
-                    source: CkptSource::Local {
-                        created_at: 130,
-                        lseq: 4,
-                    },
+                    source: CkptSource::Local { created_at: 130 },
                     order: 19,
                 }],
             },
@@ -971,16 +874,10 @@ mod tests {
                     },
                 )],
             },
-            sched_log: LogDelta {
-                drop_front: 0,
-                keep: 3,
-                append: vec![(138, 21)],
-            },
             stim_cycle: 14,
             last_time: 151,
             settled: true,
             order: 64,
-            lseq: 22,
             mseq: 78,
             stats: sample_stats(),
         }
@@ -1011,27 +908,17 @@ mod tests {
         d.values = ValuesDelta::Runs(Vec::new());
         d.pending_removed.clear();
         d.pending_added.clear();
-        d.tomb_remote_removed.clear();
-        d.tomb_remote_added.clear();
-        d.tomb_local_removed.clear();
-        d.tomb_local_added.clear();
         d.processed = LogDelta::keep_all();
         d.undo = LogDelta::keep_all();
         d.outlog = LogDelta::keep_all();
-        d.sched_log = LogDelta::keep_all();
         let v = d.to_json();
         for elided in [
             "values",
             "pending_removed",
             "pending_added",
-            "tomb_remote_removed",
-            "tomb_remote_added",
-            "tomb_local_removed",
-            "tomb_local_added",
             "processed",
             "undo",
             "outlog",
-            "sched_log",
         ] {
             assert!(v.get(elided).is_none(), "`{elided}` should be elided");
         }
@@ -1055,9 +942,9 @@ mod tests {
         let err = CheckpointDelta::from_json(&v).unwrap_err();
         assert!(err.msg.contains("tw_checkpoint_delta"), "{err}");
 
-        // A future schema, and schema 2 (which still carried the removed
-        // snapshot keys).
-        for schema in [999, 2] {
+        // A future schema, schema 2 (which still carried the removed
+        // snapshot keys) and schema 3 (tombstone sets and a schedule log).
+        for schema in [999, 2, 3] {
             let mut v = d.to_json();
             if let Json::Object(members) = &mut v {
                 for (k, val) in members.iter_mut() {

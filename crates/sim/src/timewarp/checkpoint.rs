@@ -11,19 +11,18 @@
 //! just been reclaimed).
 //!
 //! The image is *behaviorally exact*: restoring it produces a process whose
-//! subsequent execution is bit-identical to the original's — including heap
-//! tie-break order (`order` stamps are preserved), rollback history
-//! (processed/undo), annihilation state (tombstones), send/receive
-//! cursors (`mseq`/`lseq`) and statistics. That is what lets the recovery
+//! subsequent execution is bit-identical to the original's — including the
+//! drain order of the pending queue (`order` stamps are preserved), rollback
+//! history (processed/undo), the send cursor (`mseq`) and statistics. That is what lets the recovery
 //! supervisor ([`super::recovery`]) replay a crashed cluster's input log on
 //! top of its last checkpoint and land in exactly the pre-crash state.
 //!
 //! Serialization to the schema-versioned canonical JSON artifact format
 //! lives in `dvs_core::artifact` (this crate stays dependency-free);
-//! [`Checkpoint`] itself is plain data with public fields. Collections with
-//! nondeterministic iteration order (the tombstone hash sets, the pending
-//! binary heap) are captured *sorted*, so capturing the same state twice
-//! yields equal — and identically serialized — checkpoints.
+//! [`Checkpoint`] itself is plain data with public fields. The pending
+//! queue, whose internal layout depends on history, is captured *sorted*, so
+//! capturing the same state twice yields equal — and identically
+//! serialized — checkpoints.
 //!
 //! # Incremental checkpoints
 //!
@@ -48,10 +47,12 @@ use crate::wheel::VTime;
 /// incompatibly; serializers embed it next to the artifact schema version.
 /// Version 2 introduced delta images and the base+delta restore payload;
 /// version 3 dropped the two snapshot keys of the removed
-/// checkpoint/coast-forward rollback mode. The wire hello
+/// checkpoint/coast-forward rollback mode; version 4 dropped the tombstone
+/// sets, the schedule log and the local-event sequence numbers when
+/// cancellation moved into the pending queue. The wire hello
 /// negotiates this next to the frame version, so a peer on an older schema
 /// is rejected at the handshake instead of failing mid-restore.
-pub const CHECKPOINT_SCHEMA: u32 = 3;
+pub const CHECKPOINT_SCHEMA: u32 = 4;
 
 /// How often a full base image is captured. `every_n_rounds == 1` (the
 /// default) reproduces the classic behaviour: a full [`Checkpoint`] at
@@ -85,12 +86,12 @@ pub enum CkptSource {
     /// Environment input (vector stimulus or initial settling).
     Stimulus,
     /// Scheduled by local gate evaluation at `created_at`.
-    Local { created_at: VTime, lseq: u64 },
+    Local { created_at: VTime },
     /// Received from cluster `src` with send sequence `seq`.
     Remote { src: u32, seq: u64 },
 }
 
-/// One pending or processed event with its heap tie-break stamp.
+/// One pending or processed event with its tie-break stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkptEvent {
     pub time: VTime,
@@ -113,28 +114,20 @@ pub struct Checkpoint {
     pub values: Vec<Logic>,
     /// Pending events, sorted by `(time, order)` for deterministic capture.
     pub pending: Vec<CkptEvent>,
-    /// Unconsumed remote tombstones `(src, seq)`, sorted.
-    pub tomb_remote: Vec<(u32, u64)>,
-    /// Unconsumed local tombstones (`lseq`), sorted.
-    pub tomb_local: Vec<u64>,
     /// Processed events retained for rollback, in processing order.
     pub processed: Vec<CkptEvent>,
     /// Incremental undo log: `(time, net, previous value)`.
     pub undo: Vec<(VTime, u32, Logic)>,
     /// Sent messages awaiting fossil collection: `(created_at, message)`.
     pub outlog: Vec<(VTime, TwMessage)>,
-    /// Locally scheduled events: `(created_at, lseq)`.
-    pub sched_log: Vec<(VTime, u64)>,
     /// Next stimulus cycle to generate (receive cursor of the environment).
     pub stim_cycle: u64,
     /// Local clock: time of the last processed epoch.
     pub last_time: VTime,
     /// Has initial settling run?
     pub settled: bool,
-    /// Next heap tie-break stamp.
+    /// Next tie-break stamp.
     pub order: u64,
-    /// Next local-event sequence number.
-    pub lseq: u64,
     /// Next message sequence number (per-cluster send cursor).
     pub mseq: u64,
     /// Statistics accumulated so far.
@@ -196,8 +189,7 @@ pub enum ValuesDelta {
 }
 
 /// Edit script for a log-like field (processed history, undo log,
-/// output log, schedule log): fossil collection drains the
-/// front, rollback truncates the back and new entries append, so the next
+/// output log): fossil collection drains the front, rollback truncates the back and new entries append, so the next
 /// image is a contiguous window of the previous one plus appended entries:
 /// `next = prev[drop_front .. drop_front + keep] ++ append`. When no window
 /// survives, `keep == 0` and the delta degenerates to a full replacement.
@@ -259,77 +251,29 @@ pub struct CheckpointDelta {
     pub pending_removed: Vec<(VTime, u64)>,
     /// Pending events added since the previous image (sorted).
     pub pending_added: Vec<CkptEvent>,
-    /// Remote tombstones consumed since the previous image.
-    pub tomb_remote_removed: Vec<(u32, u64)>,
-    /// Remote tombstones created since the previous image.
-    pub tomb_remote_added: Vec<(u32, u64)>,
-    /// Local tombstones consumed since the previous image.
-    pub tomb_local_removed: Vec<u64>,
-    /// Local tombstones created since the previous image.
-    pub tomb_local_added: Vec<u64>,
     /// Window-plus-append edit of the processed history.
     pub processed: LogDelta<CkptEvent>,
     /// Window-plus-append edit of the undo log.
     pub undo: LogDelta<(VTime, u32, Logic)>,
     /// Window-plus-append edit of the output log.
     pub outlog: LogDelta<(VTime, TwMessage)>,
-    /// Window-plus-append edit of the schedule log.
-    pub sched_log: LogDelta<(VTime, u64)>,
     /// Replacement stimulus cursor.
     pub stim_cycle: u64,
     /// Replacement local clock.
     pub last_time: VTime,
     /// Replacement settling flag.
     pub settled: bool,
-    /// Replacement heap tie-break cursor.
+    /// Replacement tie-break cursor.
     pub order: u64,
-    /// Replacement local-event sequence cursor.
-    pub lseq: u64,
     /// Replacement message sequence cursor.
     pub mseq: u64,
     /// Replacement statistics.
     pub stats: SimStats,
 }
 
-/// Diff two sorted sequences by a strict key, returning `(removed, added)`
-/// in sorted order. Elements whose keys match but whose payloads differ are
-/// treated as remove-then-add.
-fn set_delta<T: Clone + PartialEq, K: Ord>(
-    prev: &[T],
-    next: &[T],
-    key: impl Fn(&T) -> K,
-) -> (Vec<T>, Vec<T>) {
-    let mut removed = Vec::new();
-    let mut added = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < prev.len() && j < next.len() {
-        match key(&prev[i]).cmp(&key(&next[j])) {
-            std::cmp::Ordering::Less => {
-                removed.push(prev[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added.push(next[j].clone());
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if prev[i] != next[j] {
-                    removed.push(prev[i].clone());
-                    added.push(next[j].clone());
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    removed.extend(prev[i..].iter().cloned());
-    added.extend(next[j..].iter().cloned());
-    (removed, added)
-}
-
 /// Diff the pending-event sets, identifying removals by their `(time,
 /// order)` sort key only. The key is unique within an image (it is the
-/// heap's total order), so the base image already holds everything needed
+/// queue's total order), so the base image already holds everything needed
 /// to locate a victim — the delta ships ~16 bytes per removal instead of a
 /// full event. A key present in both images with a different payload is a
 /// remove-then-add.
@@ -403,55 +347,6 @@ fn pending_apply(
                 return Err(DeltaError::Corrupt(format!(
                     "pending: added event key {:?} collides with base",
                     key(&added[j])
-                )));
-            }
-        }
-    }
-    out.extend(kept[i..].iter().cloned());
-    out.extend(added[j..].iter().cloned());
-    Ok(out)
-}
-
-/// Apply a sorted-set edit: drop `removed` (each must be present) and merge
-/// `added` (no key collisions) back in, preserving sort order.
-fn set_apply<T: Clone + PartialEq + std::fmt::Debug, K: Ord>(
-    prev: &[T],
-    removed: &[T],
-    added: &[T],
-    field: &str,
-    key: impl Fn(&T) -> K,
-) -> Result<Vec<T>, DeltaError> {
-    let mut kept = Vec::with_capacity(prev.len().saturating_sub(removed.len()) + added.len());
-    let mut ri = 0;
-    for x in prev {
-        if ri < removed.len() && removed[ri] == *x {
-            ri += 1;
-        } else {
-            kept.push(x.clone());
-        }
-    }
-    if ri != removed.len() {
-        return Err(DeltaError::Corrupt(format!(
-            "{field}: removed element {:?} not present in base",
-            removed[ri]
-        )));
-    }
-    let mut out = Vec::with_capacity(kept.len() + added.len());
-    let (mut i, mut j) = (0, 0);
-    while i < kept.len() && j < added.len() {
-        match key(&kept[i]).cmp(&key(&added[j])) {
-            std::cmp::Ordering::Less => {
-                out.push(kept[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(added[j].clone());
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                return Err(DeltaError::Corrupt(format!(
-                    "{field}: added element {:?} collides with base",
-                    added[j]
                 )));
             }
         }
@@ -582,10 +477,6 @@ impl CheckpointDelta {
         assert_eq!(prev.cluster, next.cluster, "delta across clusters");
         assert_eq!(prev.schema, next.schema, "delta across schemas");
         let (pending_removed, pending_added) = pending_delta(&prev.pending, &next.pending);
-        let (tomb_remote_removed, tomb_remote_added) =
-            set_delta(&prev.tomb_remote, &next.tomb_remote, |t| *t);
-        let (tomb_local_removed, tomb_local_added) =
-            set_delta(&prev.tomb_local, &next.tomb_local, |t| *t);
         CheckpointDelta {
             schema: next.schema,
             cluster: next.cluster,
@@ -594,19 +485,13 @@ impl CheckpointDelta {
             values: values_delta(&prev.values, &next.values),
             pending_removed,
             pending_added,
-            tomb_remote_removed,
-            tomb_remote_added,
-            tomb_local_removed,
-            tomb_local_added,
             processed: log_delta(&prev.processed, &next.processed),
             undo: log_delta(&prev.undo, &next.undo),
             outlog: log_delta(&prev.outlog, &next.outlog),
-            sched_log: log_delta(&prev.sched_log, &next.sched_log),
             stim_cycle: next.stim_cycle,
             last_time: next.last_time,
             settled: next.settled,
             order: next.order,
-            lseq: next.lseq,
             mseq: next.mseq,
             stats: next.stats.clone(),
         }
@@ -654,29 +539,13 @@ impl Checkpoint {
             gvt: d.gvt,
             values: values_apply(&self.values, &d.values)?,
             pending: pending_apply(&self.pending, &d.pending_removed, &d.pending_added)?,
-            tomb_remote: set_apply(
-                &self.tomb_remote,
-                &d.tomb_remote_removed,
-                &d.tomb_remote_added,
-                "tomb_remote",
-                |t| *t,
-            )?,
-            tomb_local: set_apply(
-                &self.tomb_local,
-                &d.tomb_local_removed,
-                &d.tomb_local_added,
-                "tomb_local",
-                |t| *t,
-            )?,
             processed: log_apply(&self.processed, &d.processed, "processed")?,
             undo: log_apply(&self.undo, &d.undo, "undo")?,
             outlog: log_apply(&self.outlog, &d.outlog, "outlog")?,
-            sched_log: log_apply(&self.sched_log, &d.sched_log, "sched_log")?,
             stim_cycle: d.stim_cycle,
             last_time: d.last_time,
             settled: d.settled,
             order: d.order,
-            lseq: d.lseq,
             mseq: d.mseq,
             stats: d.stats.clone(),
         })
@@ -776,22 +645,6 @@ mod tests {
         assert_eq!(removed, vec![(5, 2)]);
         assert_eq!(added, vec![ev(5, 2, 99)]);
         assert_eq!(pending_apply(&prev, &removed, &added).unwrap(), repl);
-    }
-
-    #[test]
-    fn set_delta_round_trips_and_rejects_missing_removals() {
-        let prev = vec![(0u32, 1u64), (1, 4), (2, 2)];
-        let next = vec![(0u32, 1u64), (1, 5), (3, 9)];
-        let (removed, added) = set_delta(&prev, &next, |t| *t);
-        assert_eq!(
-            set_apply(&prev, &removed, &added, "t", |t| *t).unwrap(),
-            next
-        );
-        let bogus = vec![(9u32, 9u64)];
-        assert!(matches!(
-            set_apply(&prev, &bogus, &[], "t", |t| *t),
-            Err(DeltaError::Corrupt(_))
-        ));
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   events created by undone epochs, and emits anti-messages for undone
 //!   sends;
 //! * **anti-messages with annihilation** — positive messages always precede
-//!   their anti-message in channel order (FIFO per sender), so annihilation
-//!   uses tombstones consumed at pop time;
+//!   their anti-message in channel order (FIFO per sender), so when the
+//!   anti-message arrives its positive is in the pending queue (put back by
+//!   the rollback if it had been processed) and is removed from its
+//!   time bucket on the spot;
 //! * **GVT** — a coordinator-free sampling scheme: each worker publishes its
 //!   local virtual time; a sample is valid when no message is in transit and
 //!   no send intervened (checked with a send-epoch counter), making the
@@ -96,8 +98,9 @@ pub struct TimeWarpConfig {
     /// How the cluster workers execute and exchange messages (see
     /// [`Transport`]).
     pub transport: Transport,
-    /// Epochs processed per scheduling quantum before re-checking
-    /// channels.
+    /// Epochs processed per scheduling quantum: the span between two
+    /// publications of local virtual time, GVT attempts and fossil
+    /// collections. Incoming messages are taken before every epoch.
     pub epochs_per_quantum: usize,
     /// Attempt a GVT computation every this many quanta.
     pub gvt_interval: usize,
@@ -592,6 +595,27 @@ fn merge_results(
     }
 }
 
+/// Hand every message waiting in `rx` to `proc`. The in-transit counter is
+/// decremented only after the published local virtual time reflects the
+/// insertions, keeping GVT samples sound.
+fn take_messages(
+    proc: &mut ClusterProcess<'_, '_>,
+    rx: &crossbeam::channel::Receiver<TwMessage>,
+    send: &mut impl FnMut(TwMessage),
+    shared: &GvtState,
+    me: usize,
+) {
+    let mut taken = 0i64;
+    while let Ok(msg) = rx.try_recv() {
+        proc.handle_message(msg, send);
+        taken += 1;
+    }
+    if taken > 0 {
+        shared.publish_lvt(me, proc.lvt());
+        shared.in_transit.fetch_sub(taken, Ordering::SeqCst);
+    }
+}
+
 fn worker_loop(
     proc: &mut ClusterProcess<'_, '_>,
     rx: crossbeam::channel::Receiver<TwMessage>,
@@ -640,18 +664,8 @@ fn worker_loop(
             break;
         }
 
-        // Drain incoming messages. The in-transit counter is decremented
-        // only after the local virtual time reflects each insertion, keeping
-        // GVT samples sound.
-        let mut drained = 0i64;
-        while let Ok(msg) = rx.try_recv() {
-            proc.handle_message(msg, &mut send);
-            drained += 1;
-        }
+        take_messages(proc, &rx, &mut send, shared, me);
         shared.publish_lvt(me, proc.lvt());
-        if drained > 0 {
-            shared.in_transit.fetch_sub(drained, Ordering::SeqCst);
-        }
 
         let gvt = shared.gvt.load(Ordering::SeqCst);
         if gvt == VTime::MAX {
@@ -666,6 +680,9 @@ fn worker_loop(
         let limit = gvt.saturating_add(cfg.window);
         let mut worked = false;
         for _ in 0..cfg.epochs_per_quantum {
+            // An epoch run past a message already in the channel is an
+            // epoch rolled back: look before each one, not once a quantum.
+            take_messages(proc, &rx, &mut send, shared, me);
             if !proc.process_next_epoch(limit, &mut send) {
                 break;
             }

@@ -15,10 +15,8 @@ use crate::cluster::ClusterPlan;
 use crate::logic::{is_posedge, Logic};
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
-use crate::wheel::{NetEvent, VTime};
+use crate::wheel::{NetEvent, Timed, TimingWheel, VTime};
 use dvs_verilog::netlist::{Fanout, GateKind, NetId, Netlist};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
 
 /// Where a pending event came from — determines rollback treatment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,9 +24,10 @@ enum Source {
     /// Environment input (vector stimulus or initial settling): requeued
     /// verbatim on rollback.
     Stimulus,
-    /// Scheduled by local gate evaluation at `created_at`; discarded on a
-    /// rollback past `created_at` (reprocessing regenerates it).
-    Local { created_at: VTime, lseq: u64 },
+    /// Scheduled by local gate evaluation at `created_at`, for
+    /// `created_at + 1`; discarded on a rollback past `created_at`
+    /// (reprocessing regenerates it).
+    Local { created_at: VTime },
     /// Received from another cluster; identified for annihilation.
     Remote { src: u32, seq: u64 },
 }
@@ -40,27 +39,20 @@ struct Pend {
     order: u64,
 }
 
-impl PartialEq for Pend {
-    fn eq(&self, other: &Self) -> bool {
-        self.ev.time == other.ev.time && self.order == other.order
+/// Pending events drain in `(time, order)` order.
+impl Timed for Pend {
+    fn time(&self) -> VTime {
+        self.ev.time
+    }
+    fn order(&self) -> u64 {
+        self.order
     }
 }
-impl Eq for Pend {}
-impl Ord for Pend {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (time, order).
-        other
-            .ev
-            .time
-            .cmp(&self.ev.time)
-            .then_with(|| other.order.cmp(&self.order))
-    }
-}
-impl PartialOrd for Pend {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+
+/// Look-ahead of the pending wheel. Local events land one tick ahead, the
+/// next vector a period ahead and remote ones within the optimism window of
+/// their sender; anything further waits in the wheel's overflow heap.
+const PENDING_HORIZON: usize = 64;
 
 /// An undone-send record for anti-message generation.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +68,7 @@ fn pend_to_ckpt(p: &Pend) -> CkptEvent {
         value: p.ev.value,
         source: match p.source {
             Source::Stimulus => CkptSource::Stimulus,
-            Source::Local { created_at, lseq } => CkptSource::Local { created_at, lseq },
+            Source::Local { created_at } => CkptSource::Local { created_at },
             Source::Remote { src, seq } => CkptSource::Remote { src, seq },
         },
         order: p.order,
@@ -92,7 +84,7 @@ fn ckpt_to_pend(e: &CkptEvent) -> Pend {
         },
         source: match e.source {
             CkptSource::Stimulus => Source::Stimulus,
-            CkptSource::Local { created_at, lseq } => Source::Local { created_at, lseq },
+            CkptSource::Local { created_at } => Source::Local { created_at },
             CkptSource::Remote { src, seq } => Source::Remote { src, seq },
         },
         order: e.order,
@@ -112,17 +104,18 @@ pub struct ClusterProcess<'nl, 'p> {
     fanout: Fanout,
     values: Vec<Logic>,
 
-    pending: BinaryHeap<Pend>,
-    tomb_remote: HashSet<(u32, u64)>,
-    tomb_local: HashSet<u64>,
+    /// Not-yet-processed events, one bucket per virtual time. Anti-messages
+    /// and rollbacks cancel entries in place, so everything queued is live.
+    pending: TimingWheel<Pend>,
+    /// Anti-messages whose positive was neither pending nor processed — a
+    /// protocol violation (channels are FIFO per sender).
+    stray_antis: u64,
     /// Processed events in processing order (time nondecreasing).
     processed: Vec<Pend>,
     /// Incremental state saving: (time, net, previous value).
     undo: Vec<(VTime, u32, Logic)>,
     /// Sent messages awaiting fossil collection (for anti-messages).
     outlog: Vec<OutRec>,
-    /// Locally scheduled events: (created_at, lseq), for rollback discard.
-    sched_log: Vec<(VTime, u64)>,
 
     stim: VectorStimulus,
     stim_cycle: u64,
@@ -131,7 +124,6 @@ pub struct ClusterProcess<'nl, 'p> {
     last_time: VTime,
     settled: bool,
     order: u64,
-    lseq: u64,
     mseq: u64,
     stats: SimStats,
 
@@ -184,20 +176,17 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             stim_mask,
             fanout: nl.build_fanout(),
             values,
-            pending: BinaryHeap::new(),
-            tomb_remote: HashSet::new(),
-            tomb_local: HashSet::new(),
+            pending: TimingWheel::new(PENDING_HORIZON),
+            stray_antis: 0,
             processed: Vec::new(),
             undo: Vec::new(),
             outlog: Vec::new(),
-            sched_log: Vec::new(),
             stim,
             stim_cycle: 0,
             cycles,
             last_time: 0,
             settled: false,
             order: 0,
-            lseq: 0,
             mseq: 0,
             stats,
             seen: vec![0; nl.gate_count()],
@@ -217,39 +206,30 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     pub fn checkpoint(&self, gvt: VTime) -> Checkpoint {
         let mut pending: Vec<CkptEvent> = self.pending.iter().map(pend_to_ckpt).collect();
         pending.sort_unstable_by_key(|e| (e.time, e.order));
-        let mut tomb_remote: Vec<(u32, u64)> = self.tomb_remote.iter().copied().collect();
-        tomb_remote.sort_unstable();
-        let mut tomb_local: Vec<u64> = self.tomb_local.iter().copied().collect();
-        tomb_local.sort_unstable();
         Checkpoint {
             schema: CHECKPOINT_SCHEMA,
             cluster: self.me,
             gvt,
             values: self.values.clone(),
             pending,
-            tomb_remote,
-            tomb_local,
             processed: self.processed.iter().map(pend_to_ckpt).collect(),
             undo: self.undo.clone(),
             outlog: self.outlog.iter().map(|r| (r.created_at, r.msg)).collect(),
-            sched_log: self.sched_log.clone(),
             stim_cycle: self.stim_cycle,
             last_time: self.last_time,
             settled: self.settled,
             order: self.order,
-            lseq: self.lseq,
             mseq: self.mseq,
             stats: self.stats.clone(),
         }
     }
 
     /// Rebuild a process from a checkpoint image. The result is behaviorally
-    /// identical to the captured process: heap tie-break order is preserved
-    /// via the `order` stamps (the `Pend` ordering is total on distinct
-    /// `(time, order)` pairs, so heap-internal layout cannot matter), and
-    /// the per-epoch scratch fields (`seen`/`fire`/`stamp`) start zeroed —
-    /// they only carry state *within* one epoch, and capture happens between
-    /// epochs.
+    /// identical to the captured process: the pending queue drains by the
+    /// preserved `(time, order)` stamps, which are distinct, so how the
+    /// queue lays its entries out cannot matter, and the per-epoch scratch
+    /// fields (`seen`/`fire`/`stamp`) start zeroed — they only carry state
+    /// *within* one epoch, and capture happens between epochs.
     pub fn from_checkpoint(
         nl: &'nl Netlist,
         plan: &'p ClusterPlan,
@@ -266,9 +246,9 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             StateSaving::IncrementalUndo,
         );
         p.values.clone_from(&ck.values);
-        p.pending = ck.pending.iter().map(ckpt_to_pend).collect();
-        p.tomb_remote = ck.tomb_remote.iter().copied().collect();
-        p.tomb_local = ck.tomb_local.iter().copied().collect();
+        for e in &ck.pending {
+            p.pending.insert(ckpt_to_pend(e));
+        }
         p.processed = ck.processed.iter().map(ckpt_to_pend).collect();
         p.undo.clone_from(&ck.undo);
         p.outlog = ck
@@ -276,12 +256,10 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             .iter()
             .map(|&(created_at, msg)| OutRec { created_at, msg })
             .collect();
-        p.sched_log.clone_from(&ck.sched_log);
         p.stim_cycle = ck.stim_cycle;
         p.last_time = ck.last_time;
         p.settled = ck.settled;
         p.order = ck.order;
-        p.lseq = ck.lseq;
         p.mseq = ck.mseq;
         p.stats = ck.stats.clone();
         p
@@ -322,14 +300,14 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         self.values
     }
 
-    /// Tombstones whose matching event has not (yet) been annihilated.
-    /// After global quiescence every tombstone must have been consumed —
-    /// a non-zero value then means annihilation was unsound.
-    pub fn orphan_tombstones(&self) -> usize {
-        self.tomb_remote.len() + self.tomb_local.len()
+    /// Anti-messages received so far whose positive was nowhere to be
+    /// found. Channels are FIFO per sender, so a non-zero value means a
+    /// peer broke the protocol (or annihilation is unsound).
+    pub fn stray_anti_messages(&self) -> u64 {
+        self.stray_antis
     }
 
-    /// Events still queued (live or tombstoned). Zero at quiescence.
+    /// Events still queued. Zero at quiescence.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
@@ -345,29 +323,12 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
 
     #[inline]
     fn push_pending(&mut self, ev: NetEvent, source: Source) {
-        self.pending.push(Pend {
+        self.pending.insert(Pend {
             ev,
             source,
             order: self.order,
         });
         self.order += 1;
-    }
-
-    /// Discard tombstoned heads and return the next real pending event time.
-    fn clean_peek(&mut self) -> Option<VTime> {
-        while let Some(head) = self.pending.peek() {
-            let dead = match head.source {
-                Source::Remote { src, seq } => self.tomb_remote.remove(&(src, seq)),
-                Source::Local { lseq, .. } => self.tomb_local.remove(&lseq),
-                Source::Stimulus => false,
-            };
-            if dead {
-                self.pending.pop();
-            } else {
-                return Some(head.ev.time);
-            }
-        }
-        None
     }
 
     /// Local virtual time: a lower bound on anything this cluster may still
@@ -381,7 +342,7 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         } else {
             VTime::MAX
         };
-        match self.clean_peek() {
+        match self.pending.next_time() {
             Some(t) => t.min(next_stim),
             None => next_stim,
         }
@@ -448,19 +409,19 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         if msg.ev.time <= self.last_time {
             self.rollback(msg.ev.time, send);
         }
+        let source = Source::Remote {
+            src: msg.src,
+            seq: msg.seq,
+        };
         if msg.anti {
-            // FIFO per sender guarantees the positive came first; it is now
-            // either in pending (tombstone consumed at pop) or was dropped
-            // back into pending by the rollback above.
-            self.tomb_remote.insert((msg.src, msg.seq));
+            // FIFO per sender guarantees the positive came first; it is
+            // either still pending or was put back by the rollback above.
+            let t = msg.ev.time;
+            if self.pending.discard(t, t, |p| p.source == source) == 0 {
+                self.stray_antis += 1;
+            }
         } else {
-            self.push_pending(
-                msg.ev,
-                Source::Remote {
-                    src: msg.src,
-                    seq: msg.seq,
-                },
-            );
+            self.push_pending(msg.ev, source);
         }
     }
 
@@ -478,34 +439,22 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             self.undo.pop();
         }
 
-        // 2. Requeue or discard processed events.
+        // 2. Requeue processed events, except the local ones an undone
+        // epoch created: reprocessing regenerates those.
+        let undone_local =
+            |p: &Pend| matches!(p.source, Source::Local { created_at } if created_at >= t);
         let split = self.processed.partition_point(|p| p.ev.time < t);
-        let undone = self.processed.split_off(split);
-        self.stats.rolled_back_events += undone.len() as u64;
-        let mut discarded_local: HashSet<u64> = HashSet::new();
-        for rec in undone {
-            match rec.source {
-                Source::Local { created_at, lseq } if created_at >= t => {
-                    // Created by an undone epoch; reprocessing regenerates
-                    // it. Remembered so step 3 does not tombstone it — the
-                    // event no longer exists, and an orphan tombstone would
-                    // never be consumed.
-                    discarded_local.insert(lseq);
-                }
-                _ => self.pending.push(rec),
+        self.stats.rolled_back_events += (self.processed.len() - split) as u64;
+        for rec in self.processed.drain(split..) {
+            if !undone_local(&rec) {
+                self.pending.insert(rec);
             }
         }
 
-        // 3. Discard not-yet-processed local events created by undone epochs.
-        while let Some(&(ca, lseq)) = self.sched_log.last() {
-            if ca < t {
-                break;
-            }
-            if !discarded_local.remove(&lseq) {
-                self.tomb_local.insert(lseq);
-            }
-            self.sched_log.pop();
-        }
+        // 3. Discard not-yet-processed local events created by undone
+        // epochs. Unit delay puts each at `created_at + 1`.
+        self.pending
+            .discard(t + 1, self.last_time + 1, undone_local);
 
         // 4. Anti-messages for undone sends.
         let oidx = self.outlog.partition_point(|o| o.created_at < t);
@@ -531,8 +480,6 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         self.processed.drain(..p);
         let o = self.outlog.partition_point(|r| r.created_at < gvt);
         self.outlog.drain(..o);
-        let s = self.sched_log.partition_point(|&(t, _)| t < gvt);
-        self.sched_log.drain(..s);
     }
 
     /// Process the earliest pending epoch if its time is ≤ `limit`.
@@ -545,7 +492,7 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         // every vector cycle starting at or before that time exists in the
         // queue before we cross it.
         let t = loop {
-            match self.clean_peek() {
+            match self.pending.next_time() {
                 None => {
                     if self.stim_cycle < self.cycles {
                         self.gen_stimulus();
@@ -566,27 +513,7 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             return false; // optimism window throttle
         }
 
-        // Drain the epoch (clean_peek already consumed head tombstones; more
-        // may surface as we pop).
-        self.epoch_buf.clear();
-        while let Some(&head) = self.pending.peek() {
-            if head.ev.time != t {
-                break;
-            }
-            self.pending.pop();
-            let dead = match head.source {
-                Source::Remote { src, seq } => self.tomb_remote.remove(&(src, seq)),
-                Source::Local { lseq, .. } => self.tomb_local.remove(&lseq),
-                Source::Stimulus => false,
-            };
-            if !dead {
-                self.epoch_buf.push(head);
-            }
-        }
-        if self.epoch_buf.is_empty() {
-            return true; // everything at t was annihilated; made progress
-        }
-
+        self.pending.pop_epoch(&mut self.epoch_buf);
         self.stamp += 1;
         self.last_time = t;
 
@@ -683,16 +610,7 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
                     net: out_net,
                     value: new_out,
                 };
-                let lseq = self.lseq;
-                self.lseq += 1;
-                self.sched_log.push((t, lseq));
-                self.push_pending(
-                    ev,
-                    Source::Local {
-                        created_at: t,
-                        lseq,
-                    },
-                );
+                self.push_pending(ev, Source::Local { created_at: t });
                 self.emit(t, ev, send);
             }
         }

@@ -551,9 +551,9 @@ fn quiescence_asserts(p: &mut ClusterProcess<'_, '_>, me: u32, label: &str) {
         "cluster {me} still has pending work at quiescence ({label})"
     );
     assert_eq!(
-        p.orphan_tombstones(),
+        p.stray_anti_messages(),
         0,
-        "annihilation left orphan tombstones on cluster {me} at quiescence ({label})"
+        "cluster {me} received anti-messages with no positive to annihilate ({label})"
     );
     assert_eq!(
         p.pending_len(),
@@ -2836,7 +2836,14 @@ where
                 TwMessage::from_json(cmd.field("msg").map_err(|e| e.msg)?).map_err(|e| e.msg)?;
             let p = proc.as_mut().expect("live() checked presence");
             let mut sends = Vec::new();
+            let strays = p.stray_anti_messages();
             p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+            if p.stray_anti_messages() != strays {
+                return Err(format!(
+                    "anti-message ({}, {}) at time {} has no positive to annihilate",
+                    m.src, m.seq, m.ev.time
+                ));
+            }
             Ok(Some(done_json(p.lvt(), &sends)))
         }
         "fossil" => {
@@ -3011,13 +3018,15 @@ mod tests {
     fn hello_mismatch_shuts_the_worker_down_quietly() {
         // Both directions of wire skew: a future supervisor with a newer
         // wire version, and a stale v2 supervisor predating checksummed
-        // frames; plus a current-wire supervisor still on checkpoint
-        // schema 2. Hellos stay on the legacy length-only framing precisely
-        // so this exchange parses on both sides regardless of version.
+        // frames; plus current-wire supervisors still on checkpoint
+        // schema 2 or 3. Hellos stay on the legacy length-only framing
+        // precisely so this exchange parses on both sides regardless of
+        // version.
         for (wire, schema) in [
             (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
             (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
-            (WIRE_VERSION, CHECKPOINT_SCHEMA - 1),
+            (WIRE_VERSION, 2),
+            (WIRE_VERSION, 3),
         ] {
             let (sup, worker) = UnixStream::pair().expect("socketpair");
             let handle = std::thread::spawn(move || serve_wire(WireStream::Unix(worker), None, ""));
@@ -3142,17 +3151,18 @@ mod tests {
 
     /// A correct-token peer with a mismatched wire version or checkpoint
     /// schema is fatal — the checkpoint payload must never cross a
-    /// mixed-version pair. A v2 worker (pre-checksum framing) or a
-    /// schema-2 worker (the only kind that could still expect a
-    /// `state_saving` key in `init`) meeting this supervisor surfaces as
-    /// the typed [`TimeWarpError::VersionMismatch`], not as garbled frames
-    /// — hellos deliberately stay on the legacy framing every version can
-    /// parse.
+    /// mixed-version pair. A v2 worker (pre-checksum framing), a schema-2
+    /// worker (the only kind that could still expect a `state_saving` key
+    /// in `init`) or a schema-3 worker (whose images carry tombstone sets)
+    /// meeting this supervisor surfaces as the typed
+    /// [`TimeWarpError::VersionMismatch`], not as garbled frames — hellos
+    /// deliberately stay on the legacy framing every version can parse.
     #[test]
     fn broker_rejects_version_mismatch_as_fatal() {
         for theirs in [
             (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
-            (WIRE_VERSION, CHECKPOINT_SCHEMA - 1),
+            (WIRE_VERSION, 2),
+            (WIRE_VERSION, 3),
         ] {
             let broker = TcpBroker::bind(
                 "127.0.0.1:0",
@@ -3325,17 +3335,13 @@ mod tests {
             gvt: 17,
             values: vec![Logic::Zero, Logic::One, Logic::X, Logic::Z],
             pending: Vec::new(),
-            tomb_remote: vec![(1, 9)],
-            tomb_local: vec![3],
             processed: Vec::new(),
             undo: vec![(12, 1, Logic::X)],
             outlog: Vec::new(),
-            sched_log: vec![(11, 7)],
             stim_cycle: 5,
             last_time: 16,
             settled: true,
             order: 40,
-            lseq: 8,
             mseq: 11,
             stats: SimStats::default(),
         };
@@ -3354,10 +3360,7 @@ mod tests {
         assert_eq!(back.cluster, ck.cluster);
         assert_eq!(back.gvt, ck.gvt);
         assert_eq!(back.values, ck.values);
-        assert_eq!(back.tomb_remote, ck.tomb_remote);
-        assert_eq!(back.tomb_local, ck.tomb_local);
         assert_eq!(back.undo, ck.undo);
-        assert_eq!(back.sched_log, ck.sched_log);
         assert_eq!(back.stim_cycle, ck.stim_cycle);
         assert_eq!(back.mseq, ck.mseq);
         writer.join().expect("writer thread");
@@ -3473,6 +3476,54 @@ mod tests {
         sink.send_json(&ok_json_cmd("finish")).expect("send finish");
         let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
         assert_eq!(json_kind(&reply).expect("kind"), "finished");
+        assert_eq!(source.recv().expect("clean eof"), None);
+        handle.join().expect("join").expect("serve_wire exits Ok");
+    }
+
+    /// An anti-message whose positive never arrived cannot be annihilated.
+    /// The kernel counts it instead of parking it: an in-process worker
+    /// fails its quiescence check on it, and a served worker answers the
+    /// `deliver` frame with a typed `error` frame and hangs up.
+    #[test]
+    fn lone_anti_message_is_refused() {
+        let mut anti = channel_msg(7, 3, Logic::One);
+        anti.anti = true;
+
+        let init = worker_init_from_json(&tiny_init_json()).expect("init parses");
+        let plan = ClusterPlan::new(&init.netlist, &init.gate_block, init.k);
+        let mut w = InProcWorker::new(
+            &init.netlist,
+            &plan,
+            init.stim,
+            init.cycles,
+            true,
+            "lone-anti",
+            init.cluster,
+        );
+        let mut sends = Vec::new();
+        w.deliver(anti, &mut sends).expect("in-proc deliver");
+        while w.lvt().expect("in-proc lvt") != VTime::MAX {
+            w.step(VTime::MAX, &mut sends).expect("in-proc step");
+        }
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.check_quiescence()))
+                .expect_err("quiescence check must fail");
+        let message = panic_message(refused.as_ref());
+        assert!(message.contains("no positive"), "unexpected: {message}");
+
+        let (mut sink, mut source, handle) = worker_session();
+        let cmd = ObjBuilder::new()
+            .str("kind", "deliver")
+            .field("msg", anti.to_json())
+            .build();
+        sink.send_json(&cmd).expect("send deliver");
+        let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+        assert_eq!(json_kind(&reply).expect("kind"), "error");
+        let detail = reply
+            .field("detail")
+            .and_then(Json::as_str)
+            .expect("detail");
+        assert!(detail.contains("no positive"), "unexpected: {detail}");
         assert_eq!(source.recv().expect("clean eof"), None);
         handle.join().expect("join").expect("serve_wire exits Ok");
     }

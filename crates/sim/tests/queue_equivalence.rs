@@ -1,8 +1,8 @@
-//! Property tests: the two event-queue implementations are observationally
-//! equivalent, which is what lets the sequential kernel use the timing
-//! wheel while Time Warp uses heaps.
+//! Property tests: the timing wheel is observationally equivalent to the
+//! heap it overflows into, and — driven the way a Time Warp cluster drives
+//! it, with rewinds and in-place cancellation — to a sorted list.
 
-use dvs_sim::wheel::{HeapQueue, NetEvent, TimingWheel};
+use dvs_sim::wheel::{HeapQueue, NetEvent, Timed, TimingWheel};
 use dvs_sim::Logic;
 use dvs_verilog::NetId;
 use proptest::prelude::*;
@@ -107,5 +107,149 @@ proptest! {
             prev = Some(t);
             buf.clear();
         }
+    }
+}
+
+/// A pending event as a Time Warp cluster queues it: drained by
+/// `(time, order)`, cancelled by message identity or by creation time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pend {
+    time: u64,
+    order: u64,
+    /// `Some(created_at)` for a locally scheduled event (`time` is then
+    /// `created_at + 1`), `None` for a remote one, which `order` identifies.
+    local: Option<u64>,
+}
+
+impl Timed for Pend {
+    fn time(&self) -> u64 {
+        self.time
+    }
+    fn order(&self) -> u64 {
+        self.order
+    }
+}
+
+#[derive(Debug, Clone)]
+enum TwOp {
+    /// A new remote event at an absolute time: below the head it rewinds
+    /// the wheel, far above it lands in the overflow heap.
+    Remote {
+        time: u64,
+    },
+    /// A new local event, one tick after `created_at`.
+    Local {
+        created_at: u64,
+    },
+    /// Put the `pick`-th popped event back under its old `order`.
+    Requeue {
+        pick: usize,
+    },
+    /// Cancel the `pick`-th queued remote event, as its anti-message would.
+    CancelRemote {
+        pick: usize,
+    },
+    /// Drop every queued local event created at or after `t`, as a
+    /// rollback to `t` would.
+    DiscardLocalFrom {
+        t: u64,
+    },
+    PopEpoch,
+}
+
+/// The wheel under test has 8 buckets: times up to 30 wrap it several times
+/// over, and 1000+ is a gap no ring of that size spans.
+fn time_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![4 => 0u64..30, 1 => 1000u64..1040]
+}
+
+fn tw_op_strategy() -> impl Strategy<Value = TwOp> {
+    prop_oneof![
+        3 => time_strategy().prop_map(|time| TwOp::Remote { time }),
+        3 => time_strategy().prop_map(|created_at| TwOp::Local { created_at }),
+        2 => (0usize..1 << 16).prop_map(|pick| TwOp::Requeue { pick }),
+        2 => (0usize..1 << 16).prop_map(|pick| TwOp::CancelRemote { pick }),
+        1 => time_strategy().prop_map(|t| TwOp::DiscardLocalFrom { t }),
+        3 => Just(TwOp::PopEpoch),
+    ]
+}
+
+/// The model: every queued event in one list, the earliest `(time, order)`
+/// found by search.
+fn model_pop_epoch(model: &mut Vec<Pend>) -> Option<(u64, Vec<Pend>)> {
+    let t = model.iter().map(|p| p.time).min()?;
+    let mut epoch: Vec<Pend> = model.iter().copied().filter(|p| p.time == t).collect();
+    epoch.sort_by_key(|p| p.order);
+    model.retain(|p| p.time != t);
+    Some((t, epoch))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn wheel_matches_a_sorted_list_under_time_warp_use(
+        ops in prop::collection::vec(tw_op_strategy(), 1..200),
+    ) {
+        let mut wheel: TimingWheel<Pend> = TimingWheel::new(8);
+        let mut model: Vec<Pend> = Vec::new();
+        let mut popped: Vec<Pend> = Vec::new();
+        let mut order = 0u64;
+        let mut buf = Vec::new();
+
+        for op in &ops {
+            match *op {
+                TwOp::Remote { time } => {
+                    let p = Pend { time, order, local: None };
+                    order += 1;
+                    wheel.insert(p);
+                    model.push(p);
+                }
+                TwOp::Local { created_at } => {
+                    let p = Pend { time: created_at + 1, order, local: Some(created_at) };
+                    order += 1;
+                    wheel.insert(p);
+                    model.push(p);
+                }
+                TwOp::Requeue { pick } => {
+                    if !popped.is_empty() {
+                        let p = popped.swap_remove(pick % popped.len());
+                        wheel.insert(p);
+                        model.push(p);
+                    }
+                }
+                TwOp::CancelRemote { pick } => {
+                    let remotes: Vec<Pend> =
+                        model.iter().copied().filter(|p| p.local.is_none()).collect();
+                    if !remotes.is_empty() {
+                        let victim = remotes[pick % remotes.len()];
+                        let gone = wheel.discard(victim.time, victim.time, |p| *p == victim);
+                        prop_assert_eq!(gone, 1, "cancel of {:?}", victim);
+                        model.retain(|p| *p != victim);
+                    }
+                }
+                TwOp::DiscardLocalFrom { t } => {
+                    let dead = |p: &Pend| p.local.is_some_and(|created_at| created_at >= t);
+                    let gone = wheel.discard(t + 1, u64::MAX, dead);
+                    let before = model.len();
+                    model.retain(|p| !dead(p));
+                    prop_assert_eq!(gone, before - model.len());
+                }
+                TwOp::PopEpoch => {
+                    let expected = model_pop_epoch(&mut model);
+                    prop_assert_eq!(wheel.next_time(), expected.as_ref().map(|(t, _)| *t));
+                    let t = wheel.pop_epoch(&mut buf);
+                    prop_assert_eq!(t.map(|t| (t, buf.clone())), expected);
+                    popped.append(&mut buf);
+                }
+            }
+            prop_assert_eq!(wheel.len(), model.len());
+        }
+        while let Some(expected) = model_pop_epoch(&mut model) {
+            let t = wheel.pop_epoch(&mut buf);
+            prop_assert_eq!(t.map(|t| (t, buf.clone())), Some(expected));
+        }
+        prop_assert!(wheel.is_empty());
+        prop_assert_eq!(wheel.pop_epoch(&mut buf), None);
     }
 }

@@ -5,12 +5,25 @@
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig};
+use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig, TwRunResult};
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
 
 /// Run both kernels and compare every driven net's final value.
 fn assert_tw_matches_seq(nl: &Netlist, gate_blocks: &[u32], k: usize, cycles: u64, seed: u64) {
+    assert_tw_matches_seq_under(nl, gate_blocks, k, cycles, seed, &TimeWarpConfig::default());
+}
+
+/// [`assert_tw_matches_seq`] under a given kernel configuration; hands back
+/// the Time Warp result for further checks.
+fn assert_tw_matches_seq_under(
+    nl: &Netlist,
+    gate_blocks: &[u32],
+    k: usize,
+    cycles: u64,
+    seed: u64,
+    tw_cfg: &TimeWarpConfig,
+) -> TwRunResult {
     let stim = VectorStimulus::from_netlist(nl, 10, seed);
 
     let cfg = SimConfig {
@@ -21,8 +34,7 @@ fn assert_tw_matches_seq(nl: &Netlist, gate_blocks: &[u32], k: usize, cycles: u6
     seq.run(&stim, cycles, &mut NullObserver);
 
     let plan = ClusterPlan::new(nl, gate_blocks, k);
-    let tw =
-        run_timewarp(nl, &plan, &stim, cycles, &TimeWarpConfig::default()).expect("run stalled");
+    let tw = run_timewarp(nl, &plan, &stim, cycles, tw_cfg).expect("run stalled");
 
     for (ni, net) in nl.nets.iter().enumerate() {
         if net.driver.is_some() || nl.primary_inputs.contains(&dvs_verilog::NetId(ni as u32)) {
@@ -39,6 +51,7 @@ fn assert_tw_matches_seq(nl: &Netlist, gate_blocks: &[u32], k: usize, cycles: u6
         tw.stats.events >= seq.stats().events,
         "TW reprocesses, never skips"
     );
+    tw
 }
 
 /// A sequential circuit with cross-partition feedback: a 4-bit ripple
@@ -206,11 +219,9 @@ fn async_reset_across_clusters() {
     }
 }
 
-/// Threads bit-identity at a benchmark shape: the 6 126-gate decoder of the
-/// `decoder_6k_process` workload under a design-driven k=2 partition, where
-/// free-running workers roll back far deeper than on the counters above.
-#[test]
-fn threads_match_sequential_on_the_6k_decoder() {
+/// The 6 126-gate decoder of the `decoder_6k_process` workload and its
+/// design-driven k=2 partition.
+fn decoder_6k() -> (Netlist, Vec<u32>) {
     use dvs_core::multiway::{partition_multiway, MultiwayConfig};
     use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 
@@ -220,7 +231,44 @@ fn threads_match_sequential_on_the_6k_decoder() {
     });
     let nl = parse_and_elaborate(&src).unwrap().into_netlist();
     let part = partition_multiway(&nl, &MultiwayConfig::new(2, 10.0));
-    assert_tw_matches_seq(&nl, &part.gate_blocks, 2, 200, 2008);
+    (nl, part.gate_blocks)
+}
+
+/// Threads bit-identity at a benchmark shape, where free-running workers
+/// roll back far deeper than on the counters above.
+#[test]
+fn threads_match_sequential_on_the_6k_decoder() {
+    let (nl, gate_blocks) = decoder_6k();
+    assert_tw_matches_seq(&nl, &gate_blocks, 2, 200, 2008);
+}
+
+/// The same decoder under the deterministic in-process transport, where every
+/// counter is a pure function of the kernel's decision sequence: the values
+/// below were recorded before the pending queue was replaced, so a queue that
+/// pops in any other `(time, order)` order, or cancels anything else, moves
+/// them.
+#[test]
+fn inproc_counters_are_pinned_on_the_6k_decoder() {
+    use dvs_sim::timewarp::{SchedulePolicy, Transport};
+
+    let (nl, gate_blocks) = decoder_6k();
+    let cfg = TimeWarpConfig::builder()
+        .transport(Transport::in_proc(2008, SchedulePolicy::RoundRobin))
+        .build()
+        .expect("valid config");
+    let tw = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, 200, 1, &cfg);
+    let s = &tw.stats;
+    assert_eq!(
+        (
+            s.events,
+            s.rolled_back_events,
+            s.rollbacks,
+            s.messages,
+            s.anti_messages,
+            tw.gvt_rounds
+        ),
+        (1_055_270, 246_346, 429, 19_800, 5_555, 394)
+    );
 }
 
 /// Acceptance criterion for crash-fault tolerance in Threads mode: a worker

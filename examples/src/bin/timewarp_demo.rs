@@ -144,8 +144,11 @@ fn main() {
     }
 
     let ratio = seq_time.as_secs_f64() / tw_time.as_secs_f64();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "wall-clock ratio sequential/TW: {ratio:.2} (small circuits are \
-         communication-bound; see the cluster model for paper-scale projections)"
+        "measured speedup, sequential wall / time-warp wall: {ratio:.2}x \
+         ({} clusters on `{}`, {cores} hardware threads)",
+        plan.k,
+        twcfg.transport.name()
     );
 }

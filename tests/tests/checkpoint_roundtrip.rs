@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 /// Drive a two-cluster system by hand for `epochs` scheduling steps,
 /// shuttling messages between the processes, and return the processes —
-/// a realistic mid-run state with pending events, tombstones, rollback
+/// a realistic mid-run state with pending events, rollback
 /// history and outstanding output log entries.
 fn pump_two_clusters<'a>(
     nl: &'a Netlist,
@@ -282,9 +282,10 @@ fn broken_delta_chains_fail_with_typed_errors() {
     let err = seq[0].apply_delta(&corrupt).unwrap_err();
     assert!(matches!(err, DeltaError::Corrupt(_)), "{err}");
 
-    // Foreign schema version: a future one, and the schema-2 deltas that
-    // still carried the removed snapshot fields.
-    for schema in [999, 2] {
+    // Foreign schema version: a future one, the schema-2 deltas that still
+    // carried the removed snapshot fields, and the schema-3 deltas with
+    // their tombstone and schedule-log edits.
+    for schema in [999, 2, 3] {
         let mut wrong_schema = deltas[0].clone();
         wrong_schema.schema = schema;
         let err = seq[0].apply_delta(&wrong_schema).unwrap_err();
@@ -311,7 +312,7 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
     }
     assert!(Checkpoint::from_json(&wrong_kind).is_err());
 
-    for schema in [999, 2] {
+    for schema in [999, 2, 3] {
         let mut wrong_schema = ck.to_json();
         if let Json::Object(members) = &mut wrong_schema {
             for (k, v) in members.iter_mut() {
