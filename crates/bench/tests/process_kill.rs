@@ -14,9 +14,10 @@ use dvs_core::tw_run_canonical_json;
 use dvs_core::{partition_multiway, MultiwayConfig};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
+use dvs_sim::timewarp::dst::{first_cut_channel, run_with_schedule};
 use dvs_sim::timewarp::{
-    run_timewarp, CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport,
-    TwRunResult,
+    run_timewarp, CheckpointCadence, DstAction, DstView, FaultPlan, Schedule, SchedulePolicy,
+    TimeWarpConfig, Transport, TwRunResult,
 };
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -239,21 +240,31 @@ fn selfkilled_worker_converges() {
         &stim,
         &config(in_proc(policy), FaultPlan::default()),
     ));
-    // After the initial GVT-0 checkpoint (command 1), die before the 6th
-    // command. The restored worker disarms the hook, so exactly one crash
-    // fires.
-    std::env::set_var("DVS_TW_SELFKILL", "1:6");
-    let tw = run(
-        &nl,
-        &gb,
-        &stim,
-        &config(process(policy), FaultPlan::default()),
-    );
-    std::env::remove_var("DVS_TW_SELFKILL");
-    assert_eq!(tw.recovery.crashes, 1, "self-kill did not fire");
-    assert_eq!(tw.recovery.restarts, 1);
-    assert_eq!(tw.recovery.victims, vec![1]);
-    assert_eq!(canonical(&tw), clean, "async death diverged");
+    // Cluster 1's commands under this schedule open with `gvt` (the GVT-0
+    // image), `step`, `gvt`, `step`, a `deliver` of three messages (which
+    // stops after the first), a `deliver` of the other two, `gvt`. Die
+    // before the 5th — a run of several, of which nothing may count as
+    // delivered — before the 6th, and before the 7th: a GVT round in which
+    // cluster 0 has already answered when the loss is seen. The operations
+    // replayed say where each death landed: the `step` alone, the `step`
+    // and the one message the first run applied, the whole interval. The
+    // restored worker disarms the hook, so exactly one crash fires.
+    for (before, replayed) in [(5, 1u64), (6, 2), (7, 4)] {
+        std::env::set_var("DVS_TW_SELFKILL", format!("1:{before}"));
+        let tw = run(
+            &nl,
+            &gb,
+            &stim,
+            &config(process(policy), FaultPlan::default()),
+        );
+        std::env::remove_var("DVS_TW_SELFKILL");
+        let label = format!("death before command {before}");
+        assert_eq!(tw.recovery.crashes, 1, "{label}: self-kill did not fire");
+        assert_eq!(tw.recovery.restarts, 1, "{label}");
+        assert_eq!(tw.recovery.victims, vec![1], "{label}");
+        assert_eq!(tw.recovery.replayed_ops, replayed, "{label}");
+        assert_eq!(canonical(&tw), clean, "{label}: async death diverged");
+    }
 }
 
 /// Killing the same worker more times than the restart budget allows
@@ -283,4 +294,129 @@ fn exhausted_budget_degrades_gracefully() {
         canonical(&b),
         "degraded artifacts diverged across transports"
     );
+}
+
+/// 64-bit FNV-1a, the hash `bench_gate` pins canonical artifacts with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Delivery runs are sized by a fork of the schedule, so every schedule
+/// family gets its turn: under each policy the process run is
+/// byte-identical to the in-process run, and both are the artifact the
+/// commit before delivery runs produced (its FNV-1a hash, recorded there).
+#[test]
+fn every_policy_keeps_its_recorded_artifact() {
+    let _g = lock();
+    let (nl, gb, stim) = fixture();
+    let (src, dst) =
+        first_cut_channel(&ClusterPlan::new(&nl, &gb, K as usize)).expect("the fixture has a cut");
+    let recorded = [
+        (SchedulePolicy::RoundRobin, 0x9808_30da_a9d1_7c60_u64),
+        (SchedulePolicy::SeededRandom, 0xb514_c580_3c23_c027),
+        (SchedulePolicy::StragglerHeavy, 0x4c44_0256_b502_2e54),
+        (
+            SchedulePolicy::DelayChannel { src, dst },
+            0x4396_ddfe_27ce_1184,
+        ),
+        (SchedulePolicy::Bursty, 0xaab8_da31_a5c4_ede5),
+    ];
+    for (policy, hash) in recorded {
+        let a = run(
+            &nl,
+            &gb,
+            &stim,
+            &config(in_proc(policy), FaultPlan::default()),
+        );
+        let b = run(
+            &nl,
+            &gb,
+            &stim,
+            &config(process(policy), FaultPlan::default()),
+        );
+        assert_eq!(canonical(&a), canonical(&b), "{policy:?}: process diverged");
+        assert_eq!(
+            fnv1a(canonical(&a).as_bytes()),
+            hash,
+            "{policy:?}: not the recorded artifact"
+        );
+        // One answered frame per delivery run: never more than one per
+        // message, and under every one of these policies some run is
+        // longer than one.
+        let wire = &b.recovery;
+        assert!(
+            wire.frames_sent < wire.messages_sent,
+            "{policy:?}: {} frames for {} messages",
+            wire.frames_sent,
+            wire.messages_sent
+        );
+    }
+}
+
+/// A policy's schedule that also notes down every decision it makes. Its
+/// fork is the policy's own, so it sizes delivery runs exactly as the
+/// policy does.
+struct Recording {
+    inner: Box<dyn Schedule + Send>,
+    decisions: Vec<DstAction>,
+}
+
+impl Schedule for Recording {
+    fn next(&mut self, view: &DstView<'_>) -> DstAction {
+        let action = self.inner.next(view);
+        self.decisions.push(action);
+        action
+    }
+
+    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+        self.inner.fork()
+    }
+}
+
+/// `SIGKILL`s aimed *inside* a delivery run: the receiver of the first
+/// burst of three consecutive decisions on one channel is killed at the
+/// burst's 2nd and at its 3rd decision. The run handed to the worker ends
+/// where the armed fault fires, so the recovery replays exactly what the
+/// per-message executor had logged by then — `replayed_ops` is pinned to
+/// what the commit before delivery runs replayed for the same kills — and
+/// the artifact is the undisturbed one.
+#[test]
+fn sigkill_inside_a_burst_recovers_byte_identically() {
+    let _g = lock();
+    let (nl, gb, stim) = fixture();
+    let plan = ClusterPlan::new(&nl, &gb, K as usize);
+    // (policy, first decision of the burst, operations replayed after a
+    // kill at its 2nd and at its 3rd decision), recorded at that commit.
+    let recorded = [
+        (SchedulePolicy::RoundRobin, 7usize, [2u64, 3]),
+        (SchedulePolicy::SeededRandom, 168, [21, 22]),
+    ];
+    for (policy, start, replayed) in recorded {
+        let mut schedule = Recording {
+            inner: policy.build(SCHED_SEED),
+            decisions: Vec::new(),
+        };
+        let cfg = config(in_proc(policy), FaultPlan::default());
+        let label = "recording";
+        let clean = run_with_schedule(&nl, &plan, &stim, CYCLES, &cfg, &mut schedule, false, label)
+            .expect("recording run");
+        let decisions = schedule.decisions;
+        let burst = decisions.windows(3).position(|w| {
+            matches!(w[0], DstAction::Deliver { .. }) && w[0] == w[1] && w[1] == w[2]
+        });
+        assert_eq!(burst, Some(start), "{policy:?}: the burst moved");
+        let DstAction::Deliver { dst, .. } = decisions[start] else {
+            unreachable!("a burst is made of deliveries");
+        };
+        for (nth, want) in [1, 2].into_iter().zip(replayed) {
+            let kill = FaultPlan::crash(dst, (start + nth) as u64);
+            let tw = run(&nl, &gb, &stim, &config(process(policy), kill));
+            let label = format!("{policy:?}: kill at decision {} of the burst", nth + 1);
+            assert_eq!(tw.recovery.crashes, 1, "{label}");
+            assert_eq!(tw.recovery.replayed_ops, want, "{label}");
+            assert_eq!(canonical(&tw), canonical(&clean), "{label}");
+        }
+    }
 }

@@ -750,6 +750,40 @@ impl FromJson for CheckpointDelta {
     }
 }
 
+/// The leading fields of an encoded [`Checkpoint`] or [`CheckpointDelta`]:
+/// which of the two it is, and the schema, cluster and GVT it was captured
+/// under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ImageEnvelope {
+    pub delta: bool,
+    pub schema: u32,
+    pub cluster: u32,
+    pub gvt: VTime,
+}
+
+/// Read the envelope of an encoded image without decoding its body — what
+/// the wire supervisor checks on an image it only stores. Both codecs emit
+/// the envelope first and it holds scalars only, so the first `,"gvt":` in
+/// the text is its last member; everything up to that value is parsed as a
+/// document of its own. `None` when `text` does not open with an envelope.
+pub(crate) fn image_envelope(text: &str) -> Option<ImageEnvelope> {
+    const LAST_KEY: &str = ",\"gvt\":";
+    let value = text.find(LAST_KEY)? + LAST_KEY.len();
+    let digits = text[value..].bytes().take_while(u8::is_ascii_digit).count();
+    let head = Json::parse(&format!("{}}}", &text[..value + digits])).ok()?;
+    let uint = |key: &str| head.get(key)?.as_u64().ok();
+    Some(ImageEnvelope {
+        delta: match head.get("kind")?.as_str().ok()? {
+            "tw_checkpoint" => false,
+            "tw_checkpoint_delta" => true,
+            _ => return None,
+        },
+        schema: uint("checkpoint_schema")? as u32,
+        cluster: uint("cluster")? as u32,
+        gvt: uint("gvt")?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,13 +834,16 @@ mod tests {
             corrupt_frames: 2,
             heartbeats_missed: 30,
             chaos_faults_injected: 1,
+            // Two counters, not one written twice: a frame carries a
+            // delivery run, so the fields must not be swapped or merged.
             messages_sent: 4111,
-            frames_sent: 4111,
+            frames_sent: 1069,
             degraded: false,
         };
         let text = r.to_json().emit().unwrap();
         let back = RecoveryOutcome::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
+        assert_eq!((back.messages_sent, back.frames_sent), (4111, 1069));
 
         // Artifacts written before the victim list existed have no
         // `victims` key; they read back with an empty list. Likewise the
@@ -880,6 +917,45 @@ mod tests {
             order: 64,
             mseq: 78,
             stats: sample_stats(),
+        }
+    }
+
+    /// The envelope is read off the head of the encoded image, whichever
+    /// kind it is, without decoding the body — and not at all off a frame
+    /// that is no image, or off an image cut short of its envelope.
+    #[test]
+    fn image_envelope_is_read_without_decoding_the_body() {
+        let delta = sample_delta();
+        let text = delta.to_json().emit().unwrap();
+        let envelope = ImageEnvelope {
+            delta: true,
+            schema: CHECKPOINT_SCHEMA,
+            cluster: 2,
+            gvt: 140,
+        };
+        assert_eq!(image_envelope(&text), Some(envelope));
+        // Only the head is looked at: a body that no longer parses, or
+        // that mentions `"gvt"` again, does not matter.
+        let mangled = format!("{},\"gvt\":7,]]", &text[..text.len() - 1]);
+        assert_eq!(image_envelope(&mangled), Some(envelope));
+
+        let base = delta.to_json().emit().unwrap();
+        let base = base.replace("tw_checkpoint_delta", "tw_checkpoint");
+        let base = base.replace("\"base_gvt\":120,", "");
+        let envelope = ImageEnvelope {
+            delta: false,
+            ..envelope
+        };
+        assert_eq!(image_envelope(&base), Some(envelope));
+
+        for not_an_image in [
+            "{\"kind\":\"pong\"}",
+            "{\"kind\":\"done\",\"lvt\":4,\"gvt\":9}",
+            "{\"kind\":\"error\",\"detail\":\"no ,\\\"gvt\\\": here\"}",
+            &text[..60],
+            "",
+        ] {
+            assert_eq!(image_envelope(not_an_image), None, "{not_an_image}");
         }
     }
 

@@ -104,6 +104,29 @@ pub trait Schedule {
     /// Choose one of the legal actions in `view`. Returning an illegal
     /// action is a bug in the schedule and panics the executor.
     fn next(&mut self, view: &DstView<'_>) -> DstAction;
+
+    /// An independent copy of this schedule in its present state, with
+    /// which the executor sizes a *delivery run*. Right after [`next`] chose
+    /// `Deliver { src, dst }` at decision `d`, the fork — never the schedule
+    /// itself — is shown the views of decisions `d + 1`, `d + 2`, … as they
+    /// will be *if the run continues*: the view `next` just answered (same
+    /// GVT, LVTs, steppable and deliverable sets — the channel still has a
+    /// head) with only `decision` advanced. For as long as it answers the
+    /// same delivery, the worker is handed one more queued message of that
+    /// channel in the same exchange; then the fork is dropped.
+    ///
+    /// This is exact, not speculative: the worker stops a run after the
+    /// first message that emits a message or moves its LVT, no GVT round
+    /// can complete while the channel is non-empty, and the executor still
+    /// consults `next` on the real view at every decision, asserting that
+    /// it picks what the fork forecast — so a fork must answer exactly as
+    /// the schedule it was taken from would. `None`, the default, keeps
+    /// every run at one message, which is always correct.
+    ///
+    /// [`next`]: Schedule::next
+    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+        None
+    }
 }
 
 /// Built-in schedule families, nameable in configs and artifacts. A policy
@@ -143,11 +166,13 @@ impl SchedulePolicy {
     /// Instantiate the schedule for `seed`.
     pub fn build(&self, seed: u64) -> Box<dyn Schedule + Send> {
         match *self {
-            SchedulePolicy::RoundRobin => Box::new(RoundRobin::default()),
-            SchedulePolicy::SeededRandom => Box::new(SeededRandom::new(seed)),
-            SchedulePolicy::StragglerHeavy => Box::new(StragglerHeavy),
-            SchedulePolicy::DelayChannel { src, dst } => Box::new(DelayChannel::new(src, dst)),
-            SchedulePolicy::Bursty => Box::new(Bursty::default()),
+            SchedulePolicy::RoundRobin => Box::new(Cloned(RoundRobin::default())),
+            SchedulePolicy::SeededRandom => Box::new(Cloned(SeededRandom::new(seed))),
+            SchedulePolicy::StragglerHeavy => Box::new(Cloned(StragglerHeavy)),
+            SchedulePolicy::DelayChannel { src, dst } => {
+                Box::new(Cloned(DelayChannel::new(src, dst)))
+            }
+            SchedulePolicy::Bursty => Box::new(Cloned(Bursty::default())),
         }
     }
 
@@ -181,8 +206,21 @@ pub fn first_cut_channel(plan: &ClusterPlan) -> Option<(u32, u32)> {
     best
 }
 
+/// A built-in schedule. All five are plain data, so a fork is a clone.
+struct Cloned<S>(S);
+
+impl<S: Schedule + Clone + Send + 'static> Schedule for Cloned<S> {
+    fn next(&mut self, view: &DstView<'_>) -> DstAction {
+        self.0.next(view)
+    }
+
+    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+        Some(Box::new(Cloned(self.0.clone())))
+    }
+}
+
 /// See [`SchedulePolicy::RoundRobin`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct RoundRobin {
     cursor: u64,
 }
@@ -202,7 +240,7 @@ impl Schedule for RoundRobin {
 }
 
 /// See [`SchedulePolicy::SeededRandom`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SeededRandom {
     rng: StdRng,
 }
@@ -222,7 +260,7 @@ impl Schedule for SeededRandom {
 }
 
 /// See [`SchedulePolicy::StragglerHeavy`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct StragglerHeavy;
 
 impl Schedule for StragglerHeavy {
@@ -255,7 +293,7 @@ impl Schedule for StragglerHeavy {
 }
 
 /// See [`SchedulePolicy::DelayChannel`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DelayChannel {
     src: u32,
     dst: u32,
@@ -299,7 +337,7 @@ impl Schedule for DelayChannel {
 }
 
 /// See [`SchedulePolicy::Bursty`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Bursty {
     cursor: u64,
 }

@@ -18,7 +18,7 @@
 //!   `in_transit == 0`, i.e. empty channels, so the set of per-cluster
 //!   images taken right after a GVT advance is a consistent global cut with
 //!   no channel state (see [`super::checkpoint`]). On a
-//!   [`super::CheckpointCadence`] of N, a full [`Checkpoint`] base is
+//!   [`super::CheckpointCadence`] of N, a full [`super::Checkpoint`] base is
 //!   captured every Nth round and a
 //!   [`super::checkpoint::CheckpointDelta`] on the rounds in between; the
 //!   victim's restore image is `base + delta chain`;
@@ -48,7 +48,6 @@
 //! correct final state with `degraded = true` in the result instead of an
 //! error.
 
-use super::checkpoint::{Checkpoint, CheckpointDelta};
 use super::proc::ClusterProcess;
 use super::{TwMessage, TwRunResult};
 use crate::seq::{NullObserver, SeqSim, SimConfig};
@@ -160,8 +159,11 @@ pub struct RecoveryOutcome {
     /// deterministic transports, interleaving-dependent under
     /// free-running threads.
     pub messages_sent: u64,
-    /// Pushes/frames that carried those messages: one per message, so
-    /// always equal to [`messages_sent`](RecoveryOutcome::messages_sent).
+    /// What carried those messages: channel pushes under
+    /// [`super::Transport::Threads`] (one per message, so equal to
+    /// [`messages_sent`](RecoveryOutcome::messages_sent) there), answered
+    /// `deliver` frames on the wire transports — one per delivery *run*,
+    /// so at most `messages_sent` and exact for a given `(seed, schedule)`.
     pub frames_sent: u64,
     /// The restart budget ran out and the run fell back to the sequential
     /// simulator; `values`/`stats` are the sequential run's.
@@ -180,11 +182,13 @@ pub(crate) enum ReplayOp {
     Step { limit: VTime },
     /// This exact message was delivered.
     Deliver(TwMessage),
-    /// Fossil collection ran at this GVT. Only transiently present: a GVT
-    /// round re-checkpoints right after fossil collection, which truncates
-    /// the log — but a worker that dies *between* the two (possible only
-    /// with real processes) must replay the fossil or its `fossil_collected`
-    /// counter would diverge from the undisturbed run.
+    /// Fossil collection ran at this GVT. A GVT round that captures an
+    /// image truncates the log in the same exchange, so this is replayed
+    /// in two places only: after the final round (GVT = MAX, no image) by
+    /// a worker that dies before its `finish`, and across delta rounds by
+    /// the corrupt-restore fallback, which replays the whole base window —
+    /// in both, skipping it would leave the `fossil_collected` counter
+    /// behind the undisturbed run's.
     Fossil(VTime),
 }
 
@@ -208,7 +212,10 @@ pub(crate) fn replay_ops(p: &mut ClusterProcess<'_, '_>, ops: &[ReplayOp]) {
 
 /// Recovery bookkeeping for the transport-generic supervisor: per-cluster
 /// base images with their delta chains and input logs, per-channel
-/// sender-side retention. Input logs are scoped to "since the last captured
+/// sender-side retention. Images are held *encoded* — the canonical JSON
+/// text the worker captured them as — because the supervisor only stores
+/// them and hands them back in a restore; whoever rebuilds a process from
+/// one decodes it. Input logs are scoped to "since the last captured
 /// image" (an image — base or delta — is captured at every GVT round);
 /// channel retention is scoped to "since the last *base* round", because a
 /// restore from an older base must be able to rebuild every channel suffix
@@ -224,8 +231,8 @@ pub(crate) struct RecoveryLog {
     cadence: u32,
     /// Delta rounds since the last base (0 right after a base round).
     rounds_since_base: u32,
-    bases: Vec<Checkpoint>,
-    deltas: Vec<Vec<CheckpointDelta>>,
+    bases: Vec<String>,
+    deltas: Vec<Vec<String>>,
     input_log: Vec<Vec<ReplayOp>>,
     /// Every operation applied since the last *base* round — `input_log`
     /// without the per-delta truncation. This is the replay sequence for
@@ -243,7 +250,7 @@ pub(crate) struct RecoveryLog {
 impl RecoveryLog {
     /// Start from the initial coordinated checkpoints (GVT 0, fresh state),
     /// taking a full base every `cadence` GVT rounds thereafter.
-    pub fn from_checkpoints(bases: Vec<Checkpoint>, cadence: u32) -> Self {
+    pub fn from_checkpoints(bases: Vec<String>, cadence: u32) -> Self {
         let k = bases.len();
         RecoveryLog {
             k,
@@ -287,7 +294,7 @@ impl RecoveryLog {
 
     /// A fresh full base of cluster `i` was captured at a GVT round; its
     /// delta chain and input log restart from this image.
-    pub fn set_base(&mut self, i: usize, ck: Checkpoint) {
+    pub fn set_base(&mut self, i: usize, ck: String) {
         self.bases[i] = ck;
         self.deltas[i].clear();
         self.input_log[i].clear();
@@ -297,8 +304,7 @@ impl RecoveryLog {
     /// A delta of cluster `i` against the previous round's image was
     /// captured; the input log restarts from the image the delta encodes
     /// (replay of logged ops resumes from `base + all deltas`).
-    pub fn push_delta(&mut self, i: usize, d: CheckpointDelta) {
-        debug_assert_eq!(d.cluster, i as u32);
+    pub fn push_delta(&mut self, i: usize, d: String) {
         self.deltas[i].push(d);
         self.input_log[i].clear();
     }
@@ -321,12 +327,12 @@ impl RecoveryLog {
     }
 
     /// The victim's last full base image.
-    pub fn base(&self, victim: usize) -> &Checkpoint {
+    pub fn base(&self, victim: usize) -> &str {
         &self.bases[victim]
     }
 
     /// The victim's delta chain on top of that base, oldest first.
-    pub fn deltas(&self, victim: usize) -> &[CheckpointDelta] {
+    pub fn deltas(&self, victim: usize) -> &[String] {
         &self.deltas[victim]
     }
 

@@ -1,9 +1,8 @@
 //! Pluggable worker transports for the Time Warp kernel.
 //!
 //! The deterministic executor ([`super::dst`]) drives one worker per
-//! cluster through a small command vocabulary — step, deliver, fossil,
-//! checkpoint, restore, finish. `ClusterWorker` abstracts *where* that
-//! worker lives:
+//! cluster through a small command vocabulary — step, deliver, GVT round,
+//! restore, finish. `ClusterWorker` abstracts *where* that worker lives:
 //!
 //! * `InProcWorker` — the worker is a `ClusterProcess` owned by the
 //!   supervisor itself, commands are direct method calls. This is the
@@ -35,10 +34,10 @@
 //! the legacy v2 framing — a bare `u32` little-endian length prefix — so
 //! any peer version can parse it and version negotiation rejects a
 //! mismatched pairing as [`TimeWarpError::VersionMismatch`] instead of a
-//! framing error. Every frame after the hello is wire v3: a 12-byte
-//! `[len][seq][crc32]` header whose checksum covers the sequence number
-//! and payload (framing lives in [`super::wire`]), capped at
-//! [`MAX_FRAME`]. A checksum or sequence violation surfaces as
+//! framing error. Every frame after the hello carries the 12-byte
+//! `[len][seq][crc32]` header wire v3 introduced, whose checksum covers
+//! the sequence number and payload (framing lives in [`super::wire`]),
+//! capped at [`MAX_FRAME`]. A checksum or sequence violation surfaces as
 //! `WireError::Corrupt` (see [`super::wire`]), which the supervisor treats
 //! exactly like a vanished peer: drop the connection, count the frame,
 //! recover through checkpoint-restore. The supervisor's hello carries
@@ -50,10 +49,22 @@
 //! declared delays do not affect simulation), the partition assignment and
 //! the stimulus parameters; the worker rebuilds its [`ClusterPlan`]
 //! locally, which is deterministic, so both sides agree on every cut
-//! channel. Each command frame is written with a single buffered syscall
-//! per quantum and the response is read back under a timeout. On the Unix
-//! transport a hung worker is *not* crash-stop, so the timeout is fatal
-//! ([`TimeWarpError::WorkerTimeout`]); over TCP the supervisor probes a
+//! channel. The command vocabulary is listed at [`serve_worker`].
+//!
+//! Each command frame is written with a single buffered syscall and the
+//! response is read back under a timeout. A blocking round trip costs tens
+//! of microseconds of wake-up latency whatever the frame holds (see
+//! EXPERIMENTS.md, "Wire path: round trips, not bytes"), so the vocabulary
+//! is shaped to need few of them: a `deliver` carries a *run* of one
+//! channel's queued messages (see `ClusterWorker::deliver`), and a GVT
+//! round is one `gvt` command per worker, all of them written before the
+//! first reply is read (see `ClusterWorker::gvt_round`); the image a
+//! round captures travels, is stored and is shipped back in a `restore` as
+//! the text the worker emitted, decoded only by whoever rebuilds a process
+//! from it.
+//!
+//! On the Unix transport a hung worker is *not* crash-stop, so the timeout
+//! is fatal ([`TimeWarpError::WorkerTimeout`]); over TCP the supervisor probes a
 //! silent peer with heartbeat `ping` frames every `heartbeat_interval` and
 //! declares it lost after `heartbeat_budget` consecutive unanswered
 //! probes — bounding half-open-connection detection at
@@ -82,7 +93,7 @@ use super::wire::{
     FrameSink, FrameSource, WireError, WireStream,
 };
 use super::{merge_results, StateSaving, TimeWarpConfig, TwMessage, TwRunResult};
-use crate::artifact::{logic_str, logic_vec};
+use crate::artifact::{image_envelope, logic_str, logic_vec, ImageEnvelope};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
@@ -305,6 +316,10 @@ fn fatal(cluster: u32, f: WorkerFailure) -> TimeWarpError {
     }
 }
 
+fn protocol(detail: String) -> WorkerFailure {
+    WorkerFailure::Protocol { detail }
+}
+
 /// Network-integrity counters a worker transport accumulates on the side,
 /// folded into [`RecoveryOutcome`] when the run ends — cleanly or
 /// degraded. Everything here is a *supervisor-side observation*:
@@ -320,8 +335,38 @@ pub(crate) struct WireCounters {
     pub heartbeats_missed: u64,
     /// Faults the chaos shim actually injected on this worker's streams.
     pub chaos_faults_injected: u64,
-    /// `deliver` frames shipped to this worker, one message each.
+    /// Messages this worker answered for, over all its `deliver` frames.
     pub messages_sent: u64,
+    /// `deliver` frames this worker answered, one per delivery run.
+    pub frames_sent: u64,
+}
+
+/// What one delivered message did to its receiver: the LVT afterwards and
+/// the messages its application emitted (rollback anti-messages).
+pub(crate) type Delivered = (VTime, Vec<TwMessage>);
+
+/// What a GVT round captures from a worker after fossil-collecting it, per
+/// the configured [`super::CheckpointCadence`]. The names are the wire's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Image {
+    /// Nothing: the run is untracked, or has just quiesced.
+    None,
+    /// A full [`Checkpoint`], the reference of the deltas that follow.
+    Base,
+    /// A [`CheckpointDelta`] against the previous round's image.
+    Delta,
+}
+
+impl Image {
+    const ALL: [Image; 3] = [Image::None, Image::Base, Image::Delta];
+
+    fn name(self) -> &'static str {
+        match self {
+            Image::None => "none",
+            Image::Base => "base",
+            Image::Delta => "delta",
+        }
+    }
 }
 
 /// One Time Warp cluster as seen by the transport-generic supervisor.
@@ -329,32 +374,45 @@ pub(crate) struct WireCounters {
 /// sequence produces the same responses, counters included — that is the
 /// contract the recovery replay and the cross-transport byte-identity
 /// guarantee both rest on.
-pub(crate) trait ClusterWorker {
+pub(crate) trait ClusterWorker: Sized {
     /// Current local virtual time (used once, at startup; afterwards the
     /// supervisor caches the LVT returned by each step/deliver).
     fn lvt(&mut self) -> Result<VTime, WorkerFailure>;
     /// Process the next pending epoch within `limit`; emitted messages are
     /// appended to `sends`. Returns the new LVT.
     fn step(&mut self, limit: VTime, sends: &mut Vec<TwMessage>) -> Result<VTime, WorkerFailure>;
-    /// Deliver one message; emitted messages (e.g. rollback anti-messages)
-    /// are appended to `sends`. Returns the new LVT.
-    fn deliver(&mut self, m: TwMessage, sends: &mut Vec<TwMessage>)
-        -> Result<VTime, WorkerFailure>;
-    /// Fossil-collect history strictly below `gvt`.
-    fn fossil(&mut self, gvt: VTime) -> Result<(), WorkerFailure>;
-    /// Capture a full base checkpoint image at `gvt`. The worker retains
-    /// the image as the reference for subsequent delta captures.
-    fn checkpoint(&mut self, gvt: VTime) -> Result<Checkpoint, WorkerFailure>;
-    /// Capture this round's image as a delta against the previous round's
-    /// (base or delta-reconstructed) image, advancing the worker's
-    /// reference image. Only legal after an initial [`Self::checkpoint`].
-    fn checkpoint_delta(&mut self, gvt: VTime) -> Result<CheckpointDelta, WorkerFailure>;
-    /// Rebuild the worker from `base` plus its delta chain and replay
-    /// `ops` (re-sends suppressed). Returns the restored LVT.
+    /// Deliver a *run*: `msgs` is a prefix of one channel's queue, applied
+    /// in order up to and including the first message whose application
+    /// emits a message or moves the LVT. Returns one [`Delivered`] per
+    /// message applied — at least one, at most `msgs.len()`.
+    ///
+    /// The stop rule is what lets the supervisor hand over a run without
+    /// guessing. Until the worker stops, the view the schedule sees changes
+    /// by one queue pop per delivery and nothing else — no new message, no
+    /// LVT move, and no GVT round, which cannot complete while the channel
+    /// is non-empty — so what a [`Schedule::fork`] forecast on that view
+    /// is what the schedule will decide. A run of one is a plain delivery;
+    /// nothing is staged, and the unapplied remainder stays queued.
+    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure>;
+    /// One GVT round on every worker of `workers` — all of them, or the
+    /// one being re-asked after a recovery: fossil-collect history
+    /// strictly below `gvt`, then capture `image` (retaining it as the
+    /// reference of the next delta). Returns, per worker, the image as the
+    /// canonical JSON text it was captured as — empty for [`Image::None`].
+    /// Taking the workers together lets a wire transport write every
+    /// command before it reads the first reply.
+    fn gvt_round(
+        workers: &mut [Self],
+        gvt: VTime,
+        image: Image,
+    ) -> Vec<Result<String, WorkerFailure>>;
+    /// Rebuild the worker from the encoded `base` plus its encoded delta
+    /// chain and replay `ops` (re-sends suppressed). Returns the restored
+    /// LVT.
     fn respawn(
         &mut self,
-        base: &Checkpoint,
-        deltas: &[CheckpointDelta],
+        base: &str,
+        deltas: &[String],
         ops: &[ReplayOp],
     ) -> Result<VTime, WorkerFailure>;
     /// Assert the quiescence invariants (check mode only): idle LVT, no
@@ -374,6 +432,115 @@ pub(crate) trait ClusterWorker {
     fn wire_counters(&self) -> WireCounters {
         WireCounters::default()
     }
+}
+
+// ---------------------------------------------------------------------------
+// What every worker does to its cluster, wherever it lives
+// ---------------------------------------------------------------------------
+
+/// The delivery run of [`ClusterWorker::deliver`], stop rule included.
+fn deliver_run(p: &mut ClusterProcess<'_, '_>, msgs: &[TwMessage]) -> Vec<Delivered> {
+    let mut results = Vec::with_capacity(msgs.len());
+    let lvt = p.lvt();
+    for &m in msgs {
+        let mut sends = Vec::new();
+        p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+        let after = p.lvt();
+        let stop = !sends.is_empty() || after != lvt;
+        results.push((after, sends));
+        if stop {
+            break;
+        }
+    }
+    results
+}
+
+/// The worker's half of [`ClusterWorker::gvt_round`]: fossil-collect, then
+/// capture `image` against (and as the next) reference image `prev`.
+fn gvt_capture(
+    p: &mut ClusterProcess<'_, '_>,
+    prev: &mut Option<Checkpoint>,
+    gvt: VTime,
+    image: Image,
+    (check, me, label): (bool, u32, &str),
+) -> Result<Option<Json>, String> {
+    let before = check.then(|| p.history_at_or_after(gvt));
+    p.fossil_collect(gvt);
+    if let Some(before) = before {
+        assert_eq!(
+            before,
+            p.history_at_or_after(gvt),
+            "fossil collection on cluster {me} reclaimed history at or above GVT {gvt} ({label})"
+        );
+    }
+    if image == Image::None {
+        return Ok(None);
+    }
+    let next = p.checkpoint(gvt);
+    let encoded = match (image, prev.as_ref()) {
+        (Image::Delta, Some(prev)) => CheckpointDelta::between(prev, &next).to_json(),
+        (Image::Delta, None) => return Err("delta image before any base image".to_string()),
+        _ => next.to_json(),
+    };
+    *prev = Some(next);
+    Ok(Some(encoded))
+}
+
+/// The worker's half of [`ClusterWorker::respawn`]: decode the base image
+/// and its delta chain, rebuild the process they describe and replay `ops`
+/// on it. Also returns the reconstructed image, the rebuilt worker's
+/// reference for its next delta. A chain that does not apply is
+/// [`WorkerFailure::CorruptRestore`] — recoverable, the supervisor retries
+/// from the bare base; an image that does not decode, or names another
+/// schema or cluster, means the supervisor itself is confused and stays a
+/// protocol failure.
+fn rebuild<'nl, 'p>(
+    nl: &'nl Netlist,
+    plan: &'p ClusterPlan,
+    stim: &VectorStimulus,
+    cycles: u64,
+    base: &Json,
+    deltas: &[Json],
+    ops: &[ReplayOp],
+) -> Result<(ClusterProcess<'nl, 'p>, Checkpoint), WorkerFailure> {
+    let undecodable = |e: dvs_json::JsonError| WorkerFailure::Protocol { detail: e.msg };
+    let base = Checkpoint::from_json(base).map_err(undecodable)?;
+    let deltas = deltas
+        .iter()
+        .map(CheckpointDelta::from_json)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(undecodable)?;
+    let (mut p, image) = ClusterProcess::from_chain(nl, plan, stim.clone(), cycles, &base, &deltas)
+        .map_err(|e| {
+            let detail = format!("restore chain rejected: {e}");
+            match e {
+                DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. } => {
+                    WorkerFailure::CorruptRestore { detail }
+                }
+                _ => WorkerFailure::Protocol { detail },
+            }
+        })?;
+    replay_ops(&mut p, ops);
+    Ok((p, image))
+}
+
+/// The quiescence invariants, asserted where the state lives.
+fn quiescence_asserts(p: &mut ClusterProcess<'_, '_>, me: u32, label: &str) {
+    assert_eq!(
+        p.lvt(),
+        VTime::MAX,
+        "cluster {me} still has pending work at quiescence ({label})"
+    );
+    assert_eq!(
+        p.stray_anti_messages(),
+        0,
+        "cluster {me} received anti-messages with no positive to annihilate ({label})"
+    );
+    assert_eq!(
+        p.pending_len(),
+        0,
+        "cluster {me} still has queued events at quiescence ({label})"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -439,82 +606,50 @@ impl ClusterWorker for InProcWorker<'_, '_> {
         Ok(p.lvt())
     }
 
-    fn deliver(
-        &mut self,
-        m: TwMessage,
-        sends: &mut Vec<TwMessage>,
-    ) -> Result<VTime, WorkerFailure> {
+    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure> {
         let p = self.proc.as_mut().expect("in-proc worker is alive");
-        p.handle_message(m, &mut |m: TwMessage| sends.push(m));
-        Ok(p.lvt())
+        Ok(deliver_run(p, msgs))
     }
 
-    fn fossil(&mut self, gvt: VTime) -> Result<(), WorkerFailure> {
-        let p = self.proc.as_mut().expect("in-proc worker is alive");
-        let before = self.check.then(|| p.history_at_or_after(gvt));
-        p.fossil_collect(gvt);
-        if let Some(before) = before {
-            let after = p.history_at_or_after(gvt);
-            assert_eq!(
-                before, after,
-                "fossil collection on cluster {} reclaimed history at or above GVT {gvt} ({})",
-                self.me, self.label
-            );
-        }
-        Ok(())
-    }
-
-    fn checkpoint(&mut self, gvt: VTime) -> Result<Checkpoint, WorkerFailure> {
-        let ck = self
-            .proc
-            .as_ref()
-            .expect("in-proc worker is alive")
-            .checkpoint(gvt);
-        self.prev = Some(ck.clone());
-        Ok(ck)
-    }
-
-    fn checkpoint_delta(&mut self, gvt: VTime) -> Result<CheckpointDelta, WorkerFailure> {
-        let p = self.proc.as_ref().expect("in-proc worker is alive");
-        let prev = self
-            .prev
-            .as_ref()
-            .expect("delta capture requires a prior full checkpoint");
-        let next = p.checkpoint(gvt);
-        let d = CheckpointDelta::between(prev, &next);
-        self.prev = Some(next);
-        Ok(d)
+    fn gvt_round(
+        workers: &mut [Self],
+        gvt: VTime,
+        image: Image,
+    ) -> Vec<Result<String, WorkerFailure>> {
+        let encode = |w: &mut Self| {
+            let p = w.proc.as_mut().expect("in-proc worker is alive");
+            let whoami = (w.check, w.me, w.label.as_str());
+            match gvt_capture(p, &mut w.prev, gvt, image, whoami)? {
+                Some(encoded) => encoded.emit().map_err(|e| e.msg),
+                None => Ok(String::new()),
+            }
+        };
+        workers
+            .iter_mut()
+            .map(|w| encode(w).map_err(protocol))
+            .collect()
     }
 
     fn respawn(
         &mut self,
-        base: &Checkpoint,
-        deltas: &[CheckpointDelta],
+        base: &str,
+        deltas: &[String],
         ops: &[ReplayOp],
     ) -> Result<VTime, WorkerFailure> {
-        let (mut p, image) = ClusterProcess::from_chain(
+        let parse = |text: &str| Json::parse(text).map_err(|e| protocol(e.msg));
+        let deltas = deltas
+            .iter()
+            .map(|d| parse(d))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (mut p, image) = rebuild(
             self.nl,
             self.plan,
-            self.stim.clone(),
+            &self.stim,
             self.cycles,
-            base,
-            deltas,
-        )
-        .map_err(|e| match e {
-            // A chain that does not apply is recoverable: the supervisor
-            // retries from the last full base before giving up. Schema or
-            // cluster mismatches mean the supervisor itself is confused —
-            // that stays a protocol failure.
-            DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. } => {
-                WorkerFailure::CorruptRestore {
-                    detail: format!("restore chain rejected: {e}"),
-                }
-            }
-            other => WorkerFailure::Protocol {
-                detail: format!("restore chain rejected: {other}"),
-            },
-        })?;
-        replay_ops(&mut p, ops);
+            &parse(base)?,
+            &deltas,
+            ops,
+        )?;
         let lvt = p.lvt();
         self.proc = Some(p);
         self.prev = Some(image);
@@ -540,26 +675,6 @@ impl ClusterWorker for InProcWorker<'_, '_> {
     fn kill(&mut self) {
         self.proc = None;
     }
-}
-
-/// The quiescence invariants shared by both transports (the process worker
-/// runs them on its own side, where the state lives).
-fn quiescence_asserts(p: &mut ClusterProcess<'_, '_>, me: u32, label: &str) {
-    assert_eq!(
-        p.lvt(),
-        VTime::MAX,
-        "cluster {me} still has pending work at quiescence ({label})"
-    );
-    assert_eq!(
-        p.stray_anti_messages(),
-        0,
-        "cluster {me} received anti-messages with no positive to annihilate ({label})"
-    );
-    assert_eq!(
-        p.pending_len(),
-        0,
-        "cluster {me} still has queued events at quiescence ({label})"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -596,14 +711,17 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
     // rather than recovered.
     let mut outcome = RecoveryOutcome::default();
     let log = if track {
-        let mut cks = Vec::with_capacity(k);
-        for (i, w) in workers.iter_mut().enumerate() {
-            let ck = w.checkpoint(0).map_err(|f| fatal(i as u32, f))?;
-            outcome.checkpoint_bytes_full += json_len(&ck.to_json());
-            cks.push(ck);
+        let mut bases = Vec::with_capacity(k);
+        for (i, base) in W::gvt_round(workers, 0, Image::Base)
+            .into_iter()
+            .enumerate()
+        {
+            let base = base.map_err(|f| fatal(i as u32, f))?;
+            outcome.checkpoint_bytes_full += base.len() as u64;
+            bases.push(base);
         }
         Some(RecoveryLog::from_checkpoints(
-            cks,
+            bases,
             cfg.checkpoint_cadence.every_n_rounds,
         ))
     } else {
@@ -621,13 +739,14 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         shared: GvtState::new(k),
         queues: vec![VecDeque::new(); k * k],
         lvts,
+        in_hand: VecDeque::new(),
         log,
         outcome,
         corrupts_left: cfg.fault.corrupt_restores,
     };
-    let result = sup.run(schedule);
-    match result {
-        SupRun::Finished(per_cluster) => {
+    match sup.run(schedule) {
+        // Clean completion: per-cluster `(stats, values)` ready to merge.
+        Ok(per_cluster) => {
             sup.fold_wire_counters();
             let mut result = merge_results(
                 nl,
@@ -638,40 +757,17 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
             result.recovery = sup.outcome;
             Ok(result)
         }
-        SupRun::Degraded(r) => Ok(*r),
-        SupRun::Failed(e) => Err(e),
+        Err(Halt::Degraded(r)) => Ok(*r),
+        Err(Halt::Failed(e)) => Err(e),
     }
 }
 
-/// How a supervised run ended.
-enum SupRun {
-    /// Clean completion: per-cluster `(stats, values)` ready to merge.
-    Finished(Vec<(SimStats, Vec<Logic>)>),
+/// Why the supervised run cannot go on as a Time Warp run.
+enum Halt {
     /// Restart budget exhausted; the sequential fallback already ran.
-    /// Boxed: a full run result dwarfs the other variants.
+    /// Boxed: a full run result dwarfs the other variant.
     Degraded(Box<TwRunResult>),
     Failed(TimeWarpError),
-}
-
-/// Outcome of one supervised worker command (possibly after recoveries).
-enum OpOutcome {
-    Done,
-    Degraded(Box<TwRunResult>),
-    Failed(TimeWarpError),
-}
-
-/// The image captured at one GVT round: a full base or a delta against the
-/// previous round's image, per the configured [`super::CheckpointCadence`].
-enum Captured {
-    Base(Checkpoint),
-    Delta(CheckpointDelta),
-}
-
-/// Canonical serialized size of an image, counted identically on every
-/// deterministic transport (the supervisor re-emits the parsed struct, so
-/// wire formatting differences cannot leak into the exact counters).
-fn json_len(j: &Json) -> u64 {
-    j.emit().map_or(0, |s| s.len() as u64)
 }
 
 struct Supervisor<'a, W: ClusterWorker> {
@@ -695,6 +791,12 @@ struct Supervisor<'a, W: ClusterWorker> {
     /// under the process transport it saves a full round-trip per cluster
     /// per decision.
     lvts: Vec<VTime>,
+    /// Results of the delivery run in progress that no decision has
+    /// consumed yet: the worker applied these messages — still at the head
+    /// of their channel's queue — in one exchange, and each coming
+    /// decision, which the schedule's fork forecast to be that same
+    /// delivery, takes the next one instead of a round trip.
+    in_hand: VecDeque<Delivered>,
     log: Option<RecoveryLog>,
     outcome: RecoveryOutcome,
     /// Remaining [`super::recovery::FaultPlan::corrupt_restores`] fault
@@ -703,18 +805,17 @@ struct Supervisor<'a, W: ClusterWorker> {
     corrupts_left: u32,
 }
 
-macro_rules! try_op {
-    ($e:expr) => {
-        match $e {
-            OpOutcome::Done => {}
-            OpOutcome::Degraded(r) => return SupRun::Degraded(r),
-            OpOutcome::Failed(e) => return SupRun::Failed(e),
-        }
-    };
+/// The [`super::recovery::FaultPlan::corrupt_restores`] injector: decode
+/// the encoded delta, mangle it so that applying it fails, encode it again.
+fn poison(delta: &str) -> Result<String, String> {
+    let decoded = Json::parse(delta).and_then(|j| CheckpointDelta::from_json(&j));
+    let mut delta = decoded.map_err(|e| e.msg)?;
+    delta.poison();
+    delta.to_json().emit().map_err(|e| e.msg)
 }
 
 impl<W: ClusterWorker> Supervisor<'_, W> {
-    fn run(&mut self, schedule: &mut dyn Schedule) -> SupRun {
+    fn run(&mut self, schedule: &mut dyn Schedule) -> Result<Vec<(SimStats, Vec<Logic>)>, Halt> {
         let fault = self.cfg.fault;
         let mut crashes_left = fault.crash_budget();
         let gvt_cadence =
@@ -725,6 +826,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         let mut steppable: Vec<u32> = Vec::with_capacity(self.k);
         let mut deliverable: Vec<(u32, u32)> = Vec::with_capacity(self.k * self.k);
         let mut sends: Vec<TwMessage> = Vec::new();
+        let mut previous: Option<DstAction> = None;
 
         loop {
             let gvt = self.shared.gvt.load(Ordering::SeqCst);
@@ -761,9 +863,9 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 // done). If it does not, the protocol is wedged — no retry
                 // can fix that.
                 let Some(new_gvt) = self.shared.try_compute_gvt() else {
-                    return SupRun::Failed(TimeWarpError::Stalled { gvt, idle });
+                    return Err(Halt::Failed(TimeWarpError::Stalled { gvt, idle }));
                 };
-                try_op!(self.gvt_round(new_gvt, true));
+                self.gvt_round(new_gvt, true)?;
                 continue;
             }
 
@@ -772,20 +874,20 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // consulted — so the decision sequence after recovery is
             // identical to the no-crash run's, which is what makes
             // artifacts byte-identical.
-            if crashes_left > 0 {
-                if let Some((victim, at)) = fault.crash_at {
-                    let v = victim as usize;
-                    if decision == at && v < self.k {
-                        crashes_left -= 1;
-                        self.workers[v].inject_crash();
-                        try_op!(self.recover(v));
-                        continue;
-                    }
+            let armed = fault
+                .crash_at
+                .filter(|&(victim, _)| crashes_left > 0 && (victim as usize) < self.k);
+            if let Some((victim, at)) = armed {
+                if decision == at {
+                    crashes_left -= 1;
+                    self.workers[victim as usize].inject_crash();
+                    self.recover(victim as usize)?;
+                    continue;
                 }
             }
 
-            let action = {
-                let view = DstView {
+            let (action, run) = {
+                let mut view = DstView {
                     gvt,
                     lvts: &self.lvts,
                     steppable: &steppable,
@@ -798,22 +900,55 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                     "schedule returned illegal action {action:?} at decision {decision} ({})",
                     self.label
                 );
-                action
+                // Inside a delivery run the view changed by one queue pop
+                // since the run's previous decision, exactly as the fork
+                // was shown, so the schedule must be repeating itself.
+                assert!(
+                    self.in_hand.is_empty() || previous == Some(action),
+                    "the schedule chose {action:?} at decision {decision} where its fork \
+                     forecast {previous:?} again ({})",
+                    self.label
+                );
+                previous = Some(action);
+                // Size the delivery run this decision opens: ask a fork of
+                // the schedule what it would pick next if the run went on,
+                // and stop at the first other answer, at the end of the
+                // queue, or where the armed crash fires before the
+                // schedule is consulted.
+                let mut run = 1;
+                if let DstAction::Deliver { src, dst } = action {
+                    let queued = self.queues[src as usize * self.k + dst as usize].len();
+                    let fork = if self.in_hand.is_empty() && queued > 1 {
+                        schedule.fork()
+                    } else {
+                        None
+                    };
+                    if let Some(mut fork) = fork {
+                        while run < queued {
+                            view.decision = decision + run as u64;
+                            if armed.is_some_and(|(_, at)| at == view.decision)
+                                || fork.next(&view) != action
+                            {
+                                break;
+                            }
+                            run += 1;
+                        }
+                    }
+                }
+                (action, run)
             };
             decision += 1;
             idle += 1;
             if self.cfg.stall_limit > 0 && idle >= self.cfg.stall_limit {
                 // Livelock watchdog: work keeps happening but GVT never
                 // advances, so nothing will ever commit or terminate.
-                return SupRun::Failed(TimeWarpError::Stalled { gvt, idle });
+                return Err(Halt::Failed(TimeWarpError::Stalled { gvt, idle }));
             }
 
             match action {
-                DstAction::Step(c) => {
-                    try_op!(self.do_step(c as usize, gvt, limit, &mut sends));
-                }
+                DstAction::Step(c) => self.do_step(c as usize, gvt, limit, &mut sends)?,
                 DstAction::Deliver { src, dst } => {
-                    try_op!(self.do_deliver(src as usize, dst as usize, gvt, &mut sends));
+                    self.do_deliver(src as usize, dst as usize, run, gvt)?
                 }
             }
 
@@ -821,31 +956,31 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // attempt per `gvt_interval` quanta of `epochs_per_quantum` epochs.
             if decision.is_multiple_of(gvt_cadence) {
                 if let Some(new_gvt) = self.shared.try_compute_gvt() {
-                    try_op!(self.gvt_round(new_gvt, false));
+                    self.gvt_round(new_gvt, false)?;
                 }
             }
         }
 
         // Quiescent: collect final state. A worker lost here is recovered
         // like any other (its log includes the final fossil collection).
-        let mut per_cluster: Vec<(SimStats, Vec<Logic>)> = Vec::with_capacity(self.k);
-        for i in 0..self.k {
-            loop {
-                match self.workers[i].finish() {
-                    Ok(sv) => {
-                        per_cluster.push(sv);
-                        break;
-                    }
-                    Err(WorkerFailure::Lost { .. }) => match self.recover(i) {
-                        OpOutcome::Done => {}
-                        OpOutcome::Degraded(r) => return SupRun::Degraded(r),
-                        OpOutcome::Failed(e) => return SupRun::Failed(e),
-                    },
-                    Err(f) => return SupRun::Failed(fatal(i as u32, f)),
-                }
+        (0..self.k).map(|i| self.supervised(i, W::finish)).collect()
+    }
+
+    /// Have worker `i` do `op`, recovering it and asking again for as long
+    /// as it is lost: a worker that died mid-command never applied it, so
+    /// the supervisor simply re-issues it to the respawned incarnation.
+    fn supervised<T>(
+        &mut self,
+        i: usize,
+        mut op: impl FnMut(&mut W) -> Result<T, WorkerFailure>,
+    ) -> Result<T, Halt> {
+        loop {
+            match op(&mut self.workers[i]) {
+                Ok(done) => return Ok(done),
+                Err(WorkerFailure::Lost { .. }) => self.recover(i)?,
+                Err(f) => return Err(Halt::Failed(fatal(i as u32, f))),
             }
         }
-        SupRun::Finished(per_cluster)
     }
 
     /// Execute a `Step(c)` decision, recovering `c` as often as needed.
@@ -855,7 +990,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         gvt: VTime,
         limit: VTime,
         sends: &mut Vec<TwMessage>,
-    ) -> OpOutcome {
+    ) -> Result<(), Halt> {
         if self.check {
             assert!(
                 self.lvts[c] >= gvt,
@@ -864,47 +999,46 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 self.label
             );
         }
-        loop {
+        let lvt = self.supervised(c, |w| {
             sends.clear();
-            match self.workers[c].step(limit, sends) {
-                Ok(lvt) => {
-                    // Record only after success: a worker that died
-                    // mid-step never applied the op, so replay must not
-                    // include it — the supervisor simply re-issues it.
-                    if let Some(log) = self.log.as_mut() {
-                        log.record_step(c, limit);
-                    }
-                    self.commit_sends(sends);
-                    self.lvts[c] = lvt;
-                    self.shared.publish_lvt(c, lvt);
-                    return OpOutcome::Done;
-                }
-                Err(WorkerFailure::Lost { .. }) => match self.recover(c) {
-                    OpOutcome::Done => {}
-                    other => return other,
-                },
-                Err(f) => return OpOutcome::Failed(fatal(c as u32, f)),
-            }
+            w.step(limit, sends)
+        })?;
+        // Recorded only after success: replay must not include an op the
+        // worker died in.
+        if let Some(log) = self.log.as_mut() {
+            log.record_step(c, limit);
         }
+        self.commit_sends(sends);
+        self.lvts[c] = lvt;
+        self.shared.publish_lvt(c, lvt);
+        Ok(())
     }
 
-    /// Execute a `Deliver { src, dst }` decision, recovering `dst` as often
-    /// as needed.
-    fn do_deliver(
-        &mut self,
-        src: usize,
-        dst: usize,
-        gvt: VTime,
-        sends: &mut Vec<TwMessage>,
-    ) -> OpOutcome {
+    /// Execute a `Deliver { src, dst }` decision. With no results in hand
+    /// it opens a run: `dst` is handed the first `run` messages of the
+    /// channel in one exchange (recovering it as often as needed) and
+    /// answers for as many as its stop rule let it apply. Either way the
+    /// decision itself delivers one message — the head of the queue, with
+    /// the next result in hand.
+    fn do_deliver(&mut self, src: usize, dst: usize, run: usize, gvt: VTime) -> Result<(), Halt> {
         let ch = src * self.k + dst;
-        // Peek, don't pop: if the worker dies mid-delivery the message is
-        // still in flight — it counts toward the victim's lost channel
-        // state and is re-delivered to the respawned incarnation (recovery
-        // re-fills the queue with it at the head, FIFO preserved).
-        let msg = *self.queues[ch]
-            .front()
+        if self.in_hand.is_empty() {
+            // Peek, don't pop: if the worker dies mid-run the messages are
+            // still in flight — they count toward the victim's lost channel
+            // state and are re-delivered to the respawned incarnation
+            // (recovery re-fills the queue with them at the head, FIFO
+            // preserved). A run is one reply frame, so a worker lost
+            // inside it has had none of it logged.
+            let msgs: Vec<TwMessage> = self.queues[ch].iter().take(run).copied().collect();
+            self.in_hand = self.supervised(dst, |w| w.deliver(&msgs))?.into();
+        }
+        let msg = self.queues[ch]
+            .pop_front()
             .expect("deliverable channel is non-empty");
+        let (lvt, sends) = self
+            .in_hand
+            .pop_front()
+            .expect("a delivery answers for at least one message");
         if self.check {
             assert!(
                 msg.ev.time >= gvt,
@@ -913,31 +1047,19 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 self.label
             );
         }
-        loop {
-            sends.clear();
-            match self.workers[dst].deliver(msg, sends) {
-                Ok(lvt) => {
-                    self.queues[ch].pop_front();
-                    if let Some(log) = self.log.as_mut() {
-                        log.record_deliver(msg);
-                    }
-                    self.commit_sends(sends);
-                    self.lvts[dst] = lvt;
-                    // Same ordering discipline as the threaded kernel: the
-                    // in-transit counter drops only after the receiver's
-                    // LVT reflects the insertion, keeping GVT samples
-                    // sound.
-                    self.shared.publish_lvt(dst, lvt);
-                    self.shared.in_transit.fetch_sub(1, Ordering::SeqCst);
-                    return OpOutcome::Done;
-                }
-                Err(WorkerFailure::Lost { .. }) => match self.recover(dst) {
-                    OpOutcome::Done => {}
-                    other => return other,
-                },
-                Err(f) => return OpOutcome::Failed(fatal(dst as u32, f)),
-            }
+        // Logged only now, one message per decision: replay after a crash
+        // must cover exactly what the decision sequence has consumed.
+        if let Some(log) = self.log.as_mut() {
+            log.record_deliver(msg);
         }
+        self.commit_sends(&sends);
+        self.lvts[dst] = lvt;
+        // Same ordering discipline as the threaded kernel: the in-transit
+        // counter drops only after the receiver's LVT reflects the
+        // insertion, keeping GVT samples sound.
+        self.shared.publish_lvt(dst, lvt);
+        self.shared.in_transit.fetch_sub(1, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Enqueue messages a worker emitted during a successful op and retain
@@ -964,88 +1086,60 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         }
     }
 
-    /// One GVT round: fossil-collect everyone, then — unless the run just
-    /// quiesced — capture the next coordinated checkpoint cut. `quiesce`
-    /// marks the no-action path, the only place quiescence checks run.
-    fn gvt_round(&mut self, new_gvt: VTime, quiesce: bool) -> OpOutcome {
-        for i in 0..self.k {
-            loop {
-                match self.workers[i].fossil(new_gvt) {
-                    Ok(()) => {
-                        // Recorded even at GVT = MAX: a worker dying
-                        // between this fossil and its finish must replay
-                        // it or its fossil counter would diverge.
-                        if let Some(log) = self.log.as_mut() {
-                            log.record_fossil(i, new_gvt);
-                        }
-                        break;
-                    }
-                    Err(WorkerFailure::Lost { .. }) => match self.recover(i) {
-                        OpOutcome::Done => {}
-                        other => return other,
-                    },
-                    Err(f) => return OpOutcome::Failed(fatal(i as u32, f)),
+    /// One GVT round: fossil-collect everyone and — unless the run is
+    /// untracked or just quiesced — capture the next coordinated checkpoint
+    /// cut, in one exchange per worker. `quiesce` marks the no-action path,
+    /// the only place quiescence checks run.
+    fn gvt_round(&mut self, new_gvt: VTime, quiesce: bool) -> Result<(), Halt> {
+        // On an every-N cadence, only every Nth round captures full bases;
+        // the rounds between capture deltas against the previous round's
+        // image. The cadence phase is global, so the coordinated cut stays
+        // all-bases or all-deltas.
+        let image = match self.log.as_ref() {
+            Some(log) if new_gvt != VTime::MAX && log.next_is_base() => Image::Base,
+            Some(_) if new_gvt != VTime::MAX => Image::Delta,
+            _ => Image::None,
+        };
+        debug_assert!(self.in_hand.is_empty(), "a GVT round inside a delivery run");
+        let replies = W::gvt_round(self.workers, new_gvt, image);
+        for (i, reply) in replies.into_iter().enumerate() {
+            // Fossil collection and capture are one command, so a worker
+            // lost anywhere in the round has done neither as far as its log
+            // knows: once recovered, it alone is asked again.
+            let mut reply = Some(reply);
+            let captured = self.supervised(i, |w| {
+                let again = || W::gvt_round(std::slice::from_mut(w), new_gvt, image).pop();
+                reply.take().or_else(again).expect("one reply per worker")
+            })?;
+            let Some(log) = self.log.as_mut() else {
+                continue;
+            };
+            // Recorded even at GVT = MAX: a worker dying between this
+            // round and its finish must replay the fossil collection or
+            // its counter would diverge. (After a capture it survives only
+            // in the base-window log of the corrupt-restore fallback.)
+            log.record_fossil(i, new_gvt);
+            match image {
+                Image::None => {}
+                Image::Base => {
+                    self.outcome.checkpoint_bytes_full += captured.len() as u64;
+                    log.set_base(i, captured);
+                }
+                Image::Delta => {
+                    self.outcome.checkpoint_bytes_delta += captured.len() as u64;
+                    log.push_delta(i, captured);
                 }
             }
         }
-        if new_gvt != VTime::MAX {
-            if let Some(log) = self.log.as_ref() {
-                // On an every-N cadence, only every Nth round captures full
-                // bases; the rounds between capture deltas against the
-                // previous round's image. The cadence phase is global, so
-                // the coordinated cut stays all-bases or all-deltas.
-                let base = log.next_is_base();
-                for i in 0..self.k {
-                    loop {
-                        let captured = if base {
-                            self.workers[i].checkpoint(new_gvt).map(Captured::Base)
-                        } else {
-                            self.workers[i]
-                                .checkpoint_delta(new_gvt)
-                                .map(Captured::Delta)
-                        };
-                        match captured {
-                            Ok(Captured::Base(ck)) => {
-                                self.outcome.checkpoint_bytes_full += json_len(&ck.to_json());
-                                if let Some(log) = self.log.as_mut() {
-                                    log.set_base(i, ck);
-                                }
-                                break;
-                            }
-                            Ok(Captured::Delta(d)) => {
-                                self.outcome.checkpoint_bytes_delta += json_len(&d.to_json());
-                                if let Some(log) = self.log.as_mut() {
-                                    log.push_delta(i, d);
-                                }
-                                break;
-                            }
-                            Err(WorkerFailure::Lost { .. }) => match self.recover(i) {
-                                OpOutcome::Done => {}
-                                other => return other,
-                            },
-                            Err(f) => return OpOutcome::Failed(fatal(i as u32, f)),
-                        }
-                    }
-                }
-                if let Some(log) = self.log.as_mut() {
-                    log.round_complete(base);
-                }
-            }
-        } else if quiesce && self.check {
+        if let (Some(log), true) = (self.log.as_mut(), image != Image::None) {
+            log.round_complete(image == Image::Base);
+        }
+        if quiesce && self.check && new_gvt == VTime::MAX {
             for i in 0..self.k {
-                loop {
-                    match self.workers[i].check_quiescence() {
-                        Ok(()) => break,
-                        Err(WorkerFailure::Lost { .. }) => match self.recover(i) {
-                            OpOutcome::Done => {}
-                            other => return other,
-                        },
-                        Err(f) => return OpOutcome::Failed(fatal(i as u32, f)),
-                    }
-                }
+                self.supervised(i, W::check_quiescence)?;
             }
         }
-        OpOutcome::Done
+        Ok(())
     }
 
     /// Crash-stop recovery of cluster `v`: drop its incoming channels,
@@ -1054,7 +1148,12 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     /// spans the whole cadence window). Counts every death
     /// (including deaths during respawn itself) against the restart budget
     /// and degrades to the sequential simulator when it runs out.
-    fn recover(&mut self, v: usize) -> OpOutcome {
+    fn recover(&mut self, v: usize) -> Result<(), Halt> {
+        assert!(
+            self.in_hand.is_empty(),
+            "cluster {v} is being recovered inside a delivery run ({})",
+            self.label
+        );
         // Crash-stop: the victim loses its in-memory state and its
         // incoming channels (in-flight messages toward it die with it).
         // Captured once — respawn retries compare against the originally
@@ -1083,7 +1182,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     /// Restart budget exhausted (or a base-only restore was itself
     /// rejected): kill everyone and fall back to the sequential simulator,
     /// carrying the exact recovery counters into the degraded result.
-    fn degrade(&mut self) -> OpOutcome {
+    fn degrade(&mut self) -> Halt {
         for w in self.workers.iter_mut() {
             w.kill();
         }
@@ -1098,7 +1197,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         r.recovery.chaos_faults_injected = self.outcome.chaos_faults_injected;
         r.recovery.messages_sent = self.outcome.messages_sent;
         r.recovery.frames_sent = self.outcome.frames_sent;
-        OpOutcome::Degraded(Box::new(r))
+        Halt::Degraded(Box::new(r))
     }
 
     /// Sum each worker's side-accumulated wire counters into the outcome.
@@ -1110,7 +1209,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.outcome.heartbeats_missed += c.heartbeats_missed;
             self.outcome.chaos_faults_injected += c.chaos_faults_injected;
             self.outcome.messages_sent += c.messages_sent;
-            self.outcome.frames_sent += c.messages_sent;
+            self.outcome.frames_sent += c.frames_sent;
         }
     }
 
@@ -1119,7 +1218,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         v: usize,
         dropped: &[Vec<TwMessage>],
         log: &mut RecoveryLog,
-    ) -> OpOutcome {
+    ) -> Result<(), Halt> {
         // Set after a shipped delta chain was rejected as corrupt: the
         // victim's log has been demoted to its last full base, and a
         // second rejection degrades instead of looping forever.
@@ -1128,7 +1227,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.outcome.crashes += 1;
             self.outcome.victims.push(v as u32);
             if self.outcome.restarts >= self.cfg.fault.max_restarts {
-                return self.degrade();
+                return Err(self.degrade());
             }
             self.outcome.restarts += 1;
             // Fault injection: poison the delta chain about to ship so the
@@ -1136,11 +1235,13 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // exercising the same base-fallback path a frame corrupted in
             // transit (but CRC-validated into a parseable chain) would take.
             let poisoned;
-            let deltas: &[CheckpointDelta] = if self.corrupts_left > 0 && !log.deltas(v).is_empty()
-            {
+            let deltas: &[String] = if self.corrupts_left > 0 && !log.deltas(v).is_empty() {
                 self.corrupts_left -= 1;
                 let mut chain = log.deltas(v).to_vec();
-                chain.last_mut().expect("chain is non-empty").poison();
+                let last = chain.last_mut().expect("chain is non-empty");
+                *last = poison(last)
+                    .map_err(|detail| fatal(v as u32, WorkerFailure::Protocol { detail }))
+                    .map_err(Halt::Failed)?;
                 poisoned = chain;
                 &poisoned
             } else {
@@ -1172,7 +1273,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                     if refilled > 0 {
                         self.shared.in_transit.fetch_add(refilled, Ordering::SeqCst);
                     }
-                    return OpOutcome::Done;
+                    return Ok(());
                 }
                 // The replacement died during respawn (possible only with
                 // real processes): another crash against the budget.
@@ -1189,8 +1290,8 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 }
                 // Even the bare base was rejected: nothing left to restore
                 // from — degrade to the sequential simulator.
-                Err(WorkerFailure::CorruptRestore { .. }) => return self.degrade(),
-                Err(f) => return OpOutcome::Failed(fatal(v as u32, f)),
+                Err(WorkerFailure::CorruptRestore { .. }) => return Err(self.degrade()),
+                Err(f) => return Err(Halt::Failed(fatal(v as u32, f))),
             }
         }
     }
@@ -1232,15 +1333,25 @@ fn ready_json(lvt: VTime) -> Json {
         .build()
 }
 
-fn ok_json() -> Json {
-    ObjBuilder::new().str("kind", "ok").build()
+/// The `lvt` + `sends` pair a `step` answers with (under `kind: done`) and
+/// a `deliver` once per message applied (under `results`).
+fn delivered_json(open: ObjBuilder, (lvt, sends): &Delivered) -> Json {
+    open.field("lvt", vtime_json(*lvt))
+        .array("sends", sends.iter().map(ToJson::to_json).collect())
+        .build()
 }
 
-fn done_json(lvt: VTime, sends: &[TwMessage]) -> Json {
+fn delivered_from(j: &Json) -> Result<Delivered, String> {
+    let lvt = vtime_from(j.field("lvt").map_err(|e| e.msg)?)?;
+    let sends = j.field("sends").and_then(Json::as_array);
+    let sends = sends.and_then(|a| a.iter().map(TwMessage::from_json).collect());
+    Ok((lvt, sends.map_err(|e| e.msg)?))
+}
+
+fn error_json(detail: &str) -> Json {
     ObjBuilder::new()
-        .str("kind", "done")
-        .field("lvt", vtime_json(lvt))
-        .array("sends", sends.iter().map(ToJson::to_json).collect())
+        .str("kind", "error")
+        .str("detail", detail)
         .build()
 }
 
@@ -1259,6 +1370,16 @@ fn replay_op_json(op: &ReplayOp) -> Json {
             .field("gvt", vtime_json(gvt))
             .build(),
     }
+}
+
+/// Build the `restore` frame around images kept as the text they were
+/// captured as: the same bytes an [`ObjBuilder`] over the decoded images
+/// would emit, without decoding them.
+fn restore_frame(base: &str, deltas: &[String], ops: &[ReplayOp]) -> String {
+    let ops = Json::Array(ops.iter().map(replay_op_json).collect());
+    let ops = ops.emit().expect("replay ops hold no floats");
+    let deltas = deltas.join(",");
+    format!(r#"{{"kind":"restore","ck":{base},"deltas":[{deltas}],"ops":{ops}}}"#)
 }
 
 fn replay_op_from_json(v: &Json) -> Result<ReplayOp, String> {
@@ -1828,6 +1949,7 @@ pub(crate) struct ProcessWorker {
     corrupt_frames: u64,
     heartbeats_missed: u64,
     messages_sent: u64,
+    frames_sent: u64,
 }
 
 impl ProcessWorker {
@@ -1838,22 +1960,7 @@ impl ProcessWorker {
         timing: WireTiming,
         chaos: Option<Rc<RefCell<ClusterChaos>>>,
     ) -> Self {
-        ProcessWorker {
-            cluster,
-            link: Link::Unix { bin },
-            init,
-            timing,
-            chaos,
-            socket_path: None,
-            child: None,
-            reader: None,
-            writer: None,
-            last_lvt: 0,
-            probing: false,
-            corrupt_frames: 0,
-            heartbeats_missed: 0,
-            messages_sent: 0,
-        }
+        Self::on(Link::Unix { bin }, cluster, init, timing, chaos)
     }
 
     pub fn tcp(
@@ -1864,9 +1971,19 @@ impl ProcessWorker {
         timing: WireTiming,
         chaos: Option<Rc<RefCell<ClusterChaos>>>,
     ) -> Self {
+        Self::on(Link::Tcp { broker, spawn }, cluster, init, timing, chaos)
+    }
+
+    fn on(
+        link: Link,
+        cluster: u32,
+        init: Json,
+        timing: WireTiming,
+        chaos: Option<Rc<RefCell<ClusterChaos>>>,
+    ) -> Self {
         ProcessWorker {
             cluster,
-            link: Link::Tcp { broker, spawn },
+            link,
             init,
             timing,
             chaos,
@@ -1879,6 +1996,7 @@ impl ProcessWorker {
             corrupt_frames: 0,
             heartbeats_missed: 0,
             messages_sent: 0,
+            frames_sent: 0,
         }
     }
 
@@ -1904,7 +2022,6 @@ impl ProcessWorker {
     fn spawn(&mut self) -> Result<(), WorkerFailure> {
         self.kill_child();
         self.probing = false;
-        let proto = |detail: String| WorkerFailure::Protocol { detail };
         let link = self.link.clone();
         // `greeted` marks streams whose hello exchange the broker already
         // completed (TCP); the Unix path negotiates below.
@@ -1913,15 +2030,15 @@ impl ProcessWorker {
                 let path = next_socket_path(self.cluster);
                 let _ = std::fs::remove_file(&path);
                 let listener = UnixListener::bind(&path)
-                    .map_err(|e| proto(format!("bind {}: {e}", path.display())))?;
+                    .map_err(|e| protocol(format!("bind {}: {e}", path.display())))?;
                 listener
                     .set_nonblocking(true)
-                    .map_err(|e| proto(format!("listener nonblocking: {e}")))?;
+                    .map_err(|e| protocol(format!("listener nonblocking: {e}")))?;
                 let child = Command::new(bin)
                     .arg("--socket")
                     .arg(&path)
                     .spawn()
-                    .map_err(|e| proto(format!("spawn {}: {e}", bin.display())))?;
+                    .map_err(|e| protocol(format!("spawn {}: {e}", bin.display())))?;
                 self.child = Some(child);
                 self.socket_path = Some(path);
                 let deadline = Instant::now() + SPAWN_TIMEOUT;
@@ -1945,12 +2062,12 @@ impl ProcessWorker {
                             }
                             std::thread::sleep(Duration::from_millis(2));
                         }
-                        Err(e) => return Err(proto(format!("accept: {e}"))),
+                        Err(e) => return Err(protocol(format!("accept: {e}"))),
                     }
                 };
                 stream
                     .set_nonblocking(false)
-                    .map_err(|e| proto(format!("stream blocking: {e}")))?;
+                    .map_err(|e| protocol(format!("stream blocking: {e}")))?;
                 (WireStream::Unix(stream), false)
             }
             Link::Tcp { broker, spawn } => {
@@ -1963,7 +2080,7 @@ impl ProcessWorker {
                         .arg("--token")
                         .arg(&broker.token)
                         .spawn()
-                        .map_err(|e| proto(format!("spawn {}: {e}", bin.display())))?;
+                        .map_err(|e| protocol(format!("spawn {}: {e}", bin.display())))?;
                     self.child = Some(child);
                 }
                 let deadline = Instant::now() + self.timing.connect;
@@ -1971,14 +2088,20 @@ impl ProcessWorker {
                 (stream, true)
             }
         };
+        self.adopt(stream, greeted)
+    }
+
+    /// The handshake half of [`Self::spawn`], on a connected stream:
+    /// negotiate versions unless the broker already `greeted` the peer,
+    /// then initialize the worker.
+    fn adopt(&mut self, mut stream: WireStream, greeted: bool) -> Result<(), WorkerFailure> {
         // The whole handshake — hello, init, restore — runs under the
         // plain io window; heartbeat probing only arms once the worker
         // has answered.
         stream
             .set_read_timeout(Some(self.timing.io))
-            .map_err(|e| proto(format!("read timeout: {e}")))?;
+            .map_err(|e| protocol(format!("read timeout: {e}")))?;
 
-        let mut stream = stream;
         if !greeted {
             // Version negotiation: the supervisor speaks first; the worker
             // always answers with its own versions so a mismatch is
@@ -1989,7 +2112,7 @@ impl ProcessWorker {
             // already scopes the conversation.)
             let mut hello_writer = stream
                 .try_clone()
-                .map_err(|e| proto(format!("clone stream: {e}")))?;
+                .map_err(|e| protocol(format!("clone stream: {e}")))?;
             send_json(&mut hello_writer, &hello_json("", None)).map_err(|e| {
                 WorkerFailure::Lost {
                     detail: format!("write failed: {e}"),
@@ -2018,21 +2141,21 @@ impl ProcessWorker {
             };
             let theirs = parse_json(&reply)
                 .and_then(|j| hello_parse(&j))
-                .map_err(|detail| WorkerFailure::Protocol { detail })?;
+                .map_err(protocol)?;
             if theirs.versions() != (WIRE_VERSION, CHECKPOINT_SCHEMA) {
                 return Err(WorkerFailure::Version {
                     theirs: theirs.versions(),
                 });
             }
         }
-        // Past the hello every frame is v3 — checksummed and sequenced —
-        // and, when a chaos plan targets this cluster, routed through the
+        // Past the hello every frame is checksummed and sequenced and,
+        // when a chaos plan targets this cluster, routed through the
         // fault-injection shim (wrapping re-arms suppressed directions:
         // a reconnect heals a partition or stall).
         let conn = Conn::wrap(stream, self.chaos.as_ref());
         let writer = conn
             .try_clone()
-            .map_err(|e| proto(format!("clone stream: {e}")))?;
+            .map_err(|e| protocol(format!("clone stream: {e}")))?;
         self.reader = Some(FrameSource::new(io::BufReader::new(conn)));
         self.writer = Some(FrameSink::new(writer));
 
@@ -2048,7 +2171,7 @@ impl ProcessWorker {
                 r.get_ref()
                     .get_ref()
                     .set_read_timeout(Some(self.timing.heartbeat))
-                    .map_err(|e| proto(format!("read timeout: {e}")))?;
+                    .map_err(|e| protocol(format!("read timeout: {e}")))?;
             }
             self.probing = true;
         }
@@ -2056,30 +2179,36 @@ impl ProcessWorker {
     }
 
     fn send(&mut self, j: &Json) -> Result<(), WorkerFailure> {
+        let text = j
+            .emit()
+            .map_err(|e| WorkerFailure::Protocol { detail: e.msg })?;
+        self.send_text(&text)
+    }
+
+    fn send_text(&mut self, text: &str) -> Result<(), WorkerFailure> {
         let w = self.writer.as_mut().ok_or_else(|| WorkerFailure::Lost {
             detail: "no connection to worker".to_string(),
         })?;
-        w.send_json(j).map_err(|e| WorkerFailure::Lost {
+        w.send(text.as_bytes()).map_err(|e| WorkerFailure::Lost {
             detail: format!("write failed: {e}"),
         })
     }
 
-    /// Read the next substantive response frame. Heartbeat `pong`s are
-    /// consumed transparently. A read timeout on a probing TCP connection
-    /// counts one missed beat and sends a `ping`; `heartbeat_budget`
-    /// consecutive misses declare the peer lost (half-open connections are
-    /// detected in bounded time instead of hanging until `io_timeout`).
-    /// A checksum/sequence violation means the stream can no longer be
-    /// trusted: count it, drop the connection, and let checkpoint-restore
-    /// recovery rebuild the conversation from known-good state.
-    fn read_response(&mut self) -> Result<Json, WorkerFailure> {
-        let mut misses: u32 = 0;
+    /// Read the next frame, whatever it says. A read timeout on a probing
+    /// TCP connection counts one missed beat in `misses` and sends a
+    /// `ping`; `heartbeat_budget` consecutive misses declare the peer lost
+    /// (half-open connections are detected in bounded time instead of
+    /// hanging until `io_timeout`). A checksum/sequence violation means
+    /// the stream can no longer be trusted: count it, drop the connection,
+    /// and let checkpoint-restore recovery rebuild the conversation from
+    /// known-good state.
+    fn read_frame(&mut self, misses: &mut u32) -> Result<Vec<u8>, WorkerFailure> {
         loop {
             let r = self.reader.as_mut().ok_or_else(|| WorkerFailure::Lost {
                 detail: "no connection to worker".to_string(),
             })?;
-            let bytes = match r.recv() {
-                Ok(Some(bytes)) => bytes,
+            match r.recv() {
+                Ok(Some(bytes)) => return Ok(bytes),
                 Ok(None) => {
                     return Err(WorkerFailure::Lost {
                         detail: "socket EOF (worker process died)".to_string(),
@@ -2087,8 +2216,8 @@ impl ProcessWorker {
                 }
                 Err(e) if e.timed_out() => {
                     if self.probing {
-                        misses += 1;
-                        if misses >= self.timing.budget {
+                        *misses += 1;
+                        if *misses >= self.timing.budget {
                             self.heartbeats_missed += self.timing.budget as u64;
                             self.drop_connection();
                             return Err(WorkerFailure::Lost {
@@ -2131,71 +2260,71 @@ impl ProcessWorker {
                         detail: format!("read failed: {e}"),
                     })
                 }
-            };
-            let j = parse_json(&bytes).map_err(|detail| WorkerFailure::Protocol { detail })?;
-            match json_kind(&j).map_err(|detail| WorkerFailure::Protocol { detail })? {
-                // A pong can interleave with (or precede) any response; it
-                // only proves liveness.
-                "pong" => {
-                    misses = 0;
-                    continue;
-                }
-                "panic" => {
-                    return Err(WorkerFailure::Panic {
-                        message: j
-                            .field("message")
-                            .and_then(Json::as_str)
-                            .unwrap_or("<no message>")
-                            .to_string(),
-                    })
-                }
-                "error" => {
-                    return Err(WorkerFailure::Protocol {
-                        detail: j
-                            .field("detail")
-                            .and_then(Json::as_str)
-                            .unwrap_or("<no detail>")
-                            .to_string(),
-                    })
-                }
-                "restore_corrupt" => {
-                    return Err(WorkerFailure::CorruptRestore {
-                        detail: j
-                            .field("detail")
-                            .and_then(Json::as_str)
-                            .unwrap_or("<no detail>")
-                            .to_string(),
-                    })
-                }
-                _ => return Ok(j),
             }
         }
     }
 
+    /// Read the next substantive response frame: heartbeat `pong`s are
+    /// consumed transparently, and the frames a worker answers *any*
+    /// command with when it cannot serve it become their typed failures.
+    fn read_response(&mut self) -> Result<Json, WorkerFailure> {
+        let mut misses: u32 = 0;
+        loop {
+            let bytes = self.read_frame(&mut misses)?;
+            if let Some(response) = substantive(&bytes)? {
+                return Ok(response);
+            }
+            misses = 0;
+        }
+    }
+
+    /// Read the reply to a `gvt` command that asked for `image`: the
+    /// image itself, as the canonical text the worker captured it as and
+    /// kept as received — the supervisor only stores it, so only its
+    /// envelope is looked at. Every other frame is handled as
+    /// [`Self::read_response`] would.
+    fn read_image(&mut self, gvt: VTime, image: Image) -> Result<String, WorkerFailure> {
+        let asked_for = ImageEnvelope {
+            delta: image == Image::Delta,
+            schema: CHECKPOINT_SCHEMA,
+            cluster: self.cluster,
+            gvt,
+        };
+        let mut misses: u32 = 0;
+        loop {
+            let bytes = self.read_frame(&mut misses)?;
+            let text = String::from_utf8(bytes)
+                .map_err(|e| protocol(format!("frame is not UTF-8: {e}")))?;
+            if image_envelope(&text) == Some(asked_for) {
+                return Ok(text);
+            }
+            if substantive(text.as_bytes())?.is_some() {
+                return Err(protocol(format!(
+                    "the gvt round asked for {asked_for:?}, the worker answered {text:.120}"
+                )));
+            }
+            misses = 0;
+        }
+    }
+
     /// One command round-trip: a single buffered write, then the response.
+    /// Over TCP a silent remote peer is indistinguishable from a vanished
+    /// host (no RST ever arrives from a powered-off machine);
+    /// [`Self::read_frame`]'s heartbeat probing converts that silence into
+    /// a crash-stop loss, which the recovery path respawns-or-awaits-
+    /// reconnect. Over Unix a hung local child is *not* crash-stop, so the
+    /// io timeout stays fatal.
     fn call(&mut self, j: &Json) -> Result<Json, WorkerFailure> {
         self.send(j)?;
         self.read_response()
     }
 
-    /// One *supervised* command round-trip. Over TCP a silent remote peer
-    /// is indistinguishable from a vanished host (no RST ever arrives
-    /// from a powered-off machine); `read_response`'s heartbeat probing
-    /// converts that silence into a crash-stop loss, which the recovery
-    /// path respawns-or-awaits-reconnect. Over Unix a hung local child is
-    /// *not* crash-stop, so the io timeout stays fatal.
-    fn command(&mut self, j: &Json) -> Result<Json, WorkerFailure> {
-        self.call(j)
-    }
-
     fn expect_kind(&self, j: &Json, want: &str) -> Result<(), WorkerFailure> {
-        let kind = json_kind(j).map_err(|detail| WorkerFailure::Protocol { detail })?;
+        let kind = json_kind(j).map_err(protocol)?;
         if kind == want {
             Ok(())
         } else {
-            Err(WorkerFailure::Protocol {
-                detail: format!("expected a {want:?} frame, got {kind:?}"),
-            })
+            Err(protocol(format!("expected a {want:?} frame, got {kind:?}")))
         }
     }
 
@@ -2203,22 +2332,7 @@ impl ProcessWorker {
         self.expect_kind(j, "ready")?;
         j.field("lvt")
             .map_err(|e| WorkerFailure::Protocol { detail: e.msg })
-            .and_then(|v| vtime_from(v).map_err(|detail| WorkerFailure::Protocol { detail }))
-    }
-
-    /// Parse a `done` response: new LVT plus emitted messages.
-    fn expect_done(&self, j: &Json, sends: &mut Vec<TwMessage>) -> Result<VTime, WorkerFailure> {
-        self.expect_kind(j, "done")?;
-        let proto = |detail: String| WorkerFailure::Protocol { detail };
-        let lvt = vtime_from(j.field("lvt").map_err(|e| proto(e.msg))?).map_err(proto)?;
-        for m in j
-            .field("sends")
-            .and_then(Json::as_array)
-            .map_err(|e| proto(e.msg))?
-        {
-            sends.push(TwMessage::from_json(m).map_err(|e| proto(e.msg))?);
-        }
-        Ok(lvt)
+            .and_then(|v| vtime_from(v).map_err(protocol))
     }
 
     fn kill_child(&mut self) {
@@ -2245,64 +2359,66 @@ impl ClusterWorker for ProcessWorker {
             .str("kind", "step")
             .field("limit", vtime_json(limit))
             .build();
-        let r = self.command(&cmd)?;
-        self.expect_done(&r, sends)
-    }
-
-    fn deliver(
-        &mut self,
-        m: TwMessage,
-        sends: &mut Vec<TwMessage>,
-    ) -> Result<VTime, WorkerFailure> {
-        let cmd = ObjBuilder::new()
-            .str("kind", "deliver")
-            .field("msg", m.to_json())
-            .build();
-        let r = self.command(&cmd)?;
-        let lvt = self.expect_done(&r, sends)?;
-        self.messages_sent += 1;
+        let r = self.call(&cmd)?;
+        self.expect_kind(&r, "done")?;
+        let (lvt, emitted) = delivered_from(&r).map_err(protocol)?;
+        sends.extend(emitted);
         Ok(lvt)
     }
 
-    fn fossil(&mut self, gvt: VTime) -> Result<(), WorkerFailure> {
+    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure> {
         let cmd = ObjBuilder::new()
-            .str("kind", "fossil")
-            .field("gvt", vtime_json(gvt))
+            .str("kind", "deliver")
+            .array("msgs", msgs.iter().map(ToJson::to_json).collect())
             .build();
-        let r = self.command(&cmd)?;
-        self.expect_kind(&r, "ok")
+        let r = self.call(&cmd)?;
+        self.expect_kind(&r, "done")?;
+        let results = r.field("results").and_then(Json::as_array);
+        let results = results.map_err(|e| protocol(e.msg))?;
+        if results.is_empty() || results.len() > msgs.len() {
+            return Err(protocol(format!(
+                "a delivery of {} messages was answered with {} results",
+                msgs.len(),
+                results.len()
+            )));
+        }
+        let results: Result<Vec<Delivered>, String> = results.iter().map(delivered_from).collect();
+        let results = results.map_err(protocol)?;
+        self.messages_sent += results.len() as u64;
+        self.frames_sent += 1;
+        Ok(results)
     }
 
-    fn checkpoint(&mut self, gvt: VTime) -> Result<Checkpoint, WorkerFailure> {
+    fn gvt_round(
+        workers: &mut [Self],
+        gvt: VTime,
+        image: Image,
+    ) -> Vec<Result<String, WorkerFailure>> {
         let cmd = ObjBuilder::new()
-            .str("kind", "ckpt")
+            .str("kind", "gvt")
             .field("gvt", vtime_json(gvt))
+            .str("image", image.name())
             .build();
-        let r = self.command(&cmd)?;
-        self.expect_kind(&r, "ckpt")?;
-        let ck = r
-            .field("ck")
-            .map_err(|e| WorkerFailure::Protocol { detail: e.msg })?;
-        Checkpoint::from_json(ck).map_err(|e| WorkerFailure::Protocol { detail: e.msg })
-    }
-
-    fn checkpoint_delta(&mut self, gvt: VTime) -> Result<CheckpointDelta, WorkerFailure> {
-        let cmd = ObjBuilder::new()
-            .str("kind", "ckpt_delta")
-            .field("gvt", vtime_json(gvt))
-            .build();
-        let r = self.command(&cmd)?;
-        self.expect_kind(&r, "ckpt_delta")?;
-        let d = r
-            .field("delta")
-            .map_err(|e| WorkerFailure::Protocol { detail: e.msg })?;
-        CheckpointDelta::from_json(d).map_err(|e| WorkerFailure::Protocol { detail: e.msg })
+        // Every command is on its way before the first reply is awaited,
+        // so the workers fossil-collect, capture and emit side by side
+        // instead of one after the other.
+        let written: Vec<_> = workers.iter_mut().map(|w| w.send(&cmd)).collect();
+        let read = |(written, w): (Result<(), WorkerFailure>, &mut Self)| {
+            written?;
+            if image == Image::None {
+                let r = w.read_response()?;
+                w.expect_kind(&r, "ok").map(|()| String::new())
+            } else {
+                w.read_image(gvt, image)
+            }
+        };
+        written.into_iter().zip(workers).map(read).collect()
     }
 
     fn respawn(
         &mut self,
-        base: &Checkpoint,
-        deltas: &[CheckpointDelta],
+        base: &str,
+        deltas: &[String],
         ops: &[ReplayOp],
     ) -> Result<VTime, WorkerFailure> {
         // Over TCP a respawn that times out (the replacement never dials
@@ -2318,30 +2434,24 @@ impl ClusterWorker for ProcessWorker {
             other => other,
         };
         self.spawn().map_err(remap)?;
-        let cmd = ObjBuilder::new()
-            .str("kind", "restore")
-            .field("ck", base.to_json())
-            .array("deltas", deltas.iter().map(|d| d.to_json()).collect())
-            .array("ops", ops.iter().map(replay_op_json).collect())
-            .build();
-        let r = self.command(&cmd)?;
+        self.send_text(&restore_frame(base, deltas, ops))?;
+        let r = self.read_response()?;
         self.last_lvt = self.expect_ready(&r)?;
         Ok(self.last_lvt)
     }
 
     fn check_quiescence(&mut self) -> Result<(), WorkerFailure> {
-        let r = self.command(&ok_json_cmd("quiesce"))?;
+        let r = self.call(&ok_json_cmd("quiesce"))?;
         self.expect_kind(&r, "ok")
     }
 
     fn finish(&mut self) -> Result<(SimStats, Vec<Logic>), WorkerFailure> {
-        let r = self.command(&ok_json_cmd("finish"))?;
+        let r = self.call(&ok_json_cmd("finish"))?;
         self.expect_kind(&r, "finished")?;
-        let proto = |detail: String| WorkerFailure::Protocol { detail };
-        let stats = SimStats::from_json(r.field("stats").map_err(|e| proto(e.msg))?)
-            .map_err(|e| proto(e.msg))?;
-        let values =
-            logic_vec(r.field("values").map_err(|e| proto(e.msg))?).map_err(|e| proto(e.msg))?;
+        let stats = SimStats::from_json(r.field("stats").map_err(|e| protocol(e.msg))?)
+            .map_err(|e| protocol(e.msg))?;
+        let values = logic_vec(r.field("values").map_err(|e| protocol(e.msg))?)
+            .map_err(|e| protocol(e.msg))?;
         Ok((stats, values))
     }
 
@@ -2380,6 +2490,7 @@ impl ClusterWorker for ProcessWorker {
             heartbeats_missed: self.heartbeats_missed,
             chaos_faults_injected: self.chaos.as_ref().map_or(0, |c| c.borrow().fired()),
             messages_sent: self.messages_sent,
+            frames_sent: self.frames_sent,
         }
     }
 }
@@ -2390,7 +2501,32 @@ impl Drop for ProcessWorker {
     }
 }
 
-/// A bare `{"kind": <kind>}` command frame.
+/// Sort a worker→supervisor control frame: `Ok(None)` for a heartbeat
+/// `pong` (it can interleave with, or precede, any response; it only
+/// proves liveness), the typed failure for a `panic`, `error` or
+/// `restore_corrupt` frame, the parsed frame otherwise.
+fn substantive(bytes: &[u8]) -> Result<Option<Json>, WorkerFailure> {
+    let j = parse_json(bytes).map_err(protocol)?;
+    let said = |key: &str, absent: &str| {
+        let said = j.field(key).and_then(Json::as_str);
+        said.unwrap_or(absent).to_string()
+    };
+    match json_kind(&j).map_err(protocol)? {
+        "pong" => Ok(None),
+        "panic" => Err(WorkerFailure::Panic {
+            message: said("message", "<no message>"),
+        }),
+        "error" => Err(WorkerFailure::Protocol {
+            detail: said("detail", "<no detail>"),
+        }),
+        "restore_corrupt" => Err(WorkerFailure::CorruptRestore {
+            detail: said("detail", "<no detail>"),
+        }),
+        _ => Ok(Some(j)),
+    }
+}
+
+/// A bare `{"kind": <kind>}` frame.
 fn ok_json_cmd(kind: &str) -> Json {
     ObjBuilder::new().str("kind", kind).build()
 }
@@ -2525,18 +2661,33 @@ pub(crate) fn run_tcp(
 /// socket and serve one cluster until the supervisor says `finish` (or the
 /// connection closes).
 ///
-/// Protocol (all frames are `u32`-LE length-prefixed compact JSON):
+/// Protocol (every frame is compact JSON; the two hellos ride the legacy
+/// `u32`-LE length prefix, everything after them the checksummed,
+/// sequence-numbered framing of [`super::wire`]):
 ///
 /// 1. supervisor sends `hello` (wire + checkpoint schema versions);
 /// 2. worker always replies with its own `hello`, then exits quietly on a
 ///    mismatch — the supervisor owns the error report;
 /// 3. supervisor sends `init` (netlist + gate block + stimulus + config);
 ///    worker replies `ready` with its LVT;
-/// 4. command loop: `step`/`deliver` → `done`, `fossil`/`quiesce` → `ok`,
-///    `ckpt` → `ckpt`, `restore` → `ready`, `finish` → `finished`.
+/// 4. command loop, one reply per command:
+///    * `step` (`limit`) → `done` (`lvt`, `sends`);
+///    * `deliver` (`msgs`: a run, see [`Schedule::fork`]) → `done`
+///      (`results`: one `lvt` + `sends` per message applied);
+///    * `gvt` (`gvt`, `image`: `base` | `delta` | `none`) → fossil-collect
+///      below `gvt`, then `ok` for `none`, else the image itself — the
+///      canonical `tw_checkpoint` / `tw_checkpoint_delta` document is the
+///      whole reply frame, which is how the supervisor can keep it as
+///      received;
+///    * `restore` (`ck`, `deltas`, `ops`) → `ready`, or `restore_corrupt`
+///      when the chain does not apply (the worker keeps serving);
+///    * `quiesce` → `ok`; `ping` → `pong`; `finish` → `finished`, after
+///      which the worker hangs up.
 ///
-/// Worker panics inside a command are caught and shipped back as a typed
-/// `panic` frame so the supervisor can raise
+/// A command the worker cannot serve — unknown kind, missing or malformed
+/// field — is answered with a typed `error` frame, after which the worker
+/// hangs up. Worker panics inside a command are caught and shipped back as
+/// a typed `panic` frame so the supervisor can raise
 /// [`TimeWarpError::WorkerPanic`] instead of seeing an opaque dead socket.
 pub fn serve_worker(socket: &Path) -> io::Result<()> {
     let stream = UnixStream::connect(socket)?;
@@ -2636,13 +2787,7 @@ fn serve_wire(stream: WireStream, identity: Option<u32>, token: &str) -> io::Res
     let init = match parse_json(&init).and_then(|j| worker_init_from_json(&j)) {
         Ok(init) => init,
         Err(detail) => {
-            sink.send_json(
-                &ObjBuilder::new()
-                    .str("kind", "error")
-                    .str("detail", &detail)
-                    .build(),
-            )
-            .map_err(wire_io)?;
+            sink.send_json(&error_json(&detail)).map_err(wire_io)?;
             return Ok(());
         }
     };
@@ -2678,16 +2823,16 @@ fn serve_cluster(
         label,
     } = init;
     let plan = ClusterPlan::new(&netlist, &gate_block, k);
-    let mut proc = Some(ClusterProcess::new(
+    let mut fresh = ClusterProcess::new(
         &netlist,
         &plan,
         cluster,
         stim.clone(),
         cycles,
         StateSaving::IncrementalUndo,
-    ));
-    sink.send_json(&ready_json(lvt_of(&mut proc)))
-        .map_err(wire_io)?;
+    );
+    sink.send_json(&ready_json(fresh.lvt())).map_err(wire_io)?;
+    let mut proc = Some(fresh);
     let mut selfkill = selfkill_budget(cluster);
     // Reference image for delta capture: the last full or reconstructed
     // checkpoint this incarnation produced or was restored from.
@@ -2701,13 +2846,7 @@ fn serve_cluster(
         let cmd = match parse_json(&bytes) {
             Ok(cmd) => cmd,
             Err(detail) => {
-                sink.send_json(
-                    &ObjBuilder::new()
-                        .str("kind", "error")
-                        .str("detail", &detail)
-                        .build(),
-                )
-                .map_err(wire_io)?;
+                sink.send_json(&error_json(&detail)).map_err(wire_io)?;
                 return Ok(());
             }
         };
@@ -2715,8 +2854,7 @@ fn serve_cluster(
         // answer before the self-kill hook so an idle-but-probed worker
         // burns its crash budget on real work, deterministically.
         if json_kind(&cmd) == Ok("ping") {
-            sink.send_json(&ObjBuilder::new().str("kind", "pong").build())
-                .map_err(wire_io)?;
+            sink.send_json(&ok_json_cmd("pong")).map_err(wire_io)?;
             continue;
         }
         if let Some(left) = selfkill.as_mut() {
@@ -2742,46 +2880,22 @@ fn serve_cluster(
                 &mut prev_ckpt,
             )
         }));
-        match outcome {
-            Ok(Ok(Some(reply))) => {
-                // `finish` wraps its reply so the loop knows to answer and
-                // then hang up cleanly.
-                if json_kind(&reply) == Ok("finished-wrap") {
-                    let inner = reply
-                        .field("inner")
-                        .expect("finished-wrap frames carry an inner reply");
-                    sink.send_json(inner).map_err(wire_io)?;
-                    return Ok(());
-                }
-                sink.send_json(&reply).map_err(wire_io)?
-            }
-            Ok(Ok(None)) => return Ok(()),
-            Ok(Err(detail)) => {
-                sink.send_json(
-                    &ObjBuilder::new()
-                        .str("kind", "error")
-                        .str("detail", &detail)
-                        .build(),
-                )
-                .map_err(wire_io)?;
-                return Ok(());
-            }
+        // Every way out of a command but an answered one hangs up.
+        let (reply, stop) = match outcome {
+            Ok(Ok(answered)) => answered,
+            Ok(Err(detail)) => (error_json(&detail), true),
             Err(payload) => {
-                sink.send_json(
-                    &ObjBuilder::new()
-                        .str("kind", "panic")
-                        .str("message", &panic_message(payload.as_ref()))
-                        .build(),
-                )
-                .map_err(wire_io)?;
-                return Ok(());
+                let panic = ObjBuilder::new()
+                    .str("kind", "panic")
+                    .str("message", &panic_message(payload.as_ref()));
+                (panic.build(), true)
             }
+        };
+        sink.send_json(&reply).map_err(wire_io)?;
+        if stop {
+            return Ok(());
         }
     }
-}
-
-fn lvt_of(proc: &mut Option<ClusterProcess<'_, '_>>) -> VTime {
-    proc.as_mut().map_or(VTime::MAX, ClusterProcess::lvt)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2795,8 +2909,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Execute one supervisor command against the local cluster process.
-/// `Ok(Some(reply))` answers and continues, `Ok(None)` is a clean `finish`,
-/// `Err(detail)` is a protocol error (reply + hang up).
+/// `Ok((reply, stop))` answers — and, for `finish`, then hangs up;
+/// `Err(detail)` is a protocol error (typed `error` reply + hang up).
 #[allow(clippy::too_many_arguments)]
 fn dispatch<'nl, 'p>(
     cmd: &Json,
@@ -2810,171 +2924,102 @@ fn dispatch<'nl, 'p>(
     proc: &mut Option<ClusterProcess<'nl, 'p>>,
     selfkill: &mut Option<u64>,
     prev_ckpt: &mut Option<Checkpoint>,
-) -> Result<Option<Json>, String>
+) -> Result<(Json, bool), String>
 where
     'nl: 'p,
 {
     let kind = json_kind(cmd)?;
-    let live = |p: &mut Option<ClusterProcess<'nl, 'p>>| -> Result<(), String> {
-        if p.is_none() {
-            return Err(format!("command {kind:?} after finish"));
-        }
-        Ok(())
-    };
-    match kind {
+    let after_finish = || format!("command {kind:?} after finish");
+    let done = || ObjBuilder::new().str("kind", "done");
+    let reply = match kind {
         "step" => {
-            live(proc)?;
+            let p = proc.as_mut().ok_or_else(after_finish)?;
             let limit = vtime_from(cmd.field("limit").map_err(|e| e.msg)?)?;
-            let p = proc.as_mut().expect("live() checked presence");
             let mut sends = Vec::new();
             p.process_next_epoch(limit, &mut |m: TwMessage| sends.push(m));
-            Ok(Some(done_json(p.lvt(), &sends)))
+            delivered_json(done(), &(p.lvt(), sends))
         }
         "deliver" => {
-            live(proc)?;
-            let m =
-                TwMessage::from_json(cmd.field("msg").map_err(|e| e.msg)?).map_err(|e| e.msg)?;
-            let p = proc.as_mut().expect("live() checked presence");
-            let mut sends = Vec::new();
+            let p = proc.as_mut().ok_or_else(after_finish)?;
+            let msgs = cmd.field("msgs").and_then(Json::as_array);
+            let msgs = msgs.and_then(|a| a.iter().map(TwMessage::from_json).collect());
+            let msgs: Vec<TwMessage> = msgs.map_err(|e| e.msg)?;
+            if msgs.is_empty() {
+                return Err("a delivery must carry at least one message".to_string());
+            }
             let strays = p.stray_anti_messages();
-            p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+            let results = deliver_run(p, &msgs);
             if p.stray_anti_messages() != strays {
+                let antis = msgs[..results.len()].iter().filter(|m| m.anti);
                 return Err(format!(
-                    "anti-message ({}, {}) at time {} has no positive to annihilate",
-                    m.src, m.seq, m.ev.time
+                    "an anti-message among (src, seq, time) {:?} has no positive to annihilate",
+                    antis.map(|m| (m.src, m.seq, m.ev.time)).collect::<Vec<_>>()
                 ));
             }
-            Ok(Some(done_json(p.lvt(), &sends)))
+            let results = results.iter().map(|d| delivered_json(ObjBuilder::new(), d));
+            done().array("results", results.collect()).build()
         }
-        "fossil" => {
-            live(proc)?;
+        "gvt" => {
+            let p = proc.as_mut().ok_or_else(after_finish)?;
             let gvt = vtime_from(cmd.field("gvt").map_err(|e| e.msg)?)?;
-            let p = proc.as_mut().expect("live() checked presence");
-            let before = check.then(|| p.history_at_or_after(gvt));
-            p.fossil_collect(gvt);
-            if let Some(before) = before {
-                let after = p.history_at_or_after(gvt);
-                assert_eq!(
-                    before, after,
-                    "fossil collection on cluster {cluster} reclaimed history at or above \
-                     GVT {gvt} ({label})"
-                );
-            }
-            Ok(Some(ok_json()))
-        }
-        "ckpt" => {
-            live(proc)?;
-            let gvt = vtime_from(cmd.field("gvt").map_err(|e| e.msg)?)?;
-            let p = proc.as_ref().expect("live() checked presence");
-            let ck = p.checkpoint(gvt);
-            let reply = ObjBuilder::new()
-                .str("kind", "ckpt")
-                .field("ck", ck.to_json())
-                .build();
-            // A base capture resets the delta chain: the next `ckpt_delta`
-            // encodes edits against this image.
-            *prev_ckpt = Some(ck);
-            Ok(Some(reply))
-        }
-        "ckpt_delta" => {
-            live(proc)?;
-            let gvt = vtime_from(cmd.field("gvt").map_err(|e| e.msg)?)?;
-            let prev = prev_ckpt
-                .as_ref()
-                .ok_or_else(|| "ckpt_delta before any base checkpoint".to_string())?;
-            let p = proc.as_ref().expect("live() checked presence");
-            let next = p.checkpoint(gvt);
-            let delta = CheckpointDelta::between(prev, &next);
-            *prev_ckpt = Some(next);
-            Ok(Some(
-                ObjBuilder::new()
-                    .str("kind", "ckpt_delta")
-                    .field("delta", delta.to_json())
-                    .build(),
-            ))
+            let image = cmd.field("image").and_then(Json::as_str);
+            let image = image.map_err(|e| e.msg)?;
+            let image = Image::ALL.into_iter().find(|i| i.name() == image);
+            let image = image.ok_or_else(|| "unknown image kind".to_string())?;
+            // The image, when one is asked for, is the whole reply.
+            gvt_capture(p, prev_ckpt, gvt, image, (check, cluster, label))?
+                .unwrap_or_else(|| ok_json_cmd("ok"))
         }
         "restore" => {
-            let base =
-                Checkpoint::from_json(cmd.field("ck").map_err(|e| e.msg)?).map_err(|e| e.msg)?;
-            // Pre-delta supervisors (schema 1) sent no `deltas` key; the
-            // hello handshake rejects those pairings, but tolerate an
-            // absent key as an empty chain so the frame shape stays simple.
-            let mut deltas = Vec::new();
-            if let Some(list) = cmd.get("deltas") {
-                for d in list.as_array().map_err(|e| e.msg)? {
-                    deltas.push(CheckpointDelta::from_json(d).map_err(|e| e.msg)?);
+            let array = |key: &str| cmd.field(key).and_then(Json::as_array).map_err(|e| e.msg);
+            let ops: Vec<ReplayOp> = array("ops")?
+                .iter()
+                .map(replay_op_from_json)
+                .collect::<Result<_, _>>()?;
+            let base = cmd.field("ck").map_err(|e| e.msg)?;
+            match rebuild(nl, plan, stim, cycles, base, array("deltas")?, &ops) {
+                Ok((mut p, image)) => {
+                    let lvt = p.lvt();
+                    *proc = Some(p);
+                    *prev_ckpt = Some(image);
+                    // A restored worker is a fresh process as far as the
+                    // fault model is concerned; it must not re-arm the
+                    // self-kill hook.
+                    *selfkill = None;
+                    ready_json(lvt)
                 }
+                // Integrity failures in the shipped chain are recoverable
+                // on the supervisor side (it falls back to the last full
+                // base), so answer with a typed frame and keep serving on
+                // this connection instead of hanging up.
+                Err(WorkerFailure::CorruptRestore { detail }) => ObjBuilder::new()
+                    .str("kind", "restore_corrupt")
+                    .str("detail", &detail)
+                    .build(),
+                Err(WorkerFailure::Protocol { detail }) => return Err(detail),
+                Err(other) => return Err(format!("{other:?}")),
             }
-            let mut ops = Vec::new();
-            for op in cmd
-                .field("ops")
-                .and_then(Json::as_array)
-                .map_err(|e| e.msg)?
-            {
-                ops.push(replay_op_from_json(op)?);
-            }
-            let (mut p, image) =
-                match ClusterProcess::from_chain(nl, plan, stim.clone(), cycles, &base, &deltas) {
-                    Ok(pair) => pair,
-                    // Integrity failures in the shipped chain are recoverable
-                    // on the supervisor side (it falls back to the last full
-                    // base), so answer with a typed frame and keep serving on
-                    // this connection instead of hanging up.
-                    Err(e @ (DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. })) => {
-                        return Ok(Some(
-                            ObjBuilder::new()
-                                .str("kind", "restore_corrupt")
-                                .str("detail", &format!("restore chain rejected: {e}"))
-                                .build(),
-                        ));
-                    }
-                    Err(other) => return Err(format!("restore chain rejected: {other}")),
-                };
-            replay_ops(&mut p, &ops);
-            let lvt = p.lvt();
-            *proc = Some(p);
-            *prev_ckpt = Some(image);
-            // A restored worker is a fresh process as far as the fault
-            // model is concerned; it must not re-arm the self-kill hook.
-            *selfkill = None;
-            Ok(Some(ready_json(lvt)))
         }
         "quiesce" => {
-            live(proc)?;
+            let p = proc.as_mut().ok_or_else(after_finish)?;
             if check {
-                let p = proc.as_mut().expect("live() checked presence");
                 quiescence_asserts(p, cluster, label);
             }
-            Ok(Some(ok_json()))
+            ok_json_cmd("ok")
         }
         "finish" => {
-            live(proc)?;
-            let mut p = proc.take().expect("live() checked presence");
+            let mut p = proc.take().ok_or_else(after_finish)?;
             let stats = p.take_stats();
             let values = p.into_values();
-            // Answer, then let the caller hang up.
-            let reply = ObjBuilder::new()
+            let finished = ObjBuilder::new()
                 .str("kind", "finished")
                 .field("stats", stats.to_json())
-                .str("values", &logic_str(&values))
-                .build();
-            send_reply_and_stop(reply)
+                .str("values", &logic_str(&values));
+            return Ok((finished.build(), true));
         }
-        other => Err(format!("unknown command kind {other:?}")),
-    }
-}
-
-/// `finish` both replies and terminates the loop; model that as a reply the
-/// caller must send before returning `Ok(None)`. Implemented as a tiny
-/// shim so `dispatch` keeps a single return type.
-fn send_reply_and_stop(reply: Json) -> Result<Option<Json>, String> {
-    // Encode "reply then stop" as a special frame the serve loop unpacks.
-    Ok(Some(
-        ObjBuilder::new()
-            .str("kind", "finished-wrap")
-            .field("inner", reply)
-            .build(),
-    ))
+        other => return Err(format!("unknown command kind {other:?}")),
+    };
+    Ok((reply, false))
 }
 
 #[cfg(test)]
@@ -3017,14 +3062,16 @@ mod tests {
     #[test]
     fn hello_mismatch_shuts_the_worker_down_quietly() {
         // Both directions of wire skew: a future supervisor with a newer
-        // wire version, and a stale v2 supervisor predating checksummed
-        // frames; plus current-wire supervisors still on checkpoint
-        // schema 2 or 3. Hellos stay on the legacy length-only framing
-        // precisely so this exchange parses on both sides regardless of
-        // version.
+        // wire version, a v3 supervisor that would deliver one `msg` per
+        // frame and ask for `fossil` and `ckpt` separately, and a stale v2
+        // supervisor predating checksummed frames; plus current-wire
+        // supervisors still on checkpoint schema 2 or 3. Hellos stay on
+        // the legacy length-only framing precisely so this exchange parses
+        // on both sides regardless of version.
         for (wire, schema) in [
             (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
-            (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
+            (3, CHECKPOINT_SCHEMA),
+            (2, CHECKPOINT_SCHEMA),
             (WIRE_VERSION, 2),
             (WIRE_VERSION, 3),
         ] {
@@ -3151,8 +3198,8 @@ mod tests {
 
     /// A correct-token peer with a mismatched wire version or checkpoint
     /// schema is fatal — the checkpoint payload must never cross a
-    /// mixed-version pair. A v2 worker (pre-checksum framing), a schema-2
-    /// worker (the only kind that could still expect a `state_saving` key
+    /// mixed-version pair. A v3 worker (one message per `deliver`, no `gvt`
+    /// command), a v2 worker (pre-checksum framing), a schema-2 worker (the only kind that could still expect a `state_saving` key
     /// in `init`) or a schema-3 worker (whose images carry tombstone sets)
     /// meeting this supervisor surfaces as the typed
     /// [`TimeWarpError::VersionMismatch`], not as garbled frames — hellos
@@ -3160,7 +3207,8 @@ mod tests {
     #[test]
     fn broker_rejects_version_mismatch_as_fatal() {
         for theirs in [
-            (WIRE_VERSION - 1, CHECKPOINT_SCHEMA),
+            (3, CHECKPOINT_SCHEMA),
+            (2, CHECKPOINT_SCHEMA),
             (WIRE_VERSION, 2),
             (WIRE_VERSION, 3),
         ] {
@@ -3296,7 +3344,7 @@ mod tests {
         w.spawn().expect("handshake completes");
         let t0 = Instant::now();
         let err = w
-            .command(&ok_json_cmd("quiesce"))
+            .call(&ok_json_cmd("quiesce"))
             .expect_err("silent peer must be declared lost");
         assert!(
             matches!(&err, WorkerFailure::Lost { detail } if detail.contains("heartbeat")),
@@ -3318,7 +3366,7 @@ mod tests {
         // The connection was dropped with it: the next command fails
         // immediately, without waiting out another probe cycle.
         let t0 = Instant::now();
-        let err = w.command(&ok_json_cmd("quiesce")).expect_err("no stream");
+        let err = w.call(&ok_json_cmd("quiesce")).expect_err("no stream");
         assert!(matches!(err, WorkerFailure::Lost { .. }));
         assert!(
             t0.elapsed() < timing.heartbeat,
@@ -3329,22 +3377,7 @@ mod tests {
 
     #[test]
     fn checkpoint_payload_crosses_a_real_socket() {
-        let ck = Checkpoint {
-            schema: CHECKPOINT_SCHEMA,
-            cluster: 2,
-            gvt: 17,
-            values: vec![Logic::Zero, Logic::One, Logic::X, Logic::Z],
-            pending: Vec::new(),
-            processed: Vec::new(),
-            undo: vec![(12, 1, Logic::X)],
-            outlog: Vec::new(),
-            stim_cycle: 5,
-            last_time: 16,
-            settled: true,
-            order: 40,
-            mseq: 11,
-            stats: SimStats::default(),
-        };
+        let ck = sample_checkpoint();
         let (a, b) = UnixStream::pair().expect("socketpair");
         let payload = ck.to_json();
         let writer = std::thread::spawn(move || {
@@ -3374,12 +3407,15 @@ mod tests {
     /// seed once made workers simulate a different stimulus than their
     /// supervisor).
     fn tiny_init_json() -> Json {
-        let gate = |kind: &str, output: i64, input: i64| {
-            Json::Array(vec![
-                Json::Str(kind.to_string()),
-                Json::Int(output),
-                Json::Int(input),
-            ])
+        chain_init_json(&[0, 1], 2)
+    }
+
+    /// `init` frame for cluster 1 of a chain of inverters, gate `i` reading
+    /// net `i`, driving net `i + 1` and living in cluster `gate_block[i]`.
+    fn chain_init_json(gate_block: &[u64], period: u64) -> Json {
+        let gate = |i: usize| {
+            let net = |n: usize| Json::Int(n as i64);
+            Json::Array(vec![Json::Str("not".to_string()), net(i + 1), net(i)])
         };
         ObjBuilder::new()
             .str("kind", "init")
@@ -3388,18 +3424,18 @@ mod tests {
             .bool("check", true)
             .str("label", "serve-unit")
             .uint("cycles", 4)
-            .uint("nets", 3)
+            .uint("nets", gate_block.len() as u64 + 1)
             .field("const0", Json::Null)
             .field("const1", Json::Null)
             .field("primary_inputs", uint_array(&[0]))
-            .array("gates", vec![gate("not", 1, 0), gate("not", 2, 1)])
-            .field("gate_block", uint_array(&[0, 1]))
+            .array("gates", (0..gate_block.len()).map(gate).collect())
+            .field("gate_block", uint_array(gate_block))
             .field(
                 "stim",
                 ObjBuilder::new()
                     .field("data_inputs", uint_array(&[0]))
                     .field("clock", Json::Null)
-                    .uint("period", 2)
+                    .uint("period", period)
                     .uint("seed", 11_601_856_998_475_820_192)
                     .build(),
             )
@@ -3449,28 +3485,32 @@ mod tests {
         }
     }
 
-    /// Plain `deliver` frames round-trip through a real worker over a real
+    fn deliver_cmd(msgs: &[TwMessage]) -> Json {
+        ObjBuilder::new()
+            .str("kind", "deliver")
+            .array("msgs", msgs.iter().map(ToJson::to_json).collect())
+            .build()
+    }
+
+    /// `deliver` frames round-trip through a real worker over a real
     /// socket — a worker whose `init` carried a stimulus seed above
-    /// `i64::MAX` (see [`tiny_init_json`]) — each answered with `done`.
+    /// `i64::MAX` (see [`tiny_init_json`]) — a run of one and a run of two,
+    /// each answered with `done` and its `results`.
     #[test]
     fn deliver_round_trips_through_a_real_worker() {
         let (mut sink, mut source, handle) = worker_session();
-        for m in [
-            channel_msg(1, 1, Logic::One),
-            channel_msg(2, 2, Logic::Zero),
-            channel_msg(3, 3, Logic::One),
-        ] {
-            let cmd = ObjBuilder::new()
-                .str("kind", "deliver")
-                .field("msg", m.to_json())
-                .build();
-            sink.send_json(&cmd).expect("send deliver");
+        let m = |seq| channel_msg(seq, seq, Logic::One);
+        for run in [&[m(1)][..], &[m(2), m(3)]] {
+            sink.send_json(&deliver_cmd(run)).expect("send deliver");
             let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-            assert_eq!(
-                json_kind(&reply).expect("kind"),
-                "done",
-                "message seq {} must be applied",
-                m.seq
+            assert_eq!(json_kind(&reply).expect("kind"), "done");
+            let results = reply.field("results").and_then(Json::as_array);
+            let results = results.expect("results");
+            assert!(
+                (1..=run.len()).contains(&results.len()),
+                "a run of {} answered with {} results",
+                run.len(),
+                results.len()
             );
         }
         sink.send_json(&ok_json_cmd("finish")).expect("send finish");
@@ -3478,6 +3518,20 @@ mod tests {
         assert_eq!(json_kind(&reply).expect("kind"), "finished");
         assert_eq!(source.recv().expect("clean eof"), None);
         handle.join().expect("join").expect("serve_wire exits Ok");
+    }
+
+    /// Send `cmd` to a fresh served worker and return the `detail` of the
+    /// typed `error` frame it must answer with before hanging up.
+    fn refusal_of(cmd: &Json) -> String {
+        let (mut sink, mut source, handle) = worker_session();
+        sink.send_json(cmd).expect("send command");
+        let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+        assert_eq!(json_kind(&reply).expect("kind"), "error", "{cmd:?}");
+        let detail = reply.field("detail").and_then(Json::as_str);
+        let detail = detail.expect("detail").to_string();
+        assert_eq!(source.recv().expect("clean eof"), None);
+        handle.join().expect("join").expect("serve_wire exits Ok");
+        detail
     }
 
     /// An anti-message whose positive never arrived cannot be annihilated.
@@ -3501,7 +3555,7 @@ mod tests {
             init.cluster,
         );
         let mut sends = Vec::new();
-        w.deliver(anti, &mut sends).expect("in-proc deliver");
+        w.deliver(&[anti]).expect("in-proc deliver");
         while w.lvt().expect("in-proc lvt") != VTime::MAX {
             w.step(VTime::MAX, &mut sends).expect("in-proc step");
         }
@@ -3511,58 +3565,579 @@ mod tests {
         let message = panic_message(refused.as_ref());
         assert!(message.contains("no positive"), "unexpected: {message}");
 
-        let (mut sink, mut source, handle) = worker_session();
-        let cmd = ObjBuilder::new()
-            .str("kind", "deliver")
-            .field("msg", anti.to_json())
-            .build();
-        sink.send_json(&cmd).expect("send deliver");
-        let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-        assert_eq!(json_kind(&reply).expect("kind"), "error");
-        let detail = reply
-            .field("detail")
-            .and_then(Json::as_str)
-            .expect("detail");
+        let detail = refusal_of(&deliver_cmd(&[anti]));
         assert!(detail.contains("no positive"), "unexpected: {detail}");
-        assert_eq!(source.recv().expect("clean eof"), None);
-        handle.join().expect("join").expect("serve_wire exits Ok");
     }
 
-    /// The removed batching vocabulary is rejected, not ignored: a worker
-    /// handed `msg_batch` or `deliver_next` answers with a typed `error`
-    /// frame (which the supervisor maps to [`WorkerFailure::Protocol`])
-    /// and hangs up.
+    /// Removed vocabulary is rejected, not ignored: a worker handed the
+    /// batching PR's `msg_batch` or `deliver_next`, wire v3's `fossil`,
+    /// `ckpt` or `ckpt_delta`, or a v3 `deliver` carrying one `msg`,
+    /// answers with a typed `error` frame (which the supervisor maps to
+    /// [`WorkerFailure::Protocol`]) and hangs up. So does one handed a
+    /// delivery of nothing, or a `gvt` asking for an image kind that does
+    /// not exist.
     #[test]
     fn removed_batch_commands_are_unknown() {
         let m = channel_msg(1, 1, Logic::One);
-        let removed = [
+        let at_gvt = |kind: &str| {
             ObjBuilder::new()
-                .str("kind", "msg_batch")
-                .uint("src", 0)
-                .array("msgs", vec![m.to_json()])
-                .build(),
-            ObjBuilder::new()
-                .str("kind", "deliver_next")
-                .uint("src", 0)
-                .uint("seq", m.seq)
-                .bool("anti", m.anti)
-                .build(),
+                .str("kind", kind)
+                .field("gvt", vtime_json(0))
+        };
+        let refused = [
+            (
+                ObjBuilder::new()
+                    .str("kind", "msg_batch")
+                    .uint("src", 0)
+                    .array("msgs", vec![m.to_json()])
+                    .build(),
+                "unknown command kind",
+            ),
+            (
+                ObjBuilder::new()
+                    .str("kind", "deliver_next")
+                    .uint("src", 0)
+                    .uint("seq", m.seq)
+                    .bool("anti", m.anti)
+                    .build(),
+                "unknown command kind",
+            ),
+            (at_gvt("fossil").build(), "unknown command kind"),
+            (at_gvt("ckpt").build(), "unknown command kind"),
+            (at_gvt("ckpt_delta").build(), "unknown command kind"),
+            (
+                ObjBuilder::new()
+                    .str("kind", "deliver")
+                    .field("msg", m.to_json())
+                    .build(),
+                "missing field `msgs`",
+            ),
+            (deliver_cmd(&[]), "at least one message"),
+            (
+                at_gvt("gvt").str("image", "full").build(),
+                "unknown image kind",
+            ),
         ];
-        for cmd in &removed {
-            let (mut sink, mut source, handle) = worker_session();
-            sink.send_json(cmd).expect("send removed command");
-            let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
-            assert_eq!(json_kind(&reply).expect("kind"), "error");
-            let detail = reply
-                .field("detail")
-                .and_then(Json::as_str)
-                .expect("detail");
-            assert!(
-                detail.contains("unknown command kind"),
-                "unexpected detail: {detail}"
-            );
-            assert_eq!(source.recv().expect("clean eof"), None);
-            handle.join().expect("join").expect("serve_wire exits Ok");
+        for (cmd, why) in &refused {
+            let detail = refusal_of(cmd);
+            assert!(detail.contains(why), "{cmd:?} refused with: {detail}");
         }
+    }
+
+    const TEST_TIMING: WireTiming = WireTiming {
+        io: Duration::from_millis(5_000),
+        connect: Duration::from_millis(5_000),
+        heartbeat: Duration::from_secs(1),
+        budget: 30,
+    };
+
+    /// A [`ProcessWorker`] on one end of a socketpair whose other end
+    /// `peer` plays, past the hello and `init` handshake it is handed the
+    /// checksummed framing for.
+    fn attached(
+        cluster: u32,
+        init: Json,
+        peer: impl FnOnce(WireStream) -> io::Result<()> + Send + 'static,
+    ) -> (ProcessWorker, std::thread::JoinHandle<io::Result<()>>) {
+        let (sup, worker) = UnixStream::pair().expect("socketpair");
+        let handle = std::thread::spawn(move || peer(WireStream::Unix(worker)));
+        let mut w = ProcessWorker::new(cluster, PathBuf::new(), init, TEST_TIMING, None);
+        w.adopt(WireStream::Unix(sup), false).expect("handshake");
+        (w, handle)
+    }
+
+    /// A peer that completes the handshake like a real worker, then answers
+    /// the commands it is sent with `replies`, in order, whatever they ask.
+    fn scripted(replies: Vec<String>) -> impl FnOnce(WireStream) -> io::Result<()> + Send {
+        move |mut stream| {
+            let mut writer = stream.try_clone()?;
+            let _hello = read_frame(&mut stream)?;
+            send_json(&mut writer, &hello_json("", None))?;
+            let mut source = FrameSource::new(io::BufReader::new(stream));
+            let mut sink = FrameSink::new(writer);
+            let _init = source.recv().map_err(wire_io)?;
+            sink.send_json(&ready_json(0)).map_err(wire_io)?;
+            for reply in replies {
+                let _command = source.recv().map_err(wire_io)?;
+                sink.send(reply.as_bytes()).map_err(wire_io)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// A `done` frame answering for `n` messages that did nothing.
+    fn done_for(n: usize) -> String {
+        let quiet = |_| delivered_json(ObjBuilder::new(), &(5, Vec::new()));
+        let done = ObjBuilder::new().str("kind", "done");
+        let done = done.array("results", (0..n).map(quiet).collect());
+        done.build().emit().expect("emit")
+    }
+
+    /// What a worker says is checked where it enters the supervisor: a
+    /// delivery answered for no message, or for more than it was handed,
+    /// is a typed protocol failure — and so is a GVT round answered with an
+    /// image of another cluster, another GVT, or the other kind. Never a
+    /// panic, and never stored.
+    #[test]
+    fn replies_that_do_not_fit_their_command_are_protocol_failures() {
+        let run = [
+            channel_msg(1, 1, Logic::One),
+            channel_msg(2, 2, Logic::Zero),
+        ];
+        for (n, fits) in [(0, false), (1, true), (2, true), (3, false)] {
+            let (mut w, peer) = attached(1, ok_json_cmd("init"), scripted(vec![done_for(n)]));
+            let answered = w.deliver(&run);
+            match answered {
+                Ok(results) if fits => assert_eq!(results.len(), n),
+                Err(WorkerFailure::Protocol { detail }) if !fits => {
+                    assert!(detail.contains(&format!("{n} results")), "{detail}")
+                }
+                other => panic!("{n} results for a run of 2: {other:?}"),
+            }
+            let counted = w.wire_counters();
+            let expected = if fits { (1, n as u64) } else { (0, 0) };
+            assert_eq!((counted.frames_sent, counted.messages_sent), expected);
+            drop(w);
+            peer.join().expect("join").expect("peer exits Ok");
+        }
+
+        let image_of = |cluster: u32, gvt: VTime| {
+            let mut ck = sample_checkpoint();
+            (ck.cluster, ck.gvt) = (cluster, gvt);
+            ck.to_json().emit().expect("emit")
+        };
+        let delta = {
+            let (prev, mut next) = (sample_checkpoint(), sample_checkpoint());
+            (next.cluster, next.gvt) = (1, 17);
+            let prev = Checkpoint { cluster: 1, ..prev };
+            let delta = CheckpointDelta::between(&prev, &next);
+            delta.to_json().emit().expect("emit")
+        };
+        for (reply, fits) in [
+            (image_of(1, 17), true),
+            (image_of(2, 17), false),
+            (image_of(1, 16), false),
+            (delta, false),
+            (done_for(1), false),
+        ] {
+            let (w, peer) = attached(1, ok_json_cmd("init"), scripted(vec![reply.clone()]));
+            let mut workers = [w];
+            let answered = ProcessWorker::gvt_round(&mut workers, 17, Image::Base);
+            match answered.into_iter().next().expect("one reply per worker") {
+                Ok(kept) if fits => assert_eq!(kept, reply, "the image is kept as received"),
+                Err(WorkerFailure::Protocol { .. }) if !fits => {}
+                other => panic!("{reply:.120}: {other:?}"),
+            }
+            drop(workers);
+            peer.join().expect("join").expect("peer exits Ok");
+        }
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
+        Checkpoint {
+            schema: CHECKPOINT_SCHEMA,
+            cluster: 2,
+            gvt: 17,
+            values: vec![Logic::Zero, Logic::One, Logic::X, Logic::Z],
+            pending: Vec::new(),
+            processed: Vec::new(),
+            undo: vec![(12, 1, Logic::X)],
+            outlog: Vec::new(),
+            stim_cycle: 5,
+            last_time: 16,
+            settled: true,
+            order: 40,
+            mseq: 11,
+            stats: SimStats::default(),
+        }
+    }
+
+    /// The `restore` frame is assembled around images kept as text; it
+    /// must be, byte for byte, the frame an encoder over the decoded
+    /// images would emit — and read back as the images it was built from.
+    #[test]
+    fn restore_frame_around_kept_text_is_the_canonical_frame() {
+        let base = sample_checkpoint();
+        let mut next = base.clone();
+        (next.gvt, next.mseq) = (23, 12);
+        let delta = CheckpointDelta::between(&base, &next);
+        let ops = [
+            ReplayOp::Step { limit: 39 },
+            ReplayOp::Deliver(channel_msg(4, 25, Logic::One)),
+            ReplayOp::Fossil(VTime::MAX),
+        ];
+        let text = |j: Json| j.emit().expect("emit");
+        for chain in [
+            vec![],
+            vec![text(delta.to_json())],
+            vec![text(delta.to_json()); 2],
+        ] {
+            let frame = restore_frame(&text(base.to_json()), &chain, &ops);
+            let encoded = ObjBuilder::new()
+                .str("kind", "restore")
+                .field("ck", base.to_json())
+                .array("deltas", vec![delta.to_json(); chain.len()])
+                .array("ops", ops.iter().map(replay_op_json).collect());
+            assert_eq!(frame, text(encoded.build()));
+            let back = Json::parse(&frame).expect("the frame parses");
+            let ck = Checkpoint::from_json(back.field("ck").expect("ck")).expect("decodes");
+            assert_eq!(ck, base);
+        }
+    }
+
+    // -- Delivery runs ------------------------------------------------------
+
+    use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
+    use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
+    use proptest::prelude::*;
+
+    fn elaborate(src: &str) -> Netlist {
+        dvs_verilog::parse_and_elaborate(src)
+            .expect("generated circuit elaborates")
+            .into_netlist()
+    }
+
+    /// What [`stop_rule_holds`] saw: runs handed over, runs that applied
+    /// more than one message, and runs stopped short of their queue.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct RunCensus {
+        runs: usize,
+        longer_than_one: usize,
+        stopped_short: usize,
+    }
+
+    /// The stop rule against its model. Two copies of a two-cluster run are
+    /// driven in lockstep: every `burst` epochs the messages cluster 0 sent
+    /// are delivered to cluster 1 — to the *model* one message per call, to
+    /// the *subject* as the whole queue in one slice, re-offering the
+    /// unapplied remainder until it is empty. The subject must answer,
+    /// message for message, what the model answered; every run must stop
+    /// exactly where the rule says — after the first message that emitted
+    /// or moved the LVT, or at the end of the queue, and nowhere else; and
+    /// both copies must end in the same state. (Cluster 1's messages go
+    /// back one at a time on both sides, so cluster 0 rolls back and its
+    /// queues carry anti-messages too.)
+    fn stop_rule_holds(
+        nl: &Netlist,
+        gate_block: &[u32],
+        stim_seed: u64,
+        cycles: u64,
+        burst: usize,
+    ) -> RunCensus {
+        let plan = ClusterPlan::new(nl, gate_block, 2);
+        let stim = VectorStimulus::from_netlist(nl, 10, stim_seed);
+        let pair = |label: &str| -> Vec<InProcWorker<'_, '_>> {
+            let worker = |me| InProcWorker::new(nl, &plan, stim.clone(), cycles, true, label, me);
+            vec![worker(0), worker(1)]
+        };
+        let (mut model, mut subject) = (pair("model"), pair("subject"));
+        let mut census = RunCensus::default();
+        loop {
+            // Both sides run ahead of each other, identically.
+            let mut queues: [Vec<TwMessage>; 2] = [Vec::new(), Vec::new()];
+            for (c, queue) in queues.iter_mut().enumerate() {
+                for _ in 0..burst {
+                    let mut ignored = Vec::new();
+                    model[c].step(VTime::MAX, queue).expect("step");
+                    subject[c].step(VTime::MAX, &mut ignored).expect("step");
+                }
+            }
+            let [to_one, mut to_zero] = queues;
+
+            let mut offered = 0;
+            while offered < to_one.len() {
+                let before = model[1].lvt().expect("lvt");
+                let answered = subject[1].deliver(&to_one[offered..]).expect("deliver");
+                assert!(!answered.is_empty(), "a delivery applies something");
+                census.runs += 1;
+                census.longer_than_one += usize::from(answered.len() > 1);
+                let applied = offered + answered.len();
+                census.stopped_short += usize::from(applied < to_one.len());
+                for (i, got) in answered.iter().enumerate() {
+                    let m = to_one[offered + i];
+                    let want = model[1].deliver(&[m]).expect("deliver").remove(0);
+                    assert_eq!(got, &want, "message {} of the queue", offered + i);
+                    let stops = !want.1.is_empty() || want.0 != before;
+                    let last = i + 1 == answered.len();
+                    assert!(
+                        stops == last || (last && applied == to_one.len()),
+                        "message {} (stops: {stops}) was {}the last of its run",
+                        offered + i,
+                        if last { "" } else { "not " }
+                    );
+                    to_zero.extend(want.1);
+                }
+                offered = applied;
+            }
+            for m in to_zero {
+                let want = model[0].deliver(&[m]).expect("deliver");
+                assert_eq!(subject[0].deliver(&[m]).expect("deliver"), want);
+            }
+
+            let idle = |w: &mut InProcWorker<'_, '_>| w.lvt().expect("lvt") == VTime::MAX;
+            if model.iter_mut().all(idle) {
+                break;
+            }
+        }
+        let state = |workers: &mut [InProcWorker<'_, '_>]| -> Vec<String> {
+            let images = InProcWorker::gvt_round(workers, 0, Image::Base);
+            images.into_iter().map(|i| i.expect("capture")).collect()
+        };
+        assert_eq!(state(&mut subject), state(&mut model), "final checkpoints");
+        census
+    }
+
+    /// The half of the stop rule random traffic hardly ever isolates: a
+    /// delivery that emits while the LVT stays where it was. Cluster 1 of
+    /// `net0 → not → net1 → not → net2 → not → net3` (the middle inverter)
+    /// has processed a lone positive whose evaluation it exported, with a
+    /// later message still pending; the anti-message for that positive
+    /// rolls it back and emits the export's anti-message, and the LVT —
+    /// the next stimulus cycle, below the pending message — does not
+    /// move. The run must end there all the same.
+    #[test]
+    fn a_delivery_that_emits_ends_its_run_even_if_the_lvt_stays() {
+        let init = worker_init_from_json(&chain_init_json(&[0, 1, 0], 10)).expect("init parses");
+        let plan = ClusterPlan::new(&init.netlist, &init.gate_block, init.k);
+        let (stim, cycles) = (init.stim, init.cycles);
+        let mut w = InProcWorker::new(&init.netlist, &plan, stim, cycles, true, "emits", 1);
+        let positive = channel_msg(1, 5, Logic::One);
+        let pending = channel_msg(2, 25, Logic::Zero);
+        w.deliver(&[positive, pending]).expect("deliver");
+        let mut sent = Vec::new();
+        while w.step(6, &mut sent).expect("step") <= 6 {}
+        assert!(
+            sent.iter().any(|m| m.ev.time == 6),
+            "the positive's evaluation was exported: {sent:?}"
+        );
+
+        let lvt = w.lvt().expect("lvt");
+        let anti = TwMessage {
+            anti: true,
+            ..positive
+        };
+        let after = channel_msg(3, 30, Logic::One);
+        let answered = w.deliver(&[anti, after]).expect("deliver");
+        assert_eq!(
+            answered.len(),
+            1,
+            "the run went past a delivery that emitted"
+        );
+        let (lvt_after, emitted) = &answered[0];
+        assert_eq!(*lvt_after, lvt, "the case must leave the LVT where it was");
+        assert!(emitted.iter().all(|m| m.anti) && !emitted.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn delivery_runs_stop_where_the_model_stops(
+            circuit in (any::<bool>(), 2u32..6),
+            seeds in (any::<u64>(), any::<u64>()),
+            pace in (6u64..24, 1usize..12),
+        ) {
+            let ((counter, bits), (part_seed, stim_seed), (cycles, burst)) = (circuit, seeds, pace);
+            let nl = elaborate(&if counter {
+                generate_counter(bits)
+            } else {
+                generate_lfsr(bits.max(2), &[bits.max(2), 1])
+            });
+            // Any split into two non-empty clusters.
+            let mut bits_of = part_seed;
+            let mut gate_block: Vec<u32> = (0..nl.gate_count())
+                .map(|_| {
+                    bits_of = bits_of.rotate_left(7).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (bits_of >> 63) as u32
+                })
+                .collect();
+            gate_block[0] = 0;
+            gate_block[1] = 1;
+            stop_rule_holds(&nl, &gate_block, stim_seed, cycles, burst);
+        }
+    }
+
+    /// The fixed case: the benchmark's 6 126-gate decoder under its
+    /// design-driven two-way partition, where bursts are long — runs of
+    /// several messages and runs stopped short both occur in number.
+    #[test]
+    fn delivery_runs_stop_where_the_model_stops_on_the_decoder() {
+        let params = ViterbiParams {
+            constraint_len: 6,
+            ..ViterbiParams::paper_class()
+        };
+        let nl = elaborate(&generate_viterbi(&params));
+        assert_eq!(nl.gate_count(), 6_126);
+        let part = dvs_core::partition_multiway(&nl, &dvs_core::MultiwayConfig::new(2, 10.0));
+        let census = stop_rule_holds(&nl, &part.gate_blocks, 1, 6, 3);
+        assert!(
+            census.longer_than_one >= 10 && census.stopped_short >= 10,
+            "the case no longer exercises the rule: {census:?}"
+        );
+    }
+
+    /// Real served workers — `serve_wire` threads on socketpairs — driven
+    /// by the supervisor under a schedule. Returns the run and the workers'
+    /// folded wire counters.
+    fn run_wired(
+        nl: &Netlist,
+        plan: &ClusterPlan,
+        stim: &VectorStimulus,
+        cycles: u64,
+        schedule: &mut dyn Schedule,
+    ) -> TwRunResult {
+        let label = "wired";
+        let (mut workers, peers): (Vec<_>, Vec<_>) = (0..plan.k as u32)
+            .map(|me| {
+                let init = init_json(nl, plan, stim, cycles, true, me, label);
+                attached(me, init, |stream| serve_wire(stream, None, ""))
+            })
+            .unzip();
+        let cfg = wired_cfg();
+        let run = run_supervisor(
+            nl,
+            plan,
+            stim,
+            cycles,
+            &cfg,
+            schedule,
+            true,
+            label,
+            &mut workers,
+            true,
+        );
+        drop(workers);
+        for peer in peers {
+            peer.join().expect("join").expect("serve_wire exits Ok");
+        }
+        run.expect("wired run")
+    }
+
+    /// A hand-written schedule — deliver whenever something is queued —
+    /// that does not implement [`Schedule::fork`].
+    struct Eager;
+
+    impl Schedule for Eager {
+        fn next(&mut self, view: &DstView<'_>) -> DstAction {
+            view.action_at(0)
+        }
+    }
+
+    /// [`Eager`] with a faithful fork.
+    #[derive(Clone)]
+    struct Forked;
+
+    impl Schedule for Forked {
+        fn next(&mut self, view: &DstView<'_>) -> DstAction {
+            view.action_at(0)
+        }
+
+        fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+            Some(Box::new(Forked))
+        }
+    }
+
+    /// A schedule that rotates over the legal actions by decision index,
+    /// under a fork that forecasts it will repeat itself forever.
+    #[derive(Default)]
+    struct Fickle {
+        chose: Option<DstAction>,
+    }
+
+    impl Schedule for Fickle {
+        fn next(&mut self, view: &DstView<'_>) -> DstAction {
+            let turn = view.decision as usize % view.action_count();
+            *self.chose.insert(view.action_at(turn))
+        }
+
+        fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+            struct Stuck(DstAction);
+            impl Schedule for Stuck {
+                fn next(&mut self, _: &DstView<'_>) -> DstAction {
+                    self.0
+                }
+            }
+            Some(Box::new(Stuck(self.chose?)))
+        }
+    }
+
+    /// The kill harnesses' kernel settings: short quanta, frequent rounds.
+    fn wired_cfg() -> TimeWarpConfig {
+        TimeWarpConfig {
+            window: 8,
+            epochs_per_quantum: 2,
+            ..TimeWarpConfig::default()
+        }
+    }
+
+    fn wired_case() -> (Netlist, Vec<u32>) {
+        let nl = elaborate(&generate_viterbi(&ViterbiParams::tiny()));
+        let part = dvs_core::partition_multiway(&nl, &dvs_core::MultiwayConfig::new(3, 20.0));
+        (nl, part.gate_blocks)
+    }
+
+    /// A schedule without a fork keeps today's one message per frame; the
+    /// same schedule with a faithful fork makes the same decisions — the
+    /// run is identical down to every counter — in fewer frames.
+    #[test]
+    fn a_schedule_without_a_fork_delivers_one_message_per_frame() {
+        let (nl, gate_block) = wired_case();
+        let plan = ClusterPlan::new(&nl, &gate_block, 3);
+        let stim = VectorStimulus::from_netlist(&nl, 10, 7);
+        let plain = run_wired(&nl, &plan, &stim, 12, &mut Eager);
+        assert!(plain.recovery.messages_sent > 0);
+        assert_eq!(plain.recovery.frames_sent, plain.recovery.messages_sent);
+
+        let forked = run_wired(&nl, &plan, &stim, 12, &mut Forked);
+        assert_eq!(forked.recovery.messages_sent, plain.recovery.messages_sent);
+        assert!(
+            forked.recovery.frames_sent < plain.recovery.frames_sent,
+            "no run longer than one message in {} frames",
+            forked.recovery.frames_sent
+        );
+        assert_eq!(forked.stats, plain.stats);
+        assert_eq!(forked.cluster_stats, plain.cluster_stats);
+        assert_eq!(forked.values, plain.values);
+        assert_eq!(
+            forked.recovery.checkpoint_bytes_full,
+            plain.recovery.checkpoint_bytes_full
+        );
+    }
+
+    /// A fork that forecasts what its schedule then does not choose is
+    /// caught at the first decision that leaves the run, by name.
+    #[test]
+    fn an_unfaithful_fork_is_caught_at_the_decision_it_misforecast() {
+        let (nl, gate_block) = wired_case();
+        let plan = ClusterPlan::new(&nl, &gate_block, 3);
+        let stim = VectorStimulus::from_netlist(&nl, 10, 7);
+        let workers = |label: &str| -> Vec<InProcWorker<'_, '_>> {
+            let worker = |me| InProcWorker::new(&nl, &plan, stim.clone(), 12, true, label, me);
+            (0..3).map(worker).collect()
+        };
+        let cfg = wired_cfg();
+        let label = "seed 7, schedule Fickle";
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut workers = workers(label);
+            let mut schedule = Fickle::default();
+            let schedule: &mut dyn Schedule = &mut schedule;
+            let _ = run_supervisor(
+                &nl,
+                &plan,
+                &stim,
+                12,
+                &cfg,
+                schedule,
+                true,
+                label,
+                &mut workers,
+                false,
+            );
+        }));
+        let message = panic_message(caught.expect_err("the lie must be caught").as_ref());
+        assert!(
+            message.contains("fork") && message.contains(label),
+            "unexpected: {message}"
+        );
     }
 }

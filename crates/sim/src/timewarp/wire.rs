@@ -40,8 +40,11 @@ use std::time::Duration;
 /// added the per-run `token` and the worker `cluster` identity to the
 /// hello frame for the TCP transport. Version 3 added the checksummed,
 /// sequence-numbered command-frame header and the `ping`/`pong` heartbeat
-/// exchange; only the hello keeps the version-2 framing.
-pub const WIRE_VERSION: u32 = 3;
+/// exchange; only the hello keeps the version-2 framing. Version 4 kept the
+/// framing and changed the vocabulary: `deliver` carries a run of messages
+/// (`msgs`, answered with `results`), and `gvt` replaced `fossil`, `ckpt`
+/// and `ckpt_delta`.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix above this is
 /// a protocol error, not an allocation request.

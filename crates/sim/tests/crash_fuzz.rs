@@ -22,9 +22,10 @@
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::dst::run_deterministic;
+use dvs_sim::timewarp::dst::{run_deterministic, run_with_schedule};
 use dvs_sim::timewarp::{
-    CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig, TwRunResult,
+    CheckpointCadence, DstAction, DstView, FaultPlan, Schedule, SchedulePolicy, TimeWarpConfig,
+    TwRunResult,
 };
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
@@ -287,5 +288,110 @@ fn fixed_cadence_three_retention_is_safe() {
             cadence: 3,
         };
         with_dump(&case, "fixed_cadence_three", assert_crash_is_invisible);
+    }
+}
+
+/// A policy's schedule that also notes down every decision it makes. Its
+/// fork is the policy's own, so it sizes delivery runs exactly as the
+/// policy does.
+struct Recording {
+    inner: Box<dyn Schedule + Send>,
+    decisions: Vec<DstAction>,
+}
+
+impl Schedule for Recording {
+    fn next(&mut self, view: &DstView<'_>) -> DstAction {
+        let action = self.inner.next(view);
+        self.decisions.push(action);
+        action
+    }
+
+    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
+        self.inner.fork()
+    }
+}
+
+/// The decision sequence of `case`'s undisturbed run.
+fn decisions_of(case: &CrashCase) -> Vec<DstAction> {
+    let nl = elaborate_case(case);
+    let gb = random_partition(&nl, case.k, case.part_seed);
+    let plan = ClusterPlan::new(&nl, &gb, case.k);
+    let stim = VectorStimulus::from_netlist(&nl, 10, case.stim_seed);
+    let cfg = TimeWarpConfig::builder()
+        .window(8)
+        .epochs_per_quantum(2)
+        .build()
+        .expect("valid config");
+    let mut schedule = Recording {
+        inner: policy_for(case).build(case.sched_seed),
+        decisions: Vec::new(),
+    };
+    run_with_schedule(
+        &nl,
+        &plan,
+        &stim,
+        case.cycles,
+        &cfg,
+        &mut schedule,
+        true,
+        "recording",
+    )
+    .expect("deterministic run stalled");
+    schedule.decisions
+}
+
+/// Crashes aimed *inside* a delivery run: the receiver of the first burst
+/// of three consecutive decisions on one channel dies at the burst's 2nd
+/// and at its 3rd decision. The run the supervisor hands the worker must
+/// end where the armed fault fires — the crash is injected before the
+/// schedule is consulted, with no results in hand — so recovery replays
+/// exactly the operations the per-message executor had logged by then:
+/// `replayed_ops` is pinned to what the commit before delivery runs (one
+/// message per delivery) replayed for the same crash points.
+#[test]
+fn crashes_inside_a_burst_are_invisible() {
+    // (policy, first decision of the burst, operations replayed after a
+    // crash at its 2nd and at its 3rd decision), recorded at that commit.
+    let recorded = [
+        (0u8, 358usize, [8u64, 9]),
+        (1, 52, [10, 11]),
+        (2, 159, [5, 6]),
+    ];
+    for (policy_sel, start, replayed) in recorded {
+        let mut case = CrashCase {
+            counter_not_lfsr: true,
+            bits: 4,
+            k: 3,
+            part_seed: 13,
+            stim_seed: 22,
+            sched_seed: 33,
+            policy_sel,
+            cycles: 25,
+            victim: 0,
+            crash_at: 0,
+            crashes: 1,
+            cadence: 1,
+        };
+        let decisions = decisions_of(&case);
+        let burst = decisions.windows(3).position(|w| {
+            matches!(w[0], DstAction::Deliver { .. }) && w[0] == w[1] && w[1] == w[2]
+        });
+        assert_eq!(burst, Some(start), "policy {policy_sel}: the burst moved");
+        let DstAction::Deliver { dst, .. } = decisions[start] else {
+            unreachable!("a burst is made of deliveries");
+        };
+        for (nth, want) in [1, 2].into_iter().zip(replayed) {
+            case.victim = dst;
+            case.crash_at = (start + nth) as u64;
+            with_dump(&case, "burst", assert_crash_is_invisible);
+            let crashed = run_with_fault(&case, FaultPlan::crash(dst, case.crash_at));
+            assert_eq!(crashed.recovery.crashes, 1, "policy {policy_sel}, {case:?}");
+            assert_eq!(
+                crashed.recovery.replayed_ops,
+                want,
+                "policy {policy_sel}: crash at decision {} of the burst at {start}",
+                nth + 1
+            );
+        }
     }
 }
