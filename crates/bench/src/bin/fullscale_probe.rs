@@ -1,9 +1,11 @@
 //! `fullscale_probe` — a one-point feasibility check of the paper-scale
 //! (~1.1 M gate) decoder: generation, elaboration, design-driven
-//! partitioning at (k=4, b=7.5), and a 100-vector modeled cluster run.
-//! The full `repro --scale full` grid takes hours; this answers "does the
-//! stack handle a megagate netlist, and is the speedup positive?" in
-//! seconds. See EXPERIMENTS.md §Running at full scale.
+//! partitioning at (k=4, b=7.5), a 100-vector modeled cluster run, and the
+//! same 100 vectors measured: `SeqSim` against the shipped kernel
+//! (`Transport::Threads`, k=2 b=10 — the `decoder_1m_threads` shape), checked
+//! net by net. The full `repro --scale full` grid takes hours; this answers
+//! "does the stack handle a megagate netlist, and is the speedup positive?"
+//! in seconds. See EXPERIMENTS.md §Running at full scale.
 //!
 //! Progress goes to stderr; the result is a schema-versioned JSON
 //! artifact (the same serializers as `bench_gate`/`repro`) on stdout, or
@@ -82,6 +84,70 @@ fn main() {
         run.speedup, run.stats.messages
     );
 
+    // The measured leg: real wall-clock of the two event loops on the
+    // vectors the model just ran. k = 2 because that is what fits two cores.
+    const MEASURED_K: u32 = 2;
+    const MEASURED_B: f64 = 10.0;
+    let t0 = Instant::now();
+    let mut seq = dvs_sim::seq::SeqSim::new(
+        &nl,
+        &dvs_sim::seq::SimConfig {
+            cycles: VECTORS,
+            init_zero: true,
+        },
+    );
+    seq.run(&stim, VECTORS, &mut dvs_sim::seq::NullObserver);
+    let seq_seconds = t0.elapsed().as_secs_f64();
+    let seq_stats = seq.stats().clone();
+    let evals_per_event = seq_stats.gate_evals as f64 / seq_stats.events as f64;
+    eprintln!(
+        "SeqSim {VECTORS} vectors in {seq_seconds:.3}s: {} events, {} gate evals ({evals_per_event:.1} evals/event)",
+        seq_stats.events, seq_stats.gate_evals
+    );
+    let halves = dvs_core::multiway::partition_multiway(
+        &nl,
+        &dvs_core::multiway::MultiwayConfig::new(MEASURED_K, MEASURED_B),
+    );
+    let plan = dvs_sim::cluster::ClusterPlan::new(&nl, &halves.gate_blocks, MEASURED_K as usize);
+    let t0 = Instant::now();
+    let tw = dvs_sim::timewarp::run_timewarp(
+        &nl,
+        &plan,
+        &stim,
+        VECTORS,
+        &dvs_sim::timewarp::TimeWarpConfig::default(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("Time Warp run failed: {e}");
+        std::process::exit(1);
+    });
+    let threads_seconds = t0.elapsed().as_secs_f64();
+    let wrong = nl
+        .nets
+        .iter()
+        .enumerate()
+        .filter(|(ni, net)| {
+            net.driver.is_some() && tw.values[*ni] != seq.value(dvs_verilog::NetId(*ni as u32))
+        })
+        .count();
+    if wrong > 0 || tw.recovery.degraded {
+        eprintln!("Time Warp differs from SeqSim on {wrong} driven nets");
+        std::process::exit(1);
+    }
+    let measured_speedup = seq_seconds / threads_seconds;
+    let cluster_evals: Vec<u64> = tw.cluster_stats.iter().map(|c| c.gate_evals).collect();
+    eprintln!(
+        "Threads k={MEASURED_K} b={MEASURED_B} (loads {:?}) in {threads_seconds:.3}s: {} events executed, gate evals per cluster {cluster_evals:?}, {} messages, {} rollbacks",
+        plan.loads(),
+        tw.stats.events,
+        tw.stats.messages,
+        tw.stats.rollbacks
+    );
+    eprintln!(
+        "measured speedup {measured_speedup:.2} (Threads k={MEASURED_K}, this host) beside modeled {:.2} (athlon cluster, k={K})",
+        run.speedup
+    );
+
     let artifact = ObjBuilder::new()
         .int("schema_version", SCHEMA_VERSION)
         .str("kind", "fullscale_probe")
@@ -103,6 +169,14 @@ fn main() {
                 .float("elaborate_seconds", elaborate_seconds)
                 .float("partition_seconds", partition_seconds)
                 .float("model_seconds", model_seconds)
+                .uint("measured_k", MEASURED_K as u64)
+                .uint("seq_events", seq_stats.events)
+                .uint("seq_gate_evals", seq_stats.gate_evals)
+                .float("evals_per_event", evals_per_event)
+                .float("seq_seconds", seq_seconds)
+                .uint("threads_gate_evals", cluster_evals.iter().sum())
+                .float("threads_seconds", threads_seconds)
+                .float("measured_speedup", measured_speedup)
                 .build(),
         )
         .build();

@@ -11,6 +11,9 @@
 //!   Viterbi decoder with 1 M random vectors, 10 k during pre-simulation);
 //! * [`seq`] — the sequential reference simulator (speedup baseline), with
 //!   an observer interface for per-partition event accounting;
+//! * `tables` (private) — the packed gate tables and per-epoch frontier both
+//!   event loops run on: built once per simulator over the gates it owns,
+//!   after which neither loop reads the `Netlist`;
 //! * [`cluster`] — mapping of a per-gate partition onto simulation clusters:
 //!   local gate sets, cut-net channels, per-cluster stimulus;
 //! * [`timewarp`] — a Clustered Time Warp kernel: optimistic execution
@@ -39,6 +42,7 @@ pub mod logic;
 pub mod seq;
 pub mod stats;
 pub mod stimulus;
+mod tables;
 pub mod timewarp;
 pub mod vcd;
 pub mod wheel;

@@ -14,11 +14,12 @@
 //! 3. evaluate affected gates; outputs that differ from the current net
 //!    value are scheduled at `t + 1`.
 
-use crate::logic::{eval_combinational, is_posedge, Logic};
+use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
+use crate::tables::{Epoch, GateTables};
 use crate::wheel::{NetEvent, TimingWheel, VTime};
-use dvs_verilog::netlist::{Fanout, GateId, GateKind, NetId, Netlist};
+use dvs_verilog::netlist::{GateId, NetId, Netlist};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -55,18 +56,17 @@ pub trait SimObserver {
 pub struct NullObserver;
 impl SimObserver for NullObserver {}
 
-/// Sequential simulator state.
-pub struct SeqSim<'a> {
-    nl: &'a Netlist,
-    fanout: Fanout,
+/// Sequential simulator state. The netlist is read once, into the packed
+/// tables; local gate ids are `GateId`s because every gate is owned.
+pub struct SeqSim {
+    tables: GateTables,
     values: Vec<Logic>,
     stats: SimStats,
-    init_zero: bool,
 }
 
-impl<'a> SeqSim<'a> {
-    pub fn new(nl: &'a Netlist, cfg: &SimConfig) -> Self {
-        let fanout = nl.build_fanout();
+impl SeqSim {
+    pub fn new(nl: &Netlist, cfg: &SimConfig) -> Self {
+        let all: Vec<GateId> = (0..nl.gate_count() as u32).map(GateId).collect();
         let init = if cfg.init_zero { Logic::Zero } else { Logic::X };
         let mut values = vec![init; nl.net_count()];
         if let Some(c0) = nl.const0_net {
@@ -76,11 +76,9 @@ impl<'a> SeqSim<'a> {
             values[c1.idx()] = Logic::One;
         }
         SeqSim {
-            nl,
-            fanout,
+            tables: GateTables::new(nl, &all, &[]),
             values,
             stats: SimStats::default(),
-            init_zero: cfg.init_zero,
         }
     }
 
@@ -98,30 +96,27 @@ impl<'a> SeqSim<'a> {
         let period = stim.period;
         let horizon = (2 * period + 4) as usize;
         let mut wheel = TimingWheel::new(horizon);
+        let gates = self.tables.len() as u32;
 
         // Settle the initial state: evaluate every combinational gate once
         // and schedule the disagreements.
-        for (gi, g) in self.nl.gates.iter().enumerate() {
-            if g.kind.is_sequential() {
+        for gi in 0..gates {
+            let gate = self.tables.gate(gi);
+            if gate.kind.is_sequential() {
                 continue;
             }
-            let out = self.eval_comb(gi);
-            if out != self.values[g.output.idx()] {
+            let out = self.tables.eval_comb(gi, &self.values);
+            if out != self.values[gate.out as usize] {
                 wheel.push(NetEvent {
                     time: 1,
-                    net: g.output,
+                    net: NetId(gate.out),
                     value: out,
                 });
             }
         }
 
         let mut epoch: Vec<NetEvent> = Vec::with_capacity(64);
-        let mut changed: Vec<(NetId, Logic, Logic)> = Vec::with_capacity(64);
-        // Per-epoch dedup stamps for affected gates and DFF fire flags.
-        let mut seen = vec![0u32; self.nl.gate_count()];
-        let mut fire = vec![0u32; self.nl.gate_count()];
-        let mut stamp = 0u32;
-        let mut affected: Vec<u32> = Vec::with_capacity(64);
+        let mut front = Epoch::new(gates as usize);
         let mut stim_buf: Vec<NetEvent> = Vec::with_capacity(16);
 
         for cycle in 0..cycles {
@@ -139,13 +134,13 @@ impl<'a> SeqSim<'a> {
                 if t_next >= limit && !is_last_cycle {
                     break;
                 }
-                stamp += 1;
                 epoch.clear();
                 let t = wheel.pop_epoch(&mut epoch).expect("next_time was Some");
                 self.stats.end_time = t;
 
-                // Phase 1: apply value changes.
-                changed.clear();
+                // Phases 1 and 2: apply value changes and collect the
+                // gates they affect.
+                front.begin();
                 for ev in &epoch {
                     self.stats.events += 1;
                     let old = self.values[ev.net.idx()];
@@ -153,115 +148,24 @@ impl<'a> SeqSim<'a> {
                         self.values[ev.net.idx()] = ev.value;
                         self.stats.net_toggles += 1;
                         obs.net_change(ev.net, t, ev.value);
-                        changed.push((ev.net, old, ev.value));
-                    }
-                }
-
-                // Phase 2: collect affected gates.
-                affected.clear();
-                for &(net, old, new) in &changed {
-                    for &g in self.fanout.readers(net) {
-                        let gate = &self.nl.gates[g.idx()];
-                        match gate.kind {
-                            GateKind::Dff => {
-                                // Only a rising clock edge triggers a DFF.
-                                if gate.inputs[0] == net && is_posedge(old, new) {
-                                    if seen[g.idx()] != stamp {
-                                        seen[g.idx()] = stamp;
-                                        affected.push(g.0);
-                                    }
-                                    fire[g.idx()] = stamp;
-                                }
-                            }
-                            GateKind::Dffr => {
-                                // Rising clock edge, or any change of the
-                                // asynchronous reset.
-                                let is_clk_edge = gate.inputs[0] == net && is_posedge(old, new);
-                                let is_rst_change = gate.inputs[1] == net;
-                                if is_clk_edge || is_rst_change {
-                                    if seen[g.idx()] != stamp {
-                                        seen[g.idx()] = stamp;
-                                        affected.push(g.0);
-                                    }
-                                    if is_clk_edge {
-                                        fire[g.idx()] = stamp;
-                                    }
-                                }
-                            }
-                            _ => {
-                                if seen[g.idx()] != stamp {
-                                    seen[g.idx()] = stamp;
-                                    affected.push(g.0);
-                                }
-                            }
-                        }
+                        front.net_changed(&self.tables, ev.net.0, old, ev.value);
                     }
                 }
 
                 // Phase 3: evaluate and schedule.
-                for &gi in &affected {
-                    let gate = &self.nl.gates[gi as usize];
+                for &gi in front.affected() {
                     self.stats.gate_evals += 1;
                     obs.gate_eval(GateId(gi), t);
-                    let new_out = match gate.kind {
-                        GateKind::Dff => {
-                            debug_assert_eq!(fire[gi as usize], stamp);
-                            self.values[gate.inputs[1].idx()].input()
-                        }
-                        GateKind::Dffr => {
-                            // Asynchronous active-high reset dominates.
-                            if self.values[gate.inputs[1].idx()] == Logic::One {
-                                Logic::Zero
-                            } else if fire[gi as usize] == stamp {
-                                self.values[gate.inputs[2].idx()].input()
-                            } else {
-                                continue; // reset released without an edge
-                            }
-                        }
-                        GateKind::Latch => {
-                            if self.values[gate.inputs[0].idx()] == Logic::One {
-                                self.values[gate.inputs[1].idx()].input()
-                            } else {
-                                continue; // opaque: holds value
-                            }
-                        }
-                        _ => self.eval_comb(gi as usize),
+                    let Some(new_out) = front.eval(&self.tables, gi, &self.values) else {
+                        continue;
                     };
-                    if new_out != self.values[gate.output.idx()] {
+                    let out = self.tables.gate(gi).out;
+                    if new_out != self.values[out as usize] {
                         wheel.push(NetEvent {
                             time: t + 1,
-                            net: gate.output,
+                            net: NetId(out),
                             value: new_out,
                         });
-                    }
-                }
-            }
-        }
-        let _ = self.init_zero;
-    }
-
-    #[inline]
-    fn eval_comb(&self, gi: usize) -> Logic {
-        let g = &self.nl.gates[gi];
-        match g.kind {
-            GateKind::Buf => self.values[g.inputs[0].idx()].input(),
-            GateKind::Not => self.values[g.inputs[0].idx()].not(),
-            GateKind::Const0 => Logic::Zero,
-            GateKind::Const1 => Logic::One,
-            _ => {
-                // Variadic gates: evaluate over the input slice without
-                // allocating.
-                let it = g.inputs.iter().map(|n| self.values[n.idx()]);
-                match g.kind {
-                    GateKind::And => it.fold(Logic::One, Logic::and),
-                    GateKind::Nand => it.fold(Logic::One, Logic::and).not(),
-                    GateKind::Or => it.fold(Logic::Zero, Logic::or),
-                    GateKind::Nor => it.fold(Logic::Zero, Logic::or).not(),
-                    GateKind::Xor => it.fold(Logic::Zero, Logic::xor),
-                    GateKind::Xnor => it.fold(Logic::Zero, Logic::xor).not(),
-                    _ => {
-                        let inputs: Vec<Logic> = it.collect();
-                        eval_combinational(g.kind, &inputs)
                     }
                 }
             }

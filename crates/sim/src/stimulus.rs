@@ -52,6 +52,16 @@ impl VectorStimulus {
         }
     }
 
+    /// Keep only the inputs in `nets`, in their present order: the stimulus
+    /// one cluster generates for itself. Bits depend on the net id alone, so
+    /// the kept inputs see the vectors they always did.
+    pub(crate) fn restrict_to(&mut self, nets: &[NetId]) {
+        let mut keep = nets.to_vec();
+        keep.sort_unstable();
+        self.data_inputs.retain(|n| keep.binary_search(n).is_ok());
+        self.clock = self.clock.filter(|c| keep.binary_search(c).is_ok());
+    }
+
     /// The pseudo-random bit for `net` at `cycle`.
     #[inline]
     pub fn bit(&self, net: NetId, cycle: u64) -> Logic {
@@ -64,8 +74,9 @@ impl VectorStimulus {
     }
 
     /// Emit the events of `cycle` into `out`, filtered to nets accepted by
-    /// `want` (pass `|_| true` for the sequential simulator; clusters pass
-    /// membership in their local input set).
+    /// `want`. Both simulators pass `|_| true`: the sequential one wants
+    /// every input, and a cluster asks a source it restricted to its own
+    /// inputs when it was built.
     pub fn events_for_cycle(
         &self,
         cycle: u64,
@@ -189,6 +200,25 @@ mod tests {
         s.events_for_cycle(0, |n| n == only, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].net, only);
+    }
+
+    #[test]
+    fn restriction_keeps_order_and_drops_an_unlisted_clock() {
+        // What a cluster generates for itself is the global stream minus the
+        // nets it does not read: data inputs in `data_inputs` order, then the
+        // two clock edges.
+        let nl = netlist();
+        let s = VectorStimulus::from_netlist(&nl, 10, 9);
+        let (a, b, clk) = (s.data_inputs[0], s.data_inputs[1], s.clock.unwrap());
+        for keep in [vec![clk, b, a], vec![b, clk], vec![a], vec![]] {
+            let mut mine = s.clone();
+            mine.restrict_to(&keep);
+            let (mut all, mut some) = (Vec::new(), Vec::new());
+            s.events_for_cycle(4, |n| keep.contains(&n), &mut all);
+            mine.events_for_cycle(4, |_| true, &mut some);
+            assert_eq!(some, all, "kept {keep:?}");
+            assert_eq!(mine.clock.is_some(), keep.contains(&clk));
+        }
     }
 
     #[test]

@@ -599,7 +599,7 @@ fn merge_results(
 /// decremented only after the published local virtual time reflects the
 /// insertions, keeping GVT samples sound.
 fn take_messages(
-    proc: &mut ClusterProcess<'_, '_>,
+    proc: &mut ClusterProcess<'_>,
     rx: &crossbeam::channel::Receiver<TwMessage>,
     send: &mut impl FnMut(TwMessage),
     shared: &GvtState,
@@ -617,7 +617,7 @@ fn take_messages(
 }
 
 fn worker_loop(
-    proc: &mut ClusterProcess<'_, '_>,
+    proc: &mut ClusterProcess<'_>,
     rx: crossbeam::channel::Receiver<TwMessage>,
     senders: &[crossbeam::channel::Sender<TwMessage>],
     shared: &GvtState,

@@ -12,11 +12,12 @@ use super::checkpoint::{
 };
 use super::{StateSaving, TwMessage};
 use crate::cluster::ClusterPlan;
-use crate::logic::{is_posedge, Logic};
+use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
+use crate::tables::{Epoch, GateTables};
 use crate::wheel::{NetEvent, Timed, TimingWheel, VTime};
-use dvs_verilog::netlist::{Fanout, GateKind, NetId, Netlist};
+use dvs_verilog::netlist::{NetId, Netlist};
 
 /// Where a pending event came from — determines rollback treatment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,17 +92,15 @@ fn ckpt_to_pend(e: &CkptEvent) -> Pend {
     }
 }
 
-/// One cluster's optimistic simulation state.
-pub struct ClusterProcess<'nl, 'p> {
-    nl: &'nl Netlist,
+/// One cluster's optimistic simulation state. The gate side is
+/// partition-local (the tables hold this cluster's gates only); net ids, and
+/// with them `values`, messages and checkpoints, are global.
+pub struct ClusterProcess<'p> {
     me: u32,
-    /// Gate ownership mask.
-    mine: Vec<bool>,
-    /// Per-net export destinations (empty for non-exported nets).
-    export_dests: Vec<&'p [u32]>,
-    /// Per-net: is this one of my stimulus inputs?
-    stim_mask: Vec<bool>,
-    fanout: Fanout,
+    tables: GateTables,
+    /// The plan's exports of this cluster, ascending by net: where the
+    /// output of an `exported` gate goes.
+    exports: &'p [(NetId, Vec<u32>)],
     values: Vec<Logic>,
 
     /// Not-yet-processed events, one bucket per virtual time. Anti-messages
@@ -117,6 +116,7 @@ pub struct ClusterProcess<'nl, 'p> {
     /// Sent messages awaiting fossil collection (for anti-messages).
     outlog: Vec<OutRec>,
 
+    /// The vector source, restricted to this cluster's stimulus inputs.
     stim: VectorStimulus,
     stim_cycle: u64,
     cycles: u64,
@@ -128,37 +128,28 @@ pub struct ClusterProcess<'nl, 'p> {
     stats: SimStats,
 
     // Per-epoch scratch.
-    seen: Vec<u32>,
-    fire: Vec<u32>,
-    stamp: u32,
+    front: Epoch,
     epoch_buf: Vec<Pend>,
-    changed: Vec<(u32, Logic, Logic)>,
-    affected: Vec<u32>,
+    stim_buf: Vec<NetEvent>,
 }
 
-impl<'nl, 'p> ClusterProcess<'nl, 'p> {
+impl<'p> ClusterProcess<'p> {
     pub fn new(
-        nl: &'nl Netlist,
+        nl: &Netlist,
         plan: &'p ClusterPlan,
         me: u32,
-        stim: VectorStimulus,
+        mut stim: VectorStimulus,
         cycles: u64,
         // Unused: kept because `benchmark/src/workloads/probes.rs` passes it.
         _state_saving: StateSaving,
     ) -> Self {
         let cluster = &plan.clusters[me as usize];
-        let mut mine = vec![false; nl.gate_count()];
-        for &g in &cluster.gates {
-            mine[g.idx()] = true;
-        }
-        let mut export_dests: Vec<&'p [u32]> = vec![&[]; nl.net_count()];
-        for (net, dests) in &cluster.exports {
-            export_dests[net.idx()] = dests.as_slice();
-        }
-        let mut stim_mask = vec![false; nl.net_count()];
-        for &n in &cluster.stimulus_nets {
-            stim_mask[n.idx()] = true;
-        }
+        assert!(
+            cluster.exports.windows(2).all(|w| w[0].0 < w[1].0),
+            "exports must ascend by net: `emit` searches them"
+        );
+        stim.restrict_to(&cluster.stimulus_nets);
+        let tables = GateTables::new(nl, &cluster.gates, &cluster.exports);
         let mut values = vec![Logic::Zero; nl.net_count()];
         if let Some(c1) = nl.const1_net {
             values[c1.idx()] = Logic::One;
@@ -169,12 +160,10 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         };
 
         ClusterProcess {
-            nl,
             me,
-            mine,
-            export_dests,
-            stim_mask,
-            fanout: nl.build_fanout(),
+            front: Epoch::new(tables.len()),
+            tables,
+            exports: &cluster.exports,
             values,
             pending: TimingWheel::new(PENDING_HORIZON),
             stray_antis: 0,
@@ -189,12 +178,8 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
             order: 0,
             mseq: 0,
             stats,
-            seen: vec![0; nl.gate_count()],
-            fire: vec![0; nl.gate_count()],
-            stamp: 0,
             epoch_buf: Vec::with_capacity(64),
-            changed: Vec::with_capacity(64),
-            affected: Vec::with_capacity(64),
+            stim_buf: Vec::with_capacity(16),
         }
     }
 
@@ -228,10 +213,10 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     /// identical to the captured process: the pending queue drains by the
     /// preserved `(time, order)` stamps, which are distinct, so how the
     /// queue lays its entries out cannot matter, and the per-epoch scratch
-    /// fields (`seen`/`fire`/`stamp`) start zeroed — they only carry state
+    /// (the [`Epoch`] stamps) starts zeroed — it only carries state
     /// *within* one epoch, and capture happens between epochs.
     pub fn from_checkpoint(
-        nl: &'nl Netlist,
+        nl: &Netlist,
         plan: &'p ClusterPlan,
         stim: VectorStimulus,
         cycles: u64,
@@ -279,7 +264,7 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     /// defects surface as typed [`DeltaError`]s, never panics.
     #[allow(clippy::type_complexity)]
     pub fn from_chain(
-        nl: &'nl Netlist,
+        nl: &Netlist,
         plan: &'p ClusterPlan,
         stim: VectorStimulus,
         cycles: u64,
@@ -352,13 +337,11 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     fn gen_stimulus(&mut self) {
         let cycle = self.stim_cycle;
         self.stim_cycle += 1;
-        let mut buf = Vec::with_capacity(8);
-        let mask = std::mem::take(&mut self.stim_mask);
+        self.stim_buf.clear();
         self.stim
-            .events_for_cycle(cycle, |n| mask[n.idx()], &mut buf);
-        self.stim_mask = mask;
-        for ev in buf {
-            self.push_pending(ev, Source::Stimulus);
+            .events_for_cycle(cycle, |_| true, &mut self.stim_buf);
+        for i in 0..self.stim_buf.len() {
+            self.push_pending(self.stim_buf[i], Source::Stimulus);
         }
     }
 
@@ -366,29 +349,34 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
     /// schedule disagreements at t=1 (exported ones are also sent).
     fn settle(&mut self, send: &mut impl FnMut(TwMessage)) {
         self.settled = true;
-        for gi in 0..self.nl.gates.len() {
-            if !self.mine[gi] || self.nl.gates[gi].kind.is_sequential() {
+        for gi in 0..self.tables.len() as u32 {
+            let gate = self.tables.gate(gi);
+            if gate.kind.is_sequential() {
                 continue;
             }
-            let out_net = self.nl.gates[gi].output;
-            let new = self.eval_comb(gi);
-            if new != self.values[out_net.idx()] {
+            let new = self.tables.eval_comb(gi, &self.values);
+            if new != self.values[gate.out as usize] {
                 let ev = NetEvent {
                     time: 1,
-                    net: out_net,
+                    net: NetId(gate.out),
                     value: new,
                 };
                 // Settling events survive any rollback (environment-like).
                 self.push_pending(ev, Source::Stimulus);
-                self.emit(0, ev, send);
+                if gate.exported {
+                    self.emit(0, ev, send);
+                }
             }
         }
     }
 
-    /// Send `ev` to every remote reader of its net (no-op for local nets).
+    /// Send `ev`, a change of an exported net, to every remote reader.
     fn emit(&mut self, created_at: VTime, ev: NetEvent, send: &mut impl FnMut(TwMessage)) {
-        let dests = self.export_dests[ev.net.idx()];
-        for &d in dests {
+        let exports = self.exports;
+        let at = exports
+            .binary_search_by_key(&ev.net, |e| e.0)
+            .expect("only drivers of `exports` are marked exported");
+        for &d in &exports[at].1 {
             let msg = TwMessage {
                 src: self.me,
                 dst: d,
@@ -514,13 +502,12 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
         }
 
         self.pending.pop_epoch(&mut self.epoch_buf);
-        self.stamp += 1;
         self.last_time = t;
 
-        // Phase 1: apply changes, logging previous values.
-        self.changed.clear();
-        let epoch = std::mem::take(&mut self.epoch_buf);
-        for p in &epoch {
+        // Phases 1 and 2: apply changes, logging previous values, and
+        // collect the owned gates they affect.
+        self.front.begin();
+        for p in &self.epoch_buf {
             self.stats.events += 1;
             let ni = p.ev.net.idx();
             let old = self.values[ni];
@@ -528,112 +515,32 @@ impl<'nl, 'p> ClusterProcess<'nl, 'p> {
                 self.values[ni] = p.ev.value;
                 self.undo.push((t, ni as u32, old));
                 self.stats.net_toggles += 1;
-                self.changed.push((ni as u32, old, p.ev.value));
+                self.front
+                    .net_changed(&self.tables, ni as u32, old, p.ev.value);
             }
         }
-        self.processed.extend(epoch.iter().copied());
-        self.epoch_buf = epoch;
-
-        // Phase 2: affected owned gates.
-        self.affected.clear();
-        let changed = std::mem::take(&mut self.changed);
-        for &(net, old, new) in &changed {
-            for &g in self.fanout.readers(dvs_verilog::netlist::NetId(net)) {
-                if !self.mine[g.idx()] {
-                    continue;
-                }
-                let gate = &self.nl.gates[g.idx()];
-                match gate.kind {
-                    GateKind::Dff => {
-                        if gate.inputs[0].idx() == net as usize && is_posedge(old, new) {
-                            if self.seen[g.idx()] != self.stamp {
-                                self.seen[g.idx()] = self.stamp;
-                                self.affected.push(g.0);
-                            }
-                            self.fire[g.idx()] = self.stamp;
-                        }
-                    }
-                    GateKind::Dffr => {
-                        let is_clk_edge =
-                            gate.inputs[0].idx() == net as usize && is_posedge(old, new);
-                        let is_rst_change = gate.inputs[1].idx() == net as usize;
-                        if is_clk_edge || is_rst_change {
-                            if self.seen[g.idx()] != self.stamp {
-                                self.seen[g.idx()] = self.stamp;
-                                self.affected.push(g.0);
-                            }
-                            if is_clk_edge {
-                                self.fire[g.idx()] = self.stamp;
-                            }
-                        }
-                    }
-                    _ => {
-                        if self.seen[g.idx()] != self.stamp {
-                            self.seen[g.idx()] = self.stamp;
-                            self.affected.push(g.0);
-                        }
-                    }
-                }
-            }
-        }
-        self.changed = changed;
+        self.processed.extend_from_slice(&self.epoch_buf);
 
         // Phase 3: evaluate, schedule, emit.
-        let affected = std::mem::take(&mut self.affected);
-        for &gi in &affected {
-            let gate = &self.nl.gates[gi as usize];
+        for i in 0..self.front.affected().len() {
+            let gi = self.front.affected()[i];
             self.stats.gate_evals += 1;
-            let new_out = match gate.kind {
-                GateKind::Dff => self.values[gate.inputs[1].idx()].input(),
-                GateKind::Dffr => {
-                    if self.values[gate.inputs[1].idx()] == Logic::One {
-                        Logic::Zero
-                    } else if self.fire[gi as usize] == self.stamp {
-                        self.values[gate.inputs[2].idx()].input()
-                    } else {
-                        continue; // reset released without a clock edge
-                    }
-                }
-                GateKind::Latch => {
-                    if self.values[gate.inputs[0].idx()] == Logic::One {
-                        self.values[gate.inputs[1].idx()].input()
-                    } else {
-                        continue;
-                    }
-                }
-                _ => self.eval_comb(gi as usize),
+            let Some(new_out) = self.front.eval(&self.tables, gi, &self.values) else {
+                continue;
             };
-            let out_net = gate.output;
-            if new_out != self.values[out_net.idx()] {
+            let gate = self.tables.gate(gi);
+            if new_out != self.values[gate.out as usize] {
                 let ev = NetEvent {
                     time: t + 1,
-                    net: out_net,
+                    net: NetId(gate.out),
                     value: new_out,
                 };
                 self.push_pending(ev, Source::Local { created_at: t });
-                self.emit(t, ev, send);
+                if gate.exported {
+                    self.emit(t, ev, send);
+                }
             }
         }
-        self.affected = affected;
         true
-    }
-
-    #[inline]
-    fn eval_comb(&self, gi: usize) -> Logic {
-        let g = &self.nl.gates[gi];
-        let it = g.inputs.iter().map(|n| self.values[n.idx()]);
-        match g.kind {
-            GateKind::Buf => self.values[g.inputs[0].idx()].input(),
-            GateKind::Not => self.values[g.inputs[0].idx()].not(),
-            GateKind::Const0 => Logic::Zero,
-            GateKind::Const1 => Logic::One,
-            GateKind::And => it.fold(Logic::One, Logic::and),
-            GateKind::Nand => it.fold(Logic::One, Logic::and).not(),
-            GateKind::Or => it.fold(Logic::Zero, Logic::or),
-            GateKind::Nor => it.fold(Logic::Zero, Logic::or).not(),
-            GateKind::Xor => it.fold(Logic::Zero, Logic::xor),
-            GateKind::Xnor => it.fold(Logic::Zero, Logic::xor).not(),
-            GateKind::Dff | GateKind::Dffr | GateKind::Latch => unreachable!("handled by caller"),
-        }
     }
 }

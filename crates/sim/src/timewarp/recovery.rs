@@ -197,7 +197,7 @@ pub(crate) enum ReplayOp {
 /// or delivered, and re-emitting them would duplicate `(src, seq)`
 /// identities. Shared by the in-proc worker and the process-worker serve
 /// loop.
-pub(crate) fn replay_ops(p: &mut ClusterProcess<'_, '_>, ops: &[ReplayOp]) {
+pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
     let mut suppress = |_m: TwMessage| {};
     for op in ops {
         match *op {

@@ -439,7 +439,7 @@ pub(crate) trait ClusterWorker: Sized {
 // ---------------------------------------------------------------------------
 
 /// The delivery run of [`ClusterWorker::deliver`], stop rule included.
-fn deliver_run(p: &mut ClusterProcess<'_, '_>, msgs: &[TwMessage]) -> Vec<Delivered> {
+fn deliver_run(p: &mut ClusterProcess<'_>, msgs: &[TwMessage]) -> Vec<Delivered> {
     let mut results = Vec::with_capacity(msgs.len());
     let lvt = p.lvt();
     for &m in msgs {
@@ -458,7 +458,7 @@ fn deliver_run(p: &mut ClusterProcess<'_, '_>, msgs: &[TwMessage]) -> Vec<Delive
 /// The worker's half of [`ClusterWorker::gvt_round`]: fossil-collect, then
 /// capture `image` against (and as the next) reference image `prev`.
 fn gvt_capture(
-    p: &mut ClusterProcess<'_, '_>,
+    p: &mut ClusterProcess<'_>,
     prev: &mut Option<Checkpoint>,
     gvt: VTime,
     image: Image,
@@ -494,15 +494,15 @@ fn gvt_capture(
 /// from the bare base; an image that does not decode, or names another
 /// schema or cluster, means the supervisor itself is confused and stays a
 /// protocol failure.
-fn rebuild<'nl, 'p>(
-    nl: &'nl Netlist,
+fn rebuild<'p>(
+    nl: &Netlist,
     plan: &'p ClusterPlan,
     stim: &VectorStimulus,
     cycles: u64,
     base: &Json,
     deltas: &[Json],
     ops: &[ReplayOp],
-) -> Result<(ClusterProcess<'nl, 'p>, Checkpoint), WorkerFailure> {
+) -> Result<(ClusterProcess<'p>, Checkpoint), WorkerFailure> {
     let undecodable = |e: dvs_json::JsonError| WorkerFailure::Protocol { detail: e.msg };
     let base = Checkpoint::from_json(base).map_err(undecodable)?;
     let deltas = deltas
@@ -525,7 +525,7 @@ fn rebuild<'nl, 'p>(
 }
 
 /// The quiescence invariants, asserted where the state lives.
-fn quiescence_asserts(p: &mut ClusterProcess<'_, '_>, me: u32, label: &str) {
+fn quiescence_asserts(p: &mut ClusterProcess<'_>, me: u32, label: &str) {
     assert_eq!(
         p.lvt(),
         VTime::MAX,
@@ -557,7 +557,7 @@ pub(crate) struct InProcWorker<'nl, 'p> {
     check: bool,
     label: String,
     me: u32,
-    proc: Option<ClusterProcess<'nl, 'p>>,
+    proc: Option<ClusterProcess<'p>>,
     /// The previous round's image — the reference for delta captures.
     /// `None` until the first full checkpoint is taken.
     prev: Option<Checkpoint>,
@@ -2912,22 +2912,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `Ok((reply, stop))` answers — and, for `finish`, then hangs up;
 /// `Err(detail)` is a protocol error (typed `error` reply + hang up).
 #[allow(clippy::too_many_arguments)]
-fn dispatch<'nl, 'p>(
+fn dispatch<'p>(
     cmd: &Json,
-    nl: &'nl Netlist,
+    nl: &Netlist,
     plan: &'p ClusterPlan,
     stim: &VectorStimulus,
     cycles: u64,
     check: bool,
     label: &str,
     cluster: u32,
-    proc: &mut Option<ClusterProcess<'nl, 'p>>,
+    proc: &mut Option<ClusterProcess<'p>>,
     selfkill: &mut Option<u64>,
     prev_ckpt: &mut Option<Checkpoint>,
-) -> Result<(Json, bool), String>
-where
-    'nl: 'p,
-{
+) -> Result<(Json, bool), String> {
     let kind = json_kind(cmd)?;
     let after_finish = || format!("command {kind:?} after finish");
     let done = || ObjBuilder::new().str("kind", "done");

@@ -6,6 +6,7 @@ use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig, TwRunResult};
+use dvs_sim::Logic;
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
 
@@ -219,19 +220,174 @@ fn async_reset_across_clusters() {
     }
 }
 
-/// The 6 126-gate decoder of the `decoder_6k_process` workload and its
-/// design-driven k=2 partition.
-fn decoder_6k() -> (Netlist, Vec<u32>) {
-    use dvs_core::multiway::{partition_multiway, MultiwayConfig};
-    use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
+/// The flop and latch paths no benchmark decoder takes (Viterbi has `dff`
+/// only, one clock, no net on two pins of a gate). Period 10: data inputs
+/// change at `t0`, `g`/`x`/`u`/`r1` one tick later, the clock rises at
+/// `t0 + 5` — exactly when `r5`, five buffers behind `r`, changes.
+const FLOP_PINS: &str = r#"
+    module top(clk, a, b, r, q0, q1, q2, q3, q4, q5, q6, q7, q8, q9);
+      input clk, a, b, r;
+      output q0, q1, q2, q3, q4, q5, q6, q7, q8, q9;
+      supply1 vdd;
+      wire g, x, u, r1, r2, r3, r4, r5, nr3;
+      and   ga (g, a, b);
+      xor   gx (x, a, r);
+      xor   gu (u, b, r);
+      buf   b1 (r1, r);
+      buf   b2 (r2, r1);
+      buf   b3 (r3, r2);
+      buf   b4 (r4, r3);
+      buf   b5 (r5, r4);
+      not   nr (nr3, r2);
+      dff   f0 (q0, g, g);
+      dffr  f1 (q1, g, g, vdd);
+      dffr  f2 (q2, clk, x, x);
+      latch l3 (q3, x, x);
+      dffr  f4 (q4, clk, r5, vdd);
+      dffr  f5 (q5, clk, r1, vdd);
+      dff   f6 (q6, clk, u);
+      dff   f7 (q7, nr3, q5);
+      latch l8 (q8, g, x);
+      dff   f9 (q9, r3, q5);
+    endmodule
+"#;
 
-    let src = generate_viterbi(&ViterbiParams {
-        constraint_len: 6,
-        ..ViterbiParams::paper_class()
-    });
+/// What [`FLOP_PINS`] is held to: every gate, every tick, from the previous
+/// tick's values alone — no event queue, no reader lists, no notion of an
+/// affected gate. Runs `cycles` vectors and lets the last one die out.
+fn oblivious_final_values(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -> Vec<Logic> {
+    use dvs_sim::logic::{eval_combinational, is_posedge};
+    use dvs_verilog::netlist::GateKind;
+
+    let mut events = Vec::new();
+    for cycle in 0..cycles {
+        stim.events_for_cycle(cycle, |_| true, &mut events);
+    }
+    let drive = |values: &mut [Logic], t: u64| {
+        for e in events.iter().filter(|e| e.time == t) {
+            values[e.net.idx()] = e.value;
+        }
+    };
+    let mut before = vec![Logic::Zero; nl.net_count()];
+    if let Some(c1) = nl.const1_net {
+        before[c1.idx()] = Logic::One;
+    }
+    let mut now = before.clone();
+    drive(&mut now, 0);
+    for t in 0..stim.end_time(cycles) + 32 {
+        let mut next = now.clone();
+        for g in &nl.gates {
+            let at = |pin: usize| now[g.inputs[pin].idx()];
+            let rose = |pin: usize| is_posedge(before[g.inputs[pin].idx()], at(pin));
+            let hold = now[g.output.idx()];
+            next[g.output.idx()] = match g.kind {
+                GateKind::Dff if rose(0) => at(1),
+                GateKind::Dffr if at(1) == Logic::One => Logic::Zero,
+                GateKind::Dffr if rose(0) => at(2),
+                GateKind::Latch if at(0) == Logic::One => at(1),
+                GateKind::Dff | GateKind::Dffr | GateKind::Latch => hold,
+                kind => {
+                    let ins: Vec<Logic> = g.inputs.iter().map(|n| now[n.idx()]).collect();
+                    eval_combinational(kind, &ins)
+                }
+            };
+        }
+        drive(&mut next, t + 1);
+        before = std::mem::replace(&mut now, next);
+    }
+    now
+}
+
+/// One net on two pins of a flop (`clk` = `d`, `clk` = `rst`, `rst` = `d`,
+/// `en` = `d`), a reset released with the clock edge (`q4` captures at once)
+/// and without one (`q5` holds: `q7`, which samples it two ticks after every
+/// release, never sees a 1) and asserted without one (`q5` clears at once:
+/// neither does `q9`, two ticks after every assertion), and a net whose only
+/// reader is a data pin (`u`): `SeqSim` against the oblivious evaluator on every net after every
+/// vector, then the kernel with every flop cut off from its drivers.
+#[test]
+fn flop_pin_paths_match_an_oblivious_evaluator() {
+    use dvs_sim::timewarp::{SchedulePolicy, Transport};
+    use dvs_verilog::NetId;
+
+    let nl = parse_and_elaborate(FLOP_PINS).unwrap().into_netlist();
+    let net = |name: &str| {
+        let at = nl.nets.iter().position(|n| n.name == format!("top.{name}"));
+        NetId(at.unwrap_or_else(|| panic!("no net `{name}`")) as u32)
+    };
+    let flops_apart: Vec<u32> = nl
+        .gates
+        .iter()
+        .map(|g| g.kind.is_sequential() as u32)
+        .collect();
+    let cycles = 24;
+    let mut released_with_edge = 0;
+    for seed in [21, 22, 23] {
+        let stim = VectorStimulus::from_netlist(&nl, 10, seed);
+        for vectors in 1..=cycles {
+            let mut seq = SeqSim::new(
+                &nl,
+                &SimConfig {
+                    cycles: vectors,
+                    init_zero: true,
+                },
+            );
+            seq.run(&stim, vectors, &mut NullObserver);
+            let want = oblivious_final_values(&nl, &stim, vectors);
+            for (ni, n) in nl.nets.iter().enumerate() {
+                assert_eq!(
+                    seq.value(NetId(ni as u32)),
+                    want[ni],
+                    "net `{}` after vector {vectors}, seed {seed}",
+                    n.name
+                );
+            }
+            assert_eq!(
+                seq.value(net("q7")),
+                Logic::Zero,
+                "q5 moved without an edge"
+            );
+            assert_eq!(seq.value(net("q9")), Logic::Zero, "q5 waited for an edge");
+            let r_at = |cycle: u64| stim.bit(net("r"), cycle);
+            if vectors >= 2 && r_at(vectors - 2) == Logic::One && r_at(vectors - 1) == Logic::Zero {
+                released_with_edge += 1;
+                assert_eq!(seq.value(net("q4")), Logic::One, "edge lost at the release");
+            }
+        }
+        for policy in [SchedulePolicy::RoundRobin, SchedulePolicy::StragglerHeavy] {
+            let cfg = TimeWarpConfig::builder()
+                .transport(Transport::in_proc(seed, policy))
+                .build()
+                .expect("valid config");
+            assert_tw_matches_seq_under(&nl, &flops_apart, 2, cycles, seed, &cfg);
+        }
+        assert_tw_matches_seq(&nl, &flops_apart, 2, cycles, seed);
+        assert_tw_matches_seq(&nl, &round_robin(&nl, 2), 2, cycles, seed);
+    }
+    assert!(
+        released_with_edge >= 6,
+        "the seeds no longer release the reset"
+    );
+}
+
+/// A Viterbi decoder and its design-driven k=2, b=10 partition.
+fn decoder(params: &dvs_workloads::viterbi::ViterbiParams) -> (Netlist, Vec<u32>) {
+    use dvs_core::multiway::{partition_multiway, MultiwayConfig};
+
+    let src = dvs_workloads::viterbi::generate_viterbi(params);
     let nl = parse_and_elaborate(&src).unwrap().into_netlist();
     let part = partition_multiway(&nl, &MultiwayConfig::new(2, 10.0));
     (nl, part.gate_blocks)
+}
+
+/// The 6 126-gate decoder of the `decoder_6k_process` workload.
+fn decoder_6k() -> (Netlist, Vec<u32>) {
+    use dvs_workloads::viterbi::ViterbiParams;
+
+    decoder(&ViterbiParams {
+        constraint_len: 6,
+        ..ViterbiParams::paper_class()
+    })
 }
 
 /// Threads bit-identity at a benchmark shape, where free-running workers
@@ -269,6 +425,68 @@ fn inproc_counters_are_pinned_on_the_6k_decoder() {
         ),
         (1_055_270, 246_346, 429, 19_800, 5_555, 394)
     );
+}
+
+/// The benchmark decoders' flop share at a size tier-1 can afford:
+/// `paper_class()` with a 512-deep survivor memory is 42 958 gates, about
+/// 77 % of them flip-flops on one clock net — the shape of the 1.1 M-gate
+/// decoder. Every number below was recorded with both event loops still
+/// reading the `Netlist` through `Fanout`, so tables that list a reader in
+/// another order, evaluate a gate once more or once less, or miss an export
+/// move them.
+#[test]
+fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
+    use dvs_sim::timewarp::{SchedulePolicy, Transport};
+    use dvs_workloads::viterbi::ViterbiParams;
+
+    let (nl, gate_blocks) = decoder(&ViterbiParams {
+        survivor_depth: 512,
+        ..ViterbiParams::paper_class()
+    });
+    assert_eq!(nl.gate_count(), 42_958);
+    let (cycles, seed) = (50, 1);
+
+    let stim = VectorStimulus::from_netlist(&nl, 10, seed);
+    let mut seq = SeqSim::new(
+        &nl,
+        &SimConfig {
+            cycles,
+            init_zero: true,
+        },
+    );
+    seq.run(&stim, cycles, &mut NullObserver);
+    let s = seq.stats();
+    assert_eq!(
+        (s.events, s.gate_evals, s.net_toggles, s.end_time),
+        (380_060, 2_175_200, 380_014, 520)
+    );
+
+    let cfg = TimeWarpConfig::builder()
+        .transport(Transport::in_proc(2008, SchedulePolicy::RoundRobin))
+        .build()
+        .expect("valid config");
+    let tw = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, cycles, seed, &cfg);
+    let s = &tw.stats;
+    assert_eq!(
+        (
+            s.events,
+            s.rolled_back_events,
+            s.rollbacks,
+            s.messages,
+            s.anti_messages,
+            tw.gvt_rounds
+        ),
+        (383_370, 19, 2, 3_191, 0, 87)
+    );
+    let evals: Vec<u64> = tw.cluster_stats.iter().map(|c| c.gate_evals).collect();
+    assert_eq!(evals, [1_304_800, 887_808]);
+    let canonical = dvs_sim::tw_run_canonical_json(&tw)
+        .emit()
+        .expect("canonical emit");
+    let fnv1a = canonical.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(format!("{fnv1a:016x}"), "234c33e9cf722c05");
 }
 
 /// Acceptance criterion for crash-fault tolerance in Threads mode: a worker

@@ -30,7 +30,7 @@ fn pump_two_clusters<'a>(
     plan: &'a ClusterPlan,
     stim_seed: u64,
     epochs: u32,
-) -> Vec<ClusterProcess<'a, 'a>> {
+) -> Vec<ClusterProcess<'a>> {
     let stim = VectorStimulus::from_netlist(nl, 10, stim_seed);
     let cycles = 30;
     let mut procs: Vec<ClusterProcess> = (0..2)
