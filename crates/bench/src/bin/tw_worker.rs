@@ -10,11 +10,10 @@
 //!   supervisor (retrying refused connections with deterministically
 //!   jittered exponential backoff — seeded from the run token and cluster
 //!   id, so retry schedules are reproducible yet decorrelated across
-//!   workers — until `DVS_TW_CONNECT_MS` elapses) and serve cluster
-//!   `<id>`. The run token
-//!   may also come from `DVS_TW_TOKEN`; it scopes the dial-in to one
-//!   supervisor run, so a stray or stale worker cannot disturb somebody
-//!   else's simulation.
+//!   workers — for the 10 s connect window) and serve cluster `<id>`. The
+//!   run token may also come from `DVS_TW_TOKEN`; it scopes the dial-in to
+//!   one supervisor run, so a stray or stale worker cannot disturb
+//!   somebody else's simulation.
 //!
 //! All simulation state lives here, which is what makes a `SIGKILL` of
 //! this process — or a dropped TCP connection — a true crash-stop fault

@@ -26,21 +26,18 @@
 //!   possible (following the determinism-first argument of Gottesbüren
 //!   et al., *Deterministic Parallel Hypergraph Partitioning*).
 //!
-//! [`FromJson`] implementations reconstruct the full structures, so
-//! downstream tools can round-trip artifacts losslessly; floats round-trip
-//! bit-exactly (shortest-representation formatting on emit).
+//! The flow artifacts are write-only: nothing in the workspace loads one
+//! back into its struct (`bench_gate` compares parsed [`Json`] trees), so
+//! these types have emitters and no readers. The emission itself parses
+//! back to the same tree, floats bit-exactly (shortest-representation
+//! formatting) — `tests/tests/json_roundtrip.rs` holds it to that.
 //!
 //! [`Checkpoint`]: dvs_sim::timewarp::Checkpoint
 
-use crate::json::{
-    uint_array, uint_vec, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION,
-};
+use crate::json::{uint_array, Json, ObjBuilder, ToJson, SCHEMA_VERSION};
 use crate::pipeline::{FlowMetrics, FlowReport, PointCost};
 use crate::presim::{PartitionQuality, PointTiming, PresimPoint};
 use dvs_sim::artifact::cluster_run_core;
-use dvs_sim::cluster_model::ClusterRun;
-use dvs_sim::stats::SimStats;
-use dvs_verilog::stats::DesignStats;
 
 pub use dvs_sim::artifact::tw_run_canonical_json;
 
@@ -55,17 +52,6 @@ impl ToJson for PartitionQuality {
     }
 }
 
-impl FromJson for PartitionQuality {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(PartitionQuality {
-            cut: v.field("cut")?.as_u64()?,
-            max_load: v.field("max_load")?.as_u64()?,
-            min_load: v.field("min_load")?.as_u64()?,
-            balance_violations: v.field("balance_violations")?.as_u64()? as u32,
-        })
-    }
-}
-
 impl ToJson for PointTiming {
     fn to_json(&self) -> Json {
         ObjBuilder::new()
@@ -76,19 +62,6 @@ impl ToJson for PointTiming {
             .uint("flattens", self.flattens as u64)
             .uint("fm_rounds", self.fm_rounds as u64)
             .build()
-    }
-}
-
-impl FromJson for PointTiming {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(PointTiming {
-            partition_seconds: v.field("partition_seconds")?.as_f64()?,
-            cone_seconds: v.field("cone_seconds")?.as_f64()?,
-            refine_seconds: v.field("refine_seconds")?.as_f64()?,
-            simulate_seconds: v.field("simulate_seconds")?.as_f64()?,
-            flattens: v.field("flattens")?.as_usize()?,
-            fm_rounds: v.field("fm_rounds")?.as_usize()?,
-        })
     }
 }
 
@@ -148,56 +121,6 @@ fn presim_point_canonical(p: &PresimPoint) -> Json {
         .build()
 }
 
-impl FromJson for PresimPoint {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let gate_blocks = v
-            .field("gate_blocks")?
-            .as_array()?
-            .iter()
-            .map(|x| Ok(x.as_u64()? as u32))
-            .collect::<Result<Vec<u32>, JsonError>>()?;
-        let timing_v = v.field("timing")?;
-        // Canonical artifacts carry only the deterministic counters of the
-        // timing block; fall back to zero seconds there.
-        let timing = match PointTiming::from_json(timing_v) {
-            Ok(t) => t,
-            Err(_) => PointTiming {
-                flattens: timing_v.field("flattens")?.as_usize()?,
-                fm_rounds: timing_v.field("fm_rounds")?.as_usize()?,
-                ..PointTiming::default()
-            },
-        };
-        Ok(PresimPoint {
-            k: v.field("k")?.as_u64()? as u32,
-            b: v.field("b")?.as_f64()?,
-            cut: v.field("cut")?.as_u64()?,
-            sim_seconds: v.field("sim_seconds")?.as_f64()?,
-            seq_seconds: v.field("seq_seconds")?.as_f64()?,
-            speedup: v.field("speedup")?.as_f64()?,
-            messages: v.field("messages")?.as_u64()?,
-            rollbacks: v.field("rollbacks")?.as_u64()?,
-            machine_messages: uint_vec(v.field("machine_messages")?)?,
-            machine_rollbacks: uint_vec(v.field("machine_rollbacks")?)?,
-            gate_blocks,
-            balanced: v.field("balanced")?.as_bool()?,
-            quality: PartitionQuality::from_json(v.field("quality")?)?,
-            // Absent in artifacts written before the deterministic Time
-            // Warp leg existed; null when the leg was disabled.
-            tw: match v.get("tw") {
-                None | Some(Json::Null) => None,
-                Some(s) => Some(SimStats::from_json(s)?),
-            },
-            // Same treatment for the crash-injected leg, which artifacts
-            // written before crash-fault tolerance existed do not carry.
-            tw_crash: match v.get("tw_crash") {
-                None | Some(Json::Null) => None,
-                Some(s) => Some(SimStats::from_json(s)?),
-            },
-            timing,
-        })
-    }
-}
-
 impl ToJson for PointCost {
     fn to_json(&self) -> Json {
         ObjBuilder::new()
@@ -205,16 +128,6 @@ impl ToJson for PointCost {
             .float("b", self.b)
             .float("seconds", self.seconds)
             .build()
-    }
-}
-
-impl FromJson for PointCost {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(PointCost {
-            k: v.field("k")?.as_u64()? as u32,
-            b: v.field("b")?.as_f64()?,
-            seconds: v.field("seconds")?.as_f64()?,
-        })
     }
 }
 
@@ -236,29 +149,6 @@ impl ToJson for FlowMetrics {
             .uint("presim_runs", self.presim_runs)
             .uint("search_workers", self.search_workers as u64)
             .build()
-    }
-}
-
-impl FromJson for FlowMetrics {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FlowMetrics {
-            parse_elaborate_seconds: v.field("parse_elaborate_seconds")?.as_f64()?,
-            cone_partition_seconds: v.field("cone_partition_seconds")?.as_f64()?,
-            pairwise_refine_seconds: v.field("pairwise_refine_seconds")?.as_f64()?,
-            point_costs: v
-                .field("point_costs")?
-                .as_array()?
-                .iter()
-                .map(PointCost::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            search_seconds: v.field("search_seconds")?.as_f64()?,
-            full_run_seconds: v.field("full_run_seconds")?.as_f64()?,
-            total_seconds: v.field("total_seconds")?.as_f64()?,
-            flatten_events: v.field("flatten_events")?.as_u64()?,
-            fm_passes: v.field("fm_passes")?.as_u64()?,
-            presim_runs: v.field("presim_runs")?.as_u64()?,
-            search_workers: v.field("search_workers")?.as_usize()?,
-        })
     }
 }
 
@@ -295,48 +185,6 @@ impl ToJson for FlowReport {
     }
 }
 
-impl FromJson for FlowReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let version = v.field("schema_version")?.as_i64()?;
-        if version != SCHEMA_VERSION {
-            return Err(JsonError::new(format!(
-                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            )));
-        }
-        let kind = v.field("kind")?.as_str()?;
-        if kind != "flow_report" {
-            return Err(JsonError::new(format!(
-                "expected kind `flow_report`, got `{kind}`"
-            )));
-        }
-        Ok(FlowReport {
-            design: DesignStats::from_json(v.field("design")?)?,
-            presim_points: v
-                .field("presim_points")?
-                .as_array()?
-                .iter()
-                .map(PresimPoint::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            chosen: PresimPoint::from_json(v.field("chosen")?)?,
-            presim_runs: v.field("presim_runs")?.as_usize()?,
-            full: ClusterRun::from_json(v.field("full")?)?,
-            full_speedup: v.field("full_speedup")?.as_f64()?,
-            metrics: match v.get("metrics") {
-                Some(m) => FlowMetrics::from_json(m).or_else(|_| {
-                    // Canonical artifacts carry only the counter subset.
-                    Ok::<FlowMetrics, JsonError>(FlowMetrics {
-                        flatten_events: m.field("flatten_events")?.as_u64()?,
-                        fm_passes: m.field("fm_passes")?.as_u64()?,
-                        presim_runs: m.field("presim_runs")?.as_u64()?,
-                        ..FlowMetrics::default()
-                    })
-                })?,
-                None => FlowMetrics::default(),
-            },
-        })
-    }
-}
-
 impl FlowReport {
     /// The **deterministic** artifact of this run: counters, modeled
     /// times, partitions and design statistics — no host wall-clock
@@ -359,81 +207,5 @@ impl FlowReport {
             .float("full_speedup", self.full_speedup)
             .field("metrics", metrics_canonical(&self.metrics))
             .build()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_stats() -> SimStats {
-        SimStats {
-            events: 101,
-            gate_evals: 99,
-            net_toggles: 55,
-            cycles: 40,
-            end_time: 400,
-            messages: 12,
-            anti_messages: 3,
-            rollbacks: 2,
-            rolled_back_events: 7,
-            gvt_rounds: 9,
-            fossil_collected: 88,
-        }
-    }
-
-    #[test]
-    fn partition_quality_round_trips() {
-        let q = PartitionQuality {
-            cut: 263,
-            max_load: 6200,
-            min_load: 6038,
-            balance_violations: 1,
-        };
-        let back = PartitionQuality::from_json(&Json::parse(&q.to_json().emit().unwrap()).unwrap())
-            .unwrap();
-        assert_eq!(back, q);
-    }
-
-    #[test]
-    fn presim_point_tw_field_round_trips_and_tolerates_absence() {
-        let point = PresimPoint {
-            k: 2,
-            b: 10.0,
-            cut: 5,
-            sim_seconds: 0.5,
-            seq_seconds: 1.0,
-            speedup: 2.0,
-            messages: 40,
-            rollbacks: 4,
-            machine_messages: vec![20, 20],
-            machine_rollbacks: vec![2, 2],
-            gate_blocks: vec![0, 1, 0, 1],
-            balanced: true,
-            quality: PartitionQuality::default(),
-            tw: Some(sample_stats()),
-            tw_crash: Some(sample_stats()),
-            timing: PointTiming::default(),
-        };
-        let text = point.to_json().emit().unwrap();
-        let back = PresimPoint::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.tw.as_ref(), Some(&sample_stats()));
-        assert_eq!(back.tw_crash.as_ref(), Some(&sample_stats()));
-
-        // Artifacts from before the deterministic leg existed have no
-        // `tw` key at all; a disabled leg serializes as null. Both read
-        // back as None.
-        let mut v = point.to_json();
-        if let Json::Object(members) = &mut v {
-            members.retain(|(k, _)| k != "tw");
-        }
-        assert!(PresimPoint::from_json(&v).unwrap().tw.is_none());
-        let disabled = PresimPoint { tw: None, ..point };
-        let text = disabled.to_json().emit().unwrap();
-        assert!(text.contains("\"tw\":null"));
-        assert!(PresimPoint::from_json(&Json::parse(&text).unwrap())
-            .unwrap()
-            .tw
-            .is_none());
     }
 }

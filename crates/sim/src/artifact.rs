@@ -99,15 +99,6 @@ impl ToJson for RunTiming {
     }
 }
 
-impl FromJson for RunTiming {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RunTiming {
-            profile_seconds: v.field("profile_seconds")?.as_f64()?,
-            model_seconds: v.field("model_seconds")?.as_f64()?,
-        })
-    }
-}
-
 /// The deterministic portion of a [`ClusterRun`] (everything except the
 /// host-side [`RunTiming`]). Public so `dvs_core::artifact` can assemble
 /// the canonical flow report from it.
@@ -130,26 +121,6 @@ impl ToJson for ClusterRun {
     }
 }
 
-impl FromJson for ClusterRun {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ClusterRun {
-            stats: SimStats::from_json(v.field("stats")?)?,
-            wall_seconds: v.field("wall_seconds")?.as_f64()?,
-            seq_seconds: v.field("seq_seconds")?.as_f64()?,
-            speedup: v.field("speedup")?.as_f64()?,
-            machine_events: uint_vec(v.field("machine_events")?)?,
-            machine_rollbacks: uint_vec(v.field("machine_rollbacks")?)?,
-            machine_messages: uint_vec(v.field("machine_messages")?)?,
-            // Host timings default to zero when an artifact omits them
-            // (canonical artifacts carry no host measurements).
-            timing: match v.get("timing") {
-                Some(t) => RunTiming::from_json(t)?,
-                None => RunTiming::default(),
-            },
-        })
-    }
-}
-
 impl ToJson for RecoveryOutcome {
     fn to_json(&self) -> Json {
         ObjBuilder::new()
@@ -169,32 +140,6 @@ impl ToJson for RecoveryOutcome {
             .uint("frames_sent", self.frames_sent)
             .bool("degraded", self.degraded)
             .build()
-    }
-}
-
-impl FromJson for RecoveryOutcome {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // Byte counters (and the victim list) are absent in artifacts
-        // written before they existed; they read back as zero/empty.
-        let opt_uint =
-            |key: &str| -> Result<u64, JsonError> { v.get(key).map_or(Ok(0), |f| f.as_u64()) };
-        Ok(RecoveryOutcome {
-            crashes: v.field("crashes")?.as_u64()? as u32,
-            restarts: v.field("restarts")?.as_u64()? as u32,
-            replayed_ops: v.field("replayed_ops")?.as_u64()?,
-            victims: match v.get("victims") {
-                Some(a) => uint_vec(a)?.into_iter().map(|c| c as u32).collect(),
-                None => Vec::new(),
-            },
-            checkpoint_bytes_full: opt_uint("checkpoint_bytes_full")?,
-            checkpoint_bytes_delta: opt_uint("checkpoint_bytes_delta")?,
-            corrupt_frames: opt_uint("corrupt_frames")?,
-            heartbeats_missed: opt_uint("heartbeats_missed")?,
-            chaos_faults_injected: opt_uint("chaos_faults_injected")?,
-            messages_sent: opt_uint("messages_sent")?,
-            frames_sent: opt_uint("frames_sent")?,
-            degraded: v.field("degraded")?.as_bool()?,
-        })
     }
 }
 
@@ -820,43 +765,6 @@ mod tests {
         }
         let err = SimStats::from_json(&v).unwrap_err();
         assert!(err.msg.contains("rollbacks"), "{err}");
-    }
-
-    #[test]
-    fn recovery_outcome_round_trips_and_tolerates_missing_victims() {
-        let r = RecoveryOutcome {
-            crashes: 3,
-            restarts: 2,
-            replayed_ops: 17,
-            victims: vec![1, 1, 0],
-            checkpoint_bytes_full: 4096,
-            checkpoint_bytes_delta: 512,
-            corrupt_frames: 2,
-            heartbeats_missed: 30,
-            chaos_faults_injected: 1,
-            // Two counters, not one written twice: a frame carries a
-            // delivery run, so the fields must not be swapped or merged.
-            messages_sent: 4111,
-            frames_sent: 1069,
-            degraded: false,
-        };
-        let text = r.to_json().emit().unwrap();
-        let back = RecoveryOutcome::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!((back.messages_sent, back.frames_sent), (4111, 1069));
-
-        // Artifacts written before the victim list existed have no
-        // `victims` key; they read back with an empty list. Likewise the
-        // message counters read back as zero when absent.
-        let mut v = r.to_json();
-        if let Json::Object(members) = &mut v {
-            members.retain(|(k, _)| k != "victims" && k != "frames_sent");
-        }
-        let back = RecoveryOutcome::from_json(&v).unwrap();
-        assert!(back.victims.is_empty());
-        assert_eq!(back.frames_sent, 0);
-        assert_eq!(back.messages_sent, 4111);
-        assert_eq!(back.crashes, 3);
     }
 
     fn sample_delta() -> CheckpointDelta {

@@ -26,7 +26,7 @@
 //! stall/partition suppression heals on reconnect — a healed link is a
 //! *new* link.
 
-use super::wire::{WireStream, FRAME_HEADER, MAX_FRAME};
+use super::wire::{Duplex, WireStream, FRAME_HEADER, MAX_FRAME};
 use std::cell::RefCell;
 use std::io::{self, Read, Write};
 use std::rc::Rc;
@@ -269,6 +269,11 @@ pub(crate) struct ChaosStream {
 impl ChaosStream {
     pub fn new(inner: WireStream, state: Rc<RefCell<ClusterChaos>>) -> ChaosStream {
         state.borrow_mut().heal();
+        ChaosStream::on(inner, state)
+    }
+
+    /// The shim with nothing buffered, suppression left as it is.
+    fn on(inner: WireStream, state: Rc<RefCell<ClusterChaos>>) -> ChaosStream {
         ChaosStream {
             inner,
             state,
@@ -278,26 +283,6 @@ impl ChaosStream {
             out_pos: 0,
             dead: false,
         }
-    }
-
-    pub fn try_clone(&self) -> io::Result<ChaosStream> {
-        Ok(ChaosStream {
-            inner: self.inner.try_clone()?,
-            state: Rc::clone(&self.state),
-            rd_buf: Vec::new(),
-            rd_need: None,
-            out: Vec::new(),
-            out_pos: 0,
-            dead: false,
-        })
-    }
-
-    pub fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.inner.set_read_timeout(d)
-    }
-
-    pub fn shutdown_both(&self) {
-        self.inner.shutdown_both();
     }
 
     /// Pull bytes of the current in-flight frame from the inner stream.
@@ -358,6 +343,21 @@ impl ChaosStream {
             self.out_pos = 0;
         }
         n
+    }
+}
+
+impl Duplex for ChaosStream {
+    fn try_clone(&self) -> io::Result<WireStream> {
+        let inner = self.inner.try_clone()?;
+        Ok(Box::new(ChaosStream::on(inner, Rc::clone(&self.state))))
+    }
+
+    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+        self.inner.set_read_timeout(d)
+    }
+
+    fn shutdown_both(&self) {
+        self.inner.shutdown_both();
     }
 }
 
@@ -536,15 +536,13 @@ mod tests {
     use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
 
-    fn tcp_pair() -> (WireStream, WireStream) {
+    /// The supervisor's end boxed for the shim, the worker's end plain.
+    fn tcp_pair() -> (WireStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let dial = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
         let (accepted, _) = listener.accept().expect("accept");
-        (
-            WireStream::Tcp(accepted),
-            WireStream::Tcp(dial.join().expect("dial")),
-        )
+        (Box::new(accepted), dial.join().expect("dial"))
     }
 
     fn plan_state(faults: Vec<NetFault>) -> Rc<RefCell<ClusterChaos>> {

@@ -14,8 +14,8 @@ pub enum TimeWarpError {
     /// scheduling decisions (deterministic executor) or idle scheduling
     /// quanta (threaded executor). A healthy run always advances GVT —
     /// the optimism window throttles every cluster to `GVT + window`, so
-    /// unbounded work without GVT progress means the protocol is wedged
-    /// (or [`super::TimeWarpConfig::stall_limit`] is set far too low).
+    /// five million of them without GVT progress (the fixed limit) means
+    /// the protocol is wedged.
     Stalled {
         /// GVT value the run was stuck at.
         gvt: VTime,
@@ -47,10 +47,10 @@ pub enum TimeWarpError {
         detail: String,
     },
     /// A worker stopped responding: no frame arrived within the read
-    /// timeout (the `io_timeout` builder knob). On the Unix transport a
-    /// wedged local worker is not crash-stop (its state may still
-    /// mutate), so the run fails instead of attempting recovery — this is
-    /// the process-transport arm of the stall watchdog. Over TCP this error is reserved for the
+    /// timeout (30 s, fixed). On the Unix transport a wedged local worker
+    /// is not crash-stop (its state may still mutate), so the run fails
+    /// instead of attempting recovery — this is the process-transport arm
+    /// of the stall watchdog. Over TCP this error is reserved for the
     /// spawn/handshake phase (before the first checkpoint exists); once a
     /// run is underway, post-handshake silence is heartbeat-probed
     /// (`heartbeat_interval` / `heartbeat_budget`) and an exhausted

@@ -127,21 +127,6 @@ pub struct TimeWarpConfig {
     /// thread interleaving — and therefore rollback/message counts —
     /// varies. `None` (the default) injects nothing.
     pub thread_jitter: Option<u64>,
-    /// Livelock watchdog: if GVT makes no progress for this many scheduling
-    /// decisions (deterministic executor) or idle scheduling quanta
-    /// (threaded executor), the run fails with
-    /// [`TimeWarpError::Stalled`] instead of hanging. `0` disables the
-    /// watchdog.
-    pub stall_limit: u64,
-    /// Per-command read timeout for the wire transports. On the Unix
-    /// transport this bounds every response wait outright; over TCP the
-    /// heartbeat loop bounds silence instead (see
-    /// [`TimeWarpConfig::heartbeat_interval`]) and this bounds the
-    /// handshake. Default 30 s.
-    pub io_timeout: std::time::Duration,
-    /// How long a worker gets to (re)connect — process spawn plus the
-    /// broker accept window on TCP. Default 10 s.
-    pub connect_timeout: std::time::Duration,
     /// TCP heartbeat idle interval: when a response is this late, the
     /// supervisor counts a missed beat and probes the worker with a
     /// `ping`. Default 1 s.
@@ -178,9 +163,6 @@ impl Default for TimeWarpConfig {
             fault: FaultPlan::default(),
             checkpoint_cadence: CheckpointCadence::default(),
             thread_jitter: None,
-            stall_limit: 5_000_000,
-            io_timeout: std::time::Duration::from_millis(DEFAULT_IO_TIMEOUT_MS),
-            connect_timeout: std::time::Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS),
             heartbeat_interval: std::time::Duration::from_millis(DEFAULT_HEARTBEAT_MS),
             heartbeat_budget: DEFAULT_HEARTBEAT_BUDGET,
             chaos: None,
@@ -188,8 +170,12 @@ impl Default for TimeWarpConfig {
     }
 }
 
-const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
-const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 10_000;
+/// Livelock watchdog: when GVT makes no progress for this many scheduling
+/// decisions (deterministic executor) or idle scheduling quanta (threaded
+/// executor), the run fails with [`TimeWarpError::Stalled`] instead of
+/// hanging.
+pub(crate) const STALL_LIMIT: u64 = 5_000_000;
+
 const DEFAULT_HEARTBEAT_MS: u64 = 1_000;
 const DEFAULT_HEARTBEAT_BUDGET: u32 = 30;
 
@@ -272,24 +258,6 @@ impl TimeWarpBuilder {
         self
     }
 
-    /// Livelock watchdog threshold (`0` disables it).
-    pub fn stall_limit(mut self, stall_limit: u64) -> Self {
-        self.cfg.stall_limit = stall_limit;
-        self
-    }
-
-    /// Per-command read timeout for the wire transports.
-    pub fn io_timeout(mut self, d: std::time::Duration) -> Self {
-        self.cfg.io_timeout = d;
-        self
-    }
-
-    /// Worker (re)connect window for the wire transports.
-    pub fn connect_timeout(mut self, d: std::time::Duration) -> Self {
-        self.cfg.connect_timeout = d;
-        self
-    }
-
     /// TCP heartbeat idle interval.
     pub fn heartbeat_interval(mut self, d: std::time::Duration) -> Self {
         self.cfg.heartbeat_interval = d;
@@ -330,6 +298,9 @@ impl TimeWarpBuilder {
         }
         if self.cfg.heartbeat_budget == 0 {
             return Err(invalid("heartbeat budget must be at least 1 missed beat"));
+        }
+        if self.cfg.heartbeat_interval.is_zero() {
+            return Err(invalid("heartbeat interval must be longer than zero"));
         }
         Ok(self.cfg)
     }
@@ -381,28 +352,9 @@ pub fn run_timewarp(
             schedule,
             cfg!(debug_assertions),
         ),
-        Transport::Process {
-            seed,
-            schedule,
-            worker,
-        } => transport::run_process(
-            nl,
-            plan,
-            stim,
-            cycles,
-            cfg,
-            *seed,
-            schedule,
-            worker.as_deref(),
-        ),
-        Transport::Tcp {
-            seed,
-            schedule,
-            listen,
-            workers,
-        } => transport::run_tcp(
-            nl, plan, stim, cycles, cfg, *seed, schedule, listen, workers,
-        ),
+        Transport::Process { .. } | Transport::Tcp { .. } => {
+            transport::run_wire(nl, plan, stim, cycles, cfg)
+        }
     }
 }
 
@@ -533,7 +485,7 @@ fn run_threads_once(
     if shared.stalled.load(Ordering::SeqCst) {
         return ThreadsAttempt::Stalled {
             gvt: shared.gvt.load(Ordering::SeqCst),
-            idle: cfg.stall_limit,
+            idle: STALL_LIMIT,
         };
     }
     if results.iter().any(Option::is_none) || shared.abort.load(Ordering::SeqCst) {
@@ -711,7 +663,7 @@ fn worker_loop(
             }
             if !worked {
                 idle_spins += 1;
-                if cfg.stall_limit > 0 && idle_spins >= cfg.stall_limit {
+                if idle_spins >= STALL_LIMIT {
                     shared.stalled.store(true, Ordering::SeqCst);
                     shared.abort.store(true, Ordering::SeqCst);
                     break;
@@ -722,5 +674,38 @@ fn worker_loop(
         if worked {
             idle_spins = 0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// Every configuration `build` rejects, each for its own reason.
+    #[test]
+    fn build_rejects_each_invalid_setting_with_its_reason() {
+        let b = TimeWarpConfig::builder;
+        let no_listen = Transport::tcp_external(1, SchedulePolicy::RoundRobin, "");
+        let rejected = [
+            (b().epochs_per_quantum(0), "epochs_per_quantum"),
+            (b().gvt_interval(0), "gvt_interval"),
+            (
+                b().checkpoint_cadence(CheckpointCadence { every_n_rounds: 0 }),
+                "checkpoint cadence",
+            ),
+            (b().heartbeat_budget(0), "heartbeat budget"),
+            (b().transport(no_listen), "listen address"),
+            (b().heartbeat_interval(Duration::ZERO), "heartbeat interval"),
+        ];
+        for (builder, why) in rejected {
+            match builder.build() {
+                Err(TimeWarpError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(why), "{why}: rejected with {reason:?}")
+                }
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+        b().build().expect("the defaults are valid");
     }
 }

@@ -213,7 +213,7 @@ impl<'p> ClusterProcess<'p> {
     /// identical to the captured process: the pending queue drains by the
     /// preserved `(time, order)` stamps, which are distinct, so how the
     /// queue lays its entries out cannot matter, and the per-epoch scratch
-    /// (the [`Epoch`] stamps) starts zeroed — it only carries state
+    /// (the `Epoch` stamps) starts zeroed — it only carries state
     /// *within* one epoch, and capture happens between epochs.
     pub fn from_checkpoint(
         nl: &Netlist,

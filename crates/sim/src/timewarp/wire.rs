@@ -15,7 +15,7 @@
 //! frame in each direction must be parseable by *any* protocol version so
 //! that an old peer is rejected by version negotiation
 //! ([`super::transport`] maps it to a typed `VersionMismatch`) rather than
-//! by a framing error it cannot diagnose. `WireStream` is the small
+//! by a framing error it cannot diagnose. `Duplex` is the small
 //! abstraction that lets one supervisor/worker implementation run over
 //! either a Unix-domain socket (same-host, per-cluster socket paths) or a
 //! TCP connection (any host, one shared listener the workers dial).
@@ -368,75 +368,40 @@ impl<R: Read> FrameSource<R> {
     }
 }
 
-/// A duplex byte stream the wire protocol can run over. Both variants are
-/// used identically: blocking reads under a read timeout, whole-frame
-/// buffered writes. TCP additionally disables Nagle's algorithm — every
-/// frame is a full command or response, so coalescing only adds latency
-/// to the supervisor's round-trips.
-#[derive(Debug)]
-pub(crate) enum WireStream {
-    /// Same-host stream: one Unix-domain socket per cluster.
-    Unix(UnixStream),
-    /// Cross-host stream: a connection accepted from (or dialed to) the
-    /// supervisor's shared TCP listener.
-    Tcp(TcpStream),
-}
-
-impl WireStream {
-    pub fn try_clone(&self) -> io::Result<WireStream> {
-        match self {
-            WireStream::Unix(s) => s.try_clone().map(WireStream::Unix),
-            WireStream::Tcp(s) => s.try_clone().map(WireStream::Tcp),
-        }
-    }
-
-    pub fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.set_read_timeout(d),
-            WireStream::Tcp(s) => s.set_read_timeout(d),
-        }
-    }
-
+/// A duplex byte stream the wire protocol can run over: a Unix-domain
+/// socket (same host, one per cluster), a TCP connection (any host, dialed
+/// to the supervisor's shared listener — Nagle's algorithm off, every frame
+/// is a whole command or response), or either behind the fault-injection
+/// shim of [`super::chaos`]. All are used identically: blocking reads under
+/// a read timeout, whole-frame buffered writes.
+pub(crate) trait Duplex: Read + Write + std::fmt::Debug {
+    fn try_clone(&self) -> io::Result<WireStream>;
+    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()>;
     /// Abruptly tear the connection down in both directions. Used when the
     /// supervisor declares a silent or reset peer dead: any bytes still in
     /// flight are discarded and the peer observes EOF/EPIPE — the same
     /// crash-stop signal a killed process produces.
-    pub fn shutdown_both(&self) {
-        match self {
-            WireStream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
+    fn shutdown_both(&self);
+}
+
+pub(crate) type WireStream = Box<dyn Duplex>;
+
+macro_rules! socket_duplex {
+    ($($socket:ty),*) => {$(
+        impl Duplex for $socket {
+            fn try_clone(&self) -> io::Result<WireStream> {
+                Ok(Box::new(<$socket>::try_clone(self)?))
             }
-            WireStream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
+            fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+                <$socket>::set_read_timeout(self, d)
+            }
+            fn shutdown_both(&self) {
+                let _ = self.shutdown(Shutdown::Both);
             }
         }
-    }
+    )*};
 }
-
-impl Read for WireStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Unix(s) => s.read(buf),
-            WireStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for WireStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Unix(s) => s.write(buf),
-            WireStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.flush(),
-            WireStream::Tcp(s) => s.flush(),
-        }
-    }
-}
+socket_duplex!(UnixStream, TcpStream);
 
 /// Write one legacy `u32`-LE length-prefixed frame — the version-2 framing,
 /// kept **only** for the `hello` exchange. The first frame in each
@@ -903,12 +868,13 @@ mod tests {
             s.write_all(&evil).expect("write");
         });
         let (conn, _) = listener.accept().expect("accept");
-        let mut src = FrameSource::new(io::BufReader::new(WireStream::Tcp(conn)));
+        let conn: WireStream = Box::new(conn);
+        let mut src = FrameSource::new(io::BufReader::new(conn));
         assert!(matches!(src.recv(), Err(WireError::Oversize(_))));
         sender.join().expect("sender");
     }
 
-    /// Checksummed frames round-trip over a `WireStream::Tcp` pair exactly
+    /// Checksummed frames round-trip over a boxed TCP [`Duplex`] pair exactly
     /// as over the in-memory cursor used by the tests above; the legacy
     /// hello framing shares the stream.
     #[test]
@@ -916,13 +882,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let sender = std::thread::spawn(move || {
-            let mut s = WireStream::Tcp(TcpStream::connect(addr).expect("connect"));
+            let mut s: WireStream = Box::new(TcpStream::connect(addr).expect("connect"));
             send_json(&mut s, &hello_json("tok-1", Some(3))).expect("send hello");
             let mut sink = FrameSink::new(s);
             sink.send(b"{\"kind\":\"step\"}").expect("send command");
         });
         let (conn, _) = listener.accept().expect("accept");
-        let mut r = io::BufReader::new(WireStream::Tcp(conn));
+        let conn: WireStream = Box::new(conn);
+        let mut r = io::BufReader::new(conn);
         let bytes = read_frame(&mut r).expect("read").expect("one frame");
         let hello = hello_parse(&parse_json(&bytes).expect("parse")).expect("hello");
         assert_eq!(hello.versions(), (WIRE_VERSION, CHECKPOINT_SCHEMA));

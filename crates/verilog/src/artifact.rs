@@ -5,9 +5,8 @@
 //! the shared [`dvs_json`] traits be implemented next to the type. The
 //! flow-level artifact assembly stays in `dvs_core::artifact`.
 
-use crate::netlist::GateKind;
 use crate::stats::DesignStats;
-use dvs_json::{FromJson, Json, JsonError, ObjBuilder, ToJson};
+use dvs_json::{Json, ObjBuilder, ToJson};
 
 impl ToJson for DesignStats {
     fn to_json(&self) -> Json {
@@ -42,51 +41,5 @@ impl ToJson for DesignStats {
                 },
             )
             .build()
-    }
-}
-
-impl FromJson for DesignStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut gates_by_kind = Vec::new();
-        for (name, n) in v.field("gates_by_kind")?.as_object()? {
-            let kind = GateKind::from_name(name)
-                .ok_or_else(|| JsonError::new(format!("unknown gate kind `{name}`")))?;
-            gates_by_kind.push((kind.name(), n.as_usize()?));
-        }
-        Ok(DesignStats {
-            module_defs: v.field("module_defs")?.as_usize()?,
-            instances: v.field("instances")?.as_usize()?,
-            max_depth: v.field("max_depth")?.as_u64()? as u32,
-            gates: v.field("gates")?.as_usize()?,
-            nets: v.field("nets")?.as_usize()?,
-            primary_inputs: v.field("primary_inputs")?.as_usize()?,
-            primary_outputs: v.field("primary_outputs")?.as_usize()?,
-            gates_by_kind,
-            sequential_gates: v.field("sequential_gates")?.as_usize()?,
-            max_fanout: v.field("max_fanout")?.as_usize()?,
-            mean_fanout: v.field("mean_fanout")?.as_f64()?,
-            logic_depth: match v.field("logic_depth")? {
-                Json::Null => None,
-                d => Some(d.as_u64()? as u32),
-            },
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unknown_gate_kind_is_rejected() {
-        let v = Json::parse(
-            r#"{"module_defs":1,"instances":0,"max_depth":0,"gates":1,"nets":1,
-                "primary_inputs":1,"primary_outputs":1,
-                "gates_by_kind":{"tribuf":1},"sequential_gates":0,
-                "max_fanout":1,"mean_fanout":1.0,"logic_depth":1}"#,
-        )
-        .unwrap();
-        let err = DesignStats::from_json(&v).unwrap_err();
-        assert!(err.msg.contains("tribuf"), "{err}");
     }
 }

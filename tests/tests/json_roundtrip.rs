@@ -1,11 +1,13 @@
 //! Cross-crate artifact round-trips: a real `FlowReport` (produced by a
-//! real flow run) and Time Warp `SimStats` survive
-//! serialize → parse → deserialize → serialize with byte-identical text,
-//! and the emitter's string escaping holds up on hostile content.
+//! real flow run) survives emit → parse → emit as the same tree and the
+//! same bytes, Time Warp `SimStats` — which the wire does read back —
+//! survive serialize → parse → deserialize exactly, and the emitter's
+//! string escaping holds up on hostile content.
 
 use dvs_core::json::{FromJson, Json, ToJson};
 use dvs_core::{FlowBuilder, FlowReport, Parallelism, Search};
 use dvs_sim::stats::SimStats;
+use dvs_sim::timewarp::RecoveryOutcome;
 use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
 
 fn small_report() -> FlowReport {
@@ -26,42 +28,65 @@ fn small_report() -> FlowReport {
         .expect("flow runs")
 }
 
-#[test]
-fn flow_report_round_trips_byte_identically() {
-    let report = small_report();
-    let first = report.to_json().emit().expect("emit");
+/// An emitted artifact parses back to the tree it was emitted from, and
+/// that tree emits the same bytes again — all a consumer of the write-only
+/// flow artifacts (`bench_gate` compares parsed trees) relies on.
+fn assert_text_round_trips(tree: &Json) {
+    let first = tree.emit().expect("emit");
     let parsed = Json::parse(&first).expect("parse");
-    let back = FlowReport::from_json(&parsed).expect("deserialize");
-    let second = back.to_json().emit().expect("re-emit");
-    assert_eq!(first, second);
-
-    // Spot-check the reconstruction is semantic, not just textual.
-    assert_eq!(back.chosen.k, report.chosen.k);
-    assert_eq!(back.chosen.gate_blocks, report.chosen.gate_blocks);
-    assert_eq!(back.chosen.quality, report.chosen.quality);
-    assert_eq!(back.full.stats, report.full.stats);
-    assert_eq!(back.design.gates, report.design.gates);
-    assert_eq!(
-        back.metrics.total_seconds.to_bits(),
-        report.metrics.total_seconds.to_bits()
-    );
+    assert_eq!(&parsed, tree);
+    assert_eq!(parsed.emit().expect("re-emit"), first);
 }
 
 #[test]
-fn canonical_artifact_round_trips_through_from_json() {
-    // The canonical view drops host times and the worker count but is
-    // still a loadable flow report (missing pieces default to zero).
+fn flow_report_round_trips_byte_identically() {
     let report = small_report();
-    let text = report.canonical_json().emit().expect("emit");
-    let back = FlowReport::from_json(&Json::parse(&text).expect("parse")).expect("load");
-    assert_eq!(back.chosen.cut, report.chosen.cut);
-    assert_eq!(back.full.stats, report.full.stats);
-    assert_eq!(back.metrics.fm_passes, report.metrics.fm_passes);
-    assert_eq!(back.metrics.search_workers, 0);
-    assert_eq!(back.full.timing.profile_seconds, 0.0);
-    // Re-emitting the canonical view of the reconstruction reproduces the
-    // exact artifact.
-    assert_eq!(back.canonical_json().emit().expect("re-emit"), text);
+    let tree = report.to_json();
+    assert_text_round_trips(&tree);
+    // The canonical view drops host times and the worker count.
+    let canonical = report.canonical_json();
+    assert_text_round_trips(&canonical);
+    let metrics = canonical.field("metrics").expect("metrics");
+    assert!(metrics.get("total_seconds").is_none() && metrics.get("search_workers").is_none());
+
+    // Spot-check that the tree says what the report says.
+    let uint = |v: &Json, key: &str| v.field(key).and_then(Json::as_u64).expect(key);
+    let chosen = tree.field("chosen").expect("chosen");
+    assert_eq!(uint(chosen, "k"), u64::from(report.chosen.k));
+    assert_eq!(uint(chosen, "cut"), report.chosen.cut);
+    let stats = tree.field("full").and_then(|f| f.field("stats"));
+    assert_eq!(
+        uint(stats.expect("stats"), "events"),
+        report.full.stats.events
+    );
+    let total = tree.field("metrics").and_then(|m| m.field("total_seconds"));
+    let total = total.and_then(Json::as_f64).expect("total_seconds");
+    assert_eq!(total.to_bits(), report.metrics.total_seconds.to_bits());
+}
+
+/// What the readers' tests used to say about the emitters: a disabled Time
+/// Warp leg goes out as an explicit `null`, an enabled one as its stats,
+/// and the two wire counters under their own names — a frame carries a
+/// delivery run, so they must not be swapped or merged.
+#[test]
+fn emitters_spell_out_absent_legs_and_both_wire_counters() {
+    let mut point = small_report().chosen;
+    point.tw = None;
+    point.tw_crash = Some(SimStats::default());
+    let tree = point.to_json();
+    assert_eq!(tree.get("tw"), Some(&Json::Null));
+    assert_eq!(tree.get("tw_crash"), Some(&SimStats::default().to_json()));
+
+    let recovery = RecoveryOutcome {
+        messages_sent: 4111,
+        frames_sent: 1069,
+        victims: vec![1, 1, 0],
+        ..RecoveryOutcome::default()
+    };
+    let tree = recovery.to_json();
+    assert_text_round_trips(&tree);
+    let uint = |key: &str| tree.field(key).and_then(Json::as_u64).expect(key);
+    assert_eq!((uint("messages_sent"), uint("frames_sent")), (4111, 1069));
 }
 
 #[test]
