@@ -9,19 +9,15 @@
 //! With `--case all` (the default): runs the fixed smoke grid (see
 //! `dvs_bench::gate::smoke_grid`), once serial and once on 4 threads per
 //! case, asserts the canonical artifacts of the two legs are
-//! byte-identical, then runs the incremental-checkpoint leg
-//! (`dvs_bench::gate::delta_checkpoint_case` — the same run under base
-//! cadence 1 vs 4, exact checkpoint byte counters pinned) and the
-//! process- and TCP-transport legs
+//! byte-identical, then runs the process- and TCP-transport legs
 //! (`dvs_bench::gate::{process_case, tcp_case}` — real `tw_worker` OS
 //! processes over a Unix socket and over localhost TCP, one worker
 //! `SIGKILL`ed and recovered per leg, byte-compared against the
 //! in-process run) and the network-chaos leg
-//! (`dvs_bench::gate::tcp_chaos_case` — a bit-flipped frame, a stalled
-//! link caught by the heartbeat prober, and a poisoned restore chain
-//! falling back to the last full base, each recovering byte-identically
-//! with its exact counters pinned), writes `BENCH_<label>.json`, and
-//! compares against the checked-in baseline.
+//! (`dvs_bench::gate::tcp_chaos_case` — a bit-flipped frame and a stalled
+//! link caught by the heartbeat prober, each recovering byte-identically
+//! with its exact counters pinned) — five cases in all — writes
+//! `BENCH_<label>.json`, and compares against the checked-in baseline.
 //!
 //! With `--case large`: runs only the paper-scale nightly case
 //! (`dvs_bench::gate::large_case`). The serial-vs-threaded determinism
@@ -37,8 +33,8 @@
 //!   missing `tw_worker` binary).
 
 use dvs_bench::gate::{
-    bench_artifact, compare, delta_checkpoint_case, large_case, process_case, run_case, smoke_grid,
-    tcp_case, tcp_chaos_case, Tolerances,
+    bench_artifact, compare, large_case, process_case, run_case, smoke_grid, tcp_case,
+    tcp_chaos_case, Tolerances,
 };
 use dvs_core::json::Json;
 use std::path::PathBuf;
@@ -117,22 +113,6 @@ fn main() {
                     eprintln!("FAIL {e}");
                     std::process::exit(1);
                 }
-            }
-        }
-
-        let t = Instant::now();
-        match delta_checkpoint_case() {
-            Ok(artifact) => {
-                eprintln!(
-                    "   case `{}`: clean, all-bases, and delta-cadence legs agree [{:.2?}]",
-                    artifact.name,
-                    t.elapsed()
-                );
-                cases.push(artifact);
-            }
-            Err(e) => {
-                eprintln!("FAIL {e}");
-                std::process::exit(1);
             }
         }
 

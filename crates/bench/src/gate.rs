@@ -29,8 +29,7 @@ use dvs_core::{
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{
-    run_timewarp, CheckpointCadence, NetDir, NetFault, NetFaultKind, NetPlan, TimeWarpConfig,
-    Transport,
+    run_timewarp, NetDir, NetFault, NetFaultKind, NetPlan, TimeWarpConfig, Transport,
 };
 use dvs_sim::{FaultPlan, SchedulePolicy};
 use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
@@ -198,14 +197,9 @@ fn wire_transport_case(
 pub const CHAOS_HEARTBEAT_MS: u64 = 150;
 /// Missed-probe budget of the chaos gate's stall leg.
 pub const CHAOS_HEARTBEAT_BUDGET: u32 = 2;
-/// Crash point of the chaos gate's corrupt-restore leg: cluster 0 dies at
-/// a decision that falls *between* [`DELTA_CADENCE`] base rounds, so the
-/// restore ships a non-empty delta chain for the poison to corrupt. Fixed
-/// forever, like [`CRASH_AT`].
-pub const CHAOS_CRASH_AT: (u32, u64) = (0, 47);
 
 /// The network-chaos leg of the gate (`tcp_chaos` case): the TCP transport
-/// under the deterministic fault-injection shim, three disturbed runs —
+/// under the deterministic fault-injection shim, two disturbed runs —
 ///
 /// * **corrupt**: one bit of a worker→supervisor frame is flipped in
 ///   flight; the CRC32 check rejects it (`corrupt_frames` = 1) and the
@@ -213,11 +207,7 @@ pub const CHAOS_CRASH_AT: (u32, u64) = (0, 47);
 /// * **stall**: the link goes silent both ways mid-run; the heartbeat
 ///   prober detects the half-open connection in
 ///   [`CHAOS_HEARTBEAT_BUDGET`] × [`CHAOS_HEARTBEAT_MS`] ms
-///   (`heartbeats_missed` = budget) and recovery replaces it;
-/// * **corrupt restore**: the delta chain shipped with a restore is
-///   poisoned (`FaultPlan::corrupt_restores`); the worker rejects it as
-///   `DeltaError::Corrupt` and the supervisor falls back to re-sending
-///   from the last full base, burning one extra restart-budget unit.
+///   (`heartbeats_missed` = budget) and recovery replaces it.
 ///
 /// Every disturbed run must emit a canonical artifact **byte-identical**
 /// to the undisturbed in-process run, and the exact recovery counters of
@@ -237,18 +227,12 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
     let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
     let policy = SchedulePolicy::SeededRandom;
 
-    let run = |transport: Transport,
-               fault: FaultPlan,
-               chaos: Option<NetPlan>,
-               cadence: u32,
-               heartbeat: Option<(u64, u32)>| {
+    let run = |transport: Transport, chaos: Option<NetPlan>, heartbeat: Option<(u64, u32)>| {
         let mut b = TimeWarpConfig::builder()
             .transport(transport)
             .window(8)
             .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .checkpoint_cadence(CheckpointCadence::every_n_rounds(cadence))
-            .fault(fault);
+            .gvt_interval(1);
         if let Some(plan) = chaos {
             b = b.chaos(plan);
         }
@@ -269,13 +253,7 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
     };
     let tcp = || Transport::tcp_with_worker(DST_SEED, policy, worker.to_path_buf());
 
-    let (_, clean, clean_seconds) = run(
-        Transport::in_proc(DST_SEED, policy),
-        FaultPlan::default(),
-        None,
-        1,
-        None,
-    )?;
+    let (_, clean, clean_seconds) = run(Transport::in_proc(DST_SEED, policy), None, None)?;
     let identical = |leg: &str, bytes: &str| {
         if bytes != clean {
             return Err(ctx(format!(
@@ -294,8 +272,7 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
         frame: 8,
         kind: NetFaultKind::BitFlip { offset: 5 },
     });
-    let (corrupt, bytes, corrupt_seconds) =
-        run(tcp(), FaultPlan::default(), Some(corrupt_plan), 1, None)?;
+    let (corrupt, bytes, corrupt_seconds) = run(tcp(), Some(corrupt_plan), None)?;
     identical("corrupt", &bytes)?;
     let r = &corrupt.recovery;
     if (
@@ -323,9 +300,7 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
     });
     let (stalled, bytes, stall_seconds) = run(
         tcp(),
-        FaultPlan::default(),
         Some(stall_plan),
-        1,
         Some((CHAOS_HEARTBEAT_MS, CHAOS_HEARTBEAT_BUDGET)),
     )?;
     identical("stall", &bytes)?;
@@ -342,35 +317,6 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
         )));
     }
 
-    // Leg 3: the shipped delta chain is poisoned once; the worker rejects
-    // it and the supervisor retries from the last full base — one crash
-    // for the kill, one more for the rejected restore. The crash lands at
-    // [`CHAOS_CRASH_AT`], chosen *between* base rounds so the victim's
-    // delta chain is non-empty and the poison has something to corrupt
-    // ([`CRASH_AT`] sits right after a full base, where the chain is
-    // empty and the fallback path would never fire).
-    let (fallback, bytes, fallback_seconds) = run(
-        tcp(),
-        FaultPlan {
-            crash_at: Some(CHAOS_CRASH_AT),
-            crashes: 1,
-            max_restarts: 3,
-            corrupt_restores: 1,
-        },
-        None,
-        DELTA_CADENCE,
-        None,
-    )?;
-    identical("corrupt-restore", &bytes)?;
-    let r = &fallback.recovery;
-    if r.degraded || (r.crashes, r.restarts) != (2, 2) {
-        return Err(ctx(format!(
-            "corrupt-restore leg (crashes {}, restarts {}, degraded {}) did not take the \
-             base-fallback path — expected (2, 2, false)",
-            r.crashes, r.restarts, r.degraded
-        )));
-    }
-
     Ok(CaseArtifact {
         name: name.to_string(),
         report: ObjBuilder::new()
@@ -380,142 +326,13 @@ pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
             )
             .field("corrupt_recovery", corrupt.recovery.to_json())
             .field("stall_recovery", stalled.recovery.to_json())
-            .field("corrupt_restore_recovery", fallback.recovery.to_json())
             .build(),
         host: ObjBuilder::new()
             .float("inproc_seconds", clean_seconds)
             .float("corrupt_seconds", corrupt_seconds)
             .float("stall_seconds", stall_seconds)
-            .float("corrupt_restore_seconds", fallback_seconds)
             .build(),
     })
-}
-
-/// Base-checkpoint cadence of the delta-compaction legs: full images every
-/// 4th GVT round, deltas in between. Fixed, like the seeds — changing it
-/// changes the pinned byte counters.
-pub const DELTA_CADENCE: u32 = 4;
-
-/// The incremental-checkpoint leg of the gate (`delta_checkpoint` case):
-/// the same deterministic in-process Time Warp run three times — clean,
-/// crash-injected with bases every round (cadence 1), and crash-injected
-/// with bases every [`DELTA_CADENCE`]th round and deltas in between. All
-/// three canonical artifacts must be byte-identical (neither the capture
-/// cadence nor the recovery is allowed to leak into results), and the
-/// exact checkpoint byte counters of both captured runs are pinned in the
-/// baseline, so any drift in the delta encoder shows up as a counter diff.
-pub fn delta_checkpoint_case() -> Result<CaseArtifact, String> {
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let (report, host) = compaction_probe("delta_checkpoint", &src, PROCESS_CLUSTERS, 20)?;
-    Ok(CaseArtifact {
-        name: "delta_checkpoint".to_string(),
-        report,
-        host,
-    })
-}
-
-/// Shared body of [`delta_checkpoint_case`] and the `large` compaction leg:
-/// measure checkpoint bytes under cadence 1 vs [`DELTA_CADENCE`] on one
-/// workload and enforce the compaction contract — the delta bytes of the
-/// cadenced run must be under half the all-bases run's bytes, and its
-/// total checkpoint traffic must be below the all-bases run's. The margin
-/// comes from the delta artifact's compact event encoding plus run-encoded
-/// values and elided no-change fields; the exact counters are additionally
-/// pinned by the baseline on the smoke leg.
-fn compaction_probe(
-    name: &str,
-    source: &str,
-    k: u32,
-    vectors: u64,
-) -> Result<(Json, Json), String> {
-    let ctx = |e: String| format!("case `{name}`: {e}");
-    let nl = dvs_verilog::parse_and_elaborate(source)
-        .map_err(|e| ctx(e.to_string()))?
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(k, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, k as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
-    let run = |cadence: u32, fault: FaultPlan| {
-        let cfg = TimeWarpConfig::builder()
-            .transport(Transport::in_proc(DST_SEED, SchedulePolicy::SeededRandom))
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .checkpoint_cadence(CheckpointCadence::every_n_rounds(cadence))
-            .fault(fault)
-            .build()
-            .map_err(|e| ctx(e.to_string()))?;
-        let t = Instant::now();
-        let tw = run_timewarp(&nl, &plan, &stim, vectors, &cfg).map_err(|e| ctx(e.to_string()))?;
-        let seconds = t.elapsed().as_secs_f64();
-        let canonical = tw_run_canonical_json(&tw)
-            .emit()
-            .map_err(|e| ctx(e.to_string()))?;
-        Ok::<_, String>((tw, canonical, seconds))
-    };
-    // The clean cadence-1 run does not arm recovery tracking, so its byte
-    // counters are zero — it exists purely as the byte-identity reference.
-    let (_, clean, clean_seconds) = run(1, FaultPlan::default())?;
-    let fault = FaultPlan::crash(CRASH_AT.0, CRASH_AT.1);
-    let (full, full_bytes, full_seconds) = run(1, fault)?;
-    if full_bytes != clean {
-        return Err(ctx(
-            "cadence-1 crash run diverged from the clean run".to_string()
-        ));
-    }
-    let (delta, delta_bytes, delta_seconds) = run(DELTA_CADENCE, fault)?;
-    if delta_bytes != clean {
-        return Err(ctx(format!(
-            "cadence-{DELTA_CADENCE} crash run diverged from the clean run"
-        )));
-    }
-    if full.recovery.crashes == 0 || delta.recovery.crashes == 0 {
-        return Err(ctx(
-            "the injected crash never fired — move CRASH_AT earlier".to_string(),
-        ));
-    }
-    let full1 = full.recovery.checkpoint_bytes_full;
-    let base4 = delta.recovery.checkpoint_bytes_full;
-    let inc4 = delta.recovery.checkpoint_bytes_delta;
-    if full.recovery.checkpoint_bytes_delta != 0 {
-        return Err(ctx("cadence-1 run captured deltas".to_string()));
-    }
-    if full1 == 0 || base4 == 0 || inc4 == 0 {
-        return Err(ctx(format!(
-            "degenerate byte counters (full1 {full1}, base4 {base4}, delta4 {inc4}) — \
-             the run is too short to exercise the cadence"
-        )));
-    }
-    // The compaction contract of this leg (also the PR's acceptance bar):
-    // deltas must be cheap relative to the full images they replace.
-    if inc4 * 2 >= full1 {
-        return Err(ctx(format!(
-            "delta bytes {inc4} are not under half the all-bases bytes {full1} — \
-             the incremental encoding is not compacting"
-        )));
-    }
-    if base4 + inc4 >= full1 {
-        return Err(ctx(format!(
-            "cadence-{DELTA_CADENCE} total {} is not below the all-bases total {full1}",
-            base4 + inc4
-        )));
-    }
-    let report = ObjBuilder::new()
-        .uint("delta_cadence", DELTA_CADENCE as u64)
-        .uint("checkpoint_bytes_full", full1)
-        .uint("checkpoint_bytes_delta", inc4)
-        .uint("cadenced_base_bytes", base4)
-        .float("compaction_ratio", (base4 + inc4) as f64 / full1 as f64)
-        .field("stats", delta.stats.to_json())
-        .uint("gvt_rounds", delta.gvt_rounds)
-        .field("recovery", delta.recovery.to_json())
-        .build();
-    let host = ObjBuilder::new()
-        .float("clean_seconds", clean_seconds)
-        .float("full_cadence_seconds", full_seconds)
-        .float("delta_cadence_seconds", delta_seconds)
-        .build();
-    Ok((report, host))
 }
 
 /// The nightly paper-scale case (`bench_gate --case large`): the
@@ -526,30 +343,15 @@ fn compaction_probe(
 /// cron workflow as a tracking artifact (`BENCH_nightly.json`) rather
 /// than against the checked-in baseline.
 pub fn large_case() -> Result<CaseArtifact, String> {
-    let source = generate_viterbi(&ViterbiParams::paper_class());
-    let mut artifact = run_case(&BenchCase {
+    run_case(&BenchCase {
         name: "viterbi_paper_class",
-        source: source.clone(),
+        source: generate_viterbi(&ViterbiParams::paper_class()),
         ks: vec![4, 8],
         bs: vec![10.0, 20.0],
         presim_vectors: 40,
         full_vectors: 100,
-    })?;
-    // The nightly compaction leg: the same paper-class netlist under
-    // cadence 1 vs DELTA_CADENCE, with the measured byte counters and the
-    // compaction ratio folded into the tracking artifact. The probe itself
-    // enforces the acceptance bar (delta bytes < 50 % of full bytes).
-    let (compaction, compaction_host) =
-        compaction_probe("viterbi_paper_class", &source, 4, PROCESS_VECTORS)?;
-    if let Json::Object(members) = &mut artifact.report {
-        members.push(("compaction".to_string(), compaction));
-    }
-    if let Json::Object(members) = &mut artifact.host {
-        members.push(("compaction".to_string(), compaction_host));
-    }
-    Ok(artifact)
+    })
 }
-
 /// 64-bit FNV-1a over the canonical artifact bytes: a compact exact pin of
 /// the entire run (final values, counters, ordering) in the baseline.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -42,12 +42,6 @@ fn sigkilled_worker_recovers_byte_identically() {
 }
 
 #[test]
-fn sigkill_between_bases_restores_from_delta_chain() {
-    let _g = lock();
-    wire_kill::sigkill_between_bases_restores_from_delta_chain(PROCESS);
-}
-
-#[test]
 fn selfkilled_worker_converges() {
     let _g = lock();
     // Cluster 1's commands under this schedule open with `gvt` (the GVT-0

@@ -23,8 +23,8 @@ use dvs_core::{partition_multiway, MultiwayConfig};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{
-    run_timewarp, CheckpointCadence, FaultPlan, NetDir, NetFault, NetFaultKind, NetPlan,
-    SchedulePolicy, TimeWarpConfig, Transport, TwRunResult,
+    run_timewarp, FaultPlan, NetDir, NetFault, NetFaultKind, NetPlan, SchedulePolicy,
+    TimeWarpConfig, Transport, TwRunResult,
 };
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -79,7 +79,6 @@ struct RunSpec {
     transport: Transport,
     fault: FaultPlan,
     chaos: Option<NetPlan>,
-    cadence: u32,
     heartbeat: Option<(u64, u32)>,
 }
 
@@ -96,7 +95,6 @@ impl RunSpec {
                 ..FaultPlan::default()
             },
             chaos: None,
-            cadence: 1,
             heartbeat: None,
         }
     }
@@ -110,16 +108,6 @@ impl RunSpec {
         self.heartbeat = Some((HEARTBEAT_MS, HEARTBEAT_BUDGET));
         self
     }
-
-    fn fault(mut self, fault: FaultPlan) -> RunSpec {
-        self.fault = fault;
-        self
-    }
-
-    fn cadence(mut self, cadence: u32) -> RunSpec {
-        self.cadence = cadence;
-        self
-    }
 }
 
 fn run(spec: RunSpec) -> TwRunResult {
@@ -129,7 +117,6 @@ fn run(spec: RunSpec) -> TwRunResult {
         .window(8)
         .epochs_per_quantum(2)
         .gvt_interval(1)
-        .checkpoint_cadence(CheckpointCadence::every_n_rounds(spec.cadence))
         .fault(spec.fault);
     if let Some(plan) = spec.chaos {
         b = b.chaos(plan);
@@ -385,51 +372,4 @@ fn stall_and_partition_surface_as_typed_recovery() {
         assert!(!r.degraded, "{label}");
         assert_identical(&canonical(&tw), label);
     }
-}
-
-/// The corrupt-restore fallback: the delta chain shipped with a restore is
-/// poisoned (`FaultPlan::corrupt_restores`), the worker rejects it as
-/// `DeltaError::Corrupt`, and the supervisor — instead of failing the run
-/// — demotes the victim's log to its last full base and re-sends, burning
-/// one extra restart-budget unit. One kill therefore costs two recorded
-/// crashes and two restarts, and the run still converges byte-identically.
-#[test]
-fn corrupt_restore_falls_back_to_last_full_base() {
-    let _g = lock();
-    let fault = FaultPlan {
-        crash_at: Some((0, 47)),
-        crashes: 1,
-        max_restarts: 4,
-        corrupt_restores: 1,
-    };
-    let tw = run(RunSpec::tcp().fault(fault).cadence(4));
-    let r = &tw.recovery;
-    assert_eq!(
-        (r.crashes, r.restarts),
-        (2, 2),
-        "one kill + one rejected chain must cost exactly two restart units"
-    );
-    assert_eq!(r.victims, vec![0, 0]);
-    assert!(!r.degraded, "the base fallback must succeed, not degrade");
-    assert_identical(&canonical(&tw), "corrupt_restore_fallback");
-}
-
-/// When the rejected chain burns the *last* restart unit, the fallback has
-/// nothing left to retry with: the run degrades to the sequential
-/// simulator gracefully — flagged, counters intact — rather than erroring
-/// out or looping.
-#[test]
-fn corrupt_restore_against_exhausted_budget_degrades() {
-    let _g = lock();
-    let fault = FaultPlan {
-        crash_at: Some((0, 47)),
-        crashes: 1,
-        max_restarts: 1,
-        corrupt_restores: 1,
-    };
-    let tw = run(RunSpec::tcp().fault(fault).cadence(4));
-    let r = &tw.recovery;
-    assert!(r.degraded, "exhausted budget must degrade");
-    assert_eq!(r.crashes, 2, "the rejected restore counts as a crash");
-    assert_eq!(r.restarts, 1, "only one restart unit existed");
 }

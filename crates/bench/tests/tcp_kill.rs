@@ -20,15 +20,10 @@ fn tcp(policy: SchedulePolicy) -> Transport {
 /// Run the fixture over TCP with `fault` injected as a connection reset:
 /// the stream is torn down while the worker process stays up — the
 /// network-partition shape of a fault, as opposed to host death.
-fn run_reset(policy: SchedulePolicy, fault: FaultPlan, cadence: u32) -> TwRunResult {
+fn run_reset(policy: SchedulePolicy, fault: FaultPlan) -> TwRunResult {
     let (nl, gb, stim) = fixture();
     std::env::set_var("DVS_TW_TCP_FAULT", "reset");
-    let tw = run(
-        &nl,
-        &gb,
-        &stim,
-        &config_cadenced(tcp(policy), fault, cadence),
-    );
+    let tw = run(&nl, &gb, &stim, &config(tcp(policy), fault));
     std::env::remove_var("DVS_TW_TCP_FAULT");
     tw
 }
@@ -60,13 +55,15 @@ fn sigkilled_tcp_worker_recovers_byte_identically() {
 fn reset_connection_recovers_byte_identically() {
     let _g = lock();
     let policy = SchedulePolicy::SeededRandom;
-    let tw = run_reset(policy, FaultPlan::crash(1, 47), 1);
-    assert_eq!(tw.recovery.crashes, 1, "reset did not fire");
-    assert_eq!(tw.recovery.restarts, 1);
-    assert_eq!(tw.recovery.victims, vec![1]);
-    assert!(!tw.recovery.degraded);
-    let label = "reset cluster 1 at decision 47";
-    assert_identical(TCP, &clean(policy), &canonical(&tw), label);
+    for (victim, at) in [(1u32, 47u64), (2, 211)] {
+        let tw = run_reset(policy, FaultPlan::crash(victim, at));
+        let label = format!("reset cluster {victim} at decision {at}");
+        assert_eq!(tw.recovery.crashes, 1, "{label}: reset did not fire");
+        assert_eq!(tw.recovery.restarts, 1, "{label}");
+        assert_eq!(tw.recovery.victims, vec![victim], "{label}");
+        assert!(!tw.recovery.degraded, "{label}");
+        assert_identical(TCP, &clean(policy), &canonical(&tw), &label);
+    }
 }
 
 /// One worker `SIGKILL`ed *and* one connection reset mid-run, artifact
@@ -86,29 +83,9 @@ fn killed_and_reset_mid_run_still_byte_identical() {
     assert!(killed.recovery.crashes >= 1, "kill leg fired no fault");
     assert_identical(TCP, &clean, &canonical(&killed), "acceptance kill leg");
     // Leg 2: reset cluster 2 later in the run.
-    let reset = run_reset(policy, FaultPlan::crash(2, 211), 1);
+    let reset = run_reset(policy, FaultPlan::crash(2, 211));
     assert!(reset.recovery.crashes >= 1, "reset leg fired no fault");
     assert_identical(TCP, &clean, &canonical(&reset), "acceptance reset leg");
-}
-
-/// The shared kill legs, then the reset leg: a connection torn down
-/// mid-chain while the process lives restores from base + delta chain too.
-#[test]
-fn faults_between_bases_restore_from_delta_chain() {
-    let _g = lock();
-    sigkill_between_bases_restores_from_delta_chain(TCP);
-    let policy = SchedulePolicy::SeededRandom;
-    let reset = run_reset(policy, FaultPlan::crash(2, 211), 4);
-    assert!(
-        reset.recovery.crashes >= 1,
-        "cadence reset leg fired no fault"
-    );
-    assert!(
-        reset.recovery.checkpoint_bytes_delta > 0,
-        "cadence reset leg counted no delta bytes"
-    );
-    let label = "cadence reset cluster 2 at 211";
-    assert_identical(TCP, &clean(policy), &canonical(&reset), label);
 }
 
 /// After the initial GVT-0 checkpoint (command 1), die before the 6th

@@ -25,8 +25,7 @@ use dvs_core::{partition_multiway, MultiwayConfig};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{
-    run_timewarp, CheckpointCadence, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport,
-    TwRunResult,
+    run_timewarp, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport, TwRunResult,
 };
 use dvs_verilog::Netlist;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -61,16 +60,11 @@ pub fn fixture() -> (Netlist, Vec<u32>, VectorStimulus) {
 }
 
 pub fn config(transport: Transport, fault: FaultPlan) -> TimeWarpConfig {
-    config_cadenced(transport, fault, 1)
-}
-
-pub fn config_cadenced(transport: Transport, fault: FaultPlan, cadence: u32) -> TimeWarpConfig {
     TimeWarpConfig::builder()
         .transport(transport)
         .window(8)
         .epochs_per_quantum(2)
         .gvt_interval(1)
-        .checkpoint_cadence(CheckpointCadence::every_n_rounds(cadence))
         .fault(fault)
         .build()
         .expect("valid config")
@@ -155,7 +149,7 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
     // Decision indices chosen from the seed to cover early/mid/late kills
     // without hand-tuning to the workload.
     let mut fired = 0u32;
-    for (victim, at) in [(0u32, 3u64), (1, 47), (2, 211), (0, 800)] {
+    for (victim, at) in [(0u32, 3u64), (0, 29), (1, 47), (1, 83), (2, 211), (0, 800)] {
         let cfg = config((wire.transport)(policy), FaultPlan::crash(victim, at));
         let tw = run(&nl, &gb, &stim, &cfg);
         let label = format!("kill cluster {victim} at decision {at}");
@@ -177,50 +171,6 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
         assert_identical(wire, &clean, &canonical(&tw), &label);
     }
     assert!(fired >= 2, "sweep fired only {fired} kills — widen indices");
-}
-
-/// The delta-cadence leg: with bases only every 4th GVT round and deltas
-/// in between, `SIGKILL`s that land *between* bases force a restore from
-/// the base plus the replayed delta chain — shipped over the socket — plus
-/// the input log over the N-round retention window, and the recovered
-/// artifact must still be byte-identical to the undisturbed in-proc run.
-pub fn sigkill_between_bases_restores_from_delta_chain(wire: Wire) {
-    let (nl, gb, stim) = fixture();
-    let policy = SchedulePolicy::SeededRandom;
-    let clean = clean_inproc(&nl, &gb, &stim, policy);
-    // Capture is side-effect-free: a clean cadence-4 wire run must be
-    // byte-identical to the plain cadence-1 run.
-    let cfg = config_cadenced((wire.transport)(policy), FaultPlan::default(), 4);
-    let quiet = run(&nl, &gb, &stim, &cfg);
-    assert_eq!(quiet.recovery.crashes, 0, "phantom crash under cadence");
-    assert!(
-        quiet.recovery.checkpoint_bytes_delta > 0,
-        "cadence-4 clean run captured no deltas"
-    );
-    assert_identical(wire, &clean, &canonical(&quiet), "cadence quiet");
-    // With gvt_interval 1 and bases every 4th round, these decision depths
-    // land the kill between bases at several chain lengths.
-    for (victim, at) in [(0u32, 29u64), (1, 83), (2, 211)] {
-        let fault = FaultPlan::crash(victim, at);
-        let tw = run(
-            &nl,
-            &gb,
-            &stim,
-            &config_cadenced((wire.transport)(policy), fault, 4),
-        );
-        let label = format!("cadence-4 kill cluster {victim} at decision {at}");
-        assert!(tw.recovery.crashes >= 1, "{label}: fired no fault");
-        assert_eq!(
-            tw.recovery.crashes, tw.recovery.restarts,
-            "{label}: every kill must be recovered"
-        );
-        assert!(!tw.recovery.degraded, "{label}: unexpected degradation");
-        assert!(
-            tw.recovery.checkpoint_bytes_delta > 0,
-            "{label}: no delta bytes counted"
-        );
-        assert_identical(wire, &clean, &canonical(&tw), &label);
-    }
 }
 
 /// Asynchronous death: cluster 1's worker aborts *itself*
@@ -255,7 +205,6 @@ pub fn exhausted_budget_degrades_gracefully(wire: Wire) {
         crash_at: Some((2, 30)),
         crashes: 3,
         max_restarts: 2,
-        corrupt_restores: 0,
     };
     let a = run(&nl, &gb, &stim, &config(in_proc(policy), fault));
     let b = run(&nl, &gb, &stim, &config((wire.transport)(policy), fault));
@@ -264,6 +213,10 @@ pub fn exhausted_budget_degrades_gracefully(wire: Wire) {
         assert_eq!(tw.recovery.crashes, 3, "{which}");
         assert_eq!(tw.recovery.restarts, 2, "{which}");
         assert_eq!(tw.recovery.victims, vec![2, 2, 2], "{which}");
+        assert!(
+            tw.recovery.checkpoint_bytes_full > 0,
+            "{which}: the captured images went unreported"
+        );
     }
     assert_identical(wire, &canonical(&a), &canonical(&b), "degraded budget");
 }

@@ -16,15 +16,12 @@
 use crate::cluster_model::{ClusterRun, RunTiming};
 use crate::stats::SimStats;
 use crate::timewarp::{
-    Checkpoint, CheckpointDelta, CkptEvent, CkptSource, LogDelta, RecoveryOutcome, TwMessage,
-    TwRunResult, ValuesDelta, CHECKPOINT_SCHEMA,
+    Checkpoint, CkptEvent, CkptSource, RecoveryOutcome, TwMessage, TwRunResult, CHECKPOINT_SCHEMA,
 };
 use crate::wheel::NetEvent;
 use crate::wheel::VTime;
 use crate::Logic;
-use dvs_json::{
-    uint_array, uint_vec, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION,
-};
+use dvs_json::{uint_array, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION};
 use dvs_verilog::netlist::NetId;
 
 /// A logic-value vector as a compact display-char string (`"01xz…"`).
@@ -132,7 +129,6 @@ impl ToJson for RecoveryOutcome {
                 uint_array(&self.victims.iter().map(|&c| c as u64).collect::<Vec<_>>()),
             )
             .uint("checkpoint_bytes_full", self.checkpoint_bytes_full)
-            .uint("checkpoint_bytes_delta", self.checkpoint_bytes_delta)
             .uint("corrupt_frames", self.corrupt_frames)
             .uint("heartbeats_missed", self.heartbeats_missed)
             .uint("chaos_faults_injected", self.chaos_faults_injected)
@@ -317,17 +313,6 @@ impl ToJson for Checkpoint {
     }
 }
 
-pub(crate) fn uint_pair(v: &Json) -> Result<(u64, u64), JsonError> {
-    let pair = uint_vec(v)?;
-    match pair.as_slice() {
-        &[a, b] => Ok((a, b)),
-        other => Err(JsonError::new(format!(
-            "expected a 2-element array, got {} elements",
-            other.len()
-        ))),
-    }
-}
-
 impl FromJson for Checkpoint {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let version = v.field("schema_version")?.as_i64()?;
@@ -398,331 +383,31 @@ impl FromJson for Checkpoint {
     }
 }
 
-// --- delta checkpoint codec -------------------------------------------------
-
-fn undo_entry_json(&(t, net, val): &(VTime, u32, Logic)) -> Json {
-    Json::Array(vec![
-        Json::Int(t as i64),
-        Json::Int(net as i64),
-        Json::Str(val.display_char().to_string()),
-    ])
-}
-
-fn undo_entry_from(u: &Json) -> Result<(VTime, u32, Logic), JsonError> {
-    match u.as_array()? {
-        [t, net, val] => Ok((t.as_u64()?, net.as_u64()? as u32, logic_from_json(val)?)),
-        _ => Err(JsonError::new("undo entry must be [time, net, value]")),
-    }
-}
-
-/// Compact array form of a [`CkptEvent`] used only inside delta artifacts,
-/// where events are the bulk of the payload: `[time, net, "v", order]` for
-/// stimulus events, plus a `"l", created_at` or `"r", src, seq` tail for
-/// local and remote ones. The full-image codec keeps the verbose
-/// object form — images are shipped rarely, deltas every round.
-fn ckpt_event_compact_json(e: &CkptEvent) -> Json {
-    let mut a = vec![
-        Json::Int(e.time as i64),
-        Json::Int(e.net as i64),
-        Json::Str(e.value.display_char().to_string()),
-        Json::Int(e.order as i64),
-    ];
-    match e.source {
-        CkptSource::Stimulus => {}
-        CkptSource::Local { created_at } => {
-            a.push(Json::Str("l".into()));
-            a.push(Json::Int(created_at as i64));
-        }
-        CkptSource::Remote { src, seq } => {
-            a.push(Json::Str("r".into()));
-            a.push(Json::Int(src as i64));
-            a.push(Json::Int(seq as i64));
-        }
-    }
-    Json::Array(a)
-}
-
-fn ckpt_event_compact_from(v: &Json) -> Result<CkptEvent, JsonError> {
-    let a = v.as_array()?;
-    let source = match a {
-        [_, _, _, _] => CkptSource::Stimulus,
-        [_, _, _, _, tag, created_at] if tag.as_str()? == "l" => CkptSource::Local {
-            created_at: created_at.as_u64()?,
-        },
-        [_, _, _, _, tag, src, seq] if tag.as_str()? == "r" => CkptSource::Remote {
-            src: src.as_u64()? as u32,
-            seq: seq.as_u64()?,
-        },
-        _ => {
-            return Err(JsonError::new(
-                "compact event must be [time, net, value, order, source...]",
-            ))
-        }
-    };
-    Ok(CkptEvent {
-        time: a[0].as_u64()?,
-        net: a[1].as_u64()? as u32,
-        value: logic_from_json(&a[2])?,
-        source,
-        order: a[3].as_u64()?,
-    })
-}
-
-/// Compact output-log entry for delta artifacts:
-/// `[log_time, src, dst, seq, ev_time, net, "v", anti]`.
-fn outlog_compact_json((t, m): &(VTime, TwMessage)) -> Json {
-    Json::Array(vec![
-        Json::Int(*t as i64),
-        Json::Int(m.src as i64),
-        Json::Int(m.dst as i64),
-        Json::Int(m.seq as i64),
-        Json::Int(m.ev.time as i64),
-        Json::Int(m.ev.net.0 as i64),
-        Json::Str(m.ev.value.display_char().to_string()),
-        Json::Bool(m.anti),
-    ])
-}
-
-fn outlog_compact_from(v: &Json) -> Result<(VTime, TwMessage), JsonError> {
-    match v.as_array()? {
-        [t, src, dst, seq, time, net, value, anti] => Ok((
-            t.as_u64()?,
-            TwMessage {
-                src: src.as_u64()? as u32,
-                dst: dst.as_u64()? as u32,
-                seq: seq.as_u64()?,
-                ev: NetEvent {
-                    time: time.as_u64()?,
-                    net: NetId(net.as_u64()? as u32),
-                    value: logic_from_json(value)?,
-                },
-                anti: anti.as_bool()?,
-            },
-        )),
-        _ => Err(JsonError::new(
-            "compact outlog entry must be [t, src, dst, seq, time, net, value, anti]",
-        )),
-    }
-}
-
-fn log_delta_json<T>(d: &LogDelta<T>, enc: impl Fn(&T) -> Json) -> Json {
-    ObjBuilder::new()
-        .uint("drop", d.drop_front as u64)
-        .uint("keep", d.keep as u64)
-        .array("append", d.append.iter().map(enc).collect())
-        .build()
-}
-
-fn log_delta_from<T>(
-    v: &Json,
-    dec: impl Fn(&Json) -> Result<T, JsonError>,
-) -> Result<LogDelta<T>, JsonError> {
-    Ok(LogDelta {
-        drop_front: v.field("drop")?.as_u64()? as u32,
-        keep: v.field("keep")?.as_u64()? as u32,
-        append: v
-            .field("append")?
-            .as_array()?
-            .iter()
-            .map(dec)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn values_delta_json(d: &ValuesDelta) -> Json {
-    match d {
-        ValuesDelta::Full(vals) => ObjBuilder::new().str("full", &logic_str(vals)).build(),
-        ValuesDelta::Runs(runs) => ObjBuilder::new()
-            .array(
-                "runs",
-                runs.iter()
-                    .map(|(start, vals)| {
-                        Json::Array(vec![Json::Int(*start as i64), Json::Str(logic_str(vals))])
-                    })
-                    .collect(),
-            )
-            .build(),
-    }
-}
-
-fn values_delta_from(v: &Json) -> Result<ValuesDelta, JsonError> {
-    if let Some(full) = v.get("full") {
-        return Ok(ValuesDelta::Full(logic_vec(full)?));
-    }
-    let runs = v
-        .field("runs")?
-        .as_array()?
-        .iter()
-        .map(|r| match r.as_array()? {
-            [start, vals] => Ok((start.as_u64()? as u32, logic_vec(vals)?)),
-            _ => Err(JsonError::new("values run must be [start, values]")),
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ValuesDelta::Runs(runs))
-}
-
-impl ToJson for CheckpointDelta {
-    /// Schema-versioned delta artifact (`kind: "tw_checkpoint_delta"`) —
-    /// the edits against the previous round's image. Like the full image,
-    /// the encoding is deterministic and lossless, and it doubles as the
-    /// wire format: the process transport ships delta chains in `restore`
-    /// frames and individual deltas in `ckpt_delta` replies.
-    fn to_json(&self) -> Json {
-        // No-change fields are omitted entirely — a delta's cost should
-        // track what actually changed, not the number of fields in the
-        // image. Absent set edits mean empty, an absent `values` field
-        // means no net changed, and an absent log field is the `KEEP_ALL`
-        // identity edit. The emission is still a deterministic function of
-        // the delta, so byte-identity comparisons stay valid.
-        let mut b = ObjBuilder::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .str("kind", "tw_checkpoint_delta")
-            .uint("checkpoint_schema", self.schema as u64)
-            .uint("cluster", self.cluster as u64)
-            .uint("base_gvt", self.base_gvt)
-            .uint("gvt", self.gvt);
-        let identity_values = matches!(&self.values, ValuesDelta::Runs(runs) if runs.is_empty());
-        if !identity_values {
-            b = b.field("values", values_delta_json(&self.values));
-        }
-        if !self.pending_removed.is_empty() {
-            b = b.array(
-                "pending_removed",
-                self.pending_removed
-                    .iter()
-                    .map(|&(t, order)| uint_array(&[t, order]))
-                    .collect(),
-            );
-        }
-        if !self.pending_added.is_empty() {
-            b = b.array(
-                "pending_added",
-                self.pending_added
-                    .iter()
-                    .map(ckpt_event_compact_json)
-                    .collect(),
-            );
-        }
-        if !self.processed.is_keep_all() {
-            b = b.field(
-                "processed",
-                log_delta_json(&self.processed, ckpt_event_compact_json),
-            );
-        }
-        if !self.undo.is_keep_all() {
-            b = b.field("undo", log_delta_json(&self.undo, undo_entry_json));
-        }
-        if !self.outlog.is_keep_all() {
-            b = b.field("outlog", log_delta_json(&self.outlog, outlog_compact_json));
-        }
-        b.uint("stim_cycle", self.stim_cycle)
-            .uint("last_time", self.last_time)
-            .bool("settled", self.settled)
-            .uint("order", self.order)
-            .uint("mseq", self.mseq)
-            .field("stats", self.stats.to_json())
-            .build()
-    }
-}
-
-impl FromJson for CheckpointDelta {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let version = v.field("schema_version")?.as_i64()?;
-        if version != SCHEMA_VERSION {
-            return Err(JsonError::new(format!(
-                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            )));
-        }
-        let kind = v.field("kind")?.as_str()?;
-        if kind != "tw_checkpoint_delta" {
-            return Err(JsonError::new(format!(
-                "expected kind `tw_checkpoint_delta`, got `{kind}`"
-            )));
-        }
-        let schema = v.field("checkpoint_schema")?.as_u64()? as u32;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(JsonError::new(format!(
-                "unsupported checkpoint_schema {schema} (expected {CHECKPOINT_SCHEMA})"
-            )));
-        }
-        // Absent fields are the no-change defaults the serializer elided:
-        // empty set edits, the empty-runs values edit, `KEEP_ALL` log edits.
-        fn log_opt<T>(
-            v: &Json,
-            key: &str,
-            dec: impl Fn(&Json) -> Result<T, JsonError>,
-        ) -> Result<LogDelta<T>, JsonError> {
-            match v.get(key) {
-                None => Ok(LogDelta::keep_all()),
-                Some(d) => log_delta_from(d, dec),
-            }
-        }
-        Ok(CheckpointDelta {
-            schema,
-            cluster: v.field("cluster")?.as_u64()? as u32,
-            base_gvt: v.field("base_gvt")?.as_u64()?,
-            gvt: v.field("gvt")?.as_u64()?,
-            values: match v.get("values") {
-                None => ValuesDelta::Runs(Vec::new()),
-                Some(d) => values_delta_from(d)?,
-            },
-            pending_removed: match v.get("pending_removed") {
-                None => Vec::new(),
-                Some(a) => a
-                    .as_array()?
-                    .iter()
-                    .map(uint_pair)
-                    .collect::<Result<_, _>>()?,
-            },
-            pending_added: match v.get("pending_added") {
-                None => Vec::new(),
-                Some(a) => a
-                    .as_array()?
-                    .iter()
-                    .map(ckpt_event_compact_from)
-                    .collect::<Result<_, _>>()?,
-            },
-            processed: log_opt(v, "processed", ckpt_event_compact_from)?,
-            undo: log_opt(v, "undo", undo_entry_from)?,
-            outlog: log_opt(v, "outlog", outlog_compact_from)?,
-            stim_cycle: v.field("stim_cycle")?.as_u64()?,
-            last_time: v.field("last_time")?.as_u64()?,
-            settled: v.field("settled")?.as_bool()?,
-            order: v.field("order")?.as_u64()?,
-            mseq: v.field("mseq")?.as_u64()?,
-            stats: SimStats::from_json(v.field("stats")?)?,
-        })
-    }
-}
-
-/// The leading fields of an encoded [`Checkpoint`] or [`CheckpointDelta`]:
-/// which of the two it is, and the schema, cluster and GVT it was captured
-/// under.
+/// The leading fields of an encoded [`Checkpoint`]: the schema, cluster and
+/// GVT it was captured under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ImageEnvelope {
-    pub delta: bool,
     pub schema: u32,
     pub cluster: u32,
     pub gvt: VTime,
 }
 
 /// Read the envelope of an encoded image without decoding its body — what
-/// the wire supervisor checks on an image it only stores. Both codecs emit
+/// the wire supervisor checks on an image it only stores. The codec emits
 /// the envelope first and it holds scalars only, so the first `,"gvt":` in
 /// the text is its last member; everything up to that value is parsed as a
-/// document of its own. `None` when `text` does not open with an envelope.
+/// document of its own. `None` when `text` does not open with the envelope
+/// of a `tw_checkpoint`.
 pub(crate) fn image_envelope(text: &str) -> Option<ImageEnvelope> {
     const LAST_KEY: &str = ",\"gvt\":";
     let value = text.find(LAST_KEY)? + LAST_KEY.len();
     let digits = text[value..].bytes().take_while(u8::is_ascii_digit).count();
     let head = Json::parse(&format!("{}}}", &text[..value + digits])).ok()?;
     let uint = |key: &str| head.get(key)?.as_u64().ok();
+    if head.get("kind")?.as_str().ok()? != "tw_checkpoint" {
+        return None;
+    }
     Some(ImageEnvelope {
-        delta: match head.get("kind")?.as_str().ok()? {
-            "tw_checkpoint" => false,
-            "tw_checkpoint_delta" => true,
-            _ => return None,
-        },
         schema: uint("checkpoint_schema")? as u32,
         cluster: uint("cluster")? as u32,
         gvt: uint("gvt")?,
@@ -767,58 +452,22 @@ mod tests {
         assert!(err.msg.contains("rollbacks"), "{err}");
     }
 
-    fn sample_delta() -> CheckpointDelta {
-        CheckpointDelta {
+    fn sample_checkpoint() -> Checkpoint {
+        Checkpoint {
             schema: CHECKPOINT_SCHEMA,
             cluster: 2,
-            base_gvt: 120,
             gvt: 140,
-            values: ValuesDelta::Runs(vec![
-                (3, vec![Logic::One, Logic::Zero]),
-                (9, vec![Logic::Z]),
-            ]),
-            pending_removed: vec![(121, 11)],
-            pending_added: vec![CkptEvent {
+            values: vec![Logic::One, Logic::Zero, Logic::Z],
+            pending: vec![CkptEvent {
                 time: 144,
                 net: 6,
                 value: Logic::One,
                 source: CkptSource::Remote { src: 1, seq: 9 },
                 order: 31,
             }],
-            processed: LogDelta {
-                drop_front: 2,
-                keep: 1,
-                append: vec![CkptEvent {
-                    time: 133,
-                    net: 2,
-                    value: Logic::Zero,
-                    source: CkptSource::Local { created_at: 130 },
-                    order: 19,
-                }],
-            },
-            undo: LogDelta {
-                drop_front: 0,
-                keep: 0,
-                append: vec![(131, 5, Logic::One)],
-            },
-            outlog: LogDelta {
-                drop_front: 4,
-                keep: 0,
-                append: vec![(
-                    139,
-                    TwMessage {
-                        src: 2,
-                        dst: 0,
-                        seq: 77,
-                        ev: NetEvent {
-                            time: 141,
-                            net: NetId(12),
-                            value: Logic::One,
-                        },
-                        anti: false,
-                    },
-                )],
-            },
+            processed: Vec::new(),
+            undo: vec![(141, 5, Logic::One)],
+            outlog: Vec::new(),
             stim_cycle: 14,
             last_time: 151,
             settled: true,
@@ -828,15 +477,13 @@ mod tests {
         }
     }
 
-    /// The envelope is read off the head of the encoded image, whichever
-    /// kind it is, without decoding the body — and not at all off a frame
-    /// that is no image, or off an image cut short of its envelope.
+    /// The envelope is read off the head of the encoded image without
+    /// decoding the body — and not at all off a frame that is no image, or
+    /// off an image cut short of its envelope.
     #[test]
     fn image_envelope_is_read_without_decoding_the_body() {
-        let delta = sample_delta();
-        let text = delta.to_json().emit().unwrap();
+        let text = sample_checkpoint().to_json().emit().unwrap();
         let envelope = ImageEnvelope {
-            delta: true,
             schema: CHECKPOINT_SCHEMA,
             cluster: 2,
             gvt: 140,
@@ -847,98 +494,15 @@ mod tests {
         let mangled = format!("{},\"gvt\":7,]]", &text[..text.len() - 1]);
         assert_eq!(image_envelope(&mangled), Some(envelope));
 
-        let base = delta.to_json().emit().unwrap();
-        let base = base.replace("tw_checkpoint_delta", "tw_checkpoint");
-        let base = base.replace("\"base_gvt\":120,", "");
-        let envelope = ImageEnvelope {
-            delta: false,
-            ..envelope
-        };
-        assert_eq!(image_envelope(&base), Some(envelope));
-
         for not_an_image in [
             "{\"kind\":\"pong\"}",
             "{\"kind\":\"done\",\"lvt\":4,\"gvt\":9}",
             "{\"kind\":\"error\",\"detail\":\"no ,\\\"gvt\\\": here\"}",
+            &text.replace("\"tw_checkpoint\"", "\"tw_checkpoint_delta\""),
             &text[..60],
             "",
         ] {
             assert_eq!(image_envelope(not_an_image), None, "{not_an_image}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_delta_round_trip_is_exact() {
-        let d = sample_delta();
-        let text = d.to_json().emit().unwrap();
-        let back = CheckpointDelta::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, d);
-
-        // A dense edit serialises as a full-vector replacement and must
-        // round-trip through the `full` arm too.
-        let mut dense = d;
-        dense.values = ValuesDelta::Full(vec![Logic::One, Logic::Z, Logic::X]);
-        let text = dense.to_json().emit().unwrap();
-        let back = CheckpointDelta::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, dense);
-    }
-
-    #[test]
-    fn checkpoint_delta_elides_no_change_fields() {
-        // A quiet round — nothing changed except the scalar cursors. The
-        // emission must omit every set, values, and log field, and read
-        // back as the same identity edits.
-        let mut d = sample_delta();
-        d.values = ValuesDelta::Runs(Vec::new());
-        d.pending_removed.clear();
-        d.pending_added.clear();
-        d.processed = LogDelta::keep_all();
-        d.undo = LogDelta::keep_all();
-        d.outlog = LogDelta::keep_all();
-        let v = d.to_json();
-        for elided in [
-            "values",
-            "pending_removed",
-            "pending_added",
-            "processed",
-            "undo",
-            "outlog",
-        ] {
-            assert!(v.get(elided).is_none(), "`{elided}` should be elided");
-        }
-        let text = v.emit().unwrap();
-        let back = CheckpointDelta::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn checkpoint_delta_rejects_wrong_kind_and_schema() {
-        let d = sample_delta();
-
-        let mut v = d.to_json();
-        if let Json::Object(members) = &mut v {
-            for (k, val) in members.iter_mut() {
-                if k == "kind" {
-                    *val = Json::Str("tw_checkpoint".into());
-                }
-            }
-        }
-        let err = CheckpointDelta::from_json(&v).unwrap_err();
-        assert!(err.msg.contains("tw_checkpoint_delta"), "{err}");
-
-        // A future schema, schema 2 (which still carried the removed
-        // snapshot keys) and schema 3 (tombstone sets and a schedule log).
-        for schema in [999, 2, 3] {
-            let mut v = d.to_json();
-            if let Json::Object(members) = &mut v {
-                for (k, val) in members.iter_mut() {
-                    if k == "checkpoint_schema" {
-                        *val = Json::Int(schema);
-                    }
-                }
-            }
-            let err = CheckpointDelta::from_json(&v).unwrap_err();
-            assert!(err.msg.contains("checkpoint_schema"), "{err}");
         }
     }
 }

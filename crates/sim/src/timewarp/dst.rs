@@ -434,11 +434,9 @@ pub fn run_with_schedule(
     let mut workers: Vec<InProcWorker<'_, '_>> = (0..plan.k)
         .map(|me| InProcWorker::new(nl, plan, stim.clone(), cycles, check, label, me as u32))
         .collect();
-    // Recovery bookkeeping is only paid for when a crash fault is armed or
-    // a delta cadence is in effect (capture is side-effect-free, so clean
-    // cadence>1 runs stay byte-identical while exercising the delta path);
+    // Recovery bookkeeping is only paid for when a crash fault is armed;
     // the process transport always tracks (workers can genuinely die).
-    let track = cfg.fault.crash_at.is_some() || cfg.checkpoint_cadence.every_n_rounds > 1;
+    let track = cfg.fault.crash_at.is_some();
     run_supervisor(
         nl,
         plan,

@@ -56,10 +56,7 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{NetDir, NetFault, NetFaultKind, NetPlan};
-pub use checkpoint::{
-    Checkpoint, CheckpointCadence, CheckpointDelta, CkptEvent, CkptSource, DeltaError, LogDelta,
-    ValuesDelta, CHECKPOINT_SCHEMA,
-};
+pub use checkpoint::{Checkpoint, CkptEvent, CkptSource, CHECKPOINT_SCHEMA};
 pub use dst::{DstAction, DstView, Schedule, SchedulePolicy};
 pub use error::TimeWarpError;
 pub use recovery::{FaultPlan, RecoveryOutcome};
@@ -114,12 +111,6 @@ pub struct TimeWarpConfig {
     /// default injects nothing; recovery machinery is only engaged when a
     /// crash is armed.
     pub fault: FaultPlan,
-    /// Checkpoint cadence for the deterministic transports: a full base
-    /// image every Nth GVT round with delta images in between (see
-    /// [`CheckpointCadence`]). The default captures a full image every
-    /// round. Sender-side channel retention stretches to match, so crash
-    /// restore stays exact at any cadence.
-    pub checkpoint_cadence: CheckpointCadence,
     /// Scheduler-noise injection for [`Transport::Threads`]: when set, each
     /// worker derives a seeded RNG from this value and sprinkles
     /// `yield_now` / short sleeps between scheduling quanta. Final state is
@@ -161,7 +152,6 @@ impl Default for TimeWarpConfig {
             gvt_interval: 1,
             window: 16,
             fault: FaultPlan::default(),
-            checkpoint_cadence: CheckpointCadence::default(),
             thread_jitter: None,
             heartbeat_interval: std::time::Duration::from_millis(DEFAULT_HEARTBEAT_MS),
             heartbeat_budget: DEFAULT_HEARTBEAT_BUDGET,
@@ -246,12 +236,6 @@ impl TimeWarpBuilder {
         self
     }
 
-    /// Checkpoint cadence: full bases every Nth GVT round, deltas between.
-    pub fn checkpoint_cadence(mut self, cadence: CheckpointCadence) -> Self {
-        self.cfg.checkpoint_cadence = cadence;
-        self
-    }
-
     /// Inject seeded scheduler noise into the threaded transport.
     pub fn thread_jitter(mut self, seed: u64) -> Self {
         self.cfg.thread_jitter = Some(seed);
@@ -287,9 +271,6 @@ impl TimeWarpBuilder {
         }
         if self.cfg.gvt_interval == 0 {
             return Err(invalid("gvt_interval must be at least 1"));
-        }
-        if self.cfg.checkpoint_cadence.every_n_rounds == 0 {
-            return Err(invalid("checkpoint cadence must be at least 1 round"));
         }
         if let Transport::Tcp { listen, .. } = &self.cfg.transport {
             if listen.is_empty() {
@@ -690,10 +671,6 @@ mod tests {
         let rejected = [
             (b().epochs_per_quantum(0), "epochs_per_quantum"),
             (b().gvt_interval(0), "gvt_interval"),
-            (
-                b().checkpoint_cadence(CheckpointCadence { every_n_rounds: 0 }),
-                "checkpoint cadence",
-            ),
             (b().heartbeat_budget(0), "heartbeat budget"),
             (b().transport(no_listen), "listen address"),
             (b().heartbeat_interval(Duration::ZERO), "heartbeat interval"),

@@ -7,9 +7,7 @@
 //! straggler or anti-message arrives. See the module docs of
 //! [`crate::timewarp`] for the protocol overview.
 
-use super::checkpoint::{
-    Checkpoint, CheckpointDelta, CkptEvent, CkptSource, DeltaError, CHECKPOINT_SCHEMA,
-};
+use super::checkpoint::{Checkpoint, CkptEvent, CkptSource, CHECKPOINT_SCHEMA};
 use super::{StateSaving, TwMessage};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
@@ -248,32 +246,6 @@ impl<'p> ClusterProcess<'p> {
         p.mseq = ck.mseq;
         p.stats = ck.stats.clone();
         p
-    }
-
-    /// Capture this round's image as a delta against the previous round's
-    /// image (see [`CheckpointDelta::between`]). Pure: capturing is
-    /// side-effect-free, so a delta capture perturbs execution exactly as
-    /// little as a full capture does.
-    pub fn checkpoint_delta(&self, prev: &Checkpoint, gvt: VTime) -> CheckpointDelta {
-        CheckpointDelta::between(prev, &self.checkpoint(gvt))
-    }
-
-    /// Rebuild a process from a base image plus its delta chain, returning
-    /// the process together with the reconstructed image (the respawned
-    /// worker's "previous round" for subsequent delta captures). Chain
-    /// defects surface as typed [`DeltaError`]s, never panics.
-    #[allow(clippy::type_complexity)]
-    pub fn from_chain(
-        nl: &Netlist,
-        plan: &'p ClusterPlan,
-        stim: VectorStimulus,
-        cycles: u64,
-        base: &Checkpoint,
-        deltas: &[CheckpointDelta],
-    ) -> Result<(Self, Checkpoint), DeltaError> {
-        let image = base.apply_chain(deltas)?;
-        let p = ClusterProcess::from_checkpoint(nl, plan, stim, cycles, &image);
-        Ok((p, image))
     }
 
     pub fn take_stats(&mut self) -> SimStats {

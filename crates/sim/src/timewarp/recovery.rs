@@ -17,21 +17,18 @@
 //! * **coordinated checkpoints at GVT rounds** — a valid GVT sample requires
 //!   `in_transit == 0`, i.e. empty channels, so the set of per-cluster
 //!   images taken right after a GVT advance is a consistent global cut with
-//!   no channel state (see [`super::checkpoint`]). On a
-//!   [`super::CheckpointCadence`] of N, a full [`super::Checkpoint`] base is
-//!   captured every Nth round and a
-//!   [`super::checkpoint::CheckpointDelta`] on the rounds in between; the
-//!   victim's restore image is `base + delta chain`;
-//! * **sender-side retention until the base round** — every message sent
-//!   since the last *base* round is retained by its sender (the
-//!   supervisor's `sent_log`); the Nth GVT advance doubles as the group
-//!   acknowledgement (every intermediate sample was only valid once every
-//!   channel drained), so the retention window is exactly one cadence — N
-//!   GVT rounds, the classic single-round window when N = 1.
+//!   no channel state (see [`super::checkpoint`]). A full
+//!   [`super::Checkpoint`] is captured at every tracked round and is the
+//!   victim's restore image;
+//! * **sender-side retention for one round** — every message sent since
+//!   the last GVT round is retained by its sender (the supervisor's
+//!   `sent_log`); the GVT advance doubles as the group acknowledgement (the
+//!   sample was only valid once every channel drained), so the retention
+//!   window is exactly one GVT round.
 //!
-//! On a crash the supervisor rebuilds the victim from its last base plus
-//! replayed deltas, **replays its input log** (the exact sequence of
-//! step/deliver/fossil operations applied since the last captured image —
+//! On a crash the supervisor rebuilds the victim from its last image,
+//! **replays its input log** (the exact sequence of
+//! step/deliver/fossil operations applied since that image —
 //! the cluster state machine is deterministic, so replay reproduces the
 //! pre-crash state bit-for-bit, counters included, with re-sends
 //! suppressed because the originals are already on the wire or delivered),
@@ -74,13 +71,6 @@ pub struct FaultPlan {
     /// Restarts the supervisor attempts before giving up and degrading to
     /// the sequential simulator.
     pub max_restarts: u32,
-    /// Test hook for the corrupt-restore fallback: poison the delta chain
-    /// shipped with this many subsequent restore attempts, so the worker
-    /// rejects them as [`super::DeltaError::Corrupt`] and the supervisor
-    /// must fall back to re-sending from the last full base (burning one
-    /// extra restart-budget unit each time). `0` — the default — poisons
-    /// nothing.
-    pub corrupt_restores: u32,
 }
 
 impl FaultPlan {
@@ -110,7 +100,6 @@ impl Default for FaultPlan {
             crash_at: None,
             crashes: 0,
             max_restarts: 3,
-            corrupt_restores: 0,
         }
     }
 }
@@ -130,13 +119,10 @@ pub struct RecoveryOutcome {
     pub replayed_ops: u64,
     /// The cluster that died, once per crash, in crash order.
     pub victims: Vec<u32>,
-    /// Canonical-JSON bytes of every full base image captured during the
-    /// run (including the initial GVT-0 bases). Counted identically on all
+    /// Canonical-JSON bytes of every image captured during the run
+    /// (including the initial GVT-0 ones). Counted identically on all
     /// deterministic transports, so it is exact and seed-reproducible.
     pub checkpoint_bytes_full: u64,
-    /// Canonical-JSON bytes of every delta image captured during the run
-    /// (zero on the default every-round cadence).
-    pub checkpoint_bytes_delta: u64,
     /// Corrupt frames the supervisor observed on the wire (CRC32
     /// mismatches, sequence gaps, zero-length or oversized frames), each
     /// of which tore the connection down for recovery. Supervisor-side
@@ -184,11 +170,9 @@ pub(crate) enum ReplayOp {
     Deliver(TwMessage),
     /// Fossil collection ran at this GVT. A GVT round that captures an
     /// image truncates the log in the same exchange, so this is replayed
-    /// in two places only: after the final round (GVT = MAX, no image) by
-    /// a worker that dies before its `finish`, and across delta rounds by
-    /// the corrupt-restore fallback, which replays the whole base window —
-    /// in both, skipping it would leave the `fossil_collected` counter
-    /// behind the undisturbed run's.
+    /// in one place only: after the final round (GVT = MAX, no image) by a
+    /// worker that dies before its `finish` — skipping it there would
+    /// leave the `fossil_collected` counter behind the undisturbed run's.
     Fossil(VTime),
 }
 
@@ -211,55 +195,36 @@ pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
 }
 
 /// Recovery bookkeeping for the transport-generic supervisor: per-cluster
-/// base images with their delta chains and input logs, per-channel
-/// sender-side retention. Images are held *encoded* — the canonical JSON
-/// text the worker captured them as — because the supervisor only stores
-/// them and hands them back in a restore; whoever rebuilds a process from
-/// one decodes it. Input logs are scoped to "since the last captured
-/// image" (an image — base or delta — is captured at every GVT round);
-/// channel retention is scoped to "since the last *base* round", because a
-/// restore from an older base must be able to rebuild every channel suffix
-/// a replayed delta round could have left in flight. A successful GVT
-/// sample implies every channel drained, so the accumulated `delivered`
-/// counters stay exact across the whole window. Unlike the worker state it
-/// protects, this lives supervisor-side on **all** deterministic
-/// transports, which is what keeps the recovery protocol identical whether
-/// the worker is a struct in this process or an OS process on a socket.
+/// images with their input logs, per-channel sender-side retention. Images
+/// are held *encoded* — the canonical JSON text the worker captured them
+/// as — because the supervisor only stores them and hands them back in a
+/// restore; whoever rebuilds a process from one decodes it. Everything is
+/// scoped to one window, "since the last tracked GVT round": that round
+/// captured an image of every cluster, and its valid sample implies every
+/// channel was drained, so a restore never reaches behind it. Unlike the
+/// worker state it protects, this lives supervisor-side on **all**
+/// deterministic transports, which is what keeps the recovery protocol
+/// identical whether the worker is a struct in this process or an OS
+/// process on a socket.
 pub(crate) struct RecoveryLog {
     k: usize,
-    /// Base cadence: a full image every this many GVT rounds.
-    cadence: u32,
-    /// Delta rounds since the last base (0 right after a base round).
-    rounds_since_base: u32,
     bases: Vec<String>,
-    deltas: Vec<Vec<String>>,
     input_log: Vec<Vec<ReplayOp>>,
-    /// Every operation applied since the last *base* round — `input_log`
-    /// without the per-delta truncation. This is the replay sequence for
-    /// the corrupt-restore fallback: when a victim's delta chain is
-    /// rejected, the supervisor demotes it to its base image and must be
-    /// able to replay the full window from there.
-    base_log: Vec<Vec<ReplayOp>>,
-    /// Messages sent on channel `src * k + dst` since the last base round
+    /// Messages sent on channel `src * k + dst` since the last round
     /// (positives *and* anti-messages, in send order — FIFO per channel).
     sent_log: Vec<Vec<TwMessage>>,
-    /// Deliveries consumed from each channel since the last base round.
+    /// Deliveries consumed from each channel since the last round.
     delivered: Vec<usize>,
 }
 
 impl RecoveryLog {
-    /// Start from the initial coordinated checkpoints (GVT 0, fresh state),
-    /// taking a full base every `cadence` GVT rounds thereafter.
-    pub fn from_checkpoints(bases: Vec<String>, cadence: u32) -> Self {
+    /// Start from the initial coordinated checkpoints (GVT 0, fresh state).
+    pub fn from_checkpoints(bases: Vec<String>) -> Self {
         let k = bases.len();
         RecoveryLog {
             k,
-            cadence: cadence.max(1),
-            rounds_since_base: 0,
             bases,
-            deltas: vec![Vec::new(); k],
             input_log: vec![Vec::new(); k],
-            base_log: vec![Vec::new(); k],
             sent_log: vec![Vec::new(); k * k],
             delivered: vec![0; k * k],
         }
@@ -267,13 +232,11 @@ impl RecoveryLog {
 
     pub fn record_step(&mut self, c: usize, limit: VTime) {
         self.input_log[c].push(ReplayOp::Step { limit });
-        self.base_log[c].push(ReplayOp::Step { limit });
     }
 
     pub fn record_deliver(&mut self, m: TwMessage) {
         self.delivered[m.src as usize * self.k + m.dst as usize] += 1;
         self.input_log[m.dst as usize].push(ReplayOp::Deliver(m));
-        self.base_log[m.dst as usize].push(ReplayOp::Deliver(m));
     }
 
     pub fn record_send(&mut self, m: TwMessage) {
@@ -282,76 +245,34 @@ impl RecoveryLog {
 
     pub fn record_fossil(&mut self, c: usize, gvt: VTime) {
         self.input_log[c].push(ReplayOp::Fossil(gvt));
-        self.base_log[c].push(ReplayOp::Fossil(gvt));
     }
 
-    /// Should the upcoming GVT round capture full bases (as opposed to
-    /// deltas)? Round counting is global — all clusters share one cadence
-    /// phase, so the coordinated cut is all-bases or all-deltas.
-    pub fn next_is_base(&self) -> bool {
-        self.rounds_since_base + 1 >= self.cadence
-    }
-
-    /// A fresh full base of cluster `i` was captured at a GVT round; its
-    /// delta chain and input log restart from this image.
+    /// A fresh image of cluster `i` was captured at a GVT round; its input
+    /// log restarts from this image.
     pub fn set_base(&mut self, i: usize, ck: String) {
         self.bases[i] = ck;
-        self.deltas[i].clear();
-        self.input_log[i].clear();
-        self.base_log[i].clear();
-    }
-
-    /// A delta of cluster `i` against the previous round's image was
-    /// captured; the input log restarts from the image the delta encodes
-    /// (replay of logged ops resumes from `base + all deltas`).
-    pub fn push_delta(&mut self, i: usize, d: String) {
-        self.deltas[i].push(d);
         self.input_log[i].clear();
     }
 
     /// Close a GVT round after every cluster's image was captured. The
-    /// *base* round is the group acknowledgement: a restore will never
-    /// reach behind the new bases, so the sender-side retention windows
-    /// reset. Delta rounds keep accumulating — a restore from the older
-    /// base replays through them, so their channel suffixes must survive.
-    pub fn round_complete(&mut self, base: bool) {
-        if base {
-            self.rounds_since_base = 0;
-            for l in &mut self.sent_log {
-                l.clear();
-            }
-            self.delivered.fill(0);
-        } else {
-            self.rounds_since_base += 1;
+    /// round is the group acknowledgement: a restore will never reach
+    /// behind the new images, so the sender-side retention windows reset.
+    pub fn round_complete(&mut self) {
+        for l in &mut self.sent_log {
+            l.clear();
         }
+        self.delivered.fill(0);
     }
 
-    /// The victim's last full base image.
+    /// The victim's last image.
     pub fn base(&self, victim: usize) -> &str {
         &self.bases[victim]
     }
 
-    /// The victim's delta chain on top of that base, oldest first.
-    pub fn deltas(&self, victim: usize) -> &[String] {
-        &self.deltas[victim]
-    }
-
-    /// The victim's input log since its last captured image — the replay
-    /// sequence applied after the base+delta reconstruction.
+    /// The victim's input log since that image — the replay sequence
+    /// applied on top of it.
     pub fn ops(&self, victim: usize) -> &[ReplayOp] {
         &self.input_log[victim]
-    }
-
-    /// Corrupt-restore fallback: the victim's delta chain was rejected, so
-    /// discard it and widen the input log to everything since the base —
-    /// a restore from the bare base plus that replay reconstructs the same
-    /// pre-crash state (sender-side retention already spans the whole base
-    /// window, so channel refill stays exact). After the demotion the
-    /// respawned worker's "previous image" is the base itself, which is
-    /// precisely what its next delta capture will diff against.
-    pub fn demote_to_base(&mut self, victim: usize) {
-        self.deltas[victim].clear();
-        self.input_log[victim] = self.base_log[victim].clone();
     }
 
     /// The undelivered suffix of the `src → dst` channel: what was in

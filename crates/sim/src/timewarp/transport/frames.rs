@@ -90,14 +90,13 @@ pub(super) fn replay_op_json(op: &ReplayOp) -> Json {
     }
 }
 
-/// Build the `restore` frame around images kept as the text they were
-/// captured as: the same bytes an [`ObjBuilder`] over the decoded images
-/// would emit, without decoding them.
-pub(super) fn restore_frame(base: &str, deltas: &[String], ops: &[ReplayOp]) -> String {
+/// Build the `restore` frame around an image kept as the text it was
+/// captured as: the same bytes an [`ObjBuilder`] over the decoded image
+/// would emit, without decoding it.
+pub(super) fn restore_frame(base: &str, ops: &[ReplayOp]) -> String {
     let ops = Json::Array(ops.iter().map(replay_op_json).collect());
     let ops = ops.emit().expect("replay ops hold no floats");
-    let deltas = deltas.join(",");
-    format!(r#"{{"kind":"restore","ck":{base},"deltas":[{deltas}],"ops":{ops}}}"#)
+    format!(r#"{{"kind":"restore","ck":{base},"ops":{ops}}}"#)
 }
 
 pub(super) fn replay_op_from_json(v: &Json) -> Result<ReplayOp, String> {

@@ -9,12 +9,12 @@ use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
-use crate::timewarp::checkpoint::{Checkpoint, CheckpointDelta, DeltaError};
+use crate::timewarp::checkpoint::Checkpoint;
 use crate::timewarp::proc::ClusterProcess;
 use crate::timewarp::recovery::{replay_ops, ReplayOp};
 use crate::timewarp::{StateSaving, TwMessage};
 use crate::wheel::VTime;
-use dvs_json::{FromJson, Json, JsonError, ToJson};
+use dvs_json::{FromJson, Json, ToJson};
 use dvs_verilog::netlist::Netlist;
 
 /// A cluster worker whose commands are direct method calls on a
@@ -28,9 +28,6 @@ pub(crate) struct InProcWorker<'nl, 'p> {
     label: String,
     me: u32,
     proc: Option<ClusterProcess<'p>>,
-    /// The previous round's image — the reference for delta captures.
-    /// `None` until the first full checkpoint is taken.
-    prev: Option<Checkpoint>,
 }
 
 /// What a command gets from a worker that holds no process: one that has
@@ -72,7 +69,6 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
             label: label.to_string(),
             me,
             proc: Some(proc),
-            prev: None,
         }
     }
 
@@ -82,8 +78,8 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
     }
 
     /// This worker's share of [`ClusterWorker::gvt_round`]: fossil-collect
-    /// below `gvt`, then capture `image` against (and as the next)
-    /// reference image. The text is the reply frame of a served worker.
+    /// below `gvt`, then capture `image`. The text is the reply frame of a
+    /// served worker.
     pub(super) fn capture(&mut self, gvt: VTime, image: Image) -> Result<String, WorkerFailure> {
         let (me, label) = (self.me, &self.label);
         let p = alive(&mut self.proc)?;
@@ -96,58 +92,31 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
                 "fossil collection on cluster {me} reclaimed history at or above GVT {gvt} ({label})"
             );
         }
-        if image == Image::None {
-            return Ok(String::new());
+        match image {
+            Image::None => Ok(String::new()),
+            Image::Base => p
+                .checkpoint(gvt)
+                .to_json()
+                .emit()
+                .map_err(|e| protocol(e.msg)),
         }
-        let next = p.checkpoint(gvt);
-        let encoded = match (image, self.prev.as_ref()) {
-            (Image::Delta, Some(prev)) => CheckpointDelta::between(prev, &next).to_json(),
-            (Image::Delta, None) => {
-                return Err(protocol("delta image before any base image".to_string()))
-            }
-            _ => next.to_json(),
-        };
-        self.prev = Some(next);
-        encoded.emit().map_err(|e| protocol(e.msg))
     }
 
-    /// [`ClusterWorker::respawn`] on decoded images: rebuild the process
-    /// the base image and its delta chain describe, replay `ops` on it,
-    /// and keep the reconstructed image as the reference of the next
-    /// delta. A chain that does not apply is
-    /// [`WorkerFailure::CorruptRestore`] — recoverable, the supervisor
-    /// retries from the bare base; an image that does not decode, or names
-    /// another schema or cluster, means the supervisor itself is confused
-    /// and stays a protocol failure. The worker is unchanged by either.
+    /// [`ClusterWorker::respawn`] on a decoded image: rebuild the process
+    /// it describes and replay `ops` on it. An image that does not decode
+    /// means the supervisor itself is confused — a protocol failure that
+    /// leaves the worker unchanged.
     pub(super) fn restore(
         &mut self,
         base: &Json,
-        deltas: &[Json],
         ops: &[ReplayOp],
     ) -> Result<VTime, WorkerFailure> {
-        let undecodable = |e: JsonError| protocol(e.msg);
-        let base = Checkpoint::from_json(base).map_err(undecodable)?;
-        let deltas = deltas
-            .iter()
-            .map(CheckpointDelta::from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(undecodable)?;
+        let base = Checkpoint::from_json(base).map_err(|e| protocol(e.msg))?;
         let stim = self.stim.clone();
-        let (mut p, image) =
-            ClusterProcess::from_chain(self.nl, self.plan, stim, self.cycles, &base, &deltas)
-                .map_err(|e| {
-                    let detail = format!("restore chain rejected: {e}");
-                    match e {
-                        DeltaError::Corrupt(_) | DeltaError::ChainMismatch { .. } => {
-                            WorkerFailure::CorruptRestore { detail }
-                        }
-                        _ => WorkerFailure::Protocol { detail },
-                    }
-                })?;
+        let mut p = ClusterProcess::from_checkpoint(self.nl, self.plan, stim, self.cycles, &base);
         replay_ops(&mut p, ops);
         let lvt = p.lvt();
         self.proc = Some(p);
-        self.prev = Some(image);
         Ok(lvt)
     }
 }
@@ -188,18 +157,9 @@ impl ClusterWorker for InProcWorker<'_, '_> {
         workers.iter_mut().map(|w| w.capture(gvt, image)).collect()
     }
 
-    fn respawn(
-        &mut self,
-        base: &str,
-        deltas: &[String],
-        ops: &[ReplayOp],
-    ) -> Result<VTime, WorkerFailure> {
-        let parse = |text: &str| Json::parse(text).map_err(|e| protocol(e.msg));
-        let deltas = deltas
-            .iter()
-            .map(|d| parse(d))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.restore(&parse(base)?, &deltas, ops)
+    fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure> {
+        let base = Json::parse(base).map_err(|e| protocol(e.msg))?;
+        self.restore(&base, ops)
     }
 
     fn check_quiescence(&mut self) -> Result<(), WorkerFailure> {

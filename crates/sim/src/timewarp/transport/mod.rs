@@ -297,11 +297,6 @@ pub(crate) enum WorkerFailure {
     Protocol { detail: String },
     /// Version negotiation failed; `theirs` is `(wire, checkpoint_schema)`.
     Version { theirs: (u32, u32) },
-    /// The shipped restore payload (base + delta chain) was rejected as
-    /// corrupt by the restoring side. Recoverable: the supervisor demotes
-    /// the victim's log to its last full base and retries, burning one
-    /// restart-budget unit, before degrading to the sequential simulator.
-    CorruptRestore { detail: String },
 }
 
 /// Map a non-recoverable worker failure to the public error type.
@@ -316,10 +311,6 @@ fn fatal(cluster: u32, f: WorkerFailure) -> TimeWarpError {
             ours: (WIRE_VERSION, CHECKPOINT_SCHEMA),
             theirs,
         },
-        // Reachable only if a corrupt restore escapes the supervisor's
-        // base-fallback path (it degrades instead); typed as a transport
-        // failure rather than panicking on an impossible state.
-        WorkerFailure::CorruptRestore { detail } => TimeWarpError::Transport { cluster, detail },
     }
 }
 
@@ -357,26 +348,23 @@ pub(crate) struct WireCounters {
 /// the messages its application emitted (rollback anti-messages).
 pub(crate) type Delivered = (VTime, Vec<TwMessage>);
 
-/// What a GVT round captures from a worker after fossil-collecting it, per
-/// the configured [`super::CheckpointCadence`]. The names are the wire's.
+/// What a GVT round captures from a worker after fossil-collecting it.
+/// The names are the wire's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Image {
     /// Nothing: the run is untracked, or has just quiesced.
     None,
-    /// A full [`Checkpoint`], the reference of the deltas that follow.
+    /// A full [`super::Checkpoint`].
     Base,
-    /// A [`CheckpointDelta`] against the previous round's image.
-    Delta,
 }
 
 impl Image {
-    const ALL: [Image; 3] = [Image::None, Image::Base, Image::Delta];
+    const ALL: [Image; 2] = [Image::None, Image::Base];
 
     fn name(self) -> &'static str {
         match self {
             Image::None => "none",
             Image::Base => "base",
-            Image::Delta => "delta",
         }
     }
 }
@@ -408,9 +396,9 @@ pub(crate) trait ClusterWorker: Sized {
     fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure>;
     /// One GVT round on every worker of `workers` — all of them, or the
     /// one being re-asked after a recovery: fossil-collect history
-    /// strictly below `gvt`, then capture `image` (retaining it as the
-    /// reference of the next delta). Returns, per worker, the image as the
-    /// canonical JSON text it was captured as — empty for [`Image::None`].
+    /// strictly below `gvt`, then capture `image`. Returns, per worker, the
+    /// image as the canonical JSON text it was captured as — empty for
+    /// [`Image::None`].
     /// Taking the workers together lets a wire transport write every
     /// command before it reads the first reply.
     fn gvt_round(
@@ -418,15 +406,9 @@ pub(crate) trait ClusterWorker: Sized {
         gvt: VTime,
         image: Image,
     ) -> Vec<Result<String, WorkerFailure>>;
-    /// Rebuild the worker from the encoded `base` plus its encoded delta
-    /// chain and replay `ops` (re-sends suppressed). Returns the restored
-    /// LVT.
-    fn respawn(
-        &mut self,
-        base: &str,
-        deltas: &[String],
-        ops: &[ReplayOp],
-    ) -> Result<VTime, WorkerFailure>;
+    /// Rebuild the worker from the encoded image `base` and replay `ops`
+    /// (re-sends suppressed). Returns the restored LVT.
+    fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure>;
     /// Assert the quiescence invariants (check mode only): idle LVT, no
     /// orphan tombstones, no pending events.
     fn check_quiescence(&mut self) -> Result<(), WorkerFailure>;

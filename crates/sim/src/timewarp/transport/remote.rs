@@ -555,14 +555,13 @@ impl ProcessWorker {
         }
     }
 
-    /// Read the reply to a `gvt` command that asked for `image`: the
+    /// Read the reply to a `gvt` command that asked for an image: the
     /// image itself, as the canonical text the worker captured it as and
     /// kept as received — the supervisor only stores it, so only its
     /// envelope is looked at. Every other frame is handled as
     /// [`Self::read_response`] would.
-    fn read_image(&mut self, gvt: VTime, image: Image) -> Result<String, WorkerFailure> {
+    fn read_image(&mut self, gvt: VTime) -> Result<String, WorkerFailure> {
         let asked_for = ImageEnvelope {
-            delta: image == Image::Delta,
             schema: CHECKPOINT_SCHEMA,
             cluster: self.cluster,
             gvt,
@@ -682,22 +681,18 @@ impl ClusterWorker for ProcessWorker {
         let written: Vec<_> = workers.iter_mut().map(|w| w.send(&cmd)).collect();
         let read = |(written, w): (Result<(), WorkerFailure>, &mut Self)| {
             written?;
-            if image == Image::None {
-                let r = w.read_response()?;
-                w.expect_kind(&r, "ok").map(|()| String::new())
-            } else {
-                w.read_image(gvt, image)
+            match image {
+                Image::None => {
+                    let r = w.read_response()?;
+                    w.expect_kind(&r, "ok").map(|()| String::new())
+                }
+                Image::Base => w.read_image(gvt),
             }
         };
         written.into_iter().zip(workers).map(read).collect()
     }
 
-    fn respawn(
-        &mut self,
-        base: &str,
-        deltas: &[String],
-        ops: &[ReplayOp],
-    ) -> Result<VTime, WorkerFailure> {
+    fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure> {
         // Over TCP a respawn that times out (the replacement never dials
         // in, or a remote worker never reconnects) is itself a crash-stop
         // loss: each failed attempt burns one unit of the restart budget,
@@ -711,7 +706,7 @@ impl ClusterWorker for ProcessWorker {
             other => other,
         };
         self.spawn().map_err(remap)?;
-        self.send_text(&restore_frame(base, deltas, ops))?;
+        self.send_text(&restore_frame(base, ops))?;
         let r = self.read_response()?;
         self.last_lvt = self.expect_ready(&r)?;
         Ok(self.last_lvt)
@@ -780,8 +775,8 @@ impl Drop for ProcessWorker {
 
 /// Sort a worker→supervisor control frame: `Ok(None)` for a heartbeat
 /// `pong` (it can interleave with, or precede, any response; it only
-/// proves liveness), the typed failure for a `panic`, `error` or
-/// `restore_corrupt` frame, the parsed frame otherwise.
+/// proves liveness), the typed failure for a `panic` or `error` frame, the
+/// parsed frame otherwise.
 pub(super) fn substantive(bytes: &[u8]) -> Result<Option<Json>, WorkerFailure> {
     let j = parse_json(bytes).map_err(protocol)?;
     let said = |key: &str, absent: &str| {
@@ -794,9 +789,6 @@ pub(super) fn substantive(bytes: &[u8]) -> Result<Option<Json>, WorkerFailure> {
             message: said("message", "<no message>"),
         }),
         "error" => Err(WorkerFailure::Protocol {
-            detail: said("detail", "<no detail>"),
-        }),
-        "restore_corrupt" => Err(WorkerFailure::CorruptRestore {
             detail: said("detail", "<no detail>"),
         }),
         _ => Ok(Some(j)),

@@ -43,13 +43,11 @@ use std::time::{Duration, Instant};
 ///    * `deliver` (`msgs`: a run, see [`crate::timewarp::Schedule::fork`]) →
 ///      `done`
 ///      (`results`: one `lvt` + `sends` per message applied);
-///    * `gvt` (`gvt`, `image`: `base` | `delta` | `none`) → fossil-collect
-///      below `gvt`, then `ok` for `none`, else the image itself — the
-///      canonical `tw_checkpoint` / `tw_checkpoint_delta` document is the
-///      whole reply frame, which is how the supervisor can keep it as
-///      received;
-///    * `restore` (`ck`, `deltas`, `ops`) → `ready`, or `restore_corrupt`
-///      when the chain does not apply (the worker keeps serving);
+///    * `gvt` (`gvt`, `image`: `base` | `none`) → fossil-collect below
+///      `gvt`, then `ok` for `none`, else the image itself — the canonical
+///      `tw_checkpoint` document is the whole reply frame, which is how
+///      the supervisor can keep it as received;
+///    * `restore` (`ck`, `ops`) → `ready`;
 ///    * `quiesce` → `ok`; `ping` → `pong`; `finish` → `finished`, after
 ///      which the worker hangs up.
 ///
@@ -315,30 +313,23 @@ fn dispatch(
             }
         }
         "restore" => {
-            let array = |key: &str| cmd.field(key).and_then(Json::as_array).map_err(bad);
-            let ops: Vec<ReplayOp> = array("ops")?
+            // Ignoring a chain would silently restore an older round than
+            // the one its sender means.
+            if cmd.get("deltas").is_some() {
+                return Err(protocol(
+                    "a restore takes one full image, not a `deltas` chain".to_string(),
+                ));
+            }
+            let ops = cmd.field("ops").and_then(Json::as_array).map_err(bad)?;
+            let ops: Vec<ReplayOp> = ops
                 .iter()
                 .map(|op| replay_op_from_json(op).map_err(protocol))
                 .collect::<Result<_, _>>()?;
-            let base = cmd.field("ck").map_err(bad)?;
-            match worker.restore(base, array("deltas")?, &ops) {
-                Ok(lvt) => {
-                    // A restored worker is a fresh process as far as the
-                    // fault model is concerned; it must not re-arm the
-                    // self-kill hook.
-                    *selfkill = None;
-                    ready_json(lvt)
-                }
-                // Integrity failures in the shipped chain are recoverable
-                // on the supervisor side (it falls back to the last full
-                // base), so answer with a typed frame and keep serving on
-                // this connection instead of hanging up.
-                Err(WorkerFailure::CorruptRestore { detail }) => ObjBuilder::new()
-                    .str("kind", "restore_corrupt")
-                    .str("detail", &detail)
-                    .build(),
-                Err(other) => return Err(other),
-            }
+            let lvt = worker.restore(cmd.field("ck").map_err(bad)?, &ops)?;
+            // A restored worker is a fresh process as far as the fault
+            // model is concerned; it must not re-arm the self-kill hook.
+            *selfkill = None;
+            ready_json(lvt)
         }
         "quiesce" => {
             if worker.check {

@@ -7,14 +7,12 @@ use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
-use crate::timewarp::checkpoint::CheckpointDelta;
 use crate::timewarp::dst::{DstAction, DstView, Schedule};
 use crate::timewarp::error::TimeWarpError;
 use crate::timewarp::gvt::GvtState;
 use crate::timewarp::recovery::{degrade_sequential, RecoveryLog, RecoveryOutcome};
 use crate::timewarp::{merge_results, TimeWarpConfig, TwMessage, TwRunResult, STALL_LIMIT};
 use crate::wheel::VTime;
-use dvs_json::{FromJson, Json, ToJson};
 use dvs_verilog::netlist::Netlist;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -58,10 +56,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
             outcome.checkpoint_bytes_full += base.len() as u64;
             bases.push(base);
         }
-        Some(RecoveryLog::from_checkpoints(
-            bases,
-            cfg.checkpoint_cadence.every_n_rounds,
-        ))
+        Some(RecoveryLog::from_checkpoints(bases))
     } else {
         None
     };
@@ -80,7 +75,6 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         in_hand: VecDeque::new(),
         log,
         outcome,
-        corrupts_left: cfg.fault.corrupt_restores,
     };
     match sup.run(schedule) {
         // Clean completion: per-cluster `(stats, values)` ready to merge.
@@ -137,19 +131,6 @@ struct Supervisor<'a, W: ClusterWorker> {
     in_hand: VecDeque<Delivered>,
     log: Option<RecoveryLog>,
     outcome: RecoveryOutcome,
-    /// Remaining [`super::recovery::FaultPlan::corrupt_restores`] fault
-    /// injections: how many further restore attempts ship a poisoned
-    /// delta chain.
-    corrupts_left: u32,
-}
-
-/// The [`super::recovery::FaultPlan::corrupt_restores`] injector: decode
-/// the encoded delta, mangle it so that applying it fails, encode it again.
-fn poison(delta: &str) -> Result<String, String> {
-    let decoded = Json::parse(delta).and_then(|j| CheckpointDelta::from_json(&j));
-    let mut delta = decoded.map_err(|e| e.msg)?;
-    delta.poison();
-    delta.to_json().emit().map_err(|e| e.msg)
 }
 
 impl<W: ClusterWorker> Supervisor<'_, W> {
@@ -429,14 +410,10 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     /// cut, in one exchange per worker. `quiesce` marks the no-action path,
     /// the only place quiescence checks run.
     fn gvt_round(&mut self, new_gvt: VTime, quiesce: bool) -> Result<(), Halt> {
-        // On an every-N cadence, only every Nth round captures full bases;
-        // the rounds between capture deltas against the previous round's
-        // image. The cadence phase is global, so the coordinated cut stays
-        // all-bases or all-deltas.
-        let image = match self.log.as_ref() {
-            Some(log) if new_gvt != VTime::MAX && log.next_is_base() => Image::Base,
-            Some(_) if new_gvt != VTime::MAX => Image::Delta,
-            _ => Image::None,
+        let image = if self.log.is_some() && new_gvt != VTime::MAX {
+            Image::Base
+        } else {
+            Image::None
         };
         debug_assert!(self.in_hand.is_empty(), "a GVT round inside a delivery run");
         let replies = W::gvt_round(self.workers, new_gvt, image);
@@ -454,23 +431,15 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             };
             // Recorded even at GVT = MAX: a worker dying between this
             // round and its finish must replay the fossil collection or
-            // its counter would diverge. (After a capture it survives only
-            // in the base-window log of the corrupt-restore fallback.)
+            // its counter would diverge. (A capture truncates it away.)
             log.record_fossil(i, new_gvt);
-            match image {
-                Image::None => {}
-                Image::Base => {
-                    self.outcome.checkpoint_bytes_full += captured.len() as u64;
-                    log.set_base(i, captured);
-                }
-                Image::Delta => {
-                    self.outcome.checkpoint_bytes_delta += captured.len() as u64;
-                    log.push_delta(i, captured);
-                }
+            if image == Image::Base {
+                self.outcome.checkpoint_bytes_full += captured.len() as u64;
+                log.set_base(i, captured);
             }
         }
-        if let (Some(log), true) = (self.log.as_mut(), image != Image::None) {
-            log.round_complete(image == Image::Base);
+        if let (Some(log), Image::Base) = (self.log.as_mut(), image) {
+            log.round_complete();
         }
         if quiesce && self.check && new_gvt == VTime::MAX {
             for i in 0..self.k {
@@ -481,11 +450,10 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     }
 
     /// Crash-stop recovery of cluster `v`: drop its incoming channels,
-    /// respawn from the last base image plus its delta chain, replay the
-    /// input log, re-fill the channels from sender-side retention (which
-    /// spans the whole cadence window). Counts every death
-    /// (including deaths during respawn itself) against the restart budget
-    /// and degrades to the sequential simulator when it runs out.
+    /// respawn from its last image, replay the input log, re-fill the
+    /// channels from sender-side retention. Counts every death (including
+    /// deaths during respawn itself) against the restart budget and
+    /// degrades to the sequential simulator when it runs out.
     fn recover(&mut self, v: usize) -> Result<(), Halt> {
         assert!(
             self.in_hand.is_empty(),
@@ -508,33 +476,28 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 .in_transit
                 .fetch_sub(dropped_total, Ordering::SeqCst);
         }
-        let mut log = self
+        let log = self
             .log
             .take()
             .expect("recovery requires an armed recovery log");
-        let out = self.recover_inner(v, &dropped, &mut log);
+        let out = self.recover_inner(v, &dropped, &log);
         self.log = Some(log);
         out
     }
 
-    /// Restart budget exhausted (or a base-only restore was itself
-    /// rejected): kill everyone and fall back to the sequential simulator,
-    /// carrying the exact recovery counters into the degraded result.
+    /// Restart budget exhausted: kill everyone and fall back to the
+    /// sequential simulator, carrying the exact recovery counters into the
+    /// degraded result.
     fn degrade(&mut self) -> Halt {
         for w in self.workers.iter_mut() {
             w.kill();
         }
         self.fold_wire_counters();
         let mut r = degrade_sequential(self.nl, self.stim, self.cycles);
-        r.recovery.crashes = self.outcome.crashes;
-        r.recovery.restarts = self.outcome.restarts;
-        r.recovery.replayed_ops = self.outcome.replayed_ops;
-        r.recovery.victims = self.outcome.victims.clone();
-        r.recovery.corrupt_frames = self.outcome.corrupt_frames;
-        r.recovery.heartbeats_missed = self.outcome.heartbeats_missed;
-        r.recovery.chaos_faults_injected = self.outcome.chaos_faults_injected;
-        r.recovery.messages_sent = self.outcome.messages_sent;
-        r.recovery.frames_sent = self.outcome.frames_sent;
+        r.recovery = RecoveryOutcome {
+            degraded: true,
+            ..std::mem::take(&mut self.outcome)
+        };
         Halt::Degraded(Box::new(r))
     }
 
@@ -555,12 +518,8 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         &mut self,
         v: usize,
         dropped: &[Vec<TwMessage>],
-        log: &mut RecoveryLog,
+        log: &RecoveryLog,
     ) -> Result<(), Halt> {
-        // Set after a shipped delta chain was rejected as corrupt: the
-        // victim's log has been demoted to its last full base, and a
-        // second rejection degrades instead of looping forever.
-        let mut base_only = false;
         loop {
             self.outcome.crashes += 1;
             self.outcome.victims.push(v as u32);
@@ -568,31 +527,14 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 return Err(self.degrade());
             }
             self.outcome.restarts += 1;
-            // Fault injection: poison the delta chain about to ship so the
-            // restoring side rejects it as `DeltaError::Corrupt` —
-            // exercising the same base-fallback path a frame corrupted in
-            // transit (but CRC-validated into a parseable chain) would take.
-            let poisoned;
-            let deltas: &[String] = if self.corrupts_left > 0 && !log.deltas(v).is_empty() {
-                self.corrupts_left -= 1;
-                let mut chain = log.deltas(v).to_vec();
-                let last = chain.last_mut().expect("chain is non-empty");
-                *last = poison(last)
-                    .map_err(|detail| fatal(v as u32, WorkerFailure::Protocol { detail }))
-                    .map_err(Halt::Failed)?;
-                poisoned = chain;
-                &poisoned
-            } else {
-                log.deltas(v)
-            };
-            match self.workers[v].respawn(log.base(v), deltas, log.ops(v)) {
+            match self.workers[v].respawn(log.base(v), log.ops(v)) {
                 Ok(lvt) => {
                     self.outcome.replayed_ops += log.ops(v).len() as u64;
                     self.lvts[v] = lvt;
                     self.shared.publish_lvt(v, lvt);
                     // The lost channels are re-filled from each
                     // neighbour's retained output history (the
-                    // undelivered suffix since the last base round).
+                    // undelivered suffix since the last round).
                     let mut refilled = 0i64;
                     for (src, lost) in dropped.iter().enumerate() {
                         let und = log.undelivered(src, v);
@@ -616,19 +558,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 // The replacement died during respawn (possible only with
                 // real processes): another crash against the budget.
                 Err(WorkerFailure::Lost { .. }) => continue,
-                // The shipped delta chain did not survive the trip: burn a
-                // restart unit, demote the victim's log to its last full
-                // base (the op log re-grows from the base round, which the
-                // sender-side retention window already spans) and re-send
-                // base-only.
-                Err(WorkerFailure::CorruptRestore { .. }) if !base_only => {
-                    base_only = true;
-                    log.demote_to_base(v);
-                    continue;
-                }
-                // Even the bare base was rejected: nothing left to restore
-                // from — degrade to the sequential simulator.
-                Err(WorkerFailure::CorruptRestore { .. }) => return Err(self.degrade()),
                 Err(f) => return Err(Halt::Failed(fatal(v as u32, f))),
             }
         }

@@ -6,7 +6,7 @@ use super::supervisor::run_supervisor;
 use super::*;
 use crate::cluster::ClusterPlan;
 use crate::stimulus::VectorStimulus;
-use crate::timewarp::checkpoint::{Checkpoint, CheckpointDelta};
+use crate::timewarp::checkpoint::Checkpoint;
 use crate::timewarp::dst::{DstAction, DstView, Schedule};
 use crate::timewarp::wire::{
     hello_json, hello_parse, json_kind, parse_json, read_frame, send_json, FrameSink, FrameSource,
@@ -57,14 +57,16 @@ fn replay_ops_round_trip() {
 #[test]
 fn hello_mismatch_shuts_the_worker_down_quietly() {
     // Both directions of wire skew: a future supervisor with a newer
-    // wire version, a v3 supervisor that would deliver one `msg` per
-    // frame and ask for `fossil` and `ckpt` separately, and a stale v2
-    // supervisor predating checksummed frames; plus current-wire
+    // wire version, a v4 supervisor that would ask for delta images and
+    // ship chains in `restore`, a v3 supervisor that would deliver one
+    // `msg` per frame and ask for `fossil` and `ckpt` separately, and a
+    // stale v2 supervisor predating checksummed frames; plus current-wire
     // supervisors still on checkpoint schema 2 or 3. Hellos stay on
     // the legacy length-only framing precisely so this exchange parses
     // on both sides regardless of version.
     for (wire, schema) in [
         (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
+        (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
         (2, CHECKPOINT_SCHEMA),
         (WIRE_VERSION, 2),
@@ -254,8 +256,9 @@ fn broker_parks_out_of_order_dialins() {
 
 /// A correct-token peer with a mismatched wire version or checkpoint
 /// schema is fatal — the checkpoint payload must never cross a
-/// mixed-version pair. A v3 worker (one message per `deliver`, no `gvt`
-/// command), a v2 worker (pre-checksum framing), a schema-2 worker (the only kind that could still expect a `state_saving` key
+/// mixed-version pair. A v4 worker (which answers `restore` only when it
+/// carries a `deltas` chain), a v3 worker (one message per `deliver`, no
+/// `gvt` command), a v2 worker (pre-checksum framing), a schema-2 worker (the only kind that could still expect a `state_saving` key
 /// in `init`) or a schema-3 worker (whose images carry tombstone sets)
 /// meeting this supervisor surfaces as the typed
 /// [`TimeWarpError::VersionMismatch`], not as garbled frames — hellos
@@ -263,6 +266,7 @@ fn broker_parks_out_of_order_dialins() {
 #[test]
 fn broker_rejects_version_mismatch_as_fatal() {
     for theirs in [
+        (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
         (2, CHECKPOINT_SCHEMA),
         (WIRE_VERSION, 2),
@@ -607,8 +611,9 @@ fn lone_anti_message_is_refused() {
 /// `ckpt` or `ckpt_delta`, or a v3 `deliver` carrying one `msg`,
 /// answers with a typed `error` frame (which the supervisor maps to
 /// [`WorkerFailure::Protocol`]) and hangs up. So does one handed a
-/// delivery of nothing, or a `gvt` asking for an image kind that does
-/// not exist.
+/// delivery of nothing, a `gvt` asking for an image kind that does not
+/// exist — wire v4's `delta` among them — or a v4 `restore` carrying a
+/// `deltas` chain.
 #[test]
 fn removed_batch_commands_are_unknown() {
     let m = channel_msg(1, 1, Logic::One);
@@ -649,6 +654,19 @@ fn removed_batch_commands_are_unknown() {
         (
             at_gvt("gvt").str("image", "full").build(),
             "unknown image kind",
+        ),
+        (
+            at_gvt("gvt").str("image", "delta").build(),
+            "unknown image kind",
+        ),
+        (
+            ObjBuilder::new()
+                .str("kind", "restore")
+                .field("ck", sample_checkpoint().to_json())
+                .array("deltas", Vec::new())
+                .array("ops", Vec::new())
+                .build(),
+            "`deltas` chain",
         ),
     ];
     for (cmd, why) in &refused {
@@ -745,13 +763,7 @@ fn replies_that_do_not_fit_their_command_are_protocol_failures() {
         (ck.cluster, ck.gvt) = (cluster, gvt);
         ck.to_json().emit().expect("emit")
     };
-    let delta = {
-        let (prev, mut next) = (sample_checkpoint(), sample_checkpoint());
-        (next.cluster, next.gvt) = (1, 17);
-        let prev = Checkpoint { cluster: 1, ..prev };
-        let delta = CheckpointDelta::between(&prev, &next);
-        delta.to_json().emit().expect("emit")
-    };
+    let delta = image_of(1, 17).replace("\"tw_checkpoint\"", "\"tw_checkpoint_delta\"");
     for (reply, fits) in [
         (image_of(1, 17), true),
         (image_of(2, 17), false),
@@ -791,37 +803,27 @@ fn sample_checkpoint() -> Checkpoint {
     }
 }
 
-/// The `restore` frame is assembled around images kept as text; it
-/// must be, byte for byte, the frame an encoder over the decoded
-/// images would emit — and read back as the images it was built from.
+/// The `restore` frame is assembled around an image kept as text; it
+/// must be, byte for byte, the frame an encoder over the decoded image
+/// would emit — and read back as the image it was built from.
 #[test]
 fn restore_frame_around_kept_text_is_the_canonical_frame() {
     let base = sample_checkpoint();
-    let mut next = base.clone();
-    (next.gvt, next.mseq) = (23, 12);
-    let delta = CheckpointDelta::between(&base, &next);
     let ops = [
         ReplayOp::Step { limit: 39 },
         ReplayOp::Deliver(channel_msg(4, 25, Logic::One)),
         ReplayOp::Fossil(VTime::MAX),
     ];
     let text = |j: Json| j.emit().expect("emit");
-    for chain in [
-        vec![],
-        vec![text(delta.to_json())],
-        vec![text(delta.to_json()); 2],
-    ] {
-        let frame = restore_frame(&text(base.to_json()), &chain, &ops);
-        let encoded = ObjBuilder::new()
-            .str("kind", "restore")
-            .field("ck", base.to_json())
-            .array("deltas", vec![delta.to_json(); chain.len()])
-            .array("ops", ops.iter().map(replay_op_json).collect());
-        assert_eq!(frame, text(encoded.build()));
-        let back = Json::parse(&frame).expect("the frame parses");
-        let ck = Checkpoint::from_json(back.field("ck").expect("ck")).expect("decodes");
-        assert_eq!(ck, base);
-    }
+    let frame = restore_frame(&text(base.to_json()), &ops);
+    let encoded = ObjBuilder::new()
+        .str("kind", "restore")
+        .field("ck", base.to_json())
+        .array("ops", ops.iter().map(replay_op_json).collect());
+    assert_eq!(frame, text(encoded.build()));
+    let back = Json::parse(&frame).expect("the frame parses");
+    let ck = Checkpoint::from_json(back.field("ck").expect("ck")).expect("decodes");
+    assert_eq!(ck, base);
 }
 
 // -- Delivery runs ------------------------------------------------------

@@ -34,17 +34,19 @@ use std::time::Duration;
 
 /// Version of the framing and command vocabulary. Negotiated in the
 /// `hello` exchange together with [`CHECKPOINT_SCHEMA`] (the restore
-/// payload is a serialized base checkpoint plus an optional delta chain to
-/// fold onto it, so both must match — a peer on an older schema is rejected
-/// at the handshake rather than failing when an image arrives). Version 2
+/// payload is a serialized checkpoint, so both must match — a peer on an
+/// older schema is rejected at the handshake rather than failing when an
+/// image arrives). Version 2
 /// added the per-run `token` and the worker `cluster` identity to the
 /// hello frame for the TCP transport. Version 3 added the checksummed,
 /// sequence-numbered command-frame header and the `ping`/`pong` heartbeat
 /// exchange; only the hello keeps the version-2 framing. Version 4 kept the
 /// framing and changed the vocabulary: `deliver` carries a run of messages
 /// (`msgs`, answered with `results`), and `gvt` replaced `fossil`, `ckpt`
-/// and `ckpt_delta`.
-pub const WIRE_VERSION: u32 = 4;
+/// and `ckpt_delta`. Version 5 removed delta images: `gvt` no longer takes
+/// `image: "delta"`, `restore` lost its required `deltas` key, and with it
+/// went the reply kind for a chain that did not apply.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix above this is
 /// a protocol error, not an allocation request.

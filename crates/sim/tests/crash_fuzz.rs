@@ -24,8 +24,7 @@ use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::dst::{run_deterministic, run_with_schedule};
 use dvs_sim::timewarp::{
-    CheckpointCadence, DstAction, DstView, FaultPlan, Schedule, SchedulePolicy, TimeWarpConfig,
-    TwRunResult,
+    DstAction, DstView, FaultPlan, Schedule, SchedulePolicy, TimeWarpConfig, TwRunResult,
 };
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::parse_and_elaborate;
@@ -48,22 +47,19 @@ struct CrashCase {
     victim: u32,
     crash_at: u64,
     crashes: u32,
-    cadence: u32,
 }
 
 fn case_strategy() -> impl Strategy<Value = CrashCase> {
     let circuit = (any::<bool>(), 2u32..6, 2usize..4, any::<u64>());
     let seeds = (any::<u64>(), any::<u64>(), 0u8..3);
     // Crash points span immediate (0) through mid-run; points past the end
-    // of the run simply never fire, which is itself a valid case. Cadences
-    // above 1 interleave delta checkpoints between bases, so crashes land
-    // at every chain depth.
-    let fault = ((10u64..30, 0u32..4), (0u64..600, 1u32..3, 1u32..5));
+    // of the run simply never fire, which is itself a valid case.
+    let fault = ((10u64..30, 0u32..4), (0u64..600, 1u32..3));
     (circuit, seeds, fault).prop_map(
         |(
             (counter_not_lfsr, bits, k, part_seed),
             (stim_seed, sched_seed, policy_sel),
-            ((cycles, victim), (crash_at, crashes, cadence)),
+            ((cycles, victim), (crash_at, crashes)),
         )| CrashCase {
             counter_not_lfsr,
             bits,
@@ -76,7 +72,6 @@ fn case_strategy() -> impl Strategy<Value = CrashCase> {
             victim: victim % k as u32,
             crash_at,
             crashes,
-            cadence,
         },
     )
 }
@@ -122,7 +117,6 @@ fn run_with_fault(case: &CrashCase, fault: FaultPlan) -> TwRunResult {
     let cfg = TimeWarpConfig::builder()
         .window(8)
         .epochs_per_quantum(2)
-        .checkpoint_cadence(CheckpointCadence::every_n_rounds(case.cadence))
         .fault(fault)
         .build()
         .expect("valid config");
@@ -146,7 +140,6 @@ fn assert_crash_is_invisible(case: &CrashCase) {
         crash_at: Some((case.victim, case.crash_at)),
         crashes: case.crashes,
         max_restarts: case.crashes,
-        corrupt_restores: 0,
     };
     let crashed = run_with_fault(case, fault);
     assert!(
@@ -173,7 +166,6 @@ fn assert_degradation_is_correct(case: &CrashCase) {
         crash_at: Some((case.victim, case.crash_at)),
         crashes: case.crashes + 1,
         max_restarts: case.crashes,
-        corrupt_restores: 0,
     };
     let tw = run_with_fault(case, fault);
     if tw.recovery.crashes <= case.crashes {
@@ -258,36 +250,18 @@ fn fixed_cases_per_policy() {
             victim: 1,
             crash_at: 9,
             crashes: 2,
-            cadence: 1,
         };
         with_dump(&case, "fixed", assert_crash_is_invisible);
         with_dump(&case, "fixed_degradation", assert_degradation_is_correct);
-    }
-}
-
-/// Regression pin for the single-round retention assumption this PR
-/// removed: with bases only every 3rd GVT round, crashes at several chain
-/// depths must recover invisibly — which requires the sender-side retention
-/// window and fossil collection (invariant checks forced on) to both honor
-/// the N-round cadence rather than the old one-round ack window.
-#[test]
-fn fixed_cadence_three_retention_is_safe() {
-    for (crash_at, crashes) in [(0u64, 1u32), (9, 2), (40, 2), (120, 1)] {
-        let case = CrashCase {
-            counter_not_lfsr: true,
-            bits: 4,
-            k: 3,
-            part_seed: 11,
-            stim_seed: 22,
-            sched_seed: 33,
-            policy_sel: 1,
-            cycles: 25,
-            victim: 1,
-            crash_at,
-            crashes,
-            cadence: 3,
-        };
-        with_dump(&case, "fixed_cadence_three", assert_crash_is_invisible);
+        // The same circuit killed at the start, mid-run and late.
+        for (crash_at, crashes) in [(0u64, 1u32), (40, 2), (120, 1)] {
+            let case = CrashCase {
+                crash_at,
+                crashes,
+                ..case.clone()
+            };
+            with_dump(&case, "fixed", assert_crash_is_invisible);
+        }
     }
 }
 
@@ -370,7 +344,6 @@ fn crashes_inside_a_burst_are_invisible() {
             victim: 0,
             crash_at: 0,
             crashes: 1,
-            cadence: 1,
         };
         let decisions = decisions_of(&case);
         let burst = decisions.windows(3).position(|w| {

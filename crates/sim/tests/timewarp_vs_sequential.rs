@@ -558,7 +558,6 @@ fn threads_mode_degrades_after_budget_exhaustion() {
             crash_at: Some((1, 1)),
             crashes: 3,
             max_restarts: 2,
-            corrupt_restores: 0,
         })
         .build()
         .expect("valid config");
