@@ -100,8 +100,9 @@ fn main() {
     let seq_seconds = t0.elapsed().as_secs_f64();
     let seq_stats = seq.stats().clone();
     let evals_per_event = seq_stats.gate_evals as f64 / seq_stats.events as f64;
+    let visited_per_event = seq.gates_visited() as f64 / seq_stats.events as f64;
     eprintln!(
-        "SeqSim {VECTORS} vectors in {seq_seconds:.3}s: {} events, {} gate evals ({evals_per_event:.1} evals/event)",
+        "SeqSim {VECTORS} vectors in {seq_seconds:.3}s: {} events, {} gate evals (triggered {evals_per_event:.1} / visited {visited_per_event:.1} evaluations per event)",
         seq_stats.events, seq_stats.gate_evals
     );
     let halves = dvs_core::multiway::partition_multiway(
@@ -172,6 +173,7 @@ fn main() {
                 .uint("measured_k", MEASURED_K as u64)
                 .uint("seq_events", seq_stats.events)
                 .uint("seq_gate_evals", seq_stats.gate_evals)
+                .uint("seq_gates_visited", seq.gates_visited())
                 .float("evals_per_event", evals_per_event)
                 .float("seq_seconds", seq_seconds)
                 .uint("threads_gate_evals", cluster_evals.iter().sum())

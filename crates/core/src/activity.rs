@@ -27,17 +27,24 @@ use crate::multiway::{partition_multiway_weighted, MultiwayConfig, MultiwayResul
 use dvs_sim::seq::{SeqSim, SimConfig, SimObserver};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::wheel::VTime;
-use dvs_verilog::netlist::{GateId, Netlist};
+use dvs_verilog::netlist::{GateId, GateKind, NetId, Netlist};
 
-/// Observer accumulating per-gate evaluation counts.
+/// Observer accumulating per-gate evaluation counts; a `Dff`'s are the
+/// rises of its clock net, counted per net.
 struct ActivityProfiler {
     counts: Vec<u64>,
+    rises: Vec<u64>,
 }
 
 impl SimObserver for ActivityProfiler {
     #[inline]
     fn gate_eval(&mut self, gate: GateId, _time: VTime) {
         self.counts[gate.idx()] += 1;
+    }
+
+    #[inline]
+    fn dffs_clocked(&mut self, net: NetId, _time: VTime) {
+        self.rises[net.idx()] += 1;
     }
 }
 
@@ -47,6 +54,7 @@ impl SimObserver for ActivityProfiler {
 pub fn profile_gate_activity(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -> Vec<u64> {
     let mut prof = ActivityProfiler {
         counts: vec![0; nl.gate_count()],
+        rises: vec![0; nl.net_count()],
     };
     let mut sim = SeqSim::new(
         nl,
@@ -56,7 +64,10 @@ pub fn profile_gate_activity(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -
         },
     );
     sim.run(stim, cycles, &mut prof);
-    for c in &mut prof.counts {
+    for (c, gate) in prof.counts.iter_mut().zip(&nl.gates) {
+        if gate.kind == GateKind::Dff {
+            *c = prof.rises[gate.inputs[0].idx()];
+        }
         *c = (*c).max(1);
     }
     prof.counts

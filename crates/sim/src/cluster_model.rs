@@ -31,7 +31,8 @@ use crate::seq::{SeqSim, SimConfig, SimObserver};
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::wheel::VTime;
-use dvs_verilog::netlist::{GateId, NetId, Netlist};
+use dvs_verilog::netlist::{GateId, GateKind, NetId, Netlist};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Cost model constants. Defaults approximate the paper's testbed: a 1 GHz
@@ -134,6 +135,8 @@ struct Profiler<'p> {
     cycles_per_bucket: u64,
     buckets: usize,
     gate_block: &'p [u32],
+    /// Per clock net, its `Dff`s per machine.
+    dffs: HashMap<NetId, Vec<u64>>,
     /// For cut nets: (source machine, destinations); dense by net id.
     route: Vec<Option<(u32, Vec<u32>)>>,
     /// ev[bucket * k + machine] = gate events.
@@ -158,6 +161,13 @@ impl<'p> SimObserver for Profiler<'p> {
         let b = self.bucket(time);
         let m = self.gate_block[gate.idx()] as usize;
         self.ev[b * self.k + m] += 1;
+    }
+
+    fn dffs_clocked(&mut self, net: NetId, time: VTime) {
+        let at = self.bucket(time) * self.k;
+        for (ev, dffs) in self.ev[at..at + self.k].iter_mut().zip(&self.dffs[&net]) {
+            *ev += dffs;
+        }
     }
 
     #[inline]
@@ -204,12 +214,20 @@ impl<'a> ClusterModel<'a> {
             }
         }
 
+        let mut dffs: HashMap<NetId, Vec<u64>> = HashMap::new();
+        for (gate, &machine) in self.nl.gates.iter().zip(&self.plan.gate_block) {
+            if gate.kind == GateKind::Dff {
+                dffs.entry(gate.inputs[0]).or_insert_with(|| vec![0; k])[machine as usize] += 1;
+            }
+        }
+
         let mut prof = Profiler {
             k,
             period: stim.period,
             cycles_per_bucket,
             buckets,
             gate_block: &self.plan.gate_block,
+            dffs,
             route,
             ev: vec![0; buckets * k],
             sent: vec![0; buckets * k],

@@ -9,8 +9,10 @@
 //! Execution model per epoch (one virtual-time tick):
 //!
 //! 1. pop all events at time `t` and apply the net-value changes;
-//! 2. collect the reader gates affected by changed nets (each at most once);
-//!    a DFF is only affected by a rising edge on its clock pin;
+//! 2. collect the reader gates affected by changed nets (each at most once).
+//!    A rising clock *triggers* every `Dff` on it — `gate_evals` counts
+//!    that — but affects only the armed ones that will change: a flop with
+//!    `d.input() == q` is not visited (the private `tables` module);
 //! 3. evaluate affected gates; outputs that differ from the current net
 //!    value are scheduled at `t + 1`.
 
@@ -19,7 +21,7 @@ use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::tables::{Epoch, GateTables};
 use crate::wheel::{NetEvent, TimingWheel, VTime};
-use dvs_verilog::netlist::{GateId, NetId, Netlist};
+use dvs_verilog::netlist::{GateId, GateKind, NetId, Netlist};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +46,14 @@ impl Default for SimConfig {
 /// Observer hooks for workload profiling and tracing. All methods default
 /// to no-ops. `net_change` fires after the new value is applied and
 /// receives it, so observers (e.g. the VCD recorder) need no access to the
-/// simulator's state.
+/// simulator's state. `gate_eval` is not called for a `Dff`: one
+/// `dffs_clocked` stands for an evaluation of every `Dff` whose clock pin is
+/// on `net`.
 pub trait SimObserver {
     #[inline]
     fn gate_eval(&mut self, _gate: GateId, _time: VTime) {}
+    #[inline]
+    fn dffs_clocked(&mut self, _net: NetId, _time: VTime) {}
     #[inline]
     fn net_change(&mut self, _net: NetId, _time: VTime, _value: Logic) {}
 }
@@ -62,6 +68,7 @@ pub struct SeqSim {
     tables: GateTables,
     values: Vec<Logic>,
     stats: SimStats,
+    visited: u64,
 }
 
 impl SeqSim {
@@ -79,6 +86,7 @@ impl SeqSim {
             tables: GateTables::new(nl, &all, &[]),
             values,
             stats: SimStats::default(),
+            visited: 0,
         }
     }
 
@@ -89,6 +97,12 @@ impl SeqSim {
 
     pub fn stats(&self) -> &SimStats {
         &self.stats
+    }
+
+    /// Gates the runs so far looked at, where `stats().gate_evals` counts
+    /// the gates triggered: a clocked `Dff` that holds is not visited.
+    pub fn gates_visited(&self) -> u64 {
+        self.visited
     }
 
     /// Run `cfg.cycles` vectors from `stim`, reporting to `obs`.
@@ -116,7 +130,7 @@ impl SeqSim {
         }
 
         let mut epoch: Vec<NetEvent> = Vec::with_capacity(64);
-        let mut front = Epoch::new(gates as usize);
+        let mut front = Epoch::new(&self.tables, &self.values);
         let mut stim_buf: Vec<NetEvent> = Vec::with_capacity(16);
 
         for cycle in 0..cycles {
@@ -148,28 +162,32 @@ impl SeqSim {
                         self.values[ev.net.idx()] = ev.value;
                         self.stats.net_toggles += 1;
                         obs.net_change(ev.net, t, ev.value);
-                        front.net_changed(&self.tables, ev.net.0, old, ev.value);
+                        front.applied(&self.tables, ev.net.0, old, ev.value);
                     }
                 }
+                let clocked = |net| obs.dffs_clocked(NetId(net), t);
+                self.stats.gate_evals += front.finish(&self.tables, &self.values, clocked);
 
                 // Phase 3: evaluate and schedule.
                 for &gi in front.affected() {
-                    self.stats.gate_evals += 1;
-                    obs.gate_eval(GateId(gi), t);
+                    let gate = self.tables.gate(gi);
+                    if gate.kind != GateKind::Dff {
+                        obs.gate_eval(GateId(gi), t);
+                    }
                     let Some(new_out) = front.eval(&self.tables, gi, &self.values) else {
                         continue;
                     };
-                    let out = self.tables.gate(gi).out;
-                    if new_out != self.values[out as usize] {
+                    if new_out != self.values[gate.out as usize] {
                         wheel.push(NetEvent {
                             time: t + 1,
-                            net: NetId(out),
+                            net: NetId(gate.out),
                             value: new_out,
                         });
                     }
                 }
             }
         }
+        self.visited += front.visited;
     }
 }
 

@@ -6,7 +6,10 @@
 pub struct SimStats {
     /// Net-change events processed (scheduled events popped and applied).
     pub events: u64,
-    /// Gate evaluations performed (the paper's unit of computational load).
+    /// Gates whose trigger fired — an input of a combinational gate or a
+    /// latch changed, a flop's clock rose, a `Dffr`'s reset changed: the
+    /// paper's unit of computational load. The event loops visit fewer: a
+    /// clocked `Dff` that holds its value is counted here and left alone.
     pub gate_evals: u64,
     /// Events that actually changed a net's value.
     pub net_toggles: u64,

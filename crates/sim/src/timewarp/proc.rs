@@ -159,7 +159,7 @@ impl<'p> ClusterProcess<'p> {
 
         ClusterProcess {
             me,
-            front: Epoch::new(tables.len()),
+            front: Epoch::new(&tables, &values),
             tables,
             exports: &cluster.exports,
             values,
@@ -212,7 +212,8 @@ impl<'p> ClusterProcess<'p> {
     /// preserved `(time, order)` stamps, which are distinct, so how the
     /// queue lays its entries out cannot matter, and the per-epoch scratch
     /// (the `Epoch` stamps) starts zeroed — it only carries state
-    /// *within* one epoch, and capture happens between epochs.
+    /// *within* one epoch, and capture happens between epochs — with its
+    /// `live` bits derived from the restored values.
     pub fn from_checkpoint(
         nl: &Netlist,
         plan: &'p ClusterPlan,
@@ -229,6 +230,8 @@ impl<'p> ClusterProcess<'p> {
             StateSaving::IncrementalUndo,
         );
         p.values.clone_from(&ck.values);
+        p.front = Epoch::new(&p.tables, &p.values);
+        debug_assert!(p.front.covers(&p.tables, &p.values));
         for e in &ck.pending {
             p.pending.insert(ckpt_to_pend(e));
         }
@@ -262,6 +265,12 @@ impl<'p> ClusterProcess<'p> {
     /// peer broke the protocol (or annihilation is unsound).
     pub fn stray_anti_messages(&self) -> u64 {
         self.stray_antis
+    }
+
+    /// Gates this process looked at, where `gate_evals` counts the gates
+    /// triggered (see `SeqSim::gates_visited`). Not part of any image.
+    pub fn gates_visited(&self) -> u64 {
+        self.front.visited
     }
 
     /// Events still queued. Zero at quiescence.
@@ -390,14 +399,17 @@ impl<'p> ClusterProcess<'p> {
         self.stats.rollbacks += 1;
 
         // 1. Restore net values: the undo log is time-nondecreasing;
-        // replay it backwards.
+        // replay it backwards. A restored value is a change like any other:
+        // the `Dff`s the net is the data or the output of are armed again.
         while let Some(&(ut, net, old)) = self.undo.last() {
             if ut < t {
                 break;
             }
             self.values[net as usize] = old;
+            self.front.arm(&self.tables, net);
             self.undo.pop();
         }
+        debug_assert!(self.front.covers(&self.tables, &self.values));
 
         // 2. Requeue processed events, except the local ones an undone
         // epoch created: reprocessing regenerates those.
@@ -487,16 +499,15 @@ impl<'p> ClusterProcess<'p> {
                 self.values[ni] = p.ev.value;
                 self.undo.push((t, ni as u32, old));
                 self.stats.net_toggles += 1;
-                self.front
-                    .net_changed(&self.tables, ni as u32, old, p.ev.value);
+                self.front.applied(&self.tables, ni as u32, old, p.ev.value);
             }
         }
+        self.stats.gate_evals += self.front.finish(&self.tables, &self.values, |_| {});
         self.processed.extend_from_slice(&self.epoch_buf);
 
         // Phase 3: evaluate, schedule, emit.
         for i in 0..self.front.affected().len() {
             let gi = self.front.affected()[i];
-            self.stats.gate_evals += 1;
             let Some(new_out) = self.front.eval(&self.tables, gi, &self.values) else {
                 continue;
             };

@@ -224,12 +224,24 @@ fn async_reset_across_clusters() {
 /// only, one clock, no net on two pins of a gate). Period 10: data inputs
 /// change at `t0`, `g`/`x`/`u`/`r1` one tick later, the clock rises at
 /// `t0 + 5` — exactly when `r5`, five buffers behind `r`, changes.
+///
+/// From `bc` on, what a `dff` that is visited only when armed can get wrong.
+/// `cb` and `cd` are the clock one buffer late: they rise in the epoch `q6`
+/// changes in, `cb`'s event before `q6`'s and `cd`'s after it (`bc` < `f6` <
+/// `bd` in gate order), and `qa`/`qb` must capture the *new* `q6`. `gl`
+/// pulses for two ticks after every change of `r`, so `qc`'s data toggles
+/// twice between edges and is back when the clock rises. `qd` is clocked by
+/// a flop's output, `qe` is its own data through an inverter, `qf`'s data is
+/// tied high (it differs from `q` before any event), and `w` — `xnor(a, a)`
+/// — rises once, at `t = 1`, where the settling event and the first
+/// vector's evaluation both schedule it.
 const FLOP_PINS: &str = r#"
-    module top(clk, a, b, r, q0, q1, q2, q3, q4, q5, q6, q7, q8, q9);
+    module top(clk, a, b, r, q0, q1, q2, q3, q4, q5, q6, q7, q8, q9,
+               qa, qb, qc, qd, qe, qf, qg);
       input clk, a, b, r;
-      output q0, q1, q2, q3, q4, q5, q6, q7, q8, q9;
+      output q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, qa, qb, qc, qd, qe, qf, qg;
       supply1 vdd;
-      wire g, x, u, r1, r2, r3, r4, r5, nr3;
+      wire g, x, u, r1, r2, r3, r4, r5, nr3, cb, cd, gl, nqe, w;
       and   ga (g, a, b);
       xor   gx (x, a, r);
       xor   gu (u, b, r);
@@ -239,6 +251,7 @@ const FLOP_PINS: &str = r#"
       buf   b4 (r4, r3);
       buf   b5 (r5, r4);
       not   nr (nr3, r2);
+      buf   bc (cb, clk);
       dff   f0 (q0, g, g);
       dffr  f1 (q1, g, g, vdd);
       dffr  f2 (q2, clk, x, x);
@@ -249,13 +262,31 @@ const FLOP_PINS: &str = r#"
       dff   f7 (q7, nr3, q5);
       latch l8 (q8, g, x);
       dff   f9 (q9, r3, q5);
+      buf   bd (cd, clk);
+      dff   fa (qa, cb, q6);
+      dff   fb (qb, cd, q6);
+      xor   gg (gl, r, r2);
+      dff   fc (qc, clk, gl);
+      dff   fd (qd, q6, a);
+      not   ne (nqe, qe);
+      dff   fe (qe, clk, nqe);
+      dff   ff (qf, clk, vdd);
+      xnor  gw (w, a, a);
+      dff   fg (qg, w, vdd);
     endmodule
 "#;
 
 /// What [`FLOP_PINS`] is held to: every gate, every tick, from the previous
 /// tick's values alone — no event queue, no reader lists, no notion of an
-/// affected gate. Runs `cycles` vectors and lets the last one die out.
-fn oblivious_final_values(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -> Vec<Logic> {
+/// affected gate. Runs `cycles` vectors from nets at `init` and lets the last
+/// one die out; `tick` sees the values before and after every tick.
+fn oblivious_run(
+    nl: &Netlist,
+    stim: &VectorStimulus,
+    cycles: u64,
+    init: Logic,
+    mut tick: impl FnMut(&[Logic], &[Logic]),
+) -> Vec<Logic> {
     use dvs_sim::logic::{eval_combinational, is_posedge};
     use dvs_verilog::netlist::GateKind;
 
@@ -268,13 +299,17 @@ fn oblivious_final_values(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -> V
             values[e.net.idx()] = e.value;
         }
     };
-    let mut before = vec![Logic::Zero; nl.net_count()];
+    let mut before = vec![init; nl.net_count()];
+    if let Some(c0) = nl.const0_net {
+        before[c0.idx()] = Logic::Zero;
+    }
     if let Some(c1) = nl.const1_net {
         before[c1.idx()] = Logic::One;
     }
     let mut now = before.clone();
     drive(&mut now, 0);
     for t in 0..stim.end_time(cycles) + 32 {
+        tick(&before, &now);
         let mut next = now.clone();
         for g in &nl.gates {
             let at = |pin: usize| now[g.inputs[pin].idx()];
@@ -302,9 +337,11 @@ fn oblivious_final_values(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -> V
 /// `en` = `d`), a reset released with the clock edge (`q4` captures at once)
 /// and without one (`q5` holds: `q7`, which samples it two ticks after every
 /// release, never sees a 1) and asserted without one (`q5` clears at once:
-/// neither does `q9`, two ticks after every assertion), and a net whose only
-/// reader is a data pin (`u`): `SeqSim` against the oblivious evaluator on every net after every
-/// vector, then the kernel with every flop cut off from its drivers.
+/// neither does `q9`, two ticks after every assertion), a net whose only
+/// reader is a data pin (`u`), and the arming cases of [`FLOP_PINS`]:
+/// `SeqSim` against the oblivious evaluator on every net after every vector,
+/// from nets at 0 and from nets at `X`, then the kernel with every flop cut
+/// off from its drivers.
 #[test]
 fn flop_pin_paths_match_an_oblivious_evaluator() {
     use dvs_sim::timewarp::{SchedulePolicy, Transport};
@@ -322,25 +359,30 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
         .collect();
     let cycles = 24;
     let mut released_with_edge = 0;
+    let (mut qa_moved, mut qc_moved) = (false, false);
     for seed in [21, 22, 23] {
         let stim = VectorStimulus::from_netlist(&nl, 10, seed);
-        for vectors in 1..=cycles {
+        for (vectors, init_zero) in (1..=cycles).flat_map(|v| [(v, true), (v, false)]) {
             let mut seq = SeqSim::new(
                 &nl,
                 &SimConfig {
                     cycles: vectors,
-                    init_zero: true,
+                    init_zero,
                 },
             );
             seq.run(&stim, vectors, &mut NullObserver);
-            let want = oblivious_final_values(&nl, &stim, vectors);
+            let init = if init_zero { Logic::Zero } else { Logic::X };
+            let want = oblivious_run(&nl, &stim, vectors, init, |_, _| {});
             for (ni, n) in nl.nets.iter().enumerate() {
                 assert_eq!(
                     seq.value(NetId(ni as u32)),
                     want[ni],
-                    "net `{}` after vector {vectors}, seed {seed}",
+                    "net `{}` after vector {vectors}, seed {seed}, init_zero {init_zero}",
                     n.name
                 );
+            }
+            if !init_zero {
+                continue;
             }
             assert_eq!(
                 seq.value(net("q7")),
@@ -353,6 +395,14 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
                 released_with_edge += 1;
                 assert_eq!(seq.value(net("q4")), Logic::One, "edge lost at the release");
             }
+            // The buffered clocks capture the `q6` of their own epoch, and
+            // the pulse on `gl` is over at every edge.
+            assert_eq!(seq.value(net("qa")), seq.value(net("q6")));
+            assert_eq!(seq.value(net("qb")), seq.value(net("q6")));
+            assert_eq!(seq.value(net("qf")), Logic::One, "armed by no event");
+            assert_eq!(seq.value(net("qg")), Logic::One, "the t = 1 edge");
+            qa_moved |= seq.value(net("qa")) == Logic::One;
+            qc_moved |= seq.value(net("qc")) == Logic::One;
         }
         for policy in [SchedulePolicy::RoundRobin, SchedulePolicy::StragglerHeavy] {
             let cfg = TimeWarpConfig::builder()
@@ -368,6 +418,46 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
         released_with_edge >= 6,
         "the seeds no longer release the reset"
     );
+    assert!(qa_moved && !qc_moved, "qa {qa_moved}, qc {qc_moved}");
+}
+
+/// `profile_gate_activity` counts a `Dff` per rise of its clock net, not per
+/// visit: on every gate it must equal the count the oblivious evaluator
+/// takes, where a gate is triggered at a tick if a pin it reacts to changed
+/// (any pin; a `Dff`'s clock rising; a `Dffr`'s clock rising or its reset).
+#[test]
+fn gate_activity_equals_an_oblivious_count() {
+    use dvs_sim::logic::is_posedge;
+    use dvs_verilog::netlist::GateKind;
+    use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
+
+    for src in [
+        FLOP_PINS.to_string(),
+        generate_counter(5),
+        generate_lfsr(7, &[7, 1]),
+    ] {
+        let nl = parse_and_elaborate(&src).unwrap().into_netlist();
+        let stim = VectorStimulus::from_netlist(&nl, 10, 21);
+        let mut want = vec![0u64; nl.gate_count()];
+        oblivious_run(&nl, &stim, 24, Logic::Zero, |before, now| {
+            for (g, count) in nl.gates.iter().zip(&mut want) {
+                let changed = |pin: usize| before[g.inputs[pin].idx()] != now[g.inputs[pin].idx()];
+                let rose =
+                    |pin: usize| is_posedge(before[g.inputs[pin].idx()], now[g.inputs[pin].idx()]);
+                *count += match g.kind {
+                    GateKind::Dff => rose(0),
+                    GateKind::Dffr => rose(0) || changed(1),
+                    _ => (0..g.inputs.len()).any(changed),
+                } as u64;
+            }
+        });
+        let got = dvs_core::activity::profile_gate_activity(&nl, &stim, 24);
+        for (gi, (got, want)) in got.iter().zip(&want).enumerate() {
+            // Idle gates are clamped to a weight of 1.
+            assert_eq!(*got, (*want).max(1), "gate {gi} of {}", nl.gates.len());
+        }
+        assert!(want.iter().any(|&c| c > 1));
+    }
 }
 
 /// A Viterbi decoder and its design-driven k=2, b=10 partition.
