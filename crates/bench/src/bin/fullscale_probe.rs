@@ -123,16 +123,9 @@ fn main() {
         std::process::exit(1);
     });
     let threads_seconds = t0.elapsed().as_secs_f64();
-    let wrong = nl
-        .nets
-        .iter()
-        .enumerate()
-        .filter(|(ni, net)| {
-            net.driver.is_some() && tw.values[*ni] != seq.value(dvs_verilog::NetId(*ni as u32))
-        })
-        .count();
+    let wrong = seq.mismatches(&nl, &tw.values).len();
     if wrong > 0 || tw.recovery.degraded {
-        eprintln!("Time Warp differs from SeqSim on {wrong} driven nets");
+        eprintln!("Time Warp differs from SeqSim on {wrong} driven nets or inputs");
         std::process::exit(1);
     }
     let measured_speedup = seq_seconds / threads_seconds;

@@ -21,16 +21,10 @@
 //! failure: schema growth requires a baseline refresh
 //! (`bench_gate --write-baseline`), never a silent pass.
 
+use crate::scenario::{canonical, fnv1a, Built, Executor, Scenario};
 use dvs_core::json::{Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION};
-use dvs_core::{
-    partition_multiway, tw_run_canonical_json, FlowBuilder, MultiwayConfig, Parallelism, Search,
-    TwPresimConfig,
-};
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{
-    run_timewarp, NetDir, NetFault, NetFaultKind, NetPlan, TimeWarpConfig, Transport,
-};
+use dvs_core::{FlowBuilder, Parallelism, Search, TwPresimConfig};
+use dvs_sim::timewarp::{NetDir, NetFault, NetFaultKind, NetPlan, Transport, TwRunResult};
 use dvs_sim::{FaultPlan, SchedulePolicy};
 use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
 use dvs_workloads::{generate_viterbi, ViterbiParams};
@@ -78,8 +72,6 @@ pub fn dst_presim() -> TwPresimConfig {
 /// process per cluster — but long enough that the crash at [`CRASH_AT`]
 /// fires and is recovered.
 pub const PROCESS_VECTORS: u64 = 20;
-/// Cluster count for the process-transport leg.
-pub const PROCESS_CLUSTERS: u32 = 3;
 
 /// The process-transport leg of the gate: real `tw_worker` OS processes,
 /// one per cluster, over the Unix-socket wire protocol. Three runs — clean
@@ -91,10 +83,8 @@ pub const PROCESS_CLUSTERS: u32 = 3;
 /// checkpoint/replay machinery, or the supervisor's decision sequence
 /// fails the gate rather than passing silently.
 pub fn process_case(worker: &Path) -> Result<CaseArtifact, String> {
-    let worker = worker.to_path_buf();
-    wire_transport_case("process_transport", move |policy| {
-        Transport::process_with_worker(DST_SEED, policy, worker.clone())
-    })
+    let wire = Transport::process_with_worker(DST_SEED, WIRE_POLICY, worker);
+    wire_transport_case("process_transport", wire)
 }
 
 /// The TCP-transport leg of the gate: the same three-run byte-identity
@@ -106,68 +96,59 @@ pub fn process_case(worker: &Path) -> Result<CaseArtifact, String> {
 /// negotiation, the connection broker, reconnect matching, crash-stop
 /// recovery — fails the gate.
 pub fn tcp_case(worker: &Path) -> Result<CaseArtifact, String> {
-    let worker = worker.to_path_buf();
-    wire_transport_case("tcp_transport", move |policy| {
-        Transport::tcp_with_worker(DST_SEED, policy, worker.clone())
-    })
+    let wire = Transport::tcp_with_worker(DST_SEED, WIRE_POLICY, worker);
+    wire_transport_case("tcp_transport", wire)
+}
+
+/// The schedule of every wire-case leg: seeded-random, like [`dst_presim`].
+const WIRE_POLICY: SchedulePolicy = SchedulePolicy::SeededRandom;
+
+/// The fixture of the gate's wire cases, with the gate's own parameters:
+/// the tiny Viterbi decoder on 3 clusters, [`PROCESS_VECTORS`] vectors of
+/// [`STIM_SEED`], in-process under [`DST_SEED`] and [`WIRE_POLICY`].
+fn wire_fixture() -> Scenario {
+    Scenario::tiny_viterbi(STIM_SEED, PROCESS_VECTORS).in_proc(DST_SEED, WIRE_POLICY)
+}
+
+/// One timed leg of case `case`: the run, its canonical bytes and its host
+/// seconds — an error when the bytes are not `clean`, the undisturbed
+/// in-process artifact (`None` for the leg that produces it).
+fn leg(
+    case: &str,
+    leg: &str,
+    scenario: &Scenario,
+    built: &Built,
+    clean: Option<&str>,
+) -> Result<(TwRunResult, String, f64), String> {
+    let t = Instant::now();
+    let tw = scenario
+        .run(built)
+        .map_err(|e| format!("case `{case}`: {e}"))?;
+    let seconds = t.elapsed().as_secs_f64();
+    let bytes = canonical(&tw);
+    if clean.is_some_and(|clean| clean != bytes) {
+        return Err(format!(
+            "case `{case}`: the {leg} leg diverged from the undisturbed in-process artifact"
+        ));
+    }
+    Ok((tw, bytes, seconds))
 }
 
 /// Shared body of [`process_case`] and [`tcp_case`]: clean in-process run,
 /// clean wire-transport run, crash-injected wire-transport run — all three
 /// canonical artifacts byte-identical, counters and artifact hash pinned.
-fn wire_transport_case(
-    name: &'static str,
-    transport: impl Fn(SchedulePolicy) -> Transport,
-) -> Result<CaseArtifact, String> {
-    let ctx = |e: String| format!("case `{name}`: {e}");
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = dvs_verilog::parse_and_elaborate(&src)
-        .map_err(|e| ctx(e.to_string()))?
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(PROCESS_CLUSTERS, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, PROCESS_CLUSTERS as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
+fn wire_transport_case(name: &'static str, wire: Transport) -> Result<CaseArtifact, String> {
+    let in_proc = wire_fixture();
+    let wire = in_proc.on(Executor::Wire(wire));
+    let crash = wire.faulted(FaultPlan::crash(CRASH_AT.0, CRASH_AT.1));
+    let built = in_proc.build();
 
-    let run = |transport: Transport, fault: FaultPlan| {
-        let cfg = TimeWarpConfig::builder()
-            .transport(transport)
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .fault(fault)
-            .build()
-            .map_err(|e| ctx(e.to_string()))?;
-        let t = Instant::now();
-        let tw = run_timewarp(&nl, &plan, &stim, PROCESS_VECTORS, &cfg)
-            .map_err(|e| ctx(e.to_string()))?;
-        let seconds = t.elapsed().as_secs_f64();
-        let canonical = tw_run_canonical_json(&tw)
-            .emit()
-            .map_err(|e| ctx(e.to_string()))?;
-        Ok::<_, String>((tw, canonical, seconds))
-    };
-    let policy = SchedulePolicy::SeededRandom;
-    let in_proc = || Transport::in_proc(DST_SEED, policy);
-
-    let (_, clean, inproc_seconds) = run(in_proc(), FaultPlan::default())?;
-    let (_, clean_wire, transport_seconds) = run(transport(policy), FaultPlan::default())?;
-    if clean_wire != clean {
-        return Err(ctx(
-            "clean wire-transport run diverged from the in-process run — the \
-             transport leaked into the canonical artifact"
-                .to_string(),
-        ));
-    }
-    let (crashed, crashed_bytes, crash_seconds) =
-        run(transport(policy), FaultPlan::crash(CRASH_AT.0, CRASH_AT.1))?;
-    if crashed_bytes != clean {
-        return Err(ctx(
-            "crash-recovered wire-transport run diverged from the undisturbed artifact".to_string(),
-        ));
-    }
+    let (_, clean, inproc_seconds) = leg(name, "in-process", &in_proc, &built, None)?;
+    let (_, _, transport_seconds) = leg(name, "clean wire", &wire, &built, Some(&clean))?;
+    let (crashed, _, crash_seconds) = leg(name, "crashed", &crash, &built, Some(&clean))?;
     if crashed.recovery.crashes == 0 {
-        return Err(ctx(
-            "the injected crash never fired — move CRASH_AT earlier".to_string(),
+        return Err(format!(
+            "case `{name}`: the injected crash never fired — move CRASH_AT earlier"
         ));
     }
 
@@ -217,104 +198,69 @@ pub const CHAOS_HEARTBEAT_BUDGET: u32 = 2;
 /// gate rather than passing silently.
 pub fn tcp_chaos_case(worker: &Path) -> Result<CaseArtifact, String> {
     let name = "tcp_chaos";
-    let ctx = |e: String| format!("case `{name}`: {e}");
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = dvs_verilog::parse_and_elaborate(&src)
-        .map_err(|e| ctx(e.to_string()))?
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(PROCESS_CLUSTERS, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, PROCESS_CLUSTERS as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
-    let policy = SchedulePolicy::SeededRandom;
-
-    let run = |transport: Transport, chaos: Option<NetPlan>, heartbeat: Option<(u64, u32)>| {
-        let mut b = TimeWarpConfig::builder()
-            .transport(transport)
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1);
-        if let Some(plan) = chaos {
-            b = b.chaos(plan);
-        }
-        if let Some((ms, budget)) = heartbeat {
-            b = b
-                .heartbeat_interval(std::time::Duration::from_millis(ms))
-                .heartbeat_budget(budget);
-        }
-        let cfg = b.build().map_err(|e| ctx(e.to_string()))?;
-        let t = Instant::now();
-        let tw = run_timewarp(&nl, &plan, &stim, PROCESS_VECTORS, &cfg)
-            .map_err(|e| ctx(e.to_string()))?;
-        let seconds = t.elapsed().as_secs_f64();
-        let canonical = tw_run_canonical_json(&tw)
-            .emit()
-            .map_err(|e| ctx(e.to_string()))?;
-        Ok::<_, String>((tw, canonical, seconds))
+    let in_proc = wire_fixture();
+    let tcp = Transport::tcp_with_worker(DST_SEED, WIRE_POLICY, worker);
+    let tcp = in_proc.on(Executor::Wire(tcp));
+    let built = in_proc.build();
+    let fault = |cluster, dir, frame, kind| {
+        let fault = NetFault {
+            cluster,
+            dir,
+            frame,
+            kind,
+        };
+        Some(NetPlan::new().fault(fault))
     };
-    let tcp = || Transport::tcp_with_worker(DST_SEED, policy, worker.to_path_buf());
-
-    let (_, clean, clean_seconds) = run(Transport::in_proc(DST_SEED, policy), None, None)?;
-    let identical = |leg: &str, bytes: &str| {
-        if bytes != clean {
-            return Err(ctx(format!(
-                "{leg} leg diverged from the undisturbed in-process artifact"
-            )));
-        }
-        Ok(())
-    };
+    let (_, clean, clean_seconds) = leg(name, "in-process", &in_proc, &built, None)?;
 
     // Leg 1: a bit flipped in a worker→supervisor frame. The default
     // heartbeat interval (1 s) never fires on this workload, so the frame
     // sequence — and with it the pinned counters — is exact.
-    let corrupt_plan = NetPlan::new().fault(NetFault {
-        cluster: 1,
-        dir: NetDir::FromWorker,
-        frame: 8,
-        kind: NetFaultKind::BitFlip { offset: 5 },
-    });
-    let (corrupt, bytes, corrupt_seconds) = run(tcp(), Some(corrupt_plan), None)?;
-    identical("corrupt", &bytes)?;
+    let corrupt = Scenario {
+        chaos: fault(
+            1,
+            NetDir::FromWorker,
+            8,
+            NetFaultKind::BitFlip { offset: 5 },
+        ),
+        ..tcp.clone()
+    };
+    let (corrupt, _, corrupt_seconds) = leg(name, "corrupt", &corrupt, &built, Some(&clean))?;
     let r = &corrupt.recovery;
-    if (
+    let got = (
         r.corrupt_frames,
         r.chaos_faults_injected,
         r.crashes,
         r.restarts,
-    ) != (1, 1, 1, 1)
-    {
-        return Err(ctx(format!(
-            "corrupt leg counters (corrupt_frames {}, chaos {}, crashes {}, restarts {}) \
-             are not the expected (1, 1, 1, 1)",
-            r.corrupt_frames, r.chaos_faults_injected, r.crashes, r.restarts
-        )));
+    );
+    if got != (1, 1, 1, 1) {
+        return Err(format!(
+            "case `{name}`: corrupt leg counters (corrupt_frames, chaos, crashes, restarts) \
+             {got:?} are not the expected (1, 1, 1, 1)"
+        ));
     }
 
     // Leg 2: the link stalls silently both ways; only the heartbeat
     // prober can notice. Budget exhaustion is charged exactly once, at
     // `budget` misses.
-    let stall_plan = NetPlan::new().fault(NetFault {
-        cluster: 2,
-        dir: NetDir::ToWorker,
-        frame: 10,
-        kind: NetFaultKind::Stall,
-    });
-    let (stalled, bytes, stall_seconds) = run(
-        tcp(),
-        Some(stall_plan),
-        Some((CHAOS_HEARTBEAT_MS, CHAOS_HEARTBEAT_BUDGET)),
-    )?;
-    identical("stall", &bytes)?;
+    let stalled = Scenario {
+        chaos: fault(2, NetDir::ToWorker, 10, NetFaultKind::Stall),
+        heartbeat: Some((CHAOS_HEARTBEAT_MS, CHAOS_HEARTBEAT_BUDGET)),
+        ..tcp
+    };
+    let (stalled, _, stall_seconds) = leg(name, "stall", &stalled, &built, Some(&clean))?;
     let r = &stalled.recovery;
-    if r.heartbeats_missed != u64::from(CHAOS_HEARTBEAT_BUDGET)
-        || r.chaos_faults_injected != 1
-        || r.crashes != 1
-        || r.corrupt_frames != 0
-    {
-        return Err(ctx(format!(
-            "stall leg counters (heartbeats_missed {}, chaos {}, crashes {}, corrupt {}) \
-             are not the expected ({CHAOS_HEARTBEAT_BUDGET}, 1, 1, 0)",
-            r.heartbeats_missed, r.chaos_faults_injected, r.crashes, r.corrupt_frames
-        )));
+    let got = (
+        r.heartbeats_missed,
+        r.chaos_faults_injected,
+        r.crashes,
+        r.corrupt_frames,
+    );
+    if got != (u64::from(CHAOS_HEARTBEAT_BUDGET), 1, 1, 0) {
+        return Err(format!(
+            "case `{name}`: stall leg counters (heartbeats_missed, chaos, crashes, corrupt) \
+             {got:?} are not the expected ({CHAOS_HEARTBEAT_BUDGET}, 1, 1, 0)"
+        ));
     }
 
     Ok(CaseArtifact {
@@ -351,16 +297,6 @@ pub fn large_case() -> Result<CaseArtifact, String> {
         presim_vectors: 40,
         full_vectors: 100,
     })
-}
-/// 64-bit FNV-1a over the canonical artifact bytes: a compact exact pin of
-/// the entire run (final values, counters, ordering) in the baseline.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// One workload of the smoke grid.

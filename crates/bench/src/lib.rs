@@ -23,7 +23,10 @@
 //! ```
 //!
 //! See [`experiments`] for the per-table implementations and DESIGN.md /
-//! EXPERIMENTS.md for the experiment index and measured results.
+//! EXPERIMENTS.md for the experiment index and measured results. The
+//! correctness suites — fuzz, kill, chaos, DST — and the gate's wire cases
+//! all build, run and compare through [`scenario`].
 
 pub mod experiments;
 pub mod gate;
+pub mod scenario;

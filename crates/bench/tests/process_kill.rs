@@ -1,49 +1,45 @@
-//! Kill-harness tests for [`Transport::Process`]: the scenarios of the
-//! shared harness (`wire_kill/mod.rs`, which see) over Unix sockets, plus
+//! Kill-harness tests for [`Transport::Process`]: the bodies the two wire
+//! suites share (`wire_kill/mod.rs`, which see) over Unix sockets, plus
 //! the legs only this link has.
 
 mod wire_kill;
 
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::timewarp::dst::{first_cut_channel, run_with_schedule};
-use dvs_sim::timewarp::{
-    run_timewarp, DstAction, DstView, FaultPlan, Schedule, SchedulePolicy, TimeWarpError, Transport,
-};
+use dvs_bench::scenario::{canonical, first_burst, fnv1a, policies, serial, Dump, Executor};
+use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, TimeWarpError, Transport};
 use wire_kill::*;
 
 const PROCESS: Wire = Wire {
-    name: "process",
     transport: process,
+    dump: Dump::new(env!("CARGO_TARGET_TMPDIR"), "wire_kill_diff_process"),
 };
 
 fn process(policy: SchedulePolicy) -> Transport {
     Transport::process_with_worker(SCHED_SEED, policy, worker_bin())
 }
 
-/// The last leg's stimulus seed exceeds `i64::MAX`: it must reach the
+/// The third leg's stimulus seed exceeds `i64::MAX`: it must reach the
 /// workers through the `init` frame losslessly (a saturated seed once made
 /// them simulate a different stimulus than their supervisor).
 #[test]
 fn clean_process_run_matches_inproc_bytes() {
-    let _g = lock();
-    for (policy, stim_seed) in [
+    let _g = serial();
+    let legs = [
         (SchedulePolicy::RoundRobin, STIM_SEED),
         (SchedulePolicy::SeededRandom, STIM_SEED),
         (SchedulePolicy::SeededRandom, 11_601_856_998_475_820_192),
-    ] {
-        clean_run_matches_inproc_bytes(PROCESS, policy, stim_seed);
-    }
+    ];
+    clean_run_matches_inproc_bytes(PROCESS, &legs);
 }
 
 #[test]
 fn sigkilled_worker_recovers_byte_identically() {
-    let _g = lock();
+    let _g = serial();
     wire_kill::sigkilled_worker_recovers_byte_identically(PROCESS);
 }
 
 #[test]
 fn selfkilled_worker_converges() {
-    let _g = lock();
+    let _g = serial();
     // Cluster 1's commands under this schedule open with `gvt` (the GVT-0
     // image), `step`, `gvt`, `step`, a `deliver` of three messages (which
     // stops after the first), a `deliver` of the other two, `gvt`. Die
@@ -63,7 +59,7 @@ fn selfkilled_worker_converges() {
 
 #[test]
 fn exhausted_budget_degrades_gracefully() {
-    let _g = lock();
+    let _g = serial();
     wire_kill::exhausted_budget_degrades_gracefully(PROCESS);
 }
 
@@ -72,20 +68,19 @@ fn exhausted_budget_degrades_gracefully() {
 /// nothing behind: the socket file bound for it is removed again.
 #[test]
 fn a_worker_that_cannot_be_launched_leaves_no_socket_file() {
-    let _g = lock();
-    let (nl, gb, stim) = fixture();
+    let _g = serial();
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unlaunchable_worker");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("private temp dir");
     let worker = dir.join("not_a_program");
     std::fs::write(&worker, "not a program\n").expect("write the worker file");
     let transport = Transport::process_with_worker(SCHED_SEED, SchedulePolicy::RoundRobin, &worker);
-    let cfg = config(transport, FaultPlan::default());
-    let plan = ClusterPlan::new(&nl, &gb, K as usize);
+    let unlaunchable = viterbi().on(Executor::Wire(transport));
+    let built = unlaunchable.build();
 
     let tmpdir = std::env::var_os("TMPDIR");
     std::env::set_var("TMPDIR", &dir);
-    let outcome = run_timewarp(&nl, &plan, &stim, CYCLES, &cfg);
+    let outcome = unlaunchable.run(&built);
     match tmpdir {
         Some(old) => std::env::set_var("TMPDIR", old),
         None => std::env::remove_var("TMPDIR"),
@@ -104,46 +99,28 @@ fn a_worker_that_cannot_be_launched_leaves_no_socket_file() {
     assert!(left.is_empty(), "socket files left behind: {left:?}");
 }
 
-/// 64-bit FNV-1a, the hash `bench_gate` pins canonical artifacts with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 /// Delivery runs are sized by a fork of the schedule, so every schedule
 /// family gets its turn: under each policy the process run is
 /// byte-identical to the in-process run, and both are the artifact the
 /// commit before delivery runs produced (its FNV-1a hash, recorded there).
 #[test]
 fn every_policy_keeps_its_recorded_artifact() {
-    let _g = lock();
-    let (nl, gb, stim) = fixture();
-    let (src, dst) =
-        first_cut_channel(&ClusterPlan::new(&nl, &gb, K as usize)).expect("the fixture has a cut");
+    let _g = serial();
+    let base = viterbi();
+    let built = base.build();
     let recorded = [
-        (SchedulePolicy::RoundRobin, 0x9808_30da_a9d1_7c60_u64),
-        (SchedulePolicy::SeededRandom, 0xb514_c580_3c23_c027),
-        (SchedulePolicy::StragglerHeavy, 0x4c44_0256_b502_2e54),
-        (
-            SchedulePolicy::DelayChannel { src, dst },
-            0x4396_ddfe_27ce_1184,
-        ),
-        (SchedulePolicy::Bursty, 0xaab8_da31_a5c4_ede5),
+        0x9808_30da_a9d1_7c60_u64,
+        0xb514_c580_3c23_c027,
+        0x4c44_0256_b502_2e54,
+        0x4396_ddfe_27ce_1184,
+        0xaab8_da31_a5c4_ede5,
     ];
-    for (policy, hash) in recorded {
-        let a = run(
-            &nl,
-            &gb,
-            &stim,
-            &config(in_proc(policy), FaultPlan::default()),
-        );
-        let b = run(
-            &nl,
-            &gb,
-            &stim,
-            &config(process(policy), FaultPlan::default()),
-        );
+    let swept = policies(&built.plan)
+        .into_iter()
+        .chain([SchedulePolicy::Bursty]);
+    for (policy, hash) in swept.zip(recorded) {
+        let a = base.in_proc(SCHED_SEED, policy).run_ok(&built);
+        let b = PROCESS.on(&base, policy).run_ok(&built);
         assert_eq!(canonical(&a), canonical(&b), "{policy:?}: process diverged");
         assert_eq!(
             fnv1a(canonical(&a).as_bytes()),
@@ -163,26 +140,6 @@ fn every_policy_keeps_its_recorded_artifact() {
     }
 }
 
-/// A policy's schedule that also notes down every decision it makes. Its
-/// fork is the policy's own, so it sizes delivery runs exactly as the
-/// policy does.
-struct Recording {
-    inner: Box<dyn Schedule + Send>,
-    decisions: Vec<DstAction>,
-}
-
-impl Schedule for Recording {
-    fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        let action = self.inner.next(view);
-        self.decisions.push(action);
-        action
-    }
-
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        self.inner.fork()
-    }
-}
-
 /// `SIGKILL`s aimed *inside* a delivery run: the receiver of the first
 /// burst of three consecutive decisions on one channel is killed at the
 /// burst's 2nd and at its 3rd decision. The run handed to the worker ends
@@ -192,9 +149,9 @@ impl Schedule for Recording {
 /// the artifact is the undisturbed one.
 #[test]
 fn sigkill_inside_a_burst_recovers_byte_identically() {
-    let _g = lock();
-    let (nl, gb, stim) = fixture();
-    let plan = ClusterPlan::new(&nl, &gb, K as usize);
+    let _g = serial();
+    let base = viterbi();
+    let built = base.build();
     // (policy, first decision of the burst, operations replayed after a
     // kill at its 2nd and at its 3rd decision), recorded at that commit.
     let recorded = [
@@ -202,25 +159,12 @@ fn sigkill_inside_a_burst_recovers_byte_identically() {
         (SchedulePolicy::SeededRandom, 168, [21, 22]),
     ];
     for (policy, start, replayed) in recorded {
-        let mut schedule = Recording {
-            inner: policy.build(SCHED_SEED),
-            decisions: Vec::new(),
-        };
-        let cfg = config(in_proc(policy), FaultPlan::default());
-        let label = "recording";
-        let clean = run_with_schedule(&nl, &plan, &stim, CYCLES, &cfg, &mut schedule, false, label)
-            .expect("recording run");
-        let decisions = schedule.decisions;
-        let burst = decisions.windows(3).position(|w| {
-            matches!(w[0], DstAction::Deliver { .. }) && w[0] == w[1] && w[1] == w[2]
-        });
-        assert_eq!(burst, Some(start), "{policy:?}: the burst moved");
-        let DstAction::Deliver { dst, .. } = decisions[start] else {
-            unreachable!("a burst is made of deliveries");
-        };
+        let (clean, decisions) = base.in_proc(SCHED_SEED, policy).record(&built);
+        let (burst, dst) = first_burst(&decisions).expect("a burst");
+        assert_eq!(burst, start, "{policy:?}: the burst moved");
         for (nth, want) in [1, 2].into_iter().zip(replayed) {
             let kill = FaultPlan::crash(dst, (start + nth) as u64);
-            let tw = run(&nl, &gb, &stim, &config(process(policy), kill));
+            let tw = PROCESS.on(&base, policy).faulted(kill).run_ok(&built);
             let label = format!("{policy:?}: kill at decision {} of the burst", nth + 1);
             assert_eq!(tw.recovery.crashes, 1, "{label}");
             assert_eq!(tw.recovery.replayed_ops, want, "{label}");

@@ -1,141 +1,106 @@
-//! The kill harness the two wire transports share: real `tw_worker` OS
-//! processes, real `SIGKILL`s, and the strongest oracle the kernel offers —
-//! the canonical artifact of a crashed-and-recovered wire run must be
-//! **byte-identical** to the same-seed undisturbed in-process run.
+//! The [`Wire`]-parameterised bodies the two kill suites share: real
+//! `tw_worker` OS processes, real `SIGKILL`s, and the strongest oracle the
+//! kernel offers — the canonical artifact of a crashed-and-recovered wire
+//! run must be **byte-identical** to the same-seed undisturbed in-process
+//! run.
 //!
 //! `process_kill.rs` (Unix sockets) and `tcp_kill.rs` (workers dialing a
-//! localhost listener) are one wire worker behind two links, so each
-//! scenario both run is written once here, as a function of the [`Wire`]
-//! under test; the two files hold the `#[test]` names — a failure names
-//! its wire — and the legs only one link has.
-//!
-//! The worker binary is the `tw_worker` sibling target of this crate;
-//! Cargo hands its path to integration tests via `CARGO_BIN_EXE_tw_worker`.
-//!
-//! Every test takes [`lock`]: the self-kill and reset scenarios configure
-//! workers through the process environment (`DVS_TW_SELFKILL`,
-//! `DVS_TW_TCP_FAULT`), which would leak into any concurrently spawned
-//! worker.
-//!
-//! On an artifact mismatch the failing pair is dumped to
-//! `target/tmp/wire_kill_diff_<wire>_<label>.txt` so CI can upload it.
+//! localhost listener) are one wire worker behind two links, so each body
+//! both run is written once here; the two files hold the `#[test]` names —
+//! a failure names its wire — and the legs only one link has. What a body
+//! runs is a `dvs_bench::scenario::Scenario`; building, running, comparing
+//! and dumping (`target/tmp/wire_kill_diff_<wire>_<label>.txt`) are that
+//! module's. Every test takes `scenario::serial()`: the self-kill and reset
+//! scenarios steer workers through the process environment.
 
-use dvs_core::tw_run_canonical_json;
-use dvs_core::{partition_multiway, MultiwayConfig};
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{
-    run_timewarp, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport, TwRunResult,
-};
-use dvs_verilog::Netlist;
-use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
+use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
+use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, Transport, TwRunResult};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
-pub const K: u32 = 3;
-pub const CYCLES: u64 = 20;
 pub const STIM_SEED: u64 = 7;
 pub const SCHED_SEED: u64 = 2008;
 
+/// The `tw_worker` sibling target of this crate; Cargo hands its path to
+/// integration tests only.
 pub fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_tw_worker"))
 }
 
-/// Serialize every test of a file (see module docs).
-pub fn lock() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
-
-pub fn fixture() -> (Netlist, Vec<u32>, VectorStimulus) {
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = dvs_verilog::parse_and_elaborate(&src)
-        .expect("viterbi elaborates")
-        .into_netlist();
-    let part = partition_multiway(&nl, &MultiwayConfig::new(K, 20.0));
-    let stim = VectorStimulus::from_netlist(&nl, 10, STIM_SEED);
-    (nl, part.gate_blocks, stim)
-}
-
-pub fn config(transport: Transport, fault: FaultPlan) -> TimeWarpConfig {
-    TimeWarpConfig::builder()
-        .transport(transport)
-        .window(8)
-        .epochs_per_quantum(2)
-        .gvt_interval(1)
-        .fault(fault)
-        .build()
-        .expect("valid config")
-}
-
-pub fn run(nl: &Netlist, gb: &[u32], stim: &VectorStimulus, cfg: &TimeWarpConfig) -> TwRunResult {
-    let plan = ClusterPlan::new(nl, gb, K as usize);
-    run_timewarp(nl, &plan, stim, CYCLES, cfg).expect("time warp run failed")
-}
-
-pub fn canonical(tw: &TwRunResult) -> String {
-    tw_run_canonical_json(tw).emit().expect("canonical emit")
-}
-
-pub fn in_proc(policy: SchedulePolicy) -> Transport {
-    Transport::in_proc(SCHED_SEED, policy)
-}
-
-/// The wire under test: its name in labels and dumps, and the transport
-/// that runs `policy` on it with this crate's `tw_worker`.
+/// The wire under test: the transport that runs a policy on it with this
+/// crate's `tw_worker`, and where its artifact diffs go.
 #[derive(Clone, Copy)]
 pub struct Wire {
-    pub name: &'static str,
     pub transport: fn(SchedulePolicy) -> Transport,
+    pub dump: Dump,
 }
 
-/// Byte-identity assertion that dumps both artifacts to
-/// `target/tmp/wire_kill_diff_<wire>_<label>.txt` on mismatch, for CI to
-/// upload.
-pub fn assert_identical(wire: Wire, expected: &str, got: &str, label: &str) {
-    if expected == got {
-        return;
+impl Wire {
+    /// `base` on this wire under `policy`.
+    pub fn on(self, base: &Scenario, policy: SchedulePolicy) -> Scenario {
+        base.on(Executor::Wire((self.transport)(policy)))
     }
-    let wire = wire.name;
-    let slug: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("wire_kill_diff_{wire}_{slug}.txt"));
-    let body = format!(
-        "scenario: {label}\n\n--- expected (in-proc) ---\n{expected}\n\n--- got ({wire}) ---\n{got}\n"
-    );
-    let _ = std::fs::write(&path, body);
-    panic!("{label}: {wire} artifact diverged from in-proc (diff dumped to {path:?})");
 }
 
-/// The undisturbed in-process artifact every leg under `policy` must
-/// reproduce.
-pub fn clean_inproc(
-    nl: &Netlist,
-    gb: &[u32],
-    stim: &VectorStimulus,
-    policy: SchedulePolicy,
-) -> String {
-    let cfg = config(in_proc(policy), FaultPlan::default());
-    canonical(&run(nl, gb, stim, &cfg))
+/// The fixture most bodies run: the tiny Viterbi decoder, 3 clusters.
+pub fn viterbi() -> Scenario {
+    Scenario::tiny_viterbi(STIM_SEED, 20)
+}
+
+/// A name for labels, a scenario, and where to kill it: `(victim, decision)`.
+pub type Row = (&'static str, Scenario, &'static [(u32, u64)]);
+
+/// What the clean and the `SIGKILL` bodies sweep, each row with the
+/// `(victim, decision)` kill points that cover its run early, mid and late:
+/// the fixture, a counter whose feedback crosses three machines, and a
+/// random hierarchy with a primary input no gate reads — its final value is
+/// in the artifact, so it is held byte for byte on every wire.
+pub fn rows() -> [Row; 3] {
+    let counter = Circuit::Counter { bits: 12 };
+    let three = Partition::Multiway { k: 3, b: 30.0 };
+    let two = Partition::Multiway { k: 2, b: 25.0 };
+    [
+        (
+            "viterbi",
+            viterbi(),
+            &[(0, 3), (0, 29), (1, 47), (1, 83), (2, 211), (0, 800)],
+        ),
+        (
+            "counter",
+            Scenario::new(counter, three, 6, 50),
+            &[(2, 3), (1, 83), (0, 211)],
+        ),
+        (
+            "hier",
+            Scenario::new(Circuit::random_hier(8), two, 8, 35),
+            &[(1, 3), (0, 47), (1, 800)],
+        ),
+    ]
 }
 
 /// An undisturbed wire run must be byte-identical to the same-seed
-/// in-process run: the transport is invisible in the artifacts.
-pub fn clean_run_matches_inproc_bytes(wire: Wire, policy: SchedulePolicy, stim_seed: u64) {
-    let (nl, gb, _) = fixture();
-    let stim = VectorStimulus::from_netlist(&nl, 10, stim_seed);
-    let clean = clean_inproc(&nl, &gb, &stim, policy);
-    let cfg = config((wire.transport)(policy), FaultPlan::default());
-    let tw = run(&nl, &gb, &stim, &cfg);
-    let label = format!("clean_{}_{stim_seed}", policy.name());
-    assert_eq!(tw.recovery.crashes, 0, "{label}: phantom crash");
-    assert_identical(wire, &clean, &canonical(&tw), &label);
+/// in-process run — the transport is invisible in the artifacts — and end
+/// in the sequential simulator's state, unread inputs included. The fixture
+/// under each `(policy, stimulus seed)` of `legs`, then the other rows under
+/// the seeded-random schedule.
+pub fn clean_run_matches_inproc_bytes(wire: Wire, legs: &[(SchedulePolicy, u64)]) {
+    let [(fixture, viterbi, _), others @ ..] = rows();
+    let legs = legs.iter().map(|&(policy, stim_seed)| {
+        let base = Scenario {
+            stim_seed,
+            ..viterbi.clone()
+        };
+        (fixture, base, policy)
+    });
+    let others = others.map(|(row, base, _)| (row, base, SchedulePolicy::SeededRandom));
+    for (row, base, policy) in legs.chain(others) {
+        let built = base.build();
+        let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
+        let tw = wire.on(&base, policy).run_ok(&built);
+        let label = format!("clean_{row}_{}_{}", policy.name(), base.stim_seed);
+        assert_eq!(tw.recovery.crashes, 0, "{label}: phantom crash");
+        wire.dump.expect_identical(&clean, &canonical(&tw), &label);
+        base.assert_sequential(&built, &tw, &label);
+    }
 }
 
 /// `SIGKILL` a worker at assorted decision depths (the supervisor's fault
@@ -143,34 +108,37 @@ pub fn clean_run_matches_inproc_bytes(wire: Wire, policy: SchedulePolicy, stim_s
 /// The recovered run's canonical artifact must equal the undisturbed
 /// in-proc run's, byte for byte, and the victim must be recorded.
 pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
-    let (nl, gb, stim) = fixture();
     let policy = SchedulePolicy::SeededRandom;
-    let clean = clean_inproc(&nl, &gb, &stim, policy);
-    // Decision indices chosen from the seed to cover early/mid/late kills
-    // without hand-tuning to the workload.
-    let mut fired = 0u32;
-    for (victim, at) in [(0u32, 3u64), (0, 29), (1, 47), (1, 83), (2, 211), (0, 800)] {
-        let cfg = config((wire.transport)(policy), FaultPlan::crash(victim, at));
-        let tw = run(&nl, &gb, &stim, &cfg);
-        let label = format!("kill cluster {victim} at decision {at}");
-        assert_eq!(
-            tw.recovery.crashes, tw.recovery.restarts,
-            "{label}: every kill must be recovered"
-        );
-        assert!(!tw.recovery.degraded, "{label}: unexpected degradation");
-        assert_eq!(
-            tw.recovery.victims,
-            vec![victim; tw.recovery.crashes as usize],
-            "{label}: victim not recorded"
-        );
+    for (row, base, kills) in rows() {
+        let built = base.build();
+        let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
+        let mut fired = 0u32;
+        for &(victim, at) in kills {
+            let kill = wire.on(&base, policy).faulted(FaultPlan::crash(victim, at));
+            let tw = kill.run_ok(&built);
+            let label = format!("{row}: kill cluster {victim} at decision {at}");
+            assert_eq!(
+                tw.recovery.crashes, tw.recovery.restarts,
+                "{label}: every kill must be recovered"
+            );
+            assert!(!tw.recovery.degraded, "{label}: unexpected degradation");
+            assert_eq!(
+                tw.recovery.victims,
+                vec![victim; tw.recovery.crashes as usize],
+                "{label}: victim not recorded"
+            );
+            assert!(
+                tw.recovery.replayed_ops > 0 || tw.recovery.crashes == 0,
+                "{label}: recovery replayed nothing"
+            );
+            fired += tw.recovery.crashes;
+            wire.dump.expect_identical(&clean, &canonical(&tw), &label);
+        }
         assert!(
-            tw.recovery.replayed_ops > 0 || tw.recovery.crashes == 0,
-            "{label}: recovery replayed nothing"
+            fired >= 2,
+            "{row}: only {fired} kills fired — widen indices"
         );
-        fired += tw.recovery.crashes;
-        assert_identical(wire, &clean, &canonical(&tw), &label);
     }
-    assert!(fired >= 2, "sweep fired only {fired} kills — widen indices");
 }
 
 /// Asynchronous death: cluster 1's worker aborts *itself*
@@ -180,18 +148,17 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
 /// artifact. The restored worker disarms the hook, so exactly one crash
 /// fires.
 pub fn selfkilled_worker_converges(wire: Wire, before: u64) -> TwRunResult {
-    let (nl, gb, stim) = fixture();
-    let policy = SchedulePolicy::RoundRobin;
-    let clean = clean_inproc(&nl, &gb, &stim, policy);
+    let (base, policy) = (viterbi(), SchedulePolicy::RoundRobin);
+    let built = base.build();
+    let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
     std::env::set_var("DVS_TW_SELFKILL", format!("1:{before}"));
-    let cfg = config((wire.transport)(policy), FaultPlan::default());
-    let tw = run(&nl, &gb, &stim, &cfg);
+    let tw = wire.on(&base, policy).run_ok(&built);
     std::env::remove_var("DVS_TW_SELFKILL");
     let label = format!("death before command {before}");
     assert_eq!(tw.recovery.crashes, 1, "{label}: self-kill did not fire");
     assert_eq!(tw.recovery.restarts, 1, "{label}");
     assert_eq!(tw.recovery.victims, vec![1], "{label}");
-    assert_identical(wire, &clean, &canonical(&tw), &label);
+    wire.dump.expect_identical(&clean, &canonical(&tw), &label);
     tw
 }
 
@@ -199,16 +166,16 @@ pub fn selfkilled_worker_converges(wire: Wire, before: u64) -> TwRunResult {
 /// degrades to the sequential simulator — correct values, `degraded`
 /// flagged, every victim recorded — rather than erroring out or hanging.
 pub fn exhausted_budget_degrades_gracefully(wire: Wire) {
-    let (nl, gb, stim) = fixture();
     let policy = SchedulePolicy::RoundRobin;
-    let fault = FaultPlan {
+    let base = viterbi().faulted(FaultPlan {
         crash_at: Some((2, 30)),
         crashes: 3,
         max_restarts: 2,
-    };
-    let a = run(&nl, &gb, &stim, &config(in_proc(policy), fault));
-    let b = run(&nl, &gb, &stim, &config((wire.transport)(policy), fault));
-    for (tw, which) in [(&a, "in-proc"), (&b, wire.name)] {
+    });
+    let built = base.build();
+    let a = base.in_proc(SCHED_SEED, policy).run_ok(&built);
+    let b = wire.on(&base, policy).run_ok(&built);
+    for (tw, which) in [(&a, "in-proc"), (&b, "wire")] {
         assert!(tw.recovery.degraded, "{which}: budget was not exhausted");
         assert_eq!(tw.recovery.crashes, 3, "{which}");
         assert_eq!(tw.recovery.restarts, 2, "{which}");
@@ -218,5 +185,6 @@ pub fn exhausted_budget_degrades_gracefully(wire: Wire) {
             "{which}: the captured images went unreported"
         );
     }
-    assert_identical(wire, &canonical(&a), &canonical(&b), "degraded budget");
+    let dump = wire.dump;
+    dump.expect_identical(&canonical(&a), &canonical(&b), "degraded budget");
 }

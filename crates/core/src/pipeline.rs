@@ -35,7 +35,6 @@ use crate::presim::{
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{FaultPlan, Transport};
 use dvs_verilog::stats::{stats, DesignStats};
 use dvs_verilog::{Error, Netlist};
 use std::fmt;
@@ -99,25 +98,6 @@ pub struct FlowConfig {
     /// Worker threads for the (k, b) search. The report is bit-identical
     /// for every setting; this only changes host wall time.
     pub parallelism: Parallelism,
-}
-
-impl FlowConfig {
-    /// Paper-like defaults scaled to `gates`: pre-simulate 10 k vectors,
-    /// brute-force k ∈ {2,3,4} × b ∈ {2.5 … 15}, full run of 1 M vectors,
-    /// search threads chosen from the host's available parallelism.
-    /// Callers testing at small scale should shrink `presim.vectors` and
-    /// `full_vectors`.
-    pub fn paper_defaults(gates: usize) -> Self {
-        FlowConfig {
-            search: Search::BruteForce {
-                ks: vec![2, 3, 4],
-                bs: vec![2.5, 5.0, 7.5, 10.0, 12.5, 15.0],
-            },
-            presim: PresimConfig::paper_defaults(gates),
-            full_vectors: 1_000_000,
-            parallelism: Parallelism::Auto,
-        }
-    }
 }
 
 /// Host wall time of one pre-simulation point, for [`FlowMetrics`].
@@ -196,15 +176,12 @@ enum Input<'a> {
 pub struct FlowBuilder<'a> {
     input: Input<'a>,
     search: Search,
-    presim: Option<PresimConfig>,
     presim_vectors: Option<u64>,
     full_vectors: u64,
     parallelism: Parallelism,
     stim_seed: Option<u64>,
     part_seed: Option<u64>,
     timewarp_presim: Option<TwPresimConfig>,
-    fault_plan: Option<FaultPlan>,
-    transport: Option<Transport>,
 }
 
 impl<'a> FlowBuilder<'a> {
@@ -215,15 +192,12 @@ impl<'a> FlowBuilder<'a> {
                 ks: vec![2, 3, 4],
                 bs: vec![2.5, 5.0, 7.5, 10.0, 12.5, 15.0],
             },
-            presim: None,
             presim_vectors: None,
             full_vectors: 1_000_000,
             parallelism: Parallelism::Auto,
             stim_seed: None,
             part_seed: None,
             timewarp_presim: None,
-            fault_plan: None,
-            transport: None,
         }
     }
 
@@ -241,13 +215,6 @@ impl<'a> FlowBuilder<'a> {
     /// grid, k ∈ {2,3,4} × b ∈ {2.5 … 15}).
     pub fn search(mut self, search: Search) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Replace the whole pre-simulation configuration (default:
-    /// [`PresimConfig::paper_defaults`] for the elaborated gate count).
-    pub fn presim(mut self, presim: PresimConfig) -> Self {
-        self.presim = Some(presim);
         self
     }
 
@@ -295,32 +262,6 @@ impl<'a> FlowBuilder<'a> {
         self
     }
 
-    /// Select the transport for the deterministic Time Warp presim legs
-    /// (see [`Transport`]). [`Transport::Process`] runs each cluster as a
-    /// separate `tw_worker` OS process over a Unix socket;
-    /// [`Transport::Tcp`] has the workers dial a supervisor-bound TCP
-    /// listener instead (localhost or remote). In both cases the counters
-    /// recorded in the artifacts are byte-identical to the in-process
-    /// executor's, which is exactly what the kill-harness tests assert.
-    /// When no [`FlowBuilder::timewarp_presim`] configuration was
-    /// supplied, a default deterministic leg is enabled to carry the
-    /// transport.
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
-    /// Inject a crash fault into a second deterministic Time Warp leg per
-    /// candidate partition, recording its counters in
-    /// [`PresimPoint::tw_crash`]. Recovery is exact, so the crash leg's
-    /// counters equal the clean leg's — a fact the perf gate checks. When
-    /// no [`FlowBuilder::timewarp_presim`] configuration was supplied, a
-    /// default deterministic leg is enabled to carry the fault.
-    pub fn fault_plan(mut self, fp: FaultPlan) -> Self {
-        self.fault_plan = Some(fp);
-        self
-    }
-
     /// Validate the search space, parse the source if needed, and produce
     /// a runnable [`Flow`].
     pub fn build(self) -> Result<Flow<'a>, FlowError> {
@@ -340,9 +281,7 @@ impl<'a> FlowBuilder<'a> {
             NetlistSource::Borrowed(n) => n.gate_count(),
             NetlistSource::Owned(n) => n.gate_count(),
         };
-        let mut presim = self
-            .presim
-            .unwrap_or_else(|| PresimConfig::paper_defaults(gates));
+        let mut presim = PresimConfig::paper_defaults(gates);
         if let Some(v) = self.presim_vectors {
             presim.vectors = v;
         }
@@ -354,19 +293,6 @@ impl<'a> FlowBuilder<'a> {
         }
         if let Some(tw) = self.timewarp_presim {
             presim.timewarp = Some(tw);
-        }
-        if let Some(fp) = self.fault_plan {
-            presim
-                .timewarp
-                .get_or_insert_with(|| TwPresimConfig::new(0xFA17))
-                .fault = Some(fp);
-        }
-        if let Some(tr) = self.transport {
-            presim
-                .timewarp
-                .get_or_insert_with(|| TwPresimConfig::new(0xFA17))
-                .kernel
-                .transport = tr;
         }
         Ok(Flow {
             nl,
@@ -509,45 +435,6 @@ impl Flow<'_> {
     }
 }
 
-/// Run the full flow on already-elaborated `nl`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use FlowBuilder::from_netlist(..).build()?.run()?; this shim \
-            panics on an empty search space"
-)]
-pub fn run_flow_on_netlist(nl: &Netlist, cfg: &FlowConfig) -> FlowReport {
-    FlowBuilder::from_netlist(nl)
-        .search(cfg.search.clone())
-        .presim(cfg.presim.clone())
-        .full_vectors(cfg.full_vectors)
-        .parallelism(cfg.parallelism)
-        .build()
-        .and_then(|flow| flow.run())
-        .expect("non-empty search space")
-}
-
-/// Parse, elaborate and run the full flow on Verilog source text.
-#[deprecated(
-    since = "0.2.0",
-    note = "use FlowBuilder::from_source(..).build()?.run()?; this shim \
-            panics on an empty search space and loses the typed error"
-)]
-pub fn run_flow(src: &str, cfg: &FlowConfig) -> Result<FlowReport, Error> {
-    let flow = FlowBuilder::from_source(src)
-        .search(cfg.search.clone())
-        .presim(cfg.presim.clone())
-        .full_vectors(cfg.full_vectors)
-        .parallelism(cfg.parallelism)
-        .build();
-    match flow.and_then(|f| f.run()) {
-        Ok(report) => Ok(report),
-        Err(FlowError::Verilog(e)) => Err(e),
-        Err(e @ FlowError::EmptySearchSpace { .. }) => {
-            panic!("non-empty search space: {e}")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,20 +572,5 @@ mod tests {
             .unwrap();
         assert_eq!(report.chosen.k, 2);
         assert_eq!(report.metrics.parse_elaborate_seconds, 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let mut cfg = FlowConfig::paper_defaults(16);
-        cfg.search = Search::BruteForce {
-            ks: vec![2],
-            bs: vec![10.0],
-        };
-        cfg.presim.vectors = 40;
-        cfg.full_vectors = 120;
-        let report = run_flow(SRC, &cfg).unwrap();
-        assert_eq!(report.chosen.k, 2);
-        assert!(run_flow("module broken(", &cfg).is_err());
     }
 }

@@ -45,10 +45,9 @@ pub struct TwPresimConfig {
     /// Vectors simulated under the executor. Kept smaller than the modeled
     /// run's `vectors` — the executor simulates every gate for real.
     pub vectors: u64,
-    /// Kernel tuning (window, epochs per quantum, GVT cadence). The
-    /// `transport` field's seed and schedule are overridden by `seed` and
-    /// `schedule` above, and [`Transport::Threads`] is mapped to the
-    /// in-process deterministic executor: the run is always deterministic.
+    /// Kernel tuning (window, epochs per quantum). Its `transport` is
+    /// ignored: the leg runs on the in-process deterministic executor under
+    /// `seed` and `schedule` above, so it is always deterministic.
     pub kernel: TimeWarpConfig,
     /// When set, run a second deterministic leg with this crash fault
     /// injected and record its counters in [`PresimPoint::tw_crash`].
@@ -94,8 +93,9 @@ pub struct PresimConfig {
 }
 
 impl PresimConfig {
-    /// Defaults matching the paper's setup, with the cost model rescaled for
-    /// `gates` (see [`ClusterModelConfig::athlon_cluster`]).
+    /// Defaults matching the paper's setup. `gates` is ignored, as it is by
+    /// [`ClusterModelConfig::athlon_cluster`]: the cost model is the same
+    /// at every design size.
     pub fn paper_defaults(gates: usize) -> Self {
         PresimConfig {
             vectors: 10_000,
@@ -247,27 +247,11 @@ pub fn evaluate_partition(
     // Deterministic mode makes it a pure function of its inputs, so points
     // stay bit-identical for any evaluation order or thread count.
     let run_leg = |t: &TwPresimConfig, fault: FaultPlan| {
-        let mut twcfg = t.kernel.clone();
         // The presim leg is always deterministic, whatever the kernel
-        // config says: Threads maps to the in-process executor; Process
-        // and Tcp keep their worker/listener settings but run under the
-        // presim's own seed and schedule.
-        twcfg.transport = match twcfg.transport {
-            Transport::Process { worker, .. } => Transport::Process {
-                seed: t.seed,
-                schedule: t.schedule,
-                worker,
-            },
-            Transport::Tcp {
-                listen, workers, ..
-            } => Transport::Tcp {
-                seed: t.seed,
-                schedule: t.schedule,
-                listen,
-                workers,
-            },
-            _ => Transport::in_proc(t.seed, t.schedule),
-        };
+        // config says: the in-process executor under the presim's own seed
+        // and schedule.
+        let mut twcfg = t.kernel.clone();
+        twcfg.transport = Transport::in_proc(t.seed, t.schedule);
         twcfg.fault = fault;
         match run_timewarp(nl, &plan, &stim, t.vectors, &twcfg) {
             Ok(r) => r.stats,

@@ -83,7 +83,8 @@ impl ClusterModelConfig {
     /// even on scaled-down circuit instances. Message CPU cost is fitted so
     /// the per-cycle communication budget at the paper's best configuration
     /// (k=4, b=7.5) reproduces its measured parallel inefficiency; see
-    /// EXPERIMENTS.md for the derivation.
+    /// EXPERIMENTS.md for the derivation. The gate count is ignored — the
+    /// anchor is a cost per vector, the same at every design size.
     pub fn athlon_cluster(_actual_gates: usize) -> Self {
         ClusterModelConfig {
             calibrate_seq_ns_per_cycle: Some(3.893e6),

@@ -99,6 +99,23 @@ impl SeqSim {
         &self.stats
     }
 
+    /// The oracle every parallel run is held to: the nets on which `values`
+    /// (one entry per net of `nl`, e.g. [`crate::timewarp::TwRunResult::values`])
+    /// differs from this simulator's state, over every driven net and every
+    /// primary input. Floating nets — no driver, not an input — are outside
+    /// it: they keep their initial value here and stay `X` in a merged
+    /// Time Warp result.
+    pub fn mismatches(&self, nl: &Netlist, values: &[Logic]) -> Vec<NetId> {
+        let mut held: Vec<bool> = nl.nets.iter().map(|n| n.driver.is_some()).collect();
+        for &pi in &nl.primary_inputs {
+            held[pi.idx()] = true;
+        }
+        (0..nl.net_count())
+            .filter(|&i| held[i] && values[i] != self.values[i])
+            .map(|i| NetId(i as u32))
+            .collect()
+    }
+
     /// Gates the runs so far looked at, where `stats().gate_evals` counts
     /// the gates triggered: a clocked `Dff` that holds is not visited.
     pub fn gates_visited(&self) -> u64 {

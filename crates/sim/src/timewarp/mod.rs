@@ -96,11 +96,10 @@ pub struct TimeWarpConfig {
     /// [`Transport`]).
     pub transport: Transport,
     /// Epochs processed per scheduling quantum: the span between two
-    /// publications of local virtual time, GVT attempts and fossil
-    /// collections. Incoming messages are taken before every epoch.
+    /// publications of local virtual time, GVT attempts (one per quantum;
+    /// under the deterministic executor, one every this many decisions) and
+    /// fossil collections. Incoming messages are taken before every epoch.
     pub epochs_per_quantum: usize,
-    /// Attempt a GVT computation every this many quanta.
-    pub gvt_interval: usize,
     /// Optimism window: a cluster will not execute events more than this far
     /// (in virtual time) above the current GVT. `u64::MAX` = unthrottled.
     /// Gate-level circuits are tightly coupled (every vector cycle crosses
@@ -149,7 +148,6 @@ impl Default for TimeWarpConfig {
         TimeWarpConfig {
             transport: Transport::Threads,
             epochs_per_quantum: 16,
-            gvt_interval: 1,
             window: 16,
             fault: FaultPlan::default(),
             thread_jitter: None,
@@ -212,15 +210,9 @@ impl TimeWarpBuilder {
         self
     }
 
-    /// Epochs processed per scheduling quantum (threaded transport only).
+    /// Epochs processed per scheduling quantum, i.e. per GVT attempt.
     pub fn epochs_per_quantum(mut self, epochs: usize) -> Self {
         self.cfg.epochs_per_quantum = epochs;
-        self
-    }
-
-    /// Attempt a GVT computation every this many quanta.
-    pub fn gvt_interval(mut self, gvt_interval: usize) -> Self {
-        self.cfg.gvt_interval = gvt_interval;
         self
     }
 
@@ -269,9 +261,6 @@ impl TimeWarpBuilder {
         if self.cfg.epochs_per_quantum == 0 {
             return Err(invalid("epochs_per_quantum must be at least 1"));
         }
-        if self.cfg.gvt_interval == 0 {
-            return Err(invalid("gvt_interval must be at least 1"));
-        }
         if let Transport::Tcp { listen, .. } = &self.cfg.transport {
             if listen.is_empty() {
                 return Err(invalid("Transport::Tcp listen address must not be empty"));
@@ -294,7 +283,11 @@ pub struct TwRunResult {
     pub stats: SimStats,
     /// Per-cluster statistics.
     pub cluster_stats: Vec<SimStats>,
-    /// Final value of every net, merged from the owning clusters.
+    /// Final value of every net: a driven net's from the cluster owning its
+    /// driver, a primary input's where the stimulus left it — whether or not
+    /// any gate reads it — so a run that degraded to the sequential
+    /// simulator is indistinguishable here on every net
+    /// [`crate::seq::SeqSim::mismatches`] compares. Floating nets are `X`.
     pub values: Vec<Logic>,
     /// GVT computations that produced progress.
     pub gvt_rounds: u64,
@@ -476,6 +469,8 @@ fn run_threads_once(
     let mut r = merge_results(
         nl,
         plan,
+        stim,
+        cycles,
         per_cluster,
         shared.gvt_rounds.load(Ordering::SeqCst),
     );
@@ -489,17 +484,31 @@ fn run_threads_once(
 
 /// Merge per-cluster stats and final net values into a [`TwRunResult`].
 /// Each cluster owns the values of nets its gates drive and of its stimulus
-/// inputs; constants are forced. Shared by the threaded and deterministic
-/// execution paths.
+/// inputs; constants are forced. A primary input no gate reads is listed by
+/// no cluster (see [`ClusterPlan::new`]) and generates no event anywhere: it
+/// takes the value the stimulus leaves it at, as in the sequential
+/// simulator. Shared by the threaded and deterministic execution paths.
 fn merge_results(
     nl: &Netlist,
     plan: &ClusterPlan,
+    stim: &VectorStimulus,
+    cycles: u64,
     per_cluster: Vec<(SimStats, Vec<Logic>)>,
     gvt_rounds: u64,
 ) -> TwRunResult {
     let mut stats = SimStats::default();
     let mut cluster_stats = Vec::with_capacity(per_cluster.len());
     let mut values = vec![Logic::X; nl.net_count()];
+    // Where the stimulus leaves every input: the last vector's bit (the
+    // initial zero after no vector), the clock low after its falling edge.
+    for &pi in &stim.data_inputs {
+        values[pi.idx()] = cycles
+            .checked_sub(1)
+            .map_or(Logic::Zero, |c| stim.bit(pi, c));
+    }
+    if let Some(clk) = stim.clock {
+        values[clk.idx()] = Logic::Zero;
+    }
     for (me, (s, vals)) in per_cluster.into_iter().enumerate() {
         stats.merge(&s);
         cluster_stats.push(s);
@@ -633,27 +642,25 @@ fn worker_loop(
                 panic!("injected crash fault: cluster {me} at quantum {quantum}");
             }
         }
-        if quantum.is_multiple_of(cfg.gvt_interval as u64) || !worked {
-            if let Some(new_gvt) = shared.try_compute_gvt() {
-                proc.fossil_collect(new_gvt);
-            } else {
-                let g = shared.gvt.load(Ordering::SeqCst);
-                if g != VTime::MAX {
-                    proc.fossil_collect(g);
-                }
-            }
-            if !worked {
-                idle_spins += 1;
-                if idle_spins >= STALL_LIMIT {
-                    shared.stalled.store(true, Ordering::SeqCst);
-                    shared.abort.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::yield_now();
+        // One GVT attempt per quantum.
+        if let Some(new_gvt) = shared.try_compute_gvt() {
+            proc.fossil_collect(new_gvt);
+        } else {
+            let g = shared.gvt.load(Ordering::SeqCst);
+            if g != VTime::MAX {
+                proc.fossil_collect(g);
             }
         }
         if worked {
             idle_spins = 0;
+        } else {
+            idle_spins += 1;
+            if idle_spins >= STALL_LIMIT {
+                shared.stalled.store(true, Ordering::SeqCst);
+                shared.abort.store(true, Ordering::SeqCst);
+                break;
+            }
+            std::thread::yield_now();
         }
     }
 }
@@ -670,7 +677,6 @@ mod tests {
         let no_listen = Transport::tcp_external(1, SchedulePolicy::RoundRobin, "");
         let rejected = [
             (b().epochs_per_quantum(0), "epochs_per_quantum"),
-            (b().gvt_interval(0), "gvt_interval"),
             (b().heartbeat_budget(0), "heartbeat budget"),
             (b().transport(no_listen), "listen address"),
             (b().heartbeat_interval(Duration::ZERO), "heartbeat interval"),

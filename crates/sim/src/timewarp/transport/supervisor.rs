@@ -83,6 +83,8 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
             let mut result = merge_results(
                 nl,
                 plan,
+                stim,
+                cycles,
                 per_cluster,
                 sup.shared.gvt_rounds.load(Ordering::SeqCst),
             );
@@ -137,8 +139,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     fn run(&mut self, schedule: &mut dyn Schedule) -> Result<Vec<(SimStats, Vec<Logic>)>, Halt> {
         let fault = self.cfg.fault;
         let mut crashes_left = fault.crash_budget();
-        let gvt_cadence =
-            (self.cfg.epochs_per_quantum.max(1) * self.cfg.gvt_interval.max(1)) as u64;
+        let gvt_cadence = self.cfg.epochs_per_quantum.max(1) as u64;
         let mut decision: u64 = 0;
         let mut last_gvt: VTime = 0;
         let mut idle: u64 = 0;
@@ -272,7 +273,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             }
 
             // Periodic GVT, mirroring the threaded workers' cadence of one
-            // attempt per `gvt_interval` quanta of `epochs_per_quantum` epochs.
+            // attempt per quantum of `epochs_per_quantum` epochs.
             if decision.is_multiple_of(gvt_cadence) {
                 if let Some(new_gvt) = self.shared.try_compute_gvt() {
                     self.gvt_round(new_gvt, false)?;

@@ -11,36 +11,36 @@
 //! state must match the sequential simulator on every driven net and
 //! primary input.
 //!
-//! On failure the offending case (circuit, partition, jitter seed, kernel
-//! knobs) is written to `target/tmp/threads_fuzz_failure_<test>_<hash>.txt`
-//! — same dump convention as the DST fuzzers, and CI uploads the set.
+//! A case is a [`Scenario`]; a failing one (circuit, partition, jitter seed,
+//! kernel knobs) is written to
+//! `target/tmp/threads_fuzz_failure_<test>_<hash>.txt` — same dump
+//! convention as the DST fuzzers, and CI uploads the set.
+//!
+//! [`TimeWarpConfig::thread_jitter`]: dvs_sim::timewarp::TimeWarpConfig::thread_jitter
 
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
-use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, TimeWarpConfig, Transport};
-use dvs_verilog::netlist::Netlist;
-use dvs_verilog::parse_and_elaborate;
-use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
+use dvs_bench::scenario::{Circuit, Dump, Executor, Partition, Scenario};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Everything needed to replay one fuzz case.
-#[derive(Debug, Clone)]
-struct FuzzCase {
-    counter_not_lfsr: bool,
-    bits: u32,
-    k: usize,
-    part_seed: u64,
-    stim_seed: u64,
-    jitter_seed: u64,
-    window: u64,
-    epochs_per_quantum: usize,
-    cycles: u64,
+const DUMP: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "threads_fuzz_failure");
+
+/// A case from the strategy's tuples.
+fn case(
+    (counter, bits, k, part_seed): (bool, u32, usize, u64),
+    (stim_seed, jitter_seed): (u64, u64),
+    (window, epochs_per_quantum, cycles): (u64, usize, u64),
+) -> Scenario {
+    let circuit = Circuit::seqcirc(counter, bits);
+    let partition = Partition::Random { k, seed: part_seed };
+    let jitter = Some(jitter_seed);
+    Scenario {
+        window,
+        epochs_per_quantum,
+        executor: Executor::Threads { jitter },
+        ..Scenario::new(circuit, partition, stim_seed, cycles)
+    }
 }
 
-fn case_strategy() -> impl Strategy<Value = FuzzCase> {
+fn case_strategy() -> impl Strategy<Value = Scenario> {
     let circuit = (any::<bool>(), 2u32..6, 2usize..4, any::<u64>());
     let seeds = (any::<u64>(), any::<u64>());
     let kernel = (
@@ -48,62 +48,12 @@ fn case_strategy() -> impl Strategy<Value = FuzzCase> {
         prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
         10u64..30,
     );
-    (circuit, seeds, kernel).prop_map(
-        |(
-            (counter_not_lfsr, bits, k, part_seed),
-            (stim_seed, jitter_seed),
-            (window, epochs_per_quantum, cycles),
-        )| FuzzCase {
-            counter_not_lfsr,
-            bits,
-            k,
-            part_seed,
-            stim_seed,
-            jitter_seed,
-            window,
-            epochs_per_quantum,
-            cycles,
-        },
-    )
+    (circuit, seeds, kernel).prop_map(|(circuit, seeds, kernel)| case(circuit, seeds, kernel))
 }
 
-fn elaborate_case(case: &FuzzCase) -> Netlist {
-    let src = if case.counter_not_lfsr {
-        generate_counter(case.bits)
-    } else {
-        generate_lfsr(case.bits.max(2), &[case.bits.max(2), 1])
-    };
-    parse_and_elaborate(&src)
-        .expect("generated circuit parses")
-        .into_netlist()
-}
-
-/// A seeded random gate→cluster assignment with every cluster non-empty.
-fn random_partition(nl: &Netlist, k: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = nl.gate_count();
-    let mut gb: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
-    for (i, slot) in gb.iter_mut().enumerate().take(k.min(n)) {
-        *slot = i as u32; // guarantee non-empty clusters
-    }
-    gb
-}
-
-fn run_case(case: &FuzzCase) {
-    let nl = elaborate_case(case);
-    let gb = random_partition(&nl, case.k, case.part_seed);
-    let plan = ClusterPlan::new(&nl, &gb, case.k);
-    let stim = VectorStimulus::from_netlist(&nl, 10, case.stim_seed);
-
-    let cfg = TimeWarpConfig::builder()
-        .transport(Transport::Threads)
-        .window(case.window)
-        .epochs_per_quantum(case.epochs_per_quantum)
-        .thread_jitter(case.jitter_seed)
-        .build()
-        .expect("valid config");
-
-    let tw = run_timewarp(&nl, &plan, &stim, case.cycles, &cfg).expect("threads run failed");
+fn run_case(case: &Scenario) {
+    let built = case.build();
+    let tw = case.run_ok(&built);
 
     // Conservation: every message the clusters emitted was shipped into a
     // channel exactly once, one message per push.
@@ -119,48 +69,7 @@ fn run_case(case: &FuzzCase) {
 
     // Sequential equivalence on every driven net and primary input — the
     // jitter may change *when* rollbacks happen, never *what* converges.
-    let scfg = SimConfig {
-        cycles: case.cycles,
-        init_zero: true,
-    };
-    let mut seq = SeqSim::new(&nl, &scfg);
-    seq.run(&stim, case.cycles, &mut NullObserver);
-    for (ni, net) in nl.nets.iter().enumerate() {
-        let id = dvs_verilog::NetId(ni as u32);
-        if net.driver.is_some() || nl.primary_inputs.contains(&id) {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(id),
-                "net `{}` diverged from sequential under jitter seed {}",
-                net.name,
-                case.jitter_seed
-            );
-        }
-    }
-}
-
-/// Run a case, dumping it on panic to a file whose name encodes the test
-/// and a hash of the case — same convention as the DST fuzzers, so CI can
-/// upload every repro without collisions.
-fn run_case_with_dump(case: &FuzzCase, test: &str) {
-    use std::hash::{Hash, Hasher};
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_case(case)));
-    if let Err(payload) = result {
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string panic>");
-        let dump = format!("failing threads fuzz case ({test}):\n{case:#?}\n\npanic: {msg}\n");
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{case:?}").hash(&mut h);
-        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-        let _ = std::fs::create_dir_all(dir);
-        let name = format!("threads_fuzz_failure_{test}_{:016x}.txt", h.finish());
-        let _ = std::fs::write(dir.join(name), &dump);
-        eprintln!("{dump}");
-        std::panic::resume_unwind(payload);
-    }
+    case.assert_sequential(&built, &tw, "under jitter");
 }
 
 proptest! {
@@ -171,7 +80,7 @@ proptest! {
 
     #[test]
     fn jittered_threads_match_sequential(case in case_strategy()) {
-        run_case_with_dump(&case, "jittered_threads");
+        DUMP.with_dump(&case, "jittered_threads", run_case);
     }
 }
 
@@ -181,17 +90,7 @@ proptest! {
 #[test]
 fn fixed_case_across_jitter_seeds() {
     for jitter_seed in [1u64, 0x00FF_00FF, u64::MAX] {
-        let case = FuzzCase {
-            counter_not_lfsr: true,
-            bits: 4,
-            k: 3,
-            part_seed: 11,
-            stim_seed: 22,
-            jitter_seed,
-            window: 8,
-            epochs_per_quantum: 2,
-            cycles: 25,
-        };
-        run_case_with_dump(&case, "fixed_case_across_jitter_seeds");
+        let case = case((true, 4, 3, 11), (22, jitter_seed), (8, 2, 25));
+        DUMP.with_dump(&case, "fixed_case_across_jitter_seeds", run_case);
     }
 }

@@ -37,16 +37,11 @@ fn assert_tw_matches_seq_under(
     let plan = ClusterPlan::new(nl, gate_blocks, k);
     let tw = run_timewarp(nl, &plan, &stim, cycles, tw_cfg).expect("run stalled");
 
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() || nl.primary_inputs.contains(&dvs_verilog::NetId(ni as u32)) {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs (k={k}, seed={seed})",
-                net.name
-            );
-        }
-    }
+    let wrong = seq.mismatches(nl, &tw.values);
+    assert!(
+        wrong.is_empty(),
+        "nets {wrong:?} differ (k={k}, seed={seed})"
+    );
     // Sanity on bookkeeping.
     assert!(
         tw.stats.events >= seq.stats().events,
@@ -174,20 +169,11 @@ fn tight_window_still_correct() {
     let cfg = TimeWarpConfig::builder()
         .window(8)
         .epochs_per_quantum(2)
-        .gvt_interval(1)
         .build()
         .expect("valid config");
     let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs under tight window",
-                net.name
-            );
-        }
-    }
+    let wrong = seq.mismatches(&nl, &tw.values);
+    assert!(wrong.is_empty(), "nets {wrong:?} differ under tight window");
     assert!(tw.gvt_rounds > 0, "GVT must advance");
 }
 
@@ -573,9 +559,7 @@ fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
     let canonical = dvs_sim::tw_run_canonical_json(&tw)
         .emit()
         .expect("canonical emit");
-    let fnv1a = canonical.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let fnv1a = dvs_bench::scenario::fnv1a(canonical.as_bytes());
     assert_eq!(format!("{fnv1a:016x}"), "234c33e9cf722c05");
 }
 
@@ -609,16 +593,11 @@ fn threads_mode_recovers_from_injected_panic() {
         assert_eq!(tw.recovery.crashes, 1, "injected panic did not fire");
         assert_eq!(tw.recovery.restarts, 1, "supervisor did not restart");
         assert!(!tw.recovery.degraded);
-        for (ni, net) in nl.nets.iter().enumerate() {
-            if net.driver.is_some() {
-                assert_eq!(
-                    tw.values[ni],
-                    seq.value(dvs_verilog::NetId(ni as u32)),
-                    "net `{}` differs after panic recovery ({victim}@{quantum})",
-                    net.name
-                );
-            }
-        }
+        let wrong = seq.mismatches(&nl, &tw.values);
+        assert!(
+            wrong.is_empty(),
+            "nets {wrong:?} differ after panic recovery ({victim}@{quantum})"
+        );
     }
 }
 
@@ -655,16 +634,8 @@ fn threads_mode_degrades_after_budget_exhaustion() {
     assert!(tw.recovery.degraded, "budget exhaustion must degrade");
     assert_eq!(tw.recovery.crashes, 3);
     assert_eq!(tw.recovery.restarts, 2);
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs in degraded run",
-                net.name
-            );
-        }
-    }
+    let wrong = seq.mismatches(&nl, &tw.values);
+    assert!(wrong.is_empty(), "nets {wrong:?} differ in degraded run");
 }
 
 #[test]

@@ -126,13 +126,9 @@ fn main() {
     println!("  rolled-back ev: {}", tw.stats.rolled_back_events);
     println!("  GVT rounds    : {}", tw.gvt_rounds);
 
-    // Validate: every driven net must agree with the sequential result.
-    let mut mismatches = 0usize;
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() && tw.values[ni] != seq.value(dvs_verilog::NetId(ni as u32)) {
-            mismatches += 1;
-        }
-    }
+    // Validate: every driven net and every primary input must agree with
+    // the sequential result.
+    let mismatches = seq.mismatches(&nl, &tw.values).len();
     if mismatches == 0 {
         println!(
             "\nvalidation: PASS — all {} driven nets bit-exact",

@@ -5,20 +5,13 @@
 //! counters to an uninterrupted run — across every schedule policy and a
 //! spread of seeds.
 
-use dvs_core::multiway::{partition_multiway, MultiwayConfig};
+use dvs_bench::scenario::{assert_same_run, policies, Circuit, Partition, Scenario};
 use dvs_core::{FromJson, Json, ToJson};
-use dvs_integration_tests::elaborate;
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::dst::first_cut_channel;
 use dvs_sim::timewarp::proc::ClusterProcess;
-use dvs_sim::timewarp::{
-    run_timewarp, Checkpoint, FaultPlan, SchedulePolicy, StateSaving, TimeWarpConfig, Transport,
-    TwMessage,
-};
+use dvs_sim::timewarp::{Checkpoint, FaultPlan, StateSaving, TwMessage};
 use dvs_verilog::Netlist;
-use dvs_workloads::seqcirc::generate_counter;
-use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 use proptest::prelude::*;
 
 /// Drive a two-cluster system by hand for `epochs` scheduling steps,
@@ -63,10 +56,11 @@ fn pump_two_clusters<'a>(
     procs
 }
 
-fn two_cluster_fixture() -> (Netlist, Vec<u32>) {
-    let nl = elaborate(&generate_counter(6));
-    let gb: Vec<u32> = (0..nl.gate_count()).map(|i| (i % 2) as u32).collect();
-    (nl, gb)
+/// A 6-bit counter dealt out round-robin over two clusters.
+fn two_cluster_fixture() -> (Netlist, ClusterPlan) {
+    let counter = Circuit::Counter { bits: 6 };
+    let built = Scenario::new(counter, Partition::Blocks(vec![0, 1]), 0, 30).build();
+    (built.nl, built.plan)
 }
 
 proptest! {
@@ -81,8 +75,7 @@ proptest! {
         epochs in 1u32..40,
         gvt in 0u64..50,
     ) {
-        let (nl, gb) = two_cluster_fixture();
-        let plan = ClusterPlan::new(&nl, &gb, 2);
+        let (nl, plan) = two_cluster_fixture();
         let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs);
         for p in &procs {
             let ck = p.checkpoint(gvt);
@@ -105,8 +98,7 @@ proptest! {
         stim_seed in any::<u64>(),
         epochs in 1u32..40,
     ) {
-        let (nl, gb) = two_cluster_fixture();
-        let plan = ClusterPlan::new(&nl, &gb, 2);
+        let (nl, plan) = two_cluster_fixture();
         let stim = VectorStimulus::from_netlist(&nl, 10, stim_seed);
         let procs = pump_two_clusters(&nl, &plan, stim_seed, epochs);
         for p in &procs {
@@ -127,8 +119,7 @@ proptest! {
 /// instead of silently misinterpreted.
 #[test]
 fn checkpoint_rejects_wrong_kind_and_schema() {
-    let (nl, gb) = two_cluster_fixture();
-    let plan = ClusterPlan::new(&nl, &gb, 2);
+    let (nl, plan) = two_cluster_fixture();
     let procs = pump_two_clusters(&nl, &plan, 1, 8);
     let ck = procs[0].checkpoint(3);
 
@@ -165,49 +156,16 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
 /// run, for 16 seeds × all four schedule policies.
 #[test]
 fn mid_run_restore_is_invisible_for_sixteen_seeds_and_all_policies() {
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = elaborate(&src);
-    let part = partition_multiway(&nl, &MultiwayConfig::new(3, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, 3);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 7);
-    let delay = first_cut_channel(&plan).expect("cut channel");
-    let policies = [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::SeededRandom,
-        SchedulePolicy::StragglerHeavy,
-        SchedulePolicy::DelayChannel {
-            src: delay.0,
-            dst: delay.1,
-        },
-    ];
-    for policy in policies {
+    let base = Scenario::tiny_viterbi(7, 20);
+    let built = base.build();
+    for policy in policies(&built.plan) {
         for seed in 0..16u64 {
-            let base = TimeWarpConfig::builder()
-                .transport(Transport::in_proc(seed, policy))
-                .window(8)
-                .epochs_per_quantum(2)
-                .gvt_interval(1)
-                .build()
-                .expect("valid config");
-            let clean = run_timewarp(&nl, &plan, &stim, 20, &base).expect("clean run stalled");
-            let cfg = TimeWarpConfig::builder()
-                .transport(Transport::in_proc(seed, policy))
-                .window(8)
-                .epochs_per_quantum(2)
-                .gvt_interval(1)
-                .fault(FaultPlan::crash((seed % 3) as u32, 20 + seed * 9))
-                .build()
-                .expect("valid config");
-            let tw = run_timewarp(&nl, &plan, &stim, 20, &cfg).expect("crash run stalled");
+            let clean = base.in_proc(seed, policy);
+            let crash = clean.faulted(FaultPlan::crash((seed % 3) as u32, 20 + seed * 9));
+            let (clean, tw) = (clean.run_ok(&built), crash.run_ok(&built));
             let label = format!("{} seed {seed}", policy.name());
             assert_eq!(tw.recovery.crashes, 1, "{label}: fault did not fire");
-            assert_eq!(tw.stats, clean.stats, "{label}: stats diverged");
-            assert_eq!(
-                tw.cluster_stats, clean.cluster_stats,
-                "{label}: cluster stats diverged"
-            );
-            assert_eq!(tw.values, clean.values, "{label}: values diverged");
-            assert_eq!(tw.gvt_rounds, clean.gvt_rounds, "{label}: GVT diverged");
+            assert_same_run(&tw, &clean, &label);
         }
     }
 }

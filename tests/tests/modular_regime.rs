@@ -68,16 +68,8 @@ fn pipeline_timewarp_bit_exact_with_dffr() {
     seq.run(&stim, cycles, &mut NullObserver);
     let tw = run_timewarp(&nl, &plan, &stim, cycles, &TimeWarpConfig::default())
         .expect("time warp run stalled");
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs",
-                net.name
-            );
-        }
-    }
+    let wrong = seq.mismatches(&nl, &tw.values);
+    assert!(wrong.is_empty(), "nets {wrong:?} differ");
 }
 
 #[test]

@@ -3,50 +3,32 @@
 //! when driven by the design-driven partitioner's output — the combination
 //! that the whole reproduction stands on.
 
-use dvs_core::multiway::{partition_multiway, MultiwayConfig};
-use dvs_integration_tests::elaborate;
-use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
-use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, SchedulePolicy, TimeWarpConfig, Transport};
-use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
-use dvs_workloads::seqcirc::generate_counter;
-use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
+use dvs_bench::scenario::{Circuit, Partition, Scenario};
+use dvs_sim::timewarp::{SchedulePolicy, TimeWarpConfig};
+use dvs_workloads::viterbi::ViterbiParams;
 
-fn assert_bit_exact(src: &str, k: u32, b: f64, cycles: u64, seed: u64) {
-    let nl = elaborate(src);
-    let part = partition_multiway(&nl, &MultiwayConfig::new(k, b));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, k as usize);
-    let stim = VectorStimulus::from_netlist(&nl, 10, seed);
-
-    let mut seq = SeqSim::new(
-        &nl,
-        &SimConfig {
-            cycles,
-            init_zero: true,
-        },
-    );
-    seq.run(&stim, cycles, &mut NullObserver);
-
-    let tw = run_timewarp(&nl, &plan, &stim, cycles, &TimeWarpConfig::default())
-        .expect("time warp run stalled");
-    for (ni, net) in nl.nets.iter().enumerate() {
-        if net.driver.is_some() {
-            assert_eq!(
-                tw.values[ni],
-                seq.value(dvs_verilog::NetId(ni as u32)),
-                "net `{}` differs (k={k}, seed={seed})",
-                net.name
-            );
-        }
+/// `circuit` under the design-driven (k, b) partition on the stock kernel
+/// — `TimeWarpConfig::default()`: plain threads, its window and quantum.
+fn stock(circuit: Circuit, k: u32, b: f64, cycles: u64, seed: u64) -> Scenario {
+    let stock = TimeWarpConfig::default();
+    Scenario {
+        window: stock.window,
+        epochs_per_quantum: stock.epochs_per_quantum,
+        ..Scenario::new(circuit, Partition::Multiway { k, b }, seed, cycles)
     }
+}
+
+fn assert_bit_exact(circuit: Circuit, k: u32, b: f64, cycles: u64, seed: u64) {
+    let case = stock(circuit, k, b, cycles, seed);
+    let built = case.build();
+    let label = format!("k={k}, seed={seed}");
+    case.assert_sequential(&built, &case.run_ok(&built), &label);
 }
 
 #[test]
 fn viterbi_tiny_on_partitioned_clusters() {
-    let src = generate_viterbi(&ViterbiParams::tiny());
     for k in [2u32, 3] {
-        assert_bit_exact(&src, k, 15.0, 40, 3);
+        assert_bit_exact(Circuit::Viterbi(ViterbiParams::tiny()), k, 15.0, 40, 3);
     }
 }
 
@@ -60,26 +42,21 @@ fn viterbi_small_four_machines() {
         uneven_banks: true,
         lanes: 1,
     };
-    let src = generate_viterbi(&p);
-    assert_bit_exact(&src, 4, 20.0, 30, 9);
+    assert_bit_exact(Circuit::Viterbi(p), 4, 20.0, 30, 9);
 }
 
 #[test]
 fn counter_feedback_across_machines() {
-    let src = generate_counter(12);
-    assert_bit_exact(&src, 2, 25.0, 50, 5);
-    assert_bit_exact(&src, 3, 30.0, 50, 6);
+    assert_bit_exact(Circuit::Counter { bits: 12 }, 2, 25.0, 50, 5);
+    assert_bit_exact(Circuit::Counter { bits: 12 }, 3, 30.0, 50, 6);
 }
 
+/// Both seeds have a primary input no gate reads: it must end where the
+/// stimulus leaves it, as in the sequential simulator.
 #[test]
 fn random_hierarchies_bit_exact() {
     for seed in [1u64, 8] {
-        let src = generate_random_hier(&RandomHierParams {
-            seed,
-            gates_per_module: 8,
-            ..Default::default()
-        });
-        assert_bit_exact(&src, 2, 25.0, 35, seed);
+        assert_bit_exact(Circuit::random_hier(seed), 2, 25.0, 35, seed);
     }
 }
 
@@ -89,11 +66,8 @@ fn deterministic_mode_matches_golden_counters() {
     // reproducible, so we can pin the counters to golden values: any kernel
     // change that alters scheduling, annihilation, GVT sampling or fossil
     // collection shows up here as an exact diff, not a flaky tolerance.
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = elaborate(&src);
-    let part = partition_multiway(&nl, &MultiwayConfig::new(3, 20.0));
-    let plan = ClusterPlan::new(&nl, &part.gate_blocks, 3);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 3);
+    let base = Scenario::tiny_viterbi(3, 40);
+    let built = base.build();
 
     // (policy, events, rollbacks, anti_messages, messages, fossil, gvt_rounds)
     let golden = [
@@ -109,14 +83,7 @@ fn deterministic_mode_matches_golden_counters() {
         ),
     ];
     for (policy, events, rollbacks, anti, messages, fossil, gvt_rounds) in golden {
-        let cfg = TimeWarpConfig::builder()
-            .transport(Transport::in_proc(2008, policy))
-            .window(8)
-            .epochs_per_quantum(2)
-            .gvt_interval(1)
-            .build()
-            .expect("valid config");
-        let tw = run_timewarp(&nl, &plan, &stim, 40, &cfg).expect("time warp run stalled");
+        let tw = base.in_proc(2008, policy).run_ok(&built);
         let got = (
             policy,
             tw.stats.events,
@@ -139,19 +106,16 @@ fn deterministic_mode_matches_golden_counters() {
 fn timewarp_stats_scale_with_cut() {
     // A worse partition (round-robin) must generate at least as many
     // messages as the design-driven one over the same run.
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = elaborate(&src);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 4);
+    let good = stock(Circuit::Viterbi(ViterbiParams::tiny()), 2, 15.0, 30, 4);
+    let bad = Scenario {
+        partition: Partition::Blocks(vec![0, 1]),
+        ..good.clone()
+    };
+    let (good_built, bad_built) = (good.build(), bad.build());
+    assert!(bad_built.plan.cut_nets() > good_built.plan.cut_nets());
 
-    let good = partition_multiway(&nl, &MultiwayConfig::new(2, 15.0));
-    let bad: Vec<u32> = (0..nl.gate_count()).map(|i| (i % 2) as u32).collect();
-    let good_plan = ClusterPlan::new(&nl, &good.gate_blocks, 2);
-    let bad_plan = ClusterPlan::new(&nl, &bad, 2);
-    assert!(bad_plan.cut_nets() > good_plan.cut_nets());
-
-    let cfg = TimeWarpConfig::default();
-    let rg = run_timewarp(&nl, &good_plan, &stim, 30, &cfg).expect("time warp run stalled");
-    let rb = run_timewarp(&nl, &bad_plan, &stim, 30, &cfg).expect("time warp run stalled");
+    let rg = good.run_ok(&good_built);
+    let rb = bad.run_ok(&bad_built);
     assert!(
         rb.stats.messages > rg.stats.messages,
         "bad {} <= good {}",
