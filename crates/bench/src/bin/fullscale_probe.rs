@@ -11,7 +11,7 @@
 //! artifact (the same serializers as `bench_gate`/`repro`) on stdout, or
 //! to a file with `--artifact PATH`.
 
-use dvs_core::json::{ObjBuilder, ToJson, SCHEMA_VERSION};
+use dvs_core::json::{uint_array, ObjBuilder, ToJson, SCHEMA_VERSION};
 use dvs_core::PartitionQuality;
 use std::time::Instant;
 
@@ -130,12 +130,25 @@ fn main() {
     }
     let measured_speedup = seq_seconds / threads_seconds;
     let cluster_evals: Vec<u64> = tw.cluster_stats.iter().map(|c| c.gate_evals).collect();
+    // Where the work is: a cluster's committed events, not its gate count,
+    // bound what a second thread can take off the critical path.
+    let committed: Vec<u64> = tw
+        .cluster_stats
+        .iter()
+        .map(|c| c.committed_events())
+        .collect();
+    let heaviest_share = committed.iter().copied().max().unwrap_or(0) as f64
+        / committed.iter().sum::<u64>().max(1) as f64;
     eprintln!(
         "Threads k={MEASURED_K} b={MEASURED_B} (loads {:?}) in {threads_seconds:.3}s: {} events executed, gate evals per cluster {cluster_evals:?}, {} messages, {} rollbacks",
         plan.loads(),
         tw.stats.events,
         tw.stats.messages,
         tw.stats.rollbacks
+    );
+    eprintln!(
+        "committed events per cluster {committed:?}: the heaviest holds {:.0} % of the events",
+        100.0 * heaviest_share
     );
     eprintln!(
         "measured speedup {measured_speedup:.2} (Threads k={MEASURED_K}, this host) beside modeled {:.2} (athlon cluster, k={K})",
@@ -170,6 +183,8 @@ fn main() {
                 .float("evals_per_event", evals_per_event)
                 .float("seq_seconds", seq_seconds)
                 .uint("threads_gate_evals", cluster_evals.iter().sum())
+                .field("threads_committed_events", uint_array(&committed))
+                .float("heaviest_cluster_event_share", heaviest_share)
                 .float("threads_seconds", threads_seconds)
                 .float("measured_speedup", measured_speedup)
                 .build(),

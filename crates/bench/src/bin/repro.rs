@@ -174,20 +174,24 @@ fn main() {
             table4(&data),
         );
     }
+    // One full-length simulation serves Table 5, Figure 5 and the headline.
+    let t0 = Instant::now();
+    let full = full_runs(&wl, &data);
+    eprintln!(
+        "   {} full-length runs modeled from one {}-vector pass in {:.2?}\n",
+        full.by_k.len() + 1,
+        cfg.full_vectors,
+        t0.elapsed()
+    );
     if targets.contains("table5") {
-        let (t, _) = table5(&wl, &data);
         emit(
             "table5",
             "Table 5: simulation time with design-driven partitioning algorithm (full run)",
-            t,
+            table5(&data, &full),
         );
     }
     if targets.contains("fig5") {
-        emit(
-            "fig5",
-            "Figure 5: simulation time vs machines",
-            fig5(&wl, &data),
-        );
+        emit("fig5", "Figure 5: simulation time vs machines", fig5(&full));
     }
     if targets.contains("fig6") {
         emit(
@@ -211,7 +215,7 @@ fn main() {
         );
     }
 
-    let h = headline(&wl, &data);
+    let h = headline(&data, &full);
     println!("== Headline (paper §5) ==");
     println!(
         "cut ratio hMetis/design-driven (geomean) : {:.2}x  (paper reports 4.5x)",

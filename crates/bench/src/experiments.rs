@@ -16,12 +16,12 @@
 
 use dvs_core::engine::{map_indexed, Parallelism};
 use dvs_core::multiway::{partition_multiway_sweep, MultiwayConfig, MultiwayResult};
-use dvs_core::presim::{evaluate_partition, PresimConfig, PresimPoint};
+use dvs_core::presim::{evaluate_partitions, Candidate, PresimConfig, PresimPoint};
 use dvs_core::report::{secs, speedup, Table};
 use dvs_hmetis::{partition_kway, HmetisConfig};
 use dvs_hypergraph::builder::{cut_size_gates, gate_level};
 use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
+use dvs_sim::cluster_model::{run_batch, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::stats::{stats, DesignStats};
@@ -122,8 +122,9 @@ pub struct ReproData {
 /// pre-simulate every (k, b). The per-`k` column computations are
 /// independent, so they fan out over `cfg.parallelism` worker threads; the
 /// b-sweep within one `k` carries the feasible envelope forward and stays
-/// sequential. Results are identical for every thread count — columns are
-/// collected in `ks` order and nothing is seeded by schedule.
+/// sequential. The whole grid is then pre-simulated as one batch — one
+/// profiling pass. Results are identical for every thread count — columns
+/// are collected in `ks` order and nothing is seeded by schedule.
 pub fn compute_grid(wl: &Workload, cfg: &ReproConfig) -> ReproData {
     let nl = &wl.nl;
     let gh = gate_level(nl);
@@ -151,16 +152,6 @@ pub fn compute_grid(wl: &Workload, cfg: &ReproConfig) -> ReproData {
             let hm = partition_kway(&gh.hg, k, &hm_cfg);
             let hm_time = t0.elapsed();
             let hm_cut = cut_size_gates(nl, &gh.gate_blocks(&hm));
-
-            let presim = evaluate_partition(
-                nl,
-                dd.gate_blocks.clone(),
-                dd.cut,
-                dd.balanced,
-                k,
-                b,
-                &presim_cfg,
-            );
             column.push(GridPoint {
                 k,
                 b,
@@ -168,12 +159,26 @@ pub fn compute_grid(wl: &Workload, cfg: &ReproConfig) -> ReproData {
                 dd_time: dd_each,
                 hm_cut,
                 hm_time,
-                presim,
+                presim: PresimPoint::default(), // filled in below
             });
         }
         column
     });
-    let grid: Vec<GridPoint> = columns.into_iter().flatten().collect();
+    let mut grid: Vec<GridPoint> = columns.into_iter().flatten().collect();
+    let cands: Vec<Candidate> = grid
+        .iter()
+        .map(|g| Candidate {
+            k: g.k,
+            b: g.b,
+            gate_blocks: &g.dd.gate_blocks,
+            cut: g.dd.cut,
+            balanced: g.dd.balanced,
+        })
+        .collect();
+    let presims = evaluate_partitions(nl, &cands, &presim_cfg, cfg.parallelism);
+    for (g, presim) in grid.iter_mut().zip(presims) {
+        g.presim = presim;
+    }
     let seq_secs = grid.last().map_or(0.0, |g| g.presim.seq_seconds);
     ReproData {
         cfg: cfg.clone(),
@@ -273,18 +278,39 @@ pub fn table4(data: &ReproData) -> Table {
     t
 }
 
-/// A full-length simulation of one partition under the cluster model.
-pub fn full_run(nl: &Netlist, point: &GridPoint, cfg: &ReproConfig) -> ClusterRun {
-    let plan = ClusterPlan::new(nl, &point.presim.gate_blocks, point.k as usize);
-    let mut mcfg = PresimConfig::paper_defaults(nl.gate_count()).model;
-    mcfg.max_buckets = 16_384;
-    let model = ClusterModel::new(nl, plan, mcfg);
+/// The full-length simulations every full-run table and figure reads: one
+/// machine, and the best partition of each `k` — profiled in one pass.
+pub struct FullRuns {
+    /// One machine: the sequential run.
+    pub seq: ClusterRun,
+    /// The run of `data.best_for_k(k)`, in `ks` order.
+    pub by_k: Vec<(u32, ClusterRun)>,
+}
+
+/// Simulate `cfg.full_vectors` vectors once and model the cluster under the
+/// one-machine plan and under the best partition of each `k`.
+pub fn full_runs(wl: &Workload, data: &ReproData) -> FullRuns {
+    let nl = &wl.nl;
+    let mut plans = vec![ClusterPlan::new(nl, &vec![0; nl.gate_count()], 1)];
+    plans.extend(
+        data.cfg
+            .ks
+            .iter()
+            .map(|&k| ClusterPlan::new(nl, &data.best_for_k(k).presim.gate_blocks, k as usize)),
+    );
+    let plans: Vec<&ClusterPlan> = plans.iter().collect();
+    let mcfg = PresimConfig::paper_defaults(nl.gate_count()).model;
     let stim = VectorStimulus::from_netlist(nl, 10, 0x1234);
-    model.run(&stim, cfg.full_vectors)
+    let mut runs = run_batch(nl, &plans, &mcfg, &stim, data.cfg.full_vectors).into_iter();
+    let seq = runs.next().expect("the one-machine plan leads the batch");
+    FullRuns {
+        seq,
+        by_k: data.cfg.ks.iter().copied().zip(runs).collect(),
+    }
 }
 
 /// Table 5: full-simulation time and speedup for the best (k, b) rows.
-pub fn table5(wl: &Workload, data: &ReproData) -> (Table, Vec<(u32, ClusterRun)>) {
+pub fn table5(data: &ReproData, full: &FullRuns) -> Table {
     let mut t = Table::new(vec![
         "k",
         "b",
@@ -292,10 +318,8 @@ pub fn table5(wl: &Workload, data: &ReproData) -> (Table, Vec<(u32, ClusterRun)>
         "Simulation time (Seconds)",
         "Speedup",
     ]);
-    let mut runs = Vec::new();
-    for &k in &data.cfg.ks {
-        let g = data.best_for_k(k);
-        let run = full_run(&wl.nl, g, &data.cfg);
+    for (k, run) in &full.by_k {
+        let g = data.best_for_k(*k);
         t.row(vec![
             g.k.to_string(),
             trim(g.b),
@@ -303,26 +327,15 @@ pub fn table5(wl: &Workload, data: &ReproData) -> (Table, Vec<(u32, ClusterRun)>
             secs(run.wall_seconds),
             speedup(run.speedup),
         ]);
-        runs.push((k, run));
     }
-    (t, runs)
+    t
 }
 
 /// Figure 5: full-simulation time vs number of machines (1..=max k).
-pub fn fig5(wl: &Workload, data: &ReproData) -> Table {
+pub fn fig5(full: &FullRuns) -> Table {
     let mut t = Table::new(vec!["Machines", "Simulation time (Seconds)"]);
-    // One machine: the sequential run.
-    let seq = {
-        let plan = ClusterPlan::new(&wl.nl, &vec![0; wl.nl.gate_count()], 1);
-        let mcfg = PresimConfig::paper_defaults(wl.nl.gate_count()).model;
-        let model = ClusterModel::new(&wl.nl, plan, mcfg);
-        let stim = VectorStimulus::from_netlist(&wl.nl, 10, 0x1234);
-        model.run(&stim, data.cfg.full_vectors)
-    };
-    t.row(vec!["1".to_string(), secs(seq.seq_seconds)]);
-    for &k in &data.cfg.ks {
-        let g = data.best_for_k(k);
-        let run = full_run(&wl.nl, g, &data.cfg);
+    t.row(vec!["1".to_string(), secs(full.seq.seq_seconds)]);
+    for (k, run) in &full.by_k {
         t.row(vec![k.to_string(), secs(run.wall_seconds)]);
     }
     t
@@ -369,7 +382,7 @@ pub struct Headline {
     pub best_b: f64,
 }
 
-pub fn headline(wl: &Workload, data: &ReproData) -> Headline {
+pub fn headline(data: &ReproData, full: &FullRuns) -> Headline {
     let mut cut_log = 0.0f64;
     let mut time_log = 0.0f64;
     for g in &data.grid {
@@ -390,7 +403,11 @@ pub fn headline(wl: &Workload, data: &ReproData) -> Headline {
         })
         .expect("non-empty ks");
     let g = data.best_for_k(best_k);
-    let run = full_run(&wl.nl, g, &data.cfg);
+    let (_, run) = full
+        .by_k
+        .iter()
+        .find(|(k, _)| *k == best_k)
+        .expect("one full run per k");
     Headline {
         cut_ratio_vs_hmetis: (cut_log / n).exp(),
         time_ratio_vs_hmetis: (time_log / n).exp(),
@@ -514,10 +531,10 @@ mod tests {
         assert_eq!(table2(&data).len(), 4);
         assert_eq!(table3(&data).len(), 4);
         assert_eq!(table4(&data).len(), 2); // one row per k
-        let (t5, runs) = table5(&wl, &data);
-        assert_eq!(t5.len(), 2);
-        assert_eq!(runs.len(), 2);
-        assert_eq!(fig5(&wl, &data).len(), 3); // machines 1, 2, 3
+        let full = full_runs(&wl, &data);
+        assert_eq!(full.by_k.len(), 2);
+        assert_eq!(table5(&data, &full).len(), 2);
+        assert_eq!(fig5(&full).len(), 3); // machines 1, 2, 3
         assert_eq!(fig6(&data).len(), 2); // one row per b
         assert_eq!(fig7(&data).len(), 2);
     }
@@ -551,7 +568,7 @@ mod tests {
     #[test]
     fn headline_is_finite() {
         let (wl, data) = quick_data();
-        let h = headline(&wl, &data);
+        let h = headline(&data, &full_runs(&wl, &data));
         assert!(h.cut_ratio_vs_hmetis.is_finite());
         assert!(h.time_ratio_vs_hmetis > 1.0, "design-driven must be faster");
         assert!(h.best_full_speedup > 0.0);

@@ -14,7 +14,7 @@
 use dvs_hypergraph::builder::HierHypergraph;
 use dvs_hypergraph::partition::Partition;
 use dvs_hypergraph::VertexId;
-use dvs_verilog::netlist::Netlist;
+use dvs_verilog::netlist::{Fanout, Netlist};
 use std::collections::VecDeque;
 
 /// Build the initial k-way partition of `hh` by cone growth.
@@ -26,8 +26,14 @@ pub fn cone_partition(nl: &Netlist, hh: &HierHypergraph, k: u32) -> Partition {
 /// more, smaller cones; above 1 fewer, larger ones. Restarts of the
 /// multiway partitioner perturb this to diversify the initial partitions
 /// (cone growth is otherwise deterministic).
-pub fn cone_partition_scaled(
+pub fn cone_partition_scaled(nl: &Netlist, hh: &HierHypergraph, k: u32, scale: f64) -> Partition {
+    cone_partition_with(nl, &nl.build_fanout(), hh, k, scale)
+}
+
+/// [`cone_partition_scaled`] over a `fanout` of `nl` the caller already built.
+pub(crate) fn cone_partition_with(
     nl: &Netlist,
+    fanout: &Fanout,
     hh: &HierHypergraph,
     k: u32,
     target_scale: f64,
@@ -38,7 +44,6 @@ pub fn cone_partition_scaled(
 
     // Directed successor lists between hypergraph vertices, following net
     // direction (driver -> readers).
-    let fanout = nl.build_fanout();
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nv];
     for (ni, net) in nl.nets.iter().enumerate() {
         let Some(driver) = net.driver else { continue };

@@ -17,15 +17,13 @@
 //! 5. Stop when no pairing configuration is available; the result minimizes
 //!    the hyperedge cut subject to the balance constraint.
 
-use crate::cone::cone_partition_scaled;
+use crate::cone::cone_partition_with;
 use crate::pairing::{PairingState, PairingStrategy};
-use dvs_hypergraph::builder::{
-    cut_size_gates, design_level_weighted, HierHypergraph, VertexOrigin,
-};
+use dvs_hypergraph::builder::{cut_nets_with, design_level_with, HierHypergraph, VertexOrigin};
 use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
 use dvs_hypergraph::partition::{BalanceConstraint, Partition};
 use dvs_verilog::flatten::Frontier;
-use dvs_verilog::netlist::Netlist;
+use dvs_verilog::netlist::{Fanout, Netlist};
 
 /// Configuration of the multiway partitioner.
 #[derive(Debug, Clone)]
@@ -115,6 +113,10 @@ pub fn partition_multiway_weighted(
         None => nl.gate_count() as u64,
     };
     let balance = BalanceConstraint::new(cfg.k, total, cfg.b_percent);
+    // The fanout and the initial design-level hypergraph are the same for
+    // every restart (and the fanout for every flatten): build them once.
+    let fanout = nl.build_fanout();
+    let initial = design_level_with(nl, &fanout, &Frontier::initial(nl), gate_weights);
     let mut best: Option<MultiwayResult> = None;
     let mut cone_seconds = 0.0;
     let mut refine_seconds = 0.0;
@@ -126,7 +128,7 @@ pub fn partition_multiway_weighted(
             restarts: 1,
             ..cfg.clone()
         };
-        let candidate = partition_multiway_once(nl, &run_cfg, gate_weights);
+        let candidate = partition_multiway_once(nl, &fanout, &initial, &run_cfg, gate_weights);
         cone_seconds += candidate.cone_seconds;
         refine_seconds += candidate.refine_seconds;
         let key = (balance.violation(&candidate.loads), candidate.cut);
@@ -187,9 +189,12 @@ pub fn partition_multiway_sweep(
     results
 }
 
-/// A single restart of the algorithm.
+/// A single restart of the algorithm, from the `initial` design-level
+/// hypergraph of `nl` (the one of [`Frontier::initial`]).
 fn partition_multiway_once(
     nl: &Netlist,
+    fanout: &Fanout,
+    initial: &HierHypergraph,
     cfg: &MultiwayConfig,
     gate_weights: Option<&[u64]>,
 ) -> MultiwayResult {
@@ -200,13 +205,14 @@ fn partition_multiway_once(
     let balance = BalanceConstraint::new(cfg.k, total_weight, cfg.b_percent);
 
     let mut frontier = Frontier::initial(nl);
-    let mut hh = design_level_weighted(nl, &frontier, gate_weights);
+    // The hypergraph of the current frontier: `initial` until a flatten.
+    let mut flattened: Option<HierHypergraph> = None;
     // Derive a cone-size perturbation from the seed so restarts explore
     // different initial partitions (0.7 .. 1.3 around the balanced target).
     let frac = (cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / (1u64 << 24) as f64;
     let scale = 0.7 + 0.6 * frac;
     let t_cone = std::time::Instant::now();
-    let mut part = cone_partition_scaled(nl, &hh, cfg.k, scale);
+    let mut part = cone_partition_with(nl, fanout, initial, cfg.k, scale);
     let cone_seconds = t_cone.elapsed().as_secs_f64();
 
     let mut flattens = 0usize;
@@ -214,9 +220,10 @@ fn partition_multiway_once(
     let mut refine_seconds = 0.0f64;
 
     loop {
+        let hh = flattened.as_ref().unwrap_or(initial);
         // Iterative movement over pairings until no configuration is left.
         let t_refine = std::time::Instant::now();
-        refine_all_pairs(&hh, &mut part, &balance, cfg, &mut fm_rounds);
+        refine_all_pairs(hh, &mut part, &balance, cfg, &mut fm_rounds);
         refine_seconds += t_refine.elapsed().as_secs_f64();
 
         if balance.satisfied(part.block_weights()) {
@@ -225,7 +232,7 @@ fn partition_multiway_once(
 
         // Balance unmet: flatten the largest super-gate in an overweight
         // block (or the largest anywhere, if only underweight blocks exist).
-        let Some(victim) = pick_flatten_victim(&hh, &part, &balance) else {
+        let Some(victim) = pick_flatten_victim(hh, &part, &balance) else {
             break; // fully flat and still infeasible: FM did its best
         };
         if flattens >= cfg.max_flattens {
@@ -237,14 +244,16 @@ fn partition_multiway_once(
         let gate_blocks = hh.gate_blocks(&part);
         let ok = frontier.flatten_node(nl, inst);
         debug_assert!(ok, "victim must be on the frontier");
-        hh = design_level_weighted(nl, &frontier, gate_weights);
-        let assign = hh.assignment_from_gate_blocks(&gate_blocks);
-        part = Partition::from_assignment(&hh.hg, cfg.k, assign);
+        let finer = design_level_with(nl, fanout, &frontier, gate_weights);
+        let assign = finer.assignment_from_gate_blocks(&gate_blocks);
+        part = Partition::from_assignment(&finer.hg, cfg.k, assign);
+        flattened = Some(finer);
         flattens += 1;
     }
 
+    let hh = flattened.as_ref().unwrap_or(initial);
     let gate_blocks = hh.gate_blocks(&part);
-    let cut = cut_size_gates(nl, &gate_blocks);
+    let cut = cut_nets_with(nl, fanout, &gate_blocks).len() as u64;
     let design_cut = part.hyperedge_cut(&hh.hg);
     let loads = load_of_blocks(&gate_blocks, cfg.k, gate_weights);
     let balanced = balance.satisfied(&loads);

@@ -29,8 +29,7 @@
 
 use crate::engine::Parallelism;
 use crate::presim::{
-    best_point, brute_force_presim_par, heuristic_presim_points, PresimConfig, PresimPoint,
-    TwPresimConfig,
+    best_point, brute_force_presim_par, heuristic_rounds, PresimConfig, PresimPoint, TwPresimConfig,
 };
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
@@ -105,7 +104,10 @@ pub struct FlowConfig {
 pub struct PointCost {
     pub k: u32,
     pub b: f64,
-    /// Host seconds spent producing this point (partition + simulate).
+    /// Host seconds spent producing this point: partition + simulate, the
+    /// latter including the point's equal share of its batch's one
+    /// profiling pass (see
+    /// [`PointTiming::simulate_seconds`](crate::presim::PointTiming)).
     pub seconds: f64,
 }
 
@@ -124,8 +126,10 @@ pub struct FlowMetrics {
     pub pairwise_refine_seconds: f64,
     /// Host cost of each evaluated (k, b) point, in report order.
     pub point_costs: Vec<PointCost>,
-    /// Wall seconds of the whole (k, b) search stage. With a parallel
-    /// search this is less than the sum of `point_costs`.
+    /// Wall seconds of the whole (k, b) search stage: per point its
+    /// partition, plan and Time Warp legs, and `profile_passes` sequential
+    /// simulations shared by all points. With a serial search this is the
+    /// sum of `point_costs`; with a parallel search, less.
     pub search_seconds: f64,
     /// Wall seconds of the full-length simulation of the chosen partition.
     pub full_run_seconds: f64,
@@ -135,8 +139,12 @@ pub struct FlowMetrics {
     pub flatten_events: u64,
     /// Pairwise FM invocations across all presim partitionings.
     pub fm_passes: u64,
-    /// Pre-simulation runs spent.
+    /// Pre-simulation runs spent: candidate points evaluated.
     pub presim_runs: u64,
+    /// Sequential simulations the search ran to profile those points: one
+    /// for a brute-force grid, one per round (at most three) for the
+    /// heuristic. Host-side only — not in any artifact.
+    pub profile_passes: u64,
     /// Worker threads the search actually used.
     pub search_workers: usize,
 }
@@ -374,12 +382,14 @@ impl Flow<'_> {
         let design = stats(nl);
 
         let t_search = Instant::now();
-        let presim_points = match &cfg.search {
-            Search::BruteForce { ks, bs } => {
-                brute_force_presim_par(nl, ks, bs, &cfg.presim, cfg.parallelism)
-            }
+        let (presim_points, profile_passes) = match &cfg.search {
+            // The whole grid is one batch: one profiling pass.
+            Search::BruteForce { ks, bs } => (
+                brute_force_presim_par(nl, ks, bs, &cfg.presim, cfg.parallelism),
+                1,
+            ),
             Search::Heuristic { max_k } => {
-                heuristic_presim_points(nl, *max_k, &cfg.presim, cfg.parallelism)
+                heuristic_rounds(nl, *max_k, &cfg.presim, cfg.parallelism)
             }
         };
         let search_seconds = t_search.elapsed().as_secs_f64();
@@ -420,6 +430,7 @@ impl Flow<'_> {
                 .map(|p| p.timing.fm_rounds as u64)
                 .sum(),
             presim_runs: presim_runs as u64,
+            profile_passes: profile_passes as u64,
             search_workers: cfg.parallelism.workers_for(presim_runs.max(1)),
         };
 
@@ -490,6 +501,8 @@ mod tests {
         assert!(report.metrics.full_run_seconds > 0.0);
         assert!(report.metrics.total_seconds >= report.metrics.search_seconds);
         assert_eq!(report.metrics.presim_runs, 4);
+        // Four points, one sequential simulation (the full run is the other).
+        assert_eq!(report.metrics.profile_passes, 1);
         assert_eq!(report.metrics.point_costs.len(), 4);
         assert!(report.metrics.fm_passes > 0);
         assert!(report.metrics.search_workers >= 1);
@@ -504,6 +517,7 @@ mod tests {
             .unwrap();
         assert!(report.presim_runs >= 2);
         assert_eq!(report.presim_points.len(), report.presim_runs);
+        assert!((1..=3).contains(&report.metrics.profile_passes));
         assert!(report.chosen.k >= 2);
         assert!(report.full_speedup > 0.0);
     }

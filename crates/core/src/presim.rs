@@ -21,7 +21,7 @@ use crate::engine::{map_indexed, mix_seed, Parallelism};
 use crate::multiway::{partition_multiway, MultiwayConfig};
 use crate::pairing::PairingStrategy;
 use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::cluster_model::{ClusterModel, ClusterModelConfig};
+use dvs_sim::cluster_model::{run_batch, ClusterModelConfig, ClusterRun};
 use dvs_sim::stats::SimStats;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{run_timewarp, FaultPlan, SchedulePolicy, TimeWarpConfig, Transport};
@@ -121,7 +121,11 @@ pub struct PointTiming {
     pub cone_seconds: f64,
     /// Seconds of `partition_seconds` spent in pairwise FM refinement.
     pub refine_seconds: f64,
-    /// Seconds spent pre-simulating the partition under the cluster model.
+    /// Seconds spent pre-simulating the partition under the cluster model:
+    /// the point's own cluster plan, Time Warp legs and model stage, plus an
+    /// equal 1/N share of the profiling pass it shared with the N − 1 other
+    /// points of its batch — so the sum over a search's points still
+    /// accounts for the search's CPU seconds.
     pub simulate_seconds: f64,
     /// Super-gates flattened while partitioning (deterministic counter).
     pub flattens: usize,
@@ -164,7 +168,7 @@ impl PartitionQuality {
 }
 
 /// One evaluated (k, b) data point — a row of the paper's Table 3.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PresimPoint {
     pub k: u32,
     pub b: f64,
@@ -207,30 +211,73 @@ pub fn point_seed(k: u32, b: f64, cfg: &PresimConfig) -> u64 {
     cfg.part_seed ^ mix_seed(k as u64, b.to_bits(), cfg.stim_seed)
 }
 
-/// Partition for (k, b) and evaluate it with `vectors` pre-simulation
-/// vectors under the cluster model. The partitioner is seeded with
-/// [`point_seed`], so the result is a pure function of
-/// `(nl, k, b, cfg)` — independent of evaluation order or thread count.
-pub fn presim_point(nl: &Netlist, k: u32, b: f64, cfg: &PresimConfig) -> PresimPoint {
-    let mcfg = MultiwayConfig {
-        pairing: cfg.pairing,
-        seed: point_seed(k, b, cfg),
-        ..MultiwayConfig::new(k, b)
-    };
-    let t_part = Instant::now();
-    let part = partition_multiway(nl, &mcfg);
-    let partition_seconds = t_part.elapsed().as_secs_f64();
-    let mut point = evaluate_partition(nl, part.gate_blocks, part.cut, part.balanced, k, b, cfg);
-    point.timing.partition_seconds = partition_seconds;
-    point.timing.cone_seconds = part.cone_seconds;
-    point.timing.refine_seconds = part.refine_seconds;
-    point.timing.flattens = part.flattens;
-    point.timing.fm_rounds = part.fm_rounds;
-    point
+/// A partition to evaluate: what [`evaluate_partitions`] takes per point.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate<'a> {
+    pub k: u32,
+    pub b: f64,
+    /// Per-gate block assignment, and its flat-netlist hyperedge cut.
+    pub gate_blocks: &'a [u32],
+    pub cut: u64,
+    pub balanced: bool,
 }
 
-/// Evaluate an existing per-gate partition (used for the hMetis baseline
-/// too, so both sides share the identical measurement path).
+/// Partition for (k, b) and evaluate it with `vectors` pre-simulation
+/// vectors under the cluster model: [`presim_points`] for one point.
+pub fn presim_point(nl: &Netlist, k: u32, b: f64, cfg: &PresimConfig) -> PresimPoint {
+    let mut points = presim_points(nl, &[(k, b)], cfg, Parallelism::Serial);
+    points.pop().expect("one point in, one point out")
+}
+
+/// Partition for every `(k, b)` of `coords` on up to `par` worker threads
+/// and evaluate the partitions with [`evaluate_partitions`] — one profiling
+/// pass for all of them. Each partitioner is seeded with [`point_seed`], so
+/// a point is a pure function of `(nl, k, b, cfg)` — independent of what
+/// else is in the batch, of evaluation order and of thread count.
+pub fn presim_points(
+    nl: &Netlist,
+    coords: &[(u32, f64)],
+    cfg: &PresimConfig,
+    par: Parallelism,
+) -> Vec<PresimPoint> {
+    let parts = map_indexed(coords.len(), par, |i| {
+        let (k, b) = coords[i];
+        let mcfg = MultiwayConfig {
+            pairing: cfg.pairing,
+            seed: point_seed(k, b, cfg),
+            ..MultiwayConfig::new(k, b)
+        };
+        let t_part = Instant::now();
+        let part = partition_multiway(nl, &mcfg);
+        (part, t_part.elapsed().as_secs_f64())
+    });
+    let cands: Vec<Candidate> = coords
+        .iter()
+        .zip(&parts)
+        .map(|(&(k, b), (part, _))| Candidate {
+            k,
+            b,
+            gate_blocks: &part.gate_blocks,
+            cut: part.cut,
+            balanced: part.balanced,
+        })
+        .collect();
+    let mut points = evaluate_partitions(nl, &cands, cfg, par);
+    for (point, (part, partition_seconds)) in points.iter_mut().zip(&parts) {
+        point.timing = PointTiming {
+            partition_seconds: *partition_seconds,
+            cone_seconds: part.cone_seconds,
+            refine_seconds: part.refine_seconds,
+            flattens: part.flattens,
+            fm_rounds: part.fm_rounds,
+            ..point.timing
+        };
+    }
+    points
+}
+
+/// Evaluate an existing per-gate partition: [`evaluate_partitions`] for one
+/// candidate.
 pub fn evaluate_partition(
     nl: &Netlist,
     gate_blocks: Vec<u32>,
@@ -240,59 +287,101 @@ pub fn evaluate_partition(
     b: f64,
     cfg: &PresimConfig,
 ) -> PresimPoint {
-    let t_sim = Instant::now();
-    let plan = ClusterPlan::new(nl, &gate_blocks, k as usize);
-    let stim = VectorStimulus::from_netlist(nl, cfg.period, cfg.stim_seed);
-    // The exact-counter leg runs before the plan is handed to the model.
-    // Deterministic mode makes it a pure function of its inputs, so points
-    // stay bit-identical for any evaluation order or thread count.
-    let run_leg = |t: &TwPresimConfig, fault: FaultPlan| {
-        // The presim leg is always deterministic, whatever the kernel
-        // config says: the in-process executor under the presim's own seed
-        // and schedule.
-        let mut twcfg = t.kernel.clone();
-        twcfg.transport = Transport::in_proc(t.seed, t.schedule);
-        twcfg.fault = fault;
-        match run_timewarp(nl, &plan, &stim, t.vectors, &twcfg) {
-            Ok(r) => r.stats,
-            // A wedged kernel during pre-simulation is a configuration/
-            // protocol bug, not a recoverable condition of the sweep.
-            Err(e) => panic!("deterministic presim leg failed (k={k}, b={b}): {e}"),
-        }
-    };
-    let tw = cfg
-        .timewarp
-        .as_ref()
-        .map(|t| run_leg(t, FaultPlan::default()));
-    let tw_crash = cfg
-        .timewarp
-        .as_ref()
-        .and_then(|t| t.fault.map(|f| run_leg(t, f)));
-    let model = ClusterModel::new(nl, plan, cfg.model.clone());
-    let run = model.run(&stim, cfg.vectors);
-    let simulate_seconds = t_sim.elapsed().as_secs_f64();
-    let quality = PartitionQuality::measure(&gate_blocks, cut, k, b, nl.gate_count() as u64);
-    PresimPoint {
+    let gate_blocks = &gate_blocks[..];
+    let cand = [Candidate {
         k,
         b,
-        cut,
-        sim_seconds: run.wall_seconds,
-        seq_seconds: run.seq_seconds,
-        speedup: run.speedup,
-        messages: run.stats.messages,
-        rollbacks: run.stats.rollbacks,
-        machine_messages: run.machine_messages,
-        machine_rollbacks: run.machine_rollbacks,
         gate_blocks,
+        cut,
         balanced,
-        quality,
-        tw,
-        tw_crash,
-        timing: PointTiming {
-            simulate_seconds,
-            ..PointTiming::default()
-        },
-    }
+    }];
+    let mut points = evaluate_partitions(nl, &cand, cfg, Parallelism::Serial);
+    points.pop().expect("one candidate in, one point out")
+}
+
+/// Evaluate existing partitions (any partitioner's, so all sides share one
+/// measurement path) with `vectors` pre-simulation vectors under the
+/// cluster model, in three stages: (A) per candidate, on up to `par` worker
+/// threads, its cluster plan and the Time Warp legs; (B) **one** sequential
+/// profiling pass attributing the workload to every plan at once
+/// ([`dvs_sim::cluster_model::run_batch`]) — the simulation is the same for
+/// every candidate; (C) each point completed from its plan's modeled run,
+/// in `cands` order.
+pub fn evaluate_partitions(
+    nl: &Netlist,
+    cands: &[Candidate],
+    cfg: &PresimConfig,
+    par: Parallelism,
+) -> Vec<PresimPoint> {
+    let stim = VectorStimulus::from_netlist(nl, cfg.period, cfg.stim_seed);
+    let staged = map_indexed(cands.len(), par, |i| {
+        let t_stage = Instant::now();
+        let Candidate {
+            k,
+            b,
+            gate_blocks,
+            cut,
+            balanced,
+        } = cands[i];
+        let plan = ClusterPlan::new(nl, gate_blocks, k as usize);
+        // Deterministic mode makes a leg a pure function of its inputs, so
+        // points stay bit-identical for any evaluation order or thread count.
+        let run_leg = |t: &TwPresimConfig, fault: FaultPlan| {
+            // The presim leg is always deterministic, whatever the kernel
+            // config says: the in-process executor under the presim's own
+            // seed and schedule.
+            let mut twcfg = t.kernel.clone();
+            twcfg.transport = Transport::in_proc(t.seed, t.schedule);
+            twcfg.fault = fault;
+            match run_timewarp(nl, &plan, &stim, t.vectors, &twcfg) {
+                Ok(r) => r.stats,
+                // A wedged kernel during pre-simulation is a configuration/
+                // protocol bug, not a recoverable condition of the sweep.
+                Err(e) => panic!("deterministic presim leg failed (k={k}, b={b}): {e}"),
+            }
+        };
+        let tw = cfg
+            .timewarp
+            .as_ref()
+            .map(|t| run_leg(t, FaultPlan::default()));
+        let tw_crash = cfg
+            .timewarp
+            .as_ref()
+            .and_then(|t| t.fault.map(|f| run_leg(t, f)));
+        // The point as far as the partition alone decides it.
+        let point = PresimPoint {
+            k,
+            b,
+            cut,
+            balanced,
+            quality: PartitionQuality::measure(gate_blocks, cut, k, b, nl.gate_count() as u64),
+            gate_blocks: gate_blocks.to_vec(),
+            tw,
+            tw_crash,
+            ..PresimPoint::default()
+        };
+        (point, plan, t_stage.elapsed().as_secs_f64())
+    });
+    let plans: Vec<&ClusterPlan> = staged.iter().map(|(_, plan, _)| plan).collect();
+    let runs = run_batch(nl, &plans, &cfg.model, &stim, cfg.vectors);
+    let complete = |((point, _, stage_seconds), run): ((PresimPoint, _, f64), ClusterRun)| {
+        let host = run.timing;
+        PresimPoint {
+            sim_seconds: run.wall_seconds,
+            seq_seconds: run.seq_seconds,
+            speedup: run.speedup,
+            messages: run.stats.messages,
+            rollbacks: run.stats.rollbacks,
+            machine_messages: run.machine_messages,
+            machine_rollbacks: run.machine_rollbacks,
+            timing: PointTiming {
+                simulate_seconds: stage_seconds + host.profile_seconds + host.model_seconds,
+                ..PointTiming::default()
+            },
+            ..point
+        }
+    };
+    staged.into_iter().zip(runs).map(complete).collect()
 }
 
 /// Evaluate every (k, b) combination — the full Table 3 sweep — on the
@@ -307,10 +396,11 @@ pub fn brute_force_presim(
     brute_force_presim_par(nl, ks, bs, cfg, Parallelism::Serial)
 }
 
-/// Evaluate every (k, b) combination with up to `par` worker threads.
-/// Points are returned in grid order (`ks` major, `bs` minor) and each
-/// point's partitioner is seeded by [`point_seed`], so the output is
-/// bit-identical for every thread count.
+/// Evaluate every (k, b) combination with up to `par` worker threads and
+/// one profiling pass ([`presim_points`] over the grid). Points are
+/// returned in grid order (`ks` major, `bs` minor) and each point's
+/// partitioner is seeded by [`point_seed`], so the output is bit-identical
+/// for every thread count.
 pub fn brute_force_presim_par(
     nl: &Netlist,
     ks: &[u32],
@@ -318,12 +408,11 @@ pub fn brute_force_presim_par(
     cfg: &PresimConfig,
     par: Parallelism,
 ) -> Vec<PresimPoint> {
-    let jobs = ks.len() * bs.len();
-    map_indexed(jobs, par, |i| {
-        let k = ks[i / bs.len()];
-        let b = bs[i % bs.len()];
-        presim_point(nl, k, b, cfg)
-    })
+    let grid: Vec<(u32, f64)> = ks
+        .iter()
+        .flat_map(|&k| bs.iter().map(move |&b| (k, b)))
+        .collect();
+    presim_points(nl, &grid, cfg, par)
 }
 
 /// Canonical "is `a` better than `b`" ordering over pre-simulation points:
@@ -354,41 +443,58 @@ pub fn heuristic_presim(nl: &Netlist, max_k: u32, cfg: &PresimConfig) -> (Presim
     (best, runs)
 }
 
-/// Every point the Fig. 3 heuristic evaluates, with the per-`k` b-sweeps
-/// fanned out over `par` worker threads. Within one `k` the sweep stays
+/// Every point the Fig. 3 heuristic evaluates. Within one `k` the sweep is
 /// sequential — the paper's early stop ("increase b until the speedup
 /// decreases for the first time") depends on the previous point — but
-/// different `k` sweeps are independent. Points are returned in the serial
-/// scan order (k descending from `max_k`, b ascending within each k), so
-/// the output is identical for every thread count.
+/// different `k` sweeps are independent, so the search runs in rounds:
+/// round j evaluates `b = 7.5 + 2.5 j` for every `k` whose sweep has not yet
+/// seen its first decrease, as one [`presim_points`] batch (at most three
+/// profiling passes). Points are returned in the serial scan order (k
+/// descending from `max_k`, b ascending within each k), so the output is
+/// the sequential definition's for every thread count.
 pub fn heuristic_presim_points(
     nl: &Netlist,
     max_k: u32,
     cfg: &PresimConfig,
     par: Parallelism,
 ) -> Vec<PresimPoint> {
+    heuristic_rounds(nl, max_k, cfg, par).0
+}
+
+/// [`heuristic_presim_points`] plus the number of rounds — profiling
+/// passes — it took.
+pub(crate) fn heuristic_rounds(
+    nl: &Netlist,
+    max_k: u32,
+    cfg: &PresimConfig,
+    par: Parallelism,
+) -> (Vec<PresimPoint>, usize) {
     assert!(max_k >= 2);
-    let jobs = (max_k - 1) as usize;
-    let sweeps = map_indexed(jobs, par, |i| {
-        let k = max_k - i as u32;
-        // "Allow b to vary from 7.5 to 15 … increase b until the speedup
-        // decreases for the first time and halt when this happens."
-        let mut sweep = Vec::new();
-        let mut prev_speedup = f64::NEG_INFINITY;
-        let mut b = 7.5;
-        while b < 15.0 {
-            let point = presim_point(nl, k, b, cfg);
-            let speedup = point.speedup;
-            sweep.push(point);
-            if speedup <= prev_speedup {
-                break; // first decrease for this k
+    let ks: Vec<u32> = (2..=max_k).rev().collect();
+    let mut sweeps: Vec<Vec<PresimPoint>> = vec![Vec::new(); ks.len()];
+    let mut active: Vec<usize> = (0..ks.len()).collect();
+    let mut rounds = 0;
+    // "Allow b to vary from 7.5 to 15 … increase b until the speedup
+    // decreases for the first time and halt when this happens."
+    let mut b = 7.5;
+    while b < 15.0 && !active.is_empty() {
+        let coords: Vec<(u32, f64)> = active.iter().map(|&i| (ks[i], b)).collect();
+        let points = presim_points(nl, &coords, cfg, par);
+        rounds += 1;
+        let mut rising = Vec::with_capacity(active.len());
+        for (&i, point) in active.iter().zip(points) {
+            let fell = sweeps[i]
+                .last()
+                .is_some_and(|prev| point.speedup <= prev.speedup);
+            sweeps[i].push(point);
+            if !fell {
+                rising.push(i); // no decrease yet for this k
             }
-            prev_speedup = speedup;
-            b += 2.5;
         }
-        sweep
-    });
-    sweeps.into_iter().flatten().collect()
+        active = rising;
+        b += 2.5;
+    }
+    (sweeps.into_iter().flatten().collect(), rounds)
 }
 
 #[cfg(test)]
@@ -497,6 +603,61 @@ mod tests {
             assert_eq!(s.gate_blocks, p.gate_blocks);
             assert_eq!(s.speedup.to_bits(), p.speedup.to_bits());
         }
+    }
+
+    /// The Fig. 3 search as the paper writes it, one point at a time.
+    fn sequential_heuristic(nl: &Netlist, max_k: u32, cfg: &PresimConfig) -> Vec<PresimPoint> {
+        let mut points = Vec::new();
+        for k in (2..=max_k).rev() {
+            let mut prev_speedup = f64::NEG_INFINITY;
+            let mut b = 7.5;
+            while b < 15.0 {
+                let point = presim_point(nl, k, b, cfg);
+                let speedup = point.speedup;
+                points.push(point);
+                if speedup <= prev_speedup {
+                    break; // first decrease for this k
+                }
+                prev_speedup = speedup;
+                b += 2.5;
+            }
+        }
+        points
+    }
+
+    #[test]
+    fn heuristic_rounds_match_the_sequential_definition() {
+        use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
+        let random_hier = |seed| {
+            let src = generate_random_hier(&RandomHierParams {
+                seed,
+                ..Default::default()
+            });
+            parse_and_elaborate(&src).unwrap().into_netlist()
+        };
+        let mut sweep_lengths = std::collections::BTreeSet::new();
+        for (nl, max_k) in [
+            (pipeline_netlist(), 4),
+            (random_hier(0), 4),
+            (random_hier(2), 5),
+        ] {
+            let cfg = quick_cfg(&nl);
+            let expected = sequential_heuristic(&nl, max_k, &cfg);
+            let (points, rounds) = heuristic_rounds(&nl, max_k, &cfg, Parallelism::Serial);
+            let key = |p: &PresimPoint| (p.k, p.b.to_bits(), p.speedup.to_bits(), p.cut);
+            assert_eq!(
+                points.iter().map(key).collect::<Vec<_>>(),
+                expected.iter().map(key).collect::<Vec<_>>()
+            );
+            for (p, e) in points.iter().zip(&expected) {
+                assert_eq!(p.gate_blocks, e.gate_blocks);
+            }
+            let per_k = |k| points.iter().filter(|p| p.k == k).count();
+            assert_eq!(rounds, (2..=max_k).map(per_k).max().unwrap());
+            sweep_lengths.extend((2..=max_k).map(per_k));
+        }
+        // The case worth testing: sweeps that stop at different b.
+        assert!(sweep_lengths.len() > 1, "sweeps {sweep_lengths:?}");
     }
 
     #[test]

@@ -142,6 +142,10 @@ pub fn metrics_table(m: &crate::pipeline::FlowMetrics) -> Table {
     t.row(vec!["FM passes".to_string(), m.fm_passes.to_string()]);
     t.row(vec!["presim runs".to_string(), m.presim_runs.to_string()]);
     t.row(vec![
+        "profiling passes".to_string(),
+        m.profile_passes.to_string(),
+    ]);
+    t.row(vec![
         "search workers".to_string(),
         m.search_workers.to_string(),
     ]);
@@ -227,6 +231,7 @@ mod tests {
             "full run",
             "flatten events",
             "FM passes",
+            "profiling passes",
             "search workers",
         ] {
             assert!(s.contains(needle), "missing {needle:?} in:\n{s}");

@@ -17,7 +17,7 @@
 use crate::hgraph::{Hypergraph, HypergraphBuilder, VertexId};
 use crate::partition::Partition;
 use dvs_verilog::flatten::Frontier;
-use dvs_verilog::netlist::{GateId, InstId, NetId, Netlist};
+use dvs_verilog::netlist::{Fanout, GateId, InstId, NetId, Netlist};
 
 /// What a hypergraph vertex corresponds to in the netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,11 +128,21 @@ pub fn design_level_weighted(
     frontier: &Frontier,
     gate_weights: Option<&[u64]>,
 ) -> HierHypergraph {
+    design_level_with(nl, &nl.build_fanout(), frontier, gate_weights)
+}
+
+/// [`design_level_weighted`] over a `fanout` of `nl` the caller already
+/// built — the partitioner rebuilds the hypergraph after every flatten.
+pub fn design_level_with(
+    nl: &Netlist,
+    fanout: &Fanout,
+    frontier: &Frontier,
+    gate_weights: Option<&[u64]>,
+) -> HierHypergraph {
     if let Some(w) = gate_weights {
         assert_eq!(w.len(), nl.gate_count());
     }
     let weight_of = |gi: usize| gate_weights.map_or(1, |w| w[gi]);
-    let fanout = nl.build_fanout();
     let gate_frontier = frontier.gate_assignment(nl);
 
     let mut b = HypergraphBuilder::new();
@@ -203,8 +213,12 @@ pub fn design_level_weighted(
 /// the apples-to-apples metric for comparing the design-driven partitioner
 /// with the flat hMetis baseline (paper Tables 1 and 2).
 pub fn cut_nets(nl: &Netlist, gate_blocks: &[u32]) -> Vec<NetId> {
+    cut_nets_with(nl, &nl.build_fanout(), gate_blocks)
+}
+
+/// [`cut_nets`] over a `fanout` of `nl` the caller already built.
+pub fn cut_nets_with(nl: &Netlist, fanout: &Fanout, gate_blocks: &[u32]) -> Vec<NetId> {
     assert_eq!(gate_blocks.len(), nl.gate_count());
-    let fanout = nl.build_fanout();
     let mut cut = Vec::new();
     for ni in 0..nl.net_count() {
         let net = NetId(ni as u32);

@@ -24,6 +24,10 @@
 //!   cut ⇒ fewer messages and rollbacks; communication eventually overwhelms
 //!   added parallelism).
 //!
+//! The simulation does not depend on the plan, only the attribution of its
+//! events does: [`run_batch`] profiles one sequential run for any number of
+//! candidate plans at once, and [`ClusterModel::run`] is its batch of one.
+//!
 //! Everything is deterministic given the stimulus seed.
 
 use crate::cluster::ClusterPlan;
@@ -100,7 +104,8 @@ impl ClusterModelConfig {
 /// determinism comparison.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTiming {
-    /// Seconds spent profiling the workload with the sequential kernel.
+    /// Seconds spent profiling the workload with the sequential kernel:
+    /// the one pass of [`run_batch`] ÷ the number of plans that shared it.
     pub profile_seconds: f64,
     /// Seconds spent meta-simulating the machines' wall clocks.
     pub model_seconds: f64,
@@ -128,64 +133,80 @@ pub struct ClusterRun {
     pub timing: RunTiming,
 }
 
-/// Profiling observer: attributes gate events and cut-net toggles to
-/// (machine, cycle-bucket).
-struct Profiler<'p> {
-    k: usize,
-    period: VTime,
-    cycles_per_bucket: u64,
+/// Batch profiling observer: attributes every gate event and cut-net toggle
+/// of **one** sequential run to (candidate plan, machine, cycle-bucket) for
+/// all `n` candidate plans at once. A *slot* is a (candidate, machine) pair,
+/// numbered candidate-major; `B` is the narrowest integer holding a slot.
+struct Profiler<B> {
+    n: usize,
+    /// Slots: Σ k over the candidates.
+    width: usize,
+    /// Virtual time per bucket, and the number of buckets.
+    bucket_span: VTime,
     buckets: usize,
-    gate_block: &'p [u32],
-    /// Per clock net, its `Dff`s per machine.
+    /// `counts[bucket * stride..][..stride]` is one bucket's row: gate events
+    /// per slot, messages sent per slot, messages received per slot, then
+    /// each candidate's k × k `(src, dst)` message cells.
+    stride: usize,
+    counts: Vec<u64>,
+    /// Time of the last callback and the start of its bucket's row.
+    /// Callbacks arrive in non-decreasing time, so the division of
+    /// `time → bucket` runs once per distinct time.
+    time: VTime,
+    row: usize,
+    /// `slots[gate * n + c]`: the gate's slot under candidate `c`.
+    slots: Vec<B>,
+    /// Per clock net, its `Dff`s per slot.
     dffs: HashMap<NetId, Vec<u64>>,
-    /// For cut nets: (source machine, destinations); dense by net id.
-    route: Vec<Option<(u32, Vec<u32>)>>,
-    /// ev[bucket * k + machine] = gate events.
-    ev: Vec<u64>,
-    /// sent[bucket * k + machine] / recv likewise.
-    sent: Vec<u64>,
-    recv: Vec<u64>,
-    /// msg[(bucket * k + src) * k + dst] = messages.
-    msg: Vec<u64>,
+    /// CSR over nets: a toggle of `net` adds one at each row offset of
+    /// `hops[hop_at[net]..hop_at[net + 1]]` — the `sent`, `recv` and message
+    /// cell of every (candidate, destination) the net is cut towards.
+    hop_at: Vec<u32>,
+    hops: Vec<u32>,
 }
 
-impl<'p> Profiler<'p> {
+impl<B: Copy + Into<u32>> Profiler<B> {
     #[inline]
-    fn bucket(&self, t: VTime) -> usize {
-        (((t / self.period) / self.cycles_per_bucket) as usize).min(self.buckets - 1)
+    fn seek(&mut self, t: VTime) {
+        if t != self.time {
+            self.time = t;
+            self.row = ((t / self.bucket_span) as usize).min(self.buckets - 1) * self.stride;
+        }
     }
 }
 
-impl<'p> SimObserver for Profiler<'p> {
+impl<B: Copy + Into<u32>> SimObserver for Profiler<B> {
     #[inline]
     fn gate_eval(&mut self, gate: GateId, time: VTime) {
-        let b = self.bucket(time);
-        let m = self.gate_block[gate.idx()] as usize;
-        self.ev[b * self.k + m] += 1;
+        self.seek(time);
+        let ev = &mut self.counts[self.row..][..self.width];
+        for &s in &self.slots[gate.idx() * self.n..][..self.n] {
+            ev[s.into() as usize] += 1;
+        }
     }
 
     fn dffs_clocked(&mut self, net: NetId, time: VTime) {
-        let at = self.bucket(time) * self.k;
-        for (ev, dffs) in self.ev[at..at + self.k].iter_mut().zip(&self.dffs[&net]) {
+        self.seek(time);
+        let ev = &mut self.counts[self.row..][..self.width];
+        for (ev, dffs) in ev.iter_mut().zip(&self.dffs[&net]) {
             *ev += dffs;
         }
     }
 
     #[inline]
     fn net_change(&mut self, net: NetId, time: VTime, _value: crate::logic::Logic) {
-        if let Some((src, dests)) = &self.route[net.idx()] {
-            let b = self.bucket(time);
-            let s = *src as usize;
-            self.sent[b * self.k + s] += dests.len() as u64;
-            for &d in dests {
-                self.recv[b * self.k + d as usize] += 1;
-                self.msg[(b * self.k + s) * self.k + d as usize] += 1;
+        let (lo, hi) = (self.hop_at[net.idx()], self.hop_at[net.idx() + 1]);
+        if lo != hi {
+            self.seek(time);
+            for &at in &self.hops[lo as usize..hi as usize] {
+                self.counts[self.row + at as usize] += 1;
             }
         }
     }
 }
 
-/// The deterministic cluster meta-simulation.
+/// The deterministic cluster meta-simulation of one plan: the batch of one
+/// of [`run_batch`].
 pub struct ClusterModel<'a> {
     nl: &'a Netlist,
     plan: ClusterPlan,
@@ -203,162 +224,251 @@ impl<'a> ClusterModel<'a> {
 
     /// Profile `cycles` vectors of `stim` and model the cluster's execution.
     pub fn run(&self, stim: &VectorStimulus, cycles: u64) -> ClusterRun {
-        let k = self.plan.k;
-        let cycles_per_bucket = (cycles.div_ceil(self.cfg.max_buckets as u64)).max(1);
-        let buckets = (cycles.div_ceil(cycles_per_bucket) as usize).max(1);
+        let mut runs = run_batch(self.nl, &[&self.plan], &self.cfg, stim, cycles);
+        runs.pop().expect("one plan, one run")
+    }
+}
 
-        // Build the cut-net routing table.
-        let mut route: Vec<Option<(u32, Vec<u32>)>> = vec![None; self.nl.net_count()];
-        for (ci, cl) in self.plan.clusters.iter().enumerate() {
+/// Profile `cycles` vectors of `stim` **once** on the sequential kernel and
+/// model the cluster's execution under every plan of `plans`. The simulation
+/// does not depend on the plan — only the attribution of its events does —
+/// so each returned run is bit-identical to running its plan alone. Each
+/// run's `timing.profile_seconds` is its equal share of the one pass.
+pub fn run_batch(
+    nl: &Netlist,
+    plans: &[&ClusterPlan],
+    cfg: &ClusterModelConfig,
+    stim: &VectorStimulus,
+    cycles: u64,
+) -> Vec<ClusterRun> {
+    // Slot ids are stored once per (gate, plan): pick the narrowest type.
+    match plans.iter().map(|p| p.k).sum::<usize>() {
+        0 => Vec::new(),
+        w if w <= 1 << 8 => profile_and_model::<u8>(nl, plans, cfg, stim, cycles),
+        w if w <= 1 << 16 => profile_and_model::<u16>(nl, plans, cfg, stim, cycles),
+        _ => profile_and_model::<u32>(nl, plans, cfg, stim, cycles),
+    }
+}
+
+fn profile_and_model<B: Copy + Into<u32> + TryFrom<u32>>(
+    nl: &Netlist,
+    plans: &[&ClusterPlan],
+    cfg: &ClusterModelConfig,
+    stim: &VectorStimulus,
+    cycles: u64,
+) -> Vec<ClusterRun> {
+    let t_profile = Instant::now();
+    let n = plans.len();
+    let cycles_per_bucket = (cycles.div_ceil(cfg.max_buckets as u64)).max(1);
+    let buckets = (cycles.div_ceil(cycles_per_bucket) as usize).max(1);
+
+    // Each plan's first slot, and its first message cell within a row.
+    let width: usize = plans.iter().map(|p| p.k).sum();
+    let (mut slot, mut cell) = (0, 3 * width);
+    let mut origin = Vec::with_capacity(n);
+    for plan in plans {
+        origin.push((slot, cell));
+        slot += plan.k;
+        cell += plan.k * plan.k;
+    }
+
+    let mut slots: Vec<B> = Vec::with_capacity(nl.gate_count() * n);
+    for gate in 0..nl.gate_count() {
+        for (plan, &(slot0, _)) in plans.iter().zip(&origin) {
+            let slot = B::try_from(slot0 as u32 + plan.gate_block[gate]);
+            slots.push(slot.ok().expect("run_batch sized B to hold every slot"));
+        }
+    }
+    let mut dffs: HashMap<NetId, Vec<u64>> = HashMap::new();
+    for (gate, slots) in nl.gates.iter().zip(slots.chunks(n)) {
+        if gate.kind == GateKind::Dff {
+            let per_slot = dffs.entry(gate.inputs[0]).or_insert_with(|| vec![0; width]);
+            for &s in slots {
+                per_slot[s.into() as usize] += 1;
+            }
+        }
+    }
+
+    // The cut-net routing table, grouped by net.
+    let mut routed: Vec<(NetId, [usize; 3])> = Vec::new();
+    for (plan, &(slot0, cell0)) in plans.iter().zip(&origin) {
+        for (src, cl) in plan.clusters.iter().enumerate() {
             for (net, dests) in &cl.exports {
-                route[net.idx()] = Some((ci as u32, dests.clone()));
+                routed.extend(dests.iter().map(|&d| {
+                    let sent = width + slot0 + src;
+                    let recv = 2 * width + slot0 + d as usize;
+                    (*net, [sent, recv, cell0 + src * plan.k + d as usize])
+                }));
             }
         }
+    }
+    routed.sort_by_key(|&(net, _)| net);
+    let mut hop_at = vec![0u32; nl.net_count() + 1];
+    for (net, hop) in &routed {
+        hop_at[net.idx() + 1] += hop.len() as u32;
+    }
+    for i in 0..nl.net_count() {
+        hop_at[i + 1] += hop_at[i];
+    }
 
-        let mut dffs: HashMap<NetId, Vec<u64>> = HashMap::new();
-        for (gate, &machine) in self.nl.gates.iter().zip(&self.plan.gate_block) {
-            if gate.kind == GateKind::Dff {
-                dffs.entry(gate.inputs[0]).or_insert_with(|| vec![0; k])[machine as usize] += 1;
-            }
+    let mut prof = Profiler {
+        n,
+        width,
+        bucket_span: stim.period * cycles_per_bucket,
+        buckets,
+        stride: cell, // one past the last plan's cells
+        counts: vec![0; buckets * cell],
+        time: VTime::MAX,
+        row: 0,
+        slots,
+        dffs,
+        hop_at,
+        hops: routed
+            .iter()
+            .flat_map(|(_, hop)| hop.map(|at| at as u32))
+            .collect(),
+    };
+
+    // Exact workload profile from the sequential kernel.
+    let sim_cfg = SimConfig {
+        cycles,
+        init_zero: true,
+    };
+    let mut sim = SeqSim::new(nl, &sim_cfg);
+    sim.run(stim, cycles, &mut prof);
+    let profile_seconds = t_profile.elapsed().as_secs_f64() / n as f64;
+
+    plans
+        .iter()
+        .zip(origin)
+        .map(|(plan, at)| model(&prof, plan.k, at, cfg, sim.stats().clone(), profile_seconds))
+        .collect()
+}
+
+/// Meta-simulate the wall clocks of the `k` machines of the plan whose slots
+/// start at `slot0` and whose message cells start at row offset `cell0`.
+fn model<B>(
+    prof: &Profiler<B>,
+    k: usize,
+    (slot0, cell0): (usize, usize),
+    cfg: &ClusterModelConfig,
+    base: SimStats,
+    profile_seconds: f64,
+) -> ClusterRun {
+    let t_model = Instant::now();
+    let (buckets, width) = (prof.buckets, prof.width);
+    let at = |b: usize, offset: usize| prof.counts[b * prof.stride + offset];
+    let ev = |b: usize, p: usize| at(b, slot0 + p);
+    let sent = |b: usize, p: usize| at(b, width + slot0 + p);
+    let recv = |b: usize, p: usize| at(b, 2 * width + slot0 + p);
+    let msg = |b: usize, q: usize, p: usize| at(b, cell0 + q * k + p);
+
+    let ev_ns = match cfg.calibrate_seq_ns_per_cycle {
+        Some(per_cycle) if base.gate_evals > 0 && base.cycles > 0 => {
+            per_cycle * base.cycles as f64 / base.gate_evals as f64
         }
+        _ => cfg.event_cost_ns,
+    };
+    let msg_ns = cfg.msg_cpu_ns;
+    let lat_ns = cfg.latency_ns;
 
-        let mut prof = Profiler {
-            k,
-            period: stim.period,
-            cycles_per_bucket,
-            buckets,
-            gate_block: &self.plan.gate_block,
-            dffs,
-            route,
-            ev: vec![0; buckets * k],
-            sent: vec![0; buckets * k],
-            recv: vec![0; buckets * k],
-            msg: vec![0; buckets * k * k],
-        };
+    let mut finish = vec![0.0f64; k]; // committed wall time per machine
+    let mut start = vec![0.0f64; k]; // bucket start per machine
+    let mut local = vec![0.0f64; k];
+    let mut rollbacks = vec![0u64; k];
+    let mut rolled_back_events = 0u64;
+    let mut anti_messages = 0u64;
+    let mut machine_events = vec![0u64; k];
+    let mut machine_messages = vec![0u64; k];
 
-        // Exact workload profile from the sequential kernel.
-        let t_profile = Instant::now();
-        let sim_cfg = SimConfig {
-            cycles,
-            init_zero: true,
-        };
-        let mut sim = SeqSim::new(self.nl, &sim_cfg);
-        sim.run(stim, cycles, &mut prof);
-        let base = sim.stats().clone();
-        let profile_seconds = t_profile.elapsed().as_secs_f64();
-
-        // Meta-simulate the machines' wall clocks.
-        let t_model = Instant::now();
-        let ev_ns = match self.cfg.calibrate_seq_ns_per_cycle {
-            Some(per_cycle) if base.gate_evals > 0 && cycles > 0 => {
-                per_cycle * cycles as f64 / base.gate_evals as f64
-            }
-            _ => self.cfg.event_cost_ns,
-        };
-        let msg_ns = self.cfg.msg_cpu_ns;
-        let lat_ns = self.cfg.latency_ns;
-
-        let mut finish = vec![0.0f64; k]; // committed wall time per machine
-        let mut start = vec![0.0f64; k]; // bucket start per machine
-        let mut local = vec![0.0f64; k];
-        let mut rollbacks = vec![0u64; k];
-        let mut rolled_back_events = 0u64;
-        let mut anti_messages = 0u64;
-        let mut machine_events = vec![0u64; k];
-        let mut machine_messages = vec![0u64; k];
-
-        for b in 0..buckets {
-            // Local finish: prior commit + compute + message CPU.
-            for p in 0..k {
-                let e = prof.ev[b * k + p];
-                machine_events[p] += e;
-                machine_messages[p] += prof.sent[b * k + p];
-                start[p] = finish[p];
-                local[p] = finish[p]
-                    + e as f64 * ev_ns
-                    + (prof.sent[b * k + p] + prof.recv[b * k + p]) as f64 * msg_ns;
-            }
-            // Arrivals and rollbacks. A sender's messages are spread
-            // uniformly over its compute span; the fraction arriving after
-            // the receiver's local finish had a chance of straggling, and
-            // the probability that at least one message of the batch was
-            // late gives a smooth expected rollback count (saturating at
-            // one rollback per sender per bucket, matching CTW behaviour
-            // where a straggler batch triggers a single rollback).
-            for p in 0..k {
-                let mut latest_arrival = 0.0f64;
-                let mut expected_rollbacks = 0.0f64;
-                for q in 0..k {
-                    let mcount = prof.msg[(b * k + q) * k + p];
-                    if q == p || mcount == 0 {
-                        continue;
-                    }
-                    let a_first = start[q] + lat_ns;
-                    let a_last = local[q] + lat_ns;
-                    latest_arrival = latest_arrival.max(a_last);
-                    let spread = (a_last - a_first).max(1.0);
-                    let late_frac = ((a_last - local[p]) / spread).clamp(0.0, 1.0);
-                    if late_frac > 0.0 {
-                        // P(at least one of mcount messages is late).
-                        let p_roll = 1.0 - (1.0 - late_frac).powi(mcount.min(1_000) as i32);
-                        expected_rollbacks += p_roll;
-                    }
+    for b in 0..buckets {
+        // Local finish: prior commit + compute + message CPU.
+        for p in 0..k {
+            let e = ev(b, p);
+            machine_events[p] += e;
+            machine_messages[p] += sent(b, p);
+            start[p] = finish[p];
+            local[p] = finish[p] + e as f64 * ev_ns + (sent(b, p) + recv(b, p)) as f64 * msg_ns;
+        }
+        // Arrivals and rollbacks. A sender's messages are spread
+        // uniformly over its compute span; the fraction arriving after
+        // the receiver's local finish had a chance of straggling, and
+        // the probability that at least one message of the batch was
+        // late gives a smooth expected rollback count (saturating at
+        // one rollback per sender per bucket, matching CTW behaviour
+        // where a straggler batch triggers a single rollback).
+        for p in 0..k {
+            let mut latest_arrival = 0.0f64;
+            let mut expected_rollbacks = 0.0f64;
+            for q in 0..k {
+                let mcount = msg(b, q, p);
+                if q == p || mcount == 0 {
+                    continue;
                 }
-                rollbacks[p] += expected_rollbacks.round() as u64;
-                if latest_arrival > local[p] {
-                    // The machine ran ahead by `gap` while waiting, then
-                    // redoes invalidated optimistic work. It cannot have
-                    // executed (and so cannot redo) more than its own
-                    // compute span worth of look-ahead, which bounds the
-                    // penalty and keeps the recurrence stable.
-                    let gap = latest_arrival - local[p];
-                    let span = (local[p] - start[p]).max(0.0);
-                    let undone = gap.min(span);
-                    let redo = undone * self.cfg.rollback_penalty;
-                    rolled_back_events += (undone / ev_ns) as u64;
-                    // Sends made during the undone optimistic span are
-                    // cancelled with anti-messages, pro rata over the span.
-                    if span > 0.0 {
-                        anti_messages +=
-                            ((undone / span) * prof.sent[b * k + p] as f64).round() as u64;
-                    }
-                    finish[p] = latest_arrival + redo;
-                } else {
-                    finish[p] = local[p];
+                let a_first = start[q] + lat_ns;
+                let a_last = local[q] + lat_ns;
+                latest_arrival = latest_arrival.max(a_last);
+                let spread = (a_last - a_first).max(1.0);
+                let late_frac = ((a_last - local[p]) / spread).clamp(0.0, 1.0);
+                if late_frac > 0.0 {
+                    // P(at least one of mcount messages is late).
+                    let p_roll = 1.0 - (1.0 - late_frac).powi(mcount.min(1_000) as i32);
+                    expected_rollbacks += p_roll;
                 }
             }
+            rollbacks[p] += expected_rollbacks.round() as u64;
+            if latest_arrival > local[p] {
+                // The machine ran ahead by `gap` while waiting, then
+                // redoes invalidated optimistic work. It cannot have
+                // executed (and so cannot redo) more than its own
+                // compute span worth of look-ahead, which bounds the
+                // penalty and keeps the recurrence stable.
+                let gap = latest_arrival - local[p];
+                let span = (local[p] - start[p]).max(0.0);
+                let undone = gap.min(span);
+                let redo = undone * cfg.rollback_penalty;
+                rolled_back_events += (undone / ev_ns) as u64;
+                // Sends made during the undone optimistic span are
+                // cancelled with anti-messages, pro rata over the span.
+                if span > 0.0 {
+                    anti_messages += ((undone / span) * sent(b, p) as f64).round() as u64;
+                }
+                finish[p] = latest_arrival + redo;
+            } else {
+                finish[p] = local[p];
+            }
         }
+    }
 
-        let wall_ns: f64 = finish.iter().copied().fold(0.0, f64::max);
-        let seq_ns = base.gate_evals as f64 * ev_ns;
+    let wall_ns: f64 = finish.iter().copied().fold(0.0, f64::max);
+    let seq_ns = base.gate_evals as f64 * ev_ns;
 
-        let mut stats = base;
-        stats.messages = machine_messages.iter().sum();
-        stats.rollbacks = rollbacks.iter().sum();
-        stats.rolled_back_events = rolled_back_events;
-        if k > 1 {
-            // The modeled Time Warp bookkeeping: each cycle bucket ends in
-            // one GVT advance that commits and reclaims the bucket's
-            // history, so every committed event is eventually fossil
-            // collected. A single machine runs no Time Warp machinery.
-            stats.anti_messages = anti_messages;
-            stats.gvt_rounds = buckets as u64;
-            stats.fossil_collected = stats.events;
-        }
+    let mut stats = base;
+    stats.messages = machine_messages.iter().sum();
+    stats.rollbacks = rollbacks.iter().sum();
+    stats.rolled_back_events = rolled_back_events;
+    if k > 1 {
+        // The modeled Time Warp bookkeeping: each cycle bucket ends in
+        // one GVT advance that commits and reclaims the bucket's
+        // history, so every committed event is eventually fossil
+        // collected. A single machine runs no Time Warp machinery.
+        stats.anti_messages = anti_messages;
+        stats.gvt_rounds = buckets as u64;
+        stats.fossil_collected = stats.events;
+    }
 
-        ClusterRun {
-            wall_seconds: wall_ns / 1e9,
-            seq_seconds: seq_ns / 1e9,
-            speedup: if wall_ns > 0.0 { seq_ns / wall_ns } else { 1.0 },
-            stats,
-            machine_events,
-            machine_rollbacks: rollbacks,
-            machine_messages,
-            timing: RunTiming {
-                profile_seconds,
-                model_seconds: t_model.elapsed().as_secs_f64(),
-            },
-        }
+    ClusterRun {
+        wall_seconds: wall_ns / 1e9,
+        seq_seconds: seq_ns / 1e9,
+        speedup: if wall_ns > 0.0 { seq_ns / wall_ns } else { 1.0 },
+        stats,
+        machine_events,
+        machine_rollbacks: rollbacks,
+        machine_messages,
+        timing: RunTiming {
+            profile_seconds,
+            model_seconds: t_model.elapsed().as_secs_f64(),
+        },
     }
 }
 
@@ -464,6 +574,91 @@ mod tests {
         .run(&stim, 100);
         assert_eq!(r_small.stats.messages, r_big.stats.messages);
         assert_eq!(r_small.stats.gate_evals, r_big.stats.gate_evals);
+    }
+
+    /// What the tables compare of a run, floats by bit pattern.
+    fn exact(r: &ClusterRun) -> (SimStats, [u64; 3], [Vec<u64>; 3]) {
+        (
+            r.stats.clone(),
+            [r.wall_seconds, r.seq_seconds, r.speedup].map(f64::to_bits),
+            [
+                r.machine_events.clone(),
+                r.machine_messages.clone(),
+                r.machine_rollbacks.clone(),
+            ],
+        )
+    }
+
+    #[test]
+    fn buckets_split_the_run_in_time() {
+        // One bucket for the whole run models every message as exchanged in
+        // one round; a bucket per cycle does not. The exact counters agree,
+        // the modeled clocks must not — they would if the profiler kept
+        // attributing to the bucket of the first callback.
+        let nl = pipeline_netlist();
+        let plan = ClusterPlan::new(&nl, &block_split(&nl, 2), 2);
+        let stim = VectorStimulus::from_netlist(&nl, 10, 5);
+        let run = |max_buckets| {
+            let cfg = ClusterModelConfig {
+                max_buckets,
+                ..Default::default()
+            };
+            ClusterModel::new(&nl, plan.clone(), cfg).run(&stim, 100)
+        };
+        let (one, per_cycle) = (run(1), run(16_384));
+        assert_eq!(one.machine_events, per_cycle.machine_events);
+        assert_eq!(one.machine_messages, per_cycle.machine_messages);
+        assert_eq!((one.stats.gvt_rounds, per_cycle.stats.gvt_rounds), (1, 100));
+        assert_ne!(one.wall_seconds.to_bits(), per_cycle.wall_seconds.to_bits());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// One pass over N plans is N passes over one plan each: mixed k in
+        /// one batch (k = 1 included), a plan twice, folded and unfolded
+        /// buckets, a pipeline and a small Viterbi decoder.
+        #[test]
+        fn batch_equals_separate_runs(
+            seed in 0u64..1_000,
+            ks in proptest::collection::vec(1usize..=4, 1..6),
+            fold in proptest::prelude::any::<bool>(),
+            viterbi in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let nl = if viterbi {
+                let src = dvs_workloads::generate_viterbi(&dvs_workloads::ViterbiParams::tiny());
+                parse_and_elaborate(&src).unwrap().into_netlist()
+            } else {
+                pipeline_netlist()
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut plans: Vec<ClusterPlan> = ks
+                .iter()
+                .map(|&k| {
+                    let blocks: Vec<u32> =
+                        (0..nl.gate_count()).map(|_| rng.gen_range(0..k as u32)).collect();
+                    ClusterPlan::new(&nl, &blocks, k)
+                })
+                .collect();
+            plans.push(plans[0].clone());
+            let cfg = ClusterModelConfig {
+                max_buckets: if fold { 4 } else { 16_384 },
+                ..ClusterModelConfig::athlon_cluster(nl.gate_count())
+            };
+            let stim = VectorStimulus::from_netlist(&nl, 10, seed);
+            let refs: Vec<&ClusterPlan> = plans.iter().collect();
+            let batch = run_batch(&nl, &refs, &cfg, &stim, 30);
+            proptest::prop_assert_eq!(batch.len(), plans.len());
+            for (plan, fused) in plans.iter().zip(&batch) {
+                let alone = ClusterModel::new(&nl, plan.clone(), cfg.clone()).run(&stim, 30);
+                proptest::prop_assert_eq!(exact(fused), exact(&alone), "k = {}", plan.k);
+                proptest::prop_assert_eq!(
+                    fused.machine_events.iter().sum::<u64>(),
+                    fused.stats.gate_evals
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,11 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Events that survived: executed and not undone by a rollback.
+    pub fn committed_events(&self) -> u64 {
+        self.events - self.rolled_back_events
+    }
+
     /// Merge per-cluster stats into a run total.
     pub fn merge(&mut self, other: &SimStats) {
         self.events += other.events;

@@ -125,6 +125,18 @@ fn main() {
     println!("  rollbacks     : {}", tw.stats.rollbacks);
     println!("  rolled-back ev: {}", tw.stats.rolled_back_events);
     println!("  GVT rounds    : {}", tw.gvt_rounds);
+    // Where the work is: committed events per cluster beside the gate loads.
+    let committed: Vec<u64> = tw
+        .cluster_stats
+        .iter()
+        .map(|c| c.committed_events())
+        .collect();
+    println!(
+        "  committed ev  : {committed:?} per cluster, the heaviest {:.0} % of them (gate loads {:?})",
+        100.0 * committed.iter().copied().max().unwrap_or(0) as f64
+            / committed.iter().sum::<u64>().max(1) as f64,
+        plan.loads()
+    );
 
     // Validate: every driven net and every primary input must agree with
     // the sequential result.
