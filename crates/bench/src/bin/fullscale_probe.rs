@@ -8,7 +8,7 @@
 //! in seconds. See EXPERIMENTS.md §Running at full scale.
 //!
 //! Progress goes to stderr; the result is a schema-versioned JSON
-//! artifact (the same serializers as `bench_gate`/`repro`) on stdout, or
+//! artifact (the same serializers as the golden test and `repro`) on stdout, or
 //! to a file with `--artifact PATH`.
 
 use dvs_core::json::{uint_array, ObjBuilder, ToJson, SCHEMA_VERSION};

@@ -14,8 +14,8 @@
 //!
 //! `--artifact PATH` additionally writes every emitted table plus the
 //! headline numbers as one schema-versioned JSON artifact (the same
-//! format family as `bench_gate`'s `BENCH_*.json`), for machine
-//! consumption instead of scraping the printed tables.
+//! format family as the golden baseline `results/bench_baseline.json`), for
+//! machine consumption instead of scraping the printed tables.
 
 use dvs_bench::experiments::*;
 use dvs_core::json::{Json, ObjBuilder, ToJson, SCHEMA_VERSION};

@@ -1,8 +1,7 @@
 //! # dvs-bench
 //!
 //! Reproduction harness for every table and figure in the evaluation
-//! section of Li & Tropper (ICPP 2008), plus Criterion micro-benchmarks of
-//! the partitioning and simulation substrates.
+//! section of Li & Tropper (ICPP 2008).
 //!
 //! The `repro` binary regenerates the paper's artifacts:
 //!
@@ -12,21 +11,18 @@
 //! cargo run --release -p dvs-bench --bin repro -- --scale quick all
 //! ```
 //!
-//! The `bench_gate` binary is the CI perf-regression gate: it runs a fixed
-//! deterministic smoke grid, writes a schema-versioned `BENCH_<label>.json`
-//! artifact, and compares it against `results/bench_baseline.json` (see
-//! [`gate`]):
+//! The golden test (`tests/golden.rs`, part of `cargo test`) runs a fixed
+//! deterministic smoke grid and the wire cases and holds every leaf of their
+//! canonical reports to `results/bench_baseline.json` exactly:
 //!
 //! ```text
-//! cargo run --release -p dvs-bench --bin bench_gate -- --label ci
-//! cargo run --release -p dvs-bench --bin bench_gate -- --write-baseline
+//! cargo test -p dvs-bench --test golden
 //! ```
 //!
 //! See [`experiments`] for the per-table implementations and DESIGN.md /
 //! EXPERIMENTS.md for the experiment index and measured results. The
-//! correctness suites — fuzz, kill, chaos, DST — and the gate's wire cases
-//! all build, run and compare through [`scenario`].
+//! correctness suites — fuzz, kill, chaos, DST — and the golden test's wire
+//! cases all build, run and compare through [`scenario`].
 
 pub mod experiments;
-pub mod gate;
 pub mod scenario;

@@ -3,7 +3,7 @@
 //! A [`Scenario`] is the whole description of a run — circuit, partition,
 //! stimulus, kernel settings, executor, fault plan — and this module is the
 //! one implementation of what the fuzz, kill, chaos and DST suites and
-//! `bench_gate`'s wire cases do with it: [`Scenario::build`] the netlist,
+//! the golden test's wire cases do with it: [`Scenario::build`] the netlist,
 //! plan and stimulus, [`Scenario::run`] them, hold the result to the
 //! sequential simulator ([`Scenario::assert_sequential`]) or to another
 //! run's [`canonical`] bytes ([`Dump::expect_identical`]), and leave a repro
@@ -141,7 +141,7 @@ impl Scenario {
         }
     }
 
-    /// The fixture of the kill, chaos, DST and gate suites: the tiny
+    /// The fixture of the kill, chaos, DST and golden suites: the tiny
     /// Viterbi decoder, design-driven 3-way partition at b = 20.
     pub fn tiny_viterbi(stim_seed: u64, cycles: u64) -> Scenario {
         let three_way = Partition::Multiway { k: 3, b: 20.0 };

@@ -4,9 +4,9 @@
 //! The paper's argument is carried by measured numbers — cut sizes,
 //! message and rollback counts, pre-simulation vs full-run times. This
 //! module turns those numbers into schema-versioned JSON so that every run
-//! is an artifact: comparable across commits, gateable in CI
-//! (`bench_gate`), and consumable by plotting scripts without scraping
-//! text tables.
+//! is an artifact: comparable across commits, pinned in CI (the golden
+//! test, `crates/bench/tests/golden.rs`), and consumable by plotting
+//! scripts without scraping text tables.
 //!
 //! Serialization is layered by ownership (the shared JSON traits live in
 //! `dvs-json`, so the orphan rule puts each `impl` next to its type):
@@ -27,7 +27,7 @@
 //!   et al., *Deterministic Parallel Hypergraph Partitioning*).
 //!
 //! The flow artifacts are write-only: nothing in the workspace loads one
-//! back into its struct (`bench_gate` compares parsed [`Json`] trees), so
+//! back into its struct (the golden test compares [`Json`] trees), so
 //! these types have emitters and no readers. The emission itself parses
 //! back to the same tree, floats bit-exactly (shortest-representation
 //! formatting) — `tests/tests/json_roundtrip.rs` holds it to that.
@@ -189,7 +189,7 @@ impl FlowReport {
     /// The **deterministic** artifact of this run: counters, modeled
     /// times, partitions and design statistics — no host wall-clock
     /// measurement and no worker count. Serial and threaded runs of the
-    /// same flow emit byte-identical canonical artifacts; `bench_gate`
+    /// same flow emit byte-identical canonical artifacts; the golden test
     /// and the `flow_api` tests assert exactly that.
     pub fn canonical_json(&self) -> Json {
         flow_report_header("flow_report")

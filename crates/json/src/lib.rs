@@ -1,7 +1,7 @@
 //! A dependency-free JSON value, emitter and parser.
 //!
-//! Run artifacts (`BENCH_*.json`, the `repro`/`fullscale_probe` outputs,
-//! the perf-gate baseline) must be producible and consumable without any
+//! Run artifacts (the `repro`/`fullscale_probe` outputs, the golden
+//! baseline `results/bench_baseline.json`) must be producible and consumable without any
 //! external crate, and their bytes must be **deterministic**: the same
 //! report serializes to the same string on every host and thread count, so
 //! artifacts can be compared with `==` and gated in CI. To that end:
@@ -20,7 +20,7 @@ use std::fmt;
 
 /// Schema version stamped into every artifact this workspace emits.
 /// Bump when a field is renamed, removed, or changes meaning; consumers
-/// (the perf gate, plotting scripts) refuse mismatched versions.
+/// (the golden test, plotting scripts) refuse mismatched versions.
 pub const SCHEMA_VERSION: i64 = 1;
 
 /// A JSON document. Object keys keep insertion order.

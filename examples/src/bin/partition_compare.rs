@@ -1,14 +1,20 @@
 //! Partitioner comparison: design-driven (all four pairing strategies) vs
-//! the hMetis-style multilevel baseline, on one circuit.
+//! the hMetis-style multilevel baseline, on one circuit, plus the two
+//! ablations of the design-driven algorithm's inputs: the cone initial
+//! partition against a round-robin one, and super-gate (design-level) vs
+//! flat (gate-level) granularity.
 //!
 //! ```text
 //! cargo run --release -p dvs-examples --bin partition_compare [k] [b]
 //! ```
 
+use dvs_core::cone::cone_partition;
 use dvs_core::multiway::{partition_multiway, MultiwayConfig};
 use dvs_core::pairing::PairingStrategy;
 use dvs_hmetis::{partition_kway, HmetisConfig};
-use dvs_hypergraph::builder::{cut_size_gates, gate_level};
+use dvs_hypergraph::builder::{cut_size_gates, design_level, gate_level};
+use dvs_hypergraph::partition::Partition;
+use dvs_verilog::flatten::Frontier;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 use std::time::Instant;
 
@@ -62,6 +68,24 @@ fn main() {
     println!(
         "{:<28} {:>8} {:>10} {:>12.2?} {:>10}",
         "hMetis-style (flat netlist)", cut, "yes", dt, "-"
+    );
+
+    // Ablations: what the cone initial partition buys over dealing the
+    // super-gates out round-robin at the same k (both before any FM pass),
+    // and how many vertices each granularity hands the partitioner.
+    let dh = design_level(&nl, &Frontier::initial(&nl));
+    let cone = cone_partition(&nl, &dh, k);
+    let dealt = (0..dh.hg.vertex_count() as u32).map(|v| v % k).collect();
+    let round_robin = Partition::from_assignment(&dh.hg, k, dealt);
+    println!(
+        "\nablation: initial partition at k={k}, design-level cut: cone {}, round-robin {}",
+        cone.hyperedge_cut(&dh.hg),
+        round_robin.hyperedge_cut(&dh.hg)
+    );
+    println!(
+        "ablation: granularity: design-level {} vertices, gate-level {} vertices",
+        dh.hg.vertex_count(),
+        gh.hg.vertex_count()
     );
 
     println!(

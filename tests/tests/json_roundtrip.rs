@@ -30,7 +30,8 @@ fn small_report() -> FlowReport {
 
 /// An emitted artifact parses back to the tree it was emitted from, and
 /// that tree emits the same bytes again — all a consumer of the write-only
-/// flow artifacts (`bench_gate` compares parsed trees) relies on.
+/// flow artifacts (the golden test compares fresh trees with the parsed
+/// baseline) relies on.
 fn assert_text_round_trips(tree: &Json) {
     let first = tree.emit().expect("emit");
     let parsed = Json::parse(&first).expect("parse");
