@@ -23,6 +23,7 @@ use crate::wheel::VTime;
 use crate::Logic;
 use dvs_json::{uint_array, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION};
 use dvs_verilog::netlist::NetId;
+use std::fmt::Write as _;
 
 /// A logic-value vector as a compact display-char string (`"01xz…"`).
 pub(crate) fn logic_str(values: &[Logic]) -> String {
@@ -267,6 +268,7 @@ impl ToJson for Checkpoint {
     /// byte-identical artifacts and the round-trip through [`FromJson`] is
     /// lossless — the `checkpoint_roundtrip` suite asserts both. These are
     /// the exact bytes the process transport ships in `Restore` frames.
+    /// This is the reference; a worker writes them with [`Checkpoint::to_text`].
     fn to_json(&self) -> Json {
         ObjBuilder::new()
             .int("schema_version", SCHEMA_VERSION)
@@ -310,6 +312,116 @@ impl ToJson for Checkpoint {
             .uint("mseq", self.mseq)
             .field("stats", self.stats.to_json())
             .build()
+    }
+}
+
+impl Checkpoint {
+    /// The canonical `tw_checkpoint` text — byte for byte what
+    /// `self.to_json().emit()` produces — written straight into one
+    /// pre-sized `String` without building the tree (bar the eleven
+    /// counters of `stats`). This is what a worker emits for every image;
+    /// the [`ToJson`] impl above stays the reference the tests and check
+    /// mode hold it to.
+    pub fn to_text(&self) -> String {
+        let entries = self.pending.len() + self.processed.len() + self.outlog.len();
+        let size = 512 + self.values.len() + 112 * entries + 24 * self.undo.len();
+        let mut w = Text(String::with_capacity(size));
+        w.raw("{\"schema_version\":").int(SCHEMA_VERSION);
+        w.raw(",\"kind\":\"tw_checkpoint\",\"checkpoint_schema\":");
+        w.uint(self.schema as u64);
+        w.raw(",\"cluster\":").uint(self.cluster as u64);
+        w.raw(",\"gvt\":").uint(self.gvt);
+        w.raw(",\"values\":\"");
+        w.0.extend(self.values.iter().map(|v| v.display_char()));
+        w.raw("\",\"pending\":").list(&self.pending, Text::event);
+        w.raw(",\"processed\":").list(&self.processed, Text::event);
+        w.raw(",\"undo\":").list(&self.undo, |w, &(t, net, v)| {
+            w.raw("[").int(t as i64).raw(",").int(net as i64);
+            w.raw(",").logic(v).raw("]");
+        });
+        w.raw(",\"outlog\":").list(&self.outlog, |w, (t, m)| {
+            w.raw("[").int(*t as i64).raw(",").message(m).raw("]");
+        });
+        w.raw(",\"stim_cycle\":").uint(self.stim_cycle);
+        w.raw(",\"last_time\":").uint(self.last_time);
+        w.raw(",\"settled\":").bool(self.settled);
+        w.raw(",\"order\":").uint(self.order);
+        w.raw(",\"mseq\":").uint(self.mseq);
+        let stats = self.stats.to_json().emit().expect("counters emit");
+        w.raw(",\"stats\":").raw(&stats).raw("}");
+        w.0
+    }
+}
+
+/// The writer behind [`Checkpoint::to_text`]: each method appends what
+/// [`Json::emit`] writes for the tree node the matching [`ToJson`] impl
+/// builds.
+struct Text(String);
+
+impl Text {
+    fn raw(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
+        self
+    }
+
+    /// `Json::Int`'s spelling (given an `i64`).
+    fn int(&mut self, v: impl std::fmt::Display) -> &mut Self {
+        write!(self.0, "{v}").expect("a String takes any write");
+        self
+    }
+
+    /// [`dvs_json::uint_json`]'s spelling: a bare integer up to `i64::MAX`,
+    /// a decimal string above.
+    fn uint(&mut self, v: u64) -> &mut Self {
+        match i64::try_from(v) {
+            Ok(i) => self.int(i),
+            Err(_) => self.raw("\"").int(v).raw("\""),
+        }
+    }
+
+    fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    fn logic(&mut self, v: Logic) -> &mut Self {
+        self.0.extend(['"', v.display_char(), '"']);
+        self
+    }
+
+    fn list<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) -> &mut Self {
+        self.0.push('[');
+        for (i, item) in items.iter().enumerate() {
+            each(self.raw(if i > 0 { "," } else { "" }), item);
+        }
+        self.raw("]")
+    }
+
+    fn event(&mut self, e: &CkptEvent) {
+        self.raw("{\"time\":").uint(e.time);
+        self.raw(",\"net\":").uint(e.net as u64);
+        self.raw(",\"value\":").logic(e.value);
+        match e.source {
+            CkptSource::Stimulus => self.raw(",\"source\":{\"kind\":\"stimulus\""),
+            CkptSource::Local { created_at } => {
+                self.raw(",\"source\":{\"kind\":\"local\",\"created_at\":");
+                self.uint(created_at)
+            }
+            CkptSource::Remote { src, seq } => {
+                self.raw(",\"source\":{\"kind\":\"remote\",\"src\":");
+                self.uint(src as u64).raw(",\"seq\":").uint(seq)
+            }
+        };
+        self.raw("},\"order\":").uint(e.order).raw("}");
+    }
+
+    fn message(&mut self, m: &TwMessage) -> &mut Self {
+        self.raw("{\"src\":").uint(m.src as u64);
+        self.raw(",\"dst\":").uint(m.dst as u64);
+        self.raw(",\"seq\":").uint(m.seq);
+        self.raw(",\"time\":").uint(m.ev.time);
+        self.raw(",\"net\":").uint(m.ev.net.0 as u64);
+        self.raw(",\"value\":").logic(m.ev.value);
+        self.raw(",\"anti\":").bool(m.anti).raw("}")
     }
 }
 
@@ -503,6 +615,114 @@ mod tests {
             "",
         ] {
             assert_eq!(image_envelope(not_an_image), None, "{not_an_image}");
+        }
+    }
+
+    /// Arbitrary checkpoints: every `u64` over its whole range with the
+    /// `i64::MAX` edge drawn often, all four logic values, all three event
+    /// sources, and arrays that are often empty. The GVT stays within
+    /// `i64`, where a captured image's envelope is readable.
+    struct AnyCheckpoint;
+
+    impl proptest::strategy::Strategy for AnyCheckpoint {
+        type Value = Checkpoint;
+
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Checkpoint {
+            use rand::Rng;
+            fn wide(rng: &mut impl Rng) -> u64 {
+                const EDGE: u64 = i64::MAX as u64;
+                match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..1000),
+                    1 => rng.gen_range(EDGE - 2..=EDGE + 2),
+                    2 => rng.gen_range(u64::MAX - 2..=u64::MAX),
+                    _ => rng.gen(),
+                }
+            }
+            fn logic(rng: &mut impl Rng) -> Logic {
+                [Logic::Zero, Logic::One, Logic::X, Logic::Z][rng.gen_range(0..4)]
+            }
+            fn len(rng: &mut impl Rng) -> usize {
+                rng.gen_range(0..8usize).saturating_sub(3)
+            }
+            fn event(rng: &mut impl Rng) -> CkptEvent {
+                let source = match rng.gen_range(0..3) {
+                    0 => CkptSource::Stimulus,
+                    1 => CkptSource::Local {
+                        created_at: wide(rng),
+                    },
+                    _ => CkptSource::Remote {
+                        src: rng.gen_range(0..=u32::MAX),
+                        seq: wide(rng),
+                    },
+                };
+                CkptEvent {
+                    time: wide(rng),
+                    net: rng.gen_range(0..=u32::MAX),
+                    value: logic(rng),
+                    source,
+                    order: wide(rng),
+                }
+            }
+            fn message(rng: &mut impl Rng) -> TwMessage {
+                TwMessage {
+                    src: rng.gen_range(0..=u32::MAX),
+                    dst: rng.gen_range(0..=u32::MAX),
+                    seq: wide(rng),
+                    ev: NetEvent {
+                        time: wide(rng),
+                        net: NetId(rng.gen_range(0..=u32::MAX)),
+                        value: logic(rng),
+                    },
+                    anti: rng.gen(),
+                }
+            }
+            Checkpoint {
+                schema: CHECKPOINT_SCHEMA,
+                cluster: rng.gen_range(0..=u32::MAX),
+                gvt: rng.gen_range(0..=i64::MAX as u64),
+                values: (0..len(rng) * 5).map(|_| logic(rng)).collect(),
+                pending: (0..len(rng)).map(|_| event(rng)).collect(),
+                processed: (0..len(rng)).map(|_| event(rng)).collect(),
+                undo: (0..len(rng))
+                    .map(|_| (wide(rng), rng.gen_range(0..=u32::MAX), logic(rng)))
+                    .collect(),
+                outlog: (0..len(rng)).map(|_| (wide(rng), message(rng))).collect(),
+                stim_cycle: wide(rng),
+                last_time: wide(rng),
+                settled: rng.gen(),
+                order: wide(rng),
+                mseq: wide(rng),
+                stats: SimStats {
+                    events: wide(rng),
+                    gate_evals: wide(rng),
+                    net_toggles: wide(rng),
+                    cycles: wide(rng),
+                    end_time: wide(rng),
+                    messages: wide(rng),
+                    anti_messages: wide(rng),
+                    rollbacks: wide(rng),
+                    rolled_back_events: wide(rng),
+                    gvt_rounds: wide(rng),
+                    fossil_collected: wide(rng),
+                },
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The streamed image is the reference encoding, byte for byte, and
+        /// its envelope reads back.
+        #[test]
+        fn streamed_image_equals_the_reference(ck in AnyCheckpoint) {
+            let text = ck.to_text();
+            proptest::prop_assert_eq!(&text, &ck.to_json().emit().unwrap());
+            let envelope = image_envelope(&text).expect("envelope");
+            proptest::prop_assert_eq!(
+                (envelope.schema, envelope.cluster, envelope.gvt),
+                (ck.schema, ck.cluster, ck.gvt)
+            );
         }
     }
 }

@@ -21,7 +21,9 @@
 //! lives in `dvs_sim::artifact`; [`Checkpoint`] itself is plain data with
 //! public fields. The pending queue, whose internal layout depends on
 //! history, is captured *sorted*, so capturing the same state twice yields
-//! equal — and identically serialized — checkpoints.
+//! equal — and identically serialized — checkpoints. A worker emits
+//! [`Checkpoint::to_text`], streamed; the `ToJson` tree is the reference it
+//! equals byte for byte.
 
 use super::TwMessage;
 use crate::logic::Logic;

@@ -92,14 +92,19 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
                 "fossil collection on cluster {me} reclaimed history at or above GVT {gvt} ({label})"
             );
         }
-        match image {
-            Image::None => Ok(String::new()),
-            Image::Base => p
-                .checkpoint(gvt)
-                .to_json()
-                .emit()
-                .map_err(|e| protocol(e.msg)),
+        if image == Image::None {
+            return Ok(String::new());
         }
+        let ck = p.checkpoint(gvt);
+        let text = ck.to_text();
+        if self.check {
+            let reference = ck.to_json().emit().map_err(|e| protocol(e.msg))?;
+            assert!(
+                text == reference,
+                "the image of cluster {me} at GVT {gvt} differs from its reference encoding ({label})"
+            );
+        }
+        Ok(text)
     }
 
     /// [`ClusterWorker::respawn`] on a decoded image: rebuild the process

@@ -77,6 +77,9 @@
 //! round captures travels, is stored and is shipped back in a `restore` as
 //! the text the worker emitted, decoded only by whoever rebuilds a process
 //! from it.
+//! That text is streamed by [`super::Checkpoint::to_text`] (its `ToJson`
+//! tree is the reference it must equal), and the frame CRC runs slice-by-8,
+//! so an image costs about what moving its bytes does.
 //!
 //! On the Unix transport a hung worker is *not* crash-stop, so the timeout
 //! is fatal ([`TimeWarpError::WorkerTimeout`]); over TCP the supervisor probes a

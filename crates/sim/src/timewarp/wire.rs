@@ -134,6 +134,7 @@ impl From<io::Error> for WireError {
 /// and hand-rolled — the workspace vendors no checksum crate and the wire
 /// needs nothing stronger: this is integrity against link/memory
 /// corruption, not an authenticator.
+/// This is the bytewise table; the checksum runs slice-by-8 over [`crc32_tables`].
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -154,14 +155,40 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+/// The slice-by-8 tables: `[0]` is [`crc32_table`], and `[k][b]` advances
+/// `[k - 1][b]` by one zero byte, i.e. it is byte `b`'s contribution seen
+/// `k` bytes before the end of an 8-byte block.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [crc32_table(); 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k - 1][i];
+            tables[k][i] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
-/// CRC32 over the concatenation of `parts` (no copying).
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC32 over the concatenation of `parts` (no copying): eight bytes per
+/// step through [`CRC_TABLES`], the tail of each part a byte at a time.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut blocks = part.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+            let block = [lo[0], lo[1], lo[2], lo[3], b[4], b[5], b[6], b[7]];
+            c = (0..8).fold(0, |acc, i| acc ^ t[7 - i][block[i] as usize]);
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -634,6 +661,55 @@ mod tests {
         // Split input hashes identically to contiguous input.
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b""]), 0);
+    }
+
+    /// The polynomial division itself, one bit at a time — no table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    /// `n` bytes of a fixed xorshift64* stream.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Slice-by-8 agrees with the bitwise definition on every length up to
+    /// eight whole blocks (each block count with each tail length), on a
+    /// MiB of random bytes, and however an input is split into parts —
+    /// a split moves the block boundaries of everything after it.
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        let short = seeded_bytes(0x5EED, 64);
+        for len in 0..=64 {
+            let input = &short[..len];
+            let want = crc32_bitwise(input);
+            assert_eq!(crc32(&[input]), want, "length {len}");
+            for split in 0..=len {
+                let (a, b) = input.split_at(split);
+                assert_eq!(crc32(&[a, b]), want, "length {len} split at {split}");
+            }
+        }
+        let mib = seeded_bytes(2008, 1 << 20);
+        assert_eq!(crc32(&[&mib]), crc32_bitwise(&mib));
     }
 
     #[test]

@@ -80,6 +80,9 @@ proptest! {
         for p in &procs {
             let ck = p.checkpoint(gvt);
             let text = ck.to_json().emit().expect("emit");
+            // The streamed encoder a worker ships is the reference, byte
+            // for byte.
+            prop_assert_eq!(ck.to_text(), text);
             let back = Checkpoint::from_json(&Json::parse(&text).expect("parse"))
                 .expect("checkpoint deserializes");
             prop_assert_eq!(&back, &ck, "round-trip lost information");
