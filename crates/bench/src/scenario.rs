@@ -29,6 +29,7 @@ use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
 use dvs_workloads::{generate_viterbi, ViterbiParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ffi::{OsStr, OsString};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -394,6 +395,32 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// A process-wide environment variable, set while this guard lives. Its
+/// previous value comes back on `Drop` — after the run or while a panic
+/// unwinds — so a failed test leaves no hook armed for the tests [`serial`]
+/// lets in after it.
+pub struct EnvGuard {
+    name: &'static str,
+    previous: Option<OsString>,
+}
+
+impl EnvGuard {
+    pub fn set(name: &'static str, value: impl AsRef<OsStr>) -> EnvGuard {
+        let previous = std::env::var_os(name);
+        std::env::set_var(name, value);
+        EnvGuard { name, previous }
+    }
+}
+
+impl Drop for EnvGuard {
+    fn drop(&mut self) {
+        match self.previous.take() {
+            Some(value) => std::env::set_var(self.name, value),
+            None => std::env::remove_var(self.name),
+        }
+    }
 }
 
 /// Where a suite leaves its repros: `<dir>/<prefix>_*.txt`, the names CI

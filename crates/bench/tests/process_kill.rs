@@ -4,7 +4,9 @@
 
 mod wire_kill;
 
-use dvs_bench::scenario::{canonical, first_burst, fnv1a, policies, serial, Dump, Executor};
+use dvs_bench::scenario::{
+    canonical, first_burst, fnv1a, policies, serial, Dump, EnvGuard, Executor,
+};
 use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, TimeWarpError, Transport};
 use wire_kill::*;
 
@@ -78,13 +80,10 @@ fn a_worker_that_cannot_be_launched_leaves_no_socket_file() {
     let unlaunchable = viterbi().on(Executor::Wire(transport));
     let built = unlaunchable.build();
 
-    let tmpdir = std::env::var_os("TMPDIR");
-    std::env::set_var("TMPDIR", &dir);
-    let outcome = unlaunchable.run(&built);
-    match tmpdir {
-        Some(old) => std::env::set_var("TMPDIR", old),
-        None => std::env::remove_var("TMPDIR"),
-    }
+    let outcome = {
+        let _tmpdir = EnvGuard::set("TMPDIR", &dir);
+        unlaunchable.run(&built)
+    };
 
     let err = outcome.expect_err("a text file is no worker");
     assert!(

@@ -5,7 +5,7 @@
 
 mod wire_kill;
 
-use dvs_bench::scenario::{canonical, serial, Dump};
+use dvs_bench::scenario::{canonical, serial, Dump, EnvGuard};
 use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, Transport, TwRunResult};
 use wire_kill::*;
 
@@ -26,9 +26,10 @@ fn run_reset(policy: SchedulePolicy, fault: FaultPlan, label: &str) -> TwRunResu
     let base = viterbi();
     let built = base.build();
     let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
-    std::env::set_var("DVS_TW_TCP_FAULT", "reset");
-    let tw = TCP.on(&base, policy).faulted(fault).run_ok(&built);
-    std::env::remove_var("DVS_TW_TCP_FAULT");
+    let tw = {
+        let _reset = EnvGuard::set("DVS_TW_TCP_FAULT", "reset");
+        TCP.on(&base, policy).faulted(fault).run_ok(&built)
+    };
     TCP.dump.expect_identical(&clean, &canonical(&tw), label);
     tw
 }

@@ -13,7 +13,7 @@
 //! module's. Every test takes `scenario::serial()`: the self-kill and reset
 //! scenarios steer workers through the process environment.
 
-use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
+use dvs_bench::scenario::{canonical, Circuit, Dump, EnvGuard, Executor, Partition, Scenario};
 use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, Transport, TwRunResult};
 use std::path::PathBuf;
 
@@ -151,9 +151,10 @@ pub fn selfkilled_worker_converges(wire: Wire, before: u64) -> TwRunResult {
     let (base, policy) = (viterbi(), SchedulePolicy::RoundRobin);
     let built = base.build();
     let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
-    std::env::set_var("DVS_TW_SELFKILL", format!("1:{before}"));
-    let tw = wire.on(&base, policy).run_ok(&built);
-    std::env::remove_var("DVS_TW_SELFKILL");
+    let tw = {
+        let _selfkill = EnvGuard::set("DVS_TW_SELFKILL", format!("1:{before}"));
+        wire.on(&base, policy).run_ok(&built)
+    };
     let label = format!("death before command {before}");
     assert_eq!(tw.recovery.crashes, 1, "{label}: self-kill did not fire");
     assert_eq!(tw.recovery.restarts, 1, "{label}");

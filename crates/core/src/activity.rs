@@ -9,8 +9,8 @@
 //! structure.
 //!
 //! ```
-//! use dvs_core::activity::{profile_gate_activity, partition_multiway_activity};
-//! use dvs_core::multiway::MultiwayConfig;
+//! use dvs_core::activity::profile_gate_activity;
+//! use dvs_core::multiway::{partition_multiway_weighted, MultiwayConfig};
 //! use dvs_sim::stimulus::VectorStimulus;
 //!
 //! let src = "module top(clk, a, y); input clk, a; output y;\n\
@@ -19,11 +19,10 @@
 //! let stim = VectorStimulus::from_netlist(&nl, 10, 1);
 //! let activity = profile_gate_activity(&nl, &stim, 50);
 //! assert_eq!(activity.len(), nl.gate_count());
-//! let r = partition_multiway_activity(&nl, &MultiwayConfig::new(2, 30.0), &activity);
+//! let r = partition_multiway_weighted(&nl, &MultiwayConfig::new(2, 30.0), Some(&activity[..]));
 //! assert_eq!(r.gate_blocks.len(), nl.gate_count());
 //! ```
 
-use crate::multiway::{partition_multiway_weighted, MultiwayConfig, MultiwayResult};
 use dvs_sim::seq::{SeqSim, SimConfig, SimObserver};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::wheel::VTime;
@@ -73,15 +72,6 @@ pub fn profile_gate_activity(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -
     prof.counts
 }
 
-/// Partition with profiled activity as the load metric.
-pub fn partition_multiway_activity(
-    nl: &Netlist,
-    cfg: &MultiwayConfig,
-    activity: &[u64],
-) -> MultiwayResult {
-    partition_multiway_weighted(nl, cfg, Some(activity))
-}
-
 /// Imbalance of *events* (not gates) under a per-gate block assignment:
 /// `max block events / mean block events − 1`. The quantity the activity
 /// metric is supposed to minimize.
@@ -103,7 +93,7 @@ pub fn event_imbalance(activity: &[u64], gate_blocks: &[u32], k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiway::partition_multiway;
+    use crate::multiway::{partition_multiway, partition_multiway_weighted, MultiwayConfig};
 
     fn hotspot_netlist() -> Netlist {
         // Two modules of equal gate count; `hot` toggles every cycle (fed by
@@ -156,7 +146,7 @@ mod tests {
         let cfg = MultiwayConfig::new(2, 10.0);
 
         let by_gates = partition_multiway(&nl, &cfg);
-        let by_activity = partition_multiway_activity(&nl, &cfg, &act);
+        let by_activity = partition_multiway_weighted(&nl, &cfg, Some(&act[..]));
 
         let ib_gates = event_imbalance(&act, &by_gates.gate_blocks, 2);
         let ib_act = event_imbalance(&act, &by_activity.gate_blocks, 2);

@@ -19,18 +19,14 @@ use std::collections::VecDeque;
 
 /// Build the initial k-way partition of `hh` by cone growth.
 pub fn cone_partition(nl: &Netlist, hh: &HierHypergraph, k: u32) -> Partition {
-    cone_partition_scaled(nl, hh, k, 1.0)
+    cone_partition_with(nl, &nl.build_fanout(), hh, k, 1.0)
 }
 
-/// Cone growth with a scaled per-cone weight target. Scales below 1 grow
-/// more, smaller cones; above 1 fewer, larger ones. Restarts of the
-/// multiway partitioner perturb this to diversify the initial partitions
-/// (cone growth is otherwise deterministic).
-pub fn cone_partition_scaled(nl: &Netlist, hh: &HierHypergraph, k: u32, scale: f64) -> Partition {
-    cone_partition_with(nl, &nl.build_fanout(), hh, k, scale)
-}
-
-/// [`cone_partition_scaled`] over a `fanout` of `nl` the caller already built.
+/// Cone growth over a `fanout` of `nl` the caller already built, with a
+/// scaled per-cone weight target. Scales below 1 grow more, smaller cones;
+/// above 1 fewer, larger ones. Restarts of the multiway partitioner perturb
+/// this to diversify the initial partitions (cone growth is otherwise
+/// deterministic).
 pub(crate) fn cone_partition_with(
     nl: &Netlist,
     fanout: &Fanout,
@@ -204,8 +200,9 @@ mod tests {
     fn scaled_targets_change_granularity() {
         let nl = chain_of_modules(16);
         let hh = design_level(&nl, &Frontier::initial(&nl));
-        let small = cone_partition_scaled(&nl, &hh, 4, 0.5);
-        let large = cone_partition_scaled(&nl, &hh, 4, 1.5);
+        let fanout = nl.build_fanout();
+        let small = cone_partition_with(&nl, &fanout, &hh, 4, 0.5);
+        let large = cone_partition_with(&nl, &fanout, &hh, 4, 1.5);
         // Both are complete partitions of the same total weight.
         let sum = |p: &Partition| p.block_weights().iter().sum::<u64>();
         assert_eq!(sum(&small), sum(&large));

@@ -29,7 +29,7 @@
 
 use crate::engine::Parallelism;
 use crate::presim::{
-    best_point, brute_force_presim_par, heuristic_rounds, PresimConfig, PresimPoint, TwPresimConfig,
+    best_point, brute_force_presim, heuristic_presim, PresimConfig, PresimPoint, TwPresimConfig,
 };
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
@@ -385,11 +385,11 @@ impl Flow<'_> {
         let (presim_points, profile_passes) = match &cfg.search {
             // The whole grid is one batch: one profiling pass.
             Search::BruteForce { ks, bs } => (
-                brute_force_presim_par(nl, ks, bs, &cfg.presim, cfg.parallelism),
+                brute_force_presim(nl, ks, bs, &cfg.presim, cfg.parallelism),
                 1,
             ),
             Search::Heuristic { max_k } => {
-                heuristic_rounds(nl, *max_k, &cfg.presim, cfg.parallelism)
+                heuristic_presim(nl, *max_k, &cfg.presim, cfg.parallelism)
             }
         };
         let search_seconds = t_search.elapsed().as_secs_f64();

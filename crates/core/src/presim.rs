@@ -222,13 +222,6 @@ pub struct Candidate<'a> {
     pub balanced: bool,
 }
 
-/// Partition for (k, b) and evaluate it with `vectors` pre-simulation
-/// vectors under the cluster model: [`presim_points`] for one point.
-pub fn presim_point(nl: &Netlist, k: u32, b: f64, cfg: &PresimConfig) -> PresimPoint {
-    let mut points = presim_points(nl, &[(k, b)], cfg, Parallelism::Serial);
-    points.pop().expect("one point in, one point out")
-}
-
 /// Partition for every `(k, b)` of `coords` on up to `par` worker threads
 /// and evaluate the partitions with [`evaluate_partitions`] — one profiling
 /// pass for all of them. Each partitioner is seeded with [`point_seed`], so
@@ -274,29 +267,6 @@ pub fn presim_points(
         };
     }
     points
-}
-
-/// Evaluate an existing per-gate partition: [`evaluate_partitions`] for one
-/// candidate.
-pub fn evaluate_partition(
-    nl: &Netlist,
-    gate_blocks: Vec<u32>,
-    cut: u64,
-    balanced: bool,
-    k: u32,
-    b: f64,
-    cfg: &PresimConfig,
-) -> PresimPoint {
-    let gate_blocks = &gate_blocks[..];
-    let cand = [Candidate {
-        k,
-        b,
-        gate_blocks,
-        cut,
-        balanced,
-    }];
-    let mut points = evaluate_partitions(nl, &cand, cfg, Parallelism::Serial);
-    points.pop().expect("one candidate in, one point out")
 }
 
 /// Evaluate existing partitions (any partitioner's, so all sides share one
@@ -384,24 +354,12 @@ pub fn evaluate_partitions(
     staged.into_iter().zip(runs).map(complete).collect()
 }
 
-/// Evaluate every (k, b) combination — the full Table 3 sweep — on the
-/// calling thread. Equivalent to [`brute_force_presim_par`] with
-/// [`Parallelism::Serial`].
+/// Evaluate every (k, b) combination — the full Table 3 sweep — with up to
+/// `par` worker threads and one profiling pass ([`presim_points`] over the
+/// grid). Points are returned in grid order (`ks` major, `bs` minor) and
+/// each point's partitioner is seeded by [`point_seed`], so the output is
+/// bit-identical for every thread count.
 pub fn brute_force_presim(
-    nl: &Netlist,
-    ks: &[u32],
-    bs: &[f64],
-    cfg: &PresimConfig,
-) -> Vec<PresimPoint> {
-    brute_force_presim_par(nl, ks, bs, cfg, Parallelism::Serial)
-}
-
-/// Evaluate every (k, b) combination with up to `par` worker threads and
-/// one profiling pass ([`presim_points`] over the grid). Points are
-/// returned in grid order (`ks` major, `bs` minor) and each point's
-/// partitioner is seeded by [`point_seed`], so the output is bit-identical
-/// for every thread count.
-pub fn brute_force_presim_par(
     nl: &Netlist,
     ks: &[u32],
     bs: &[f64],
@@ -419,7 +377,7 @@ pub fn brute_force_presim_par(
 /// higher speedup wins; exact speedup ties go to fewer machines, then to the
 /// tighter balance factor. A total order over distinct grid points, so the
 /// selected winner never depends on evaluation order or thread count.
-pub fn compare_points(a: &PresimPoint, b: &PresimPoint) -> Ordering {
+fn compare_points(a: &PresimPoint, b: &PresimPoint) -> Ordering {
     a.speedup
         .partial_cmp(&b.speedup)
         .expect("finite speedups")
@@ -427,43 +385,24 @@ pub fn compare_points(a: &PresimPoint, b: &PresimPoint) -> Ordering {
         .then_with(|| b.b.partial_cmp(&a.b).expect("finite balance factors"))
 }
 
-/// The best point by speedup (the paper's Table 4 selection), with the
-/// deterministic tie-breaking of [`compare_points`].
+/// The best point by speedup (the paper's Table 4 selection), with
+/// deterministic tie-breaking.
 pub fn best_point(points: &[PresimPoint]) -> Option<&PresimPoint> {
     points.iter().max_by(|a, b| compare_points(a, b))
 }
 
-/// The heuristic search of paper Fig. 3. Returns the best point found and
-/// the number of pre-simulation runs spent. Equivalent to running
-/// [`heuristic_presim_points`] serially and selecting with [`best_point`].
-pub fn heuristic_presim(nl: &Netlist, max_k: u32, cfg: &PresimConfig) -> (PresimPoint, usize) {
-    let points = heuristic_presim_points(nl, max_k, cfg, Parallelism::Serial);
-    let runs = points.len();
-    let best = best_point(&points).expect("at least one run").clone();
-    (best, runs)
-}
-
-/// Every point the Fig. 3 heuristic evaluates. Within one `k` the sweep is
-/// sequential — the paper's early stop ("increase b until the speedup
-/// decreases for the first time") depends on the previous point — but
-/// different `k` sweeps are independent, so the search runs in rounds:
-/// round j evaluates `b = 7.5 + 2.5 j` for every `k` whose sweep has not yet
-/// seen its first decrease, as one [`presim_points`] batch (at most three
-/// profiling passes). Points are returned in the serial scan order (k
-/// descending from `max_k`, b ascending within each k), so the output is
-/// the sequential definition's for every thread count.
-pub fn heuristic_presim_points(
-    nl: &Netlist,
-    max_k: u32,
-    cfg: &PresimConfig,
-    par: Parallelism,
-) -> Vec<PresimPoint> {
-    heuristic_rounds(nl, max_k, cfg, par).0
-}
-
-/// [`heuristic_presim_points`] plus the number of rounds — profiling
-/// passes — it took.
-pub(crate) fn heuristic_rounds(
+/// The heuristic search of paper Fig. 3: every point it evaluates, and the
+/// number of rounds — profiling passes — it took; select the winner with
+/// [`best_point`]. Within one `k` the sweep is sequential — the paper's
+/// early stop ("increase b until the speedup decreases for the first time")
+/// depends on the previous point — but different `k` sweeps are
+/// independent, so the search runs in rounds: round j evaluates
+/// `b = 7.5 + 2.5 j` for every `k` whose sweep has not yet seen its first
+/// decrease, as one [`presim_points`] batch (at most three profiling
+/// passes). Points are returned in the serial scan order (k descending from
+/// `max_k`, b ascending within each k), so the output is the sequential
+/// definition's for every thread count.
+pub fn heuristic_presim(
     nl: &Netlist,
     max_k: u32,
     cfg: &PresimConfig,
@@ -526,6 +465,12 @@ mod tests {
         cfg
     }
 
+    /// [`presim_points`] for the one point `(k, b)`.
+    fn presim_point(nl: &Netlist, k: u32, b: f64, cfg: &PresimConfig) -> PresimPoint {
+        let mut points = presim_points(nl, &[(k, b)], cfg, Parallelism::Serial);
+        points.pop().expect("one point in, one point out")
+    }
+
     #[test]
     fn presim_point_is_deterministic() {
         let nl = pipeline_netlist();
@@ -542,7 +487,7 @@ mod tests {
     fn brute_force_covers_grid() {
         let nl = pipeline_netlist();
         let cfg = quick_cfg(&nl);
-        let pts = brute_force_presim(&nl, &[2, 3], &[7.5, 12.5], &cfg);
+        let pts = brute_force_presim(&nl, &[2, 3], &[7.5, 12.5], &cfg, Parallelism::Serial);
         assert_eq!(pts.len(), 4);
         let ks: Vec<u32> = pts.iter().map(|p| p.k).collect();
         assert_eq!(ks, vec![2, 2, 3, 3]);
@@ -554,7 +499,9 @@ mod tests {
     fn heuristic_spends_fewer_runs_than_brute_force() {
         let nl = pipeline_netlist();
         let cfg = quick_cfg(&nl);
-        let (best, runs) = heuristic_presim(&nl, 4, &cfg);
+        let (points, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Serial);
+        let runs = points.len();
+        let best = best_point(&points).expect("at least one run");
         // Brute force over the same space would be 3 k-values × 3 b-values.
         assert!(runs <= 9, "runs = {runs}");
         assert!(runs >= 3, "at least one run per k");
@@ -578,8 +525,8 @@ mod tests {
         let cfg = quick_cfg(&nl);
         let ks = [2u32, 3, 4];
         let bs = [7.5, 10.0, 12.5];
-        let serial = brute_force_presim_par(&nl, &ks, &bs, &cfg, Parallelism::Serial);
-        let par = brute_force_presim_par(&nl, &ks, &bs, &cfg, Parallelism::Threads(4));
+        let serial = brute_force_presim(&nl, &ks, &bs, &cfg, Parallelism::Serial);
+        let par = brute_force_presim(&nl, &ks, &bs, &cfg, Parallelism::Threads(4));
         assert_eq!(serial.len(), par.len());
         for (s, p) in serial.iter().zip(&par) {
             assert_eq!((s.k, s.b.to_bits()), (p.k, p.b.to_bits()));
@@ -595,8 +542,8 @@ mod tests {
     fn parallel_heuristic_matches_serial_heuristic() {
         let nl = pipeline_netlist();
         let cfg = quick_cfg(&nl);
-        let serial = heuristic_presim_points(&nl, 4, &cfg, Parallelism::Serial);
-        let par = heuristic_presim_points(&nl, 4, &cfg, Parallelism::Threads(3));
+        let (serial, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Serial);
+        let (par, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Threads(3));
         assert_eq!(serial.len(), par.len());
         for (s, p) in serial.iter().zip(&par) {
             assert_eq!((s.k, s.b.to_bits()), (p.k, p.b.to_bits()));
@@ -643,7 +590,7 @@ mod tests {
         ] {
             let cfg = quick_cfg(&nl);
             let expected = sequential_heuristic(&nl, max_k, &cfg);
-            let (points, rounds) = heuristic_rounds(&nl, max_k, &cfg, Parallelism::Serial);
+            let (points, rounds) = heuristic_presim(&nl, max_k, &cfg, Parallelism::Serial);
             let key = |p: &PresimPoint| (p.k, p.b.to_bits(), p.speedup.to_bits(), p.cut);
             assert_eq!(
                 points.iter().map(key).collect::<Vec<_>>(),
@@ -708,8 +655,14 @@ mod tests {
         let nl = pipeline_netlist();
         let cfg = quick_cfg(&nl);
         let p = presim_point(&nl, 2, 10.0, &cfg);
-        let again =
-            evaluate_partition(&nl, p.gate_blocks.clone(), p.cut, p.balanced, 2, 10.0, &cfg);
+        let cand = Candidate {
+            k: 2,
+            b: 10.0,
+            gate_blocks: &p.gate_blocks,
+            cut: p.cut,
+            balanced: p.balanced,
+        };
+        let again = &evaluate_partitions(&nl, &[cand], &cfg, Parallelism::Serial)[0];
         assert_eq!(p.messages, again.messages);
         assert!((p.sim_seconds - again.sim_seconds).abs() < 1e-12);
     }

@@ -35,14 +35,6 @@ impl FmConfig {
             bounds: BlockBounds::uniform(&balance),
         }
     }
-
-    /// Explicit per-block bounds (asymmetric bisection targets).
-    pub fn with_bounds(bounds: BlockBounds) -> Self {
-        FmConfig {
-            max_passes: 8,
-            bounds,
-        }
-    }
 }
 
 /// Outcome of a [`pairwise_fm`] call.

@@ -114,14 +114,6 @@ impl Hypergraph {
         (self.vedge_offsets[v.idx() + 1] - self.vedge_offsets[v.idx()]) as usize
     }
 
-    /// Maximum vertex degree (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.vertex_count())
-            .map(|v| self.degree(VertexId(v as u32)))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Maximum single-vertex weighted degree: an upper bound on any FM gain.
     pub fn max_gain_bound(&self) -> i64 {
         (0..self.vertex_count())
@@ -315,7 +307,6 @@ mod tests {
     #[test]
     fn degree_and_gain_bounds() {
         let h = diamond();
-        assert_eq!(h.max_degree(), 2);
         // Vertex 3 touches e1 (w=2) and e2 (w=1).
         assert_eq!(h.max_gain_bound(), 3);
     }
@@ -325,7 +316,6 @@ mod tests {
         let h = HypergraphBuilder::new().build();
         assert_eq!(h.vertex_count(), 0);
         assert_eq!(h.edge_count(), 0);
-        assert_eq!(h.max_degree(), 0);
         assert_eq!(h.max_gain_bound(), 0);
         assert_eq!(h.total_vweight(), 0);
     }

@@ -167,11 +167,6 @@ impl Partition {
         }
     }
 
-    /// All vertices in block 0.
-    pub fn all_in_zero(hg: &Hypergraph, k: u32) -> Self {
-        Partition::from_assignment(hg, k, vec![0; hg.vertex_count()])
-    }
-
     #[inline]
     pub fn k(&self) -> u32 {
         self.k
@@ -233,20 +228,6 @@ impl Partition {
         hg.edges()
             .filter(|&e| self.edge_span(hg, e) > 1)
             .map(|e| hg.eweight(e) as u64)
-            .sum()
-    }
-
-    /// Sum over cut edges of (span), the "sum of external degrees".
-    pub fn soed(&self, hg: &Hypergraph) -> u64 {
-        hg.edges()
-            .map(|e| {
-                let s = self.edge_span(hg, e) as u64;
-                if s > 1 {
-                    s * hg.eweight(e) as u64
-                } else {
-                    0
-                }
-            })
             .sum()
     }
 
@@ -349,7 +330,6 @@ mod tests {
         let p = Partition::from_assignment(&hg, 2, vec![0, 0, 1, 1]);
         assert_eq!(p.hyperedge_cut(&hg), 1);
         assert_eq!(p.weighted_cut(&hg), 1);
-        assert_eq!(p.soed(&hg), 2);
         assert_eq!(p.connectivity_minus_one(&hg), 1);
         assert_eq!(p.block_weight(0), 2);
         assert_eq!(p.block_weight(1), 2);
@@ -364,7 +344,6 @@ mod tests {
         let p = Partition::from_assignment(&hg, 3, vec![0, 1, 2]);
         assert_eq!(p.edge_span(&hg, EdgeId(0)), 3);
         assert_eq!(p.hyperedge_cut(&hg), 1);
-        assert_eq!(p.soed(&hg), 6);
         assert_eq!(p.connectivity_minus_one(&hg), 4);
     }
 

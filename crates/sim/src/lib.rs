@@ -25,7 +25,6 @@
 //!   cluster (2001-era Athlon + 1 Gb Ethernet constants) that reports wall
 //!   time, message and rollback counts reproducibly — used by the
 //!   table/figure harness;
-//! * [`vcd`] — IEEE 1364 Value Change Dump waveform output;
 //! * [`stats`] — simulation statistics shared by all kernels;
 //! * [`artifact`] — JSON serialization of the above (stats, run results,
 //!   checkpoints — the checkpoint serialization is also the wire format of
@@ -44,7 +43,6 @@ pub mod stats;
 pub mod stimulus;
 mod tables;
 pub mod timewarp;
-pub mod vcd;
 pub mod wheel;
 
 pub use artifact::tw_run_canonical_json;

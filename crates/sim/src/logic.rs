@@ -38,11 +38,6 @@ impl Logic {
         }
     }
 
-    #[inline]
-    pub fn is_known(self) -> bool {
-        matches!(self, Logic::Zero | Logic::One)
-    }
-
     /// Kleene NOT. (Deliberately an inherent method, not `std::ops::Not`:
     /// four-valued negation is a domain operation, and `!x` syntax would
     /// suggest boolean semantics.)

@@ -155,9 +155,9 @@ pub enum Transport {
         seed: u64,
         /// The scheduling policy driving the executor.
         schedule: SchedulePolicy,
-        /// Explicit path to the worker binary. `None` falls back to the
-        /// `DVS_TW_WORKER` environment variable, then to a `tw_worker`
-        /// next to (or one directory above) the current executable.
+        /// Explicit path to the worker binary. `None` falls back to a
+        /// `tw_worker` next to (or one directory above) the current
+        /// executable.
         worker: Option<PathBuf>,
     },
     /// The same deterministic scheduler, but the workers dial in over TCP:
@@ -191,7 +191,7 @@ pub enum TcpWorkers {
     /// what the kill-harness CI runs). Crashed workers are respawned.
     Spawn {
         /// Explicit path to the worker binary; `None` resolves like
-        /// [`Transport::Process`] (`DVS_TW_WORKER`, then a sibling).
+        /// [`Transport::Process`] (a `tw_worker` sibling).
         worker: Option<PathBuf>,
     },
     /// Workers are started externally (possibly on other hosts) and dial

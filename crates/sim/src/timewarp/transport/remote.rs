@@ -72,26 +72,22 @@ impl WireTiming {
     }
 }
 
-/// Locate the worker binary: explicit path, then `DVS_TW_WORKER`, then a
-/// `tw_worker` sibling of the current executable (or of its parent
-/// directory — test binaries live one level below the build root). The
-/// path comes back canonicalized: `Command` looks a bare relative name up
-/// on `PATH`, not in the directory `is_file` found it in.
+/// Locate the worker binary: the explicit path, else a `tw_worker` sibling
+/// of the current executable (or of its parent directory — test binaries
+/// live one level below the build root). The path comes back canonicalized:
+/// `Command` looks a bare relative name up on `PATH`, not in the directory
+/// `is_file` found it in.
 pub(super) fn resolve_worker(explicit: Option<&Path>) -> Result<PathBuf, String> {
     let runnable = |p: &Path| p.is_file().then(|| p.canonicalize().ok()).flatten();
     if let Some(p) = explicit {
         return runnable(p).ok_or_else(|| format!("worker binary {} does not exist", p.display()));
-    }
-    if let Ok(env) = std::env::var("DVS_TW_WORKER") {
-        return runnable(Path::new(&env))
-            .ok_or_else(|| format!("DVS_TW_WORKER points at {env}, which does not exist"));
     }
     let exe = std::env::current_exe().ok();
     let dir = exe.as_deref().and_then(Path::parent);
     let mut dirs = [dir, dir.and_then(Path::parent)].into_iter().flatten();
     let sibling = dirs.find_map(|d| runnable(&d.join("tw_worker")));
     sibling.ok_or_else(|| {
-        "no tw_worker binary found: pass Transport::Process { worker }, set DVS_TW_WORKER, \
+        "no tw_worker binary found: pass Transport::Process { worker } \
          or place tw_worker next to the current executable"
             .to_string()
     })

@@ -1,36 +1,13 @@
-//! Hierarchy-stripping and hierarchy queries.
+//! Hierarchy queries.
 //!
 //! The netlist produced by elaboration is already flat at the gate level;
 //! what distinguishes the paper's *design-driven* algorithm from flat-netlist
-//! partitioners (hMetis) is whether the instance tree is consulted. This
-//! module provides [`strip_hierarchy`], which forgets the tree — the input
-//! given to the hMetis baseline — and frontier helpers used by the
-//! super-gate machinery.
+//! partitioners (hMetis) is whether the instance tree is consulted. The
+//! hMetis baseline never looks at it: it partitions the gate-level
+//! hypergraph (`dvs_hypergraph::builder::gate_level`). This module provides
+//! the frontier helpers used by the super-gate machinery.
 
-use crate::netlist::{InstId, Instance, Netlist};
-
-/// Return a copy of `nl` in which every gate is owned directly by the root
-/// instance and the instance tree is a single node. This is the "flattened
-/// netlist" the paper's hMetis baseline partitions.
-pub fn strip_hierarchy(nl: &Netlist) -> Netlist {
-    let mut out = nl.clone();
-    let root_name = nl.instances[0].name.clone();
-    let root_module = nl.instances[0].module.clone();
-    out.instances = vec![Instance {
-        name: root_name,
-        module: root_module,
-        parent: None,
-        children: Vec::new(),
-        depth: 0,
-        own_gates: 0,
-        subtree_gates: 0,
-    }];
-    for g in &mut out.gates {
-        g.owner = InstId::ROOT;
-    }
-    out.recount_gates();
-    out
-}
+use crate::netlist::{InstId, Netlist};
 
 /// A frontier is a set of instance nodes that cuts the hierarchy tree: every
 /// gate is owned by exactly one frontier node or by an ancestor of the
@@ -120,16 +97,6 @@ mod tests {
           not n0 (o, i);
         endmodule
     "#;
-
-    #[test]
-    fn strip_hierarchy_keeps_gates() {
-        let d = parse_and_elaborate(SRC).unwrap();
-        let flat = strip_hierarchy(d.netlist());
-        assert_eq!(flat.gate_count(), d.netlist().gate_count());
-        assert_eq!(flat.instances.len(), 1);
-        assert_eq!(flat.instances[0].own_gates as usize, flat.gate_count());
-        flat.validate().unwrap();
-    }
 
     #[test]
     fn initial_frontier_is_top_children() {

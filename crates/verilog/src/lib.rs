@@ -64,7 +64,6 @@ pub mod netlist;
 pub mod parser;
 pub mod stats;
 pub mod token;
-pub mod writer;
 
 pub use ast::SourceUnit;
 pub use design::{Design, ElabOptions};

@@ -10,6 +10,7 @@
 //! ```
 
 use dvs_core::presim::{best_point, brute_force_presim, heuristic_presim, PresimConfig};
+use dvs_core::Parallelism;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ fn main() {
     let ks = [2u32, 3, 4];
     let bs = [7.5, 10.0, 12.5];
     let t0 = Instant::now();
-    let grid = brute_force_presim(&nl, &ks, &bs, &cfg);
+    let grid = brute_force_presim(&nl, &ks, &bs, &cfg, Parallelism::Serial);
     let brute_time = t0.elapsed();
     let best = best_point(&grid).expect("non-empty grid");
     println!(
@@ -49,8 +50,10 @@ fn main() {
 
     // Heuristic: paper Fig. 3.
     let t0 = Instant::now();
-    let (hbest, runs) = heuristic_presim(&nl, 4, &cfg);
+    let (points, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Serial);
     let heur_time = t0.elapsed();
+    let runs = points.len();
+    let hbest = best_point(&points).expect("at least one run");
     println!(
         "heuristic  : {} runs in {:.2?} -> best k={} b={} speedup={:.2}",
         runs, heur_time, hbest.k, hbest.b, hbest.speedup

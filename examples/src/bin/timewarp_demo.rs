@@ -11,7 +11,7 @@
 //! `--transport inproc` runs the deterministic single-threaded executor.
 //! `--transport process` spawns one `tw_worker` OS process per cluster;
 //! build it first (`cargo build --release -p dvs-bench --bin tw_worker`) so
-//! the binary sits next to this demo, or point `DVS_TW_WORKER` at it.
+//! the binary sits next to this demo.
 //! `--transport tcp` binds a localhost listener and has each spawned
 //! `tw_worker` dial back in over TCP (`tw_worker --connect`), exercising
 //! the remote-worker wire path end to end on one machine.

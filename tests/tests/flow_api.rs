@@ -3,6 +3,7 @@
 //! multi-threaded search engine — bit-identical reports for every thread
 //! count.
 
+use dvs_core::presim::{best_point, heuristic_presim};
 use dvs_core::{FlowBuilder, FlowError, FlowReport, Parallelism, Search};
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 
@@ -135,6 +136,35 @@ fn heuristic_search_is_thread_count_invariant_too() {
         assert_eq!((s.k, s.b.to_bits()), (t.k, t.b.to_bits()));
         assert_eq!(s.speedup.to_bits(), t.speedup.to_bits());
     }
+}
+
+/// `Flow` searches through the one public entry point of each mode and
+/// counts what the search spent: one profiling pass for the whole
+/// brute-force grid; for the heuristic, the rounds and points
+/// `heuristic_presim` itself reports on the same netlist and configuration.
+#[test]
+fn flow_counts_the_profiling_passes_of_its_search() {
+    let src = small_viterbi();
+    let grid = run_with(&src, Parallelism::Serial);
+    assert_eq!(grid.metrics.profile_passes, 1);
+    assert_eq!(grid.metrics.presim_runs, 9, "3 k-values x 3 b-values");
+    assert_eq!(grid.presim_runs, 9);
+
+    let flow = FlowBuilder::from_source(&src)
+        .search(Search::Heuristic { max_k: 4 })
+        .presim_vectors(60)
+        .full_vectors(150)
+        .build()
+        .expect("valid flow");
+    let report = flow.run().expect("flow runs");
+    let cfg = flow.config();
+    let (points, rounds) = heuristic_presim(flow.netlist(), 4, &cfg.presim, cfg.parallelism);
+    assert!((1..=3).contains(&rounds), "{rounds} rounds");
+    assert_eq!(report.metrics.profile_passes, rounds as u64);
+    assert_eq!(report.metrics.presim_runs, points.len() as u64);
+    assert_eq!(report.presim_runs, points.len());
+    let best = best_point(&points).expect("at least one point");
+    assert_eq!((report.chosen.k, report.chosen.b), (best.k, best.b));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! design-driven partitioner should match the flat baseline's cut at a
 //! fraction of the cost, and the Time Warp kernel must stay bit-exact.
 
-use dvs_core::multiway::{partition_multiway, MultiwayConfig};
+use dvs_core::multiway::{partition_multiway, partition_multiway_weighted, MultiwayConfig};
 use dvs_hmetis::{partition_kway, HmetisConfig};
 use dvs_hypergraph::builder::{cut_size_gates, gate_level};
 use dvs_integration_tests::elaborate;
@@ -77,14 +77,14 @@ fn activity_metric_handles_pipeline() {
     // The pipeline's stages all churn equally; activity-weighted and
     // gate-count partitions should be comparably balanced, and the API must
     // hold its invariants on a multi-module design.
-    use dvs_core::activity::{partition_multiway_activity, profile_gate_activity};
+    use dvs_core::activity::profile_gate_activity;
     let src = generate_pipeline_soc(&PipelineParams::tiny());
     let nl = elaborate(&src);
     let stim = VectorStimulus::from_netlist(&nl, 12, 1);
     let act = profile_gate_activity(&nl, &stim, 40);
     assert_eq!(act.len(), nl.gate_count());
     assert!(act.iter().all(|&a| a >= 1));
-    let r = partition_multiway_activity(&nl, &MultiwayConfig::new(2, 20.0), &act);
+    let r = partition_multiway_weighted(&nl, &MultiwayConfig::new(2, 20.0), Some(&act[..]));
     assert_eq!(r.gate_blocks.len(), nl.gate_count());
     assert!(r.balanced, "activity loads {:?}", r.loads);
     // Loads are in activity units and sum to the total activity.

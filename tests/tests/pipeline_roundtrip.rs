@@ -7,7 +7,6 @@ use dvs_hypergraph::partition::BalanceConstraint;
 use dvs_integration_tests::elaborate;
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{ClusterModel, ClusterModelConfig};
-use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
 use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
@@ -84,57 +83,4 @@ fn random_hierarchies_roundtrip() {
         roundtrip(&src, 2, 20.0);
         roundtrip(&src, 3, 25.0);
     }
-}
-
-#[test]
-fn writer_roundtrip_preserves_behaviour() {
-    // Emitting the elaborated netlist as flat Verilog and re-elaborating
-    // preserves structure up to constant-driver encoding (const gates are
-    // emitted as `assign`, which re-elaborates to a buffer from a shared
-    // constant — at most two extra gates), and behaves identically.
-    let src = generate_viterbi(&ViterbiParams::tiny());
-    let nl = elaborate(&src);
-    let flat_src = dvs_verilog::writer::write_flat(&nl);
-    let nl2 = elaborate(&flat_src);
-    assert!(
-        nl2.gate_count().abs_diff(nl.gate_count()) <= 2,
-        "{} vs {}",
-        nl.gate_count(),
-        nl2.gate_count()
-    );
-    assert_eq!(nl2.primary_inputs.len(), nl.primary_inputs.len());
-    assert_eq!(nl2.primary_outputs.len(), nl.primary_outputs.len());
-
-    // Same stimulus (ports keep their net ids and order), same outputs.
-    let run = |nl: &dvs_verilog::Netlist| -> Vec<dvs_sim::Logic> {
-        let mut sim = SeqSim::new(nl, &SimConfig::default());
-        let stim = VectorStimulus::from_netlist(nl, 10, 13);
-        sim.run(&stim, 40, &mut NullObserver);
-        nl.primary_outputs.iter().map(|&o| sim.value(o)).collect()
-    };
-    assert_eq!(run(&nl), run(&nl2));
-}
-
-#[test]
-fn sequential_sim_agrees_across_generated_sources() {
-    // The same circuit emitted twice (original and AST-writer round trip)
-    // simulates to identical primary-output values.
-    let p = RandomHierParams {
-        seed: 5,
-        dff_percent: 25,
-        ..Default::default()
-    };
-    let src = generate_random_hier(&p);
-    let unit = dvs_verilog::parse(&src).unwrap();
-    let emitted = dvs_verilog::writer::write_source_unit(&unit);
-    let nl1 = elaborate(&src);
-    let nl2 = elaborate(&emitted);
-
-    let run = |nl: &dvs_verilog::Netlist| -> Vec<dvs_sim::Logic> {
-        let mut sim = SeqSim::new(nl, &SimConfig::default());
-        let stim = VectorStimulus::from_netlist(nl, 10, 21);
-        sim.run(&stim, 60, &mut NullObserver);
-        nl.primary_outputs.iter().map(|&o| sim.value(o)).collect()
-    };
-    assert_eq!(run(&nl1), run(&nl2));
 }
