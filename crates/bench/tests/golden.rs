@@ -21,7 +21,9 @@
 
 use dvs_bench::scenario::{canonical, fnv1a, serial, Built, Executor, Scenario};
 use dvs_core::json::{Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION};
-use dvs_core::{FlowBuilder, Parallelism, Search, TwPresimConfig};
+use dvs_core::{
+    partition_multiway, FlowBuilder, MultiwayConfig, Parallelism, Search, TwPresimConfig,
+};
 use dvs_sim::timewarp::{NetDir, NetFault, NetFaultKind, NetPlan, Transport, TwRunResult};
 use dvs_sim::{FaultPlan, SchedulePolicy};
 use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
@@ -451,6 +453,70 @@ fn paper_class_serial_and_threaded_agree() {
         presim_vectors: 40,
         full_vectors: 100,
     });
+}
+
+/// [`fnv1a`] over text as it is formatted, so a 1.1 M-gate netlist is hashed
+/// without being rendered into one string first.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The paper-scale front end pinned byte for byte, run by the nightly
+/// workflow (`-- --ignored`, release): the [`ViterbiParams::full_scale`]
+/// netlist (every net's name and driver; every gate's kind, output, inputs,
+/// owner and delay; every instance) and `partition_multiway`'s `cut`, `loads`
+/// and `gate_blocks` at the two (k, b) points the repo benchmark partitions
+/// it at. The hashes were captured before elaboration stopped copying module
+/// bodies per instance and before restarts shared flattened hypergraphs.
+#[test]
+#[ignore = "1.1 M gates, run by the nightly workflow with -- --ignored"]
+fn full_scale_netlist_and_partitions_are_pinned() {
+    use std::fmt::Write;
+    let source = generate_viterbi(&ViterbiParams::full_scale());
+    let nl = dvs_verilog::parse_and_elaborate(&source)
+        .expect("the full-scale decoder elaborates")
+        .into_netlist();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for n in &nl.nets {
+        write!(h, "{} {:?};", n.name, n.driver).unwrap();
+    }
+    for g in &nl.gates {
+        let (kind, out, owner) = (g.kind.name(), g.output, g.owner);
+        write!(h, "{kind} {out} {:?} {owner} {:?};", g.inputs, g.delay).unwrap();
+    }
+    for i in &nl.instances {
+        let (name, module, own, sub) = (&i.name, &i.module, i.own_gates, i.subtree_gates);
+        write!(
+            h,
+            "{name} {module} {:?} {:?} {own} {sub};",
+            i.parent, i.children
+        )
+        .unwrap();
+    }
+    let (pi, po) = (&nl.primary_inputs, &nl.primary_outputs);
+    write!(h, "{pi:?} {po:?} {:?} {:?}", nl.const0_net, nl.const1_net).unwrap();
+    let mut pins = vec![format!("netlist {:016x}", h.0)];
+    for (k, b) in [(2, 10.0), (4, 7.5)] {
+        let r = partition_multiway(&nl, &MultiwayConfig::new(k, b));
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(h, "{} {:?} {:?}", r.cut, r.loads, r.gate_blocks).unwrap();
+        pins.push(format!("({k}, {b}) cut {} {:016x}", r.cut, h.0));
+    }
+    assert_eq!(
+        pins,
+        [
+            "netlist 29b9cdec603feb7a",
+            "(2, 10) cut 112 ab9281e01078bd5b",
+            "(4, 7.5) cut 187 6f0bcb51826af534",
+        ]
+    );
 }
 
 fn fake_case(cut: u64, speedup: f64) -> (&'static str, Json) {

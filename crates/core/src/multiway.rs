@@ -23,7 +23,8 @@ use dvs_hypergraph::builder::{cut_nets_with, design_level_with, HierHypergraph, 
 use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
 use dvs_hypergraph::partition::{BalanceConstraint, Partition};
 use dvs_verilog::flatten::Frontier;
-use dvs_verilog::netlist::{Fanout, Netlist};
+use dvs_verilog::netlist::{Fanout, InstId, Netlist};
+use std::collections::HashMap;
 
 /// Configuration of the multiway partitioner.
 #[derive(Debug, Clone)]
@@ -113,10 +114,12 @@ pub fn partition_multiway_weighted(
         None => nl.gate_count() as u64,
     };
     let balance = BalanceConstraint::new(cfg.k, total, cfg.b_percent);
-    // The fanout and the initial design-level hypergraph are the same for
-    // every restart (and the fanout for every flatten): build them once.
+    // The fanout is the same for every restart and every flatten, and a
+    // frontier's design-level hypergraph is the same for every restart that
+    // flattens its way to it: build each once per call.
     let fanout = nl.build_fanout();
     let initial = design_level_with(nl, &fanout, &Frontier::initial(nl), gate_weights);
+    let mut hypergraphs = HashMap::from([(Vec::new(), initial)]);
     let mut best: Option<MultiwayResult> = None;
     let mut cone_seconds = 0.0;
     let mut refine_seconds = 0.0;
@@ -128,7 +131,8 @@ pub fn partition_multiway_weighted(
             restarts: 1,
             ..cfg.clone()
         };
-        let candidate = partition_multiway_once(nl, &fanout, &initial, &run_cfg, gate_weights);
+        let candidate =
+            partition_multiway_once(nl, &fanout, &mut hypergraphs, &run_cfg, gate_weights);
         cone_seconds += candidate.cone_seconds;
         refine_seconds += candidate.refine_seconds;
         let key = (balance.violation(&candidate.loads), candidate.cut);
@@ -189,12 +193,15 @@ pub fn partition_multiway_sweep(
     results
 }
 
-/// A single restart of the algorithm, from the `initial` design-level
-/// hypergraph of `nl` (the one of [`Frontier::initial`]).
+/// A single restart of the algorithm. `hypergraphs` holds the design-level
+/// hypergraphs of `nl` built so far, each keyed by the instances flattened,
+/// in order, from [`Frontier::initial`] (whose own is keyed by `[]`); a
+/// frontier this restart reaches is built only if no restart reached it
+/// before.
 fn partition_multiway_once(
     nl: &Netlist,
     fanout: &Fanout,
-    initial: &HierHypergraph,
+    hypergraphs: &mut HashMap<Vec<InstId>, HierHypergraph>,
     cfg: &MultiwayConfig,
     gate_weights: Option<&[u64]>,
 ) -> MultiwayResult {
@@ -205,22 +212,21 @@ fn partition_multiway_once(
     let balance = BalanceConstraint::new(cfg.k, total_weight, cfg.b_percent);
 
     let mut frontier = Frontier::initial(nl);
-    // The hypergraph of the current frontier: `initial` until a flatten.
-    let mut flattened: Option<HierHypergraph> = None;
+    // The key of the current frontier's hypergraph.
+    let mut flattened: Vec<InstId> = Vec::new();
     // Derive a cone-size perturbation from the seed so restarts explore
     // different initial partitions (0.7 .. 1.3 around the balanced target).
     let frac = (cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / (1u64 << 24) as f64;
     let scale = 0.7 + 0.6 * frac;
     let t_cone = std::time::Instant::now();
-    let mut part = cone_partition_with(nl, fanout, initial, cfg.k, scale);
+    let mut part = cone_partition_with(nl, fanout, &hypergraphs[&flattened], cfg.k, scale);
     let cone_seconds = t_cone.elapsed().as_secs_f64();
 
-    let mut flattens = 0usize;
     let mut fm_rounds = 0usize;
     let mut refine_seconds = 0.0f64;
 
     loop {
-        let hh = flattened.as_ref().unwrap_or(initial);
+        let hh = &hypergraphs[&flattened];
         // Iterative movement over pairings until no configuration is left.
         let t_refine = std::time::Instant::now();
         refine_all_pairs(hh, &mut part, &balance, cfg, &mut fm_rounds);
@@ -235,7 +241,7 @@ fn partition_multiway_once(
         let Some(victim) = pick_flatten_victim(hh, &part, &balance) else {
             break; // fully flat and still infeasible: FM did its best
         };
-        if flattens >= cfg.max_flattens {
+        if flattened.len() >= cfg.max_flattens {
             break;
         }
         let VertexOrigin::Super(inst) = hh.origins[victim as usize] else {
@@ -244,14 +250,15 @@ fn partition_multiway_once(
         let gate_blocks = hh.gate_blocks(&part);
         let ok = frontier.flatten_node(nl, inst);
         debug_assert!(ok, "victim must be on the frontier");
-        let finer = design_level_with(nl, fanout, &frontier, gate_weights);
+        flattened.push(inst);
+        let finer = hypergraphs
+            .entry(flattened.clone())
+            .or_insert_with(|| design_level_with(nl, fanout, &frontier, gate_weights));
         let assign = finer.assignment_from_gate_blocks(&gate_blocks);
         part = Partition::from_assignment(&finer.hg, cfg.k, assign);
-        flattened = Some(finer);
-        flattens += 1;
     }
 
-    let hh = flattened.as_ref().unwrap_or(initial);
+    let hh = &hypergraphs[&flattened];
     let gate_blocks = hh.gate_blocks(&part);
     let cut = cut_nets_with(nl, fanout, &gate_blocks).len() as u64;
     let design_cut = part.hyperedge_cut(&hh.hg);
@@ -264,7 +271,7 @@ fn partition_multiway_once(
         design_cut,
         loads,
         balanced,
-        flattens,
+        flattens: flattened.len(),
         fm_rounds,
         final_vertices: hh.hg.vertex_count(),
         cone_seconds,
@@ -462,6 +469,64 @@ mod tests {
             let r = partition_multiway(&nl, &cfg);
             assert!(r.balanced, "{}: loads {:?}", strat.name(), r.loads);
             assert!(r.fm_rounds > 0);
+        }
+    }
+
+    /// `restarts: 3` returns exactly what the best, by (violation, cut), of
+    /// its three single restarts returns on its own, on circuits that flatten,
+    /// and each restart run after the others over their shared hypergraphs
+    /// returns what it returns alone: restarts must not see each other.
+    #[test]
+    fn restarts_equal_the_best_single_restart() {
+        use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
+        use dvs_workloads::{generate_viterbi, ViterbiParams};
+        let elaborate = |src: String| parse_and_elaborate(&src).unwrap().into_netlist();
+        let viterbi = elaborate(generate_viterbi(&ViterbiParams::paper_class()));
+        let hier = elaborate(generate_random_hier(&RandomHierParams {
+            depth: 3,
+            ..RandomHierParams::default()
+        }));
+        let pin = |r: &MultiwayResult| {
+            let blocks = r.gate_blocks.clone();
+            (blocks, r.cut, r.loads.clone(), r.flattens, r.fm_rounds)
+        };
+        for (nl, k, b) in [
+            (&viterbi, 2, 2.5),
+            (&viterbi, 4, 2.5),
+            (&hier, 2, 2.5),
+            (&hier, 4, 5.0),
+            (&lopsided(), 2, 10.0),
+        ] {
+            let cfg = MultiwayConfig::new(k, b);
+            let balance = BalanceConstraint::new(k, nl.gate_count() as u64, b);
+            let one = |r: u64| MultiwayConfig {
+                seed: cfg.seed.wrapping_add(r * 0x9E37_79B9),
+                restarts: 1,
+                ..cfg.clone()
+            };
+            let singles: Vec<MultiwayResult> =
+                (0..3).map(|r| partition_multiway(nl, &one(r))).collect();
+            let best = singles
+                .iter()
+                .min_by_key(|s| (balance.violation(&s.loads), s.cut))
+                .unwrap();
+            let all = partition_multiway(nl, &cfg);
+            assert!(all.flattens > 0, "k={k} b={b}: the case must flatten");
+            assert_eq!(pin(&all), pin(best), "k={k} b={b}");
+
+            let fanout = nl.build_fanout();
+            let initial = design_level_with(nl, &fanout, &Frontier::initial(nl), None);
+            let mut shared = HashMap::from([(Vec::new(), initial)]);
+            for (r, single) in singles.iter().enumerate() {
+                let after = partition_multiway_once(nl, &fanout, &mut shared, &one(r as u64), None);
+                assert_eq!(pin(&after), pin(single), "k={k} b={b} restart {r}");
+            }
+            if std::ptr::eq(nl, &viterbi) && k == 2 {
+                // Restarts 0 and 2 each flatten one super-gate, not the same
+                // one: only the empty prefix is shared between them.
+                let shape = |s: &MultiwayResult| (s.flattens, s.final_vertices);
+                assert_eq!([shape(&singles[0]), shape(&singles[2])], [(1, 43), (1, 27)]);
+            }
         }
     }
 

@@ -34,14 +34,8 @@ impl Design {
         &self.top
     }
 
-    /// The flat gate-level netlist (hierarchy metadata retained). Named
-    /// `flatten` because the gates are fully expanded; the instance tree is
-    /// carried alongside as metadata.
-    pub fn flatten(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Borrow the netlist.
+    /// The flat gate-level netlist: every gate fully expanded, the instance
+    /// tree carried alongside as metadata.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
@@ -53,7 +47,7 @@ impl Design {
 }
 
 /// Resolved signal information inside one module definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SigInfo {
     range: Option<Range>,
     direction: Option<Direction>,
@@ -74,12 +68,16 @@ struct Binding {
     range: Option<Range>,
 }
 
-type NetMap = HashMap<String, Binding>;
+/// One instance's bindings, keyed by the names in its module's AST.
+type NetMap<'a> = HashMap<&'a str, Binding>;
 
 /// Per-module symbol table built once from the AST.
 struct ModuleInfo<'a> {
     decl: &'a ModuleDecl,
-    signals: HashMap<&'a str, SigInfo>,
+    /// Every declared signal, sorted by name: the order in which each
+    /// instance creates its internal nets, so net ids never depend on hash
+    /// order.
+    signals: Vec<(&'a str, SigInfo)>,
 }
 
 impl<'a> ModuleInfo<'a> {
@@ -162,17 +160,21 @@ impl<'a> ModuleInfo<'a> {
                 }
             }
         }
+        let mut signals: Vec<_> = signals.into_iter().collect();
+        signals.sort_unstable_by_key(|&(name, _)| name);
         Ok(ModuleInfo { decl, signals })
     }
 
-    fn port_info(&self, name: &str) -> &SigInfo {
-        // Validated in `build`.
-        &self.signals[name]
+    fn port_info(&self, name: &str) -> SigInfo {
+        let i = self.signals.binary_search_by_key(&name, |&(n, _)| n);
+        self.signals[i.expect("`build` checked that header ports are declared")].1
     }
 }
 
-struct Elaborator<'a> {
-    modules: HashMap<&'a str, ModuleInfo<'a>>,
+/// The elaboration state. The module table is borrowed, so a module body is
+/// walked in place however many times it is instantiated.
+struct Elaborator<'a, 'm> {
+    modules: &'m HashMap<&'a str, ModuleInfo<'a>>,
     netlist: Netlist,
     /// Modules on the current instantiation path (recursion detection).
     stack: HashSet<&'a str>,
@@ -192,7 +194,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
     let top = pick_top(unit, opts, &modules)?;
 
     let mut elab = Elaborator {
-        modules,
+        modules: &modules,
         netlist: Netlist::default(),
         stack: HashSet::new(),
     };
@@ -209,13 +211,11 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
     });
 
     // Top-level ports become primary inputs/outputs.
-    let top_info = &elab.modules[top];
+    let top_info = &modules[top];
     let mut net_map = NetMap::new();
-    let port_names: Vec<String> = top_info.decl.ports.clone();
-    let top_name = top.to_string();
-    for p in &port_names {
-        let info = elab.modules[top].port_info(p).clone();
-        let bits = elab.fresh_nets(&top_name, p, info.range);
+    for p in &top_info.decl.ports {
+        let info = top_info.port_info(p);
+        let bits = elab.fresh_nets(top, p, info.range);
         match info.direction {
             Some(Direction::Input) => elab.netlist.primary_inputs.extend(bits.iter().copied()),
             Some(Direction::Output) => elab.netlist.primary_outputs.extend(bits.iter().copied()),
@@ -228,7 +228,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
             None => unreachable!("ModuleInfo::build validated header ports"),
         }
         net_map.insert(
-            p.clone(),
+            p,
             Binding {
                 bits,
                 range: info.range,
@@ -236,8 +236,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
         );
     }
 
-    let top_mod = top.to_string();
-    elab.elaborate_module(&top_mod, InstId::ROOT, &top_name, net_map)?;
+    elab.elaborate_module(top_info, InstId::ROOT, top, net_map)?;
     elab.netlist.recount_gates();
     debug_assert_eq!(elab.netlist.validate(), Ok(()));
     Ok(Design {
@@ -288,7 +287,21 @@ fn pick_top<'a>(
     }
 }
 
-impl<'a> Elaborator<'a> {
+/// `path.name`, or `path.name[bit]`, in one exactly sized allocation.
+fn net_name(path: &str, name: &str, bit: Option<u32>) -> String {
+    let digits = bit.map_or(0, |b| b.checked_ilog10().unwrap_or(0) as usize + 3);
+    let mut s = String::with_capacity(path.len() + 1 + name.len() + digits);
+    s.push_str(path);
+    s.push('.');
+    s.push_str(name);
+    if let Some(b) = bit {
+        use std::fmt::Write;
+        write!(s, "[{b}]").expect("writing to a String cannot fail");
+    }
+    s
+}
+
+impl<'a> Elaborator<'a, '_> {
     /// Create fresh nets for signal `name` with optional `range`, named under
     /// `path`. Returns the bits LSB-first.
     fn fresh_nets(&mut self, path: &str, name: &str, range: Option<Range>) -> Vec<NetId> {
@@ -296,7 +309,7 @@ impl<'a> Elaborator<'a> {
             None => {
                 let id = NetId(self.netlist.nets.len() as u32);
                 self.netlist.nets.push(Net {
-                    name: format!("{path}.{name}"),
+                    name: net_name(path, name, None),
                     driver: None,
                 });
                 vec![id]
@@ -306,7 +319,7 @@ impl<'a> Elaborator<'a> {
                 .map(|bit| {
                     let id = NetId(self.netlist.nets.len() as u32);
                     self.netlist.nets.push(Net {
-                        name: format!("{path}.{name}[{bit}]"),
+                        name: net_name(path, name, Some(bit)),
                         driver: None,
                     });
                     id
@@ -351,42 +364,30 @@ impl<'a> Elaborator<'a> {
         id
     }
 
-    /// Elaborate the body of `module_name` as instance `inst` with signal
+    /// Elaborate the body of `info`'s module as instance `inst` with signal
     /// bindings for its ports already present in `net_map`.
     fn elaborate_module(
         &mut self,
-        module_name: &str,
+        info: &ModuleInfo<'a>,
         inst: InstId,
         path: &str,
-        mut net_map: NetMap,
+        mut net_map: NetMap<'a>,
     ) -> Result<()> {
         if self.netlist.instances[inst.idx()].depth > 512 {
             return Err(Error::elab(format!(
                 "instantiation depth exceeds 512 at `{path}` — recursive design?"
             )));
         }
-        let info = self
-            .modules
-            .get(module_name)
-            .ok_or_else(|| Error::elab(format!("unknown module `{module_name}`")))?;
-        if !self.stack.insert(info.decl.name.as_str()) {
+        let decl = info.decl;
+        if !self.stack.insert(&decl.name) {
             return Err(Error::elab(format!(
-                "recursive instantiation of module `{module_name}`"
+                "recursive instantiation of module `{}`",
+                decl.name
             )));
         }
-        let decl: &ModuleDecl = info.decl;
 
-        // Materialize internal (non-port) signals in a deterministic order
-        // (the symbol table is a HashMap; without sorting, net ids — and
-        // everything keyed on them, like stimulus bits — would vary from
-        // run to run).
-        let mut signal_list: Vec<(String, SigInfo)> = info
-            .signals
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        signal_list.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, sig) in &signal_list {
+        // Materialize internal (non-port) signals in name order.
+        for &(name, sig) in &info.signals {
             if net_map.contains_key(name) {
                 continue; // port, already bound by the parent
             }
@@ -402,7 +403,7 @@ impl<'a> Elaborator<'a> {
                 NetKind::Wire | NetKind::Reg => self.fresh_nets(path, name, sig.range),
             };
             net_map.insert(
-                name.clone(),
+                name,
                 Binding {
                     bits,
                     range: sig.range,
@@ -410,9 +411,7 @@ impl<'a> Elaborator<'a> {
             );
         }
 
-        let items: Vec<Item> = decl.items.clone();
-        let module_name_owned = module_name.to_string();
-        for item in &items {
+        for item in &decl.items {
             match item {
                 Item::PortDecl { .. } | Item::NetDecl { .. } => {}
                 Item::GateInst {
@@ -438,7 +437,7 @@ impl<'a> Elaborator<'a> {
             }
         }
 
-        self.stack.remove(module_name_owned.as_str());
+        self.stack.remove(decl.name.as_str());
         Ok(())
     }
 
@@ -448,7 +447,7 @@ impl<'a> Elaborator<'a> {
     fn resolve_expr(&mut self, e: &Expr, path: &str, net_map: &NetMap) -> Result<Vec<NetId>> {
         match e {
             Expr::Ident(name) => net_map
-                .get(name)
+                .get(name.as_str())
                 .map(|b| b.bits.clone())
                 .ok_or_else(|| Error::elab(format!("`{path}`: undeclared signal `{name}`"))),
             Expr::BitSelect(name, idx) => {
@@ -495,7 +494,7 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    fn lookup<'m>(&self, name: &str, path: &str, net_map: &'m NetMap) -> Result<&'m Binding> {
+    fn lookup<'n>(&self, name: &str, path: &str, net_map: &'n NetMap) -> Result<&'n Binding> {
         net_map
             .get(name)
             .ok_or_else(|| Error::elab(format!("`{path}`: undeclared signal `{name}`")))
@@ -535,6 +534,22 @@ impl<'a> Elaborator<'a> {
     }
 
     fn scalar(&mut self, e: &Expr, path: &str, net_map: &NetMap, what: &str) -> Result<NetId> {
+        // A 1-bit name or an in-range bit select, nearly every terminal of a
+        // synthesized netlist, resolves in place; everything else, every
+        // error included, goes through `resolve_expr`.
+        let in_place = match e {
+            Expr::Ident(name) => net_map.get(name.as_str()).and_then(|b| match b.bits[..] {
+                [bit] => Some(bit),
+                _ => None,
+            }),
+            Expr::BitSelect(name, idx) => net_map
+                .get(name.as_str())
+                .and_then(|b| Some(b.bits[b.range?.offset_of(*idx)? as usize])),
+            _ => None,
+        };
+        if let Some(bit) = in_place {
+            return Ok(bit);
+        }
         let bits = self.resolve_expr(e, path, net_map)?;
         if bits.len() != 1 {
             return Err(Error::elab(format!(
@@ -676,16 +691,14 @@ impl<'a> Elaborator<'a> {
         net_map: &NetMap,
     ) -> Result<()> {
         let child_path = format!("{path}.{}", mi.name);
-        let ports: Vec<String> = {
-            let info = self
-                .modules
-                .get(module)
-                .ok_or_else(|| Error::elab(format!("`{path}`: unknown module `{module}`")))?;
-            info.decl.ports.clone()
-        };
+        let info = self
+            .modules
+            .get(module)
+            .ok_or_else(|| Error::elab(format!("`{path}`: unknown module `{module}`")))?;
+        let ports = &info.decl.ports;
 
         // Resolve the connection expression for each declared port.
-        let mut port_exprs: Vec<Option<Expr>> = vec![None; ports.len()];
+        let mut port_exprs: Vec<Option<&Expr>> = vec![None; ports.len()];
         match &mi.connections {
             Connections::Positional(conns) => {
                 if conns.len() != ports.len() && !conns.is_empty() {
@@ -696,35 +709,35 @@ impl<'a> Elaborator<'a> {
                     )));
                 }
                 for (slot, conn) in port_exprs.iter_mut().zip(conns.iter()) {
-                    *slot = conn.clone();
+                    *slot = conn.as_ref();
                 }
             }
             Connections::Named(conns) => {
+                // Listed, not only connected: `.i()` then `.i(a)` is a
+                // second connection too.
+                let mut listed = vec![false; ports.len()];
                 for (pname, expr) in conns {
                     let idx = ports.iter().position(|p| p == pname).ok_or_else(|| {
                         Error::elab(format!(
                             "`{child_path}`: module `{module}` has no port `{pname}`"
                         ))
                     })?;
-                    if port_exprs[idx].is_some() {
+                    if std::mem::replace(&mut listed[idx], true) {
                         return Err(Error::elab(format!(
                             "`{child_path}`: port `{pname}` connected twice"
                         )));
                     }
-                    port_exprs[idx] = expr.clone();
+                    port_exprs[idx] = expr.as_ref();
                 }
             }
         }
 
         // Bind port bits: connected ports alias parent nets, unconnected
         // ports get fresh dangling nets.
-        let mut child_map = NetMap::new();
-        for (pname, pexpr) in ports.iter().zip(&port_exprs) {
-            let (width, range) = {
-                let info = &self.modules[module];
-                let sig = info.port_info(pname);
-                (sig.width(), sig.range)
-            };
+        let mut child_map = NetMap::with_capacity(info.signals.len());
+        for (pname, pexpr) in ports.iter().zip(port_exprs) {
+            let sig = info.port_info(pname);
+            let (width, range) = (sig.width(), sig.range);
             let bits = match pexpr {
                 Some(e) => {
                     let bits = self.resolve_expr(e, path, net_map)?;
@@ -740,7 +753,7 @@ impl<'a> Elaborator<'a> {
                 }
                 None => self.fresh_nets(&child_path, pname, range),
             };
-            child_map.insert(pname.clone(), Binding { bits, range });
+            child_map.insert(pname, Binding { bits, range });
         }
 
         // Create the instance-tree node.
@@ -757,7 +770,7 @@ impl<'a> Elaborator<'a> {
         });
         self.netlist.instances[parent.idx()].children.push(child_id);
 
-        self.elaborate_module(module, child_id, &child_path, child_map)
+        self.elaborate_module(info, child_id, &child_path, child_map)
     }
 }
 
@@ -1029,5 +1042,123 @@ mod tests {
         assert_eq!(mid.own_gates, 1);
         assert_eq!(mid.subtree_gates, 2);
         assert_eq!(nl.instance_path(crate::netlist::InstId(2)), "top.m0.l0");
+    }
+
+    /// FNV-1a over every net (name, driver), gate (kind, output, inputs,
+    /// owner, delay) and instance (name, module, parent, children, own and
+    /// subtree gates) in creation order, plus the primary ports and the
+    /// constant nets.
+    fn fingerprint(nl: &Netlist) -> u64 {
+        use std::fmt::Write;
+        struct Fnv(u64);
+        impl Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for n in &nl.nets {
+            write!(h, "{} {:?};", n.name, n.driver).unwrap();
+        }
+        for g in &nl.gates {
+            let (kind, out, owner) = (g.kind.name(), g.output, g.owner);
+            write!(h, "{kind} {out} {:?} {owner} {:?};", g.inputs, g.delay).unwrap();
+        }
+        for i in &nl.instances {
+            let (name, module, own, sub) = (&i.name, &i.module, i.own_gates, i.subtree_gates);
+            write!(
+                h,
+                "{name} {module} {:?} {:?} {own} {sub};",
+                i.parent, i.children
+            )
+            .unwrap();
+        }
+        let (pi, po) = (&nl.primary_inputs, &nl.primary_outputs);
+        write!(h, "{pi:?} {po:?} {:?} {:?}", nl.const0_net, nl.const1_net).unwrap();
+        h.0
+    }
+
+    /// Every construct the elaborator handles, pinned byte for byte: supply
+    /// nets, a literal port connection that creates a constant net inside
+    /// `mid`, an unconnected port, bit and part selects on a `[7:4]` and a
+    /// `[0:1]` range, concats, a two-output `buf`, a delayed gate, a `dffr`,
+    /// a `latch`, and `leaf` instantiated at depths 1 and 2. The fingerprint
+    /// was captured before the elaborator stopped copying module bodies per
+    /// instance.
+    #[test]
+    fn elaboration_is_pinned_byte_for_byte() {
+        let src = r#"
+            module top(clk, rst, en, a, b, y, z);
+              input clk, rst, en, b;
+              input [3:0] a;
+              output [1:0] y;
+              output z;
+              wire [7:4] t;
+              wire u, v, w, q;
+              supply0 gnd;
+              mid m0 (.clk(clk), .i(a[1:0]), .o(t[5:4]));
+              leaf l1 (.i({b, gnd}), .o(u), .nc());
+              buf bm (v, w, t[5]);
+              dffr r0 (q, clk, rst, v);
+              latch la (z, en, q);
+              assign t[7:6] = a[3:2];
+              assign y = {w, u};
+            endmodule
+            module mid(clk, i, o);
+              input clk; input [1:0] i; output [1:0] o;
+              wire k;
+              leaf l0 (.i(i), .o(k), .nc(1'b1));
+              and #2 g (o[0], k, i[1]);
+              dff f (o[1], clk, k);
+            endmodule
+            module leaf(i, o, nc);
+              input [0:1] i; input nc; output o;
+              supply1 vdd;
+              wire p;
+              xor x (p, i[0], i[1]);
+              and g (o, p, vdd, nc);
+            endmodule
+        "#;
+        let d = parse_and_elaborate(src).unwrap();
+        let nl = d.netlist();
+        nl.validate().unwrap();
+        assert_eq!(nl.instance_path(InstId(2)), "top.m0.l0");
+        assert_eq!(nl.instance_path(InstId(3)), "top.l1");
+        assert_eq!(format!("{:016x}", fingerprint(nl)), "20dd1e31f4d4fd27");
+    }
+
+    #[test]
+    fn child_and_parent_driving_one_net_is_error() {
+        let src = r#"
+            module top(a, b, y);
+              input a, b; output y;
+              sub s (.i(a), .o(y));
+              buf p (y, b);
+            endmodule
+            module sub(i, o);
+              input i; output o;
+              buf c (o, i);
+            endmodule
+        "#;
+        let e = parse_and_elaborate(src).unwrap_err();
+        assert!(e.to_string().contains("multiply driven"), "{e}");
+    }
+
+    #[test]
+    fn named_port_connected_twice_is_error() {
+        for conns in [".i(), .i(a)", ".i(a), .i()", ".i(), .i()", ".i(a), .i(a)"] {
+            let src = format!(
+                "module top(a, y); input a; output y; sub s ({conns}, .o(y)); endmodule
+                 module sub(i, o); input i; output o; buf c (o, i); endmodule"
+            );
+            let e = parse_and_elaborate(&src).unwrap_err();
+            assert!(
+                e.to_string().contains("port `i` connected twice"),
+                "{conns}: {e}"
+            );
+        }
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! ```text
 //! source text --lexer--> tokens --parser--> AST --elaborate--> Design
-//!                                                  (hierarchical, bit-blasted)
-//!                                          Design --flatten--> Netlist
-//!                                                  (flat gates + hierarchy tree)
+//!                                                  (bit-blasted Netlist:
+//!                                                   flat gates + hierarchy tree)
 //! ```
 //!
 //! ## Supported language subset
@@ -49,7 +48,7 @@
 //! endmodule
 //! "#;
 //! let design = parse_and_elaborate(src).unwrap();
-//! let netlist = design.flatten();
+//! let netlist = design.netlist();
 //! assert_eq!(netlist.gate_count(), 2);
 //! assert_eq!(netlist.primary_inputs.len(), 2);
 //! ```
