@@ -11,9 +11,8 @@
 //!   jittered exponential backoff — seeded from the run token and cluster
 //!   id, so retry schedules are reproducible yet decorrelated across
 //!   workers — for the 10 s connect window) and serve cluster `<id>`. The
-//!   run token may also come from `DVS_TW_TOKEN`; it scopes the dial-in to
-//!   one supervisor run, so a stray or stale worker cannot disturb
-//!   somebody else's simulation.
+//!   run token scopes the dial-in to one supervisor run, so a stray or
+//!   stale worker cannot disturb somebody else's simulation.
 //!
 //! All simulation state lives here, which is what makes a `SIGKILL` of
 //! this process — or a dropped TCP connection — a true crash-stop fault
@@ -89,13 +88,10 @@ fn parse_args(args: Vec<OsString>) -> Result<Mode, String> {
         }
         (None, Some(addr)) => {
             let cluster = cluster.ok_or_else(|| "--connect requires --cluster".to_string())?;
-            let token = token
-                .or_else(|| std::env::var("DVS_TW_TOKEN").ok())
-                .unwrap_or_default();
             Ok(Mode::Tcp {
                 addr,
                 cluster,
-                token,
+                token: token.unwrap_or_default(),
             })
         }
         _ => Err("exactly one of --socket or --connect is required".to_string()),

@@ -128,7 +128,7 @@ pub struct ReproData {
 pub fn compute_grid(wl: &Workload, cfg: &ReproConfig) -> ReproData {
     let nl = &wl.nl;
     let gh = gate_level(nl);
-    let mut presim_cfg = PresimConfig::paper_defaults(nl.gate_count());
+    let mut presim_cfg = PresimConfig::paper_defaults();
     presim_cfg.vectors = cfg.presim_vectors;
 
     let columns = map_indexed(cfg.ks.len(), cfg.parallelism, |ki| {
@@ -299,7 +299,7 @@ pub fn full_runs(wl: &Workload, data: &ReproData) -> FullRuns {
             .map(|&k| ClusterPlan::new(nl, &data.best_for_k(k).presim.gate_blocks, k as usize)),
     );
     let plans: Vec<&ClusterPlan> = plans.iter().collect();
-    let mcfg = PresimConfig::paper_defaults(nl.gate_count()).model;
+    let mcfg = PresimConfig::paper_defaults().model;
     let stim = VectorStimulus::from_netlist(nl, 10, 0x1234);
     let mut runs = run_batch(nl, &plans, &mcfg, &stim, data.cfg.full_vectors).into_iter();
     let seq = runs.next().expect("the one-machine plan leads the batch");

@@ -209,29 +209,26 @@ impl Scenario {
         Built { nl, plan, stim }
     }
 
-    fn config(&self) -> Result<TimeWarpConfig, TimeWarpError> {
-        let (transport, jitter) = match &self.executor {
+    fn config(&self) -> TimeWarpConfig {
+        let (transport, thread_jitter) = match &self.executor {
             Executor::Threads { jitter } => (Transport::Threads, *jitter),
             Executor::Dst { seed, policy, .. } => (Transport::in_proc(*seed, *policy), None),
             Executor::Wire(transport) => (transport.clone(), None),
         };
-        let mut b = TimeWarpConfig::builder()
-            .transport(transport)
-            .window(self.window)
-            .epochs_per_quantum(self.epochs_per_quantum)
-            .fault(self.fault);
-        if let Some(seed) = jitter {
-            b = b.thread_jitter(seed);
-        }
-        if let Some(plan) = &self.chaos {
-            b = b.chaos(plan.clone());
-        }
+        let mut cfg = TimeWarpConfig {
+            transport,
+            window: self.window,
+            epochs_per_quantum: self.epochs_per_quantum,
+            fault: self.fault,
+            thread_jitter,
+            chaos: self.chaos.clone(),
+            ..TimeWarpConfig::default()
+        };
         if let Some((ms, budget)) = self.heartbeat {
-            b = b
-                .heartbeat_interval(Duration::from_millis(ms))
-                .heartbeat_budget(budget);
+            cfg.heartbeat_interval = Duration::from_millis(ms);
+            cfg.heartbeat_budget = budget;
         }
-        b.build()
+        cfg
     }
 
     /// `(seed, policy, check)` of the deterministic executor.
@@ -249,9 +246,10 @@ impl Scenario {
     /// Run on `built` — with [`Scenario::record`], the one place that picks
     /// the kernel's entry point.
     pub fn run(&self, built: &Built) -> Result<TwRunResult, TimeWarpError> {
-        let (cfg, n, b) = (self.config()?, self.cycles, built);
+        let (cfg, n, b) = (self.config(), self.cycles, built);
         match self.dst() {
             Some((seed, policy, check)) => {
+                cfg.validate()?;
                 run_deterministic(&b.nl, &b.plan, &b.stim, n, &cfg, seed, &policy, check)
             }
             None => run_timewarp(&b.nl, &b.plan, &b.stim, n, &cfg),
@@ -272,7 +270,7 @@ impl Scenario {
             inner: policy.build(seed),
             decisions: Vec::new(),
         };
-        let cfg = self.config().expect("valid config");
+        let cfg = self.config();
         let (n, sched) = (self.cycles, &mut schedule);
         let tw = run_with_schedule(&b.nl, &b.plan, &b.stim, n, &cfg, sched, check, "recording");
         (tw.expect("recording run failed"), schedule.decisions)

@@ -1,11 +1,11 @@
 //! Kill-harness tests for [`Transport::Tcp`]: the bodies the two wire
 //! suites share (`wire_kill/mod.rs`, which see) with workers dialing a
-//! localhost TCP listener, plus the fault only this link has — a
-//! supervisor-side connection reset (`DVS_TW_TCP_FAULT=reset`).
+//! localhost TCP listener, plus connection resets: a connection [`cut`] on
+//! the supervisor's side while the worker process stays up.
 
 mod wire_kill;
 
-use dvs_bench::scenario::{canonical, serial, Dump, EnvGuard};
+use dvs_bench::scenario::{canonical, serial, Dump, Scenario};
 use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, Transport, TwRunResult};
 use wire_kill::*;
 
@@ -18,18 +18,23 @@ fn tcp(policy: SchedulePolicy) -> Transport {
     Transport::tcp_with_worker(SCHED_SEED, policy, worker_bin())
 }
 
-/// Run the fixture over TCP with `fault` injected as a connection reset —
-/// the stream is torn down while the worker process stays up, the
-/// network-partition shape of a fault, as opposed to host death — and hold
-/// the artifact to the undisturbed in-process one.
-fn run_reset(policy: SchedulePolicy, fault: FaultPlan, label: &str) -> TwRunResult {
+/// Run the fixture over TCP with `victim`'s connection [`cut`] at
+/// supervisor→worker frame `frame` — the network-partition shape of a
+/// fault, as opposed to host death — and hold the artifact to the
+/// undisturbed in-process one.
+fn run_reset(policy: SchedulePolicy, victim: u32, frame: u64, label: &str) -> TwRunResult {
     let base = viterbi();
     let built = base.build();
     let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
-    let tw = {
-        let _reset = EnvGuard::set("DVS_TW_TCP_FAULT", "reset");
-        TCP.on(&base, policy).faulted(fault).run_ok(&built)
+    let reset = Scenario {
+        chaos: Some(cut(victim, frame)),
+        ..TCP.on(&base, policy)
     };
+    let tw = reset.run_ok(&built);
+    assert_eq!(
+        tw.recovery.chaos_faults_injected, 1,
+        "{label}: reset did not fire"
+    );
     TCP.dump.expect_identical(&clean, &canonical(&tw), label);
     tw
 }
@@ -54,10 +59,10 @@ fn sigkilled_tcp_worker_recovers_byte_identically() {
 fn reset_connection_recovers_byte_identically() {
     let _g = serial();
     let policy = SchedulePolicy::SeededRandom;
-    for (victim, at) in [(1u32, 47u64), (2, 211)] {
-        let label = format!("reset cluster {victim} at decision {at}");
-        let tw = run_reset(policy, FaultPlan::crash(victim, at), &label);
-        assert_eq!(tw.recovery.crashes, 1, "{label}: reset did not fire");
+    for (victim, frame) in [(1u32, 47u64), (2, 211)] {
+        let label = format!("reset cluster {victim} at frame {frame}");
+        let tw = run_reset(policy, victim, frame, &label);
+        assert_eq!(tw.recovery.crashes, 1, "{label}");
         assert_eq!(tw.recovery.restarts, 1, "{label}");
         assert_eq!(tw.recovery.victims, vec![victim], "{label}");
         assert!(!tw.recovery.degraded, "{label}");
@@ -82,7 +87,7 @@ fn killed_and_reset_mid_run_still_byte_identical() {
     TCP.dump
         .expect_identical(&clean, &canonical(&killed), "acceptance kill leg");
     // Leg 2: reset cluster 2 later in the run.
-    let reset = run_reset(policy, FaultPlan::crash(2, 211), "acceptance reset leg");
+    let reset = run_reset(policy, 2, 211, "acceptance reset leg");
     assert!(reset.recovery.crashes >= 1, "reset leg fired no fault");
 }
 

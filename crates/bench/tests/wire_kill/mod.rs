@@ -10,11 +10,13 @@
 //! a failure names its wire — and the legs only one link has. What a body
 //! runs is a `dvs_bench::scenario::Scenario`; building, running, comparing
 //! and dumping (`target/tmp/wire_kill_diff_<wire>_<label>.txt`) are that
-//! module's. Every test takes `scenario::serial()`: the self-kill and reset
-//! scenarios steer workers through the process environment.
+//! module's. Every test takes `scenario::serial()`: each run spawns a worker
+//! process per cluster.
 
-use dvs_bench::scenario::{canonical, Circuit, Dump, EnvGuard, Executor, Partition, Scenario};
-use dvs_sim::timewarp::{FaultPlan, SchedulePolicy, Transport, TwRunResult};
+use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
+use dvs_sim::timewarp::{
+    FaultPlan, NetDir, NetFault, NetFaultKind, NetPlan, SchedulePolicy, Transport, TwRunResult,
+};
 use std::path::PathBuf;
 
 pub const STIM_SEED: u64 = 7;
@@ -141,22 +143,39 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
     }
 }
 
-/// Asynchronous death: cluster 1's worker aborts *itself*
-/// (`DVS_TW_SELFKILL`) right before dispatching its `before`-th command,
-/// at a point the supervisor did not choose. The supervisor sees a dead
-/// connection mid-exchange and must still converge to the undisturbed
-/// artifact. The restored worker disarms the hook, so exactly one crash
-/// fires.
+/// The connection of `cluster` cut as supervisor→worker frame `frame`
+/// passes: half the frame goes out, then the stream is shut down while the
+/// worker process stays up. Frame 0 is `init`, frame `n` the `n`-th command
+/// after it (no heartbeat fires on these runs, so no `ping` is counted).
+pub fn cut(cluster: u32, frame: u64) -> NetPlan {
+    NetPlan::new().fault(NetFault {
+        cluster,
+        dir: NetDir::ToWorker,
+        frame,
+        kind: NetFaultKind::Truncate,
+    })
+}
+
+/// Asynchronous death: cluster 1's connection is [`cut`] in the frame of
+/// its `before`-th command, at a point the supervisor's decisions did not
+/// choose. The worker never dispatches that command; the supervisor sees a
+/// dead connection mid-exchange and must still converge to the undisturbed
+/// artifact. The fault fires once, so exactly one crash does.
 pub fn selfkilled_worker_converges(wire: Wire, before: u64) -> TwRunResult {
     let (base, policy) = (viterbi(), SchedulePolicy::RoundRobin);
     let built = base.build();
     let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
-    let tw = {
-        let _selfkill = EnvGuard::set("DVS_TW_SELFKILL", format!("1:{before}"));
-        wire.on(&base, policy).run_ok(&built)
+    let cut = Scenario {
+        chaos: Some(cut(1, before)),
+        ..wire.on(&base, policy)
     };
+    let tw = cut.run_ok(&built);
     let label = format!("death before command {before}");
-    assert_eq!(tw.recovery.crashes, 1, "{label}: self-kill did not fire");
+    assert_eq!(
+        tw.recovery.chaos_faults_injected, 1,
+        "{label}: cut did not fire"
+    );
+    assert_eq!(tw.recovery.crashes, 1, "{label}");
     assert_eq!(tw.recovery.restarts, 1, "{label}");
     assert_eq!(tw.recovery.victims, vec![1], "{label}");
     wire.dump.expect_identical(&clean, &canonical(&tw), &label);

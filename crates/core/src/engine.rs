@@ -9,6 +9,7 @@
 //! from any shared mutable state. A 1-thread and an N-thread run therefore
 //! produce bit-identical results.
 
+use dvs_sim::stimulus::splitmix64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many worker threads a flow may use for the `(k, b)` search.
@@ -47,13 +48,6 @@ pub fn mix_seed(a: u64, b: u64, c: u64) -> u64 {
         z = splitmix64(z ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     }
     splitmix64(z)
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Run `f(0), f(1), …, f(jobs - 1)` under `par` and return the results in

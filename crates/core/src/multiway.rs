@@ -26,6 +26,9 @@ use dvs_verilog::flatten::Frontier;
 use dvs_verilog::netlist::{Fanout, InstId, Netlist};
 use std::collections::HashMap;
 
+/// FM passes per pairing.
+const FM_PASSES: usize = 4;
+
 /// Configuration of the multiway partitioner.
 #[derive(Debug, Clone)]
 pub struct MultiwayConfig {
@@ -35,11 +38,6 @@ pub struct MultiwayConfig {
     pub b_percent: f64,
     /// Pair selection policy (the paper evaluates with cut-based).
     pub pairing: PairingStrategy,
-    /// FM passes per pairing.
-    pub fm_passes: usize,
-    /// Safety cap on flattening steps (default: unbounded — flattening
-    /// stops naturally when no super-gates remain).
-    pub max_flattens: usize,
     /// Seed for the random pairing strategy.
     pub seed: u64,
     /// Independent restarts (different seeds); the best feasible result by
@@ -54,8 +52,6 @@ impl MultiwayConfig {
             k,
             b_percent,
             pairing: PairingStrategy::CutBased,
-            fm_passes: 4,
-            max_flattens: usize::MAX,
             seed: 0xD5,
             restarts: 3,
         }
@@ -241,9 +237,6 @@ fn partition_multiway_once(
         let Some(victim) = pick_flatten_victim(hh, &part, &balance) else {
             break; // fully flat and still infeasible: FM did its best
         };
-        if flattened.len() >= cfg.max_flattens {
-            break;
-        }
         let VertexOrigin::Super(inst) = hh.origins[victim as usize] else {
             unreachable!("victim is always a super-gate");
         };
@@ -291,7 +284,7 @@ fn refine_all_pairs(
         return;
     }
     let fm_cfg = FmConfig {
-        max_passes: cfg.fm_passes,
+        max_passes: FM_PASSES,
         bounds: dvs_hypergraph::partition::BlockBounds::uniform(balance),
     };
     let mut pairing = PairingState::new(cfg.k, cfg.pairing, cfg.seed);

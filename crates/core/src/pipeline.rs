@@ -285,11 +285,7 @@ impl<'a> FlowBuilder<'a> {
                 )
             }
         };
-        let gates = match &nl {
-            NetlistSource::Borrowed(n) => n.gate_count(),
-            NetlistSource::Owned(n) => n.gate_count(),
-        };
-        let mut presim = PresimConfig::paper_defaults(gates);
+        let mut presim = PresimConfig::paper_defaults();
         if let Some(v) = self.presim_vectors {
             presim.vectors = v;
         }

@@ -19,7 +19,6 @@
 
 use crate::engine::{map_indexed, mix_seed, Parallelism};
 use crate::multiway::{partition_multiway, MultiwayConfig};
-use crate::pairing::PairingStrategy;
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::cluster_model::{run_batch, ClusterModelConfig, ClusterRun};
 use dvs_sim::stats::SimStats;
@@ -82,8 +81,6 @@ pub struct PresimConfig {
     pub stim_seed: u64,
     /// Cluster cost model.
     pub model: ClusterModelConfig,
-    /// Pairing strategy for the partitioner.
-    pub pairing: PairingStrategy,
     /// Partitioner seed.
     pub part_seed: u64,
     /// When set, each point additionally runs the deterministic Time Warp
@@ -93,16 +90,15 @@ pub struct PresimConfig {
 }
 
 impl PresimConfig {
-    /// Defaults matching the paper's setup. `gates` is ignored, as it is by
-    /// [`ClusterModelConfig::athlon_cluster`]: the cost model is the same
-    /// at every design size.
-    pub fn paper_defaults(gates: usize) -> Self {
+    /// Defaults matching the paper's setup. The cost model is the same at
+    /// every design size ([`ClusterModelConfig::athlon_cluster`] ignores
+    /// its gate count).
+    pub fn paper_defaults() -> Self {
         PresimConfig {
             vectors: 10_000,
             period: 10,
             stim_seed: 0x1234,
-            model: ClusterModelConfig::athlon_cluster(gates),
-            pairing: PairingStrategy::CutBased,
+            model: ClusterModelConfig::athlon_cluster(0),
             part_seed: 0xD5,
             timewarp: None,
         }
@@ -236,7 +232,6 @@ pub fn presim_points(
     let parts = map_indexed(coords.len(), par, |i| {
         let (k, b) = coords[i];
         let mcfg = MultiwayConfig {
-            pairing: cfg.pairing,
             seed: point_seed(k, b, cfg),
             ..MultiwayConfig::new(k, b)
         };
@@ -459,8 +454,8 @@ mod tests {
         parse_and_elaborate(&src).unwrap().into_netlist()
     }
 
-    fn quick_cfg(nl: &Netlist) -> PresimConfig {
-        let mut cfg = PresimConfig::paper_defaults(nl.gate_count());
+    fn quick_cfg() -> PresimConfig {
+        let mut cfg = PresimConfig::paper_defaults();
         cfg.vectors = 60;
         cfg
     }
@@ -474,7 +469,7 @@ mod tests {
     #[test]
     fn presim_point_is_deterministic() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let p1 = presim_point(&nl, 2, 10.0, &cfg);
         let p2 = presim_point(&nl, 2, 10.0, &cfg);
         assert_eq!(p1.cut, p2.cut);
@@ -486,7 +481,7 @@ mod tests {
     #[test]
     fn brute_force_covers_grid() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let pts = brute_force_presim(&nl, &[2, 3], &[7.5, 12.5], &cfg, Parallelism::Serial);
         assert_eq!(pts.len(), 4);
         let ks: Vec<u32> = pts.iter().map(|p| p.k).collect();
@@ -498,7 +493,7 @@ mod tests {
     #[test]
     fn heuristic_spends_fewer_runs_than_brute_force() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let (points, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Serial);
         let runs = points.len();
         let best = best_point(&points).expect("at least one run");
@@ -512,7 +507,7 @@ mod tests {
     #[test]
     fn single_machine_speedup_is_one() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let p = presim_point(&nl, 1, 10.0, &cfg);
         assert!((p.speedup - 1.0).abs() < 1e-9);
         assert_eq!(p.messages, 0);
@@ -522,7 +517,7 @@ mod tests {
     #[test]
     fn parallel_grid_matches_serial_grid() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let ks = [2u32, 3, 4];
         let bs = [7.5, 10.0, 12.5];
         let serial = brute_force_presim(&nl, &ks, &bs, &cfg, Parallelism::Serial);
@@ -541,7 +536,7 @@ mod tests {
     #[test]
     fn parallel_heuristic_matches_serial_heuristic() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let (serial, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Serial);
         let (par, _) = heuristic_presim(&nl, 4, &cfg, Parallelism::Threads(3));
         assert_eq!(serial.len(), par.len());
@@ -588,7 +583,7 @@ mod tests {
             (random_hier(0), 4),
             (random_hier(2), 5),
         ] {
-            let cfg = quick_cfg(&nl);
+            let cfg = quick_cfg();
             let expected = sequential_heuristic(&nl, max_k, &cfg);
             let (points, rounds) = heuristic_presim(&nl, max_k, &cfg, Parallelism::Serial);
             let key = |p: &PresimPoint| (p.k, p.b.to_bits(), p.speedup.to_bits(), p.cut);
@@ -610,7 +605,7 @@ mod tests {
     #[test]
     fn quality_measures_load_spread_and_violations() {
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let p = presim_point(&nl, 2, 10.0, &cfg);
         assert_eq!(p.quality.cut, p.cut);
         assert!(p.quality.max_load >= p.quality.min_load);
@@ -625,7 +620,7 @@ mod tests {
     #[test]
     fn timewarp_leg_yields_exact_reproducible_counters() {
         let nl = pipeline_netlist();
-        let mut cfg = quick_cfg(&nl);
+        let mut cfg = quick_cfg();
         cfg.timewarp = Some(TwPresimConfig {
             vectors: 40,
             ..TwPresimConfig::new(7)
@@ -643,7 +638,7 @@ mod tests {
 
     #[test]
     fn point_seed_is_a_pure_function_of_the_point() {
-        let cfg = PresimConfig::paper_defaults(64);
+        let cfg = PresimConfig::paper_defaults();
         assert_eq!(point_seed(2, 7.5, &cfg), point_seed(2, 7.5, &cfg));
         assert_ne!(point_seed(2, 7.5, &cfg), point_seed(3, 7.5, &cfg));
         assert_ne!(point_seed(2, 7.5, &cfg), point_seed(2, 10.0, &cfg));
@@ -653,7 +648,7 @@ mod tests {
     fn evaluate_partition_matches_presim_point() {
         // The shared measurement path must agree with the combined call.
         let nl = pipeline_netlist();
-        let cfg = quick_cfg(&nl);
+        let cfg = quick_cfg();
         let p = presim_point(&nl, 2, 10.0, &cfg);
         let cand = Candidate {
             k: 2,

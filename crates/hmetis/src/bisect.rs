@@ -1,5 +1,5 @@
 //! Multilevel bisection: coarsen → initial partition → uncoarsen + refine,
-//! with optional V-cycles.
+//! then V-cycles.
 
 use crate::coarsen::{coarsen_ladder, coarsen_within_blocks};
 use crate::config::HmetisConfig;
@@ -9,6 +9,11 @@ use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
 use dvs_hypergraph::partition::{BlockBounds, Partition};
 use dvs_hypergraph::Hypergraph;
 use rand::Rng;
+
+/// FM passes per uncoarsening level.
+const FM_PASSES: usize = 6;
+/// V-cycle iterations after the first full multilevel run.
+const VCYCLES: usize = 1;
 
 /// Bisect `hg` under the given two-block `bounds`. Deterministic given
 /// `rng`'s state.
@@ -24,7 +29,7 @@ pub fn multilevel_bisect(
     }
 
     let fm_cfg = FmConfig {
-        max_passes: cfg.fm_passes,
+        max_passes: FM_PASSES,
         bounds: bounds.clone(),
     };
 
@@ -32,15 +37,15 @@ pub fn multilevel_bisect(
     let (ladder, coarsest) = coarsen_ladder(hg, cfg, rng);
 
     // Phase 2: initial partition of the coarsest graph.
-    let coarse_part = initial_bisection(&coarsest, bounds, cfg, rng);
+    let coarse_part = initial_bisection(&coarsest, bounds, rng);
 
     // Phase 3: uncoarsen with FM refinement at every level.
     let assign = refine_down(hg, &ladder, coarse_part.assignment().to_vec(), &fm_cfg);
     let mut part = Partition::from_assignment(hg, 2, assign);
 
-    // Optional V-cycles: re-coarsen the *partitioned* graph within blocks,
+    // V-cycles: re-coarsen the *partitioned* graph within blocks,
     // giving refinement a fresh multilevel view of the current solution.
-    for _ in 0..cfg.vcycles {
+    for _ in 0..VCYCLES {
         let candidate = vcycle(hg, &part, cfg, &fm_cfg, rng);
         let better = (
             bounds.violation(candidate.block_weights()),

@@ -12,8 +12,12 @@ use dvs_hypergraph::{Hypergraph, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// A level that shrinks the graph to more than this fraction of its
+/// vertices ends coarsening (guards against coarsening stalls).
+const MIN_SHRINK: f64 = 0.95;
+
 /// One coarsening level. Returns `None` when the scheme cannot shrink the
-/// graph by at least `cfg.min_shrink` (coarsening has converged).
+/// graph to at most `MIN_SHRINK` of its vertices (coarsening has converged).
 pub fn coarsen_level(
     hg: &Hypergraph,
     cfg: &HmetisConfig,
@@ -29,7 +33,7 @@ pub fn coarsen_level(
         CoarsenScheme::FirstChoice => edge_matching(hg, max_cluster_w, rng, true),
     };
     let num_clusters = renumber(&cluster_of);
-    if (num_clusters.1 as f64) > nv as f64 * cfg.min_shrink {
+    if (num_clusters.1 as f64) > nv as f64 * MIN_SHRINK {
         return None;
     }
     Some(contract(hg, &num_clusters.0, num_clusters.1))

@@ -12,30 +12,21 @@ pub enum CoarsenScheme {
 }
 
 /// Parameters of the multilevel algorithm. Field names follow hMetis where a
-/// correspondence exists (`ubfactor`, `nruns`).
+/// correspondence exists (`ubfactor`).
 #[derive(Debug, Clone)]
 pub struct HmetisConfig {
     /// Imbalance allowance in percent, hMetis-style: for a bisection each
     /// side stays within `(50 ± ubfactor)%` of the total weight. When driven
     /// from the paper's sweeps this is set to the paper's `b`.
     pub ubfactor: f64,
-    /// Number of initial-partitioning attempts on the coarsest graph.
-    pub nruns: usize,
     /// Stop coarsening when at most this many vertices remain.
     pub coarsen_to: usize,
-    /// Stop coarsening early if a level shrinks the graph by less than this
-    /// factor (guards against coarsening stalls).
-    pub min_shrink: f64,
     /// Coarsening scheme.
     pub scheme: CoarsenScheme,
     /// Cluster weight cap during coarsening, as a multiple of the perfectly
     /// balanced block weight. Prevents giant clusters that would make the
     /// coarsest graph unpartitionable.
     pub max_cluster_frac: f64,
-    /// FM passes per uncoarsening level.
-    pub fm_passes: usize,
-    /// Number of V-cycle iterations after the first full multilevel run.
-    pub vcycles: usize,
     /// RNG seed (the whole pipeline is deterministic given the seed).
     pub seed: u64,
 }
@@ -44,13 +35,9 @@ impl Default for HmetisConfig {
     fn default() -> Self {
         HmetisConfig {
             ubfactor: 5.0,
-            nruns: 10,
             coarsen_to: 100,
-            min_shrink: 0.95,
             scheme: CoarsenScheme::FirstChoice,
             max_cluster_frac: 0.25,
-            fm_passes: 6,
-            vcycles: 1,
             seed: 0x5eed_4d5e,
         }
     }
@@ -77,9 +64,8 @@ mod tests {
     fn default_is_sane() {
         let c = HmetisConfig::default();
         assert!(c.ubfactor > 0.0);
-        assert!(c.nruns >= 1);
         assert!(c.coarsen_to >= 2);
-        assert!(c.min_shrink < 1.0);
+        assert!(c.max_cluster_frac > 0.0);
     }
 
     #[test]

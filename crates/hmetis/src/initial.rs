@@ -5,28 +5,25 @@
 //! fill and BFS region growing over hyperedges — refine each candidate with
 //! a short FM run, and select by (balance violation, cut).
 
-use crate::config::HmetisConfig;
 use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
 use dvs_hypergraph::partition::{BlockBounds, Partition};
 use dvs_hypergraph::{Hypergraph, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// Candidate bisections tried on the coarsest graph (hMetis's `nruns`).
+const NRUNS: usize = 10;
+
 /// Generate the best initial bisection of `hg` under `bounds` (2 blocks),
-/// trying `cfg.nruns` candidates, alternating generators.
-pub fn initial_bisection(
-    hg: &Hypergraph,
-    bounds: &BlockBounds,
-    cfg: &HmetisConfig,
-    rng: &mut impl Rng,
-) -> Partition {
+/// trying `NRUNS` candidates, alternating generators.
+pub fn initial_bisection(hg: &Hypergraph, bounds: &BlockBounds, rng: &mut impl Rng) -> Partition {
     assert_eq!(bounds.k(), 2);
     let mut best: Option<(u64, u64, Partition)> = None;
     let fm_cfg = FmConfig {
         max_passes: 2,
         bounds: bounds.clone(),
     };
-    for run in 0..cfg.nruns.max(1) {
+    for run in 0..NRUNS {
         let assign = if run % 2 == 0 {
             random_fill(hg, bounds, rng)
         } else {
@@ -43,7 +40,7 @@ pub fn initial_bisection(
             best = Some((viol, cut, part));
         }
     }
-    best.expect("nruns >= 1 guarantees a candidate").2
+    best.expect("NRUNS >= 1 guarantees a candidate").2
 }
 
 /// Shuffle vertices and fill block 0 until its target weight is reached.
@@ -125,9 +122,8 @@ mod tests {
     fn initial_bisection_is_feasible_and_cut_small() {
         let hg = ring(32);
         let bounds = BlockBounds::uniform(&BalanceConstraint::new(2, hg.total_vweight(), 10.0));
-        let cfg = HmetisConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let part = initial_bisection(&hg, &bounds, &cfg, &mut rng);
+        let part = initial_bisection(&hg, &bounds, &mut rng);
         assert!(bounds.satisfied(part.block_weights()));
         // A ring's optimal bisection cut is 2; FM from BFS growth should be
         // at or near it.
@@ -143,9 +139,8 @@ mod tests {
         let hg = ring(30);
         // 2:1 split with 10% tolerance.
         let bounds = BlockBounds::bisection(hg.total_vweight(), 2.0 / 3.0, 0.05);
-        let cfg = HmetisConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let part = initial_bisection(&hg, &bounds, &cfg, &mut rng);
+        let part = initial_bisection(&hg, &bounds, &mut rng);
         assert!(
             bounds.satisfied(part.block_weights()),
             "weights {:?} bounds {:?}",

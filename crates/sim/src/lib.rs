@@ -53,6 +53,6 @@ pub use seq::{SeqSim, SimConfig};
 pub use stats::SimStats;
 pub use stimulus::VectorStimulus;
 pub use timewarp::{
-    Checkpoint, FaultPlan, RecoveryOutcome, SchedulePolicy, TimeWarpBuilder, TimeWarpConfig,
-    TimeWarpError, Transport,
+    Checkpoint, FaultPlan, RecoveryOutcome, SchedulePolicy, TimeWarpConfig, TimeWarpError,
+    Transport,
 };

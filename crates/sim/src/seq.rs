@@ -152,7 +152,7 @@ impl SeqSim {
 
         for cycle in 0..cycles {
             stim_buf.clear();
-            stim.events_for_cycle(cycle, |_| true, &mut stim_buf);
+            stim.events_for_cycle(cycle, &mut stim_buf);
             for &ev in &stim_buf {
                 wheel.push(ev);
             }

@@ -73,41 +73,30 @@ impl VectorStimulus {
         Logic::from_bool(h & 1 == 1)
     }
 
-    /// Emit the events of `cycle` into `out`, filtered to nets accepted by
-    /// `want`. Both simulators pass `|_| true`: the sequential one wants
-    /// every input, and a cluster asks a source it restricted to its own
-    /// inputs when it was built.
-    pub fn events_for_cycle(
-        &self,
-        cycle: u64,
-        mut want: impl FnMut(NetId) -> bool,
-        out: &mut Vec<NetEvent>,
-    ) {
+    /// Emit the events of `cycle` into `out`: every input of this source,
+    /// which for a cluster is the source it restricted to its own inputs.
+    pub fn events_for_cycle(&self, cycle: u64, out: &mut Vec<NetEvent>) {
         let t0 = cycle * self.period;
         for &pi in &self.data_inputs {
-            if want(pi) {
-                out.push(NetEvent {
-                    time: t0,
-                    net: pi,
-                    value: self.bit(pi, cycle),
-                });
-            }
+            out.push(NetEvent {
+                time: t0,
+                net: pi,
+                value: self.bit(pi, cycle),
+            });
         }
         if let Some(clk) = self.clock {
-            if want(clk) {
-                // Rising edge mid-period (after combinational inputs have had
-                // time to propagate), falling edge before the next vector.
-                out.push(NetEvent {
-                    time: t0 + self.period / 2,
-                    net: clk,
-                    value: Logic::One,
-                });
-                out.push(NetEvent {
-                    time: t0 + self.period - 1,
-                    net: clk,
-                    value: Logic::Zero,
-                });
-            }
+            // Rising edge mid-period (after combinational inputs have had
+            // time to propagate), falling edge before the next vector.
+            out.push(NetEvent {
+                time: t0 + self.period / 2,
+                net: clk,
+                value: Logic::One,
+            });
+            out.push(NetEvent {
+                time: t0 + self.period - 1,
+                net: clk,
+                value: Logic::Zero,
+            });
         }
     }
 
@@ -117,8 +106,11 @@ impl VectorStimulus {
     }
 }
 
+/// The SplitMix64 finalizer, a bijective 64-bit mix: the hash behind
+/// [`VectorStimulus::bit`], seeded network fault plans and the partition
+/// search's per-point seeds.
 #[inline]
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -180,7 +172,7 @@ mod tests {
         let nl = netlist();
         let s = VectorStimulus::from_netlist(&nl, 10, 1);
         let mut out = Vec::new();
-        s.events_for_cycle(3, |_| true, &mut out);
+        s.events_for_cycle(3, &mut out);
         // 2 data inputs + clock rise + clock fall.
         assert_eq!(out.len(), 4);
         let clk = s.clock.unwrap();
@@ -189,17 +181,6 @@ mod tests {
         assert_eq!(rise.unwrap().time, 35);
         assert_eq!(fall.unwrap().time, 39);
         assert!(out.iter().all(|e| e.time >= 30 && e.time < 40));
-    }
-
-    #[test]
-    fn filter_restricts_events() {
-        let nl = netlist();
-        let s = VectorStimulus::from_netlist(&nl, 10, 1);
-        let only = s.data_inputs[1];
-        let mut out = Vec::new();
-        s.events_for_cycle(0, |n| n == only, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].net, only);
     }
 
     #[test]
@@ -214,25 +195,11 @@ mod tests {
             let mut mine = s.clone();
             mine.restrict_to(&keep);
             let (mut all, mut some) = (Vec::new(), Vec::new());
-            s.events_for_cycle(4, |n| keep.contains(&n), &mut all);
-            mine.events_for_cycle(4, |_| true, &mut some);
+            s.events_for_cycle(4, &mut all);
+            all.retain(|e| keep.contains(&e.net));
+            mine.events_for_cycle(4, &mut some);
             assert_eq!(some, all, "kept {keep:?}");
             assert_eq!(mine.clock.is_some(), keep.contains(&clk));
         }
-    }
-
-    #[test]
-    fn filtered_events_match_unfiltered_subset() {
-        // Cluster-local generation must agree with global generation.
-        let nl = netlist();
-        let s = VectorStimulus::from_netlist(&nl, 10, 9);
-        let mut all = Vec::new();
-        s.events_for_cycle(5, |_| true, &mut all);
-        let pick = s.data_inputs[0];
-        let mut some = Vec::new();
-        s.events_for_cycle(5, |n| n == pick, &mut some);
-        let from_all: Vec<_> = all.iter().filter(|e| e.net == pick).collect();
-        assert_eq!(from_all.len(), some.len());
-        assert_eq!(*from_all[0], some[0]);
     }
 }

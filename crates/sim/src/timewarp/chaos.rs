@@ -95,8 +95,8 @@ pub struct NetFault {
 }
 
 /// A seeded, replayable set of network faults for one run — the network
-/// analogue of [`super::recovery::FaultPlan`]. Attach with
-/// [`super::TimeWarpBuilder::chaos`].
+/// analogue of [`super::recovery::FaultPlan`]. Attach as
+/// [`super::TimeWarpConfig::chaos`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetPlan {
     /// The faults to inject. Order is irrelevant; each fires at most once.

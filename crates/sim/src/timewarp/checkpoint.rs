@@ -41,19 +41,24 @@ use crate::wheel::VTime;
 /// is rejected at the handshake instead of failing mid-restore.
 pub const CHECKPOINT_SCHEMA: u32 = 4;
 
-/// Provenance of a queued or processed event — mirrors the kernel's
-/// internal source tag so rollback treatment survives a restore.
+/// Where a queued or processed event came from, which decides what a
+/// rollback does with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptSource {
-    /// Environment input (vector stimulus or initial settling).
+    /// Environment input (vector stimulus or initial settling): requeued
+    /// verbatim on rollback.
     Stimulus,
-    /// Scheduled by local gate evaluation at `created_at`.
+    /// Scheduled by local gate evaluation at `created_at`, for
+    /// `created_at + 1`; discarded on a rollback past `created_at`
+    /// (reprocessing regenerates it).
     Local { created_at: VTime },
-    /// Received from cluster `src` with send sequence `seq`.
+    /// Received from cluster `src` with send sequence `seq`, the pair an
+    /// anti-message annihilates it by.
     Remote { src: u32, seq: u64 },
 }
 
-/// One pending or processed event with its tie-break stamp.
+/// One pending or processed event with its tie-break stamp: the record the
+/// kernel queues, processes and rolls back, kept as it is in an image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkptEvent {
     pub time: VTime,

@@ -22,7 +22,9 @@ pub enum TimeWarpError {
         /// Decisions/quanta executed since GVT last advanced.
         idle: u64,
     },
-    /// [`super::TimeWarpBuilder::build`] rejected the configuration.
+    /// The configuration cannot run: [`super::TimeWarpConfig::validate`]
+    /// rejected it, or a wire transport found no worker binary or could not
+    /// bind its listener.
     InvalidConfig {
         /// What was wrong with it.
         reason: String,

@@ -85,12 +85,22 @@ pub struct TwMessage {
     pub anti: bool,
 }
 
-/// Kernel tuning parameters. Construct via [`TimeWarpConfig::builder`]
-/// (see [`TimeWarpBuilder`]) — the struct is `#[non_exhaustive]`, so
-/// literal construction is reserved to this crate and new knobs can be
-/// added without breaking downstream code.
+/// Kernel tuning parameters: set the fields that differ from the defaults.
+/// [`run_timewarp`] checks the result with [`TimeWarpConfig::validate`]
+/// before anything runs.
+///
+/// ```
+/// use dvs_sim::timewarp::{SchedulePolicy, TimeWarpConfig, Transport};
+///
+/// let cfg = TimeWarpConfig {
+///     transport: Transport::in_proc(0xFA17, SchedulePolicy::RoundRobin),
+///     window: 32,
+///     ..TimeWarpConfig::default()
+/// };
+/// cfg.validate().expect("valid config");
+/// assert_eq!(cfg.window, 32);
+/// ```
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct TimeWarpConfig {
     /// How the cluster workers execute and exchange messages (see
     /// [`Transport`]).
@@ -168,111 +178,24 @@ const DEFAULT_HEARTBEAT_MS: u64 = 1_000;
 const DEFAULT_HEARTBEAT_BUDGET: u32 = 30;
 
 impl TimeWarpConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> TimeWarpBuilder {
-        TimeWarpBuilder::new()
-    }
-}
-
-/// Builder for [`TimeWarpConfig`] — the only way to construct one outside
-/// this crate. Invalid combinations are rejected by [`build`] with
-/// [`TimeWarpError::InvalidConfig`] instead of panicking mid-run.
-///
-/// ```
-/// use dvs_sim::timewarp::{SchedulePolicy, TimeWarpConfig, Transport};
-///
-/// let cfg = TimeWarpConfig::builder()
-///     .transport(Transport::in_proc(0xFA17, SchedulePolicy::RoundRobin))
-///     .window(32)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.window, 32);
-/// ```
-///
-/// [`build`]: TimeWarpBuilder::build
-#[derive(Debug, Clone, Default)]
-#[must_use = "a builder does nothing until .build() is called"]
-pub struct TimeWarpBuilder {
-    cfg: TimeWarpConfig,
-}
-
-impl TimeWarpBuilder {
-    /// A builder initialized with the default configuration.
-    pub fn new() -> Self {
-        TimeWarpBuilder {
-            cfg: TimeWarpConfig::default(),
-        }
-    }
-
-    /// Select the worker transport (see [`Transport`]).
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.cfg.transport = transport;
-        self
-    }
-
-    /// Epochs processed per scheduling quantum, i.e. per GVT attempt.
-    pub fn epochs_per_quantum(mut self, epochs: usize) -> Self {
-        self.cfg.epochs_per_quantum = epochs;
-        self
-    }
-
-    /// Optimism window above GVT (`u64::MAX` = unthrottled).
-    pub fn window(mut self, window: VTime) -> Self {
-        self.cfg.window = window;
-        self
-    }
-
-    /// Crash-fault injection and recovery plan.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.cfg.fault = fault;
-        self
-    }
-
-    /// Inject seeded scheduler noise into the threaded transport.
-    pub fn thread_jitter(mut self, seed: u64) -> Self {
-        self.cfg.thread_jitter = Some(seed);
-        self
-    }
-
-    /// TCP heartbeat idle interval.
-    pub fn heartbeat_interval(mut self, d: std::time::Duration) -> Self {
-        self.cfg.heartbeat_interval = d;
-        self
-    }
-
-    /// Consecutive missed heartbeats tolerated before the connection is
-    /// declared half-open and torn down for recovery.
-    pub fn heartbeat_budget(mut self, budget: u32) -> Self {
-        self.cfg.heartbeat_budget = budget;
-        self
-    }
-
-    /// Attach a deterministic network fault plan (see [`NetPlan`]).
-    pub fn chaos(mut self, plan: NetPlan) -> Self {
-        self.cfg.chaos = Some(plan);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<TimeWarpConfig, TimeWarpError> {
-        let invalid = |reason: &str| TimeWarpError::InvalidConfig {
-            reason: reason.to_string(),
+    /// Reject a configuration no run can use, each setting with its own
+    /// reason. [`run_timewarp`] calls this first, whatever the transport.
+    pub fn validate(&self) -> Result<(), TimeWarpError> {
+        let invalid = |reason: &str| {
+            Err(TimeWarpError::InvalidConfig {
+                reason: reason.to_string(),
+            })
         };
-        if self.cfg.epochs_per_quantum == 0 {
-            return Err(invalid("epochs_per_quantum must be at least 1"));
+        if self.epochs_per_quantum == 0 {
+            return invalid("epochs_per_quantum must be at least 1");
         }
-        if let Transport::Tcp { listen, .. } = &self.cfg.transport {
-            if listen.is_empty() {
-                return Err(invalid("Transport::Tcp listen address must not be empty"));
-            }
+        if self.heartbeat_budget == 0 {
+            return invalid("heartbeat budget must be at least 1 missed beat");
         }
-        if self.cfg.heartbeat_budget == 0 {
-            return Err(invalid("heartbeat budget must be at least 1 missed beat"));
+        if self.heartbeat_interval.is_zero() {
+            return invalid("heartbeat interval must be longer than zero");
         }
-        if self.cfg.heartbeat_interval.is_zero() {
-            return Err(invalid("heartbeat interval must be longer than zero"));
-        }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -306,7 +229,8 @@ pub struct TwRunResult {
 /// recovered transparently from the last GVT checkpoint; once the restart
 /// budget is exhausted, the run degrades to the sequential simulator
 /// (flagged in [`TwRunResult::recovery`]). Errors are reserved for
-/// conditions no retry can fix (see [`TimeWarpError`]).
+/// conditions no retry can fix (see [`TimeWarpError`]), an invalid `cfg`
+/// first among them.
 pub fn run_timewarp(
     nl: &Netlist,
     plan: &ClusterPlan,
@@ -314,6 +238,7 @@ pub fn run_timewarp(
     cycles: u64,
     cfg: &TimeWarpConfig,
 ) -> Result<TwRunResult, TimeWarpError> {
+    cfg.validate()?;
     match &cfg.transport {
         Transport::Threads => run_threads(nl, plan, stim, cycles, cfg),
         Transport::InProc { seed, schedule } => dst::run_deterministic(
@@ -670,25 +595,62 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// Every configuration `build` rejects, each for its own reason.
+    /// Every invalid setting, set through its public field, on a transport
+    /// that would otherwise run it: `run_timewarp` refuses each before
+    /// anything starts, for its own reason.
     #[test]
-    fn build_rejects_each_invalid_setting_with_its_reason() {
-        let b = TimeWarpConfig::builder;
-        let no_listen = Transport::tcp_external(1, SchedulePolicy::RoundRobin, "");
+    fn run_timewarp_rejects_each_invalid_setting_with_its_reason() {
+        let nl = dvs_verilog::parse_and_elaborate(&dvs_workloads::seqcirc::generate_counter(4))
+            .expect("the counter elaborates")
+            .into_netlist();
+        let blocks: Vec<u32> = (0..nl.gate_count() as u32).map(|g| g % 2).collect();
+        let plan = ClusterPlan::new(&nl, &blocks, 2);
+        let stim = VectorStimulus::from_netlist(&nl, 10, 1);
+        let policy = SchedulePolicy::RoundRobin;
+        let on = |transport: Transport| TimeWarpConfig {
+            transport,
+            ..TimeWarpConfig::default()
+        };
+        let no_epochs = |transport| TimeWarpConfig {
+            epochs_per_quantum: 0,
+            ..on(transport)
+        };
         let rejected = [
-            (b().epochs_per_quantum(0), "epochs_per_quantum"),
-            (b().heartbeat_budget(0), "heartbeat budget"),
-            (b().transport(no_listen), "listen address"),
-            (b().heartbeat_interval(Duration::ZERO), "heartbeat interval"),
+            (no_epochs(Transport::Threads), "epochs_per_quantum"),
+            (
+                no_epochs(Transport::in_proc(1, policy)),
+                "epochs_per_quantum",
+            ),
+            (
+                no_epochs(Transport::process(1, policy)),
+                "epochs_per_quantum",
+            ),
+            (
+                TimeWarpConfig {
+                    heartbeat_interval: Duration::ZERO,
+                    ..on(Transport::tcp(1, policy))
+                },
+                "heartbeat interval",
+            ),
+            (
+                TimeWarpConfig {
+                    heartbeat_budget: 0,
+                    ..on(Transport::tcp(1, policy))
+                },
+                "heartbeat budget",
+            ),
         ];
-        for (builder, why) in rejected {
-            match builder.build() {
+        for (cfg, why) in rejected {
+            let label = format!("{why} on {}", cfg.transport.name());
+            match run_timewarp(&nl, &plan, &stim, 4, &cfg) {
                 Err(TimeWarpError::InvalidConfig { reason }) => {
-                    assert!(reason.contains(why), "{why}: rejected with {reason:?}")
+                    assert!(reason.contains(why), "{label}: rejected with {reason:?}")
                 }
-                other => panic!("{why}: {other:?}"),
+                other => panic!("{label}: {other:?}"),
             }
         }
-        b().build().expect("the defaults are valid");
+        TimeWarpConfig::default()
+            .validate()
+            .expect("the defaults are valid");
     }
 }

@@ -17,31 +17,10 @@ use crate::tables::{Epoch, GateTables};
 use crate::wheel::{NetEvent, Timed, TimingWheel, VTime};
 use dvs_verilog::netlist::{NetId, Netlist};
 
-/// Where a pending event came from — determines rollback treatment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    /// Environment input (vector stimulus or initial settling): requeued
-    /// verbatim on rollback.
-    Stimulus,
-    /// Scheduled by local gate evaluation at `created_at`, for
-    /// `created_at + 1`; discarded on a rollback past `created_at`
-    /// (reprocessing regenerates it).
-    Local { created_at: VTime },
-    /// Received from another cluster; identified for annihilation.
-    Remote { src: u32, seq: u64 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Pend {
-    ev: NetEvent,
-    source: Source,
-    order: u64,
-}
-
 /// Pending events drain in `(time, order)` order.
-impl Timed for Pend {
+impl Timed for CkptEvent {
     fn time(&self) -> VTime {
-        self.ev.time
+        self.time
     }
     fn order(&self) -> u64 {
         self.order
@@ -52,43 +31,6 @@ impl Timed for Pend {
 /// next vector a period ahead and remote ones within the optimism window of
 /// their sender; anything further waits in the wheel's overflow heap.
 const PENDING_HORIZON: usize = 64;
-
-/// An undone-send record for anti-message generation.
-#[derive(Debug, Clone, Copy)]
-struct OutRec {
-    created_at: VTime,
-    msg: TwMessage,
-}
-
-fn pend_to_ckpt(p: &Pend) -> CkptEvent {
-    CkptEvent {
-        time: p.ev.time,
-        net: p.ev.net.0,
-        value: p.ev.value,
-        source: match p.source {
-            Source::Stimulus => CkptSource::Stimulus,
-            Source::Local { created_at } => CkptSource::Local { created_at },
-            Source::Remote { src, seq } => CkptSource::Remote { src, seq },
-        },
-        order: p.order,
-    }
-}
-
-fn ckpt_to_pend(e: &CkptEvent) -> Pend {
-    Pend {
-        ev: NetEvent {
-            time: e.time,
-            net: NetId(e.net),
-            value: e.value,
-        },
-        source: match e.source {
-            CkptSource::Stimulus => Source::Stimulus,
-            CkptSource::Local { created_at } => Source::Local { created_at },
-            CkptSource::Remote { src, seq } => Source::Remote { src, seq },
-        },
-        order: e.order,
-    }
-}
 
 /// One cluster's optimistic simulation state. The gate side is
 /// partition-local (the tables hold this cluster's gates only); net ids, and
@@ -103,16 +45,17 @@ pub struct ClusterProcess<'p> {
 
     /// Not-yet-processed events, one bucket per virtual time. Anti-messages
     /// and rollbacks cancel entries in place, so everything queued is live.
-    pending: TimingWheel<Pend>,
+    pending: TimingWheel<CkptEvent>,
     /// Anti-messages whose positive was neither pending nor processed — a
     /// protocol violation (channels are FIFO per sender).
     stray_antis: u64,
     /// Processed events in processing order (time nondecreasing).
-    processed: Vec<Pend>,
+    processed: Vec<CkptEvent>,
     /// Incremental state saving: (time, net, previous value).
     undo: Vec<(VTime, u32, Logic)>,
-    /// Sent messages awaiting fossil collection (for anti-messages).
-    outlog: Vec<OutRec>,
+    /// Sent messages awaiting fossil collection (for anti-messages), each
+    /// with the time of the epoch that sent it.
+    outlog: Vec<(VTime, TwMessage)>,
 
     /// The vector source, restricted to this cluster's stimulus inputs.
     stim: VectorStimulus,
@@ -127,7 +70,7 @@ pub struct ClusterProcess<'p> {
 
     // Per-epoch scratch.
     front: Epoch,
-    epoch_buf: Vec<Pend>,
+    epoch_buf: Vec<CkptEvent>,
     stim_buf: Vec<NetEvent>,
 }
 
@@ -187,7 +130,7 @@ impl<'p> ClusterProcess<'p> {
     /// cut (see [`super::checkpoint`]). Unordered collections are captured
     /// sorted, making equal states yield equal checkpoints.
     pub fn checkpoint(&self, gvt: VTime) -> Checkpoint {
-        let mut pending: Vec<CkptEvent> = self.pending.iter().map(pend_to_ckpt).collect();
+        let mut pending: Vec<CkptEvent> = self.pending.iter().copied().collect();
         pending.sort_unstable_by_key(|e| (e.time, e.order));
         Checkpoint {
             schema: CHECKPOINT_SCHEMA,
@@ -195,9 +138,9 @@ impl<'p> ClusterProcess<'p> {
             gvt,
             values: self.values.clone(),
             pending,
-            processed: self.processed.iter().map(pend_to_ckpt).collect(),
+            processed: self.processed.clone(),
             undo: self.undo.clone(),
-            outlog: self.outlog.iter().map(|r| (r.created_at, r.msg)).collect(),
+            outlog: self.outlog.clone(),
             stim_cycle: self.stim_cycle,
             last_time: self.last_time,
             settled: self.settled,
@@ -232,16 +175,12 @@ impl<'p> ClusterProcess<'p> {
         p.values.clone_from(&ck.values);
         p.front = Epoch::new(&p.tables, &p.values);
         debug_assert!(p.front.covers(&p.tables, &p.values));
-        for e in &ck.pending {
-            p.pending.insert(ckpt_to_pend(e));
+        for &e in &ck.pending {
+            p.pending.insert(e);
         }
-        p.processed = ck.processed.iter().map(ckpt_to_pend).collect();
+        p.processed.clone_from(&ck.processed);
         p.undo.clone_from(&ck.undo);
-        p.outlog = ck
-            .outlog
-            .iter()
-            .map(|&(created_at, msg)| OutRec { created_at, msg })
-            .collect();
+        p.outlog.clone_from(&ck.outlog);
         p.stim_cycle = ck.stim_cycle;
         p.last_time = ck.last_time;
         p.settled = ck.settled;
@@ -282,15 +221,17 @@ impl<'p> ClusterProcess<'p> {
     /// deterministic executor to assert that fossil collection only
     /// reclaims history strictly below GVT.
     pub fn history_at_or_after(&self, t: VTime) -> (usize, usize) {
-        let p = self.processed.len() - self.processed.partition_point(|r| r.ev.time < t);
+        let p = self.processed.len() - self.processed.partition_point(|r| r.time < t);
         let u = self.undo.len() - self.undo.partition_point(|&(ut, _, _)| ut < t);
         (p, u)
     }
 
     #[inline]
-    fn push_pending(&mut self, ev: NetEvent, source: Source) {
-        self.pending.insert(Pend {
-            ev,
+    fn push_pending(&mut self, ev: NetEvent, source: CkptSource) {
+        self.pending.insert(CkptEvent {
+            time: ev.time,
+            net: ev.net.0,
+            value: ev.value,
             source,
             order: self.order,
         });
@@ -319,10 +260,9 @@ impl<'p> ClusterProcess<'p> {
         let cycle = self.stim_cycle;
         self.stim_cycle += 1;
         self.stim_buf.clear();
-        self.stim
-            .events_for_cycle(cycle, |_| true, &mut self.stim_buf);
+        self.stim.events_for_cycle(cycle, &mut self.stim_buf);
         for i in 0..self.stim_buf.len() {
-            self.push_pending(self.stim_buf[i], Source::Stimulus);
+            self.push_pending(self.stim_buf[i], CkptSource::Stimulus);
         }
     }
 
@@ -343,7 +283,7 @@ impl<'p> ClusterProcess<'p> {
                     value: new,
                 };
                 // Settling events survive any rollback (environment-like).
-                self.push_pending(ev, Source::Stimulus);
+                self.push_pending(ev, CkptSource::Stimulus);
                 if gate.exported {
                     self.emit(0, ev, send);
                 }
@@ -366,7 +306,7 @@ impl<'p> ClusterProcess<'p> {
                 anti: false,
             };
             self.mseq += 1;
-            self.outlog.push(OutRec { created_at, msg });
+            self.outlog.push((created_at, msg));
             self.stats.messages += 1;
             send(msg);
         }
@@ -378,7 +318,7 @@ impl<'p> ClusterProcess<'p> {
         if msg.ev.time <= self.last_time {
             self.rollback(msg.ev.time, send);
         }
-        let source = Source::Remote {
+        let source = CkptSource::Remote {
             src: msg.src,
             seq: msg.seq,
         };
@@ -414,8 +354,8 @@ impl<'p> ClusterProcess<'p> {
         // 2. Requeue processed events, except the local ones an undone
         // epoch created: reprocessing regenerates those.
         let undone_local =
-            |p: &Pend| matches!(p.source, Source::Local { created_at } if created_at >= t);
-        let split = self.processed.partition_point(|p| p.ev.time < t);
+            |p: &CkptEvent| matches!(p.source, CkptSource::Local { created_at } if created_at >= t);
+        let split = self.processed.partition_point(|p| p.time < t);
         self.stats.rolled_back_events += (self.processed.len() - split) as u64;
         for rec in self.processed.drain(split..) {
             if !undone_local(&rec) {
@@ -429,9 +369,10 @@ impl<'p> ClusterProcess<'p> {
             .discard(t + 1, self.last_time + 1, undone_local);
 
         // 4. Anti-messages for undone sends.
-        let oidx = self.outlog.partition_point(|o| o.created_at < t);
-        for rec in self.outlog.split_off(oidx) {
-            let mut anti = rec.msg;
+        let oidx = self
+            .outlog
+            .partition_point(|&(created_at, _)| created_at < t);
+        for (_, mut anti) in self.outlog.split_off(oidx) {
             anti.anti = true;
             self.stats.anti_messages += 1;
             send(anti);
@@ -447,10 +388,12 @@ impl<'p> ClusterProcess<'p> {
         }
         let u = self.undo.partition_point(|&(t, _, _)| t < gvt);
         self.undo.drain(..u);
-        let p = self.processed.partition_point(|r| r.ev.time < gvt);
+        let p = self.processed.partition_point(|r| r.time < gvt);
         self.stats.fossil_collected += p as u64;
         self.processed.drain(..p);
-        let o = self.outlog.partition_point(|r| r.created_at < gvt);
+        let o = self
+            .outlog
+            .partition_point(|&(created_at, _)| created_at < gvt);
         self.outlog.drain(..o);
     }
 
@@ -493,13 +436,13 @@ impl<'p> ClusterProcess<'p> {
         self.front.begin();
         for p in &self.epoch_buf {
             self.stats.events += 1;
-            let ni = p.ev.net.idx();
+            let ni = p.net as usize;
             let old = self.values[ni];
-            if old != p.ev.value {
-                self.values[ni] = p.ev.value;
-                self.undo.push((t, ni as u32, old));
+            if old != p.value {
+                self.values[ni] = p.value;
+                self.undo.push((t, p.net, old));
                 self.stats.net_toggles += 1;
-                self.front.applied(&self.tables, ni as u32, old, p.ev.value);
+                self.front.applied(&self.tables, p.net, old, p.value);
             }
         }
         self.stats.gate_evals += self.front.finish(&self.tables, &self.values, |_| {});
@@ -518,7 +461,7 @@ impl<'p> ClusterProcess<'p> {
                     net: NetId(gate.out),
                     value: new_out,
                 };
-                self.push_pending(ev, Source::Local { created_at: t });
+                self.push_pending(ev, CkptSource::Local { created_at: t });
                 if gate.exported {
                     self.emit(t, ev, send);
                 }

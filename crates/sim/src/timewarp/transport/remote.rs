@@ -306,10 +306,8 @@ pub(crate) struct ProcessWorker {
     /// True once the init handshake completed on the current connection:
     /// TCP read timeouts switch from fatal to heartbeat probing.
     probing: bool,
-    corrupt_frames: u64,
-    heartbeats_missed: u64,
-    messages_sent: u64,
-    frames_sent: u64,
+    /// Everything but `chaos_faults_injected`, which the chaos state counts.
+    counters: WireCounters,
 }
 
 /// Start the worker binary.
@@ -338,10 +336,7 @@ impl ProcessWorker {
             writer: None,
             last_lvt: 0,
             probing: false,
-            corrupt_frames: 0,
-            heartbeats_missed: 0,
-            messages_sent: 0,
-            frames_sent: 0,
+            counters: WireCounters::default(),
         }
     }
 
@@ -350,8 +345,8 @@ impl ProcessWorker {
     }
 
     /// Tear down the byte stream (both directions) without touching the
-    /// process. Over TCP this is how the supervisor declares a silent peer
-    /// dead, and how a supervisor-side connection reset is injected.
+    /// process: how the supervisor gives up on a corrupt stream and, over
+    /// TCP, declares a silent peer dead.
     fn drop_connection(&mut self) {
         if let Some(w) = self.writer.as_ref() {
             w.get_ref().shutdown_both();
@@ -491,7 +486,7 @@ impl ProcessWorker {
                     if self.probing {
                         *misses += 1;
                         if *misses >= self.timing.budget {
-                            self.heartbeats_missed += self.timing.budget as u64;
+                            self.counters.heartbeats_missed += self.timing.budget as u64;
                             self.drop_connection();
                             return Err(WorkerFailure::Lost {
                                 detail: format!(
@@ -516,7 +511,7 @@ impl ProcessWorker {
                     });
                 }
                 Err(e) if e.is_corrupt() => {
-                    self.corrupt_frames += 1;
+                    self.counters.corrupt_frames += 1;
                     self.drop_connection();
                     return Err(WorkerFailure::Lost {
                         detail: format!("corrupt frame from worker ({e}); connection dropped"),
@@ -656,8 +651,8 @@ impl ClusterWorker for ProcessWorker {
         }
         let results: Result<Vec<Delivered>, String> = results.iter().map(delivered_from).collect();
         let results = results.map_err(protocol)?;
-        self.messages_sent += results.len() as u64;
-        self.frames_sent += 1;
+        self.counters.messages_sent += results.len() as u64;
+        self.counters.frames_sent += 1;
         Ok(results)
     }
 
@@ -724,20 +719,10 @@ impl ClusterWorker for ProcessWorker {
     }
 
     fn inject_crash(&mut self) {
-        // Over TCP, `DVS_TW_TCP_FAULT=reset` injects a supervisor-side
-        // connection reset instead of a process kill: the stream is shut
-        // down in both directions and dropped while the worker process
-        // stays up. The worker observes EOF and exits (crash-stop from its
-        // side); the supervisor's next exchange fails as `Lost` and the
-        // stale incarnation is reaped by the next spawn. This is the
-        // network-partition shape of a fault, as opposed to the host-death
-        // shape below.
-        if self.is_tcp() && std::env::var("DVS_TW_TCP_FAULT").as_deref() == Ok("reset") {
-            self.drop_connection();
-            return;
-        }
         // A real SIGKILL, then observe the death the way a genuine crash
-        // would surface: drain the socket to EOF before dropping it.
+        // would surface: drain the socket to EOF before dropping it. (A
+        // dropped connection with the process left up is a
+        // `NetFaultKind::Truncate` in the run's `NetPlan`.)
         if let Some(child) = self.child.as_mut() {
             let _ = child.kill();
             let _ = child.wait();
@@ -754,11 +739,8 @@ impl ClusterWorker for ProcessWorker {
 
     fn wire_counters(&self) -> WireCounters {
         WireCounters {
-            corrupt_frames: self.corrupt_frames,
-            heartbeats_missed: self.heartbeats_missed,
             chaos_faults_injected: self.chaos.as_ref().map_or(0, |c| c.borrow().fired()),
-            messages_sent: self.messages_sent,
-            frames_sent: self.frames_sent,
+            ..self.counters
         }
     }
 }

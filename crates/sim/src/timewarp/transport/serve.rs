@@ -162,19 +162,6 @@ pub(super) fn serve_wire(stream: WireStream, identity: Option<u32>, token: &str)
     serve_cluster(init, source, sink)
 }
 
-/// Parse `DVS_TW_SELFKILL=<cluster>:<after>` — a test hook that makes this
-/// worker abort (SIGABRT, no unwinding, no reply frame) immediately before
-/// dispatching its `<after>`-th command. Exercises asynchronous worker
-/// death at a point the supervisor did not choose.
-fn selfkill_budget(cluster: u32) -> Option<u64> {
-    let spec = std::env::var("DVS_TW_SELFKILL").ok()?;
-    let (c, after) = spec.split_once(':')?;
-    if c.parse::<u32>().ok()? != cluster {
-        return None;
-    }
-    after.parse::<u64>().ok()
-}
-
 fn serve_cluster(
     init: WorkerInit,
     mut source: FrameSource<io::BufReader<WireStream>>,
@@ -193,7 +180,6 @@ fn serve_cluster(
     );
     let fresh = worker.lvt().expect("a new worker holds its process");
     sink.send_json(&ready_json(fresh)).map_err(wire_io)?;
-    let mut selfkill = selfkill_budget(init.cluster);
 
     loop {
         let bytes = match worker_recv(&mut source)? {
@@ -207,24 +193,13 @@ fn serve_cluster(
                 return Ok(());
             }
         };
-        // Heartbeat probes are liveness traffic, not simulation commands:
-        // answer before the self-kill hook so an idle-but-probed worker
-        // burns its crash budget on real work, deterministically.
+        // Heartbeat probes are liveness traffic, not simulation commands.
         if json_kind(&cmd) == Ok("ping") {
             sink.send_json(&ok_json_cmd("pong")).map_err(wire_io)?;
             continue;
         }
-        if let Some(left) = selfkill.as_mut() {
-            if *left <= 1 {
-                // Die exactly like SIGKILL would: no unwinding, no drops,
-                // no farewell frame.
-                std::process::abort();
-            }
-            *left -= 1;
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&cmd, &mut worker, &mut selfkill)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&cmd, &mut worker)));
         // Every way out of a command but an answered one hangs up.
         let (reply, stop) = match outcome {
             Ok(Ok(answered)) => answered,
@@ -269,7 +244,6 @@ pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn dispatch(
     cmd: &Json,
     worker: &mut InProcWorker<'_, '_>,
-    selfkill: &mut Option<u64>,
 ) -> Result<(String, bool), WorkerFailure> {
     let bad = |e: JsonError| protocol(e.msg);
     let vtime = |key: &str| vtime_from(cmd.field(key).map_err(bad)?).map_err(protocol);
@@ -326,9 +300,6 @@ fn dispatch(
                 .map(|op| replay_op_from_json(op).map_err(protocol))
                 .collect::<Result<_, _>>()?;
             let lvt = worker.restore(cmd.field("ck").map_err(bad)?, &ops)?;
-            // A restored worker is a fresh process as far as the fault
-            // model is concerned; it must not re-arm the self-kill hook.
-            *selfkill = None;
             ready_json(lvt)
         }
         "quiesce" => {

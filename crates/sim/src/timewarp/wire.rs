@@ -235,25 +235,14 @@ impl<W: Write> FrameSink<W> {
         FrameSink { w, seq: 0 }
     }
 
-    /// Encode the next frame (consuming a sequence number) without writing
-    /// it — the chaos shim uses this to tamper with the encoded bytes
-    /// before they hit the stream.
-    pub fn encode_next(&mut self, payload: &[u8]) -> Result<Vec<u8>, WireError> {
+    /// Encode `payload` as the next frame, consuming a sequence number, and
+    /// write it in one call.
+    pub fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
         let buf = encode_frame(self.seq, payload)?;
         self.seq = self.seq.wrapping_add(1);
-        Ok(buf)
-    }
-
-    /// Write pre-encoded frame bytes (from [`FrameSink::encode_next`]).
-    pub fn send_encoded(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.w.write_all(bytes)?;
+        self.w.write_all(&buf)?;
         self.w.flush()?;
         Ok(())
-    }
-
-    pub fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        let buf = self.encode_next(payload)?;
-        self.send_encoded(&buf)
     }
 
     pub fn send_json(&mut self, j: &Json) -> Result<(), WireError> {
@@ -812,9 +801,8 @@ mod tests {
 
     #[test]
     fn duplicated_frames_are_skipped_by_sequence_number() {
-        let mut sink = FrameSink::new(Vec::new());
-        let first = sink.encode_next(b"frame zero").expect("encode");
-        let second = sink.encode_next(b"frame one").expect("encode");
+        let first = encode_frame(0, b"frame zero").expect("encode");
+        let second = encode_frame(1, b"frame one").expect("encode");
         let mut buf = Vec::new();
         buf.extend_from_slice(&first);
         buf.extend_from_slice(&first); // duplicated in flight

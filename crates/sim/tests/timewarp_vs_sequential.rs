@@ -166,11 +166,11 @@ fn tight_window_still_correct() {
     seq.run(&stim, cycles, &mut NullObserver);
 
     let plan = ClusterPlan::new(&nl, &gb, 2);
-    let cfg = TimeWarpConfig::builder()
-        .window(8)
-        .epochs_per_quantum(2)
-        .build()
-        .expect("valid config");
+    let cfg = TimeWarpConfig {
+        window: 8,
+        epochs_per_quantum: 2,
+        ..TimeWarpConfig::default()
+    };
     let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
     let wrong = seq.mismatches(&nl, &tw.values);
     assert!(wrong.is_empty(), "nets {wrong:?} differ under tight window");
@@ -278,7 +278,7 @@ fn oblivious_run(
 
     let mut events = Vec::new();
     for cycle in 0..cycles {
-        stim.events_for_cycle(cycle, |_| true, &mut events);
+        stim.events_for_cycle(cycle, &mut events);
     }
     let drive = |values: &mut [Logic], t: u64| {
         for e in events.iter().filter(|e| e.time == t) {
@@ -391,10 +391,10 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
             qc_moved |= seq.value(net("qc")) == Logic::One;
         }
         for policy in [SchedulePolicy::RoundRobin, SchedulePolicy::StragglerHeavy] {
-            let cfg = TimeWarpConfig::builder()
-                .transport(Transport::in_proc(seed, policy))
-                .build()
-                .expect("valid config");
+            let cfg = TimeWarpConfig {
+                transport: Transport::in_proc(seed, policy),
+                ..TimeWarpConfig::default()
+            };
             assert_tw_matches_seq_under(&nl, &flops_apart, 2, cycles, seed, &cfg);
         }
         assert_tw_matches_seq(&nl, &flops_apart, 2, cycles, seed);
@@ -484,10 +484,10 @@ fn inproc_counters_are_pinned_on_the_6k_decoder() {
     use dvs_sim::timewarp::{SchedulePolicy, Transport};
 
     let (nl, gate_blocks) = decoder_6k();
-    let cfg = TimeWarpConfig::builder()
-        .transport(Transport::in_proc(2008, SchedulePolicy::RoundRobin))
-        .build()
-        .expect("valid config");
+    let cfg = TimeWarpConfig {
+        transport: Transport::in_proc(2008, SchedulePolicy::RoundRobin),
+        ..TimeWarpConfig::default()
+    };
     let tw = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, 200, 1, &cfg);
     let s = &tw.stats;
     assert_eq!(
@@ -537,10 +537,10 @@ fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
         (380_060, 2_175_200, 380_014, 520)
     );
 
-    let cfg = TimeWarpConfig::builder()
-        .transport(Transport::in_proc(2008, SchedulePolicy::RoundRobin))
-        .build()
-        .expect("valid config");
+    let cfg = TimeWarpConfig {
+        transport: Transport::in_proc(2008, SchedulePolicy::RoundRobin),
+        ..TimeWarpConfig::default()
+    };
     let tw = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, cycles, seed, &cfg);
     let s = &tw.stats;
     assert_eq!(
@@ -585,10 +585,10 @@ fn threads_mode_recovers_from_injected_panic() {
     seq.run(&stim, cycles, &mut NullObserver);
 
     for (victim, quantum) in [(0u32, 1u64), (1, 3), (0, 20)] {
-        let cfg = TimeWarpConfig::builder()
-            .fault(FaultPlan::crash(victim, quantum))
-            .build()
-            .expect("valid config");
+        let cfg = TimeWarpConfig {
+            fault: FaultPlan::crash(victim, quantum),
+            ..TimeWarpConfig::default()
+        };
         let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
         assert_eq!(tw.recovery.crashes, 1, "injected panic did not fire");
         assert_eq!(tw.recovery.restarts, 1, "supervisor did not restart");
@@ -622,14 +622,14 @@ fn threads_mode_degrades_after_budget_exhaustion() {
 
     // The worker dies at quantum 1 on every incarnation: with a budget of
     // `max_restarts` crashes already spent, one more exhausts it.
-    let cfg = TimeWarpConfig::builder()
-        .fault(FaultPlan {
+    let cfg = TimeWarpConfig {
+        fault: FaultPlan {
             crash_at: Some((1, 1)),
             crashes: 3,
             max_restarts: 2,
-        })
-        .build()
-        .expect("valid config");
+        },
+        ..TimeWarpConfig::default()
+    };
     let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
     assert!(tw.recovery.degraded, "budget exhaustion must degrade");
     assert_eq!(tw.recovery.crashes, 3);

@@ -29,7 +29,7 @@ fn main() {
         nl.instance_count()
     );
 
-    let mut cfg = PresimConfig::paper_defaults(nl.gate_count());
+    let mut cfg = PresimConfig::paper_defaults();
     cfg.vectors = 300;
 
     // Brute force: the full Table 3 sweep.

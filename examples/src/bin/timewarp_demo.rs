@@ -106,8 +106,10 @@ fn main() {
     );
 
     // Optimistic parallel run over the selected transport.
-    let mut twcfg = TimeWarpConfig::default();
-    twcfg.transport = transport;
+    let twcfg = TimeWarpConfig {
+        transport,
+        ..TimeWarpConfig::default()
+    };
     let t0 = Instant::now();
     let tw = run_timewarp(&nl, &plan, &stim, vectors, &twcfg).unwrap_or_else(|e| {
         eprintln!("time warp run failed: {e}");
