@@ -154,6 +154,8 @@ fn main() {
         "measured speedup {measured_speedup:.2} (Threads k={MEASURED_K}, this host) beside modeled {:.2} (athlon cluster, k={K})",
         run.speedup
     );
+    let peak_rss_mb = peak_rss_mb();
+    eprintln!("peak resident memory {peak_rss_mb:.0} MB");
 
     let artifact = ObjBuilder::new()
         .int("schema_version", SCHEMA_VERSION)
@@ -187,6 +189,7 @@ fn main() {
                 .float("heaviest_cluster_event_share", heaviest_share)
                 .float("threads_seconds", threads_seconds)
                 .float("measured_speedup", measured_speedup)
+                .float("peak_rss_mb", peak_rss_mb)
                 .build(),
         )
         .build();
@@ -201,4 +204,15 @@ fn main() {
         }
         None => print!("{text}"),
     }
+}
+
+/// This process's peak resident memory (`VmHWM`) in MB, or 0 where
+/// `/proc/self/status` is absent.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
 }

@@ -292,7 +292,7 @@ impl Scenario {
     pub fn assert_sequential(&self, built: &Built, tw: &TwRunResult, label: &str) {
         let (nl, seq) = (&built.nl, self.reference(built));
         let show = |n: &NetId| {
-            let (name, tw, seq) = (&nl.nets[n.idx()].name, tw.values[n.idx()], seq.value(*n));
+            let (name, tw, seq) = (nl.net_name(*n), tw.values[n.idx()], seq.value(*n));
             format!("{name} tw={tw:?} seq={seq:?}")
         };
         let wrong: Vec<String> = seq.mismatches(nl, &tw.values).iter().map(show).collect();

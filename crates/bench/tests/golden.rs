@@ -478,18 +478,25 @@ impl std::fmt::Write for Fnv {
 #[test]
 #[ignore = "1.1 M gates, run by the nightly workflow with -- --ignored"]
 fn full_scale_netlist_and_partitions_are_pinned() {
+    use dvs_verilog::netlist::{GateId, NetId};
     use std::fmt::Write;
     let source = generate_viterbi(&ViterbiParams::full_scale());
     let nl = dvs_verilog::parse_and_elaborate(&source)
         .expect("the full-scale decoder elaborates")
         .into_netlist();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for n in &nl.nets {
-        write!(h, "{} {:?};", n.name, n.driver).unwrap();
+    for (i, n) in nl.nets.iter().enumerate() {
+        write!(h, "{} {:?};", nl.net_name(NetId(i as u32)), n.driver).unwrap();
     }
-    for g in &nl.gates {
-        let (kind, out, owner) = (g.kind.name(), g.output, g.owner);
-        write!(h, "{kind} {out} {:?} {owner} {:?};", g.inputs, g.delay).unwrap();
+    for (i, g) in nl.gates.iter().enumerate() {
+        let (kind, out, owner, id) = (g.kind.name(), g.output, g.owner, GateId(i as u32));
+        write!(
+            h,
+            "{kind} {out} {:?} {owner} {:?};",
+            nl.inputs(id),
+            nl.delay(id)
+        )
+        .unwrap();
     }
     for i in &nl.instances {
         let (name, module, own, sub) = (&i.name, &i.module, i.own_gates, i.subtree_gates);

@@ -63,9 +63,9 @@ pub fn profile_gate_activity(nl: &Netlist, stim: &VectorStimulus, cycles: u64) -
         },
     );
     sim.run(stim, cycles, &mut prof);
-    for (c, gate) in prof.counts.iter_mut().zip(&nl.gates) {
+    for (g, (c, gate)) in prof.counts.iter_mut().zip(&nl.gates).enumerate() {
         if gate.kind == GateKind::Dff {
-            *c = prof.rises[gate.inputs[0].idx()];
+            *c = prof.rises[nl.inputs(GateId(g as u32))[0].idx()];
         }
         *c = (*c).max(1);
     }

@@ -36,6 +36,7 @@ use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_verilog::stats::{stats, DesignStats};
 use dvs_verilog::{Error, Netlist};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -169,11 +170,6 @@ pub struct FlowReport {
     pub metrics: FlowMetrics,
 }
 
-enum NetlistSource<'a> {
-    Borrowed(&'a Netlist),
-    Owned(Netlist),
-}
-
 enum Input<'a> {
     Source(&'a str),
     Netlist(&'a Netlist),
@@ -275,14 +271,11 @@ impl<'a> FlowBuilder<'a> {
     pub fn build(self) -> Result<Flow<'a>, FlowError> {
         validate_search(&self.search)?;
         let (nl, parse_elaborate_seconds) = match self.input {
-            Input::Netlist(nl) => (NetlistSource::Borrowed(nl), 0.0),
+            Input::Netlist(nl) => (Cow::Borrowed(nl), 0.0),
             Input::Source(src) => {
                 let t = Instant::now();
                 let design = dvs_verilog::parse_and_elaborate(src)?;
-                (
-                    NetlistSource::Owned(design.into_netlist()),
-                    t.elapsed().as_secs_f64(),
-                )
+                (Cow::Owned(design.into_netlist()), t.elapsed().as_secs_f64())
             }
         };
         let mut presim = PresimConfig::paper_defaults();
@@ -339,7 +332,7 @@ fn validate_search(search: &Search) -> Result<(), FlowError> {
 
 /// A validated, runnable flow. Construct with [`FlowBuilder`].
 pub struct Flow<'a> {
-    nl: NetlistSource<'a>,
+    nl: Cow<'a, Netlist>,
     cfg: FlowConfig,
     parse_elaborate_seconds: f64,
 }
@@ -356,10 +349,7 @@ impl fmt::Debug for Flow<'_> {
 impl Flow<'_> {
     /// The elaborated netlist this flow will partition and simulate.
     pub fn netlist(&self) -> &Netlist {
-        match &self.nl {
-            NetlistSource::Borrowed(n) => n,
-            NetlistSource::Owned(n) => n,
-        }
+        &self.nl
     }
 
     /// The resolved configuration.

@@ -360,7 +360,7 @@ mod tests {
         blocks[0] = 0;
         let cuts = cut_nets(nl, &blocks);
         assert_eq!(cuts.len(), 1);
-        let name = &nl.nets[cuts[0].idx()].name;
+        let name = nl.net_name(cuts[0]);
         assert!(name.ends_with(".t"), "cut net should be t, got {name}");
         let _ = gh;
     }

@@ -161,10 +161,7 @@ mod tests {
         let plan = ClusterPlan::new(&nl, &[0, 0, 1, 1], 2);
         // a, b read by cluster 0 (g0); clk read by cluster 1 (g2).
         let names = |c: &Cluster| -> Vec<String> {
-            c.stimulus_nets
-                .iter()
-                .map(|n| nl.nets[n.idx()].name.clone())
-                .collect()
+            c.stimulus_nets.iter().map(|&n| nl.net_name(n)).collect()
         };
         let s0 = names(&plan.clusters[0]);
         let s1 = names(&plan.clusters[1]);

@@ -280,9 +280,10 @@ fn profile_and_model<B: Copy + Into<u32> + TryFrom<u32>>(
         }
     }
     let mut dffs: HashMap<NetId, Vec<u64>> = HashMap::new();
-    for (gate, slots) in nl.gates.iter().zip(slots.chunks(n)) {
+    for (g, (gate, slots)) in nl.gates.iter().zip(slots.chunks(n)).enumerate() {
         if gate.kind == GateKind::Dff {
-            let per_slot = dffs.entry(gate.inputs[0]).or_insert_with(|| vec![0; width]);
+            let clock = nl.inputs(GateId(g as u32))[0];
+            let per_slot = dffs.entry(clock).or_insert_with(|| vec![0; width]);
             for &s in slots {
                 per_slot[s.into() as usize] += 1;
             }

@@ -226,7 +226,7 @@ mod tests {
         let outs = nl
             .primary_outputs
             .iter()
-            .map(|&o| (nl.nets[o.idx()].name.clone(), sim.value(o)))
+            .map(|&o| (nl.net_name(o), sim.value(o)))
             .collect();
         (outs, sim.stats().clone())
     }

@@ -36,8 +36,8 @@ impl VectorStimulus {
         let mut clock = None;
         let mut data_inputs = Vec::new();
         for &pi in &nl.primary_inputs {
-            let name = &nl.nets[pi.idx()].name;
-            let base = name.rsplit('.').next().unwrap_or(name);
+            let name = nl.net_name(pi);
+            let base = name.rsplit('.').next().unwrap_or(&name);
             if clock.is_none() && (base.ends_with("clk") || base.ends_with("clock")) {
                 clock = Some(pi);
             } else {
@@ -138,7 +138,7 @@ mod tests {
         assert!(s.clock.is_some());
         assert_eq!(s.data_inputs.len(), 2);
         let clk = s.clock.unwrap();
-        assert!(nl.nets[clk.idx()].name.ends_with("clk"));
+        assert!(nl.net_name(clk).ends_with("clk"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Packed gate tables: what the event loops read in place of the `Netlist`.
 //!
-//! The elaborated [`Netlist`] is the front end's structure — a 56-byte
-//! `Gate` with its inputs in a heap `Vec` each, hierarchy and names beside
-//! it. An event loop needs four things per gate (kind, output net, input
+//! The elaborated [`Netlist`] is the front end's structure — a 12-byte
+//! `Gate` of kind, output and owning instance, inputs in one flat array
+//! beside it, hierarchy and the records net names are derived from. An
+//! event loop needs four things per gate (kind, output net, input
 //! nets, whether the output leaves the cluster) and one per net (who must
 //! look when it changes). [`GateTables`] holds exactly that, built once per
 //! simulator over the gates it *owns*: every gate for [`crate::seq::SeqSim`]
@@ -119,14 +120,14 @@ impl GateTables {
         // Word `n + 1` counts the entries of net `n`, word `n` flags it.
         let mut reader_off = vec![0u32; nl.net_count() + 1];
         for &g in owned {
-            let gate = &nl.gates[g.idx()];
+            let (gate, pins) = (nl.gates[g.idx()], nl.inputs(g));
             gates.push(GateRec {
                 out: gate.output.0,
                 in_off: inputs.len() as u32,
                 kind: gate.kind,
                 exported: false,
             });
-            for (pin, &n) in gate.inputs.iter().enumerate() {
+            for (pin, &n) in pins.iter().enumerate() {
                 inputs.push(n.0);
                 if pin_role(gate.kind, pin).is_some() {
                     reader_off[n.idx() + 1] += 1;
@@ -134,7 +135,7 @@ impl GateTables {
             }
             if gate.kind == GateKind::Dff {
                 reader_off[gate.output.idx() + 1] += 1;
-                reader_off[gate.inputs[0].idx()] |= CLOCK;
+                reader_off[pins[0].idx()] |= CLOCK;
             }
         }
         let in_end = u32::try_from(inputs.len()).expect("input pins fit a u32 offset");
@@ -529,9 +530,9 @@ mod tests {
             let Some(local) = local_of[g.idx()] else {
                 continue;
             };
-            let gate = &nl.gates[g.idx()];
-            for (pin, _) in gate.inputs.iter().enumerate().filter(|(_, &n)| n == net) {
-                let role = match (gate.kind, pin) {
+            let kind = nl.gates[g.idx()].kind;
+            for (pin, _) in nl.inputs(g).iter().enumerate().filter(|(_, &n)| n == net) {
+                let role = match (kind, pin) {
                     (GateKind::Dff, 0) => DFF_CLK,
                     (GateKind::Dff, 1) => continue,
                     (GateKind::Dffr, 0) => DFFR_CLK,
@@ -562,7 +563,7 @@ mod tests {
             let gate = &nl.gates[g.idx()];
             let rec = t.gate(local as u32);
             assert_eq!((rec.kind, rec.out), (gate.kind, gate.output.0), "{g}");
-            let pins: Vec<u32> = gate.inputs.iter().map(|n| n.0).collect();
+            let pins: Vec<u32> = nl.inputs(g).iter().map(|n| n.0).collect();
             assert_eq!(t.inputs(local as u32), pins, "inputs of {g}");
             let exported = cluster.exports.iter().any(|(n, _)| *n == gate.output);
             assert_eq!(rec.exported, exported, "exported bit of {g}");
@@ -605,7 +606,7 @@ mod tests {
             let gate = &nl.gates[g.idx()];
             assert_eq!(slot_of[local].is_some(), gate.kind == GateKind::Dff);
             if let Some(slot) = slot_of[local] {
-                want.extend([(gate.inputs[1].0, slot), (gate.output.0, slot)]);
+                want.extend([(nl.inputs(g)[1].0, slot), (gate.output.0, slot)]);
             }
         }
         arming.sort_unstable();
@@ -675,7 +676,10 @@ mod tests {
         let nl = elaborate(QUIRKS);
         let all: Vec<GateId> = (0..nl.gate_count() as u32).map(GateId).collect();
         let t = GateTables::new(&nl, &all, &[]);
-        let net = |name: &str| nl.nets.iter().position(|n| n.name == name).unwrap() as u32;
+        let net = |name: &str| {
+            let named = |&n: &u32| nl.net_name(NetId(n)) == name;
+            (0..nl.net_count() as u32).find(named).unwrap()
+        };
         let driver = |name: &str| nl.nets[net(name) as usize].driver.unwrap().0;
         let (f1, f2, f4, g5) = (
             driver("top.y1"),

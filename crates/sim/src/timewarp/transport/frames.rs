@@ -12,7 +12,7 @@ use crate::timewarp::wire::json_kind;
 use crate::timewarp::TwMessage;
 use crate::wheel::VTime;
 use dvs_json::{uint_array, uint_vec, FromJson, Json, ObjBuilder, ToJson};
-use dvs_verilog::netlist::{Gate, GateId, GateKind, InstId, Net, NetId, Netlist};
+use dvs_verilog::netlist::{GateId, GateKind, InstId, Net, NetId, Netlist};
 
 /// Virtual times go on the wire as integers, with the idle sentinel
 /// `VTime::MAX` as `null` (it does not fit a JSON int).
@@ -135,11 +135,13 @@ pub(super) fn init_json(
     let gates: Vec<Json> = nl
         .gates
         .iter()
-        .map(|g| {
-            let mut a = Vec::with_capacity(2 + g.inputs.len());
+        .enumerate()
+        .map(|(i, g)| {
+            let inputs = nl.inputs(GateId(i as u32));
+            let mut a = Vec::with_capacity(2 + inputs.len());
             a.push(Json::Str(g.kind.name().to_string()));
             a.push(Json::Int(g.output.0 as i64));
-            a.extend(g.inputs.iter().map(|n| Json::Int(n.0 as i64)));
+            a.extend(inputs.iter().map(|n| Json::Int(n.0 as i64)));
             Json::Array(a)
         })
         .collect();
@@ -228,15 +230,9 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
             .map(|n| NetId(n as u32))
             .collect())
     };
-    let mut netlist = Netlist {
-        nets: (0..nets)
-            .map(|_| Net {
-                name: String::new(),
-                driver: None,
-            })
-            .collect(),
-        ..Netlist::default()
-    };
+    // No names travel: the worker's nets are named by their ids.
+    let mut netlist = Netlist::default();
+    netlist.nets = vec![Net::default(); nets];
     netlist.const0_net = opt_net(v.field("const0").map_err(err)?)?;
     netlist.const1_net = opt_net(v.field("const1").map_err(err)?)?;
     netlist.primary_inputs = net_ids(v.field("primary_inputs").map_err(err)?)?;
@@ -266,14 +262,7 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         if inputs.iter().any(|n| n.idx() >= nets) {
             return Err(format!("gate {i}: input net out of range"));
         }
-        netlist.nets[output.idx()].driver = Some(GateId(netlist.gates.len() as u32));
-        netlist.gates.push(Gate {
-            kind,
-            output,
-            inputs,
-            owner: InstId(0),
-            delay: None,
-        });
+        netlist.add_gate(kind, output, &inputs, InstId(0), None);
     }
     let gate_block: Vec<u32> = uint_vec(v.field("gate_block").map_err(err)?)
         .map_err(err)?

@@ -1181,3 +1181,87 @@ fn an_unfaithful_fork_is_caught_at_the_decision_it_misforecast() {
         "unexpected: {message}"
     );
 }
+
+// -- Net names ----------------------------------------------------------
+
+/// `top.port` or `top.port[bit]` for every bit of every input port of
+/// `top`, in header order and LSB first, read off the AST.
+fn input_port_names(src: &str, top: &str) -> Vec<String> {
+    use dvs_verilog::ast::{Direction, Item};
+    let unit = dvs_verilog::parse(src).expect("generated circuit parses");
+    let decl = unit.module(top).expect("the top module is defined");
+    let mut out = Vec::new();
+    for port in &decl.ports {
+        for item in &decl.items {
+            let Item::PortDecl {
+                direction: Direction::Input,
+                range,
+                names,
+                ..
+            } = item
+            else {
+                continue;
+            };
+            if !names.contains(port) {
+                continue;
+            }
+            match range {
+                None => out.push(format!("{top}.{port}")),
+                Some(r) => out.extend(r.bits_lsb_first().map(|b| format!("{top}.{port}[{b}]"))),
+            }
+        }
+    }
+    out
+}
+
+/// Names are derived, not stored: on `random_hier` at depths 0–3 and the
+/// tiny decoder every net's name is unique, the primary inputs carry their
+/// ports' names so the clock is found by name, and a netlist decoded from
+/// an `init` frame — which ships no names — names each net by its id and
+/// reads the same gate inputs.
+#[test]
+fn net_names_are_unique_follow_the_ports_and_are_ids_on_the_wire() {
+    use dvs_workloads::random_hier::{generate_random_hier, RandomHierParams};
+    let mut circuits: Vec<(String, &str)> = (0..4)
+        .map(|depth| {
+            let params = RandomHierParams {
+                depth,
+                seed: 30 + u64::from(depth),
+                ..RandomHierParams::default()
+            };
+            (generate_random_hier(&params), "rtop")
+        })
+        .collect();
+    circuits.push((generate_viterbi(&ViterbiParams::tiny()), "viterbi"));
+    for (src, top) in &circuits {
+        let nl = dvs_verilog::parse_and_elaborate_top(src, top)
+            .expect("generated circuit elaborates")
+            .into_netlist();
+        let names: Vec<String> = (0..nl.net_count() as u32)
+            .map(|n| nl.net_name(NetId(n)))
+            .collect();
+        let unique: std::collections::HashSet<&String> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "{top}: a name is repeated");
+
+        let inputs: Vec<&String> = nl.primary_inputs.iter().map(|n| &names[n.idx()]).collect();
+        assert_eq!(
+            inputs,
+            input_port_names(src, top).iter().collect::<Vec<_>>()
+        );
+        let stim = VectorStimulus::from_netlist(&nl, 10, 1);
+        let clk = stim.clock.map(|n| names[n.idx()].as_str());
+        assert_eq!(clk, Some(format!("{top}.clk").as_str()), "{top}: clock");
+
+        let plan = ClusterPlan::new(&nl, &vec![0; nl.gate_count()], 1);
+        let frame = init_json(&nl, &plan, &stim, 4, true, 0, "names");
+        let decoded = worker_init_from_json(&frame).expect("init parses").netlist;
+        assert_eq!(decoded.net_count(), nl.net_count());
+        for n in 0..nl.net_count() as u32 {
+            assert_eq!(decoded.net_name(NetId(n)), format!("n{n}"));
+        }
+        for g in 0..nl.gate_count() as u32 {
+            let g = dvs_verilog::netlist::GateId(g);
+            assert_eq!(decoded.inputs(g), nl.inputs(g), "{top}: inputs of {g}");
+        }
+    }
+}

@@ -7,7 +7,7 @@ use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig, TwRunResult};
 use dvs_sim::Logic;
-use dvs_verilog::netlist::Netlist;
+use dvs_verilog::netlist::{GateId, Netlist};
 use dvs_verilog::parse_and_elaborate;
 
 /// Run both kernels and compare every driven net's final value.
@@ -297,9 +297,10 @@ fn oblivious_run(
     for t in 0..stim.end_time(cycles) + 32 {
         tick(&before, &now);
         let mut next = now.clone();
-        for g in &nl.gates {
-            let at = |pin: usize| now[g.inputs[pin].idx()];
-            let rose = |pin: usize| is_posedge(before[g.inputs[pin].idx()], at(pin));
+        for (gi, g) in nl.gates.iter().enumerate() {
+            let inputs = nl.inputs(GateId(gi as u32));
+            let at = |pin: usize| now[inputs[pin].idx()];
+            let rose = |pin: usize| is_posedge(before[inputs[pin].idx()], at(pin));
             let hold = now[g.output.idx()];
             next[g.output.idx()] = match g.kind {
                 GateKind::Dff if rose(0) => at(1),
@@ -308,7 +309,7 @@ fn oblivious_run(
                 GateKind::Latch if at(0) == Logic::One => at(1),
                 GateKind::Dff | GateKind::Dffr | GateKind::Latch => hold,
                 kind => {
-                    let ins: Vec<Logic> = g.inputs.iter().map(|n| now[n.idx()]).collect();
+                    let ins: Vec<Logic> = inputs.iter().map(|n| now[n.idx()]).collect();
                     eval_combinational(kind, &ins)
                 }
             };
@@ -335,8 +336,12 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
 
     let nl = parse_and_elaborate(FLOP_PINS).unwrap().into_netlist();
     let net = |name: &str| {
-        let at = nl.nets.iter().position(|n| n.name == format!("top.{name}"));
-        NetId(at.unwrap_or_else(|| panic!("no net `{name}`")) as u32)
+        let named = |&n: &u32| nl.net_name(NetId(n)) == format!("top.{name}");
+        NetId(
+            (0..nl.net_count() as u32)
+                .find(named)
+                .unwrap_or_else(|| panic!("no net `{name}`")),
+        )
     };
     let flops_apart: Vec<u32> = nl
         .gates
@@ -359,12 +364,13 @@ fn flop_pin_paths_match_an_oblivious_evaluator() {
             seq.run(&stim, vectors, &mut NullObserver);
             let init = if init_zero { Logic::Zero } else { Logic::X };
             let want = oblivious_run(&nl, &stim, vectors, init, |_, _| {});
-            for (ni, n) in nl.nets.iter().enumerate() {
+            for (ni, &want) in want.iter().enumerate() {
+                let n = NetId(ni as u32);
                 assert_eq!(
-                    seq.value(NetId(ni as u32)),
-                    want[ni],
+                    seq.value(n),
+                    want,
                     "net `{}` after vector {vectors}, seed {seed}, init_zero {init_zero}",
-                    n.name
+                    nl.net_name(n)
                 );
             }
             if !init_zero {
@@ -426,14 +432,15 @@ fn gate_activity_equals_an_oblivious_count() {
         let stim = VectorStimulus::from_netlist(&nl, 10, 21);
         let mut want = vec![0u64; nl.gate_count()];
         oblivious_run(&nl, &stim, 24, Logic::Zero, |before, now| {
-            for (g, count) in nl.gates.iter().zip(&mut want) {
-                let changed = |pin: usize| before[g.inputs[pin].idx()] != now[g.inputs[pin].idx()];
+            for (gi, (g, count)) in nl.gates.iter().zip(&mut want).enumerate() {
+                let inputs = nl.inputs(GateId(gi as u32));
+                let changed = |pin: usize| before[inputs[pin].idx()] != now[inputs[pin].idx()];
                 let rose =
-                    |pin: usize| is_posedge(before[g.inputs[pin].idx()], now[g.inputs[pin].idx()]);
+                    |pin: usize| is_posedge(before[inputs[pin].idx()], now[inputs[pin].idx()]);
                 *count += match g.kind {
                     GateKind::Dff => rose(0),
                     GateKind::Dffr => rose(0) || changed(1),
-                    _ => (0..g.inputs.len()).any(changed),
+                    _ => (0..inputs.len()).any(changed),
                 } as u64;
             }
         });

@@ -9,7 +9,7 @@
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::netlist::{Gate, GateId, GateKind, InstId, Instance, Net, NetId, Netlist};
+use crate::netlist::{GateKind, InstId, Instance, NetId, Netlist};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -52,6 +52,8 @@ struct SigInfo {
     range: Option<Range>,
     direction: Option<Direction>,
     kind: NetKind,
+    /// The signal's name in the netlist's name table.
+    name: u32,
 }
 
 impl SigInfo {
@@ -81,7 +83,8 @@ struct ModuleInfo<'a> {
 }
 
 impl<'a> ModuleInfo<'a> {
-    fn build(decl: &'a ModuleDecl) -> Result<Self> {
+    /// The symbol table of `decl`, its signal names added to `netlist`'s.
+    fn build(decl: &'a ModuleDecl, netlist: &mut Netlist) -> Result<Self> {
         let mut signals: HashMap<&'a str, SigInfo> = HashMap::new();
         for item in &decl.items {
             match item {
@@ -98,6 +101,7 @@ impl<'a> ModuleInfo<'a> {
                                     range: *range,
                                     direction: Some(*direction),
                                     kind: NetKind::Wire,
+                                    name: 0,
                                 });
                             }
                             Entry::Occupied(mut o) => {
@@ -129,6 +133,7 @@ impl<'a> ModuleInfo<'a> {
                                     range: *range,
                                     direction: None,
                                     kind: *kind,
+                                    name: 0,
                                 });
                             }
                             Entry::Occupied(mut o) => {
@@ -162,6 +167,9 @@ impl<'a> ModuleInfo<'a> {
         }
         let mut signals: Vec<_> = signals.into_iter().collect();
         signals.sort_unstable_by_key(|&(name, _)| name);
+        for (name, sig) in &mut signals {
+            sig.name = netlist.add_name(name);
+        }
         Ok(ModuleInfo { decl, signals })
     }
 
@@ -182,10 +190,11 @@ struct Elaborator<'a, 'm> {
 
 /// Elaborate a parsed source unit into a [`Design`].
 pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
+    let mut netlist = Netlist::default();
     let mut modules = HashMap::new();
     for m in &unit.modules {
         if modules
-            .insert(m.name.as_str(), ModuleInfo::build(m)?)
+            .insert(m.name.as_str(), ModuleInfo::build(m, &mut netlist)?)
             .is_some()
         {
             return Err(Error::elab(format!("module `{}` defined twice", m.name)));
@@ -195,7 +204,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
 
     let mut elab = Elaborator {
         modules: &modules,
-        netlist: Netlist::default(),
+        netlist,
         stack: HashSet::new(),
     };
 
@@ -215,7 +224,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
     let mut net_map = NetMap::new();
     for p in &top_info.decl.ports {
         let info = top_info.port_info(p);
-        let bits = elab.fresh_nets(top, p, info.range);
+        let bits = elab.fresh_nets(InstId::ROOT, info);
         match info.direction {
             Some(Direction::Input) => elab.netlist.primary_inputs.extend(bits.iter().copied()),
             Some(Direction::Output) => elab.netlist.primary_outputs.extend(bits.iter().copied()),
@@ -238,6 +247,7 @@ pub fn elaborate(unit: &SourceUnit, opts: &ElabOptions) -> Result<Design> {
 
     elab.elaborate_module(top_info, InstId::ROOT, top, net_map)?;
     elab.netlist.recount_gates();
+    elab.netlist.shrink_to_fit();
     debug_assert_eq!(elab.netlist.validate(), Ok(()));
     Ok(Design {
         netlist: elab.netlist,
@@ -287,45 +297,14 @@ fn pick_top<'a>(
     }
 }
 
-/// `path.name`, or `path.name[bit]`, in one exactly sized allocation.
-fn net_name(path: &str, name: &str, bit: Option<u32>) -> String {
-    let digits = bit.map_or(0, |b| b.checked_ilog10().unwrap_or(0) as usize + 3);
-    let mut s = String::with_capacity(path.len() + 1 + name.len() + digits);
-    s.push_str(path);
-    s.push('.');
-    s.push_str(name);
-    if let Some(b) = bit {
-        use std::fmt::Write;
-        write!(s, "[{b}]").expect("writing to a String cannot fail");
-    }
-    s
-}
-
 impl<'a> Elaborator<'a, '_> {
-    /// Create fresh nets for signal `name` with optional `range`, named under
-    /// `path`. Returns the bits LSB-first.
-    fn fresh_nets(&mut self, path: &str, name: &str, range: Option<Range>) -> Vec<NetId> {
-        match range {
-            None => {
-                let id = NetId(self.netlist.nets.len() as u32);
-                self.netlist.nets.push(Net {
-                    name: net_name(path, name, None),
-                    driver: None,
-                });
-                vec![id]
-            }
-            Some(r) => r
-                .bits_lsb_first()
-                .map(|bit| {
-                    let id = NetId(self.netlist.nets.len() as u32);
-                    self.netlist.nets.push(Net {
-                        name: net_name(path, name, Some(bit)),
-                        driver: None,
-                    });
-                    id
-                })
-                .collect(),
-        }
+    /// Create fresh nets for signal `sig` of instance `inst`. Returns the
+    /// bits LSB-first.
+    fn fresh_nets(&mut self, inst: InstId, sig: SigInfo) -> Vec<NetId> {
+        let first = self.netlist.add_named_nets(Some(inst), sig.name, sig.range);
+        (first.0..self.netlist.net_count() as u32)
+            .map(NetId)
+            .collect()
     }
 
     fn const_net(&mut self, value: bool) -> NetId {
@@ -337,25 +316,16 @@ impl<'a> Elaborator<'a, '_> {
         if let Some(n) = slot {
             return n;
         }
-        let id = NetId(self.netlist.nets.len() as u32);
-        self.netlist.nets.push(Net {
-            name: format!("$const{}", value as u8),
-            driver: None,
-        });
+        let name = self
+            .netlist
+            .add_name(if value { "$const1" } else { "$const0" });
+        let id = self.netlist.add_named_nets(None, name, None);
         let kind = if value {
             GateKind::Const1
         } else {
             GateKind::Const0
         };
-        let gid = GateId(self.netlist.gates.len() as u32);
-        self.netlist.gates.push(Gate {
-            kind,
-            output: id,
-            inputs: Vec::new(),
-            owner: InstId::ROOT,
-            delay: None,
-        });
-        self.netlist.nets[id.idx()].driver = Some(gid);
+        self.netlist.add_gate(kind, id, &[], InstId::ROOT, None);
         if value {
             self.netlist.const1_net = Some(id);
         } else {
@@ -400,7 +370,7 @@ impl<'a> Elaborator<'a, '_> {
                     let c = self.const_net(true);
                     vec![c; sig.width() as usize]
                 }
-                NetKind::Wire | NetKind::Reg => self.fresh_nets(path, name, sig.range),
+                NetKind::Wire | NetKind::Reg => self.fresh_nets(inst, sig),
             };
             net_map.insert(
                 name,
@@ -500,37 +470,23 @@ impl<'a> Elaborator<'a, '_> {
             .ok_or_else(|| Error::elab(format!("`{path}`: undeclared signal `{name}`")))
     }
 
-    fn drive(&mut self, net: NetId, gate: GateId, path: &str) -> Result<()> {
-        let slot = &mut self.netlist.nets[net.idx()].driver;
-        if slot.is_some() {
-            return Err(Error::elab(format!(
-                "`{path}`: net `{}` is multiply driven",
-                self.netlist.nets[net.idx()].name
-            )));
-        }
-        *slot = Some(gate);
-        Ok(())
-    }
-
     fn add_gate(
         &mut self,
         kind: GateKind,
         output: NetId,
-        inputs: Vec<NetId>,
+        inputs: &[NetId],
         owner: InstId,
         delay: Option<u64>,
         path: &str,
-    ) -> Result<GateId> {
-        let gid = GateId(self.netlist.gates.len() as u32);
-        self.drive(output, gid, path)?;
-        self.netlist.gates.push(Gate {
-            kind,
-            output,
-            inputs,
-            owner,
-            delay,
-        });
-        Ok(gid)
+    ) -> Result<()> {
+        if self.netlist.nets[output.idx()].driver.is_some() {
+            return Err(Error::elab(format!(
+                "`{path}`: net `{}` is multiply driven",
+                self.netlist.net_name(output)
+            )));
+        }
+        self.netlist.add_gate(kind, output, inputs, owner, delay);
+        Ok(())
     }
 
     fn scalar(&mut self, e: &Expr, path: &str, net_map: &NetMap, what: &str) -> Result<NetId> {
@@ -598,7 +554,7 @@ impl<'a> Elaborator<'a, '_> {
                     GatePrim::Xnor => GateKind::Xnor,
                     _ => unreachable!(),
                 };
-                self.add_gate(kind, out, inputs, owner, delay, path)?;
+                self.add_gate(kind, out, &inputs, owner, delay, path)?;
             }
             GatePrim::Buf | GatePrim::Not => {
                 if n < 2 {
@@ -615,7 +571,7 @@ impl<'a> Elaborator<'a, '_> {
                 };
                 for t in &gi.terminals[..n - 1] {
                     let out = self.scalar(t, path, net_map, "gate output")?;
-                    self.add_gate(kind, out, vec![input], owner, delay, path)?;
+                    self.add_gate(kind, out, &[input], owner, delay, path)?;
                 }
             }
             GatePrim::Dff | GatePrim::Latch => {
@@ -634,7 +590,7 @@ impl<'a> Elaborator<'a, '_> {
                 } else {
                     GateKind::Latch
                 };
-                self.add_gate(kind, q, vec![ctl, d], owner, delay, path)?;
+                self.add_gate(kind, q, &[ctl, d], owner, delay, path)?;
             }
             GatePrim::Dffr => {
                 if n != 4 {
@@ -646,7 +602,7 @@ impl<'a> Elaborator<'a, '_> {
                 let clk = self.scalar(&gi.terminals[1], path, net_map, "dffr clock")?;
                 let rst = self.scalar(&gi.terminals[2], path, net_map, "dffr reset")?;
                 let d = self.scalar(&gi.terminals[3], path, net_map, "dffr data")?;
-                self.add_gate(GateKind::Dffr, q, vec![clk, rst, d], owner, delay, path)?;
+                self.add_gate(GateKind::Dffr, q, &[clk, rst, d], owner, delay, path)?;
             }
         }
         Ok(())
@@ -677,7 +633,7 @@ impl<'a> Elaborator<'a, '_> {
             )));
         }
         for (l, r) in lbits.into_iter().zip(rbits) {
-            self.add_gate(GateKind::Buf, l, vec![r], owner, None, path)?;
+            self.add_gate(GateKind::Buf, l, &[r], owner, None, path)?;
         }
         Ok(())
     }
@@ -691,6 +647,9 @@ impl<'a> Elaborator<'a, '_> {
         net_map: &NetMap,
     ) -> Result<()> {
         let child_path = format!("{path}.{}", mi.name);
+        // The node is pushed below, after the ports: binding creates nets,
+        // never instances, so a dangling port is named under this id.
+        let child_id = InstId(self.netlist.instances.len() as u32);
         let info = self
             .modules
             .get(module)
@@ -751,13 +710,12 @@ impl<'a> Elaborator<'a, '_> {
                     }
                     bits
                 }
-                None => self.fresh_nets(&child_path, pname, range),
+                None => self.fresh_nets(child_id, sig),
             };
             child_map.insert(pname, Binding { bits, range });
         }
 
         // Create the instance-tree node.
-        let child_id = InstId(self.netlist.instances.len() as u32);
         let depth = self.netlist.instances[parent.idx()].depth + 1;
         self.netlist.instances.push(Instance {
             name: mi.name.clone(),
@@ -777,6 +735,7 @@ impl<'a> Elaborator<'a, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::GateId;
     use crate::{parse_and_elaborate, parse_and_elaborate_top};
 
     const FULL_ADDER: &str = r#"
@@ -869,8 +828,12 @@ mod tests {
         "#;
         let d = parse_and_elaborate(src).unwrap();
         let nl = d.netlist();
-        let buf = nl.gates.iter().find(|g| g.kind == GateKind::Buf).unwrap();
-        assert_eq!(Some(buf.inputs[0]), nl.const1_net);
+        let buf = nl
+            .gates
+            .iter()
+            .position(|g| g.kind == GateKind::Buf)
+            .unwrap();
+        assert_eq!(Some(nl.inputs(GateId(buf as u32))[0]), nl.const1_net);
     }
 
     #[test]
@@ -980,9 +943,8 @@ mod tests {
             endmodule
         "#;
         let d = parse_and_elaborate(src).unwrap();
-        let g = &d.netlist().gates[0];
-        assert_eq!(g.kind, GateKind::Dff);
-        assert_eq!(g.inputs.len(), 2);
+        assert_eq!(d.netlist().gates[0].kind, GateKind::Dff);
+        assert_eq!(d.netlist().inputs(GateId(0)).len(), 2);
     }
 
     #[test]
@@ -994,9 +956,8 @@ mod tests {
             endmodule
         "#;
         let d = parse_and_elaborate(src).unwrap();
-        let g = &d.netlist().gates[0];
-        assert_eq!(g.kind, GateKind::Dffr);
-        assert_eq!(g.inputs.len(), 3);
+        assert_eq!(d.netlist().gates[0].kind, GateKind::Dffr);
+        assert_eq!(d.netlist().inputs(GateId(0)).len(), 3);
         d.netlist().validate().unwrap();
         // Wrong arity is rejected.
         let bad = "module top(clk, d, q); input clk, d; output q; dffr f (q, clk, d); endmodule";
@@ -1060,12 +1021,18 @@ mod tests {
             }
         }
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        for n in &nl.nets {
-            write!(h, "{} {:?};", n.name, n.driver).unwrap();
+        for (i, n) in nl.nets.iter().enumerate() {
+            write!(h, "{} {:?};", nl.net_name(NetId(i as u32)), n.driver).unwrap();
         }
-        for g in &nl.gates {
-            let (kind, out, owner) = (g.kind.name(), g.output, g.owner);
-            write!(h, "{kind} {out} {:?} {owner} {:?};", g.inputs, g.delay).unwrap();
+        for (i, g) in nl.gates.iter().enumerate() {
+            let (kind, out, owner, id) = (g.kind.name(), g.output, g.owner, GateId(i as u32));
+            write!(
+                h,
+                "{kind} {out} {:?} {owner} {:?};",
+                nl.inputs(id),
+                nl.delay(id)
+            )
+            .unwrap();
         }
         for i in &nl.instances {
             let (name, module, own, sub) = (&i.name, &i.module, i.own_gates, i.subtree_gates);

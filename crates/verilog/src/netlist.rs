@@ -7,7 +7,16 @@
 //! [`Netlist::instances`]. This is exactly the information the design-driven
 //! partitioner of Li & Tropper exploits, and exactly what flat-netlist
 //! partitioners (the hMetis baseline) ignore.
+//!
+//! The netlist is compact, since the paper's decoder has 1.1 M of each: a
+//! gate is 12 bytes and a net 8. Gate inputs sit in one flat array with an
+//! offset per gate ([`Netlist::inputs`]), and the few declared delays in a
+//! side list ([`Netlist::delay`]). A net's name is not stored but derived on
+//! demand ([`Netlist::net_name`]) from one record per declared signal of
+//! each instance: its first net, the instance, the signal name (each
+//! module's signal names are kept once) and the declared range.
 
+use crate::ast::Range;
 use std::fmt;
 
 /// Index of a net (one signal bit) in [`Netlist::nets`].
@@ -141,23 +150,19 @@ impl GateKind {
     }
 }
 
-/// One elaborated primitive gate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One elaborated primitive gate. Its input nets are [`Netlist::inputs`],
+/// its declared `#delay` is [`Netlist::delay`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     pub kind: GateKind,
     pub output: NetId,
-    pub inputs: Vec<NetId>,
     /// The instance-tree node whose module body textually contains this gate.
     pub owner: InstId,
-    /// Declared `#delay`, if any. The unit-delay simulator ignores it.
-    pub delay: Option<u64>,
 }
 
-/// One signal bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One signal bit. Its hierarchical name is [`Netlist::net_name`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Net {
-    /// Hierarchical name, e.g. `top.acs0.sum[3]`.
-    pub name: String,
     /// The gate driving this net, if any. Primary inputs and dangling nets
     /// have no driver.
     pub driver: Option<GateId>,
@@ -181,10 +186,30 @@ pub struct Instance {
     pub subtree_gates: u64,
 }
 
+/// The names of the nets `first..first + width`: one declared signal of one
+/// instance, bit by bit from the LSB, or one constant net.
+#[derive(Debug, Clone, Copy)]
+struct NameRun {
+    first: u32,
+    /// The instance whose path prefixes the name; `None` for a constant net,
+    /// whose name is the signal name alone.
+    inst: Option<InstId>,
+    /// Index into [`Netlist::names`].
+    name: u32,
+    range: Option<Range>,
+}
+
+impl NameRun {
+    fn width(&self) -> u32 {
+        self.range.map_or(1, |r| r.width())
+    }
+}
+
 /// The flat netlist plus hierarchy metadata.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     pub nets: Vec<Net>,
+    /// Gates, added only through [`Netlist::add_gate`].
     pub gates: Vec<Gate>,
     pub instances: Vec<Instance>,
     pub primary_inputs: Vec<NetId>,
@@ -192,6 +217,34 @@ pub struct Netlist {
     /// Nets tied to constant 0/1 (supply nets and literal connections).
     pub const0_net: Option<NetId>,
     pub const1_net: Option<NetId>,
+    /// The inputs of gate `g` are `inputs[input_off[g]..input_off[g + 1]]`.
+    input_off: Vec<u32>,
+    inputs: Vec<NetId>,
+    /// `(gate, declared delay)`, ascending by gate.
+    delays: Vec<(GateId, u64)>,
+    /// Ascending and disjoint; a net no run covers is named by its id.
+    runs: Vec<NameRun>,
+    /// The signal names the runs point into.
+    names: Vec<String>,
+}
+
+impl Default for Netlist {
+    fn default() -> Self {
+        Netlist {
+            nets: Vec::new(),
+            gates: Vec::new(),
+            instances: Vec::new(),
+            primary_inputs: Vec::new(),
+            primary_outputs: Vec::new(),
+            const0_net: None,
+            const1_net: None,
+            input_off: vec![0],
+            inputs: Vec::new(),
+            delays: Vec::new(),
+            runs: Vec::new(),
+            names: Vec::new(),
+        }
+    }
 }
 
 impl Netlist {
@@ -206,6 +259,115 @@ impl Netlist {
     /// Number of module instances excluding the root.
     pub fn instance_count(&self) -> usize {
         self.instances.len().saturating_sub(1)
+    }
+
+    /// Append a gate reading `inputs` and make it the driver of `output`.
+    pub fn add_gate(
+        &mut self,
+        kind: GateKind,
+        output: NetId,
+        inputs: &[NetId],
+        owner: InstId,
+        delay: Option<u64>,
+    ) -> GateId {
+        let id = GateId(self.gates.len() as u32);
+        self.inputs.extend_from_slice(inputs);
+        let end = u32::try_from(self.inputs.len()).expect("input pins fit a u32 offset");
+        self.input_off.push(end);
+        if let Some(d) = delay {
+            self.delays.push((id, d));
+        }
+        self.gates.push(Gate {
+            kind,
+            output,
+            owner,
+        });
+        self.nets[output.idx()].driver = Some(id);
+        id
+    }
+
+    /// Release the capacity the growing vectors left over: elaboration ends
+    /// with exactly sized storage, up to half of which would otherwise be
+    /// allocated and never used.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nets.shrink_to_fit();
+        self.gates.shrink_to_fit();
+        self.input_off.shrink_to_fit();
+        self.inputs.shrink_to_fit();
+        self.delays.shrink_to_fit();
+        self.runs.shrink_to_fit();
+        self.names.shrink_to_fit();
+    }
+
+    /// Input nets of gate `g`, in pin order.
+    #[inline]
+    pub fn inputs(&self, g: GateId) -> &[NetId] {
+        let (lo, hi) = (self.input_off[g.idx()], self.input_off[g.idx() + 1]);
+        &self.inputs[lo as usize..hi as usize]
+    }
+
+    /// Declared `#delay` of gate `g`, if any. The unit-delay simulator
+    /// ignores it.
+    pub fn delay(&self, g: GateId) -> Option<u64> {
+        let at = self.delays.binary_search_by_key(&g, |&(gate, _)| gate);
+        at.ok().map(|i| self.delays[i].1)
+    }
+
+    /// Keep `name` for [`Netlist::add_named_nets`]; returns its index.
+    pub(crate) fn add_name(&mut self, name: &str) -> u32 {
+        self.names.push(name.to_string());
+        (self.names.len() - 1) as u32
+    }
+
+    /// Append one undriven net per bit of `range` (one net if `None`), LSB
+    /// first, named `path.name` or `path.name[bit]` under the path of `inst`,
+    /// or just `name` if `inst` is `None`. Returns the first.
+    pub(crate) fn add_named_nets(
+        &mut self,
+        inst: Option<InstId>,
+        name: u32,
+        range: Option<Range>,
+    ) -> NetId {
+        let first = self.nets.len() as u32;
+        let run = NameRun {
+            first,
+            inst,
+            name,
+            range,
+        };
+        self.nets
+            .resize(first as usize + run.width() as usize, Net::default());
+        self.runs.push(run);
+        NetId(first)
+    }
+
+    /// Hierarchical name of net `n`, e.g. `top.acs0.sum[3]`; `$const0` /
+    /// `$const1` for the constant nets, and `n17` for a net built without a
+    /// name (a netlist decoded from the wire).
+    pub fn net_name(&self, n: NetId) -> String {
+        let at = self.runs.partition_point(|r| r.first <= n.0);
+        let run = at.checked_sub(1).map(|i| self.runs[i]);
+        let Some(run) = run.filter(|r| n.0 - r.first < r.width()) else {
+            return n.to_string();
+        };
+        let name = &self.names[run.name as usize];
+        let Some(inst) = run.inst else {
+            return name.clone();
+        };
+        let mut s = self.instance_path(inst);
+        s.push('.');
+        s.push_str(name);
+        if let Some(r) = run.range {
+            let offset = n.0 - run.first;
+            let bit = if r.msb >= r.lsb {
+                r.lsb + offset
+            } else {
+                r.lsb - offset
+            };
+            use std::fmt::Write;
+            write!(s, "[{bit}]").expect("writing to a String cannot fail");
+        }
+        s
     }
 
     /// Full hierarchical path of an instance (e.g. `top.dp.acs3`).
@@ -223,25 +385,18 @@ impl Netlist {
 
     /// Compute per-net fanout (reader gates) as a CSR structure.
     pub fn build_fanout(&self) -> Fanout {
-        let mut counts = vec![0u32; self.nets.len()];
-        for g in &self.gates {
-            for &n in &g.inputs {
-                counts[n.idx()] += 1;
-            }
+        let mut offsets = vec![0u32; self.nets.len() + 1];
+        for &n in &self.inputs {
+            offsets[n.idx() + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.nets.len() + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let mut readers = vec![GateId(0); acc as usize];
+        let mut readers = vec![GateId(0); self.inputs.len()];
         let mut cursor = offsets.clone();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &n in &g.inputs {
-                let slot = cursor[n.idx()];
-                readers[slot as usize] = GateId(gi as u32);
+        for (gi, pins) in self.input_off.windows(2).enumerate() {
+            for &n in &self.inputs[pins[0] as usize..pins[1] as usize] {
+                readers[cursor[n.idx()] as usize] = GateId(gi as u32);
                 cursor[n.idx()] += 1;
             }
         }
@@ -274,31 +429,39 @@ impl Netlist {
         false
     }
 
+    /// `own_gates` and `subtree_gates` of every instance, counted from the
+    /// gate list.
+    fn gate_counts(&self) -> (Vec<u32>, Vec<u64>) {
+        let mut own = vec![0u32; self.instances.len()];
+        for g in &self.gates {
+            own[g.owner.idx()] += 1;
+        }
+        let mut subtree: Vec<u64> = own.iter().map(|&c| u64::from(c)).collect();
+        // Children always follow parents in creation order, so a reverse scan
+        // accumulates subtree counts bottom-up.
+        for i in (0..self.instances.len()).rev() {
+            if let Some(p) = self.instances[i].parent {
+                subtree[p.idx()] += subtree[i];
+            }
+        }
+        (own, subtree)
+    }
+
     /// Recompute `own_gates` and `subtree_gates` for every instance from the
     /// gate list. Elaboration keeps these up to date; this is for netlists
     /// assembled by hand (tests, generators).
     pub fn recount_gates(&mut self) {
-        for inst in &mut self.instances {
-            inst.own_gates = 0;
-            inst.subtree_gates = 0;
-        }
-        for g in &self.gates {
-            self.instances[g.owner.idx()].own_gates += 1;
-        }
-        // Children always follow parents in creation order, so a reverse scan
-        // accumulates subtree counts bottom-up.
-        for i in (0..self.instances.len()).rev() {
-            self.instances[i].subtree_gates += self.instances[i].own_gates as u64;
-            if let Some(p) = self.instances[i].parent {
-                let add = self.instances[i].subtree_gates;
-                self.instances[p.idx()].subtree_gates += add;
-            }
+        let (own, subtree) = self.gate_counts();
+        for ((inst, own), subtree) in self.instances.iter_mut().zip(own).zip(subtree) {
+            inst.own_gates = own;
+            inst.subtree_gates = subtree;
         }
     }
 
-    /// Consistency check: every index in range, drivers consistent, hierarchy
-    /// acyclic with correct depths and gate counts. Intended for tests and
-    /// debug assertions; returns a description of the first violation.
+    /// Consistency check: every index in range, drivers consistent, input
+    /// offsets and name runs well formed, hierarchy acyclic with correct
+    /// depths and gate counts. Intended for tests and debug assertions;
+    /// returns a description of the first violation.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.instances.is_empty() {
             return Err("netlist has no root instance".into());
@@ -306,14 +469,22 @@ impl Netlist {
         if self.instances[0].parent.is_some() {
             return Err("root instance has a parent".into());
         }
+        if self.input_off.len() != self.gates.len() + 1 || self.input_off[0] != 0 {
+            return Err("input offsets do not frame the gates".into());
+        }
+        if let Some(gi) = self.input_off.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("gate g{gi} input offsets descend"));
+        }
+        if self.input_off[self.gates.len()] as usize != self.inputs.len() {
+            return Err("last input offset is not the input count".into());
+        }
         for (gi, g) in self.gates.iter().enumerate() {
+            let inputs = self.inputs(GateId(gi as u32));
             if g.output.idx() >= self.nets.len() {
                 return Err(format!("gate g{gi} output out of range"));
             }
-            for &n in &g.inputs {
-                if n.idx() >= self.nets.len() {
-                    return Err(format!("gate g{gi} input out of range"));
-                }
+            if inputs.iter().any(|n| n.idx() >= self.nets.len()) {
+                return Err(format!("gate g{gi} input out of range"));
             }
             if g.owner.idx() >= self.instances.len() {
                 return Err(format!("gate g{gi} owner out of range"));
@@ -333,19 +504,27 @@ impl Netlist {
                 | GateKind::Nand
                 | GateKind::Nor
                 | GateKind::Xor
-                | GateKind::Xnor => g.inputs.len() >= 2,
-                GateKind::Buf | GateKind::Not => g.inputs.len() == 1,
-                GateKind::Dff | GateKind::Latch => g.inputs.len() == 2,
-                GateKind::Dffr => g.inputs.len() == 3,
-                GateKind::Const0 | GateKind::Const1 => g.inputs.is_empty(),
+                | GateKind::Xnor => inputs.len() >= 2,
+                GateKind::Buf | GateKind::Not => inputs.len() == 1,
+                GateKind::Dff | GateKind::Latch => inputs.len() == 2,
+                GateKind::Dffr => inputs.len() == 3,
+                GateKind::Const0 | GateKind::Const1 => inputs.is_empty(),
             };
             if !arity_ok {
                 return Err(format!(
                     "gate g{gi} ({}) has invalid arity {}",
                     g.kind.name(),
-                    g.inputs.len()
+                    inputs.len()
                 ));
             }
+        }
+        if self.delays.windows(2).any(|w| w[0].0 >= w[1].0)
+            || self
+                .delays
+                .last()
+                .is_some_and(|d| d.0.idx() >= self.gates.len())
+        {
+            return Err("delays are not ascending by gate in range".into());
         }
         for (ni, n) in self.nets.iter().enumerate() {
             if let Some(d) = n.driver {
@@ -355,6 +534,19 @@ impl Netlist {
                 if self.gates[d.idx()].output.idx() != ni {
                     return Err(format!("net n{ni} driver mismatch"));
                 }
+            }
+        }
+        let mut named = 0u64;
+        for (ri, r) in self.runs.iter().enumerate() {
+            if u64::from(r.first) < named {
+                return Err(format!("name run {ri} overlaps the run before it"));
+            }
+            named = u64::from(r.first) + u64::from(r.width());
+            if named > self.nets.len() as u64
+                || r.name as usize >= self.names.len()
+                || r.inst.is_some_and(|i| i.idx() >= self.instances.len())
+            {
+                return Err(format!("name run {ri} out of range"));
             }
         }
         for &p in self.primary_inputs.iter().chain(&self.primary_outputs) {
@@ -369,6 +561,9 @@ impl Netlist {
         }
         let mut seen_child = vec![false; self.instances.len()];
         for (ii, inst) in self.instances.iter().enumerate() {
+            if inst.parent.is_some_and(|p| p.idx() >= ii) {
+                return Err(format!("instance i{ii} parent not before it"));
+            }
             for &c in &inst.children {
                 if c.idx() >= self.instances.len() {
                     return Err(format!("instance i{ii} child out of range"));
@@ -388,13 +583,12 @@ impl Netlist {
                 }
             }
         }
-        let mut check = self.clone();
-        check.recount_gates();
-        for (a, b) in self.instances.iter().zip(&check.instances) {
-            if a.own_gates != b.own_gates || a.subtree_gates != b.subtree_gates {
+        let (own, subtree) = self.gate_counts();
+        for ((inst, own), subtree) in self.instances.iter().zip(own).zip(subtree) {
+            if inst.own_gates != own || inst.subtree_gates != subtree {
                 return Err(format!(
-                    "instance `{}` gate counts stale: ({}, {}) vs recounted ({}, {})",
-                    a.name, a.own_gates, a.subtree_gates, b.own_gates, b.subtree_gates
+                    "instance `{}` gate counts stale: ({}, {}) vs recounted ({own}, {subtree})",
+                    inst.name, inst.own_gates, inst.subtree_gates
                 ));
             }
         }
@@ -434,13 +628,6 @@ mod tests {
     /// plus a child instance owning a buf.
     fn sample() -> Netlist {
         let mut nl = Netlist::default();
-        for (i, name) in ["a", "b", "sum", "carry", "cbuf"].iter().enumerate() {
-            nl.nets.push(Net {
-                name: format!("top.{name}"),
-                driver: None,
-            });
-            let _ = i;
-        }
         nl.instances.push(Instance {
             name: "top".into(),
             module: "top".into(),
@@ -459,30 +646,25 @@ mod tests {
             own_gates: 1,
             subtree_gates: 1,
         });
-        nl.gates.push(Gate {
-            kind: GateKind::Xor,
-            output: NetId(2),
-            inputs: vec![NetId(0), NetId(1)],
-            owner: InstId(0),
-            delay: None,
-        });
-        nl.gates.push(Gate {
-            kind: GateKind::And,
-            output: NetId(3),
-            inputs: vec![NetId(0), NetId(1)],
-            owner: InstId(0),
-            delay: None,
-        });
-        nl.gates.push(Gate {
-            kind: GateKind::Buf,
-            output: NetId(4),
-            inputs: vec![NetId(3)],
-            owner: InstId(1),
-            delay: None,
-        });
-        nl.nets[2].driver = Some(GateId(0));
-        nl.nets[3].driver = Some(GateId(1));
-        nl.nets[4].driver = Some(GateId(2));
+        for name in ["a", "b", "sum", "carry", "cbuf"] {
+            let name = nl.add_name(name);
+            nl.add_named_nets(Some(InstId::ROOT), name, None);
+        }
+        nl.add_gate(
+            GateKind::Xor,
+            NetId(2),
+            &[NetId(0), NetId(1)],
+            InstId(0),
+            None,
+        );
+        nl.add_gate(
+            GateKind::And,
+            NetId(3),
+            &[NetId(0), NetId(1)],
+            InstId(0),
+            Some(2),
+        );
+        nl.add_gate(GateKind::Buf, NetId(4), &[NetId(3)], InstId(1), None);
         nl.primary_inputs = vec![NetId(0), NetId(1)];
         nl.primary_outputs = vec![NetId(2), NetId(4)];
         nl
@@ -490,7 +672,50 @@ mod tests {
 
     #[test]
     fn sample_validates() {
-        sample().validate().unwrap();
+        let nl = sample();
+        nl.validate().unwrap();
+        assert_eq!(nl.inputs(GateId(0)), [NetId(0), NetId(1)]);
+        assert_eq!(nl.inputs(GateId(2)), [NetId(3)]);
+        assert_eq!(nl.nets[4].driver, Some(GateId(2)));
+        let delays: Vec<_> = (0..3).map(|g| nl.delay(GateId(g))).collect();
+        assert_eq!(delays, [None, Some(2), None]);
+    }
+
+    /// Growing either record is a choice to make on purpose: the paper's
+    /// decoder has 1.1 M gates and as many nets.
+    #[test]
+    fn gate_and_net_layouts_are_pinned() {
+        assert_eq!(std::mem::size_of::<Gate>(), 12);
+        assert_eq!(std::mem::size_of::<Net>(), 8);
+    }
+
+    #[test]
+    fn net_names_come_from_runs() {
+        let mut nl = sample();
+        assert_eq!(nl.net_name(NetId(3)), "top.carry");
+        let bus = nl.add_name("bus");
+        let up = nl.add_named_nets(Some(InstId(1)), bus, Some(Range { msb: 7, lsb: 5 }));
+        let down = nl.add_named_nets(Some(InstId(1)), bus, Some(Range { msb: 0, lsb: 1 }));
+        let c1 = nl.add_name("$const1");
+        let one = nl.add_named_nets(None, c1, None);
+        nl.nets.push(Net::default());
+        let names: Vec<String> = (up.0..nl.net_count() as u32)
+            .map(|n| nl.net_name(NetId(n)))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "top.u1.bus[5]",
+                "top.u1.bus[6]",
+                "top.u1.bus[7]",
+                "top.u1.bus[1]",
+                "top.u1.bus[0]",
+                "$const1",
+                "n11",
+            ]
+        );
+        assert_eq!((down.0, one.0), (8, 10));
+        nl.validate().unwrap();
     }
 
     #[test]
@@ -501,6 +726,7 @@ mod tests {
         assert_eq!(f.degree(NetId(1)), 2);
         assert_eq!(f.degree(NetId(2)), 0);
         assert_eq!(f.readers(NetId(3)), &[GateId(2)]);
+        assert_eq!(f.readers(NetId(0)), &[GateId(0), GateId(1)]);
     }
 
     #[test]
@@ -537,8 +763,28 @@ mod tests {
     #[test]
     fn validate_catches_bad_arity() {
         let mut nl = sample();
-        nl.gates[0].inputs.pop();
+        nl.gates[2].kind = GateKind::And;
         assert!(nl.validate().is_err());
+    }
+
+    #[test]
+    fn validate_catches_broken_offsets() {
+        let mut nl = sample();
+        nl.input_off[1] = 5;
+        let e = nl.validate().unwrap_err();
+        assert!(e.contains("descend"), "{e}");
+        let mut nl = sample();
+        nl.inputs.push(NetId(0));
+        let e = nl.validate().unwrap_err();
+        assert!(e.contains("input count"), "{e}");
+    }
+
+    #[test]
+    fn validate_catches_overlapping_name_runs() {
+        let mut nl = sample();
+        nl.runs[2].first = 1;
+        let e = nl.validate().unwrap_err();
+        assert!(e.contains("overlaps"), "{e}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (module count, gate count) plus structural measures useful for validating
 //! generated circuits (fanout distribution, logic depth, sequential ratio).
 
-use crate::netlist::Netlist;
+use crate::netlist::{GateId, NetId, Netlist};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -70,7 +70,7 @@ pub fn stats(nl: &Netlist) -> DesignStats {
     let mut max_fanout = 0usize;
     let mut total_fanout = 0usize;
     for i in 0..nl.nets.len() {
-        let d = fanout.degree(crate::netlist::NetId(i as u32));
+        let d = fanout.degree(NetId(i as u32));
         max_fanout = max_fanout.max(d);
         total_fanout += d;
     }
@@ -115,7 +115,7 @@ pub fn logic_depth(nl: &Netlist) -> Option<u32> {
         if g.kind.is_sequential() || g.kind.is_const() {
             continue;
         }
-        for &inp in &g.inputs {
+        for &inp in nl.inputs(GateId(gi as u32)) {
             if let Some(d) = nl.nets[inp.idx()].driver {
                 if !nl.gates[d.idx()].kind.is_sequential() && !nl.gates[d.idx()].kind.is_const() {
                     indeg[gi] += 1;

@@ -227,7 +227,7 @@ mod tests {
                         // dout assign buffers read the last bus; keep them
                         // with block 1. Everything else at top (din buffers,
                         // constants) stays in block 0.
-                        let out_name = &nl.nets[g.output.idx()].name;
+                        let out_name = nl.net_name(g.output);
                         if out_name.contains("dout") {
                             1
                         } else {
