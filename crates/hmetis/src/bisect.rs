@@ -2,7 +2,6 @@
 //! then V-cycles.
 
 use crate::coarsen::{coarsen_ladder, coarsen_within_blocks};
-use crate::config::HmetisConfig;
 use crate::initial::initial_bisection;
 use dvs_hypergraph::contract::Contraction;
 use dvs_hypergraph::fm::{pairwise_fm, FmConfig};
@@ -17,10 +16,9 @@ const VCYCLES: usize = 1;
 
 /// Bisect `hg` under the given two-block `bounds`. Deterministic given
 /// `rng`'s state.
-pub fn multilevel_bisect(
+pub(crate) fn multilevel_bisect(
     hg: &Hypergraph,
     bounds: &BlockBounds,
-    cfg: &HmetisConfig,
     rng: &mut impl Rng,
 ) -> Partition {
     assert_eq!(bounds.k(), 2);
@@ -34,10 +32,11 @@ pub fn multilevel_bisect(
     };
 
     // Phase 1: coarsen.
-    let (ladder, coarsest) = coarsen_ladder(hg, cfg, rng);
+    let ladder = coarsen_ladder(hg, rng);
 
     // Phase 2: initial partition of the coarsest graph.
-    let coarse_part = initial_bisection(&coarsest, bounds, rng);
+    let coarsest = ladder.last().map_or(hg, |c| &c.coarse);
+    let coarse_part = initial_bisection(coarsest, bounds, rng);
 
     // Phase 3: uncoarsen with FM refinement at every level.
     let assign = refine_down(hg, &ladder, coarse_part.assignment().to_vec(), &fm_cfg);
@@ -46,7 +45,9 @@ pub fn multilevel_bisect(
     // V-cycles: re-coarsen the *partitioned* graph within blocks,
     // giving refinement a fresh multilevel view of the current solution.
     for _ in 0..VCYCLES {
-        let candidate = vcycle(hg, &part, cfg, &fm_cfg, rng);
+        let (ladder, coarse_assign) = coarsen_within_blocks(hg, part.assignment().to_vec(), rng);
+        let assign = refine_down(hg, &ladder, coarse_assign, &fm_cfg);
+        let candidate = Partition::from_assignment(hg, 2, assign);
         let better = (
             bounds.violation(candidate.block_weights()),
             candidate.weighted_cut(hg),
@@ -62,61 +63,23 @@ pub fn multilevel_bisect(
     part
 }
 
-/// One V-cycle: coarsen restricted to blocks, then refine back down.
-fn vcycle(
-    hg: &Hypergraph,
-    part: &Partition,
-    cfg: &HmetisConfig,
-    fm_cfg: &FmConfig,
-    rng: &mut impl Rng,
-) -> Partition {
-    let max_cluster_w = ((hg.total_vweight() as f64 * cfg.max_cluster_frac).ceil() as u64).max(1);
-    let mut ladder: Vec<Contraction> = Vec::new();
-    let mut cur = hg.clone();
-    let mut cur_assign = part.assignment().to_vec();
-    while let Some(c) = coarsen_within_blocks(&cur, &cur_assign, cfg, max_cluster_w, rng) {
-        // Clusters are block-pure, so the assignment projects up exactly.
-        let mut coarse_assign = vec![0u32; c.coarse.vertex_count()];
-        for (v, &cl) in c.vertex_map.iter().enumerate() {
-            coarse_assign[cl as usize] = cur_assign[v];
-        }
-        cur = c.coarse.clone();
-        cur_assign = coarse_assign;
-        ladder.push(c);
-    }
-    let assign = refine_down(hg, &ladder, cur_assign, fm_cfg);
-    Partition::from_assignment(hg, 2, assign)
-}
-
-/// Refine an assignment from the coarsest level of `ladder` down to `hg`.
-/// `assign` must live on `ladder.last().coarse` (or on `hg` if the ladder is
-/// empty).
-pub fn refine_down(
+/// Refine an assignment from the coarsest level of `ladder` down to `hg`,
+/// running FM at every level. `assign` must live on `ladder.last().coarse`
+/// (or on `hg` if the ladder is empty).
+fn refine_down(
     hg: &Hypergraph,
     ladder: &[Contraction],
     mut assign: Vec<u32>,
     fm_cfg: &FmConfig,
 ) -> Vec<u32> {
-    if ladder.is_empty() {
-        let mut p = Partition::from_assignment(hg, 2, assign);
-        pairwise_fm(hg, &mut p, 0, 1, fm_cfg);
-        return p.assignment().to_vec();
-    }
-    {
-        let coarsest = &ladder.last().unwrap().coarse;
-        let mut p = Partition::from_assignment(coarsest, 2, assign);
-        pairwise_fm(coarsest, &mut p, 0, 1, fm_cfg);
-        assign = p.assignment().to_vec();
-    }
-    for (idx, c) in ladder.iter().enumerate().rev() {
-        assign = c.uncontract_assignment(&assign);
-        let fine: &Hypergraph = if idx == 0 {
-            hg
-        } else {
-            &ladder[idx - 1].coarse
-        };
-        let mut p = Partition::from_assignment(fine, 2, assign);
-        pairwise_fm(fine, &mut p, 0, 1, fm_cfg);
+    // Level 0 is `hg`; level i > 0 is `ladder[i - 1].coarse`.
+    for i in (0..=ladder.len()).rev() {
+        if let Some(c) = ladder.get(i) {
+            assign = c.uncontract_assignment(&assign);
+        }
+        let level = if i == 0 { hg } else { &ladder[i - 1].coarse };
+        let mut p = Partition::from_assignment(level, 2, assign);
+        pairwise_fm(level, &mut p, 0, 1, fm_cfg);
         assign = p.assignment().to_vec();
     }
     assign
@@ -159,9 +122,8 @@ mod tests {
     fn bisection_finds_the_bottleneck() {
         let hg = dumbbell();
         let bounds = BlockBounds::uniform(&BalanceConstraint::new(2, hg.total_vweight(), 10.0));
-        let cfg = HmetisConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let part = multilevel_bisect(&hg, &bounds, &cfg, &mut rng);
+        let part = multilevel_bisect(&hg, &bounds, &mut rng);
         assert!(bounds.satisfied(part.block_weights()));
         assert!(
             part.hyperedge_cut(&hg) <= 4,
@@ -174,19 +136,8 @@ mod tests {
     fn bisection_is_deterministic_given_seed() {
         let hg = dumbbell();
         let bounds = BlockBounds::uniform(&BalanceConstraint::new(2, hg.total_vweight(), 10.0));
-        let cfg = HmetisConfig::default();
-        let p1 = multilevel_bisect(
-            &hg,
-            &bounds,
-            &cfg,
-            &mut rand::rngs::StdRng::seed_from_u64(99),
-        );
-        let p2 = multilevel_bisect(
-            &hg,
-            &bounds,
-            &cfg,
-            &mut rand::rngs::StdRng::seed_from_u64(99),
-        );
+        let p1 = multilevel_bisect(&hg, &bounds, &mut rand::rngs::StdRng::seed_from_u64(99));
+        let p2 = multilevel_bisect(&hg, &bounds, &mut rand::rngs::StdRng::seed_from_u64(99));
         assert_eq!(p1.assignment(), p2.assignment());
     }
 
@@ -198,9 +149,8 @@ mod tests {
         b.add_edge([x, y], 1);
         let hg = b.build();
         let bounds = BlockBounds::uniform(&BalanceConstraint::new(2, 2, 10.0));
-        let cfg = HmetisConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let part = multilevel_bisect(&hg, &bounds, &cfg, &mut rng);
+        let part = multilevel_bisect(&hg, &bounds, &mut rng);
         assert_ne!(
             part.block_of(dvs_hypergraph::VertexId(0)),
             part.block_of(dvs_hypergraph::VertexId(1))

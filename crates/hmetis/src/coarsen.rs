@@ -1,71 +1,98 @@
-//! Coarsening phase: build a sequence of successively smaller hypergraphs.
+//! Coarsening phase: build a sequence of successively smaller hypergraphs by
+//! FirstChoice clustering.
 //!
-//! Both schemes score vertex affinity by summed hyperedge weight scaled by
-//! `1/(|e|−1)` (the clique-expansion heuristic hMetis uses), visit vertices
-//! in random order, and cap cluster weights so no coarse vertex grows beyond
-//! a fraction of a balanced block — otherwise the coarsest graph could be
-//! impossible to partition within bounds.
+//! The clustering pass scores vertex affinity by summed hyperedge weight
+//! scaled by `1/(|e|−1)` (the clique-expansion heuristic hMetis uses), visits
+//! vertices in random order, lets a vertex join an already-formed cluster,
+//! and caps cluster weights so no coarse vertex grows beyond a fraction of a
+//! balanced block — otherwise the coarsest graph could be impossible to
+//! partition within bounds.
 
-use crate::config::{CoarsenScheme, HmetisConfig};
 use dvs_hypergraph::contract::{contract, Contraction};
 use dvs_hypergraph::{Hypergraph, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// Stop coarsening when at most this many vertices remain.
+const COARSEN_TO: usize = 100;
+/// Cluster weight cap, as a fraction of the total vertex weight.
+const MAX_CLUSTER_FRAC: f64 = 0.25;
 /// A level that shrinks the graph to more than this fraction of its
-/// vertices ends coarsening (guards against coarsening stalls).
+/// vertices ends the plain ladder (guards against coarsening stalls).
 const MIN_SHRINK: f64 = 0.95;
 
-/// One coarsening level. Returns `None` when the scheme cannot shrink the
-/// graph to at most `MIN_SHRINK` of its vertices (coarsening has converged).
-pub fn coarsen_level(
-    hg: &Hypergraph,
-    cfg: &HmetisConfig,
-    max_cluster_w: u64,
-    rng: &mut impl Rng,
-) -> Option<Contraction> {
-    let nv = hg.vertex_count();
-    if nv <= cfg.coarsen_to {
-        return None;
-    }
-    let cluster_of = match cfg.scheme {
-        CoarsenScheme::EdgeCoarsening => edge_matching(hg, max_cluster_w, rng, false),
-        CoarsenScheme::FirstChoice => edge_matching(hg, max_cluster_w, rng, true),
-    };
-    let num_clusters = renumber(&cluster_of);
-    if (num_clusters.1 as f64) > nv as f64 * MIN_SHRINK {
-        return None;
-    }
-    Some(contract(hg, &num_clusters.0, num_clusters.1))
+/// The heaviest cluster coarsening `hg` may form.
+fn max_cluster_weight(hg: &Hypergraph) -> u64 {
+    ((hg.total_vweight() as f64 * MAX_CLUSTER_FRAC).ceil() as u64).max(1)
 }
 
-/// Run the full coarsening loop, returning the ladder of contractions
-/// (finest first) and the coarsest graph.
-pub fn coarsen_ladder(
+/// Contract level after level, each from the previous level's coarse graph,
+/// until `level` declines. Returns the contractions, finest first.
+fn build_ladder(
     hg: &Hypergraph,
-    cfg: &HmetisConfig,
-    rng: &mut impl Rng,
-) -> (Vec<Contraction>, Hypergraph) {
-    // Cap clusters to a fraction of a balanced bisection side.
-    let max_cluster_w = ((hg.total_vweight() as f64 * cfg.max_cluster_frac).ceil() as u64).max(1);
-    let mut ladder = Vec::new();
-    let mut cur = hg.clone();
-    while let Some(c) = coarsen_level(&cur, cfg, max_cluster_w, rng) {
-        cur = c.coarse.clone();
+    mut level: impl FnMut(&Hypergraph) -> Option<Contraction>,
+) -> Vec<Contraction> {
+    let mut ladder: Vec<Contraction> = Vec::new();
+    while let Some(c) = level(ladder.last().map_or(hg, |c| &c.coarse)) {
         ladder.push(c);
     }
-    (ladder, cur)
+    ladder
 }
 
-/// Matching/clustering pass shared by both schemes. With
-/// `allow_joining = false` this is heavy-edge matching (clusters of ≤ 2);
-/// with `true` it is FirstChoice (a vertex may join an existing cluster).
-fn edge_matching(
+/// The ladder of a fresh bisection. It ends at `COARSEN_TO` vertices or at
+/// a level that keeps more than `MIN_SHRINK` of its vertices.
+pub(crate) fn coarsen_ladder(hg: &Hypergraph, rng: &mut impl Rng) -> Vec<Contraction> {
+    let max_cluster_w = max_cluster_weight(hg);
+    build_ladder(hg, |cur| {
+        let nv = cur.vertex_count();
+        if nv <= COARSEN_TO {
+            return None;
+        }
+        let (cluster_of, n) = first_choice(cur, None, max_cluster_w, rng);
+        (n as f64 <= nv as f64 * MIN_SHRINK).then(|| contract(cur, &cluster_of, n))
+    })
+}
+
+/// The ladder of a V-cycle: clusters stay inside the blocks of `assign`, so
+/// the partition projects onto every coarse level exactly. It ends at
+/// `COARSEN_TO` vertices or at a level where nothing merged. Returns the
+/// contractions and the partition on the coarsest level.
+pub(crate) fn coarsen_within_blocks(
     hg: &Hypergraph,
+    mut assign: Vec<u32>,
+    rng: &mut impl Rng,
+) -> (Vec<Contraction>, Vec<u32>) {
+    let max_cluster_w = max_cluster_weight(hg);
+    let ladder = build_ladder(hg, |cur| {
+        let nv = cur.vertex_count();
+        if nv <= COARSEN_TO {
+            return None;
+        }
+        let (cluster_of, n) = first_choice(cur, Some(&assign), max_cluster_w, rng);
+        if n == nv {
+            return None;
+        }
+        let mut coarse_assign = vec![0u32; n];
+        for (v, &cl) in cluster_of.iter().enumerate() {
+            coarse_assign[cl as usize] = assign[v];
+        }
+        assign = coarse_assign;
+        Some(contract(cur, &cluster_of, n))
+    });
+    (ladder, assign)
+}
+
+/// One FirstChoice clustering pass: each unclustered vertex, in random
+/// order, joins the admissible neighbour (or that neighbour's cluster) of
+/// highest affinity, or starts a cluster of its own. With `blocks`, a pin
+/// counts only if it shares the vertex's block. Returns every vertex's
+/// cluster, numbered densely from 0, and the number of clusters.
+fn first_choice(
+    hg: &Hypergraph,
+    blocks: Option<&[u32]>,
     max_cluster_w: u64,
     rng: &mut impl Rng,
-    allow_joining: bool,
-) -> Vec<u32> {
+) -> (Vec<u32>, usize) {
     const UNMATCHED: u32 = u32::MAX;
     let nv = hg.vertex_count();
     // cluster_of[v] = representative vertex id of v's cluster.
@@ -84,6 +111,7 @@ fn edge_matching(
             continue;
         }
         let vw = hg.vweight(VertexId(v));
+        let counts = |u: u32| u != v && blocks.is_none_or(|b| b[u as usize] == b[v as usize]);
 
         touched.clear();
         for e in hg.edges_of(VertexId(v)) {
@@ -93,7 +121,7 @@ fn edge_matching(
             }
             let w = hg.eweight(e) as f64 / (deg as f64 - 1.0);
             for p in hg.pins(e) {
-                if p.0 == v {
+                if !counts(p.0) {
                     continue;
                 }
                 if score[p.idx()] == 0.0 {
@@ -103,52 +131,42 @@ fn edge_matching(
             }
         }
 
-        // Pick the admissible neighbor (or its cluster) with the highest
-        // affinity.
+        // Pick the neighbour (or its cluster) with the highest affinity
+        // that the weight cap admits.
         let mut best: Option<(u32, f64)> = None;
         for &u in &touched {
             let s = score[u as usize];
             let rep = cluster_of[u as usize];
-            let candidate = if rep == UNMATCHED {
-                // Unmatched neighbor: pair with it.
-                Some((u, hg.vweight(VertexId(u))))
-            } else if allow_joining {
-                Some((rep, cluster_w[rep as usize]))
+            let (target, tw) = if rep == UNMATCHED {
+                (u, hg.vweight(VertexId(u)))
             } else {
-                None
+                (rep, cluster_w[rep as usize])
             };
-            if let Some((target, tw)) = candidate {
-                if tw + vw <= max_cluster_w && best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((target, s));
-                }
+            if tw + vw <= max_cluster_w && best.is_none_or(|(_, bs)| s > bs) {
+                best = Some((target, s));
             }
         }
 
-        match best {
+        let rep = match best {
             Some((target, _)) => {
-                let rep = if cluster_of[target as usize] == UNMATCHED {
+                if cluster_of[target as usize] == UNMATCHED {
                     // Form a fresh cluster with `target` as representative.
                     cluster_of[target as usize] = target;
                     cluster_w[target as usize] = hg.vweight(VertexId(target));
-                    target
-                } else {
-                    cluster_of[target as usize]
-                };
-                cluster_of[v as usize] = rep;
-                cluster_w[rep as usize] += vw;
+                }
+                cluster_of[target as usize]
             }
-            None => {
-                cluster_of[v as usize] = v;
-                cluster_w[v as usize] = vw;
-            }
-        }
+            None => v,
+        };
+        cluster_of[v as usize] = rep;
+        cluster_w[rep as usize] += vw;
 
         for &u in &touched {
             score[u as usize] = 0.0;
         }
     }
 
-    cluster_of
+    renumber(&cluster_of)
 }
 
 /// Renumber arbitrary representative ids to a dense `0..n` range.
@@ -170,92 +188,6 @@ fn renumber(cluster_of: &[u32]) -> (Vec<u32>, usize) {
         out.push(*slot);
     }
     (out, next as usize)
-}
-
-/// Coarsening restricted to a partition: vertices may only cluster with
-/// vertices of the same block. Used by V-cycles so a projected partition
-/// stays well defined on the coarse graph.
-pub fn coarsen_within_blocks(
-    hg: &Hypergraph,
-    assign: &[u32],
-    cfg: &HmetisConfig,
-    max_cluster_w: u64,
-    rng: &mut impl Rng,
-) -> Option<Contraction> {
-    const UNMATCHED: u32 = u32::MAX;
-    let nv = hg.vertex_count();
-    if nv <= cfg.coarsen_to {
-        return None;
-    }
-    let mut cluster_of = vec![UNMATCHED; nv];
-    let mut cluster_w = vec![0u64; nv];
-    let mut order: Vec<u32> = (0..nv as u32).collect();
-    order.shuffle(rng);
-    let mut score = vec![0.0f64; nv];
-    let mut touched: Vec<u32> = Vec::with_capacity(64);
-
-    for &v in &order {
-        if cluster_of[v as usize] != UNMATCHED {
-            continue;
-        }
-        let vw = hg.vweight(VertexId(v));
-        touched.clear();
-        for e in hg.edges_of(VertexId(v)) {
-            let deg = hg.pin_degree(e);
-            if deg < 2 {
-                continue;
-            }
-            let w = hg.eweight(e) as f64 / (deg as f64 - 1.0);
-            for p in hg.pins(e) {
-                if p.0 == v || assign[p.idx()] != assign[v as usize] {
-                    continue;
-                }
-                if score[p.idx()] == 0.0 {
-                    touched.push(p.0);
-                }
-                score[p.idx()] += w;
-            }
-        }
-        let mut best: Option<(u32, f64)> = None;
-        for &u in &touched {
-            let s = score[u as usize];
-            let rep = cluster_of[u as usize];
-            let (target, tw) = if rep == UNMATCHED {
-                (u, hg.vweight(VertexId(u)))
-            } else {
-                (rep, cluster_w[rep as usize])
-            };
-            if tw + vw <= max_cluster_w && best.is_none_or(|(_, bs)| s > bs) {
-                best = Some((target, s));
-            }
-        }
-        match best {
-            Some((target, _)) => {
-                let rep = if cluster_of[target as usize] == UNMATCHED {
-                    cluster_of[target as usize] = target;
-                    cluster_w[target as usize] = hg.vweight(VertexId(target));
-                    target
-                } else {
-                    cluster_of[target as usize]
-                };
-                cluster_of[v as usize] = rep;
-                cluster_w[rep as usize] += vw;
-            }
-            None => {
-                cluster_of[v as usize] = v;
-                cluster_w[v as usize] = vw;
-            }
-        }
-        for &u in &touched {
-            score[u as usize] = 0.0;
-        }
-    }
-
-    let (dense, n) = renumber(&cluster_of);
-    if n == nv {
-        return None;
-    }
-    Some(contract(hg, &dense, n))
 }
 
 #[cfg(test)]
@@ -286,63 +218,40 @@ mod tests {
     #[test]
     fn coarsening_shrinks_monotonically() {
         let hg = grid(16); // 256 vertices
-        let cfg = HmetisConfig {
-            coarsen_to: 20,
-            ..Default::default()
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let (ladder, coarsest) = coarsen_ladder(&hg, &cfg, &mut rng);
+        let ladder = coarsen_ladder(&hg, &mut rng);
         assert!(!ladder.is_empty());
         let mut prev = hg.vertex_count();
         for c in &ladder {
             assert!(c.coarse.vertex_count() < prev);
             prev = c.coarse.vertex_count();
         }
-        assert!(coarsest.vertex_count() <= 256);
+        let coarsest = &ladder.last().unwrap().coarse;
         assert!(coarsest.vertex_count() >= 2, "must not collapse to a point");
         assert_eq!(coarsest.total_vweight(), hg.total_vweight());
     }
 
     #[test]
     fn cluster_weight_cap_is_respected() {
-        let hg = grid(10);
-        let cfg = HmetisConfig {
-            coarsen_to: 2,
-            max_cluster_frac: 0.1, // cap = 10 vertices
-            ..Default::default()
-        };
+        // Cluster until nothing merges under a cap of 10 vertices.
+        let mut hg = grid(10);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let (ladder, coarsest) = coarsen_ladder(&hg, &cfg, &mut rng);
-        let _ = ladder;
-        for v in coarsest.vertices() {
-            assert!(coarsest.vweight(v) <= 10);
+        loop {
+            let (cluster_of, n) = first_choice(&hg, None, 10, &mut rng);
+            if n == hg.vertex_count() {
+                break;
+            }
+            hg = contract(&hg, &cluster_of, n).coarse;
         }
-    }
-
-    #[test]
-    fn edge_coarsening_pairs_only() {
-        let hg = grid(8);
-        let cfg = HmetisConfig {
-            scheme: CoarsenScheme::EdgeCoarsening,
-            coarsen_to: 2,
-            ..Default::default()
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let max_w = hg.total_vweight();
-        let c = coarsen_level(&hg, &cfg, max_w, &mut rng).unwrap();
-        // Pure matching at most halves: every cluster has ≤ 2 fine vertices.
-        let mut counts = vec![0u32; c.coarse.vertex_count()];
-        for &cl in &c.vertex_map {
-            counts[cl as usize] += 1;
+        for v in hg.vertices() {
+            assert!(hg.vweight(v) <= 10);
         }
-        assert!(counts.iter().all(|&c| c <= 2));
-        assert!(c.coarse.vertex_count() >= hg.vertex_count() / 2);
     }
 
     #[test]
     fn first_choice_can_exceed_pairs() {
         // A star: center + leaves; FirstChoice should form one cluster
-        // around the center (up to the cap), EC only a pair.
+        // around the center (up to the cap), not only a pair.
         let mut b = HypergraphBuilder::new();
         let center = b.add_vertex(1);
         let leaves: Vec<_> = (0..6).map(|_| b.add_vertex(1)).collect();
@@ -350,29 +259,21 @@ mod tests {
             b.add_edge([center, l], 1);
         }
         let hg = b.build();
-        let cfg = HmetisConfig {
-            scheme: CoarsenScheme::FirstChoice,
-            coarsen_to: 1,
-            ..Default::default()
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let c = coarsen_level(&hg, &cfg, 100, &mut rng).unwrap();
-        assert!(c.coarse.vertex_count() < 4);
+        let (_, n) = first_choice(&hg, None, 100, &mut rng);
+        assert!(n < 4);
     }
 
     #[test]
     fn restricted_coarsening_respects_blocks() {
         let hg = grid(8);
         let assign: Vec<u32> = (0..64).map(|i| if i < 32 { 0 } else { 1 }).collect();
-        let cfg = HmetisConfig {
-            coarsen_to: 4,
-            ..Default::default()
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let c = coarsen_within_blocks(&hg, &assign, &cfg, 100, &mut rng).unwrap();
-        // Every coarse vertex contains fine vertices of a single block.
-        let mut block_of_cluster = vec![u32::MAX; c.coarse.vertex_count()];
-        for (v, &cl) in c.vertex_map.iter().enumerate() {
+        let (cluster_of, n) = first_choice(&hg, Some(&assign), 100, &mut rng);
+        assert!(n < hg.vertex_count());
+        // Every cluster contains vertices of a single block.
+        let mut block_of_cluster = vec![u32::MAX; n];
+        for (v, &cl) in cluster_of.iter().enumerate() {
             let b = assign[v];
             if block_of_cluster[cl as usize] == u32::MAX {
                 block_of_cluster[cl as usize] = b;

@@ -16,7 +16,11 @@ const NRUNS: usize = 10;
 
 /// Generate the best initial bisection of `hg` under `bounds` (2 blocks),
 /// trying `NRUNS` candidates, alternating generators.
-pub fn initial_bisection(hg: &Hypergraph, bounds: &BlockBounds, rng: &mut impl Rng) -> Partition {
+pub(crate) fn initial_bisection(
+    hg: &Hypergraph,
+    bounds: &BlockBounds,
+    rng: &mut impl Rng,
+) -> Partition {
     assert_eq!(bounds.k(), 2);
     let mut best: Option<(u64, u64, Partition)> = None;
     let fm_cfg = FmConfig {

@@ -20,26 +20,22 @@ pub fn partition_kway(hg: &Hypergraph, k: u32, cfg: &HmetisConfig) -> Partition 
     assert!(k >= 1);
     let total = hg.total_vweight();
     let global = BalanceConstraint::new(k, total, cfg.ubfactor);
-    let (glo, ghi) = (global.lower(), global.upper());
-
     let mut assign = vec![0u32; hg.vertex_count()];
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let all: Vec<u32> = (0..hg.vertex_count() as u32).collect();
-    recurse(hg, &all, k, 0, glo, ghi, cfg, &mut rng, &mut assign);
+    recurse(hg, &all, k, 0, &global, &mut rng, &mut assign);
     Partition::from_assignment(hg, k, assign)
 }
 
 /// Recursively bisect the sub-hypergraph induced by `vertices` into `m`
-/// blocks, writing block ids starting at `first_block`.
-#[allow(clippy::too_many_arguments)]
+/// blocks, writing block ids starting at `first_block`. Every final block
+/// must satisfy `global`.
 fn recurse(
     hg: &Hypergraph,
     vertices: &[u32],
     m: u32,
     first_block: u32,
-    glo: u64,
-    ghi: u64,
-    cfg: &HmetisConfig,
+    global: &BalanceConstraint,
     rng: &mut StdRng,
     assign: &mut [u32],
 ) {
@@ -49,13 +45,14 @@ fn recurse(
         }
         return;
     }
-    let (sub, orig) = induced_subhypergraph(hg, vertices);
+    let sub = induced_subhypergraph(hg, vertices);
     let ml = m.div_ceil(2);
     let mr = m - ml;
     let sub_total = sub.total_vweight();
 
     // Side bounds from the global per-block envelope, clamped to what this
     // sub-problem can actually supply (side weights must sum to sub_total).
+    let (glo, ghi) = (global.lower(), global.upper());
     let lo0 = (ml as u64 * glo).min(sub_total);
     let hi0 = (ml as u64 * ghi).min(sub_total);
     let lo1 = (mr as u64 * glo).min(sub_total);
@@ -68,25 +65,25 @@ fn recurse(
         upper: vec![hi0, hi1],
     };
 
-    let part = multilevel_bisect(&sub, &bounds, cfg, rng);
+    let part = multilevel_bisect(&sub, &bounds, rng);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
-    for (i, &ov) in orig.iter().enumerate() {
+    for (i, &ov) in vertices.iter().enumerate() {
         if part.block_of(VertexId(i as u32)) == 0 {
             left.push(ov);
         } else {
             right.push(ov);
         }
     }
-    recurse(hg, &left, ml, first_block, glo, ghi, cfg, rng, assign);
-    recurse(hg, &right, mr, first_block + ml, glo, ghi, cfg, rng, assign);
+    recurse(hg, &left, ml, first_block, global, rng, assign);
+    recurse(hg, &right, mr, first_block + ml, global, rng, assign);
 }
 
 /// Extract the sub-hypergraph induced by `vertices`: edges keep only pins
-/// inside the set; edges left with <2 pins vanish. Returns the subgraph and
-/// the map from its vertex ids back to the original ids.
-pub fn induced_subhypergraph(hg: &Hypergraph, vertices: &[u32]) -> (Hypergraph, Vec<u32>) {
+/// inside the set; edges left with <2 pins vanish. Sub-vertex `i` is
+/// `vertices[i]`.
+fn induced_subhypergraph(hg: &Hypergraph, vertices: &[u32]) -> Hypergraph {
     let mut to_sub = vec![u32::MAX; hg.vertex_count()];
     let mut b = HypergraphBuilder::with_capacity(vertices.len(), 0);
     for (i, &v) in vertices.iter().enumerate() {
@@ -107,7 +104,7 @@ pub fn induced_subhypergraph(hg: &Hypergraph, vertices: &[u32]) -> (Hypergraph, 
             b.add_edge(pins.iter().copied(), hg.eweight(e));
         }
     }
-    (b.build(), vertices.to_vec())
+    b.build()
 }
 
 #[cfg(test)]
@@ -203,11 +200,10 @@ mod tests {
         b.add_edge([v[0], v[1], v[2]], 1);
         b.add_edge([v[2], v[3]], 1);
         let hg = b.build();
-        let (sub, orig) = induced_subhypergraph(&hg, &[0, 1]);
+        let sub = induced_subhypergraph(&hg, &[0, 1]);
         assert_eq!(sub.vertex_count(), 2);
         assert_eq!(sub.edge_count(), 1); // {0,1} survives with 2 pins
         assert_eq!(sub.vweight(VertexId(0)), 1);
-        assert_eq!(orig, vec![0, 1]);
     }
 
     #[test]

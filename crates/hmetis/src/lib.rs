@@ -8,18 +8,19 @@
 //!
 //! Pipeline (per bisection):
 //!
-//! 1. **Coarsening** ([`coarsen`]): a sequence of successively smaller
-//!    hypergraphs is built by heavy-edge matching or FirstChoice clustering,
-//!    preserving cut structure (parallel coarse edges merge, weights add).
-//! 2. **Initial partitioning** ([`initial`]): on the coarsest graph, many
-//!    random and BFS region-growing bisections are generated and the best
-//!    feasible one wins.
-//! 3. **Uncoarsening + refinement** ([`bisect`]): the bisection is projected
-//!    back level by level, running FM refinement at every level.
+//! 1. **Coarsening**: a sequence of successively smaller hypergraphs is
+//!    built by FirstChoice clustering, preserving cut structure (parallel
+//!    coarse edges merge, weights add).
+//! 2. **Initial partitioning**: on the coarsest graph, many random and BFS
+//!    region-growing bisections are generated and the best feasible one
+//!    wins.
+//! 3. **Uncoarsening + refinement**: the bisection is projected back level
+//!    by level, running FM refinement at every level.
 //!
-//! K-way partitions are produced by recursive bisection ([`kway`]), with
-//! asymmetric weight targets so any k (not just powers of two) works, and an
-//! optional V-cycle pass re-coarsens the final partition for extra quality.
+//! K-way partitions are produced by recursive bisection, with asymmetric
+//! weight targets so any k (not just powers of two) works. After each
+//! bisection one V-cycle re-coarsens the partitioned graph within its
+//! blocks and refines again, keeping the result if it is better.
 //!
 //! ```
 //! use dvs_hypergraph::{HypergraphBuilder, Partition};
@@ -36,12 +37,11 @@
 //! assert!(part.hyperedge_cut(&hg) >= 1);
 //! ```
 
-pub mod bisect;
-pub mod coarsen;
-pub mod config;
-pub mod initial;
-pub mod kway;
+mod bisect;
+mod coarsen;
+mod config;
+mod initial;
+mod kway;
 
-pub use bisect::multilevel_bisect;
-pub use config::{CoarsenScheme, HmetisConfig};
+pub use config::HmetisConfig;
 pub use kway::partition_kway;

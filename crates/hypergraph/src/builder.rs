@@ -116,23 +116,15 @@ pub fn gate_level(nl: &Netlist) -> HierHypergraph {
 /// one unit vertex per loose gate. Nets whose pins all fall inside one
 /// vertex produce no hyperedge.
 pub fn design_level(nl: &Netlist, frontier: &Frontier) -> HierHypergraph {
-    design_level_weighted(nl, frontier, None)
+    design_level_with(nl, &nl.build_fanout(), frontier, None)
 }
 
-/// [`design_level`] with an optional per-gate weight vector (e.g. profiled
-/// activity counts). Super-gate weight = sum of its gates' weights; loose
-/// gates carry their own weight. `None` falls back to the paper's
-/// gate-count metric (every gate weighs 1).
-pub fn design_level_weighted(
-    nl: &Netlist,
-    frontier: &Frontier,
-    gate_weights: Option<&[u64]>,
-) -> HierHypergraph {
-    design_level_with(nl, &nl.build_fanout(), frontier, gate_weights)
-}
-
-/// [`design_level_weighted`] over a `fanout` of `nl` the caller already
-/// built — the partitioner rebuilds the hypergraph after every flatten.
+/// [`design_level`] over a `fanout` of `nl` the caller already built — the
+/// partitioner rebuilds the hypergraph after every flatten — with an
+/// optional per-gate weight vector (e.g. profiled activity counts).
+/// Super-gate weight = sum of its gates' weights; loose gates carry their
+/// own weight. `None` falls back to the paper's gate-count metric (every
+/// gate weighs 1).
 pub fn design_level_with(
     nl: &Netlist,
     fanout: &Fanout,

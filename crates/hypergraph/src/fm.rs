@@ -52,7 +52,6 @@ pub struct FmResult {
 struct PassState {
     /// 0 = not in the pair, 1 = block `a`, 2 = block `b`.
     side: Vec<u8>,
-    locked: Vec<bool>,
     /// Per-edge pin counts inside the pair (only meaningful for internal
     /// edges).
     cnt_a: Vec<u32>,
@@ -100,7 +99,6 @@ fn run_pass(
     let ne = hg.edge_count();
     let mut st = PassState {
         side: vec![0; nv],
-        locked: vec![false; nv],
         cnt_a: vec![0; ne],
         cnt_b: vec![0; ne],
         external: vec![false; ne],
@@ -257,8 +255,9 @@ fn apply_move(
     to: u32,
 ) {
     let from_a = st.side[v as usize] == 1;
+    // A moved vertex is locked for the rest of the pass: it leaves the
+    // table for good, so `table.contains` is the free-vertex test below.
     table.remove(v);
-    st.locked[v as usize] = true;
 
     for e in hg.edges_of(VertexId(v)) {
         if st.external[e.idx()] {
@@ -276,21 +275,15 @@ fn apply_move(
         if cnt_t == 0 {
             // Edge currently uncut on F: every other free pin gains w.
             for p in hg.pins(e) {
-                let u = p.0;
-                if u != v && !st.locked[u as usize] && table.contains(u) {
-                    table.adjust(u, w);
+                if table.contains(p.0) {
+                    table.adjust(p.0, w);
                 }
             }
         } else if cnt_t == 1 {
             // The lone T-side pin loses its "uncut it" bonus.
             for p in hg.pins(e) {
-                let u = p.0;
-                if u != v
-                    && !st.locked[u as usize]
-                    && side_matches(st, u, !from_a)
-                    && table.contains(u)
-                {
-                    table.adjust(u, -w);
+                if side_matches(st, p.0, !from_a) && table.contains(p.0) {
+                    table.adjust(p.0, -w);
                 }
             }
         }
@@ -309,21 +302,15 @@ fn apply_move(
         if cnt_f_after == 0 {
             // Edge now uncut on T: every other free pin loses w.
             for p in hg.pins(e) {
-                let u = p.0;
-                if u != v && !st.locked[u as usize] && table.contains(u) {
-                    table.adjust(u, -w);
+                if table.contains(p.0) {
+                    table.adjust(p.0, -w);
                 }
             }
         } else if cnt_f_after == 1 {
             // The lone remaining F-side pin gains the "uncut it" bonus.
             for p in hg.pins(e) {
-                let u = p.0;
-                if u != v
-                    && !st.locked[u as usize]
-                    && side_matches(st, u, from_a)
-                    && table.contains(u)
-                {
-                    table.adjust(u, w);
+                if side_matches(st, p.0, from_a) && table.contains(p.0) {
+                    table.adjust(p.0, w);
                 }
             }
         }

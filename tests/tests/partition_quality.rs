@@ -1,6 +1,7 @@
 //! Partition-quality properties across the two partitioners and the
 //! balance machinery, plus property-based tests over random hierarchies.
 
+use dvs_bench::scenario::fnv1a;
 use dvs_core::multiway::{partition_multiway, partition_multiway_sweep, MultiwayConfig};
 use dvs_core::pairing::PairingStrategy;
 use dvs_hmetis::{partition_kway, HmetisConfig};
@@ -117,6 +118,80 @@ fn pairing_strategies_reach_comparable_quality() {
             "{name} cut {c} is >3x the best ({best}): {cuts:?}"
         );
     }
+}
+
+/// `partition_kway` at each (k, b) on the gate-level hypergraph of `src`:
+/// the cut and an FNV-1a hash of the block assignment, one line per point.
+fn hmetis_pins(src: &str, points: &[(u32, f64)]) -> Vec<String> {
+    let gh = gate_level(&elaborate(src));
+    // Table 2's hMetis seed: `ReproConfig`'s 0xD5, xor 0x6417.
+    let seed = 0xD5 ^ 0x6417;
+    points
+        .iter()
+        .map(|&(k, b)| {
+            let part = partition_kway(&gh.hg, k, &HmetisConfig::with_balance(b, seed));
+            let bytes: Vec<u8> = part
+                .assignment()
+                .iter()
+                .flat_map(|blk| blk.to_le_bytes())
+                .collect();
+            let cut = part.hyperedge_cut(&gh.hg);
+            format!("({k}, {b}) cut {cut} {:016x}", fnv1a(&bytes))
+        })
+        .collect()
+}
+
+const PIN_POINTS: [(u32, f64); 3] = [(2, 10.0), (3, 15.0), (4, 7.5)];
+
+/// hMetis partitions pinned block for block on two small designs. The
+/// hashes were captured before the clustering pass was merged into one
+/// routine; a change to coarsening, refinement or the RNG stream moves them.
+#[test]
+fn hmetis_partitions_are_pinned() {
+    let tiny = hmetis_pins(&generate_viterbi(&ViterbiParams::tiny()), &PIN_POINTS);
+    let hier = hmetis_pins(
+        &generate_random_hier(&RandomHierParams {
+            depth: 3,
+            ..Default::default()
+        }),
+        &PIN_POINTS,
+    );
+    assert_eq!(
+        tiny,
+        [
+            "(2, 10) cut 15 c3298076ae719db5",
+            "(3, 15) cut 34 73e2b66c4932fe56",
+            "(4, 7.5) cut 31 7355b31c783a85a4",
+        ]
+    );
+    assert_eq!(
+        hier,
+        [
+            "(2, 10) cut 8 58a0b608e5e13834",
+            "(3, 15) cut 9 6c09446d23131f54",
+            "(4, 7.5) cut 22 efd4cfb8d709ec85",
+        ]
+    );
+}
+
+/// The same pin on the paper-class decoder Table 2 partitions (release,
+/// about a second: `cargo test --release -p dvs-integration-tests --test
+/// partition_quality -- --ignored`).
+#[test]
+#[ignore = "paper-class decoder, run in release by CI's test job"]
+fn hmetis_paper_class_partitions_are_pinned() {
+    let pins = hmetis_pins(
+        &generate_viterbi(&ViterbiParams::paper_class()),
+        &PIN_POINTS,
+    );
+    assert_eq!(
+        pins,
+        [
+            "(2, 10) cut 91 9e96f51983cedb55",
+            "(3, 15) cut 123 8d7696e2eeefe925",
+            "(4, 7.5) cut 178 e1af462669d93a05",
+        ]
+    );
 }
 
 proptest! {
