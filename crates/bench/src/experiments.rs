@@ -114,7 +114,8 @@ pub struct GridPoint {
 pub struct ReproData {
     pub cfg: ReproConfig,
     pub grid: Vec<GridPoint>,
-    /// `machines → (b → presim point index)` convenience index.
+    /// Modeled sequential pre-simulation time in seconds, printed above
+    /// Table 3 (the last grid point's `presim.seq_seconds`).
     pub seq_presim_seconds: f64,
 }
 

@@ -17,8 +17,8 @@ use rand::Rng;
 const COARSEN_TO: usize = 100;
 /// Cluster weight cap, as a fraction of the total vertex weight.
 const MAX_CLUSTER_FRAC: f64 = 0.25;
-/// A level that shrinks the graph to more than this fraction of its
-/// vertices ends the plain ladder (guards against coarsening stalls).
+/// A level whose clustering keeps more than this fraction of its vertices
+/// ends either ladder (guards against coarsening stalls).
 const MIN_SHRINK: f64 = 0.95;
 
 /// The heaviest cluster coarsening `hg` may form.
@@ -26,60 +26,60 @@ fn max_cluster_weight(hg: &Hypergraph) -> u64 {
     ((hg.total_vweight() as f64 * MAX_CLUSTER_FRAC).ceil() as u64).max(1)
 }
 
-/// Contract level after level, each from the previous level's coarse graph,
-/// until `level` declines. Returns the contractions, finest first.
+/// Cluster level after level with `cluster`, each from the previous level's
+/// coarse graph, and contract it, until a level has at most `COARSEN_TO`
+/// vertices or its clustering keeps more than `MIN_SHRINK` of them. Returns
+/// the contractions, finest first.
 fn build_ladder(
     hg: &Hypergraph,
-    mut level: impl FnMut(&Hypergraph) -> Option<Contraction>,
+    mut cluster: impl FnMut(&Hypergraph) -> (Vec<u32>, usize),
 ) -> Vec<Contraction> {
     let mut ladder: Vec<Contraction> = Vec::new();
-    while let Some(c) = level(ladder.last().map_or(hg, |c| &c.coarse)) {
-        ladder.push(c);
-    }
-    ladder
-}
-
-/// The ladder of a fresh bisection. It ends at `COARSEN_TO` vertices or at
-/// a level that keeps more than `MIN_SHRINK` of its vertices.
-pub(crate) fn coarsen_ladder(hg: &Hypergraph, rng: &mut impl Rng) -> Vec<Contraction> {
-    let max_cluster_w = max_cluster_weight(hg);
-    build_ladder(hg, |cur| {
+    loop {
+        let cur = ladder.last().map_or(hg, |c| &c.coarse);
         let nv = cur.vertex_count();
         if nv <= COARSEN_TO {
-            return None;
+            return ladder;
         }
-        let (cluster_of, n) = first_choice(cur, None, max_cluster_w, rng);
-        (n as f64 <= nv as f64 * MIN_SHRINK).then(|| contract(cur, &cluster_of, n))
-    })
+        let (cluster_of, n) = cluster(cur);
+        if n as f64 > nv as f64 * MIN_SHRINK {
+            return ladder;
+        }
+        let level = contract(cur, &cluster_of, n);
+        ladder.push(level);
+    }
+}
+
+/// The ladder of a fresh bisection.
+pub(crate) fn coarsen_ladder(hg: &Hypergraph, rng: &mut impl Rng) -> Vec<Contraction> {
+    let max_cluster_w = max_cluster_weight(hg);
+    build_ladder(hg, |cur| first_choice(cur, None, max_cluster_w, rng))
 }
 
 /// The ladder of a V-cycle: clusters stay inside the blocks of `assign`, so
-/// the partition projects onto every coarse level exactly. It ends at
-/// `COARSEN_TO` vertices or at a level where nothing merged. Returns the
+/// the partition projects onto every coarse level exactly. Returns the
 /// contractions and the partition on the coarsest level.
 pub(crate) fn coarsen_within_blocks(
     hg: &Hypergraph,
-    mut assign: Vec<u32>,
+    assign: Vec<u32>,
     rng: &mut impl Rng,
 ) -> (Vec<Contraction>, Vec<u32>) {
     let max_cluster_w = max_cluster_weight(hg);
+    // The partition of every level clustered so far: `levels[i]` is level
+    // i's (the last may belong to a clustering the ladder declined).
+    let mut levels = vec![assign];
     let ladder = build_ladder(hg, |cur| {
-        let nv = cur.vertex_count();
-        if nv <= COARSEN_TO {
-            return None;
-        }
-        let (cluster_of, n) = first_choice(cur, Some(&assign), max_cluster_w, rng);
-        if n == nv {
-            return None;
-        }
+        let assign = levels.last().expect("the finest level's partition");
+        let (cluster_of, n) = first_choice(cur, Some(assign), max_cluster_w, rng);
         let mut coarse_assign = vec![0u32; n];
         for (v, &cl) in cluster_of.iter().enumerate() {
             coarse_assign[cl as usize] = assign[v];
         }
-        assign = coarse_assign;
-        Some(contract(cur, &cluster_of, n))
+        levels.push(coarse_assign);
+        (cluster_of, n)
     });
-    (ladder, assign)
+    let coarsest = levels.swap_remove(ladder.len());
+    (ladder, coarsest)
 }
 
 /// One FirstChoice clustering pass: each unclustered vertex, in random

@@ -3,10 +3,10 @@
 use crate::wheel::VTime;
 
 /// A Time Warp run failed in a way the kernel can diagnose. Crash faults do
-/// **not** surface here — the recovery supervisor either restores the dead
-/// cluster or degrades to the sequential simulator (see
-/// [`super::recovery::FaultPlan`]); errors are reserved for conditions no
-/// retry can fix.
+/// **not** surface here — they are injected only under the deterministic
+/// supervisor, which either restores the dead cluster or degrades to the
+/// sequential simulator (see [`super::recovery::FaultPlan`]); errors are
+/// reserved for conditions no retry can fix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TimeWarpError {
@@ -29,10 +29,12 @@ pub enum TimeWarpError {
         /// What was wrong with it.
         reason: String,
     },
-    /// A worker panicked. Under [`super::Transport::Process`] the panic is
-    /// caught worker-side and shipped back as a typed frame rather than an
-    /// opaque exit code. Panics are deterministic — replaying the same
-    /// operation would panic again — so they are fatal, not recoverable.
+    /// A worker panicked. Under [`super::Transport::Threads`] the worker's
+    /// thread catches it, building its cluster included; on the process and
+    /// TCP transports it is caught worker-side and shipped back as a typed
+    /// frame rather than an opaque exit code. Panics are deterministic —
+    /// replaying the same operation would panic again — so they are fatal
+    /// on every transport, not recoverable.
     WorkerPanic {
         /// The cluster whose worker panicked.
         cluster: u32,

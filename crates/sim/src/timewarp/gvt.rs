@@ -39,7 +39,7 @@ pub struct GvtState {
     pub gvt: AtomicU64,
     /// Successful GVT computations.
     pub gvt_rounds: AtomicU64,
-    /// Run-control: a worker died or stalled; everyone abandons the attempt.
+    /// Run-control: a worker panicked or stalled; everyone abandons the run.
     pub abort: AtomicBool,
     /// Run-control: the livelock watchdog tripped (implies `abort`).
     pub stalled: AtomicBool,

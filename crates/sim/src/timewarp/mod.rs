@@ -70,9 +70,7 @@ use crate::wheel::{NetEvent, VTime};
 use dvs_verilog::netlist::Netlist;
 use gvt::GvtState;
 use proc::ClusterProcess;
-use recovery::PanicInjector;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// A timestamped inter-cluster message. `(src, seq)` identifies the
 /// positive message its anti-message annihilates.
@@ -118,14 +116,17 @@ pub struct TimeWarpConfig {
     pub window: VTime,
     /// Crash-fault injection and recovery plan (see [`FaultPlan`]). The
     /// default injects nothing; recovery machinery is only engaged when a
-    /// crash is armed.
+    /// crash is armed. A crash needs the deterministic supervisor, whose
+    /// restore-and-replay is exact: [`TimeWarpConfig::validate`] refuses one
+    /// under [`Transport::Threads`].
     pub fault: FaultPlan,
     /// Scheduler-noise injection for [`Transport::Threads`]: when set, each
     /// worker derives a seeded RNG from this value and sprinkles
     /// `yield_now` / short sleeps between scheduling quanta. Final state is
     /// unaffected (that is what the threads fuzz suite asserts); only
     /// thread interleaving — and therefore rollback/message counts —
-    /// varies. `None` (the default) injects nothing.
+    /// varies. `None` (the default) injects nothing; any other transport
+    /// refuses a seed.
     pub thread_jitter: Option<u64>,
     /// TCP heartbeat idle interval: when a response is this late, the
     /// supervisor counts a missed beat and probes the worker with a
@@ -138,7 +139,8 @@ pub struct TimeWarpConfig {
     /// used to give, but recoverable instead of fatal).
     pub heartbeat_budget: u32,
     /// Deterministic network fault injection for the wire transports (see
-    /// [`NetPlan`]). `None` injects nothing.
+    /// [`NetPlan`]). `None` injects nothing; [`Transport::Threads`] and
+    /// [`Transport::InProc`], which have no wire, refuse a plan.
     pub chaos: Option<NetPlan>,
 }
 
@@ -178,8 +180,9 @@ const DEFAULT_HEARTBEAT_MS: u64 = 1_000;
 const DEFAULT_HEARTBEAT_BUDGET: u32 = 30;
 
 impl TimeWarpConfig {
-    /// Reject a configuration no run can use, each setting with its own
-    /// reason. [`run_timewarp`] calls this first, whatever the transport.
+    /// Reject a configuration no run can use, or a setting the chosen
+    /// transport would silently drop, each with its own reason.
+    /// [`run_timewarp`] calls this first, whatever the transport.
     pub fn validate(&self) -> Result<(), TimeWarpError> {
         let invalid = |reason: &str| {
             Err(TimeWarpError::InvalidConfig {
@@ -194,6 +197,20 @@ impl TimeWarpConfig {
         }
         if self.heartbeat_interval.is_zero() {
             return invalid("heartbeat interval must be longer than zero");
+        }
+        let threads = self.transport == Transport::Threads;
+        if threads && self.fault.crash_at.is_some() {
+            return invalid("a crash fault needs the deterministic supervisor, not Threads");
+        }
+        let wired = matches!(
+            self.transport,
+            Transport::Process { .. } | Transport::Tcp { .. }
+        );
+        if self.chaos.is_some() && !wired {
+            return invalid("a network fault plan needs a wire transport (Process or Tcp)");
+        }
+        if self.thread_jitter.is_some() && !threads {
+            return invalid("thread jitter perturbs only the Threads transport");
         }
         Ok(())
     }
@@ -223,14 +240,17 @@ pub struct TwRunResult {
 /// (one worker thread per cluster), the deterministic in-process executor,
 /// one OS process per cluster driven over Unix-domain sockets, or workers
 /// dialing in over TCP; final net values are identical in all of them, and
-/// the deterministic transports produce byte-identical artifacts. Crash
-/// faults — injected via `cfg.fault`, or genuine worker deaths and dropped
-/// connections under [`Transport::Process`] / [`Transport::Tcp`] — are
-/// recovered transparently from the last GVT checkpoint; once the restart
-/// budget is exhausted, the run degrades to the sequential simulator
-/// (flagged in [`TwRunResult::recovery`]). Errors are reserved for
-/// conditions no retry can fix (see [`TimeWarpError`]), an invalid `cfg`
-/// first among them.
+/// the deterministic transports produce byte-identical artifacts. On those
+/// supervised transports crash faults — injected via `cfg.fault`, or
+/// genuine worker deaths and dropped connections under
+/// [`Transport::Process`] / [`Transport::Tcp`] — are recovered
+/// transparently from the last GVT checkpoint; once the restart budget is
+/// exhausted, the run degrades to the sequential simulator (flagged in
+/// [`TwRunResult::recovery`]). [`Transport::Threads`] has no recovery. A
+/// worker panic is fatal on every transport
+/// ([`TimeWarpError::WorkerPanic`]). Errors are reserved for conditions no
+/// retry can fix (see [`TimeWarpError`]), an invalid `cfg` first among
+/// them.
 pub fn run_timewarp(
     nl: &Netlist,
     plan: &ClusterPlan,
@@ -257,23 +277,14 @@ pub fn run_timewarp(
     }
 }
 
-/// One attempt of the threaded execution path.
-enum ThreadsAttempt {
-    /// All workers finished; the run is complete. Boxed: the result is
-    /// far larger than the other variants.
-    Done(Box<TwRunResult>),
-    /// At least one worker died (injected fault or genuine panic); the
-    /// run's partial state is discarded.
-    Crashed,
-    /// The livelock watchdog tripped on some worker.
-    Stalled { gvt: VTime, idle: u64 },
-}
-
-/// The threaded execution path: a supervisor retrying crash-stopped runs
-/// with bounded exponential backoff. Worker-level replay is impossible
-/// here — message delivery order is not logged under free-running threads —
-/// so recovery is a global restart; determinism of the *final state* (which
-/// equals the sequential simulator's) is what makes the retry transparent.
+/// The threaded execution path: one scoped attempt, no recovery. Message
+/// delivery order is not logged under free-running threads, so a dead
+/// worker cannot be replayed exactly, and a panic is deterministic, so a
+/// restart would panic again. Each worker's whole life — building its
+/// [`ClusterProcess`] included — runs inside its unwind boundary; a panic
+/// raises `abort` at once and the run ends as [`TimeWarpError::WorkerPanic`]
+/// for the lowest-numbered cluster that panicked, as on every other
+/// transport. [`TimeWarpConfig::validate`] refuses a crash fault here.
 fn run_threads(
     nl: &Netlist,
     plan: &ClusterPlan,
@@ -281,116 +292,52 @@ fn run_threads(
     cycles: u64,
     cfg: &TimeWarpConfig,
 ) -> Result<TwRunResult, TimeWarpError> {
-    // The injection budget is shared across restarts, so the fault fires
-    // exactly `crashes` times in total and later attempts run clean.
-    let injector = PanicInjector::new(&cfg.fault);
-    let mut restarts = 0u32;
-    loop {
-        match run_threads_once(nl, plan, stim, cycles, cfg, injector.as_ref()) {
-            ThreadsAttempt::Done(mut r) => {
-                r.recovery.crashes = injector.as_ref().map_or(0, |i| i.fired());
-                r.recovery.restarts = restarts;
-                r.recovery.victims = thread_victims(cfg, r.recovery.crashes);
-                return Ok(*r);
-            }
-            ThreadsAttempt::Crashed => {
-                if restarts >= cfg.fault.max_restarts {
-                    let mut r = recovery::degrade_sequential(nl, stim, cycles);
-                    r.recovery.crashes = injector.as_ref().map_or(0, |i| i.fired());
-                    r.recovery.restarts = restarts;
-                    r.recovery.victims = thread_victims(cfg, r.recovery.crashes);
-                    return Ok(r);
-                }
-                std::thread::sleep(recovery::backoff(restarts));
-                restarts += 1;
-            }
-            ThreadsAttempt::Stalled { gvt, idle } => {
-                return Err(TimeWarpError::Stalled { gvt, idle })
-            }
-        }
-    }
-}
-
-/// Under the threaded transport every injected crash hits the configured
-/// victim cluster, so the victim list is fully determined by the plan and
-/// the number of faults that actually fired.
-fn thread_victims(cfg: &TimeWarpConfig, fired: u32) -> Vec<u32> {
-    match cfg.fault.crash_at {
-        Some((victim, _)) => vec![victim; fired as usize],
-        None => Vec::new(),
-    }
-}
-
-fn run_threads_once(
-    nl: &Netlist,
-    plan: &ClusterPlan,
-    stim: &VectorStimulus,
-    cycles: u64,
-    cfg: &TimeWarpConfig,
-    injector: Option<&PanicInjector>,
-) -> ThreadsAttempt {
-    let k = plan.k;
-    let shared = Arc::new(GvtState::new(k));
-
-    // One channel per worker; senders cloned to everyone.
-    let mut senders = Vec::with_capacity(k);
-    let mut receivers = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (tx, rx) = crossbeam::channel::unbounded::<TwMessage>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
-    let mut results: Vec<Option<(SimStats, Vec<Logic>)>> = (0..k).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (me, rx) in receivers.into_iter().enumerate() {
-            let senders = senders.clone();
-            let shared = Arc::clone(&shared);
-            let plan_ref = &*plan;
-            let cfg = cfg.clone();
-            let stim = stim.clone();
-            handles.push(scope.spawn(move || {
-                let mut proc = ClusterProcess::new(
-                    nl,
-                    plan_ref,
-                    me as u32,
-                    stim,
-                    cycles,
-                    StateSaving::IncrementalUndo,
-                );
-                // A worker death — injected or genuine — is contained here
-                // and turned into a missing result; the supervisor decides
-                // whether to restart or degrade. The unwind boundary makes
-                // `proc` unusable afterwards, which is fine: its state dies
-                // with the crash.
-                let alive = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_loop(&mut proc, rx, &senders, &shared, &cfg, me, injector);
-                }))
-                .is_ok();
-                if !alive {
-                    // Wake the survivors so they stop waiting for us.
-                    shared.abort.store(true, Ordering::SeqCst);
-                }
-                alive.then(|| (proc.take_stats(), proc.into_values()))
-            }));
-        }
-        for (me, h) in handles.into_iter().enumerate() {
-            results[me] = h.join().unwrap_or(None);
-        }
-    });
-
+    let shared = GvtState::new(plan.k);
+    // One channel per worker; every worker holds every sender.
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..plan.k)
+        .map(|_| crossbeam::channel::unbounded::<TwMessage>())
+        .unzip();
+    let (senders, shared) = (&senders[..], &shared);
+    let per_cluster = std::thread::scope(|scope| {
+        let workers: Vec<_> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(me, rx)| {
+                scope.spawn(move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut proc = ClusterProcess::new(
+                            nl,
+                            plan,
+                            me as u32,
+                            stim.clone(),
+                            cycles,
+                            StateSaving::IncrementalUndo,
+                        );
+                        worker_loop(&mut proc, rx, senders, shared, cfg, me);
+                        (proc.take_stats(), proc.into_values())
+                    }))
+                    .map_err(|payload| {
+                        // Wake the survivors so they stop waiting for us.
+                        shared.abort.store(true, Ordering::SeqCst);
+                        TimeWarpError::WorkerPanic {
+                            cluster: me as u32,
+                            message: transport::panic_message(payload.as_ref()),
+                        }
+                    })
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("a worker's panic is caught inside it"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
     if shared.stalled.load(Ordering::SeqCst) {
-        return ThreadsAttempt::Stalled {
+        return Err(TimeWarpError::Stalled {
             gvt: shared.gvt.load(Ordering::SeqCst),
             idle: STALL_LIMIT,
-        };
+        });
     }
-    if results.iter().any(Option::is_none) || shared.abort.load(Ordering::SeqCst) {
-        return ThreadsAttempt::Crashed;
-    }
-    let per_cluster = results.into_iter().flatten().collect();
     let mut r = merge_results(
         nl,
         plan,
@@ -399,12 +346,12 @@ fn run_threads_once(
         per_cluster,
         shared.gvt_rounds.load(Ordering::SeqCst),
     );
-    // Transport provenance for the successful attempt: one channel push
-    // per message. Under free-running threads the value depends on
-    // interleaving (unlike the deterministic transports).
+    // Transport provenance: one channel push per message. Under
+    // free-running threads the value depends on interleaving (unlike the
+    // deterministic transports).
     r.recovery.messages_sent = shared.messages_sent.load(Ordering::SeqCst);
     r.recovery.frames_sent = r.recovery.messages_sent;
-    ThreadsAttempt::Done(Box::new(r))
+    Ok(r)
 }
 
 /// Merge per-cluster stats and final net values into a [`TwRunResult`].
@@ -490,13 +437,11 @@ fn worker_loop(
     shared: &GvtState,
     cfg: &TimeWarpConfig,
     me: usize,
-    injector: Option<&PanicInjector>,
 ) {
-    let mut quantum = 0u64;
     // Messages count as in transit from the moment they are pushed, so GVT
-    // can never advance past one. A failed send means the receiver died in
-    // a crash fault; the message is lost with it — exactly the crash-stop
-    // model — and the supervisor restarts the attempt.
+    // can never advance past one. A failed send means the receiver's worker
+    // panicked and is gone; the run ends as `WorkerPanic`, so the message
+    // is moot.
     let mut send = |m: TwMessage| {
         shared.send_epoch.fetch_add(1, Ordering::SeqCst);
         shared.in_transit.fetch_add(1, Ordering::SeqCst);
@@ -526,7 +471,7 @@ fn worker_loop(
                 std::thread::yield_now();
             }
         }
-        // A peer crashed or stalled; this attempt is abandoned.
+        // A peer panicked or the watchdog tripped: the run is over.
         if shared.abort.load(Ordering::SeqCst) {
             break;
         }
@@ -557,16 +502,6 @@ fn worker_loop(
         }
         shared.publish_lvt(me, proc.lvt());
 
-        quantum += 1;
-        if let Some(inj) = injector {
-            if inj.should_fire(me, quantum) {
-                // Crash-stop this worker. The abort flag is raised first so
-                // the survivors stop promptly instead of spinning on a GVT
-                // that can no longer advance.
-                shared.abort.store(true, Ordering::SeqCst);
-                panic!("injected crash fault: cluster {me} at quantum {quantum}");
-            }
-        }
         // One GVT attempt per quantum.
         if let Some(new_gvt) = shared.try_compute_gvt() {
             proc.fossil_collect(new_gvt);
@@ -638,6 +573,27 @@ mod tests {
                     ..on(Transport::tcp(1, policy))
                 },
                 "heartbeat budget",
+            ),
+            (
+                TimeWarpConfig {
+                    fault: FaultPlan::crash(1, 3),
+                    ..on(Transport::Threads)
+                },
+                "crash fault",
+            ),
+            (
+                TimeWarpConfig {
+                    chaos: Some(NetPlan::new()),
+                    ..on(Transport::in_proc(1, policy))
+                },
+                "network fault plan",
+            ),
+            (
+                TimeWarpConfig {
+                    thread_jitter: Some(7),
+                    ..on(Transport::in_proc(1, policy))
+                },
+                "thread jitter",
             ),
         ];
         for (cfg, why) in rejected {

@@ -9,7 +9,11 @@
 //! `SIGKILL`'d worker, detected by the supervisor as a socket EOF); under
 //! [`super::Transport::Tcp`] any dropped connection — EOF, reset, or a
 //! read that times out — is folded into the same event, because over a
-//! network a silent peer and a dead one cannot be told apart. Recovery is
+//! network a silent peer and a dead one cannot be told apart. Under
+//! [`super::Transport::Threads`] nothing is injected and nothing is
+//! recovered: delivery order is not logged under free-running threads, so a
+//! lost worker could not be replayed exactly, and a worker panic ends the
+//! run as [`super::TimeWarpError::WorkerPanic`]. Recovery is
 //! identical every way and follows classic log-based rollback
 //! recovery, built on two retention rules that piggyback on the existing
 //! GVT machinery:
@@ -51,18 +55,17 @@ use crate::seq::{NullObserver, SeqSim, SimConfig};
 use crate::stimulus::VectorStimulus;
 use crate::wheel::VTime;
 use dvs_verilog::netlist::{NetId, Netlist};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Crash-fault injection plan — a first-class deterministic fault alongside
 /// the [`super::dst::SchedulePolicy`] message faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Crash cluster `.0` when the deterministic executor reaches decision
-    /// index `.1` (under the in-proc transport the cluster state machine is
-    /// discarded; under the process transport the worker process is killed
-    /// with `SIGKILL`), or — under [`super::Transport::Threads`] — when
-    /// that cluster's worker finishes its `.1`-th scheduling quantum, by
-    /// panicking it. `None` disables crash injection.
+    /// Crash cluster `.0` when the deterministic supervisor reaches
+    /// decision index `.1` (under the in-proc transport the cluster state
+    /// machine is discarded; under the process and TCP transports the
+    /// worker process is killed with `SIGKILL`). `None` disables crash
+    /// injection. [`super::Transport::Threads`] has no supervisor, so
+    /// [`super::TimeWarpConfig::validate`] refuses `Some` there.
     pub crash_at: Option<(u32, u64)>,
     /// How many times the fault fires in total: after each recovery the
     /// fault re-arms until the budget is spent. Treated as at least 1 when
@@ -74,8 +77,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A single crash of `cluster` at decision/quantum `at`, with the
-    /// default restart budget.
+    /// A single crash of `cluster` at decision `at`, with the default
+    /// restart budget.
     pub fn crash(cluster: u32, at: u64) -> Self {
         FaultPlan {
             crash_at: Some((cluster, at)),
@@ -284,46 +287,6 @@ impl RecoveryLog {
     }
 }
 
-/// Shared panic-injection trigger for the threaded executor. The budget is
-/// shared across supervisor restarts so the fault fires exactly
-/// [`FaultPlan::crashes`] times in total.
-pub(crate) struct PanicInjector {
-    pub victim: u32,
-    pub quantum: u64,
-    budget: AtomicU32,
-    initial: u32,
-}
-
-impl PanicInjector {
-    pub fn new(plan: &FaultPlan) -> Option<Self> {
-        let (victim, quantum) = plan.crash_at?;
-        let budget = plan.crash_budget();
-        Some(PanicInjector {
-            victim,
-            quantum,
-            budget: AtomicU32::new(budget),
-            initial: budget,
-        })
-    }
-
-    /// Should worker `me` die at `quantum`? Consumes one unit of budget on
-    /// a hit (atomically — only one incarnation of the victim can fire per
-    /// budget unit).
-    pub fn should_fire(&self, me: usize, quantum: u64) -> bool {
-        me as u32 == self.victim
-            && quantum == self.quantum
-            && self
-                .budget
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-                .is_ok()
-    }
-
-    /// Crashes fired so far.
-    pub fn fired(&self) -> u32 {
-        self.initial - self.budget.load(Ordering::SeqCst)
-    }
-}
-
 /// Graceful degradation: run the whole workload on the sequential simulator
 /// and report its (correct) final state with `degraded = true`. The caller
 /// fills in the crash/restart provenance.
@@ -349,12 +312,4 @@ pub(crate) fn degrade_sequential(nl: &Netlist, stim: &VectorStimulus, cycles: u6
             ..RecoveryOutcome::default()
         },
     }
-}
-
-/// Exponential retry backoff for the threaded supervisor, capped so tests
-/// stay fast. The deterministic executor has no wall clock — its "backoff"
-/// is the bounded restart budget itself.
-pub(crate) fn backoff(restart: u32) -> std::time::Duration {
-    let ms = 1u64 << restart.min(6);
-    std::time::Duration::from_millis(ms.min(50))
 }

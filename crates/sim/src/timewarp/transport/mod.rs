@@ -119,6 +119,7 @@ use std::path::PathBuf;
 
 pub(crate) use in_proc::InProcWorker;
 pub(crate) use remote::run_wire;
+pub(crate) use serve::panic_message;
 pub use serve::{serve_worker, serve_worker_tcp};
 pub(crate) use supervisor::run_supervisor;
 
@@ -126,13 +127,14 @@ pub use super::wire::{MAX_FRAME, WIRE_VERSION};
 
 /// Where the Time Warp workers execute. Selecting a transport also selects
 /// the execution discipline: `Threads` is free-running (wall-clock fast,
-/// counters timing-dependent), the other two are deterministically
+/// counters timing-dependent), the other three are deterministically
 /// scheduled by `(seed, schedule)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Transport {
     /// One free-running OS thread per cluster, exchanging messages over
-    /// channels. Fastest wall-clock; counters depend on thread timing.
+    /// channels. Fastest wall-clock; counters depend on thread timing. No
+    /// crash recovery: a worker panic ends the run.
     #[default]
     Threads,
     /// Single-threaded virtual scheduler stepping cluster state machines

@@ -224,7 +224,8 @@ fn text(frame: Json) -> String {
     frame.emit().expect("reply frames hold no floats")
 }
 
-pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic: its payload when that is a string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

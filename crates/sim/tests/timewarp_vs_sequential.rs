@@ -5,10 +5,11 @@
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
-use dvs_sim::timewarp::{run_timewarp, FaultPlan, TimeWarpConfig, TwRunResult};
+use dvs_sim::timewarp::{run_timewarp, TimeWarpConfig, TimeWarpError, TwRunResult};
 use dvs_sim::Logic;
 use dvs_verilog::netlist::{GateId, Netlist};
 use dvs_verilog::parse_and_elaborate;
+use std::time::{Duration, Instant};
 
 /// Run both kernels and compare every driven net's final value.
 fn assert_tw_matches_seq(nl: &Netlist, gate_blocks: &[u32], k: usize, cycles: u64, seed: u64) {
@@ -570,79 +571,39 @@ fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
     assert_eq!(format!("{fnv1a:016x}"), "234c33e9cf722c05");
 }
 
-/// Acceptance criterion for crash-fault tolerance in Threads mode: a worker
-/// panicked by the injector is restarted by the supervisor and the run
-/// still converges to the sequential final state, with the recovery
-/// provenance reporting the crash.
+/// A worker that panics while its cluster is being built is inside the
+/// unwind boundary like any other: the threaded run ends at once as a typed
+/// `WorkerPanic` naming the cluster, not as a watchdog stall after five
+/// million idle quanta of its peer.
 #[test]
-fn threads_mode_recovers_from_injected_panic() {
-    let nl = parse_and_elaborate(COUNTER).unwrap().into_netlist();
-    let gb = round_robin(&nl, 2);
-    let plan = ClusterPlan::new(&nl, &gb, 2);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 41);
-    let cycles = 50;
-
-    let mut seq = SeqSim::new(
-        &nl,
-        &SimConfig {
-            cycles,
-            init_zero: true,
-        },
+fn threads_worker_panic_is_typed_and_prompt() {
+    let src = dvs_workloads::seqcirc::generate_counter(6);
+    let nl = parse_and_elaborate(&src).unwrap().into_netlist();
+    let mut plan = ClusterPlan::new(&nl, &round_robin(&nl, 2), 2);
+    assert!(
+        plan.clusters[1].exports.len() > 1,
+        "cluster 1 needs two exports to reverse"
     );
-    seq.run(&stim, cycles, &mut NullObserver);
+    plan.clusters[1].exports.reverse();
+    let stim = VectorStimulus::from_netlist(&nl, 10, 1);
 
-    for (victim, quantum) in [(0u32, 1u64), (1, 3), (0, 20)] {
-        let cfg = TimeWarpConfig {
-            fault: FaultPlan::crash(victim, quantum),
-            ..TimeWarpConfig::default()
-        };
-        let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
-        assert_eq!(tw.recovery.crashes, 1, "injected panic did not fire");
-        assert_eq!(tw.recovery.restarts, 1, "supervisor did not restart");
-        assert!(!tw.recovery.degraded);
-        let wrong = seq.mismatches(&nl, &tw.values);
-        assert!(
-            wrong.is_empty(),
-            "nets {wrong:?} differ after panic recovery ({victim}@{quantum})"
-        );
+    let start = Instant::now();
+    let outcome = run_timewarp(&nl, &plan, &stim, 20, &TimeWarpConfig::default());
+    let took = start.elapsed();
+    match outcome {
+        Err(TimeWarpError::WorkerPanic {
+            cluster: 1,
+            message,
+        }) => assert!(
+            message.contains("exports must ascend"),
+            "wrong panic: {message}"
+        ),
+        other => panic!("expected cluster 1's panic, got {other:?}"),
     }
-}
-
-/// Exhausting the threaded supervisor's restart budget falls back to the
-/// sequential simulator: correct result, `degraded = true`, no error.
-#[test]
-fn threads_mode_degrades_after_budget_exhaustion() {
-    let nl = parse_and_elaborate(COUNTER).unwrap().into_netlist();
-    let gb = round_robin(&nl, 2);
-    let plan = ClusterPlan::new(&nl, &gb, 2);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 43);
-    let cycles = 40;
-
-    let mut seq = SeqSim::new(
-        &nl,
-        &SimConfig {
-            cycles,
-            init_zero: true,
-        },
+    assert!(
+        took < Duration::from_secs(1),
+        "the panic took {took:?} to surface"
     );
-    seq.run(&stim, cycles, &mut NullObserver);
-
-    // The worker dies at quantum 1 on every incarnation: with a budget of
-    // `max_restarts` crashes already spent, one more exhausts it.
-    let cfg = TimeWarpConfig {
-        fault: FaultPlan {
-            crash_at: Some((1, 1)),
-            crashes: 3,
-            max_restarts: 2,
-        },
-        ..TimeWarpConfig::default()
-    };
-    let tw = run_timewarp(&nl, &plan, &stim, cycles, &cfg).expect("run stalled");
-    assert!(tw.recovery.degraded, "budget exhaustion must degrade");
-    assert_eq!(tw.recovery.crashes, 3);
-    assert_eq!(tw.recovery.restarts, 2);
-    let wrong = seq.mismatches(&nl, &tw.values);
-    assert!(wrong.is_empty(), "nets {wrong:?} differ in degraded run");
 }
 
 #[test]
