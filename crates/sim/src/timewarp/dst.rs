@@ -412,14 +412,17 @@ pub fn run_deterministic(
 /// * fossil collection never reclaims processed or undo history at or
 ///   above the GVT it was invoked with;
 /// * at termination, annihilation left no orphan tombstones and no pending
-///   events in any cluster;
-/// * a recovered cluster's rebuilt incoming channels equal the in-flight
-///   messages lost in the crash.
+///   events in any cluster.
 ///
 /// Crash faults from `cfg.fault` are injected when the executor reaches the
 /// armed decision index and handled by restore-and-replay recovery (see
-/// [`super::recovery`]); only unrecoverable conditions — a wedged GVT —
-/// surface as [`TimeWarpError`].
+/// [`super::recovery`]): the victim is rebuilt from its last image and its
+/// input log, while its incoming queues, which a message leaves only once
+/// its receiver has answered for it, are kept as they are. A crash aimed at
+/// a cluster `plan` does not have is refused as
+/// [`TimeWarpError::InvalidConfig`] before any worker is built; beyond that
+/// only unrecoverable conditions — a wedged GVT — surface as
+/// [`TimeWarpError`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_schedule(
     nl: &Netlist,
@@ -431,6 +434,7 @@ pub fn run_with_schedule(
     check: bool,
     label: &str,
 ) -> Result<TwRunResult, TimeWarpError> {
+    cfg.fault.check_victim(plan.k)?;
     let mut workers: Vec<InProcWorker<'_, '_>> = (0..plan.k)
         .map(|me| InProcWorker::new(nl, plan, stim.clone(), cycles, check, label, me as u32))
         .collect();

@@ -259,6 +259,7 @@ pub fn run_timewarp(
     cfg: &TimeWarpConfig,
 ) -> Result<TwRunResult, TimeWarpError> {
     cfg.validate()?;
+    cfg.fault.check_victim(plan.k)?;
     match &cfg.transport {
         Transport::Threads => run_threads(nl, plan, stim, cycles, cfg),
         Transport::InProc { seed, schedule } => dst::run_deterministic(
@@ -583,6 +584,27 @@ mod tests {
             ),
             (
                 TimeWarpConfig {
+                    fault: FaultPlan::crash(2, 3),
+                    ..on(Transport::in_proc(1, policy))
+                },
+                "crash victim 2",
+            ),
+            (
+                TimeWarpConfig {
+                    fault: FaultPlan::crash(2, 3),
+                    ..on(Transport::process(1, policy))
+                },
+                "crash victim 2",
+            ),
+            (
+                TimeWarpConfig {
+                    fault: FaultPlan::crash(2, 3),
+                    ..on(Transport::tcp(1, policy))
+                },
+                "crash victim 2",
+            ),
+            (
+                TimeWarpConfig {
                     chaos: Some(NetPlan::new()),
                     ..on(Transport::in_proc(1, policy))
                 },
@@ -605,6 +627,16 @@ mod tests {
                 other => panic!("{label}: {other:?}"),
             }
         }
+        // The deterministic executor's own door refuses the same victim.
+        let stray = TimeWarpConfig {
+            fault: FaultPlan::crash(2, 3),
+            ..on(Transport::in_proc(1, policy))
+        };
+        let direct = dst::run_deterministic(&nl, &plan, &stim, 4, &stray, 1, &policy, true);
+        assert!(
+            matches!(direct, Err(TimeWarpError::InvalidConfig { .. })),
+            "{direct:?}"
+        );
         TimeWarpConfig::default()
             .validate()
             .expect("the defaults are valid");

@@ -1,22 +1,21 @@
 //! Crash-fault injection and recovery for the Time Warp kernel.
 //!
 //! The fault model is a *crash-stop* worker: a cluster dies, losing its
-//! entire in-memory state **and** every message currently in flight toward
-//! it (its incoming channels die with it). Messages it already sent live on
-//! — they left the node. Under [`super::Transport::InProc`] the crash is
-//! simulated by discarding the cluster state machine; under
-//! [`super::Transport::Process`] it is an OS process dying for real (a
-//! `SIGKILL`'d worker, detected by the supervisor as a socket EOF); under
-//! [`super::Transport::Tcp`] any dropped connection — EOF, reset, or a
-//! read that times out — is folded into the same event, because over a
-//! network a silent peer and a dead one cannot be told apart. Under
-//! [`super::Transport::Threads`] nothing is injected and nothing is
-//! recovered: delivery order is not logged under free-running threads, so a
-//! lost worker could not be replayed exactly, and a worker panic ends the
-//! run as [`super::TimeWarpError::WorkerPanic`]. Recovery is
-//! identical every way and follows classic log-based rollback
-//! recovery, built on two retention rules that piggyback on the existing
-//! GVT machinery:
+//! entire in-memory state. No message is lost with it: workers never send
+//! to each other directly, and every message between clusters sits in the
+//! supervisor's per-channel queue until its receiver has answered for it.
+//! Under [`super::Transport::InProc`] the crash is simulated by discarding
+//! the cluster state machine; under [`super::Transport::Process`] it is an
+//! OS process dying for real (a `SIGKILL`'d worker, detected by the
+//! supervisor as a socket EOF); under [`super::Transport::Tcp`] any dropped
+//! connection — EOF, reset, or a read that times out — is folded into the
+//! same event, because over a network a silent peer and a dead one cannot
+//! be told apart. Under [`super::Transport::Threads`] nothing is injected
+//! and nothing is recovered: delivery order is not logged under
+//! free-running threads, so a lost worker could not be replayed exactly,
+//! and a worker panic ends the run as
+//! [`super::TimeWarpError::WorkerPanic`]. Recovery is identical every way
+//! and rests on two facts:
 //!
 //! * **coordinated checkpoints at GVT rounds** — a valid GVT sample requires
 //!   `in_transit == 0`, i.e. empty channels, so the set of per-cluster
@@ -24,20 +23,17 @@
 //!   no channel state (see [`super::checkpoint`]). A full
 //!   [`super::Checkpoint`] is captured at every tracked round and is the
 //!   victim's restore image;
-//! * **sender-side retention for one round** — every message sent since
-//!   the last GVT round is retained by its sender (the supervisor's
-//!   `sent_log`); the GVT advance doubles as the group acknowledgement (the
-//!   sample was only valid once every channel drained), so the retention
-//!   window is exactly one GVT round.
+//! * **the supervisor pops a message only after its receiver answered for
+//!   it** — a worker lost mid-delivery has consumed nothing as far as the
+//!   supervisor knows, so the queues toward the victim are still exactly
+//!   what it has yet to receive.
 //!
-//! On a crash the supervisor rebuilds the victim from its last image,
-//! **replays its input log** (the exact sequence of
-//! step/deliver/fossil operations applied since that image —
-//! the cluster state machine is deterministic, so replay reproduces the
-//! pre-crash state bit-for-bit, counters included, with re-sends
-//! suppressed because the originals are already on the wire or delivered),
-//! and re-fills its incoming channels with the undelivered suffix of each
-//! neighbour's retained output history.
+//! On a crash the supervisor rebuilds the victim from its last image and
+//! **replays its input log** (the exact sequence of step/deliver/fossil
+//! operations applied since that image — the cluster state machine is
+//! deterministic, so replay reproduces the pre-crash state bit-for-bit,
+//! counters included, with re-sends suppressed because the originals are
+//! already queued or delivered). Its incoming queues are left as they are.
 //! The global state after recovery is therefore *exactly* the pre-crash
 //! state, which is what makes crash runs byte-identical to no-crash runs
 //! under the deterministic transports — determinism is the correctness
@@ -50,7 +46,7 @@
 //! error.
 
 use super::proc::ClusterProcess;
-use super::{TwMessage, TwRunResult};
+use super::{TimeWarpError, TwMessage, TwRunResult};
 use crate::seq::{NullObserver, SeqSim, SimConfig};
 use crate::stimulus::VectorStimulus;
 use crate::wheel::VTime;
@@ -65,11 +61,14 @@ pub struct FaultPlan {
     /// machine is discarded; under the process and TCP transports the
     /// worker process is killed with `SIGKILL`). `None` disables crash
     /// injection. [`super::Transport::Threads`] has no supervisor, so
-    /// [`super::TimeWarpConfig::validate`] refuses `Some` there.
+    /// [`super::TimeWarpConfig::validate`] refuses `Some` there; a cluster
+    /// the plan does not have is refused as well, before any worker starts.
     pub crash_at: Option<(u32, u64)>,
-    /// How many times the fault fires in total: after each recovery the
-    /// fault re-arms until the budget is spent. Treated as at least 1 when
-    /// `crash_at` is set.
+    /// How many times the fault fires in total. Treated as at least 1 when
+    /// `crash_at` is set. Recovery consumes no decision, so after each one
+    /// the re-armed fault fires again at the same decision index, back to
+    /// back, until this budget is spent; `crashes > max_restarts` is how a
+    /// plan reaches the sequential fallback.
     pub crashes: u32,
     /// Restarts the supervisor attempts before giving up and degrading to
     /// the sequential simulator.
@@ -84,6 +83,19 @@ impl FaultPlan {
             crash_at: Some((cluster, at)),
             crashes: 1,
             ..FaultPlan::default()
+        }
+    }
+
+    /// Refuse a crash aimed at a cluster outside a `k`-cluster plan: it
+    /// would never fire, and the run would look like a survived crash.
+    /// Checked by every door into the supervisor — [`super::run_timewarp`]
+    /// and [`super::dst::run_with_schedule`] — before any worker starts.
+    pub(crate) fn check_victim(&self, k: usize) -> Result<(), TimeWarpError> {
+        match self.crash_at {
+            Some((victim, _)) if victim as usize >= k => Err(TimeWarpError::InvalidConfig {
+                reason: format!("crash victim {victim} is not a cluster of this {k}-cluster plan"),
+            }),
+            _ => Ok(()),
         }
     }
 
@@ -198,39 +210,26 @@ pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
 }
 
 /// Recovery bookkeeping for the transport-generic supervisor: per-cluster
-/// images with their input logs, per-channel sender-side retention. Images
-/// are held *encoded* — the canonical JSON text the worker captured them
-/// as — because the supervisor only stores them and hands them back in a
-/// restore; whoever rebuilds a process from one decodes it. Everything is
-/// scoped to one window, "since the last tracked GVT round": that round
-/// captured an image of every cluster, and its valid sample implies every
-/// channel was drained, so a restore never reaches behind it. Unlike the
-/// worker state it protects, this lives supervisor-side on **all**
-/// deterministic transports, which is what keeps the recovery protocol
-/// identical whether the worker is a struct in this process or an OS
-/// process on a socket.
+/// images with their input logs. Images are held *encoded* — the canonical
+/// JSON text the worker captured them as — because the supervisor only
+/// stores them and hands them back in a restore; whoever rebuilds a process
+/// from one decodes it. Everything is scoped to one window, "since the last
+/// tracked GVT round": that round captured an image of every cluster, and
+/// its valid sample implies every channel was drained, so a restore never
+/// reaches behind it. Unlike the worker state it protects, this lives
+/// supervisor-side on **all** deterministic transports, which is what keeps
+/// the recovery protocol identical whether the worker is a struct in this
+/// process or an OS process on a socket.
 pub(crate) struct RecoveryLog {
-    k: usize,
     bases: Vec<String>,
     input_log: Vec<Vec<ReplayOp>>,
-    /// Messages sent on channel `src * k + dst` since the last round
-    /// (positives *and* anti-messages, in send order — FIFO per channel).
-    sent_log: Vec<Vec<TwMessage>>,
-    /// Deliveries consumed from each channel since the last round.
-    delivered: Vec<usize>,
 }
 
 impl RecoveryLog {
     /// Start from the initial coordinated checkpoints (GVT 0, fresh state).
     pub fn from_checkpoints(bases: Vec<String>) -> Self {
-        let k = bases.len();
-        RecoveryLog {
-            k,
-            bases,
-            input_log: vec![Vec::new(); k],
-            sent_log: vec![Vec::new(); k * k],
-            delivered: vec![0; k * k],
-        }
+        let input_log = vec![Vec::new(); bases.len()];
+        RecoveryLog { bases, input_log }
     }
 
     pub fn record_step(&mut self, c: usize, limit: VTime) {
@@ -238,12 +237,7 @@ impl RecoveryLog {
     }
 
     pub fn record_deliver(&mut self, m: TwMessage) {
-        self.delivered[m.src as usize * self.k + m.dst as usize] += 1;
         self.input_log[m.dst as usize].push(ReplayOp::Deliver(m));
-    }
-
-    pub fn record_send(&mut self, m: TwMessage) {
-        self.sent_log[m.src as usize * self.k + m.dst as usize].push(m);
     }
 
     pub fn record_fossil(&mut self, c: usize, gvt: VTime) {
@@ -257,16 +251,6 @@ impl RecoveryLog {
         self.input_log[i].clear();
     }
 
-    /// Close a GVT round after every cluster's image was captured. The
-    /// round is the group acknowledgement: a restore will never reach
-    /// behind the new images, so the sender-side retention windows reset.
-    pub fn round_complete(&mut self) {
-        for l in &mut self.sent_log {
-            l.clear();
-        }
-        self.delivered.fill(0);
-    }
-
     /// The victim's last image.
     pub fn base(&self, victim: usize) -> &str {
         &self.bases[victim]
@@ -276,14 +260,6 @@ impl RecoveryLog {
     /// applied on top of it.
     pub fn ops(&self, victim: usize) -> &[ReplayOp] {
         &self.input_log[victim]
-    }
-
-    /// The undelivered suffix of the `src → dst` channel: what was in
-    /// flight when `dst` crashed, reconstructed from the sender's retained
-    /// output history minus the prefix `dst` had already consumed.
-    pub fn undelivered(&self, src: usize, dst: usize) -> &[TwMessage] {
-        let ch = src * self.k + dst;
-        &self.sent_log[ch][self.delivered[ch]..]
     }
 }
 

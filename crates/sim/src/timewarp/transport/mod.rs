@@ -18,8 +18,10 @@
 //!   surfaces as a socket EOF; a dropped TCP connection (EOF, reset, or a
 //!   read that times out) surfaces the same way — and the supervisor
 //!   treats every one of them exactly like an injected crash fault:
-//!   restore from the last GVT-coordinated checkpoint, replay the input
-//!   log, re-fill the lost channels (see [`super::recovery`]).
+//!   restore from the last GVT-coordinated checkpoint and replay the input
+//!   log (see [`super::recovery`]). Workers never message each other
+//!   directly, so the supervisor's queues still hold everything sent
+//!   toward the victim and nothing else needs rebuilding.
 //!
 //! One file per seam, each importing only what is listed before it:
 //!

@@ -194,9 +194,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // consulted — so the decision sequence after recovery is
             // identical to the no-crash run's, which is what makes
             // artifacts byte-identical.
-            let armed = fault
-                .crash_at
-                .filter(|&(victim, _)| crashes_left > 0 && (victim as usize) < self.k);
+            let armed = fault.crash_at.filter(|_| crashes_left > 0);
             if let Some((victim, at)) = armed {
                 if decision == at {
                     crashes_left -= 1;
@@ -343,12 +341,13 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     fn do_deliver(&mut self, src: usize, dst: usize, run: usize, gvt: VTime) -> Result<(), Halt> {
         let ch = src * self.k + dst;
         if self.in_hand.is_empty() {
-            // Peek, don't pop: if the worker dies mid-run the messages are
-            // still in flight — they count toward the victim's lost channel
-            // state and are re-delivered to the respawned incarnation
-            // (recovery re-fills the queue with them at the head, FIFO
-            // preserved). A run is one reply frame, so a worker lost
-            // inside it has had none of it logged.
+            // Peek, don't pop: a message leaves its queue only once the
+            // receiver has answered for it. That makes the queues the one
+            // copy of everything in flight: a worker lost mid-run is
+            // recovered and handed the same messages again, still at the
+            // head of the queue, and recovery never touches a queue. A run
+            // is one reply frame, so a worker lost inside it has had none
+            // of it logged.
             let msgs: Vec<TwMessage> = self.queues[ch].iter().take(run).copied().collect();
             self.in_hand = self.supervised(dst, |w| w.deliver(&msgs))?.into();
         }
@@ -382,8 +381,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         Ok(())
     }
 
-    /// Enqueue messages a worker emitted during a successful op and retain
-    /// them in the sender-side log.
+    /// Enqueue messages a worker emitted during a successful op.
     fn commit_sends(&mut self, sends: &[TwMessage]) {
         for &m in sends {
             if self.check {
@@ -400,9 +398,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.shared.in_transit.fetch_add(1, Ordering::SeqCst);
             self.shared.send_epoch.fetch_add(1, Ordering::SeqCst);
             self.queues[m.src as usize * self.k + m.dst as usize].push_back(m);
-            if let Some(log) = self.log.as_mut() {
-                log.record_send(m);
-            }
         }
     }
 
@@ -439,9 +434,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 log.set_base(i, captured);
             }
         }
-        if let (Some(log), Image::Base) = (self.log.as_mut(), image) {
-            log.round_complete();
-        }
         if quiesce && self.check && new_gvt == VTime::MAX {
             for i in 0..self.k {
                 self.supervised(i, W::check_quiescence)?;
@@ -450,40 +442,41 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         Ok(())
     }
 
-    /// Crash-stop recovery of cluster `v`: drop its incoming channels,
-    /// respawn from its last image, replay the input log, re-fill the
-    /// channels from sender-side retention. Counts every death (including
-    /// deaths during respawn itself) against the restart budget and
-    /// degrades to the sequential simulator when it runs out.
+    /// Crash-stop recovery of cluster `v`: respawn it from its last image
+    /// and replay its input log. Its incoming queues stay as they are —
+    /// they still hold everything it has not answered for. Counts every
+    /// death (including deaths during respawn itself) against the restart
+    /// budget and degrades to the sequential simulator when it runs out.
     fn recover(&mut self, v: usize) -> Result<(), Halt> {
         assert!(
             self.in_hand.is_empty(),
             "cluster {v} is being recovered inside a delivery run ({})",
             self.label
         );
-        // Crash-stop: the victim loses its in-memory state and its
-        // incoming channels (in-flight messages toward it die with it).
-        // Captured once — respawn retries compare against the originally
-        // lost set.
-        let mut dropped: Vec<Vec<TwMessage>> = Vec::with_capacity(self.k);
-        let mut dropped_total = 0i64;
-        for src in 0..self.k {
-            let q = &mut self.queues[src * self.k + v];
-            dropped_total += q.len() as i64;
-            dropped.push(q.drain(..).collect());
+        loop {
+            self.outcome.crashes += 1;
+            self.outcome.victims.push(v as u32);
+            if self.outcome.restarts >= self.cfg.fault.max_restarts {
+                return Err(self.degrade());
+            }
+            self.outcome.restarts += 1;
+            let log = self
+                .log
+                .as_ref()
+                .expect("recovery requires an armed recovery log");
+            match self.workers[v].respawn(log.base(v), log.ops(v)) {
+                Ok(lvt) => {
+                    self.outcome.replayed_ops += log.ops(v).len() as u64;
+                    self.lvts[v] = lvt;
+                    self.shared.publish_lvt(v, lvt);
+                    return Ok(());
+                }
+                // The replacement died during respawn (possible only with
+                // real processes): another crash against the budget.
+                Err(WorkerFailure::Lost { .. }) => continue,
+                Err(f) => return Err(Halt::Failed(fatal(v as u32, f))),
+            }
         }
-        if dropped_total > 0 {
-            self.shared
-                .in_transit
-                .fetch_sub(dropped_total, Ordering::SeqCst);
-        }
-        let log = self
-            .log
-            .take()
-            .expect("recovery requires an armed recovery log");
-        let out = self.recover_inner(v, &dropped, &log);
-        self.log = Some(log);
-        out
     }
 
     /// Restart budget exhausted: kill everyone and fall back to the
@@ -512,55 +505,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.outcome.chaos_faults_injected += c.chaos_faults_injected;
             self.outcome.messages_sent += c.messages_sent;
             self.outcome.frames_sent += c.frames_sent;
-        }
-    }
-
-    fn recover_inner(
-        &mut self,
-        v: usize,
-        dropped: &[Vec<TwMessage>],
-        log: &RecoveryLog,
-    ) -> Result<(), Halt> {
-        loop {
-            self.outcome.crashes += 1;
-            self.outcome.victims.push(v as u32);
-            if self.outcome.restarts >= self.cfg.fault.max_restarts {
-                return Err(self.degrade());
-            }
-            self.outcome.restarts += 1;
-            match self.workers[v].respawn(log.base(v), log.ops(v)) {
-                Ok(lvt) => {
-                    self.outcome.replayed_ops += log.ops(v).len() as u64;
-                    self.lvts[v] = lvt;
-                    self.shared.publish_lvt(v, lvt);
-                    // The lost channels are re-filled from each
-                    // neighbour's retained output history (the
-                    // undelivered suffix since the last round).
-                    let mut refilled = 0i64;
-                    for (src, lost) in dropped.iter().enumerate() {
-                        let und = log.undelivered(src, v);
-                        if self.check {
-                            assert_eq!(
-                                und,
-                                lost.as_slice(),
-                                "recovered channel {src}->{v} differs from the lost \
-                                 in-flight messages ({})",
-                                self.label
-                            );
-                        }
-                        refilled += und.len() as i64;
-                        self.queues[src * self.k + v].extend(und.iter().copied());
-                    }
-                    if refilled > 0 {
-                        self.shared.in_transit.fetch_add(refilled, Ordering::SeqCst);
-                    }
-                    return Ok(());
-                }
-                // The replacement died during respawn (possible only with
-                // real processes): another crash against the budget.
-                Err(WorkerFailure::Lost { .. }) => continue,
-                Err(f) => return Err(Halt::Failed(fatal(v as u32, f))),
-            }
         }
     }
 }

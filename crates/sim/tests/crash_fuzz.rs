@@ -2,10 +2,12 @@
 //!
 //! Random small circuits, random partitions, random schedules — and a
 //! random crash: one cluster is killed at a property-drawn decision index,
-//! losing its in-memory state and every in-flight message addressed to it.
-//! The recovery supervisor must rebuild it from its last GVT-consistent
-//! checkpoint, replay its input log, and refill its channels — and the
-//! recovered run must be *indistinguishable* from the undisturbed one:
+//! losing its in-memory state. The messages queued toward it stay in the
+//! supervisor's queues, which one schedule family holds back on purpose so
+//! the crash lands while a channel into the victim is full. The recovery
+//! supervisor must rebuild it from its last GVT-consistent checkpoint and
+//! replay its input log — and the recovered run must be *indistinguishable*
+//! from the undisturbed one:
 //! identical merged stats, identical per-cluster stats, identical final
 //! values, identical GVT round count. Determinism is the oracle — any
 //! recovery bug shows up as an exact counter diff, not a flaky tolerance.
@@ -27,19 +29,24 @@ use proptest::prelude::*;
 
 const DUMP: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "crash_fuzz_failure");
 
-/// A case from the strategy's tuples. Invariant checks are forced on, which
-/// also cross-checks the rebuilt channels against the dropped ones during
-/// recovery.
+/// A case from the strategy's tuples. Invariant checks are forced on.
+/// Policy 3 holds back the channel from the next cluster into the victim,
+/// so messages are queued toward it when it dies.
 fn case(
     (counter, bits, k, part_seed): (bool, u32, usize, u64),
     (stim_seed, seed, policy_sel): (u64, u64, u8),
     ((cycles, victim), (crash_at, crashes)): ((u64, u32), (u64, u32)),
 ) -> Scenario {
     let circuit = Circuit::seqcirc(counter, bits);
+    let victim = victim % k as u32;
     let policy = [
         SchedulePolicy::RoundRobin,
         SchedulePolicy::SeededRandom,
         SchedulePolicy::StragglerHeavy,
+        SchedulePolicy::DelayChannel {
+            src: (victim + 1) % k as u32,
+            dst: victim,
+        },
     ][policy_sel as usize];
     let partition = Partition::Random { k, seed: part_seed };
     Scenario {
@@ -49,7 +56,7 @@ fn case(
             check: true,
         },
         fault: FaultPlan {
-            crash_at: Some((victim % k as u32, crash_at)),
+            crash_at: Some((victim, crash_at)),
             crashes,
             max_restarts: crashes,
         },
@@ -59,7 +66,7 @@ fn case(
 
 fn case_strategy() -> impl Strategy<Value = Scenario> {
     let circuit = (any::<bool>(), 2u32..6, 2usize..4, any::<u64>());
-    let seeds = (any::<u64>(), any::<u64>(), 0u8..3);
+    let seeds = (any::<u64>(), any::<u64>(), 0u8..4);
     // Crash points span immediate (0) through mid-run; points past the end
     // of the run simply never fire, which is itself a valid case.
     let fault = ((10u64..30, 0u32..4), (0u64..600, 1u32..3));
@@ -121,7 +128,7 @@ proptest! {
 /// hierarchy with a primary input no gate reads.
 #[test]
 fn fixed_cases_per_policy() {
-    for policy_sel in 0..3u8 {
+    for policy_sel in 0..4u8 {
         let fixed = |crash_at, crashes| {
             let seeds = (22, 33, policy_sel);
             case((true, 4, 3, 11), seeds, ((25, 1), (crash_at, crashes)))
