@@ -111,8 +111,8 @@ pub struct Scenario {
     pub executor: Executor,
     pub fault: FaultPlan,
     pub chaos: Option<NetPlan>,
-    /// `(interval in ms, missed-beat budget)`; `None` keeps the kernel's.
-    pub heartbeat: Option<(u64, u32)>,
+    /// The TCP silence deadline; `None` keeps the kernel's.
+    pub silence: Option<Duration>,
 }
 
 /// What [`Scenario::build`] elaborates — the expensive, executor-independent
@@ -138,7 +138,7 @@ impl Scenario {
             executor: Executor::Threads { jitter: None },
             fault: FaultPlan::default(),
             chaos: None,
-            heartbeat: None,
+            silence: None,
         }
     }
 
@@ -224,9 +224,8 @@ impl Scenario {
             chaos: self.chaos.clone(),
             ..TimeWarpConfig::default()
         };
-        if let Some((ms, budget)) = self.heartbeat {
-            cfg.heartbeat_interval = Duration::from_millis(ms);
-            cfg.heartbeat_budget = budget;
+        if let Some(silence) = self.silence {
+            cfg.silence_timeout = silence;
         }
         cfg
     }
@@ -389,7 +388,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Serialize the tests of one binary (the static is one per test process):
 /// the wire suites spawn a worker process per cluster, steer workers through
-/// the process environment, and time out on real wall-clock heartbeats.
+/// the process environment, and time out on real wall-clock deadlines.
 pub fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|p| p.into_inner())

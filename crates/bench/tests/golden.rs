@@ -30,6 +30,7 @@ use dvs_workloads::pipeline_soc::{generate_pipeline_soc, PipelineParams};
 use dvs_workloads::{generate_viterbi, ViterbiParams};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::time::Duration;
 
 /// The checked-in golden artifact.
 const BASELINE: &str = concat!(
@@ -64,13 +65,10 @@ const CRASH_AT: (u32, u64) = (0, 25);
 const PROCESS_VECTORS: u64 = 20;
 /// The schedule of every wire-case leg: seeded-random, like [`dst_presim`].
 const WIRE_POLICY: SchedulePolicy = SchedulePolicy::SeededRandom;
-/// Heartbeat idle interval of the chaos case's stall leg. Short enough that
-/// half-open detection (2 × 150 ms) dominates neither the test nor a CI run,
-/// long enough that a briefly preempted worker is not declared dead
-/// spuriously.
-const CHAOS_HEARTBEAT_MS: u64 = 150;
-/// Missed-probe budget of the chaos case's stall leg.
-const CHAOS_HEARTBEAT_BUDGET: u32 = 2;
+/// Silence deadline of the chaos case's stall leg. Short enough that
+/// half-open detection dominates neither the test nor a CI run, long enough
+/// that a briefly preempted worker is not declared dead spuriously.
+const CHAOS_SILENCE: Duration = Duration::from_millis(300);
 
 /// The deterministic Time Warp leg of every smoke-grid point: a
 /// seeded-random schedule, so the case covers a nontrivial interleaving
@@ -218,10 +216,9 @@ fn wire_transport_case(name: &'static str, wire: Transport) -> (&'static str, Js
 /// * **corrupt**: one bit of a worker→supervisor frame is flipped in flight;
 ///   the CRC32 check rejects it (`corrupt_frames` = 1) and the connection is
 ///   torn down and recovered;
-/// * **stall**: the link goes silent both ways mid-run; the heartbeat prober
-///   detects the half-open connection in [`CHAOS_HEARTBEAT_BUDGET`] ×
-///   [`CHAOS_HEARTBEAT_MS`] ms (`heartbeats_missed` = budget) and recovery
-///   replaces it.
+/// * **stall**: the link goes silent both ways mid-run; the supervisor drops
+///   the connection once it has been silent for [`CHAOS_SILENCE`]
+///   (`silent_peers` = 1) and recovery replaces it.
 ///
 /// Each leg must be byte-identical to the undisturbed in-process run, and
 /// each leg's recovery counters are pinned, so drift anywhere in the
@@ -243,9 +240,8 @@ fn tcp_chaos_case() -> (&'static str, Json) {
     };
     let (_, clean) = leg(name, "in-process", &in_proc, &built, None);
 
-    // Leg 1: a bit flipped in a worker→supervisor frame. The default
-    // heartbeat interval (1 s) never fires on this workload, so the frame
-    // sequence — and with it the pinned counters — is exact.
+    // Leg 1: a bit flipped in a worker→supervisor frame. Frame indices
+    // count commands and replies only, so the pinned counters are exact.
     let corrupt = Scenario {
         chaos: fault(
             1,
@@ -269,26 +265,25 @@ fn tcp_chaos_case() -> (&'static str, Json) {
         "case `{name}`: corrupt leg (corrupt_frames, chaos, crashes, restarts)"
     );
 
-    // Leg 2: the link stalls silently both ways; only the heartbeat prober
-    // can notice. Budget exhaustion is charged exactly once, at `budget`
-    // misses.
+    // Leg 2: the link stalls silently both ways; only the silence deadline
+    // can notice, and it drops the connection once.
     let stalled = Scenario {
         chaos: fault(2, NetDir::ToWorker, 10, NetFaultKind::Stall),
-        heartbeat: Some((CHAOS_HEARTBEAT_MS, CHAOS_HEARTBEAT_BUDGET)),
+        silence: Some(CHAOS_SILENCE),
         ..tcp
     };
     let (stalled, _) = leg(name, "stall", &stalled, &built, Some(&clean));
     let r = &stalled.recovery;
     let got = (
-        r.heartbeats_missed,
+        r.silent_peers,
         r.chaos_faults_injected,
         r.crashes,
         r.corrupt_frames,
     );
     assert_eq!(
         got,
-        (u64::from(CHAOS_HEARTBEAT_BUDGET), 1, 1, 0),
-        "case `{name}`: stall leg (heartbeats_missed, chaos, crashes, corrupt)"
+        (1, 1, 1, 0),
+        "case `{name}`: stall leg (silent_peers, chaos, crashes, corrupt)"
     );
 
     let report = ObjBuilder::new()
@@ -468,15 +463,15 @@ impl std::fmt::Write for Fnv {
     }
 }
 
-/// The paper-scale front end pinned byte for byte, run by the nightly
-/// workflow (`-- --ignored`, release): the [`ViterbiParams::full_scale`]
-/// netlist (every net's name and driver; every gate's kind, output, inputs,
-/// owner and delay; every instance) and `partition_multiway`'s `cut`, `loads`
-/// and `gate_blocks` at the two (k, b) points the repo benchmark partitions
-/// it at. The hashes were captured before elaboration stopped copying module
+/// The paper-scale front end pinned byte for byte, run in release
+/// (`-- --ignored`) by CI's `test` job on every push and by the nightly
+/// workflow: the [`ViterbiParams::full_scale`] netlist (every net's name and
+/// driver; every gate's kind, output, inputs, owner and delay; every
+/// instance) and `partition_multiway`'s `cut`, `loads` and `gate_blocks` at
+/// the two (k, b) points the repo benchmark partitions it at. The hashes were captured before elaboration stopped copying module
 /// bodies per instance and before restarts shared flattened hypergraphs.
 #[test]
-#[ignore = "1.1 M gates, run by the nightly workflow with -- --ignored"]
+#[ignore = "1.1 M gates, run in release by CI on every push with -- --ignored"]
 fn full_scale_netlist_and_partitions_are_pinned() {
     use dvs_verilog::netlist::{GateId, NetId};
     use std::fmt::Write;

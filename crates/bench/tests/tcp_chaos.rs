@@ -9,7 +9,7 @@
 //! the same-seed undisturbed in-process run. Benign faults (duplicates,
 //! split writes, latency) must be invisible outright; destructive faults
 //! (corruption, truncation, stalls, partitions) must be detected — by the
-//! CRC32 frame check or the heartbeat prober — and recovered through the
+//! CRC32 frame check or the silence deadline — and recovered through the
 //! same crash-stop respawn/restore path a `SIGKILL` takes. No injected
 //! fault may panic the supervisor or a worker, and none may leak into the
 //! results.
@@ -27,14 +27,15 @@ use dvs_sim::timewarp::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const K: u32 = 3;
 const SCHED_SEED: u64 = 2008;
-/// Heartbeat for legs that need stall/partition detection: interval in ms
-/// and missed-beat budget. Short enough to keep the suite fast, long enough
-/// (with the generous restart budget) that a CI-preempted worker is
-/// re-adopted rather than failing the run.
-const HEARTBEAT: (u64, u32) = (100, 2);
+/// Silence deadline for legs that need stall/partition detection. Short
+/// enough to keep the suite fast, long enough (with the generous restart
+/// budget) that a CI-preempted worker is re-adopted rather than failing the
+/// run.
+const SILENCE: Duration = Duration::from_millis(200);
 /// Restart budget for chaos legs: a seeded plan carries up to three
 /// destructive faults, and CI timing noise may add a spurious loss or
 /// two — byte-identity must survive all of them without degrading.
@@ -46,7 +47,7 @@ const SEED: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "tcp_chaos_seed");
 /// once, with its undisturbed in-process artifact under the seeded-random
 /// schedule every leg runs. Every test takes `serial()`: each run spawns K
 /// worker processes, and the stall/partition legs time out on real
-/// wall-clock heartbeats — oversubscribing the host skews them.
+/// wall-clock deadlines — oversubscribing the host skews them.
 fn fixture() -> &'static (Scenario, Built, String) {
     static FIX: OnceLock<(Scenario, Built, String)> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -58,9 +59,9 @@ fn fixture() -> &'static (Scenario, Built, String) {
     })
 }
 
-/// The fixture over TCP under `plan`, with the short heartbeat when the
-/// plan needs the prober.
-fn chaos(plan: NetPlan, heartbeat: bool) -> Scenario {
+/// The fixture over TCP under `plan`, with the short silence deadline when
+/// the plan needs it.
+fn chaos(plan: NetPlan, short_silence: bool) -> Scenario {
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_tw_worker"));
     let tcp = Transport::tcp_with_worker(SCHED_SEED, SchedulePolicy::SeededRandom, worker);
     Scenario {
@@ -70,7 +71,7 @@ fn chaos(plan: NetPlan, heartbeat: bool) -> Scenario {
             ..FaultPlan::default()
         },
         chaos: Some(plan),
-        heartbeat: heartbeat.then_some(HEARTBEAT),
+        silence: short_silence.then_some(SILENCE),
         ..fixture().0.clone()
     }
 }
@@ -136,9 +137,9 @@ fn fault(cluster: u32, dir: NetDir, frame: u64, kind: NetFaultKind) -> NetFault 
 
 /// One fixed scenario per fault kind, each with its deterministic counter
 /// expectations — benign kinds must not trigger recovery at all,
-/// destructive kinds must be detected and recovered exactly once. The
-/// default heartbeat interval (1 s) never fires on this workload, so the
-/// frame sequence, and with it every counter, is exact.
+/// destructive kinds must be detected and recovered exactly once. Frame
+/// indices count commands and replies only, and the default 30 s silence
+/// deadline never expires on this workload, so every counter is exact.
 #[test]
 fn every_fault_kind_recovers_byte_identically() {
     let _g = serial();
@@ -203,10 +204,9 @@ fn every_fault_kind_recovers_byte_identically() {
 
 /// Stalls (both directions dead) and partitions (one direction dead — the
 /// classic half-open connection) leave no EOF to observe; only the
-/// heartbeat prober can detect them. Detection must be bounded at
-/// `budget × interval`, surface as *typed recovery* (a recovered crash
-/// with `heartbeats_missed` charged, never a fatal `WorkerTimeout`), and
-/// the recovered run must still be byte-identical.
+/// silence deadline can detect them. Detection must surface as *typed
+/// recovery* (a recovered crash with one silent peer counted, never a fatal
+/// `WorkerTimeout`), and the recovered run must still be byte-identical.
 #[test]
 fn stall_and_partition_surface_as_typed_recovery() {
     let _g = serial();
@@ -222,9 +222,8 @@ fn stall_and_partition_surface_as_typed_recovery() {
         assert_eq!(r.crashes, 1, "{label}: the silent link was not detected");
         assert_eq!(r.restarts, 1, "{label}");
         assert_eq!(
-            r.heartbeats_missed,
-            u64::from(HEARTBEAT.1),
-            "{label}: budget exhaustion must be charged exactly once"
+            r.silent_peers, 1,
+            "{label}: one connection dropped for silence"
         );
         assert_eq!(r.victims, vec![fault.cluster], "{label}: victim recorded");
         assert!(!r.degraded, "{label}");

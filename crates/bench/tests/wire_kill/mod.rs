@@ -146,7 +146,7 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
 /// The connection of `cluster` cut as supervisor→worker frame `frame`
 /// passes: half the frame goes out, then the stream is shut down while the
 /// worker process stays up. Frame 0 is `init`, frame `n` the `n`-th command
-/// after it (no heartbeat fires on these runs, so no `ping` is counted).
+/// after it.
 pub fn cut(cluster: u32, frame: u64) -> NetPlan {
     NetPlan::new().fault(NetFault {
         cluster,

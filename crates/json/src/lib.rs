@@ -110,6 +110,11 @@ impl Json {
         usize::try_from(n).map_err(|_| JsonError::new(format!("integer {n} overflows usize")))
     }
 
+    pub fn as_u32(&self) -> Result<u32, JsonError> {
+        let n = self.as_u64()?;
+        u32::try_from(n).map_err(|_| JsonError::new(format!("integer {n} overflows u32")))
+    }
+
     /// Accepts both numeric variants (an integer-valued float field may
     /// have been written without a fractional part by another producer).
     pub fn as_f64(&self) -> Result<f64, JsonError> {
@@ -735,6 +740,8 @@ mod tests {
         assert!(v.field("missing").is_err());
         assert!(v.field("s").unwrap().as_u64().is_err());
         assert!(Json::Int(-1).as_u64().is_err());
+        assert_eq!(Json::Int(u32::MAX as i64).as_u32().unwrap(), u32::MAX);
+        assert!(Json::Int(1 << 32).as_u32().is_err());
     }
 
     #[test]

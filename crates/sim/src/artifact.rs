@@ -131,7 +131,7 @@ impl ToJson for RecoveryOutcome {
             )
             .uint("checkpoint_bytes_full", self.checkpoint_bytes_full)
             .uint("corrupt_frames", self.corrupt_frames)
-            .uint("heartbeats_missed", self.heartbeats_missed)
+            .uint("silent_peers", self.silent_peers)
             .uint("chaos_faults_injected", self.chaos_faults_injected)
             .uint("messages_sent", self.messages_sent)
             .uint("frames_sent", self.frames_sent)
@@ -200,7 +200,7 @@ fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
             created_at: v.field("created_at")?.as_u64()?,
         }),
         "remote" => Ok(CkptSource::Remote {
-            src: v.field("src")?.as_u64()? as u32,
+            src: v.field("src")?.as_u32()?,
             seq: v.field("seq")?.as_u64()?,
         }),
         k => Err(JsonError::new(format!("unknown event source kind `{k}`"))),
@@ -223,7 +223,7 @@ impl FromJson for CkptEvent {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(CkptEvent {
             time: v.field("time")?.as_u64()?,
-            net: v.field("net")?.as_u64()? as u32,
+            net: v.field("net")?.as_u32()?,
             value: logic_from_json(v.field("value")?)?,
             source: ckpt_source_from_json(v.field("source")?)?,
             order: v.field("order")?.as_u64()?,
@@ -248,12 +248,12 @@ impl ToJson for TwMessage {
 impl FromJson for TwMessage {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(TwMessage {
-            src: v.field("src")?.as_u64()? as u32,
-            dst: v.field("dst")?.as_u64()? as u32,
+            src: v.field("src")?.as_u32()?,
+            dst: v.field("dst")?.as_u32()?,
             seq: v.field("seq")?.as_u64()?,
             ev: NetEvent {
                 time: v.field("time")?.as_u64()?,
-                net: NetId(v.field("net")?.as_u64()? as u32),
+                net: NetId(v.field("net")?.as_u32()?),
                 value: logic_from_json(v.field("value")?)?,
             },
             anti: v.field("anti")?.as_bool()?,
@@ -439,7 +439,7 @@ impl FromJson for Checkpoint {
                 "expected kind `tw_checkpoint`, got `{kind}`"
             )));
         }
-        let schema = v.field("checkpoint_schema")?.as_u64()? as u32;
+        let schema = v.field("checkpoint_schema")?.as_u32()?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(JsonError::new(format!(
                 "unsupported checkpoint_schema {schema} (expected {CHECKPOINT_SCHEMA})"
@@ -454,7 +454,7 @@ impl FromJson for Checkpoint {
         };
         Ok(Checkpoint {
             schema,
-            cluster: v.field("cluster")?.as_u64()? as u32,
+            cluster: v.field("cluster")?.as_u32()?,
             gvt: v.field("gvt")?.as_u64()?,
             values: logic_vec(v.field("values")?)?,
             pending: events("pending")?,
@@ -466,9 +466,7 @@ impl FromJson for Checkpoint {
                 .map(|u| {
                     let parts = u.as_array()?;
                     match parts {
-                        [t, net, val] => {
-                            Ok((t.as_u64()?, net.as_u64()? as u32, logic_from_json(val)?))
-                        }
+                        [t, net, val] => Ok((t.as_u64()?, net.as_u32()?, logic_from_json(val)?)),
                         _ => Err(JsonError::new("undo entry must be [time, net, value]")),
                     }
                 })
@@ -515,14 +513,14 @@ pub(crate) fn image_envelope(text: &str) -> Option<ImageEnvelope> {
     let value = text.find(LAST_KEY)? + LAST_KEY.len();
     let digits = text[value..].bytes().take_while(u8::is_ascii_digit).count();
     let head = Json::parse(&format!("{}}}", &text[..value + digits])).ok()?;
-    let uint = |key: &str| head.get(key)?.as_u64().ok();
     if head.get("kind")?.as_str().ok()? != "tw_checkpoint" {
         return None;
     }
+    let id = |key: &str| head.get(key)?.as_u32().ok();
     Some(ImageEnvelope {
-        schema: uint("checkpoint_schema")? as u32,
-        cluster: uint("cluster")? as u32,
-        gvt: uint("gvt")?,
+        schema: id("checkpoint_schema")?,
+        cluster: id("cluster")?,
+        gvt: head.get("gvt")?.as_u64().ok()?,
     })
 }
 
@@ -607,7 +605,7 @@ mod tests {
         assert_eq!(image_envelope(&mangled), Some(envelope));
 
         for not_an_image in [
-            "{\"kind\":\"pong\"}",
+            "{\"kind\":\"ok\"}",
             "{\"kind\":\"done\",\"lvt\":4,\"gvt\":9}",
             "{\"kind\":\"error\",\"detail\":\"no ,\\\"gvt\\\": here\"}",
             &text.replace("\"tw_checkpoint\"", "\"tw_checkpoint_delta\""),

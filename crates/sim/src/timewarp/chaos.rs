@@ -18,7 +18,9 @@
 //! latency (benign reorderings of syscalls and time that must change
 //! nothing), and sticky stalls/partitions (the link silently eats traffic
 //! until the connection is torn down and redialed — exactly the half-open
-//! failure the heartbeat budget exists to detect).
+//! failure the silence deadline exists to detect). The supervisor sends
+//! nothing but commands, so a frame index is a pure function of the
+//! decision sequence, never of wall-clock time.
 //!
 //! Faults fire once each. Frame counters are cumulative across
 //! reconnects of the same cluster (state lives in a shared
@@ -37,9 +39,9 @@ use std::time::Duration;
 /// applies to, named from the supervisor's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetDir {
-    /// Frames the supervisor sends (commands, restore payloads, pings).
+    /// Frames the supervisor sends (commands, restore payloads).
     ToWorker,
-    /// Frames the supervisor receives (responses, checkpoints, pongs).
+    /// Frames the supervisor receives (responses, checkpoints).
     FromWorker,
 }
 
@@ -71,11 +73,11 @@ pub enum NetFaultKind {
     },
     /// The link goes silent in **both** directions (the frame itself is
     /// eaten too), and stays silent until the connection is replaced.
-    /// Detected by the heartbeat-miss budget.
+    /// Detected by the silence deadline.
     Stall,
     /// The link goes silent in the fault's direction only — the classic
     /// half-open connection (peer alive, one direction dead). Detected by
-    /// the heartbeat-miss budget.
+    /// the silence deadline.
     Partition,
 }
 
@@ -247,15 +249,11 @@ impl ClusterChaos {
 pub(crate) struct ChaosStream {
     inner: WireStream,
     state: Rc<RefCell<ClusterChaos>>,
-    /// Read side: bytes of the frame currently being reassembled
-    /// (header + payload so far).
-    rd_buf: Vec<u8>,
-    /// Total size of the frame being reassembled, once the header is in.
-    rd_need: Option<usize>,
     /// Perturbed frame bytes waiting to be served to the caller.
     out: Vec<u8>,
     out_pos: usize,
-    /// A read-side truncation killed the link: serve EOF forever.
+    /// The read side was cut (a truncation fault, or bytes that no longer
+    /// delimit a frame): serve EOF forever.
     dead: bool,
 }
 
@@ -270,60 +268,31 @@ impl ChaosStream {
         ChaosStream {
             inner,
             state,
-            rd_buf: Vec::new(),
-            rd_need: None,
             out: Vec::new(),
             out_pos: 0,
             dead: false,
         }
     }
 
-    /// Pull bytes of the current in-flight frame from the inner stream.
-    /// Returns `Ok(true)` when a whole frame is buffered in `rd_buf`,
-    /// `Ok(false)` on EOF. Timeouts and other I/O errors pass through
-    /// with the partial frame preserved for the next call.
-    fn fill_frame(&mut self) -> io::Result<bool> {
-        loop {
-            let have = self.rd_buf.len();
-            let need = match self.rd_need {
-                Some(n) => n,
-                None => {
-                    if have == FRAME_HEADER {
-                        let len = u32::from_le_bytes(self.rd_buf[0..4].try_into().expect("4 bytes"))
-                            as usize;
-                        if len == 0 || len > MAX_FRAME {
-                            // A length the framing itself will reject:
-                            // don't try to buffer it, hand the header
-                            // through untouched and let the typed
-                            // frame-source error surface downstream.
-                            return Ok(true);
-                        }
-                        self.rd_need = Some(FRAME_HEADER + len);
-                        continue;
-                    }
-                    FRAME_HEADER
-                }
-            };
-            if have == need {
-                return Ok(true);
-            }
-            let want = (need - have).min(64 << 10);
-            self.rd_buf.resize(have + want, 0);
-            match self.inner.read(&mut self.rd_buf[have..]) {
-                Ok(0) => {
-                    self.rd_buf.truncate(have);
-                    return Ok(false);
-                }
-                Ok(n) => self.rd_buf.truncate(have + n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rd_buf.truncate(have);
-                }
-                Err(e) => {
-                    self.rd_buf.truncate(have);
-                    return Err(e);
-                }
-            }
+    /// Read the next frame off the inner stream, and whether it is whole.
+    /// Not whole: the stream ended inside it (empty at a frame boundary),
+    /// or its length prefix is one the framing rejects — then only the
+    /// header is read. An I/O error drops whatever arrived with it.
+    fn next_frame(&mut self) -> io::Result<(Vec<u8>, bool)> {
+        let mut frame = Vec::with_capacity(FRAME_HEADER);
+        (&mut self.inner)
+            .take(FRAME_HEADER as u64)
+            .read_to_end(&mut frame)?;
+        if frame.len() < FRAME_HEADER {
+            return Ok((frame, false));
         }
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        if len == 0 || len > MAX_FRAME {
+            return Ok((frame, false));
+        }
+        (&mut self.inner).take(len as u64).read_to_end(&mut frame)?;
+        let whole = frame.len() == FRAME_HEADER + len;
+        Ok((frame, whole))
     }
 
     /// Serve buffered (already perturbed) bytes to the caller.
@@ -370,7 +339,7 @@ impl Read for ChaosStream {
                 // Half-open link: whatever the worker sends is eaten. Read
                 // and discard so the kernel buffers don't implicate flow
                 // control; surface only the read timeout to the caller —
-                // that is what arms the heartbeat budget.
+                // that is what the silence deadline measures.
                 let mut sink = [0u8; 4096];
                 return match self.inner.read(&mut sink) {
                     Ok(0) => Ok(0),
@@ -380,75 +349,57 @@ impl Read for ChaosStream {
                     Err(e) => Err(e),
                 };
             }
-            match self.fill_frame()? {
-                false => {
-                    // EOF: mid-frame truncation surfaces downstream as a
-                    // typed truncation error; a boundary EOF is clean.
-                    let partial = std::mem::take(&mut self.rd_buf);
-                    self.rd_need = None;
-                    self.out = partial;
-                    self.out_pos = 0;
-                    if self.out.is_empty() {
-                        return Ok(0);
-                    }
-                    self.dead = true;
+            let (frame, whole) = self.next_frame()?;
+            self.out_pos = 0;
+            if !whole {
+                // Cut short by EOF, or a length the framing rejects: pass
+                // the bytes through for the frame source to type the
+                // failure. Nothing after them can be delimited.
+                self.out = frame;
+                self.dead = true;
+                continue;
+            }
+            let fault = {
+                let mut st = self.state.borrow_mut();
+                let f = st.from.step();
+                if f.is_some() {
+                    st.fired += 1;
                 }
-                true => {
-                    let frame = std::mem::take(&mut self.rd_buf);
-                    let complete = self.rd_need.take().is_some();
-                    if !complete {
-                        // Unparseable length prefix: pass through verbatim.
-                        self.out = frame;
-                        self.out_pos = 0;
-                        continue;
-                    }
-                    let fault = {
-                        let mut st = self.state.borrow_mut();
-                        let f = st.from.step();
-                        if f.is_some() {
-                            st.fired += 1;
-                        }
-                        f
-                    };
-                    match fault {
-                        None | Some(NetFaultKind::SplitWrite) => {
-                            self.out = frame;
-                        }
-                        Some(NetFaultKind::BitFlip { offset }) => {
-                            let mut frame = frame;
-                            let body = frame.len() - FRAME_HEADER;
-                            let at = (FRAME_HEADER + (offset as usize % body.max(1)))
-                                .min(frame.len() - 1);
-                            frame[at] ^= 0x01;
-                            self.out = frame;
-                        }
-                        Some(NetFaultKind::Truncate) => {
-                            let half = frame.len() / 2;
-                            self.out = frame[..half.max(1)].to_vec();
-                            self.dead = true;
-                            self.inner.shutdown_both();
-                        }
-                        Some(NetFaultKind::Duplicate) => {
-                            let mut doubled = frame.clone();
-                            doubled.extend_from_slice(&frame);
-                            self.out = doubled;
-                        }
-                        Some(NetFaultKind::Latency { millis }) => {
-                            std::thread::sleep(Duration::from_millis(millis as u64));
-                            self.out = frame;
-                        }
-                        Some(NetFaultKind::Stall) => {
-                            let mut st = self.state.borrow_mut();
-                            st.to.suppressed = true;
-                            st.from.suppressed = true;
-                            continue;
-                        }
-                        Some(NetFaultKind::Partition) => {
-                            self.state.borrow_mut().from.suppressed = true;
-                            continue;
-                        }
-                    }
-                    self.out_pos = 0;
+                f
+            };
+            match fault {
+                None | Some(NetFaultKind::SplitWrite) => {
+                    self.out = frame;
+                }
+                Some(NetFaultKind::BitFlip { offset }) => {
+                    let mut frame = frame;
+                    let body = frame.len() - FRAME_HEADER;
+                    let at = (FRAME_HEADER + (offset as usize % body.max(1))).min(frame.len() - 1);
+                    frame[at] ^= 0x01;
+                    self.out = frame;
+                }
+                Some(NetFaultKind::Truncate) => {
+                    let half = frame.len() / 2;
+                    self.out = frame[..half.max(1)].to_vec();
+                    self.dead = true;
+                    self.inner.shutdown_both();
+                }
+                Some(NetFaultKind::Duplicate) => {
+                    let mut doubled = frame.clone();
+                    doubled.extend_from_slice(&frame);
+                    self.out = doubled;
+                }
+                Some(NetFaultKind::Latency { millis }) => {
+                    std::thread::sleep(Duration::from_millis(millis as u64));
+                    self.out = frame;
+                }
+                Some(NetFaultKind::Stall) => {
+                    let mut st = self.state.borrow_mut();
+                    st.to.suppressed = true;
+                    st.from.suppressed = true;
+                }
+                Some(NetFaultKind::Partition) => {
+                    self.state.borrow_mut().from.suppressed = true;
                 }
             }
         }

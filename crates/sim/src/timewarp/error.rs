@@ -56,10 +56,9 @@ pub enum TimeWarpError {
     /// instead of attempting recovery — this is the process-transport arm
     /// of the stall watchdog. Over TCP this error is reserved for the
     /// spawn/handshake phase (before the first checkpoint exists); once a
-    /// run is underway, post-handshake silence is heartbeat-probed
-    /// (`heartbeat_interval` / `heartbeat_budget`) and an exhausted
-    /// miss budget drops the connection and *recovers* it like a crash
-    /// instead of failing.
+    /// run is underway, a worker silent for
+    /// [`super::TimeWarpConfig::silence_timeout`] has its connection
+    /// dropped and *recovered* like a crash instead.
     WorkerTimeout {
         /// The cluster whose worker went silent.
         cluster: u32,

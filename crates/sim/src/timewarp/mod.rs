@@ -128,16 +128,12 @@ pub struct TimeWarpConfig {
     /// varies. `None` (the default) injects nothing; any other transport
     /// refuses a seed.
     pub thread_jitter: Option<u64>,
-    /// TCP heartbeat idle interval: when a response is this late, the
-    /// supervisor counts a missed beat and probes the worker with a
-    /// `ping`. Default 1 s.
-    pub heartbeat_interval: std::time::Duration,
-    /// Consecutive missed beats before the supervisor declares the
-    /// connection half-open and tears it down for recovery. Detection
-    /// latency is bounded by `heartbeat_interval × heartbeat_budget`
-    /// (default 30 × 1 s — the same 30 s envelope the plain read timeout
-    /// used to give, but recoverable instead of fatal).
-    pub heartbeat_budget: u32,
+    /// How long a TCP worker may send nothing, once its handshake is done,
+    /// before the supervisor drops the connection and recovers the cluster
+    /// like a crash. The supervisor only waits on a worker that owes it a
+    /// reply, so silence this long means a lost peer or a half-open link.
+    /// Default 30 s; zero is refused.
+    pub silence_timeout: std::time::Duration,
     /// Deterministic network fault injection for the wire transports (see
     /// [`NetPlan`]). `None` injects nothing; [`Transport::Threads`] and
     /// [`Transport::InProc`], which have no wire, refuse a plan.
@@ -163,8 +159,7 @@ impl Default for TimeWarpConfig {
             window: 16,
             fault: FaultPlan::default(),
             thread_jitter: None,
-            heartbeat_interval: std::time::Duration::from_millis(DEFAULT_HEARTBEAT_MS),
-            heartbeat_budget: DEFAULT_HEARTBEAT_BUDGET,
+            silence_timeout: std::time::Duration::from_secs(30),
             chaos: None,
         }
     }
@@ -175,9 +170,6 @@ impl Default for TimeWarpConfig {
 /// executor), the run fails with [`TimeWarpError::Stalled`] instead of
 /// hanging.
 pub(crate) const STALL_LIMIT: u64 = 5_000_000;
-
-const DEFAULT_HEARTBEAT_MS: u64 = 1_000;
-const DEFAULT_HEARTBEAT_BUDGET: u32 = 30;
 
 impl TimeWarpConfig {
     /// Reject a configuration no run can use, or a setting the chosen
@@ -192,11 +184,8 @@ impl TimeWarpConfig {
         if self.epochs_per_quantum == 0 {
             return invalid("epochs_per_quantum must be at least 1");
         }
-        if self.heartbeat_budget == 0 {
-            return invalid("heartbeat budget must be at least 1 missed beat");
-        }
-        if self.heartbeat_interval.is_zero() {
-            return invalid("heartbeat interval must be longer than zero");
+        if self.silence_timeout.is_zero() {
+            return invalid("silence timeout must be longer than zero");
         }
         let threads = self.transport == Transport::Threads;
         if threads && self.fault.crash_at.is_some() {
@@ -563,17 +552,10 @@ mod tests {
             ),
             (
                 TimeWarpConfig {
-                    heartbeat_interval: Duration::ZERO,
+                    silence_timeout: Duration::ZERO,
                     ..on(Transport::tcp(1, policy))
                 },
-                "heartbeat interval",
-            ),
-            (
-                TimeWarpConfig {
-                    heartbeat_budget: 0,
-                    ..on(Transport::tcp(1, policy))
-                },
-                "heartbeat budget",
+                "silence timeout",
             ),
             (
                 TimeWarpConfig {

@@ -8,8 +8,9 @@
 //! the cluster state machine; under [`super::Transport::Process`] it is an
 //! OS process dying for real (a `SIGKILL`'d worker, detected by the
 //! supervisor as a socket EOF); under [`super::Transport::Tcp`] any dropped
-//! connection — EOF, reset, or a read that times out — is folded into the
-//! same event, because over a network a silent peer and a dead one cannot
+//! connection — EOF, reset, or silence past
+//! [`super::TimeWarpConfig::silence_timeout`] — is folded into the same
+//! event, because over a network a silent peer and a dead one cannot
 //! be told apart. Under [`super::Transport::Threads`] nothing is injected
 //! and nothing is recovered: delivery order is not logged under
 //! free-running threads, so a lost worker could not be replayed exactly,
@@ -145,12 +146,10 @@ pub struct RecoveryOutcome {
     /// that worker's connection and is observed here as a connection loss,
     /// not a corrupt frame.
     pub corrupt_frames: u64,
-    /// Heartbeats missed on connections the supervisor declared half-open:
-    /// each detection contributes exactly its exhausted miss budget
-    /// (`heartbeat_budget` beats per event), so the counter is
-    /// deterministic under a seeded fault plan. Transient late beats that
-    /// recovered before the budget ran out are not counted.
-    pub heartbeats_missed: u64,
+    /// TCP connections the supervisor dropped because the worker sent
+    /// nothing for [`super::TimeWarpConfig::silence_timeout`], one per
+    /// drop — a lost peer or a half-open link.
+    pub silent_peers: u64,
     /// Network faults from the [`super::NetPlan`] that actually fired
     /// (benign ones — duplicates, split writes, latency — included).
     pub chaos_faults_injected: u64,

@@ -11,7 +11,7 @@ use crate::timewarp::recovery::ReplayOp;
 use crate::timewarp::wire::json_kind;
 use crate::timewarp::TwMessage;
 use crate::wheel::VTime;
-use dvs_json::{uint_array, uint_vec, FromJson, Json, ObjBuilder, ToJson};
+use dvs_json::{uint_array, FromJson, Json, ObjBuilder, ToJson};
 use dvs_verilog::netlist::{GateId, GateKind, InstId, Net, NetId, Netlist};
 
 /// Virtual times go on the wire as integers, with the idle sentinel
@@ -220,16 +220,14 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
     let opt_net = |x: &Json| -> Result<Option<NetId>, String> {
         match x {
             Json::Null => Ok(None),
-            other => Ok(Some(NetId(other.as_u64().map_err(err)? as u32))),
+            other => Ok(Some(NetId(other.as_u32().map_err(err)?))),
         }
     };
-    let net_ids = |x: &Json| -> Result<Vec<NetId>, String> {
-        Ok(uint_vec(x)
-            .map_err(err)?
-            .into_iter()
-            .map(|n| NetId(n as u32))
-            .collect())
+    let ids = |x: &Json| -> Result<Vec<u32>, String> {
+        let ids = x.as_array().map_err(err)?.iter().map(Json::as_u32);
+        ids.collect::<Result<_, _>>().map_err(err)
     };
+    let net_ids = |x: &Json| ids(x).map(|ids| ids.into_iter().map(NetId).collect::<Vec<_>>());
     // No names travel: the worker's nets are named by their ids.
     let mut netlist = Netlist::default();
     netlist.nets = vec![Net::default(); nets];
@@ -250,13 +248,13 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         let kind_name = parts[0].as_str().map_err(err)?;
         let kind = GateKind::from_name(kind_name)
             .ok_or_else(|| format!("gate {i}: unknown gate kind {kind_name:?}"))?;
-        let output = NetId(parts[1].as_u64().map_err(err)? as u32);
+        let output = NetId(parts[1].as_u32().map_err(err)?);
         if output.idx() >= nets {
             return Err(format!("gate {i}: output net {} out of range", output.0));
         }
         let inputs = parts[2..]
             .iter()
-            .map(|p| p.as_u64().map(|n| NetId(n as u32)))
+            .map(|p| p.as_u32().map(NetId))
             .collect::<Result<Vec<_>, _>>()
             .map_err(err)?;
         if inputs.iter().any(|n| n.idx() >= nets) {
@@ -264,11 +262,7 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         }
         netlist.add_gate(kind, output, &inputs, InstId(0), None);
     }
-    let gate_block: Vec<u32> = uint_vec(v.field("gate_block").map_err(err)?)
-        .map_err(err)?
-        .into_iter()
-        .map(|b| b as u32)
-        .collect();
+    let gate_block = ids(v.field("gate_block").map_err(err)?)?;
     if gate_block.len() != netlist.gate_count() {
         return Err("gate_block length does not match the gate count".to_string());
     }
@@ -276,7 +270,7 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
     if k == 0 || gate_block.iter().any(|&b| (b as usize) >= k) {
         return Err("gate_block assigns a gate to an out-of-range cluster".to_string());
     }
-    let cluster = v.field("cluster").and_then(Json::as_u64).map_err(err)? as u32;
+    let cluster = v.field("cluster").and_then(Json::as_u32).map_err(err)?;
     if cluster as usize >= k {
         return Err(format!("cluster {cluster} out of range for k={k}"));
     }

@@ -15,8 +15,8 @@
 //!   `tw_worker --connect host:port`). Commands are length-prefixed JSON
 //!   frames either way, and what answers them in the child is an
 //!   `InProcWorker` again, behind the frame codec. A `SIGKILL`'d worker
-//!   surfaces as a socket EOF; a dropped TCP connection (EOF, reset, or a
-//!   read that times out) surfaces the same way — and the supervisor
+//!   surfaces as a socket EOF; a dropped TCP connection (EOF, reset, or
+//!   silence past the deadline) surfaces the same way — and the supervisor
 //!   treats every one of them exactly like an injected crash fault:
 //!   restore from the last GVT-coordinated checkpoint and replay the input
 //!   log (see [`super::recovery`]). Workers never message each other
@@ -84,11 +84,11 @@
 //! so an image costs about what moving its bytes does.
 //!
 //! On the Unix transport a hung worker is *not* crash-stop, so the timeout
-//! is fatal ([`TimeWarpError::WorkerTimeout`]); over TCP the supervisor probes a
-//! silent peer with heartbeat `ping` frames every `heartbeat_interval` and
-//! declares it lost after `heartbeat_budget` consecutive unanswered
-//! probes — bounding half-open-connection detection at
-//! `budget × interval` instead of hanging for the full 30 s window — and
+//! is fatal ([`TimeWarpError::WorkerTimeout`]). Over TCP, once the
+//! handshake is done, the read timeout is the run's
+//! [`super::TimeWarpConfig::silence_timeout`]: the supervisor only waits on
+//! a worker that owes it a reply, so a peer that sends nothing for that
+//! long is lost or half-open, and the supervisor drops the connection and
 //! recovers it like a crash. Only the spawn/handshake phase (before the
 //! first checkpoint exists) keeps the fatal timeout. Worker-side panics
 //! are caught and shipped back as a typed `panic` frame
@@ -168,7 +168,8 @@ pub enum Transport {
     /// the supervisor binds one listener at `listen`, mints a per-run
     /// token, and each `tw_worker --connect host:port` identifies itself
     /// with that token plus the cluster it serves. A dropped connection
-    /// (EOF, reset, or read timeout) is crash-stop — checkpoint-restore
+    /// (EOF, reset, or silence past
+    /// [`super::TimeWarpConfig::silence_timeout`]) is crash-stop — checkpoint-restore
     /// recovery, exactly like a `SIGKILL` on [`Transport::Process`] — and
     /// the canonical artifact stays byte-identical to the same-seed
     /// [`Transport::InProc`] run.
@@ -339,10 +340,9 @@ const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 pub(crate) struct WireCounters {
     /// Inbound frames rejected by the v3 checksum/sequence validation.
     pub corrupt_frames: u64,
-    /// Heartbeat probes charged by budget-exhaustion events (each
-    /// detection contributes exactly its exhausted budget, keeping the
-    /// counter schedule-exact; transient recovered misses are free).
-    pub heartbeats_missed: u64,
+    /// Connections dropped because the worker sent nothing within the
+    /// silence deadline, one per drop.
+    pub silent_peers: u64,
     /// Faults the chaos shim actually injected on this worker's streams.
     pub chaos_faults_injected: u64,
     /// Messages this worker answered for, over all its `deliver` frames.
@@ -427,8 +427,8 @@ pub(crate) trait ClusterWorker: Sized {
     fn inject_crash(&mut self);
     /// Unconditional teardown (degradation path / drop).
     fn kill(&mut self);
-    /// Cumulative network-integrity counters (corrupt frames, heartbeat
-    /// budget exhaustions, injected chaos faults). Zero for transports
+    /// Cumulative network-integrity counters (corrupt frames, connections
+    /// dropped for silence, injected chaos faults). Zero for transports
     /// with no wire underneath.
     fn wire_counters(&self) -> WireCounters {
         WireCounters::default()

@@ -4,7 +4,8 @@
 //! listener of [`Transport::Tcp`]. The two links share the dial-in wait,
 //! the hello exchange, the handshake and every command; they differ in how
 //! a connection comes to be and in what a silent peer means (Unix: a hung
-//! local child, fatal; TCP: heartbeat-probed, then recovered like a crash).
+//! local child, fatal; TCP: past the silence deadline, recovered like a
+//! crash).
 
 use super::frames::{
     delivered_from, init_json, ok_json_cmd, restore_frame, vtime_from, vtime_json,
@@ -44,21 +45,19 @@ use std::time::{Duration, Instant};
 
 /// Per-response read window. Unix: fatal on expiry (a hung local child is
 /// not crash-stop). TCP: governs the hello and the handshake; afterwards
-/// heartbeat probing takes over.
+/// the silence deadline takes over.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Wire-level timing shared by every worker of a run: the read window
-/// above, [`CONNECT_TIMEOUT`] and the run's heartbeat settings. A struct so that unit tests can
-/// shrink the windows to milliseconds.
+/// above, [`CONNECT_TIMEOUT`] and the run's silence deadline. A struct so
+/// that unit tests can shrink the windows to milliseconds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireTiming {
     pub io: Duration,
     pub connect: Duration,
-    /// Idle interval between supervisor→worker heartbeat probes (TCP,
-    /// post-handshake).
-    pub heartbeat: Duration,
-    /// Consecutive unanswered probes before the peer is declared lost.
-    pub budget: u32,
+    /// How long a TCP worker may send nothing, once its handshake is done,
+    /// before its connection is dropped.
+    pub silence: Duration,
 }
 
 impl WireTiming {
@@ -66,8 +65,7 @@ impl WireTiming {
         WireTiming {
             io: IO_TIMEOUT,
             connect: CONNECT_TIMEOUT,
-            heartbeat: cfg.heartbeat_interval,
-            budget: cfg.heartbeat_budget,
+            silence: cfg.silence_timeout,
         }
     }
 }
@@ -303,9 +301,10 @@ pub(crate) struct ProcessWorker {
     reader: Option<FrameSource<io::BufReader<WireStream>>>,
     writer: Option<FrameSink<WireStream>>,
     last_lvt: VTime,
-    /// True once the init handshake completed on the current connection:
-    /// TCP read timeouts switch from fatal to heartbeat probing.
-    probing: bool,
+    /// True once the init handshake completed on the current TCP
+    /// connection: a read timeout is then the silence deadline, which
+    /// drops the connection instead of failing the run.
+    deadline_armed: bool,
     /// Everything but `chaos_faults_injected`, which the chaos state counts.
     counters: WireCounters,
 }
@@ -335,7 +334,7 @@ impl ProcessWorker {
             reader: None,
             writer: None,
             last_lvt: 0,
-            probing: false,
+            deadline_armed: false,
             counters: WireCounters::default(),
         }
     }
@@ -353,7 +352,7 @@ impl ProcessWorker {
         }
         self.reader = None;
         self.writer = None;
-        self.probing = false;
+        self.deadline_armed = false;
     }
 
     /// Spawn (or respawn / await reconnection of) the worker, negotiate
@@ -410,8 +409,8 @@ impl ProcessWorker {
 
     /// The second half of [`Self::spawn`], on a stream whose hellos are
     /// exchanged: initialize the worker. This — and, on a respawn, the
-    /// `restore` that follows — still runs under the plain io window;
-    /// heartbeat probing only arms once the worker has answered.
+    /// `restore` that follows — still runs under the plain io window; the
+    /// silence deadline only arms once the worker has answered.
     pub(super) fn adopt(&mut self, stream: WireStream) -> Result<(), WorkerFailure> {
         // Past the hello every frame is checksummed and sequenced and,
         // when a chaos plan targets this cluster, routed through the
@@ -431,17 +430,15 @@ impl ProcessWorker {
         let ready = self.call(&init)?;
         self.last_lvt = self.expect_ready(&ready)?;
         if self.is_tcp() {
-            // Handshake complete: arm heartbeat probing. The per-read
-            // window drops to the probe interval, so a half-open
-            // connection is detected in `budget × interval` instead of
-            // hanging for the full io window.
+            // Handshake complete: the per-read window becomes the silence
+            // deadline.
             if let Some(r) = self.reader.as_ref() {
                 r.get_ref()
                     .get_ref()
-                    .set_read_timeout(Some(self.timing.heartbeat))
+                    .set_read_timeout(Some(self.timing.silence))
                     .map_err(|e| protocol(format!("read timeout: {e}")))?;
             }
-            self.probing = true;
+            self.deadline_armed = true;
         }
         Ok(())
     }
@@ -462,123 +459,81 @@ impl ProcessWorker {
         })
     }
 
-    /// Read the next frame, whatever it says. A read timeout on a probing
-    /// TCP connection counts one missed beat in `misses` and sends a
-    /// `ping`; `heartbeat_budget` consecutive misses declare the peer lost
-    /// (half-open connections are detected in bounded time instead of
-    /// hanging until [`IO_TIMEOUT`]). A checksum/sequence violation means
-    /// the stream can no longer be trusted: count it, drop the connection,
-    /// and let checkpoint-restore recovery rebuild the conversation from
-    /// known-good state.
-    fn read_frame(&mut self, misses: &mut u32) -> Result<Vec<u8>, WorkerFailure> {
-        loop {
-            let r = self.reader.as_mut().ok_or_else(|| WorkerFailure::Lost {
-                detail: "no connection to worker".to_string(),
-            })?;
-            match r.recv() {
-                Ok(Some(bytes)) => return Ok(bytes),
-                Ok(None) => {
-                    return Err(WorkerFailure::Lost {
-                        detail: "socket EOF (worker process died)".to_string(),
-                    })
-                }
-                Err(e) if e.timed_out() => {
-                    if self.probing {
-                        *misses += 1;
-                        if *misses >= self.timing.budget {
-                            self.counters.heartbeats_missed += self.timing.budget as u64;
-                            self.drop_connection();
-                            return Err(WorkerFailure::Lost {
-                                detail: format!(
-                                    "heartbeat budget exhausted: {} probes over {} ms went \
-                                     unanswered; connection dropped (crash-stop)",
-                                    self.timing.budget,
-                                    self.timing.heartbeat.as_millis() as u64
-                                        * self.timing.budget as u64
-                                ),
-                            });
-                        }
-                        if self.send(&ok_json_cmd("ping")).is_err() {
-                            self.drop_connection();
-                            return Err(WorkerFailure::Lost {
-                                detail: "connection died during a heartbeat probe".to_string(),
-                            });
-                        }
-                        continue;
-                    }
-                    return Err(WorkerFailure::Timeout {
-                        after_ms: self.timing.io.as_millis() as u64,
-                    });
-                }
-                Err(e) if e.is_corrupt() => {
-                    self.counters.corrupt_frames += 1;
-                    self.drop_connection();
-                    return Err(WorkerFailure::Lost {
-                        detail: format!("corrupt frame from worker ({e}); connection dropped"),
-                    });
-                }
-                Err(WireError::Truncated(detail)) => {
-                    self.drop_connection();
-                    return Err(WorkerFailure::Lost {
-                        detail: format!("truncated frame: {detail}"),
-                    });
-                }
-                Err(e) => {
-                    return Err(WorkerFailure::Lost {
-                        detail: format!("read failed: {e}"),
-                    })
-                }
+    /// Read the next frame, whatever it says. A read timeout past the TCP
+    /// handshake is a silent peer: count it, drop the connection and
+    /// report it lost, for recovery to reconnect; before the handshake, or
+    /// on a Unix link, it fails the run. A checksum/sequence violation
+    /// means the stream can no longer be trusted: count it, drop the
+    /// connection, and let checkpoint-restore recovery rebuild the
+    /// conversation from known-good state.
+    fn read_frame(&mut self) -> Result<Vec<u8>, WorkerFailure> {
+        let r = self.reader.as_mut();
+        let r = r.ok_or_else(|| lost("no connection to worker".to_string()))?;
+        let e = match r.recv() {
+            Ok(Some(bytes)) => return Ok(bytes),
+            Ok(None) => return Err(lost("socket EOF (worker process died)".to_string())),
+            Err(e) => e,
+        };
+        let detail = match e {
+            e if e.timed_out() && self.deadline_armed => {
+                self.counters.silent_peers += 1;
+                format!(
+                    "no frame for {} ms; connection dropped (crash-stop)",
+                    self.timing.silence.as_millis()
+                )
             }
-        }
+            e if e.timed_out() => {
+                return Err(WorkerFailure::Timeout {
+                    after_ms: self.timing.io.as_millis() as u64,
+                })
+            }
+            e if e.is_corrupt() => {
+                self.counters.corrupt_frames += 1;
+                format!("corrupt frame from worker ({e}); connection dropped")
+            }
+            WireError::Truncated(detail) => format!("truncated frame: {detail}"),
+            e => return Err(lost(format!("read failed: {e}"))),
+        };
+        self.drop_connection();
+        Err(lost(detail))
     }
 
-    /// Read the next substantive response frame: heartbeat `pong`s are
-    /// consumed transparently, and the frames a worker answers *any*
+    /// Read the next response frame: the frames a worker answers *any*
     /// command with when it cannot serve it become their typed failures.
     fn read_response(&mut self) -> Result<Json, WorkerFailure> {
-        let mut misses: u32 = 0;
-        loop {
-            let bytes = self.read_frame(&mut misses)?;
-            if let Some(response) = substantive(&bytes)? {
-                return Ok(response);
-            }
-            misses = 0;
-        }
+        typed_response(&self.read_frame()?)
     }
 
     /// Read the reply to a `gvt` command that asked for an image: the
     /// image itself, as the canonical text the worker captured it as and
     /// kept as received — the supervisor only stores it, so only its
-    /// envelope is looked at. Every other frame is handled as
-    /// [`Self::read_response`] would.
+    /// envelope is looked at. Any other frame is handled as
+    /// [`Self::read_response`] would, and a well-formed one that is no
+    /// image is a protocol error.
     fn read_image(&mut self, gvt: VTime) -> Result<String, WorkerFailure> {
         let asked_for = ImageEnvelope {
             schema: CHECKPOINT_SCHEMA,
             cluster: self.cluster,
             gvt,
         };
-        let mut misses: u32 = 0;
-        loop {
-            let bytes = self.read_frame(&mut misses)?;
-            let text = String::from_utf8(bytes)
-                .map_err(|e| protocol(format!("frame is not UTF-8: {e}")))?;
-            if image_envelope(&text) == Some(asked_for) {
-                return Ok(text);
-            }
-            if substantive(text.as_bytes())?.is_some() {
-                return Err(protocol(format!(
-                    "the gvt round asked for {asked_for:?}, the worker answered {text:.120}"
-                )));
-            }
-            misses = 0;
+        let bytes = self.read_frame()?;
+        let text =
+            String::from_utf8(bytes).map_err(|e| protocol(format!("frame is not UTF-8: {e}")))?;
+        if image_envelope(&text) == Some(asked_for) {
+            return Ok(text);
         }
+        typed_response(text.as_bytes())?;
+        Err(protocol(format!(
+            "the gvt round asked for {asked_for:?}, the worker answered {text:.120}"
+        )))
     }
 
     /// One command round-trip: a single buffered write, then the response.
     /// Over TCP a silent remote peer is indistinguishable from a vanished
-    /// host (no RST ever arrives from a powered-off machine);
-    /// [`Self::read_frame`]'s heartbeat probing converts that silence into
-    /// a crash-stop loss, which the recovery path respawns-or-awaits-
+    /// host (no RST ever arrives from a powered-off machine), and the
+    /// supervisor only ever waits on a worker that owes it a reply;
+    /// [`Self::read_frame`] turns silence past the deadline into a
+    /// crash-stop loss, which the recovery path respawns-or-awaits-
     /// reconnect. Over Unix a hung local child is *not* crash-stop, so the
     /// io timeout stays fatal.
     pub(super) fn call(&mut self, j: &Json) -> Result<Json, WorkerFailure> {
@@ -609,7 +564,7 @@ impl ProcessWorker {
         }
         self.reader = None;
         self.writer = None;
-        self.probing = false;
+        self.deadline_armed = false;
         if let Some(path) = self.socket_path.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -751,25 +706,22 @@ impl Drop for ProcessWorker {
     }
 }
 
-/// Sort a worker→supervisor control frame: `Ok(None)` for a heartbeat
-/// `pong` (it can interleave with, or precede, any response; it only
-/// proves liveness), the typed failure for a `panic` or `error` frame, the
-/// parsed frame otherwise.
-pub(super) fn substantive(bytes: &[u8]) -> Result<Option<Json>, WorkerFailure> {
+/// Sort a worker→supervisor frame: the typed failure for a `panic` or
+/// `error` frame, the parsed frame otherwise.
+pub(super) fn typed_response(bytes: &[u8]) -> Result<Json, WorkerFailure> {
     let j = parse_json(bytes).map_err(protocol)?;
     let said = |key: &str, absent: &str| {
         let said = j.field(key).and_then(Json::as_str);
         said.unwrap_or(absent).to_string()
     };
     match json_kind(&j).map_err(protocol)? {
-        "pong" => Ok(None),
         "panic" => Err(WorkerFailure::Panic {
             message: said("message", "<no message>"),
         }),
         "error" => Err(WorkerFailure::Protocol {
             detail: said("detail", "<no detail>"),
         }),
-        _ => Ok(Some(j)),
+        _ => Ok(j),
     }
 }
 

@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 ///      `tw_checkpoint` document is the whole reply frame, which is how
 ///      the supervisor can keep it as received;
 ///    * `restore` (`ck`, `ops`) → `ready`;
-///    * `quiesce` → `ok`; `ping` → `pong`; `finish` → `finished`, after
-///      which the worker hangs up.
+///    * `quiesce` → `ok`; `finish` → `finished`, after which the worker
+///      hangs up.
 ///
 /// A command the worker cannot serve — unknown kind, missing or malformed
 /// field — is answered with a typed `error` frame, after which the worker
@@ -193,11 +193,6 @@ fn serve_cluster(
                 return Ok(());
             }
         };
-        // Heartbeat probes are liveness traffic, not simulation commands.
-        if json_kind(&cmd) == Ok("ping") {
-            sink.send_json(&ok_json_cmd("pong")).map_err(wire_io)?;
-            continue;
-        }
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&cmd, &mut worker)));
         // Every way out of a command but an answered one hangs up.

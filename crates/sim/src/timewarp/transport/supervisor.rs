@@ -501,7 +501,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         for w in self.workers.iter() {
             let c = w.wire_counters();
             self.outcome.corrupt_frames += c.corrupt_frames;
-            self.outcome.heartbeats_missed += c.heartbeats_missed;
+            self.outcome.silent_peers += c.silent_peers;
             self.outcome.chaos_faults_injected += c.chaos_faults_injected;
             self.outcome.messages_sent += c.messages_sent;
             self.outcome.frames_sent += c.frames_sent;

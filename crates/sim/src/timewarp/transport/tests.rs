@@ -57,8 +57,9 @@ fn replay_ops_round_trip() {
 #[test]
 fn hello_mismatch_shuts_the_worker_down_quietly() {
     // Both directions of wire skew: a future supervisor with a newer
-    // wire version, a v4 supervisor that would ask for delta images and
-    // ship chains in `restore`, a v3 supervisor that would deliver one
+    // wire version, a v5 supervisor that would probe with `ping`, a v4
+    // supervisor that would ask for delta images and ship chains in
+    // `restore`, a v3 supervisor that would deliver one
     // `msg` per frame and ask for `fossil` and `ckpt` separately, and a
     // stale v2 supervisor predating checksummed frames; plus current-wire
     // supervisors still on checkpoint schema 2 or 3. Hellos stay on
@@ -66,6 +67,7 @@ fn hello_mismatch_shuts_the_worker_down_quietly() {
     // on both sides regardless of version.
     for (wire, schema) in [
         (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
+        (5, CHECKPOINT_SCHEMA),
         (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
         (2, CHECKPOINT_SCHEMA),
@@ -226,11 +228,11 @@ fn broker_ignores_strays_and_matches_by_cluster() {
     // by round-tripping a frame (the stray's socket was dropped, so
     // writing to it would fail or go nowhere).
     let mut sup_side = got;
-    send_json(&mut sup_side, &ok_json_cmd("ping")).expect("send");
+    send_json(&mut sup_side, &ok_json_cmd("quiesce")).expect("send");
     let mut worker_side = genuine.join().expect("worker thread");
     let bytes = read_frame(&mut worker_side).expect("read").expect("frame");
     let j = parse_json(&bytes).expect("parse");
-    assert_eq!(json_kind(&j).expect("kind"), "ping");
+    assert_eq!(json_kind(&j).expect("kind"), "quiesce");
     drop(stray.join().expect("stray thread"));
 }
 
@@ -256,16 +258,18 @@ fn broker_parks_out_of_order_dialins() {
 
 /// A correct-token peer with a mismatched wire version or checkpoint
 /// schema is fatal — the checkpoint payload must never cross a
-/// mixed-version pair. A v4 worker (which answers `restore` only when it
-/// carries a `deltas` chain), a v3 worker (one message per `deliver`, no
-/// `gvt` command), a v2 worker (pre-checksum framing), a schema-2 worker (the only kind that could still expect a `state_saving` key
-/// in `init`) or a schema-3 worker (whose images carry tombstone sets)
-/// meeting this supervisor surfaces as the typed
+/// mixed-version pair. A v5 worker (which expects `ping` probes), a v4
+/// worker (which answers `restore` only when it carries a `deltas` chain),
+/// a v3 worker (one message per `deliver`, no `gvt` command), a v2 worker
+/// (pre-checksum framing), a schema-2 worker (the only kind that could
+/// still expect a `state_saving` key in `init`) or a schema-3 worker (whose
+/// images carry tombstone sets) meeting this supervisor surfaces as the typed
 /// [`TimeWarpError::VersionMismatch`], not as garbled frames — hellos
 /// deliberately stay on the legacy framing every version can parse.
 #[test]
 fn broker_rejects_version_mismatch_as_fatal() {
     for theirs in [
+        (5, CHECKPOINT_SCHEMA),
         (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
         (2, CHECKPOINT_SCHEMA),
@@ -320,8 +324,7 @@ fn handshake_read_timeout_is_worker_timeout() {
     let timing = WireTiming {
         io: Duration::from_millis(50),
         connect: Duration::from_millis(2_000),
-        heartbeat: Duration::from_secs(1),
-        budget: 30,
+        silence: Duration::from_secs(1),
     };
     let link = Link::Tcp {
         broker,
@@ -340,39 +343,40 @@ fn handshake_read_timeout_is_worker_timeout() {
     mute.join().expect("mute thread");
 }
 
-/// Post-handshake silence over TCP is crash-stop: the heartbeat prober
-/// sends `ping` frames each idle interval, and when `budget`
-/// consecutive probes go unanswered the connection is torn down and
-/// the worker is declared `Lost` — which routes it into
-/// checkpoint-restore recovery instead of a fatal
-/// [`TimeWarpError::WorkerTimeout`]. Detection is bounded at
-/// `budget * heartbeat` instead of the full I/O timeout.
-#[test]
-fn heartbeat_budget_exhaustion_over_tcp_becomes_lost() {
+/// A [`ProcessWorker`] on a TCP link under the silence deadline
+/// `silence`, past the handshake with a fake peer that acknowledges `init`
+/// like a real worker and then reads every further frame: with
+/// `Some(delay)` it answers each with `ok` after `delay`, with `None` it
+/// never answers. Either way it holds the socket open until the
+/// supervisor hangs up.
+fn fake_tcp_peer(
+    silence: Duration,
+    answer_after: Option<Duration>,
+) -> (ProcessWorker, std::thread::JoinHandle<()>) {
     let broker = Rc::new(TcpBroker::bind("127.0.0.1:0", "tok".to_string()).expect("bind"));
     let addr = broker.addr;
     let token = broker.token.clone();
-    let mute = std::thread::spawn(move || {
+    let peer = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");
         let writer = stream.try_clone().expect("clone");
         let _ = read_frame(&mut stream).expect("read").expect("sup hello");
         send_json(&mut stream, &hello_json(&token, Some(0))).expect("send hello");
-        // Post-hello traffic rides the checksummed v3 framing:
-        // acknowledge init like a real worker, then never answer again.
         let mut source = FrameSource::new(io::BufReader::new(stream));
         let mut sink = FrameSink::new(writer);
         let _init = source.recv().expect("read init");
         sink.send_json(&ready_json(0)).expect("send ready");
-        // Swallow every further frame (commands and heartbeat pings
-        // alike) without ever answering, holding the socket open until
-        // the supervisor gives up and shuts it down.
-        while let Ok(Some(_)) = source.recv() {}
+        while let Ok(Some(_)) = source.recv() {
+            if let Some(delay) = answer_after {
+                std::thread::sleep(delay);
+                // The supervisor may have hung up meanwhile.
+                let _ = sink.send_json(&ok_json_cmd("ok"));
+            }
+        }
     });
     let timing = WireTiming {
         io: Duration::from_millis(2_000),
         connect: Duration::from_millis(2_000),
-        heartbeat: Duration::from_millis(25),
-        budget: 2,
+        silence,
     };
     let link = Link::Tcp {
         broker,
@@ -380,37 +384,122 @@ fn heartbeat_budget_exhaustion_over_tcp_becomes_lost() {
     };
     let mut w = ProcessWorker::new(link, 0, ok_json_cmd("init"), timing, None);
     w.spawn().expect("handshake completes");
+    (w, peer)
+}
+
+/// Post-handshake silence over TCP is crash-stop: a peer that sends
+/// nothing for the silence deadline has its connection torn down and is
+/// declared `Lost` — which routes it into checkpoint-restore recovery
+/// instead of a fatal [`TimeWarpError::WorkerTimeout`] — in the deadline,
+/// not the full I/O timeout.
+#[test]
+fn silence_past_the_deadline_over_tcp_becomes_lost() {
+    let silence = Duration::from_millis(50);
+    let (mut w, peer) = fake_tcp_peer(silence, None);
     let t0 = Instant::now();
     let err = w
         .call(&ok_json_cmd("quiesce"))
         .expect_err("silent peer must be declared lost");
     assert!(
-        matches!(&err, WorkerFailure::Lost { detail } if detail.contains("heartbeat")),
-        "expected heartbeat-budget Lost, got {err:?}"
+        matches!(&err, WorkerFailure::Lost { detail } if detail.contains("no frame for 50 ms")),
+        "expected a silent-peer Lost, got {err:?}"
     );
-    // Detection is bounded by the heartbeat budget, far below the I/O
-    // timeout a plain blocking read would have waited out.
     assert!(
-        t0.elapsed() < timing.io,
-        "heartbeat probing must beat the raw I/O timeout"
+        t0.elapsed() < Duration::from_millis(2_000),
+        "the silence deadline must beat the raw I/O timeout"
     );
-    // A typed recovery signal, not a fatal timeout.
+    // A typed recovery signal, not a fatal timeout, counted once.
     assert!(matches!(fatal(0, err), TimeWarpError::Transport { .. }));
-    // Budget exhaustion is charged exactly once, at `budget` misses.
-    assert_eq!(
-        w.wire_counters().heartbeats_missed,
-        u64::from(timing.budget)
-    );
+    assert_eq!(w.wire_counters().silent_peers, 1);
     // The connection was dropped with it: the next command fails
-    // immediately, without waiting out another probe cycle.
+    // immediately, without waiting out another deadline.
     let t0 = Instant::now();
     let err = w.call(&ok_json_cmd("quiesce")).expect_err("no stream");
     assert!(matches!(err, WorkerFailure::Lost { .. }));
-    assert!(
-        t0.elapsed() < timing.heartbeat,
-        "second failure should be instant"
-    );
-    mute.join().expect("mute thread");
+    assert!(t0.elapsed() < silence, "second failure should be instant");
+    assert_eq!(w.wire_counters().silent_peers, 1);
+    peer.join().expect("peer thread");
+}
+
+/// No false silence: a peer that takes about half the deadline to answer
+/// each command is slow, not lost — every call returns its reply and no
+/// connection is dropped.
+#[test]
+fn a_reply_within_the_deadline_is_not_silence() {
+    let silence = Duration::from_millis(400);
+    let (mut w, peer) = fake_tcp_peer(silence, Some(silence / 2));
+    for _ in 0..3 {
+        let r = w
+            .call(&ok_json_cmd("quiesce"))
+            .expect("a slow peer answers");
+        assert_eq!(json_kind(&r).expect("kind"), "ok");
+    }
+    assert_eq!(w.wire_counters().silent_peers, 0);
+    w.kill();
+    peer.join().expect("peer thread");
+}
+
+/// On a Unix link silence stays fatal past the handshake too: a wedged
+/// local child is not crash-stop, so the read window expiring is
+/// [`TimeWarpError::WorkerTimeout`], and no silent peer is counted.
+#[test]
+fn unix_silence_after_the_handshake_is_worker_timeout() {
+    let timing = WireTiming {
+        io: Duration::from_millis(100),
+        ..TEST_TIMING
+    };
+    let (mut w, peer) = attached(1, ok_json_cmd("init"), timing, scripted(Vec::new()));
+    let t0 = Instant::now();
+    let err = w
+        .call(&ok_json_cmd("quiesce"))
+        .expect_err("a mute peer times out");
+    assert!(t0.elapsed() < TEST_TIMING.io, "the window is the link's");
+    assert_eq!(err, WorkerFailure::Timeout { after_ms: 100 });
+    assert!(matches!(
+        fatal(1, err),
+        TimeWarpError::WorkerTimeout { cluster: 1, .. }
+    ));
+    assert_eq!(w.wire_counters().silent_peers, 0);
+    drop(w);
+    peer.join().expect("join").expect("peer exits Ok");
+}
+
+/// An id beyond `u32` is refused on decode, never truncated onto a real
+/// cluster or net: a message for cluster `2^32` does not reach cluster 0,
+/// and an `init` naming cluster, gate output, gate input, gate block or
+/// primary input `2^32 + n` builds no worker.
+#[test]
+fn ids_beyond_u32_are_refused_on_decode() {
+    let with = |j: &Json, key: &str, value: Json| {
+        let Json::Object(members) = j else {
+            panic!("not an object: {j:?}")
+        };
+        let swap =
+            |(k, v): &(String, Json)| (k.clone(), if k == key { value.clone() } else { v.clone() });
+        Json::Object(members.iter().map(swap).collect())
+    };
+    let wide = |n: i64| Json::Int((1 << 32) + n);
+    let msg = with(&channel_msg(1, 1, Logic::One).to_json(), "dst", wide(0));
+    let err = TwMessage::from_json(&msg).expect_err("dst 2^32 is no cluster");
+    assert!(err.msg.contains("overflows u32"), "{}", err.msg);
+
+    let init = tiny_init_json();
+    let not = |out: Json, inp: Json| Json::Array(vec![Json::Str("not".to_string()), out, inp]);
+    let gates = |first: Json| Json::Array(vec![first, not(Json::Int(2), Json::Int(1))]);
+    let pair = |a: Json, b: Json| Json::Array(vec![a, b]);
+    for (key, value) in [
+        ("cluster", wide(1)),
+        ("gates", gates(not(wide(1), Json::Int(0)))),
+        ("gates", gates(not(Json::Int(1), wide(0)))),
+        ("gate_block", pair(wide(0), Json::Int(1))),
+        ("primary_inputs", Json::Array(vec![wide(0)])),
+    ] {
+        let err = worker_init_from_json(&with(&init, key, value.clone()))
+            .err()
+            .expect("refused");
+        assert!(err.contains("overflows u32"), "{key} = {value:?}: {err}");
+    }
+    assert!(worker_init_from_json(&init).is_ok());
 }
 
 #[test]
@@ -678,8 +767,7 @@ fn removed_batch_commands_are_unknown() {
 const TEST_TIMING: WireTiming = WireTiming {
     io: Duration::from_millis(5_000),
     connect: Duration::from_millis(5_000),
-    heartbeat: Duration::from_secs(1),
-    budget: 30,
+    silence: Duration::from_secs(1),
 };
 
 /// A [`ProcessWorker`] on one end of a socketpair whose other end
@@ -688,6 +776,7 @@ const TEST_TIMING: WireTiming = WireTiming {
 fn attached(
     cluster: u32,
     init: Json,
+    timing: WireTiming,
     peer: impl FnOnce(WireStream) -> io::Result<()> + Send + 'static,
 ) -> (ProcessWorker, std::thread::JoinHandle<io::Result<()>>) {
     let (sup, worker) = UnixStream::pair().expect("socketpair");
@@ -695,16 +784,17 @@ fn attached(
     let link = Link::Unix {
         bin: PathBuf::new(),
     };
-    let mut w = ProcessWorker::new(link, cluster, init, TEST_TIMING, None);
+    let mut w = ProcessWorker::new(link, cluster, init, timing, None);
     let mut sup: WireStream = Box::new(sup);
-    let theirs = exchange_hellos(&mut sup, "", TEST_TIMING.io).expect("hello");
+    let theirs = exchange_hellos(&mut sup, "", timing.io).expect("hello");
     same_versions(&theirs).expect("versions");
     w.adopt(sup).expect("handshake");
     (w, handle)
 }
 
 /// A peer that completes the handshake like a real worker, then answers
-/// the commands it is sent with `replies`, in order, whatever they ask.
+/// the commands it is sent with `replies`, in order, whatever they ask,
+/// and reads on without answering until the supervisor hangs up.
 fn scripted(replies: Vec<String>) -> impl FnOnce(WireStream) -> io::Result<()> + Send {
     move |mut stream| {
         let mut writer = stream.try_clone()?;
@@ -718,6 +808,7 @@ fn scripted(replies: Vec<String>) -> impl FnOnce(WireStream) -> io::Result<()> +
             let _command = source.recv().map_err(wire_io)?;
             sink.send(reply.as_bytes()).map_err(wire_io)?;
         }
+        while source.recv().map_err(wire_io)?.is_some() {}
         Ok(())
     }
 }
@@ -742,7 +833,12 @@ fn replies_that_do_not_fit_their_command_are_protocol_failures() {
         channel_msg(2, 2, Logic::Zero),
     ];
     for (n, fits) in [(0, false), (1, true), (2, true), (3, false)] {
-        let (mut w, peer) = attached(1, ok_json_cmd("init"), scripted(vec![done_for(n)]));
+        let (mut w, peer) = attached(
+            1,
+            ok_json_cmd("init"),
+            TEST_TIMING,
+            scripted(vec![done_for(n)]),
+        );
         let answered = w.deliver(&run);
         match answered {
             Ok(results) if fits => assert_eq!(results.len(), n),
@@ -771,7 +867,12 @@ fn replies_that_do_not_fit_their_command_are_protocol_failures() {
         (delta, false),
         (done_for(1), false),
     ] {
-        let (w, peer) = attached(1, ok_json_cmd("init"), scripted(vec![reply.clone()]));
+        let (w, peer) = attached(
+            1,
+            ok_json_cmd("init"),
+            TEST_TIMING,
+            scripted(vec![reply.clone()]),
+        );
         let mut workers = [w];
         let answered = ProcessWorker::gvt_round(&mut workers, 17, Image::Base);
         match answered.into_iter().next().expect("one reply per worker") {
@@ -1031,7 +1132,7 @@ fn run_wired(
     let (mut workers, peers): (Vec<_>, Vec<_>) = (0..plan.k as u32)
         .map(|me| {
             let init = init_json(nl, plan, stim, cycles, true, me, label);
-            attached(me, init, |stream| serve_wire(stream, None, ""))
+            attached(me, init, TEST_TIMING, |stream| serve_wire(stream, None, ""))
         })
         .unzip();
     let cfg = wired_cfg();

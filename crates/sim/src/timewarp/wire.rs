@@ -45,8 +45,10 @@ use std::time::Duration;
 /// (`msgs`, answered with `results`), and `gvt` replaced `fossil`, `ckpt`
 /// and `ckpt_delta`. Version 5 removed delta images: `gvt` no longer takes
 /// `image: "delta"`, `restore` lost its required `deltas` key, and with it
-/// went the reply kind for a chain that did not apply.
-pub const WIRE_VERSION: u32 = 5;
+/// went the reply kind for a chain that did not apply. Version 6 removed
+/// `ping` and `pong`: over TCP a silent peer is one read deadline, and every
+/// frame is a command or the reply to one.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix above this is
 /// a protocol error, not an allocation request.
@@ -57,9 +59,9 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// payload (`u32`-LE).
 pub(crate) const FRAME_HEADER: usize = 12;
 
-/// Payload reads are buffered in chunks of at most this size so a corrupt
+/// The most a payload buffer reserves before its bytes arrive, so a corrupt
 /// length prefix below [`MAX_FRAME`] still cannot force a single huge
-/// up-front allocation for bytes that may never arrive.
+/// up-front allocation for bytes that may never come.
 const READ_CHUNK: usize = 64 << 10;
 
 /// A typed wire-level failure. The transport layer routes the
@@ -84,7 +86,7 @@ pub(crate) enum WireError {
     /// peer, not a message.
     ZeroLength,
     /// The underlying stream failed (including read timeouts, which the
-    /// supervisor's heartbeat logic inspects via [`WireError::timed_out`]).
+    /// supervisor tells apart via [`WireError::timed_out`]).
     Io(io::Error),
 }
 
@@ -257,10 +259,9 @@ impl<W: Write> FrameSink<W> {
     }
 }
 
-/// The receiving half of a version-3 conversation. Resumable: a read
-/// timeout in the middle of a frame preserves the partially received bytes,
-/// so the supervisor can wake up, count a missed heartbeat, probe the
-/// peer, and call [`FrameSource::recv`] again without losing its place.
+/// The receiving half of a version-3 conversation. A read that fails —
+/// a timeout included — leaves the stream mid-frame; nothing resumes it,
+/// the connection is dropped or the run fails.
 #[derive(Debug)]
 pub(crate) struct FrameSource<R: Read> {
     r: R,
@@ -268,11 +269,6 @@ pub(crate) struct FrameSource<R: Read> {
     expect: u32,
     /// Duplicated frames skipped by their stale sequence number.
     pub dups_skipped: u64,
-    header: [u8; FRAME_HEADER],
-    header_got: usize,
-    body: Vec<u8>,
-    /// Declared payload length once the header is complete.
-    body_len: Option<usize>,
 }
 
 impl<R: Read> FrameSource<R> {
@@ -281,10 +277,6 @@ impl<R: Read> FrameSource<R> {
             r,
             expect: 0,
             dups_skipped: 0,
-            header: [0u8; FRAME_HEADER],
-            header_got: 0,
-            body: Vec::new(),
-            body_len: None,
         }
     }
 
@@ -298,70 +290,38 @@ impl<R: Read> FrameSource<R> {
     /// [`WireError::Corrupt`] — bytes were lost en route.
     pub fn recv(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         loop {
-            // Complete the 12-byte header first. The oversize check runs
-            // on the declared length *before* any payload allocation.
-            while self.body_len.is_none() {
-                match self.r.read(&mut self.header[self.header_got..]) {
-                    Ok(0) => {
-                        if self.header_got == 0 {
-                            return Ok(None);
-                        }
-                        return Err(WireError::Truncated(format!(
-                            "connection closed {} bytes into a frame header",
-                            self.header_got
-                        )));
-                    }
-                    Ok(n) => self.header_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(WireError::Io(e)),
-                }
-                if self.header_got == FRAME_HEADER {
-                    let len =
-                        u32::from_le_bytes(self.header[0..4].try_into().expect("4 bytes")) as usize;
-                    if len > MAX_FRAME {
-                        return Err(WireError::Oversize(len));
-                    }
-                    if len == 0 {
-                        return Err(WireError::ZeroLength);
-                    }
-                    self.body.clear();
-                    self.body.reserve(len.min(READ_CHUNK));
-                    self.body_len = Some(len);
+            let mut header = [0u8; FRAME_HEADER];
+            match fill(&mut self.r, &mut header)? {
+                0 => return Ok(None),
+                FRAME_HEADER => {}
+                got => {
+                    return Err(WireError::Truncated(format!(
+                        "connection closed {got} bytes into a frame header"
+                    )))
                 }
             }
-            let len = self.body_len.unwrap_or(0);
-            while self.body.len() < len {
-                let want = (len - self.body.len()).min(READ_CHUNK);
-                let start = self.body.len();
-                self.body.resize(start + want, 0);
-                match self.r.read(&mut self.body[start..]) {
-                    Ok(0) => {
-                        self.body.truncate(start);
-                        return Err(WireError::Truncated(format!(
-                            "connection closed {} bytes into a {len}-byte payload",
-                            start
-                        )));
-                    }
-                    Ok(n) => self.body.truncate(start + n),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                        self.body.truncate(start);
-                    }
-                    Err(e) => {
-                        self.body.truncate(start);
-                        return Err(WireError::Io(e));
-                    }
-                }
+            let word =
+                |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+            let (len, seq, crc) = (word(0) as usize, word(4), word(8));
+            // Checked on the declared length before any payload is read.
+            if len > MAX_FRAME {
+                return Err(WireError::Oversize(len));
             }
-            // Frame complete: reset the state machine, then verify.
-            let seq = u32::from_le_bytes(self.header[4..8].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(self.header[8..12].try_into().expect("4 bytes"));
-            let payload = std::mem::take(&mut self.body);
-            self.header_got = 0;
-            self.body_len = None;
+            if len == 0 {
+                return Err(WireError::ZeroLength);
+            }
+            // The buffer grows with the bytes that arrive, not with `len`.
+            let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+            (&mut self.r).take(len as u64).read_to_end(&mut payload)?;
+            if payload.len() < len {
+                return Err(WireError::Truncated(format!(
+                    "connection closed {} bytes into a {len}-byte payload",
+                    payload.len()
+                )));
+            }
             if frame_crc(seq, &payload) != crc {
                 return Err(WireError::Corrupt(format!(
-                    "CRC32 mismatch on frame seq {seq} ({} bytes)",
-                    payload.len()
+                    "CRC32 mismatch on frame seq {seq} ({len} bytes)"
                 )));
             }
             if seq < self.expect {
@@ -421,6 +381,21 @@ macro_rules! socket_duplex {
 }
 socket_duplex!(UnixStream, TcpStream);
 
+/// Read into `buf` until it is full or the stream ends: how many bytes
+/// arrived, so a caller can tell a clean EOF (none) from a cut one.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
 /// Write one legacy `u32`-LE length-prefixed frame — the version-2 framing,
 /// kept **only** for the `hello` exchange. The first frame in each
 /// direction must be readable by any protocol version so that version
@@ -450,21 +425,14 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()>
 /// before any allocation.
 pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame header",
-                ));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+    match fill(r, &mut header)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed inside a frame header",
+            ))
         }
     }
     let len = u32::from_le_bytes(header) as usize;
@@ -545,17 +513,17 @@ pub(crate) fn hello_parse(j: &Json) -> Result<Hello, String> {
         return Err(format!("expected a hello frame, got {j:?}"));
     }
     let err = |e: dvs_json::JsonError| e.msg;
-    let wire = j.field("wire").and_then(Json::as_u64).map_err(err)? as u32;
+    let wire = j.field("wire").and_then(Json::as_u32).map_err(err)?;
     let checkpoint_schema = j
         .field("checkpoint_schema")
-        .and_then(Json::as_u64)
-        .map_err(err)? as u32;
+        .and_then(Json::as_u32)
+        .map_err(err)?;
     let token = match j.field("token") {
         Ok(v) => v.as_str().map_err(err)?.to_string(),
         Err(_) => String::new(),
     };
     let cluster = match j.field("cluster") {
-        Ok(v) => Some(v.as_u64().map_err(err)? as u32),
+        Ok(v) => Some(v.as_u32().map_err(err)?),
         Err(_) => None,
     };
     Ok(Hello {
@@ -835,51 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn a_read_timeout_mid_frame_is_resumable() {
-        // A reader that delivers the first `cut` bytes, then times out
-        // once, then delivers the rest.
-        struct TimeoutOnce {
-            bytes: Vec<u8>,
-            pos: usize,
-            cut: usize,
-            fired: bool,
-        }
-        impl io::Read for TimeoutOnce {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.pos == self.cut && !self.fired {
-                    self.fired = true;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "timed out"));
-                }
-                let end = if self.fired {
-                    self.bytes.len()
-                } else {
-                    self.cut
-                };
-                let n = buf.len().min(end - self.pos);
-                buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
-                self.pos += n;
-                Ok(n)
-            }
-        }
-        let frame = encode_frame(0, b"resumable payload").expect("encode");
-        for cut in [3, FRAME_HEADER, FRAME_HEADER + 5] {
-            let mut src = FrameSource::new(TimeoutOnce {
-                bytes: frame.clone(),
-                pos: 0,
-                cut,
-                fired: false,
-            });
-            let err = src.recv().expect_err("first recv times out");
-            assert!(err.timed_out(), "cut at {cut}: {err:?}");
-            assert_eq!(
-                src.recv().expect("resumed").as_deref(),
-                Some(&b"resumable payload"[..]),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
     fn legacy_hello_framing_round_trips() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello frames").expect("write");
@@ -990,6 +913,27 @@ mod tests {
         assert_eq!(h.wire, 2);
         assert_eq!(h.token, "old-run");
         assert_eq!(h.cluster, None);
+    }
+
+    /// A version or cluster id beyond `u32` is refused, not truncated: a
+    /// hello claiming wire `2^32 + WIRE_VERSION` must not pass as ours.
+    #[test]
+    fn hello_ids_beyond_u32_are_refused() {
+        let hello = |wire: u64, cluster: u64| {
+            ObjBuilder::new()
+                .str("kind", "hello")
+                .uint("wire", wire)
+                .uint("checkpoint_schema", CHECKPOINT_SCHEMA as u64)
+                .str("token", "")
+                .uint("cluster", cluster)
+                .build()
+        };
+        let ours = u64::from(WIRE_VERSION);
+        assert!(hello_parse(&hello(ours, 0)).is_ok());
+        for (wire, cluster) in [((1 << 32) + ours, 0), (ours, 1 << 32)] {
+            let err = hello_parse(&hello(wire, cluster)).expect_err("out of range");
+            assert!(err.contains("overflows u32"), "{err}");
+        }
     }
 
     #[test]
