@@ -181,10 +181,7 @@ impl ToJson for TwRunResult {
 fn ckpt_source_json(s: &CkptSource) -> Json {
     match *s {
         CkptSource::Stimulus => ObjBuilder::new().str("kind", "stimulus").build(),
-        CkptSource::Local { created_at } => ObjBuilder::new()
-            .str("kind", "local")
-            .uint("created_at", created_at)
-            .build(),
+        CkptSource::Local => ObjBuilder::new().str("kind", "local").build(),
         CkptSource::Remote { src, seq } => ObjBuilder::new()
             .str("kind", "remote")
             .uint("src", src as u64)
@@ -196,9 +193,7 @@ fn ckpt_source_json(s: &CkptSource) -> Json {
 fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
     match v.field("kind")?.as_str()? {
         "stimulus" => Ok(CkptSource::Stimulus),
-        "local" => Ok(CkptSource::Local {
-            created_at: v.field("created_at")?.as_u64()?,
-        }),
+        "local" => Ok(CkptSource::Local),
         "remote" => Ok(CkptSource::Remote {
             src: v.field("src")?.as_u32()?,
             seq: v.field("seq")?.as_u64()?,
@@ -285,26 +280,8 @@ impl ToJson for Checkpoint {
                 "processed",
                 self.processed.iter().map(|e| e.to_json()).collect(),
             )
-            .array(
-                "undo",
-                self.undo
-                    .iter()
-                    .map(|&(t, net, val)| {
-                        Json::Array(vec![
-                            Json::Int(t as i64),
-                            Json::Int(net as i64),
-                            Json::Str(val.display_char().to_string()),
-                        ])
-                    })
-                    .collect(),
-            )
-            .array(
-                "outlog",
-                self.outlog
-                    .iter()
-                    .map(|(t, m)| Json::Array(vec![Json::Int(*t as i64), m.to_json()]))
-                    .collect(),
-            )
+            .str("replaced", &logic_str(&self.replaced))
+            .array("outlog", self.outlog.iter().map(|m| m.to_json()).collect())
             .uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
@@ -324,7 +301,7 @@ impl Checkpoint {
     /// mode hold it to.
     pub fn to_text(&self) -> String {
         let entries = self.pending.len() + self.processed.len() + self.outlog.len();
-        let size = 512 + self.values.len() + 112 * entries + 24 * self.undo.len();
+        let size = 512 + self.values.len() + self.replaced.len() + 112 * entries;
         let mut w = Text(String::with_capacity(size));
         w.raw("{\"schema_version\":").int(SCHEMA_VERSION);
         w.raw(",\"kind\":\"tw_checkpoint\",\"checkpoint_schema\":");
@@ -335,13 +312,9 @@ impl Checkpoint {
         w.0.extend(self.values.iter().map(|v| v.display_char()));
         w.raw("\",\"pending\":").list(&self.pending, Text::event);
         w.raw(",\"processed\":").list(&self.processed, Text::event);
-        w.raw(",\"undo\":").list(&self.undo, |w, &(t, net, v)| {
-            w.raw("[").int(t as i64).raw(",").int(net as i64);
-            w.raw(",").logic(v).raw("]");
-        });
-        w.raw(",\"outlog\":").list(&self.outlog, |w, (t, m)| {
-            w.raw("[").int(*t as i64).raw(",").message(m).raw("]");
-        });
+        w.raw(",\"replaced\":\"");
+        w.0.extend(self.replaced.iter().map(|v| v.display_char()));
+        w.raw("\",\"outlog\":").list(&self.outlog, Text::message);
         w.raw(",\"stim_cycle\":").uint(self.stim_cycle);
         w.raw(",\"last_time\":").uint(self.last_time);
         w.raw(",\"settled\":").bool(self.settled);
@@ -402,10 +375,7 @@ impl Text {
         self.raw(",\"value\":").logic(e.value);
         match e.source {
             CkptSource::Stimulus => self.raw(",\"source\":{\"kind\":\"stimulus\""),
-            CkptSource::Local { created_at } => {
-                self.raw(",\"source\":{\"kind\":\"local\",\"created_at\":");
-                self.uint(created_at)
-            }
+            CkptSource::Local => self.raw(",\"source\":{\"kind\":\"local\""),
             CkptSource::Remote { src, seq } => {
                 self.raw(",\"source\":{\"kind\":\"remote\",\"src\":");
                 self.uint(src as u64).raw(",\"seq\":").uint(seq)
@@ -414,14 +384,14 @@ impl Text {
         self.raw("},\"order\":").uint(e.order).raw("}");
     }
 
-    fn message(&mut self, m: &TwMessage) -> &mut Self {
+    fn message(&mut self, m: &TwMessage) {
         self.raw("{\"src\":").uint(m.src as u64);
         self.raw(",\"dst\":").uint(m.dst as u64);
         self.raw(",\"seq\":").uint(m.seq);
         self.raw(",\"time\":").uint(m.ev.time);
         self.raw(",\"net\":").uint(m.ev.net.0 as u64);
         self.raw(",\"value\":").logic(m.ev.value);
-        self.raw(",\"anti\":").bool(m.anti).raw("}")
+        self.raw(",\"anti\":").bool(m.anti).raw("}");
     }
 }
 
@@ -452,36 +422,28 @@ impl FromJson for Checkpoint {
                 .map(CkptEvent::from_json)
                 .collect()
         };
+        let processed = events("processed")?;
+        let replaced = logic_vec(v.field("replaced")?)?;
+        if replaced.len() != processed.len() {
+            return Err(JsonError::new(format!(
+                "{} replaced values for {} processed events",
+                replaced.len(),
+                processed.len()
+            )));
+        }
         Ok(Checkpoint {
             schema,
             cluster: v.field("cluster")?.as_u32()?,
             gvt: v.field("gvt")?.as_u64()?,
             values: logic_vec(v.field("values")?)?,
             pending: events("pending")?,
-            processed: events("processed")?,
-            undo: v
-                .field("undo")?
-                .as_array()?
-                .iter()
-                .map(|u| {
-                    let parts = u.as_array()?;
-                    match parts {
-                        [t, net, val] => Ok((t.as_u64()?, net.as_u32()?, logic_from_json(val)?)),
-                        _ => Err(JsonError::new("undo entry must be [time, net, value]")),
-                    }
-                })
-                .collect::<Result<_, _>>()?,
+            processed,
+            replaced,
             outlog: v
                 .field("outlog")?
                 .as_array()?
                 .iter()
-                .map(|o| {
-                    let parts = o.as_array()?;
-                    match parts {
-                        [t, m] => Ok((t.as_u64()?, TwMessage::from_json(m)?)),
-                        _ => Err(JsonError::new("outlog entry must be [time, message]")),
-                    }
-                })
+                .map(TwMessage::from_json)
                 .collect::<Result<_, _>>()?,
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
             last_time: v.field("last_time")?.as_u64()?,
@@ -575,9 +537,25 @@ mod tests {
                 source: CkptSource::Remote { src: 1, seq: 9 },
                 order: 31,
             }],
-            processed: Vec::new(),
-            undo: vec![(141, 5, Logic::One)],
-            outlog: Vec::new(),
+            processed: vec![CkptEvent {
+                time: 141,
+                net: 5,
+                value: Logic::X,
+                source: CkptSource::Local,
+                order: 30,
+            }],
+            replaced: vec![Logic::One],
+            outlog: vec![TwMessage {
+                src: 2,
+                dst: 0,
+                seq: 77,
+                ev: NetEvent {
+                    time: 142,
+                    net: NetId(8),
+                    value: Logic::Zero,
+                },
+                anti: false,
+            }],
             stim_cycle: 14,
             last_time: 151,
             settled: true,
@@ -645,9 +623,7 @@ mod tests {
             fn event(rng: &mut impl Rng) -> CkptEvent {
                 let source = match rng.gen_range(0..3) {
                     0 => CkptSource::Stimulus,
-                    1 => CkptSource::Local {
-                        created_at: wide(rng),
-                    },
+                    1 => CkptSource::Local,
                     _ => CkptSource::Remote {
                         src: rng.gen_range(0..=u32::MAX),
                         seq: wide(rng),
@@ -674,17 +650,16 @@ mod tests {
                     anti: rng.gen(),
                 }
             }
+            let processed: Vec<CkptEvent> = (0..len(rng)).map(|_| event(rng)).collect();
             Checkpoint {
                 schema: CHECKPOINT_SCHEMA,
                 cluster: rng.gen_range(0..=u32::MAX),
                 gvt: rng.gen_range(0..=i64::MAX as u64),
                 values: (0..len(rng) * 5).map(|_| logic(rng)).collect(),
                 pending: (0..len(rng)).map(|_| event(rng)).collect(),
-                processed: (0..len(rng)).map(|_| event(rng)).collect(),
-                undo: (0..len(rng))
-                    .map(|_| (wide(rng), rng.gen_range(0..=u32::MAX), logic(rng)))
-                    .collect(),
-                outlog: (0..len(rng)).map(|_| (wide(rng), message(rng))).collect(),
+                replaced: processed.iter().map(|_| logic(rng)).collect(),
+                processed,
+                outlog: (0..len(rng)).map(|_| message(rng)).collect(),
                 stim_cycle: wide(rng),
                 last_time: wide(rng),
                 settled: rng.gen(),
@@ -722,5 +697,41 @@ mod tests {
                 (ck.schema, ck.cluster, ck.gvt)
             );
         }
+
+        /// Decoding the encoded image gives back the image it encodes.
+        #[test]
+        fn decoded_image_equals_the_original(ck in AnyCheckpoint) {
+            let decoded = Json::parse(&ck.to_text()).and_then(|j| Checkpoint::from_json(&j));
+            proptest::prop_assert_eq!(decoded.expect("decodes"), ck);
+        }
+    }
+
+    /// `replaced` is a column of `processed`: an image whose two lengths
+    /// differ does not decode.
+    #[test]
+    fn unequal_processed_and_replaced_do_not_decode() {
+        for replaced in [Vec::new(), vec![Logic::One, Logic::Zero]] {
+            let ck = Checkpoint {
+                replaced,
+                ..sample_checkpoint()
+            };
+            let err = Checkpoint::from_json(&ck.to_json()).expect_err("refused");
+            assert!(err.msg.contains("processed events"), "{err}");
+        }
+    }
+
+    /// The layout of an image is pinned to its schema: a change to either
+    /// one alone fails here, so a layout change cannot forget the bump.
+    #[test]
+    fn image_layout_is_pinned_to_its_schema() {
+        let text = sample_checkpoint().to_text();
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (CHECKPOINT_SCHEMA, fnv1a),
+            (5, 0x1b3b_a362_ee11_2dac),
+            "{text}"
+        );
     }
 }

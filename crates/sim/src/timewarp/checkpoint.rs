@@ -13,9 +13,10 @@
 //! The image is *behaviorally exact*: restoring it produces a process whose
 //! subsequent execution is bit-identical to the original's — including the
 //! drain order of the pending queue (`order` stamps are preserved), rollback
-//! history (processed/undo), the send cursor (`mseq`) and statistics. That is what lets the recovery
-//! supervisor ([`super::recovery`]) replay a crashed cluster's input log on
-//! top of its last checkpoint and land in exactly the pre-crash state.
+//! history (the processed events and the values they replaced), the send
+//! cursor (`mseq`) and statistics. That is what lets the recovery
+//! supervisor ([`super::recovery`]) replay a crashed cluster's input log
+//! on top of its last checkpoint and land in exactly the pre-crash state.
 //!
 //! Serialization to the schema-versioned canonical JSON artifact format
 //! lives in `dvs_sim::artifact`; [`Checkpoint`] itself is plain data with
@@ -33,13 +34,16 @@ use crate::wheel::VTime;
 /// Schema version of the checkpoint image. Bumped when the layout changes
 /// incompatibly; serializers embed it next to the artifact schema version.
 /// Version 2 introduced delta images (since removed; the full image's
-/// layout did not change with them); version 3 dropped the two snapshot keys of the removed
-/// checkpoint/coast-forward rollback mode; version 4 dropped the tombstone
-/// sets, the schedule log and the local-event sequence numbers when
-/// cancellation moved into the pending queue. The wire hello
+/// layout did not change with them); version 3 dropped the two snapshot
+/// keys of the removed checkpoint/coast-forward rollback mode; version 4
+/// dropped the tombstone sets, the schedule log and the local-event
+/// sequence numbers when cancellation moved into the pending queue; version
+/// 5 replaced the `(time, net, old value)` records with the `replaced`
+/// column of the processed events and dropped the send times of local
+/// events and outlog entries, which unit delay implies. The wire hello
 /// negotiates this next to the frame version, so a peer on an older schema
 /// is rejected at the handshake instead of failing mid-restore.
-pub const CHECKPOINT_SCHEMA: u32 = 4;
+pub const CHECKPOINT_SCHEMA: u32 = 5;
 
 /// Where a queued or processed event came from, which decides what a
 /// rollback does with it.
@@ -48,10 +52,10 @@ pub enum CkptSource {
     /// Environment input (vector stimulus or initial settling): requeued
     /// verbatim on rollback.
     Stimulus,
-    /// Scheduled by local gate evaluation at `created_at`, for
-    /// `created_at + 1`; discarded on a rollback past `created_at`
+    /// Scheduled by the local gate evaluation of the epoch one tick before
+    /// its `time` (unit delay); discarded on a rollback to below `time`
     /// (reprocessing regenerates it).
-    Local { created_at: VTime },
+    Local,
     /// Received from cluster `src` with send sequence `seq`, the pair an
     /// anti-message annihilates it by.
     Remote { src: u32, seq: u64 },
@@ -83,10 +87,11 @@ pub struct Checkpoint {
     pub pending: Vec<CkptEvent>,
     /// Processed events retained for rollback, in processing order.
     pub processed: Vec<CkptEvent>,
-    /// Incremental undo log: `(time, net, previous value)`.
-    pub undo: Vec<(VTime, u32, Logic)>,
-    /// Sent messages awaiting fossil collection: `(created_at, message)`.
-    pub outlog: Vec<(VTime, TwMessage)>,
+    /// The value each processed event found on its net, index for index.
+    pub replaced: Vec<Logic>,
+    /// Sent messages awaiting fossil collection. Unit delay sends each one
+    /// tick before its event's time.
+    pub outlog: Vec<TwMessage>,
     /// Next stimulus cycle to generate (receive cursor of the environment).
     pub stim_cycle: u64,
     /// Local clock: time of the last processed epoch.

@@ -409,8 +409,8 @@ pub fn run_deterministic(
 ///
 /// * no sent or delivered message — positive or anti — carries a timestamp
 ///   below GVT, and no cluster steps an epoch below GVT;
-/// * fossil collection never reclaims processed or undo history at or
-///   above the GVT it was invoked with;
+/// * fossil collection never reclaims processed history at or above the
+///   GVT it was invoked with;
 /// * at termination, annihilation left no orphan tombstones and no pending
 ///   events in any cluster.
 ///

@@ -11,16 +11,19 @@
 //! * **optimistic execution** — each cluster processes its earliest pending
 //!   epoch without waiting for neighbours, bounded by an optional optimism
 //!   window above GVT;
-//! * **state saving** — an incremental undo log of (time, net, old-value)
-//!   records. It is cluster-level: gates inside a cluster save nothing
-//!   individually, and a rollback of the cluster rolls back all of its
-//!   children together, exactly as the paper describes for
-//!   Verilog-instance LPs (§4.3);
+//! * **state saving** — one history log: the processed events, each with
+//!   the value it found on its net in a one-byte `replaced` column. It is
+//!   cluster-level: gates inside a cluster save nothing individually, and a
+//!   rollback of the cluster rolls back all of its children together,
+//!   exactly as the paper describes for Verilog-instance LPs (§4.3);
 //! * **rollback** — a straggler or anti-message with a timestamp at or below
-//!   the cluster's local clock restores net values from the undo log,
+//!   the cluster's local clock walks the undone processed events backwards,
+//!   restoring each net an event changed from its `replaced` value,
 //!   requeues processed events that remain valid, discards locally scheduled
 //!   events created by undone epochs, and emits anti-messages for undone
-//!   sends;
+//!   sends. Unit delay fixes both send times — an epoch at `t` schedules
+//!   and sends for `t + 1` — so a rollback to `t` drops the local events
+//!   and cancels the sends timed after `t`;
 //! * **anti-messages with annihilation** — positive messages always precede
 //!   their anti-message in channel order (FIFO per sender), so when the
 //!   anti-message arrives its positive is in the pending queue (put back by
@@ -30,8 +33,9 @@
 //!   local virtual time; a sample is valid when no message is in transit and
 //!   no send intervened (checked with a send-epoch counter), making the
 //!   minimum published LVT a correct lower bound;
-//! * **fossil collection** — undo-log, processed-event and output-log
-//!   entries strictly below GVT are reclaimed.
+//! * **fossil collection** — processed events (with their `replaced`
+//!   values) strictly below GVT, and output-log messages sent below it,
+//!   are reclaimed.
 //!
 //! Determinism: the final circuit state equals the sequential simulator's
 //! (asserted in tests) under every transport. Under [`Transport::Threads`]
@@ -146,8 +150,9 @@ pub struct TimeWarpConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StateSaving {
-    /// Log `(time, net, old value)` per change; rollback replays the log
-    /// backwards.
+    /// Keep beside each processed event the value it replaced on its net;
+    /// rollback walks the processed events backwards and restores those
+    /// values.
     IncrementalUndo,
 }
 

@@ -3,9 +3,9 @@
 //! Each [`ClusterProcess`] owns one block of the partitioned circuit and
 //! simulates it optimistically: events are processed in local timestamp
 //! order without waiting for other clusters, with enough history retained
-//! (undo log, processed-event list, output log) to roll back when a
-//! straggler or anti-message arrives. See the module docs of
-//! [`crate::timewarp`] for the protocol overview.
+//! (the processed events with the values they replaced, and the output
+//! log) to roll back when a straggler or anti-message arrives. See the
+//! module docs of [`crate::timewarp`] for the protocol overview.
 
 use super::checkpoint::{Checkpoint, CkptEvent, CkptSource, CHECKPOINT_SCHEMA};
 use super::{StateSaving, TwMessage};
@@ -51,11 +51,11 @@ pub struct ClusterProcess<'p> {
     stray_antis: u64,
     /// Processed events in processing order (time nondecreasing).
     processed: Vec<CkptEvent>,
-    /// Incremental state saving: (time, net, previous value).
-    undo: Vec<(VTime, u32, Logic)>,
-    /// Sent messages awaiting fossil collection (for anti-messages), each
-    /// with the time of the epoch that sent it.
-    outlog: Vec<(VTime, TwMessage)>,
+    /// State saving: the value each processed event found on its net.
+    replaced: Vec<Logic>,
+    /// Sent messages awaiting fossil collection (for anti-messages). The
+    /// epoch at `t` sends for `t + 1`, so their times are nondecreasing.
+    outlog: Vec<TwMessage>,
 
     /// The vector source, restricted to this cluster's stimulus inputs.
     stim: VectorStimulus,
@@ -109,7 +109,7 @@ impl<'p> ClusterProcess<'p> {
             pending: TimingWheel::new(PENDING_HORIZON),
             stray_antis: 0,
             processed: Vec::new(),
-            undo: Vec::new(),
+            replaced: Vec::new(),
             outlog: Vec::new(),
             stim,
             stim_cycle: 0,
@@ -139,7 +139,7 @@ impl<'p> ClusterProcess<'p> {
             values: self.values.clone(),
             pending,
             processed: self.processed.clone(),
-            undo: self.undo.clone(),
+            replaced: self.replaced.clone(),
             outlog: self.outlog.clone(),
             stim_cycle: self.stim_cycle,
             last_time: self.last_time,
@@ -179,7 +179,7 @@ impl<'p> ClusterProcess<'p> {
             p.pending.insert(e);
         }
         p.processed.clone_from(&ck.processed);
-        p.undo.clone_from(&ck.undo);
+        p.replaced.clone_from(&ck.replaced);
         p.outlog.clone_from(&ck.outlog);
         p.stim_cycle = ck.stim_cycle;
         p.last_time = ck.last_time;
@@ -217,13 +217,11 @@ impl<'p> ClusterProcess<'p> {
         self.pending.len()
     }
 
-    /// `(processed, undo)` history entries with time ≥ `t` — used by the
-    /// deterministic executor to assert that fossil collection only
-    /// reclaims history strictly below GVT.
-    pub fn history_at_or_after(&self, t: VTime) -> (usize, usize) {
-        let p = self.processed.len() - self.processed.partition_point(|r| r.time < t);
-        let u = self.undo.len() - self.undo.partition_point(|&(ut, _, _)| ut < t);
-        (p, u)
+    /// Processed events with time ≥ `t` — used by the deterministic
+    /// executor to assert that fossil collection only reclaims history
+    /// strictly below GVT.
+    pub fn history_at_or_after(&self, t: VTime) -> usize {
+        self.processed.len() - self.processed.partition_point(|r| r.time < t)
     }
 
     #[inline]
@@ -285,14 +283,14 @@ impl<'p> ClusterProcess<'p> {
                 // Settling events survive any rollback (environment-like).
                 self.push_pending(ev, CkptSource::Stimulus);
                 if gate.exported {
-                    self.emit(0, ev, send);
+                    self.emit(ev, send);
                 }
             }
         }
     }
 
     /// Send `ev`, a change of an exported net, to every remote reader.
-    fn emit(&mut self, created_at: VTime, ev: NetEvent, send: &mut impl FnMut(TwMessage)) {
+    fn emit(&mut self, ev: NetEvent, send: &mut impl FnMut(TwMessage)) {
         let exports = self.exports;
         let at = exports
             .binary_search_by_key(&ev.net, |e| e.0)
@@ -306,7 +304,7 @@ impl<'p> ClusterProcess<'p> {
                 anti: false,
             };
             self.mseq += 1;
-            self.outlog.push((created_at, msg));
+            self.outlog.push(msg);
             self.stats.messages += 1;
             send(msg);
         }
@@ -338,25 +336,29 @@ impl<'p> ClusterProcess<'p> {
     fn rollback(&mut self, t: VTime, send: &mut impl FnMut(TwMessage)) {
         self.stats.rollbacks += 1;
 
-        // 1. Restore net values: the undo log is time-nondecreasing;
-        // replay it backwards. A restored value is a change like any other:
-        // the `Dff`s the net is the data or the output of are armed again.
-        while let Some(&(ut, net, old)) = self.undo.last() {
-            if ut < t {
-                break;
+        // 1. Restore net values: walk the undone events backwards. Where an
+        // event changed its net, the net still holds that event's value
+        // when the walk reaches it. A restored value is a change like any
+        // other: the `Dff`s the net is the data or the output of are armed
+        // again.
+        let split = self.processed.partition_point(|p| p.time < t);
+        for (rec, &old) in self.processed[split..]
+            .iter()
+            .zip(&self.replaced[split..])
+            .rev()
+        {
+            if self.values[rec.net as usize] != old {
+                self.values[rec.net as usize] = old;
+                self.front.arm(&self.tables, rec.net);
             }
-            self.values[net as usize] = old;
-            self.front.arm(&self.tables, net);
-            self.undo.pop();
         }
         debug_assert!(self.front.covers(&self.tables, &self.values));
 
         // 2. Requeue processed events, except the local ones an undone
         // epoch created: reprocessing regenerates those.
-        let undone_local =
-            |p: &CkptEvent| matches!(p.source, CkptSource::Local { created_at } if created_at >= t);
-        let split = self.processed.partition_point(|p| p.time < t);
+        let undone_local = |p: &CkptEvent| p.source == CkptSource::Local && p.time > t;
         self.stats.rolled_back_events += (self.processed.len() - split) as u64;
+        self.replaced.truncate(split);
         for rec in self.processed.drain(split..) {
             if !undone_local(&rec) {
                 self.pending.insert(rec);
@@ -364,15 +366,13 @@ impl<'p> ClusterProcess<'p> {
         }
 
         // 3. Discard not-yet-processed local events created by undone
-        // epochs. Unit delay puts each at `created_at + 1`.
+        // epochs.
         self.pending
             .discard(t + 1, self.last_time + 1, undone_local);
 
-        // 4. Anti-messages for undone sends.
-        let oidx = self
-            .outlog
-            .partition_point(|&(created_at, _)| created_at < t);
-        for (_, mut anti) in self.outlog.split_off(oidx) {
+        // 4. Anti-messages for undone sends: those for times after `t`.
+        let oidx = self.outlog.partition_point(|m| m.ev.time <= t);
+        for mut anti in self.outlog.split_off(oidx) {
             anti.anti = true;
             self.stats.anti_messages += 1;
             send(anti);
@@ -386,14 +386,12 @@ impl<'p> ClusterProcess<'p> {
         if gvt == 0 {
             return;
         }
-        let u = self.undo.partition_point(|&(t, _, _)| t < gvt);
-        self.undo.drain(..u);
         let p = self.processed.partition_point(|r| r.time < gvt);
         self.stats.fossil_collected += p as u64;
         self.processed.drain(..p);
-        let o = self
-            .outlog
-            .partition_point(|&(created_at, _)| created_at < gvt);
+        self.replaced.drain(..p);
+        // Messages for times up to `gvt` were sent below it.
+        let o = self.outlog.partition_point(|m| m.ev.time <= gvt);
         self.outlog.drain(..o);
     }
 
@@ -431,16 +429,16 @@ impl<'p> ClusterProcess<'p> {
         self.pending.pop_epoch(&mut self.epoch_buf);
         self.last_time = t;
 
-        // Phases 1 and 2: apply changes, logging previous values, and
-        // collect the owned gates they affect.
+        // Phases 1 and 2: apply changes, logging the values they replace,
+        // and collect the owned gates they affect.
         self.front.begin();
         for p in &self.epoch_buf {
             self.stats.events += 1;
             let ni = p.net as usize;
             let old = self.values[ni];
+            self.replaced.push(old);
             if old != p.value {
                 self.values[ni] = p.value;
-                self.undo.push((t, p.net, old));
                 self.stats.net_toggles += 1;
                 self.front.applied(&self.tables, p.net, old, p.value);
             }
@@ -461,9 +459,9 @@ impl<'p> ClusterProcess<'p> {
                     net: NetId(gate.out),
                     value: new_out,
                 };
-                self.push_pending(ev, CkptSource::Local { created_at: t });
+                self.push_pending(ev, CkptSource::Local);
                 if gate.exported {
-                    self.emit(t, ev, send);
+                    self.emit(ev, send);
                 }
             }
         }

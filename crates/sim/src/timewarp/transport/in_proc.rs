@@ -108,15 +108,29 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
     }
 
     /// [`ClusterWorker::respawn`] on a decoded image: rebuild the process
-    /// it describes and replay `ops` on it. An image that does not decode
-    /// means the supervisor itself is confused — a protocol failure that
-    /// leaves the worker unchanged.
+    /// it describes and replay `ops` on it. An image that does not decode,
+    /// or does not fit this worker's cluster and netlist, means the
+    /// supervisor itself is confused — a protocol failure that leaves the
+    /// worker unchanged.
     pub(super) fn restore(
         &mut self,
         base: &Json,
         ops: &[ReplayOp],
     ) -> Result<VTime, WorkerFailure> {
         let base = Checkpoint::from_json(base).map_err(|e| protocol(e.msg))?;
+        if base.cluster != self.me {
+            return Err(protocol(format!(
+                "an image of cluster {} cannot restore cluster {}",
+                base.cluster, self.me
+            )));
+        }
+        if base.values.len() != self.nl.net_count() {
+            return Err(protocol(format!(
+                "an image of {} net values cannot restore a netlist of {} nets",
+                base.values.len(),
+                self.nl.net_count()
+            )));
+        }
         let stim = self.stim.clone();
         let mut p = ClusterProcess::from_checkpoint(self.nl, self.plan, stim, self.cycles, &base);
         replay_ops(&mut p, ops);

@@ -520,7 +520,7 @@ fn checkpoint_payload_crosses_a_real_socket() {
     assert_eq!(back.cluster, ck.cluster);
     assert_eq!(back.gvt, ck.gvt);
     assert_eq!(back.values, ck.values);
-    assert_eq!(back.undo, ck.undo);
+    assert_eq!(back.replaced, ck.replaced);
     assert_eq!(back.stim_cycle, ck.stim_cycle);
     assert_eq!(back.mseq, ck.mseq);
     writer.join().expect("writer thread");
@@ -764,6 +764,46 @@ fn removed_batch_commands_are_unknown() {
     }
 }
 
+/// A `restore` carries an image of the served worker's own cluster over
+/// its netlist's nets. Any other image is refused with a typed `error`,
+/// so the worker neither simulates another cluster nor indexes past its
+/// plan.
+#[test]
+fn restore_of_a_foreign_image_is_refused() {
+    let restore = |cluster: u32, nets: usize| {
+        let ck = Checkpoint {
+            cluster,
+            values: vec![Logic::Zero; nets],
+            ..sample_checkpoint()
+        };
+        ObjBuilder::new()
+            .str("kind", "restore")
+            .field("ck", ck.to_json())
+            .array("ops", Vec::new())
+            .build()
+    };
+    for (cmd, why) in [
+        (restore(0, 3), "image of cluster 0"),
+        (restore(2, 3), "image of cluster 2"),
+        (restore(1, 4), "4 net values"),
+        (restore(1, 2), "2 net values"),
+    ] {
+        let detail = refusal_of(&cmd);
+        assert!(detail.contains(why), "{detail}");
+    }
+
+    // The worker's own image is taken.
+    let (mut sink, mut source, handle) = worker_session();
+    sink.send_json(&restore(1, 3)).expect("send restore");
+    let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+    assert_eq!(json_kind(&reply).expect("kind"), "ready");
+    sink.send_json(&ok_json_cmd("finish")).expect("send finish");
+    let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+    assert_eq!(json_kind(&reply).expect("kind"), "finished");
+    assert_eq!(source.recv().expect("clean eof"), None);
+    handle.join().expect("join").expect("serve_wire exits Ok");
+}
+
 const TEST_TIMING: WireTiming = WireTiming {
     io: Duration::from_millis(5_000),
     connect: Duration::from_millis(5_000),
@@ -892,8 +932,14 @@ fn sample_checkpoint() -> Checkpoint {
         gvt: 17,
         values: vec![Logic::Zero, Logic::One, Logic::X, Logic::Z],
         pending: Vec::new(),
-        processed: Vec::new(),
-        undo: vec![(12, 1, Logic::X)],
+        processed: vec![crate::timewarp::CkptEvent {
+            time: 12,
+            net: 1,
+            value: Logic::One,
+            source: crate::timewarp::CkptSource::Local,
+            order: 39,
+        }],
+        replaced: vec![Logic::X],
         outlog: Vec::new(),
         stim_cycle: 5,
         last_time: 16,

@@ -5,12 +5,14 @@
 //! counters to an uninterrupted run — across every schedule policy and a
 //! spread of seeds.
 
-use dvs_bench::scenario::{assert_same_run, policies, Circuit, Partition, Scenario};
+use dvs_bench::scenario::{assert_same_run, policies, Built, Circuit, Partition, Scenario};
 use dvs_core::{FromJson, Json, ToJson};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::proc::ClusterProcess;
 use dvs_sim::timewarp::{Checkpoint, FaultPlan, StateSaving, TwMessage};
+use dvs_sim::wheel::NetEvent;
+use dvs_sim::Logic;
 use dvs_verilog::Netlist;
 use proptest::prelude::*;
 
@@ -140,7 +142,7 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
         assert!(err.msg.contains("expected kind `tw_checkpoint`"), "{err}");
     }
 
-    for schema in [999, 2, 3] {
+    for schema in [999, 2, 3, 4] {
         let mut wrong_schema = ck.to_json();
         if let Json::Object(members) = &mut wrong_schema {
             for (k, v) in members.iter_mut() {
@@ -151,6 +153,69 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
         }
         let err = Checkpoint::from_json(&wrong_schema).unwrap_err();
         assert!(err.msg.contains("checkpoint_schema"), "{err}");
+    }
+}
+
+/// Cluster 0 of `built` on its own, nothing delivered from cluster 1,
+/// driven through every epoch at or below `limit`.
+fn cluster0_through(built: &Built, limit: u64) -> ClusterProcess<'_> {
+    let mut p = ClusterProcess::new(
+        &built.nl,
+        &built.plan,
+        0,
+        built.stim.clone(),
+        12,
+        StateSaving::IncrementalUndo,
+    );
+    while p.process_next_epoch(limit, &mut |_| {}) {}
+    p
+}
+
+/// A rollback leaves exactly the history of a process that never ran past
+/// the straggler: for every straggler time `t`, cluster 0 driven to the
+/// end and then handed a message at `t` holds the values, processed
+/// events, replaced values and output log of a twin driven only through
+/// the epochs below `t`.
+#[test]
+fn rollback_leaves_the_history_of_a_process_that_stopped_short() {
+    let hier = Circuit::random_hier(8);
+    let built = Scenario::new(hier, Partition::Blocks(vec![0, 1]), 0, 12).build();
+    let (import, _) = built.plan.clusters[1]
+        .exports
+        .iter()
+        .find(|(_, readers)| readers.contains(&0))
+        .expect("cluster 1 feeds cluster 0");
+    let end = cluster0_through(&built, u64::MAX).checkpoint(0);
+    // Settling and epoch 0 both put an event on one net at t = 1, and the
+    // later one finds the value it carries: a processed record that
+    // changed nothing, which the rollback walk must step over.
+    let at_1: Vec<_> = (end.processed.iter().zip(&end.replaced))
+        .filter(|(e, _)| e.time == 1)
+        .collect();
+    assert!(at_1.iter().enumerate().any(|(i, &(e, &old))| {
+        e.value == old && at_1[..i].iter().any(|(earlier, _)| earlier.net == e.net)
+    }));
+    for t in 1..=end.last_time {
+        let mut rolled = cluster0_through(&built, u64::MAX);
+        let straggler = TwMessage {
+            src: 1,
+            dst: 0,
+            seq: 0,
+            ev: NetEvent {
+                time: t,
+                net: *import,
+                value: Logic::One,
+            },
+            anti: false,
+        };
+        rolled.handle_message(straggler, &mut |_| {});
+        let a = rolled.checkpoint(0);
+        let b = cluster0_through(&built, t - 1).checkpoint(0);
+        assert_eq!(
+            (a.values, a.processed, a.replaced, a.outlog),
+            (b.values, b.processed, b.replaced, b.outlog),
+            "straggler at {t}"
+        );
     }
 }
 
