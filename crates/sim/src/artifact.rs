@@ -15,11 +15,8 @@
 
 use crate::cluster_model::{ClusterRun, RunTiming};
 use crate::stats::SimStats;
-use crate::timewarp::{
-    Checkpoint, CkptEvent, CkptSource, RecoveryOutcome, TwMessage, TwRunResult, CHECKPOINT_SCHEMA,
-};
-use crate::wheel::NetEvent;
-use crate::wheel::VTime;
+use crate::timewarp::{Checkpoint, RecoveryOutcome, TwMessage, TwRunResult, CHECKPOINT_SCHEMA};
+use crate::wheel::{NetEvent, VTime};
 use crate::Logic;
 use dvs_json::{uint_array, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION};
 use dvs_verilog::netlist::NetId;
@@ -178,50 +175,22 @@ impl ToJson for TwRunResult {
     }
 }
 
-fn ckpt_source_json(s: &CkptSource) -> Json {
-    match *s {
-        CkptSource::Stimulus => ObjBuilder::new().str("kind", "stimulus").build(),
-        CkptSource::Local => ObjBuilder::new().str("kind", "local").build(),
-        CkptSource::Remote { src, seq } => ObjBuilder::new()
-            .str("kind", "remote")
-            .uint("src", src as u64)
-            .uint("seq", seq)
-            .build(),
-    }
-}
-
-fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
-    match v.field("kind")?.as_str()? {
-        "stimulus" => Ok(CkptSource::Stimulus),
-        "local" => Ok(CkptSource::Local),
-        "remote" => Ok(CkptSource::Remote {
-            src: v.field("src")?.as_u32()?,
-            seq: v.field("seq")?.as_u64()?,
-        }),
-        k => Err(JsonError::new(format!("unknown event source kind `{k}`"))),
-    }
-}
-
-impl ToJson for CkptEvent {
+impl ToJson for NetEvent {
     fn to_json(&self) -> Json {
         ObjBuilder::new()
             .uint("time", self.time)
-            .uint("net", self.net as u64)
+            .uint("net", self.net.0 as u64)
             .str("value", &self.value.display_char().to_string())
-            .field("source", ckpt_source_json(&self.source))
-            .uint("order", self.order)
             .build()
     }
 }
 
-impl FromJson for CkptEvent {
+impl FromJson for NetEvent {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CkptEvent {
+        Ok(NetEvent {
             time: v.field("time")?.as_u64()?,
-            net: v.field("net")?.as_u32()?,
+            net: NetId(v.field("net")?.as_u32()?),
             value: logic_from_json(v.field("value")?)?,
-            source: ckpt_source_from_json(v.field("source")?)?,
-            order: v.field("order")?.as_u64()?,
         })
     }
 }
@@ -285,7 +254,6 @@ impl ToJson for Checkpoint {
             .uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
-            .uint("order", self.order)
             .uint("mseq", self.mseq)
             .field("stats", self.stats.to_json())
             .build()
@@ -300,8 +268,9 @@ impl Checkpoint {
     /// the [`ToJson`] impl above stays the reference the tests and check
     /// mode hold it to.
     pub fn to_text(&self) -> String {
-        let entries = self.pending.len() + self.processed.len() + self.outlog.len();
-        let size = 512 + self.values.len() + self.replaced.len() + 112 * entries;
+        let events = self.pending.len() + self.processed.len();
+        let size = 512 + self.values.len() + self.replaced.len();
+        let size = size + 48 * events + 112 * self.outlog.len();
         let mut w = Text(String::with_capacity(size));
         w.raw("{\"schema_version\":").int(SCHEMA_VERSION);
         w.raw(",\"kind\":\"tw_checkpoint\",\"checkpoint_schema\":");
@@ -318,7 +287,6 @@ impl Checkpoint {
         w.raw(",\"stim_cycle\":").uint(self.stim_cycle);
         w.raw(",\"last_time\":").uint(self.last_time);
         w.raw(",\"settled\":").bool(self.settled);
-        w.raw(",\"order\":").uint(self.order);
         w.raw(",\"mseq\":").uint(self.mseq);
         let stats = self.stats.to_json().emit().expect("counters emit");
         w.raw(",\"stats\":").raw(&stats).raw("}");
@@ -369,19 +337,10 @@ impl Text {
         self.raw("]")
     }
 
-    fn event(&mut self, e: &CkptEvent) {
+    fn event(&mut self, e: &NetEvent) {
         self.raw("{\"time\":").uint(e.time);
-        self.raw(",\"net\":").uint(e.net as u64);
-        self.raw(",\"value\":").logic(e.value);
-        match e.source {
-            CkptSource::Stimulus => self.raw(",\"source\":{\"kind\":\"stimulus\""),
-            CkptSource::Local => self.raw(",\"source\":{\"kind\":\"local\""),
-            CkptSource::Remote { src, seq } => {
-                self.raw(",\"source\":{\"kind\":\"remote\",\"src\":");
-                self.uint(src as u64).raw(",\"seq\":").uint(seq)
-            }
-        };
-        self.raw("},\"order\":").uint(e.order).raw("}");
+        self.raw(",\"net\":").uint(e.net.0 as u64);
+        self.raw(",\"value\":").logic(e.value).raw("}");
     }
 
     fn message(&mut self, m: &TwMessage) {
@@ -415,11 +374,11 @@ impl FromJson for Checkpoint {
                 "unsupported checkpoint_schema {schema} (expected {CHECKPOINT_SCHEMA})"
             )));
         }
-        let events = |key: &str| -> Result<Vec<CkptEvent>, JsonError> {
+        let events = |key: &str| -> Result<Vec<NetEvent>, JsonError> {
             v.field(key)?
                 .as_array()?
                 .iter()
-                .map(CkptEvent::from_json)
+                .map(NetEvent::from_json)
                 .collect()
         };
         let processed = events("processed")?;
@@ -448,7 +407,6 @@ impl FromJson for Checkpoint {
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
             last_time: v.field("last_time")?.as_u64()?,
             settled: v.field("settled")?.as_bool()?,
-            order: v.field("order")?.as_u64()?,
             mseq: v.field("mseq")?.as_u64()?,
             stats: SimStats::from_json(v.field("stats")?)?,
         })
@@ -530,19 +488,15 @@ mod tests {
             cluster: 2,
             gvt: 140,
             values: vec![Logic::One, Logic::Zero, Logic::Z],
-            pending: vec![CkptEvent {
+            pending: vec![NetEvent {
                 time: 144,
-                net: 6,
+                net: NetId(6),
                 value: Logic::One,
-                source: CkptSource::Remote { src: 1, seq: 9 },
-                order: 31,
             }],
-            processed: vec![CkptEvent {
+            processed: vec![NetEvent {
                 time: 141,
-                net: 5,
+                net: NetId(5),
                 value: Logic::X,
-                source: CkptSource::Local,
-                order: 30,
             }],
             replaced: vec![Logic::One],
             outlog: vec![TwMessage {
@@ -559,7 +513,6 @@ mod tests {
             stim_cycle: 14,
             last_time: 151,
             settled: true,
-            order: 64,
             mseq: 78,
             stats: sample_stats(),
         }
@@ -595,8 +548,8 @@ mod tests {
     }
 
     /// Arbitrary checkpoints: every `u64` over its whole range with the
-    /// `i64::MAX` edge drawn often, all four logic values, all three event
-    /// sources, and arrays that are often empty. The GVT stays within
+    /// `i64::MAX` edge drawn often, all four logic values, and arrays that
+    /// are often empty. The GVT stays within
     /// `i64`, where a captured image's envelope is readable.
     struct AnyCheckpoint;
 
@@ -620,21 +573,11 @@ mod tests {
             fn len(rng: &mut impl Rng) -> usize {
                 rng.gen_range(0..8usize).saturating_sub(3)
             }
-            fn event(rng: &mut impl Rng) -> CkptEvent {
-                let source = match rng.gen_range(0..3) {
-                    0 => CkptSource::Stimulus,
-                    1 => CkptSource::Local,
-                    _ => CkptSource::Remote {
-                        src: rng.gen_range(0..=u32::MAX),
-                        seq: wide(rng),
-                    },
-                };
-                CkptEvent {
+            fn event(rng: &mut impl Rng) -> NetEvent {
+                NetEvent {
                     time: wide(rng),
-                    net: rng.gen_range(0..=u32::MAX),
+                    net: NetId(rng.gen_range(0..=u32::MAX)),
                     value: logic(rng),
-                    source,
-                    order: wide(rng),
                 }
             }
             fn message(rng: &mut impl Rng) -> TwMessage {
@@ -642,15 +585,11 @@ mod tests {
                     src: rng.gen_range(0..=u32::MAX),
                     dst: rng.gen_range(0..=u32::MAX),
                     seq: wide(rng),
-                    ev: NetEvent {
-                        time: wide(rng),
-                        net: NetId(rng.gen_range(0..=u32::MAX)),
-                        value: logic(rng),
-                    },
+                    ev: event(rng),
                     anti: rng.gen(),
                 }
             }
-            let processed: Vec<CkptEvent> = (0..len(rng)).map(|_| event(rng)).collect();
+            let processed: Vec<NetEvent> = (0..len(rng)).map(|_| event(rng)).collect();
             Checkpoint {
                 schema: CHECKPOINT_SCHEMA,
                 cluster: rng.gen_range(0..=u32::MAX),
@@ -663,7 +602,6 @@ mod tests {
                 stim_cycle: wide(rng),
                 last_time: wide(rng),
                 settled: rng.gen(),
-                order: wide(rng),
                 mseq: wide(rng),
                 stats: SimStats {
                     events: wide(rng),
@@ -730,7 +668,7 @@ mod tests {
         });
         assert_eq!(
             (CHECKPOINT_SCHEMA, fnv1a),
-            (5, 0x1b3b_a362_ee11_2dac),
+            (6, 0x1787_ba2f_4acd_8e98),
             "{text}"
         );
     }

@@ -17,10 +17,11 @@
 //!
 //! * **Ordering invariant.** The gate entries of a net are in ascending gate,
 //!   then pin order — exactly the order `Fanout::readers` yields. The order
-//!   gates become affected in is the order their output events are stamped
-//!   in, and through the stamps it reaches the processed log (and its
-//!   `replaced` column) and the checkpoint bytes, so any other order
-//!   changes every pinned artifact. Hence the owned gates must ascend.
+//!   gates become affected in is the order their output events are queued
+//!   in, which is the order the next epoch drains them in. Through it the
+//!   order reaches the processed log (and its `replaced` column) and the
+//!   checkpoint bytes, so any other order changes every pinned artifact.
+//!   Hence the owned gates must ascend.
 //! * **Roles.** An entry says how its gate reacts, so a `Dffr` clock entry on
 //!   a change that is not a rising edge touches no gate memory at all.
 //! * **Armed flip-flops.** A clocked `Dff` with `d.input() == q` schedules

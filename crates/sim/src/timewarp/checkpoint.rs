@@ -12,24 +12,29 @@
 //!
 //! The image is *behaviorally exact*: restoring it produces a process whose
 //! subsequent execution is bit-identical to the original's — including the
-//! drain order of the pending queue (`order` stamps are preserved), rollback
-//! history (the processed events and the values they replaced), the send
-//! cursor (`mseq`) and statistics. That is what lets the recovery
+//! drain order of the pending queue (its events are listed in that order),
+//! rollback history (the processed events and the values they replaced),
+//! the send cursor (`mseq`) and statistics. That is what lets the recovery
 //! supervisor ([`super::recovery`]) replay a crashed cluster's input log
 //! on top of its last checkpoint and land in exactly the pre-crash state.
 //!
+//! An event is the kernel's own 16-byte [`NetEvent`]: nothing else is
+//! stored per event, because the netlist and unit delay fix the rest. The
+//! order of one time's events is the order they were queued in, where a
+//! rollback came from is whether an owned gate drives the net, and an
+//! anti-message names its positive by time and net.
+//!
 //! Serialization to the schema-versioned canonical JSON artifact format
 //! lives in `dvs_sim::artifact`; [`Checkpoint`] itself is plain data with
-//! public fields. The pending queue, whose internal layout depends on
-//! history, is captured *sorted*, so capturing the same state twice yields
-//! equal — and identically serialized — checkpoints. A worker emits
+//! public fields. Capturing the same state twice yields equal — and
+//! identically serialized — checkpoints. A worker emits
 //! [`Checkpoint::to_text`], streamed; the `ToJson` tree is the reference it
 //! equals byte for byte.
 
 use super::TwMessage;
 use crate::logic::Logic;
 use crate::stats::SimStats;
-use crate::wheel::VTime;
+use crate::wheel::{NetEvent, VTime};
 
 /// Schema version of the checkpoint image. Bumped when the layout changes
 /// incompatibly; serializers embed it next to the artifact schema version.
@@ -40,37 +45,13 @@ use crate::wheel::VTime;
 /// sequence numbers when cancellation moved into the pending queue; version
 /// 5 replaced the `(time, net, old value)` records with the `replaced`
 /// column of the processed events and dropped the send times of local
-/// events and outlog entries, which unit delay implies. The wire hello
-/// negotiates this next to the frame version, so a peer on an older schema
-/// is rejected at the handshake instead of failing mid-restore.
-pub const CHECKPOINT_SCHEMA: u32 = 5;
-
-/// Where a queued or processed event came from, which decides what a
-/// rollback does with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptSource {
-    /// Environment input (vector stimulus or initial settling): requeued
-    /// verbatim on rollback.
-    Stimulus,
-    /// Scheduled by the local gate evaluation of the epoch one tick before
-    /// its `time` (unit delay); discarded on a rollback to below `time`
-    /// (reprocessing regenerates it).
-    Local,
-    /// Received from cluster `src` with send sequence `seq`, the pair an
-    /// anti-message annihilates it by.
-    Remote { src: u32, seq: u64 },
-}
-
-/// One pending or processed event with its tie-break stamp: the record the
-/// kernel queues, processes and rolls back, kept as it is in an image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CkptEvent {
-    pub time: VTime,
-    pub net: u32,
-    pub value: Logic,
-    pub source: CkptSource,
-    pub order: u64,
-}
+/// events and outlog entries, which unit delay implies; version 6 dropped
+/// each event's source and tie-break stamp and the next stamp, an event
+/// becoming `{time, net, value}` with the pending ones listed in drain
+/// order. The wire hello negotiates this next to the frame version, so a
+/// peer on an older schema is rejected at the handshake instead of failing
+/// mid-restore.
+pub const CHECKPOINT_SCHEMA: u32 = 6;
 
 /// The complete state image of one cluster at a GVT round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,10 +64,10 @@ pub struct Checkpoint {
     pub gvt: VTime,
     /// Net values (full vector, indexed by net id).
     pub values: Vec<Logic>,
-    /// Pending events, sorted by `(time, order)` for deterministic capture.
-    pub pending: Vec<CkptEvent>,
+    /// Pending events, in the order they would be processed.
+    pub pending: Vec<NetEvent>,
     /// Processed events retained for rollback, in processing order.
-    pub processed: Vec<CkptEvent>,
+    pub processed: Vec<NetEvent>,
     /// The value each processed event found on its net, index for index.
     pub replaced: Vec<Logic>,
     /// Sent messages awaiting fossil collection. Unit delay sends each one
@@ -98,8 +79,6 @@ pub struct Checkpoint {
     pub last_time: VTime,
     /// Has initial settling run?
     pub settled: bool,
-    /// Next tie-break stamp.
-    pub order: u64,
     /// Next message sequence number (per-cluster send cursor).
     pub mseq: u64,
     /// Statistics accumulated so far.

@@ -23,12 +23,17 @@
 //!   events created by undone epochs, and emits anti-messages for undone
 //!   sends. Unit delay fixes both send times — an epoch at `t` schedules
 //!   and sends for `t + 1` — so a rollback to `t` drops the local events
-//!   and cancels the sends timed after `t`;
+//!   (those after `t` on a net an owned gate drives) and cancels the sends
+//!   timed after `t`. Every event is the 16-byte [`NetEvent`] the
+//!   sequential simulator queues; one time's events drain in the order they
+//!   were queued, and a requeue keeps that order;
 //! * **anti-messages with annihilation** — positive messages always precede
 //!   their anti-message in channel order (FIFO per sender), so when the
 //!   anti-message arrives its positive is in the pending queue (put back by
 //!   the rollback if it had been processed) and is removed from its
-//!   time bucket on the spot;
+//!   time bucket on the spot. It is found by time and net: each net has one
+//!   driving cluster, which sends at most one positive per time until the
+//!   anti-message that precedes a re-send;
 //! * **GVT** — a coordinator-free sampling scheme: each worker publishes its
 //!   local virtual time; a sample is valid when no message is in transit and
 //!   no send intervened (checked with a send-epoch counter), making the
@@ -60,7 +65,7 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{NetDir, NetFault, NetFaultKind, NetPlan};
-pub use checkpoint::{Checkpoint, CkptEvent, CkptSource, CHECKPOINT_SCHEMA};
+pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use dst::{DstAction, DstView, Schedule, SchedulePolicy};
 pub use error::TimeWarpError;
 pub use recovery::{FaultPlan, RecoveryOutcome};
@@ -76,8 +81,10 @@ use gvt::GvtState;
 use proc::ClusterProcess;
 use std::sync::atomic::Ordering;
 
-/// A timestamped inter-cluster message. `(src, seq)` identifies the
-/// positive message its anti-message annihilates.
+/// A timestamped inter-cluster message. `src` and `seq` name it on the wire
+/// and in the supervisor's logs: its sender and that sender's send count.
+/// An anti-message annihilates the pending event at its `ev.time` on its
+/// `ev.net`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwMessage {
     pub src: u32,

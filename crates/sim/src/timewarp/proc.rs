@@ -7,25 +7,15 @@
 //! log) to roll back when a straggler or anti-message arrives. See the
 //! module docs of [`crate::timewarp`] for the protocol overview.
 
-use super::checkpoint::{Checkpoint, CkptEvent, CkptSource, CHECKPOINT_SCHEMA};
+use super::checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 use super::{StateSaving, TwMessage};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::tables::{Epoch, GateTables};
-use crate::wheel::{NetEvent, Timed, TimingWheel, VTime};
+use crate::wheel::{NetEvent, TimingWheel, VTime};
 use dvs_verilog::netlist::{NetId, Netlist};
-
-/// Pending events drain in `(time, order)` order.
-impl Timed for CkptEvent {
-    fn time(&self) -> VTime {
-        self.time
-    }
-    fn order(&self) -> u64 {
-        self.order
-    }
-}
 
 /// Look-ahead of the pending wheel. Local events land one tick ahead, the
 /// next vector a period ahead and remote ones within the optimism window of
@@ -42,15 +32,19 @@ pub struct ClusterProcess<'p> {
     /// output of an `exported` gate goes.
     exports: &'p [(NetId, Vec<u32>)],
     values: Vec<Logic>,
+    /// Per net, whether an owned gate drives it: an event on such a net
+    /// after t = 1 was scheduled by this cluster's own evaluation.
+    drives: Vec<bool>,
 
-    /// Not-yet-processed events, one bucket per virtual time. Anti-messages
-    /// and rollbacks cancel entries in place, so everything queued is live.
-    pending: TimingWheel<CkptEvent>,
+    /// Not-yet-processed events, one bucket per virtual time, each drained
+    /// in the order it was filled. Anti-messages and rollbacks cancel
+    /// entries in place, so everything queued is live.
+    pending: TimingWheel,
     /// Anti-messages whose positive was neither pending nor processed — a
     /// protocol violation (channels are FIFO per sender).
     stray_antis: u64,
     /// Processed events in processing order (time nondecreasing).
-    processed: Vec<CkptEvent>,
+    processed: Vec<NetEvent>,
     /// State saving: the value each processed event found on its net.
     replaced: Vec<Logic>,
     /// Sent messages awaiting fossil collection (for anti-messages). The
@@ -64,13 +58,12 @@ pub struct ClusterProcess<'p> {
 
     last_time: VTime,
     settled: bool,
-    order: u64,
     mseq: u64,
     stats: SimStats,
 
     // Per-epoch scratch.
     front: Epoch,
-    epoch_buf: Vec<CkptEvent>,
+    epoch_buf: Vec<NetEvent>,
     stim_buf: Vec<NetEvent>,
 }
 
@@ -95,6 +88,10 @@ impl<'p> ClusterProcess<'p> {
         if let Some(c1) = nl.const1_net {
             values[c1.idx()] = Logic::One;
         }
+        let mut drives = vec![false; nl.net_count()];
+        for gi in 0..tables.len() as u32 {
+            drives[tables.gate(gi).out as usize] = true;
+        }
         let stats = SimStats {
             cycles,
             ..Default::default()
@@ -106,6 +103,7 @@ impl<'p> ClusterProcess<'p> {
             tables,
             exports: &cluster.exports,
             values,
+            drives,
             pending: TimingWheel::new(PENDING_HORIZON),
             stray_antis: 0,
             processed: Vec::new(),
@@ -116,7 +114,6 @@ impl<'p> ClusterProcess<'p> {
             cycles,
             last_time: 0,
             settled: false,
-            order: 0,
             mseq: 0,
             stats,
             epoch_buf: Vec::with_capacity(64),
@@ -127,11 +124,10 @@ impl<'p> ClusterProcess<'p> {
     /// Capture the complete behavioral state image of this cluster at GVT
     /// `gvt`. Called right after the fossil collection of a successful GVT
     /// round, so the image is both minimal and part of a consistent global
-    /// cut (see [`super::checkpoint`]). Unordered collections are captured
-    /// sorted, making equal states yield equal checkpoints.
+    /// cut (see [`super::checkpoint`]). The pending events are captured in
+    /// drain order, so equal states yield equal checkpoints.
     pub fn checkpoint(&self, gvt: VTime) -> Checkpoint {
-        let mut pending: Vec<CkptEvent> = self.pending.iter().copied().collect();
-        pending.sort_unstable_by_key(|e| (e.time, e.order));
+        let pending = self.pending.iter().copied().collect();
         Checkpoint {
             schema: CHECKPOINT_SCHEMA,
             cluster: self.me,
@@ -144,19 +140,18 @@ impl<'p> ClusterProcess<'p> {
             stim_cycle: self.stim_cycle,
             last_time: self.last_time,
             settled: self.settled,
-            order: self.order,
             mseq: self.mseq,
             stats: self.stats.clone(),
         }
     }
 
     /// Rebuild a process from a checkpoint image. The result is behaviorally
-    /// identical to the captured process: the pending queue drains by the
-    /// preserved `(time, order)` stamps, which are distinct, so how the
-    /// queue lays its entries out cannot matter, and the per-epoch scratch
-    /// (the `Epoch` stamps) starts zeroed — it only carries state
-    /// *within* one epoch, and capture happens between epochs — with its
-    /// `live` bits derived from the restored values.
+    /// identical to the captured process: the pending events are queued in
+    /// the drain order they were captured in, so each time drains as it
+    /// would have, however the new queue lays its entries out; and the
+    /// per-epoch scratch (the `Epoch` stamps) starts zeroed — it only
+    /// carries state *within* one epoch, and capture happens between
+    /// epochs — with its `live` bits derived from the restored values.
     pub fn from_checkpoint(
         nl: &Netlist,
         plan: &'p ClusterPlan,
@@ -184,7 +179,6 @@ impl<'p> ClusterProcess<'p> {
         p.stim_cycle = ck.stim_cycle;
         p.last_time = ck.last_time;
         p.settled = ck.settled;
-        p.order = ck.order;
         p.mseq = ck.mseq;
         p.stats = ck.stats.clone();
         p
@@ -224,18 +218,6 @@ impl<'p> ClusterProcess<'p> {
         self.processed.len() - self.processed.partition_point(|r| r.time < t)
     }
 
-    #[inline]
-    fn push_pending(&mut self, ev: NetEvent, source: CkptSource) {
-        self.pending.insert(CkptEvent {
-            time: ev.time,
-            net: ev.net.0,
-            value: ev.value,
-            source,
-            order: self.order,
-        });
-        self.order += 1;
-    }
-
     /// Local virtual time: a lower bound on anything this cluster may still
     /// process or send. `VTime::MAX` when fully idle. The not-yet-generated
     /// next stimulus cycle counts: it may precede every queued event, and
@@ -260,7 +242,7 @@ impl<'p> ClusterProcess<'p> {
         self.stim_buf.clear();
         self.stim.events_for_cycle(cycle, &mut self.stim_buf);
         for i in 0..self.stim_buf.len() {
-            self.push_pending(self.stim_buf[i], CkptSource::Stimulus);
+            self.pending.insert(self.stim_buf[i]);
         }
     }
 
@@ -280,8 +262,9 @@ impl<'p> ClusterProcess<'p> {
                     net: NetId(gate.out),
                     value: new,
                 };
-                // Settling events survive any rollback (environment-like).
-                self.push_pending(ev, CkptSource::Stimulus);
+                // Settling events survive any rollback: every rollback is
+                // to a time ≥ 1.
+                self.pending.insert(ev);
                 if gate.exported {
                     self.emit(ev, send);
                 }
@@ -311,25 +294,27 @@ impl<'p> ClusterProcess<'p> {
     }
 
     /// Incorporate an incoming message, rolling back if it is a straggler.
-    pub fn handle_message(&mut self, msg: TwMessage, send: &mut impl FnMut(TwMessage)) {
+    /// Returns how many queued events an anti-message annihilated: one,
+    /// unless a peer broke the protocol (zero counts as a stray).
+    pub fn handle_message(&mut self, msg: TwMessage, send: &mut impl FnMut(TwMessage)) -> usize {
         debug_assert_eq!(msg.dst, self.me);
         if msg.ev.time <= self.last_time {
             self.rollback(msg.ev.time, send);
         }
-        let source = CkptSource::Remote {
-            src: msg.src,
-            seq: msg.seq,
-        };
-        if msg.anti {
-            // FIFO per sender guarantees the positive came first; it is
-            // either still pending or was put back by the rollback above.
-            let t = msg.ev.time;
-            if self.pending.discard(t, t, |p| p.source == source) == 0 {
-                self.stray_antis += 1;
-            }
-        } else {
-            self.push_pending(msg.ev, source);
+        if !msg.anti {
+            self.pending.insert(msg.ev);
+            return 0;
         }
+        // FIFO per sender guarantees the positive came first; it is either
+        // still pending or was put back by the rollback above. One cluster
+        // drives the net and sends at most one positive per time until the
+        // anti-message that precedes a re-send, so time and net name it.
+        let (t, net) = (msg.ev.time, msg.ev.net);
+        let gone = self.pending.discard(t, t, |p| p.net == net);
+        if gone == 0 {
+            self.stray_antis += 1;
+        }
+        gone
     }
 
     /// Roll state back so that no event at time ≥ `t` remains applied.
@@ -347,16 +332,22 @@ impl<'p> ClusterProcess<'p> {
             .zip(&self.replaced[split..])
             .rev()
         {
-            if self.values[rec.net as usize] != old {
-                self.values[rec.net as usize] = old;
-                self.front.arm(&self.tables, rec.net);
+            if self.values[rec.net.idx()] != old {
+                self.values[rec.net.idx()] = old;
+                self.front.arm(&self.tables, rec.net.0);
             }
         }
         debug_assert!(self.front.covers(&self.tables, &self.values));
 
         // 2. Requeue processed events, except the local ones an undone
-        // epoch created: reprocessing regenerates those.
-        let undone_local = |p: &CkptEvent| p.source == CkptSource::Local && p.time > t;
+        // epoch created: reprocessing regenerates those. Nothing pending is
+        // at or below `last_time`, so the requeued events refill empty
+        // buckets in their old drain order, and a straggler at `t` queues
+        // behind them. An event on a net an owned gate drives is local
+        // (settling's, at t = 1, is never after `t`).
+        debug_assert!(self.pending.iter().all(|p| p.time > self.last_time));
+        let drives = &self.drives;
+        let undone_local = |p: &NetEvent| p.time > t && drives[p.net.idx()];
         self.stats.rolled_back_events += (self.processed.len() - split) as u64;
         self.replaced.truncate(split);
         for rec in self.processed.drain(split..) {
@@ -434,13 +425,13 @@ impl<'p> ClusterProcess<'p> {
         self.front.begin();
         for p in &self.epoch_buf {
             self.stats.events += 1;
-            let ni = p.net as usize;
+            let ni = p.net.idx();
             let old = self.values[ni];
             self.replaced.push(old);
             if old != p.value {
                 self.values[ni] = p.value;
                 self.stats.net_toggles += 1;
-                self.front.applied(&self.tables, p.net, old, p.value);
+                self.front.applied(&self.tables, p.net.0, old, p.value);
             }
         }
         self.stats.gate_evals += self.front.finish(&self.tables, &self.values, |_| {});
@@ -459,7 +450,7 @@ impl<'p> ClusterProcess<'p> {
                     net: NetId(gate.out),
                     value: new_out,
                 };
-                self.push_pending(ev, CkptSource::Local);
+                self.pending.insert(ev);
                 if gate.exported {
                     self.emit(ev, send);
                 }

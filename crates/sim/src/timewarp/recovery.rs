@@ -192,9 +192,8 @@ pub(crate) enum ReplayOp {
 
 /// Replay a logged operation sequence against a rebuilt cluster process.
 /// Re-sends are suppressed: the original messages are already on the wire
-/// or delivered, and re-emitting them would duplicate `(src, seq)`
-/// identities. Shared by the in-proc worker and the process-worker serve
-/// loop.
+/// or delivered, and re-emitting them would deliver them twice. Shared by
+/// the in-proc worker and the process-worker serve loop.
 pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
     let mut suppress = |_m: TwMessage| {};
     for op in ops {
@@ -202,7 +201,7 @@ pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
             ReplayOp::Step { limit } => {
                 p.process_next_epoch(limit, &mut suppress);
             }
-            ReplayOp::Deliver(m) => p.handle_message(m, &mut suppress),
+            ReplayOp::Deliver(m) => _ = p.handle_message(m, &mut suppress),
             ReplayOp::Fossil(gvt) => p.fossil_collect(gvt),
         }
     }

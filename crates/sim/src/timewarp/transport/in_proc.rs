@@ -15,7 +15,7 @@ use crate::timewarp::recovery::{replay_ops, ReplayOp};
 use crate::timewarp::{StateSaving, TwMessage};
 use crate::wheel::VTime;
 use dvs_json::{FromJson, Json, ToJson};
-use dvs_verilog::netlist::Netlist;
+use dvs_verilog::netlist::{NetId, Netlist};
 
 /// A cluster worker whose commands are direct method calls on a
 /// [`ClusterProcess`].
@@ -26,7 +26,7 @@ pub(crate) struct InProcWorker<'nl, 'p> {
     cycles: u64,
     pub(super) check: bool,
     label: String,
-    me: u32,
+    pub(super) me: u32,
     proc: Option<ClusterProcess<'p>>,
 }
 
@@ -72,6 +72,12 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
         }
     }
 
+    /// The nets this worker's cluster reads from other clusters, ascending:
+    /// the only nets a message to it may name.
+    pub(super) fn imports(&self) -> &[NetId] {
+        &self.plan.clusters[self.me as usize].imports
+    }
+
     /// Anti-messages received so far with no positive to annihilate.
     pub(super) fn stray_anti_messages(&mut self) -> Result<u64, WorkerFailure> {
         Ok(alive(&mut self.proc)?.stray_anti_messages())
@@ -109,9 +115,9 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
 
     /// [`ClusterWorker::respawn`] on a decoded image: rebuild the process
     /// it describes and replay `ops` on it. An image that does not decode,
-    /// or does not fit this worker's cluster and netlist, means the
-    /// supervisor itself is confused — a protocol failure that leaves the
-    /// worker unchanged.
+    /// or does not fit this worker's cluster and netlist (its values, or an
+    /// event on a net the netlist lacks), means the supervisor itself is
+    /// confused — a protocol failure that leaves the worker unchanged.
     pub(super) fn restore(
         &mut self,
         base: &Json,
@@ -129,6 +135,14 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
                 "an image of {} net values cannot restore a netlist of {} nets",
                 base.values.len(),
                 self.nl.net_count()
+            )));
+        }
+        let mut events = base.pending.iter().chain(&base.processed);
+        if let Some(e) = events.find(|e| e.net.idx() >= base.values.len()) {
+            return Err(protocol(format!(
+                "an image with an event on net {} cannot restore a netlist of {} nets",
+                e.net.0,
+                base.values.len()
             )));
         }
         let stim = self.stim.clone();
@@ -152,12 +166,19 @@ impl ClusterWorker for InProcWorker<'_, '_> {
     }
 
     fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure> {
+        let (me, label, check) = (self.me, &self.label, self.check);
         let p = alive(&mut self.proc)?;
         let mut results = Vec::with_capacity(msgs.len());
         let lvt = p.lvt();
         for &m in msgs {
             let mut sends = Vec::new();
-            p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+            let gone = p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+            if check {
+                assert!(
+                    gone <= 1,
+                    "an anti-message to cluster {me} annihilated {gone} events ({label})"
+                );
+            }
             let after = p.lvt();
             let stop = !sends.is_empty() || after != lvt;
             results.push((after, sends));

@@ -234,8 +234,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// operation it names and encode the answer. `Ok((reply, stop))` answers —
 /// and, for `finish`, then hangs up; `Err` is a protocol error (typed
 /// `error` reply + hang up). What only a wire can get wrong is handled
-/// here: a delivery of nothing and an anti-message that annihilated
-/// nothing are refused, a `quiesce` sent to a worker built without check
+/// here: a delivery of nothing, a message for another cluster or on a net
+/// this cluster does not import, and an anti-message that annihilated
+/// nothing are refused; a `quiesce` sent to a worker built without check
 /// mode asserts nothing.
 fn dispatch(
     cmd: &Json,
@@ -259,13 +260,21 @@ fn dispatch(
                     "a delivery must carry at least one message".to_string(),
                 ));
             }
+            let (me, imports) = (worker.me, worker.imports());
+            let foreign = |m: &&TwMessage| m.dst != me || imports.binary_search(&m.ev.net).is_err();
+            if let Some(m) = msgs.iter().find(foreign) {
+                return Err(protocol(format!(
+                    "a message for cluster {} on net {} is not an input of cluster {me}",
+                    m.dst, m.ev.net.0
+                )));
+            }
             let strays = worker.stray_anti_messages()?;
             let results = worker.deliver(&msgs)?;
             if worker.stray_anti_messages()? != strays {
                 let antis = msgs[..results.len()].iter().filter(|m| m.anti);
                 return Err(protocol(format!(
-                    "an anti-message among (src, seq, time) {:?} has no positive to annihilate",
-                    antis.map(|m| (m.src, m.seq, m.ev.time)).collect::<Vec<_>>()
+                    "an anti-message among (time, net) {:?} has no positive to annihilate",
+                    antis.map(|m| (m.ev.time, m.ev.net.0)).collect::<Vec<_>>()
                 )));
             }
             let results = results.iter().map(|d| delivered_json(ObjBuilder::new(), d));

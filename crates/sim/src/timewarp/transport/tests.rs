@@ -695,6 +695,99 @@ fn lone_anti_message_is_refused() {
     assert!(detail.contains("no positive"), "unexpected: {detail}");
 }
 
+/// Run `f` on a check-mode in-process worker for cluster 1 of
+/// [`tiny_init_json`]'s chain, which reads net 1 and drives net 2.
+fn with_tiny_worker<R>(label: &str, f: impl FnOnce(&mut InProcWorker<'_, '_>) -> R) -> R {
+    let init = worker_init_from_json(&tiny_init_json()).expect("init parses");
+    let plan = ClusterPlan::new(&init.netlist, &init.gate_block, init.k);
+    let mut w = InProcWorker::new(
+        &init.netlist,
+        &plan,
+        init.stim,
+        init.cycles,
+        true,
+        label,
+        init.cluster,
+    );
+    f(&mut w)
+}
+
+/// Process everything `w` holds.
+fn run_dry(w: &mut InProcWorker<'_, '_>) {
+    let mut sends = Vec::new();
+    while w.lvt().expect("in-proc lvt") != VTime::MAX {
+        w.step(VTime::MAX, &mut sends).expect("in-proc step");
+    }
+}
+
+/// An anti-message names its positive by time and net, so a second anti
+/// for the same pair finds nothing left and counts as a stray.
+#[test]
+fn second_anti_message_for_one_time_and_net_is_stray() {
+    with_tiny_worker("second-anti", |w| {
+        let positive = channel_msg(1, 4, Logic::One);
+        let anti = TwMessage {
+            anti: true,
+            ..positive
+        };
+        w.deliver(&[positive]).expect("positive");
+        w.deliver(&[anti]).expect("anti");
+        assert_eq!(w.stray_anti_messages().expect("alive"), 0);
+        w.deliver(&[anti]).expect("second anti");
+        assert_eq!(w.stray_anti_messages().expect("alive"), 1);
+    });
+}
+
+/// Two positives on one time and net break the protocol; their anti-message
+/// would annihilate both, which check mode refuses.
+#[test]
+fn check_mode_refuses_an_anti_message_that_annihilates_two_events() {
+    let refused = std::panic::catch_unwind(|| {
+        with_tiny_worker("two-positives", |w| {
+            let anti = TwMessage {
+                anti: true,
+                ..channel_msg(1, 4, Logic::One)
+            };
+            for m in [
+                channel_msg(1, 4, Logic::One),
+                channel_msg(2, 4, Logic::X),
+                anti,
+            ] {
+                w.deliver(&[m]).expect("in-proc deliver");
+            }
+        })
+    })
+    .expect_err("check mode must refuse");
+    let message = panic_message(refused.as_ref());
+    assert!(
+        message.contains("annihilated 2 events"),
+        "unexpected: {message}"
+    );
+}
+
+/// A processed positive, its anti-message (which rolls the worker back and
+/// annihilates the requeued positive), then a re-send of the same time and
+/// net with another value: the re-sent value is the one that stays.
+#[test]
+fn resent_positive_after_a_rollback_wins() {
+    let (stats, values) = with_tiny_worker("resend", |w| {
+        let positive = channel_msg(1, 4, Logic::One);
+        w.deliver(&[positive]).expect("positive");
+        run_dry(w);
+        let anti = TwMessage {
+            anti: true,
+            ..positive
+        };
+        w.deliver(&[anti]).expect("anti");
+        w.deliver(&[channel_msg(2, 4, Logic::X)]).expect("re-send");
+        run_dry(w);
+        w.check_quiescence().expect("quiescent");
+        w.finish().expect("finish")
+    });
+    assert_eq!(stats.rollbacks, 1);
+    assert_eq!(&values[1..], [Logic::X, Logic::X]);
+}
+
 /// Removed vocabulary is rejected, not ignored: a worker handed the
 /// batching PR's `msg_batch` or `deliver_next`, wire v3's `fossil`,
 /// `ckpt` or `ckpt_delta`, or a v3 `deliver` carrying one `msg`,
@@ -802,6 +895,56 @@ fn restore_of_a_foreign_image_is_refused() {
     assert_eq!(json_kind(&reply).expect("kind"), "finished");
     assert_eq!(source.recv().expect("clean eof"), None);
     handle.join().expect("join").expect("serve_wire exits Ok");
+}
+
+/// A served worker takes only messages for its own cluster on a net it
+/// imports. One on a net the netlist lacks, one for another cluster, and
+/// one on the net the worker itself drives are each refused with a typed
+/// `error`; so is a `restore` image with an event on a net the netlist
+/// lacks.
+#[test]
+fn deliveries_and_images_naming_foreign_nets_are_refused() {
+    let on_net = |net: u32| TwMessage {
+        ev: crate::wheel::NetEvent {
+            net: NetId(net),
+            ..channel_msg(1, 3, Logic::One).ev
+        },
+        ..channel_msg(1, 3, Logic::One)
+    };
+    let for_cluster_0 = TwMessage {
+        dst: 0,
+        ..channel_msg(1, 3, Logic::One)
+    };
+    for (msg, why) in [
+        (on_net(99), "cluster 1 on net 99"),
+        (for_cluster_0, "cluster 0 on net 1"),
+        (on_net(2), "cluster 1 on net 2"),
+    ] {
+        let detail = refusal_of(&deliver_cmd(&[channel_msg(0, 2, Logic::Zero), msg]));
+        assert!(detail.contains(why), "{detail}");
+    }
+
+    for (pending, processed) in [(99, 1), (1, 99)] {
+        let event = |net: u32| crate::wheel::NetEvent {
+            time: 18,
+            net: NetId(net),
+            value: Logic::One,
+        };
+        let ck = Checkpoint {
+            cluster: 1,
+            values: vec![Logic::Zero; 3],
+            pending: vec![event(pending)],
+            processed: vec![event(processed)],
+            ..sample_checkpoint()
+        };
+        let restore = ObjBuilder::new()
+            .str("kind", "restore")
+            .field("ck", ck.to_json())
+            .array("ops", Vec::new())
+            .build();
+        let detail = refusal_of(&restore);
+        assert!(detail.contains("event on net 99"), "{detail}");
+    }
 }
 
 const TEST_TIMING: WireTiming = WireTiming {
@@ -932,19 +1075,16 @@ fn sample_checkpoint() -> Checkpoint {
         gvt: 17,
         values: vec![Logic::Zero, Logic::One, Logic::X, Logic::Z],
         pending: Vec::new(),
-        processed: vec![crate::timewarp::CkptEvent {
+        processed: vec![crate::wheel::NetEvent {
             time: 12,
-            net: 1,
+            net: NetId(1),
             value: Logic::One,
-            source: crate::timewarp::CkptSource::Local,
-            order: 39,
         }],
         replaced: vec![Logic::X],
         outlog: Vec::new(),
         stim_cycle: 5,
         last_time: 16,
         settled: true,
-        order: 40,
         mseq: 11,
         stats: SimStats::default(),
     }

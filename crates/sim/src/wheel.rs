@@ -3,10 +3,12 @@
 //! * [`TimingWheel`] — a calendar queue specialized for the unit-delay model
 //!   the paper uses (all gate delays are 1, stimulus arrives at known
 //!   times): one bucket per virtual time, O(1) insert and epoch pop within
-//!   a bounded look-ahead window. Both kernels run on it. The sequential
-//!   simulator only ever moves forward; a Time Warp cluster also rewinds it
-//!   below its head ([`TimingWheel::insert`] of a straggler or of events a
-//!   rollback requeues) and cancels queued entries in place
+//!   a bounded look-ahead window. Both kernels run on it and queue the same
+//!   16-byte [`NetEvent`]. An epoch drains in insertion order, which is all
+//!   the order either kernel needs. The sequential simulator only ever
+//!   moves forward; a Time Warp cluster also rewinds the wheel below its
+//!   head ([`TimingWheel::insert`] of a straggler or of events a rollback
+//!   requeues) and cancels queued entries in place
 //!   ([`TimingWheel::discard`]) when an anti-message or a rollback
 //!   invalidates them.
 //! * [`HeapQueue`] — a binary heap with a stable (time, sequence) order. It
@@ -29,79 +31,51 @@ pub struct NetEvent {
     pub value: Logic,
 }
 
-/// What the queues need to know about an entry.
-pub trait Timed {
-    /// The virtual time the entry is queued for.
-    fn time(&self) -> VTime;
-
-    /// Rank among the entries of one virtual time: an epoch drains in
-    /// ascending `order`. Entries of equal rank (the default) drain in
-    /// insertion order.
-    fn order(&self) -> u64 {
-        0
-    }
-}
-
-impl Timed for NetEvent {
-    fn time(&self) -> VTime {
-        self.time
-    }
-}
-
 /// Heap entry ordered by (time, seq) so pops are deterministic FIFO within a
 /// timestamp.
 #[derive(Debug, Clone, Copy)]
-struct Entry<E> {
+struct Entry {
     time: VTime,
     seq: u64,
-    item: E,
+    item: NetEvent,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         (self.time, self.seq) == (other.time, other.seq)
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 /// Stable binary-heap event queue.
-#[derive(Debug)]
-pub struct HeapQueue<E = NetEvent> {
-    heap: BinaryHeap<Entry<E>>,
+#[derive(Debug, Default)]
+pub struct HeapQueue {
+    heap: BinaryHeap<Entry>,
     seq: u64,
 }
 
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<E: Timed> HeapQueue<E> {
+impl HeapQueue {
     pub fn new() -> Self {
         Self::default()
     }
 
-    pub fn push(&mut self, item: E) {
+    pub fn push(&mut self, item: NetEvent) {
         self.heap.push(Entry {
-            time: item.time(),
+            time: item.time,
             seq: self.seq,
             item,
         });
@@ -112,7 +86,7 @@ impl<E: Timed> HeapQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    pub fn pop(&mut self) -> Option<E> {
+    pub fn pop(&mut self) -> Option<NetEvent> {
         self.heap.pop().map(|e| e.item)
     }
 
@@ -126,7 +100,7 @@ impl<E: Timed> HeapQueue<E> {
 
     /// Pop every event scheduled at the earliest time into `out`; returns
     /// that time.
-    pub fn pop_epoch(&mut self, out: &mut Vec<E>) -> Option<VTime> {
+    pub fn pop_epoch(&mut self, out: &mut Vec<NetEvent>) -> Option<VTime> {
         let t = self.peek_time()?;
         while self.peek_time() == Some(t) {
             out.extend(self.pop());
@@ -137,27 +111,34 @@ impl<E: Timed> HeapQueue<E> {
 
 /// Calendar queue for unit-delay simulation: a ring of buckets indexed by
 /// `time % horizon`, one bucket per virtual time in `[now, now + horizon)`.
-/// Entries beyond the horizon overflow into a heap and are reloaded lazily.
-/// With unit delays the vast majority of events land within a couple of
-/// ticks, making this effectively O(1).
+/// Entries beyond the horizon overflow into a heap and move into the ring
+/// as soon as the head comes within reach of them. With unit delays the vast
+/// majority of events land within a couple of ticks, making this
+/// effectively O(1).
+///
+/// Entries of one time drain in the order they were queued. The ring keeps
+/// that order by appending; the overflow heap keeps it by its sequence
+/// numbers, and nothing is filed directly into the ring while an entry of
+/// the same time still waits in the heap.
 ///
 /// A bucket owns storage only while it holds entries: a drained bucket's
 /// allocation goes to the next bucket that starts filling, so the footprint
 /// follows the buckets in use, not the horizon.
 #[derive(Debug)]
-pub struct TimingWheel<E = NetEvent> {
-    buckets: Vec<Vec<E>>,
+pub struct TimingWheel {
+    buckets: Vec<Vec<NetEvent>>,
     /// `horizon - 1`; the horizon is a power of two.
     mask: u64,
     now: VTime,
     /// Entries in the ring (the overflow heap counts its own).
     len: usize,
-    overflow: HeapQueue<E>,
+    /// Entries with a time beyond `now + mask`, and only those.
+    overflow: HeapQueue,
     /// Allocations of drained buckets, awaiting reuse.
-    spare: Vec<Vec<E>>,
+    spare: Vec<Vec<NetEvent>>,
 }
 
-impl<E: Timed> TimingWheel<E> {
+impl TimingWheel {
     /// `horizon` (rounded up to a power of two) should exceed the largest
     /// scheduling offset seen in steady state (unit delay ⇒ small; stimulus
     /// may schedule a full period ahead).
@@ -187,24 +168,28 @@ impl<E: Timed> TimingWheel<E> {
         self.now
     }
 
-    /// Every queued entry, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        let overflow = self.overflow.heap.iter().map(|e| &e.item);
-        self.buckets.iter().flatten().chain(overflow)
+    /// Every queued entry, in the order the epochs drain them: the ring
+    /// from `now`, then the overflow heap by (time, sequence).
+    pub fn iter(&self) -> impl Iterator<Item = &NetEvent> {
+        let ring = (0..=self.mask)
+            .flat_map(|d| &self.buckets[(self.now.wrapping_add(d) & self.mask) as usize]);
+        let mut overflow: Vec<&Entry> = self.overflow.heap.iter().collect();
+        overflow.sort_unstable_by_key(|e| (e.time, e.seq));
+        ring.chain(overflow.into_iter().map(|e| &e.item))
     }
 
     /// Queue an entry of a forward-only simulation, where nothing may be
     /// scheduled below the current epoch.
-    pub fn push(&mut self, item: E) {
-        debug_assert!(item.time() >= self.now, "scheduling into the past");
+    pub fn push(&mut self, item: NetEvent) {
+        debug_assert!(item.time >= self.now, "scheduling into the past");
         self.insert(item);
     }
 
     /// Queue an entry at any time. One below the current epoch — a Time
     /// Warp straggler, or an event a rollback puts back — rewinds the wheel
     /// to it.
-    pub fn insert(&mut self, item: E) {
-        let t = item.time();
+    pub fn insert(&mut self, item: NetEvent) {
+        let t = item.time;
         if t < self.now {
             self.rewind(t);
         }
@@ -217,8 +202,8 @@ impl<E: Timed> TimingWheel<E> {
 
     /// Append to the ring bucket of `item`'s time, which must be within the
     /// horizon.
-    fn file(&mut self, item: E) {
-        let bucket = &mut self.buckets[(item.time() & self.mask) as usize];
+    fn file(&mut self, item: NetEvent) {
+        let bucket = &mut self.buckets[(item.time & self.mask) as usize];
         if bucket.capacity() == 0 {
             if let Some(storage) = self.spare.pop() {
                 *bucket = storage;
@@ -228,8 +213,23 @@ impl<E: Timed> TimingWheel<E> {
         self.len += 1;
     }
 
+    /// Move the overflow entries that the window now covers into the ring,
+    /// earliest (time, sequence) first. Run after every advance of the head.
+    fn reload(&mut self) {
+        while self
+            .overflow
+            .peek_time()
+            .is_some_and(|t| t - self.now <= self.mask)
+        {
+            if let Some(item) = self.overflow.pop() {
+                self.file(item);
+            }
+        }
+    }
+
     /// Move the head down to `t`. The ring then covers `[t, t + horizon)`,
-    /// so buckets of later times spill into the overflow heap.
+    /// so buckets of later times spill into the overflow heap, whose
+    /// entries all lie beyond them.
     fn rewind(&mut self, t: VTime) {
         let horizon = self.mask + 1;
         let ring_end = self.now.saturating_add(horizon);
@@ -247,7 +247,12 @@ impl<E: Timed> TimingWheel<E> {
 
     /// Remove every queued entry with a time in `lo..=hi` that `dead`
     /// selects, keeping the order of the rest; returns how many went.
-    pub fn discard(&mut self, lo: VTime, hi: VTime, mut dead: impl FnMut(&E) -> bool) -> usize {
+    pub fn discard(
+        &mut self,
+        lo: VTime,
+        hi: VTime,
+        mut dead: impl FnMut(&NetEvent) -> bool,
+    ) -> usize {
         let mut removed = 0;
         if self.len > 0 {
             for t in lo.max(self.now)..=hi.min(self.now.saturating_add(self.mask)) {
@@ -274,34 +279,23 @@ impl<E: Timed> TimingWheel<E> {
         if self.is_empty() {
             return None;
         }
-        loop {
-            // Reload overflow events that now fit in the window.
-            while self
-                .overflow
-                .peek_time()
-                .is_some_and(|t| t - self.now <= self.mask)
-            {
-                if let Some(item) = self.overflow.pop() {
-                    self.file(item);
-                }
-            }
-            if !self.buckets[(self.now & self.mask) as usize].is_empty() {
-                return Some(self.now);
-            }
+        while self.buckets[(self.now & self.mask) as usize].is_empty() {
             self.now += 1;
             // If the window is empty but overflow has far-future events,
             // jump straight to them.
             if self.len == 0 {
                 self.now = self.overflow.peek_time()?.max(self.now);
             }
+            self.reload();
         }
+        Some(self.now)
     }
 
     /// Advance to the next non-empty epoch and move its events into `out`,
     /// replacing what `out` held (its allocation is kept for a later
-    /// bucket). They come in ascending [`Timed::order`], insertion order
-    /// among equals. Returns the epoch time.
-    pub fn pop_epoch(&mut self, out: &mut Vec<E>) -> Option<VTime> {
+    /// bucket). They come in the order they were queued. Returns the epoch
+    /// time.
+    pub fn pop_epoch(&mut self, out: &mut Vec<NetEvent>) -> Option<VTime> {
         let t = self.next_time()?;
         let bucket = &mut self.buckets[(t & self.mask) as usize];
         out.clear();
@@ -311,11 +305,7 @@ impl<E: Timed> TimingWheel<E> {
         }
         self.len -= out.len();
         self.now = t + 1;
-        // Only a requeue after a rollback or an overflow reload files an
-        // entry behind a higher rank.
-        if !out.is_sorted_by_key(E::order) {
-            out.sort_by_key(E::order);
-        }
+        self.reload();
         Some(t)
     }
 }
@@ -451,6 +441,21 @@ mod tests {
         assert_eq!(w.pop_epoch(&mut out), Some(90));
         assert_eq!(out, vec![ev(90, 4)]);
         assert!(w.is_empty());
+    }
+
+    /// An entry filed straight into the ring comes after one of its time
+    /// that was queued earlier and waited in the overflow heap.
+    #[test]
+    fn equal_times_drain_in_insertion_order_across_the_overflow() {
+        let mut w = TimingWheel::new(4);
+        w.push(ev(0, 0));
+        w.push(ev(4, 1)); // beyond the horizon: overflow
+        let mut out = Vec::new();
+        assert_eq!(w.pop_epoch(&mut out), Some(0));
+        w.push(ev(4, 2)); // now within it: the ring
+        assert_eq!(w.pop_epoch(&mut out), Some(4));
+        let nets: Vec<u32> = out.iter().map(|e| e.net.0).collect();
+        assert_eq!(nets, [1, 2]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests: the timing wheel is observationally equivalent to the
-//! heap it overflows into, and — driven the way a Time Warp cluster drives
-//! it, with rewinds and in-place cancellation — to a sorted list.
+//! heap it overflows into, epoch by epoch and entry by entry, and — driven
+//! the way a Time Warp cluster drives it, with rewinds and in-place
+//! cancellation — to a list kept in insertion order.
 
-use dvs_sim::wheel::{HeapQueue, NetEvent, Timed, TimingWheel};
+use dvs_sim::wheel::{HeapQueue, NetEvent, TimingWheel};
 use dvs_sim::Logic;
 use dvs_verilog::NetId;
 use proptest::prelude::*;
@@ -56,14 +57,10 @@ proptest! {
                     prop_assert_eq!(wt, ht, "epoch times diverge");
                     if let Some(t) = wt {
                         now = now.max(t + 1);
-                        // Same multiset of nets per epoch (ordering within an
-                        // epoch is implementation-defined).
-                        let mut wn: Vec<u32> = wbuf.iter().map(|e| e.net.0).collect();
-                        let mut hn: Vec<u32> = hbuf.iter().map(|e| e.net.0).collect();
-                        wn.sort_unstable();
-                        hn.sort_unstable();
-                        wheel_out.push((t, wn));
-                        heap_out.push((t, hn));
+                        // The same nets in the same order: both queues drain
+                        // one time's entries in insertion order.
+                        wheel_out.push((t, wbuf.iter().map(|e| e.net.0).collect()));
+                        heap_out.push((t, hbuf.iter().map(|e| e.net.0).collect()));
                     }
                 }
             }
@@ -78,12 +75,8 @@ proptest! {
             match wt {
                 None => break,
                 Some(t) => {
-                    let mut wn: Vec<u32> = wbuf.iter().map(|e| e.net.0).collect();
-                    let mut hn: Vec<u32> = hbuf.iter().map(|e| e.net.0).collect();
-                    wn.sort_unstable();
-                    hn.sort_unstable();
-                    wheel_out.push((t, wn));
-                    heap_out.push((t, hn));
+                    wheel_out.push((t, wbuf.iter().map(|e| e.net.0).collect()));
+                    heap_out.push((t, hbuf.iter().map(|e| e.net.0).collect()));
                 }
             }
         }
@@ -110,24 +103,21 @@ proptest! {
     }
 }
 
-/// A pending event as a Time Warp cluster queues it: drained by
-/// `(time, order)`, cancelled by message identity or by creation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pend {
-    time: u64,
-    order: u64,
-    /// `Some(created_at)` for a locally scheduled event (`time` is then
-    /// `created_at + 1`), `None` for a remote one, which `order` identifies.
-    local: Option<u64>,
+/// A pending event as a Time Warp cluster queues it. `net` names the event
+/// (each is created once, a requeue puts the same one back) and `value` says
+/// where it came from: `One` for a local event, scheduled one tick after the
+/// epoch that created it, `Zero` for a remote one.
+fn pend(time: u64, id: u32, local: bool) -> NetEvent {
+    let value = if local { Logic::One } else { Logic::Zero };
+    NetEvent {
+        time,
+        net: NetId(id),
+        value,
+    }
 }
 
-impl Timed for Pend {
-    fn time(&self) -> u64 {
-        self.time
-    }
-    fn order(&self) -> u64 {
-        self.order
-    }
+fn is_local(p: &NetEvent) -> bool {
+    p.value == Logic::One
 }
 
 #[derive(Debug, Clone)]
@@ -141,7 +131,7 @@ enum TwOp {
     Local {
         created_at: u64,
     },
-    /// Put the `pick`-th popped event back under its old `order`.
+    /// Put the `pick`-th popped event back, as the newest of its time.
     Requeue {
         pick: usize,
     },
@@ -174,12 +164,11 @@ fn tw_op_strategy() -> impl Strategy<Value = TwOp> {
     ]
 }
 
-/// The model: every queued event in one list, the earliest `(time, order)`
-/// found by search.
-fn model_pop_epoch(model: &mut Vec<Pend>) -> Option<(u64, Vec<Pend>)> {
+/// The model: every queued event in one list in insertion order; an epoch
+/// is the earliest time's events in that order.
+fn model_pop_epoch(model: &mut Vec<NetEvent>) -> Option<(u64, Vec<NetEvent>)> {
     let t = model.iter().map(|p| p.time).min()?;
-    let mut epoch: Vec<Pend> = model.iter().copied().filter(|p| p.time == t).collect();
-    epoch.sort_by_key(|p| p.order);
+    let epoch: Vec<NetEvent> = model.iter().copied().filter(|p| p.time == t).collect();
     model.retain(|p| p.time != t);
     Some((t, epoch))
 }
@@ -191,23 +180,23 @@ proptest! {
     fn wheel_matches_a_sorted_list_under_time_warp_use(
         ops in prop::collection::vec(tw_op_strategy(), 1..200),
     ) {
-        let mut wheel: TimingWheel<Pend> = TimingWheel::new(8);
-        let mut model: Vec<Pend> = Vec::new();
-        let mut popped: Vec<Pend> = Vec::new();
-        let mut order = 0u64;
+        let mut wheel = TimingWheel::new(8);
+        let mut model: Vec<NetEvent> = Vec::new();
+        let mut popped: Vec<NetEvent> = Vec::new();
+        let mut id = 0u32;
         let mut buf = Vec::new();
 
         for op in &ops {
             match *op {
                 TwOp::Remote { time } => {
-                    let p = Pend { time, order, local: None };
-                    order += 1;
+                    let p = pend(time, id, false);
+                    id += 1;
                     wheel.insert(p);
                     model.push(p);
                 }
                 TwOp::Local { created_at } => {
-                    let p = Pend { time: created_at + 1, order, local: Some(created_at) };
-                    order += 1;
+                    let p = pend(created_at + 1, id, true);
+                    id += 1;
                     wheel.insert(p);
                     model.push(p);
                 }
@@ -219,8 +208,8 @@ proptest! {
                     }
                 }
                 TwOp::CancelRemote { pick } => {
-                    let remotes: Vec<Pend> =
-                        model.iter().copied().filter(|p| p.local.is_none()).collect();
+                    let remotes: Vec<NetEvent> =
+                        model.iter().copied().filter(|p| !is_local(p)).collect();
                     if !remotes.is_empty() {
                         let victim = remotes[pick % remotes.len()];
                         let gone = wheel.discard(victim.time, victim.time, |p| *p == victim);
@@ -229,7 +218,7 @@ proptest! {
                     }
                 }
                 TwOp::DiscardLocalFrom { t } => {
-                    let dead = |p: &Pend| p.local.is_some_and(|created_at| created_at >= t);
+                    let dead = |p: &NetEvent| is_local(p) && p.time > t;
                     let gone = wheel.discard(t + 1, u64::MAX, dead);
                     let before = model.len();
                     model.retain(|p| !dead(p));
@@ -244,6 +233,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(wheel.len(), model.len());
+            // Listing the queue is draining it, without the draining.
+            let mut drain_order = model.clone();
+            drain_order.sort_by_key(|p| p.time);
+            prop_assert_eq!(wheel.iter().copied().collect::<Vec<_>>(), drain_order);
         }
         while let Some(expected) = model_pop_epoch(&mut model) {
             let t = wheel.pop_epoch(&mut buf);
