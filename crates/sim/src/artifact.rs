@@ -200,7 +200,6 @@ impl ToJson for TwMessage {
         ObjBuilder::new()
             .uint("src", self.src as u64)
             .uint("dst", self.dst as u64)
-            .uint("seq", self.seq)
             .uint("time", self.ev.time)
             .uint("net", self.ev.net.0 as u64)
             .str("value", &self.ev.value.display_char().to_string())
@@ -214,7 +213,6 @@ impl FromJson for TwMessage {
         Ok(TwMessage {
             src: v.field("src")?.as_u32()?,
             dst: v.field("dst")?.as_u32()?,
-            seq: v.field("seq")?.as_u64()?,
             ev: NetEvent {
                 time: v.field("time")?.as_u64()?,
                 net: NetId(v.field("net")?.as_u32()?),
@@ -250,11 +248,9 @@ impl ToJson for Checkpoint {
                 self.processed.iter().map(|e| e.to_json()).collect(),
             )
             .str("replaced", &logic_str(&self.replaced))
-            .array("outlog", self.outlog.iter().map(|m| m.to_json()).collect())
             .uint("stim_cycle", self.stim_cycle)
             .uint("last_time", self.last_time)
             .bool("settled", self.settled)
-            .uint("mseq", self.mseq)
             .field("stats", self.stats.to_json())
             .build()
     }
@@ -269,8 +265,7 @@ impl Checkpoint {
     /// mode hold it to.
     pub fn to_text(&self) -> String {
         let events = self.pending.len() + self.processed.len();
-        let size = 512 + self.values.len() + self.replaced.len();
-        let size = size + 48 * events + 112 * self.outlog.len();
+        let size = 512 + self.values.len() + self.replaced.len() + 48 * events;
         let mut w = Text(String::with_capacity(size));
         w.raw("{\"schema_version\":").int(SCHEMA_VERSION);
         w.raw(",\"kind\":\"tw_checkpoint\",\"checkpoint_schema\":");
@@ -279,15 +274,13 @@ impl Checkpoint {
         w.raw(",\"gvt\":").uint(self.gvt);
         w.raw(",\"values\":\"");
         w.0.extend(self.values.iter().map(|v| v.display_char()));
-        w.raw("\",\"pending\":").list(&self.pending, Text::event);
-        w.raw(",\"processed\":").list(&self.processed, Text::event);
+        w.raw("\",\"pending\":").events(&self.pending);
+        w.raw(",\"processed\":").events(&self.processed);
         w.raw(",\"replaced\":\"");
         w.0.extend(self.replaced.iter().map(|v| v.display_char()));
-        w.raw("\",\"outlog\":").list(&self.outlog, Text::message);
-        w.raw(",\"stim_cycle\":").uint(self.stim_cycle);
+        w.raw("\",\"stim_cycle\":").uint(self.stim_cycle);
         w.raw(",\"last_time\":").uint(self.last_time);
         w.raw(",\"settled\":").bool(self.settled);
-        w.raw(",\"mseq\":").uint(self.mseq);
         let stats = self.stats.to_json().emit().expect("counters emit");
         w.raw(",\"stats\":").raw(&stats).raw("}");
         w.0
@@ -329,28 +322,15 @@ impl Text {
         self
     }
 
-    fn list<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) -> &mut Self {
+    fn events(&mut self, events: &[NetEvent]) -> &mut Self {
         self.0.push('[');
-        for (i, item) in items.iter().enumerate() {
-            each(self.raw(if i > 0 { "," } else { "" }), item);
+        for (i, e) in events.iter().enumerate() {
+            self.raw(if i > 0 { "," } else { "" });
+            self.raw("{\"time\":").uint(e.time);
+            self.raw(",\"net\":").uint(e.net.0 as u64);
+            self.raw(",\"value\":").logic(e.value).raw("}");
         }
         self.raw("]")
-    }
-
-    fn event(&mut self, e: &NetEvent) {
-        self.raw("{\"time\":").uint(e.time);
-        self.raw(",\"net\":").uint(e.net.0 as u64);
-        self.raw(",\"value\":").logic(e.value).raw("}");
-    }
-
-    fn message(&mut self, m: &TwMessage) {
-        self.raw("{\"src\":").uint(m.src as u64);
-        self.raw(",\"dst\":").uint(m.dst as u64);
-        self.raw(",\"seq\":").uint(m.seq);
-        self.raw(",\"time\":").uint(m.ev.time);
-        self.raw(",\"net\":").uint(m.ev.net.0 as u64);
-        self.raw(",\"value\":").logic(m.ev.value);
-        self.raw(",\"anti\":").bool(m.anti).raw("}");
     }
 }
 
@@ -398,16 +378,9 @@ impl FromJson for Checkpoint {
             pending: events("pending")?,
             processed,
             replaced,
-            outlog: v
-                .field("outlog")?
-                .as_array()?
-                .iter()
-                .map(TwMessage::from_json)
-                .collect::<Result<_, _>>()?,
             stim_cycle: v.field("stim_cycle")?.as_u64()?,
             last_time: v.field("last_time")?.as_u64()?,
             settled: v.field("settled")?.as_bool()?,
-            mseq: v.field("mseq")?.as_u64()?,
             stats: SimStats::from_json(v.field("stats")?)?,
         })
     }
@@ -499,21 +472,9 @@ mod tests {
                 value: Logic::X,
             }],
             replaced: vec![Logic::One],
-            outlog: vec![TwMessage {
-                src: 2,
-                dst: 0,
-                seq: 77,
-                ev: NetEvent {
-                    time: 142,
-                    net: NetId(8),
-                    value: Logic::Zero,
-                },
-                anti: false,
-            }],
             stim_cycle: 14,
             last_time: 151,
             settled: true,
-            mseq: 78,
             stats: sample_stats(),
         }
     }
@@ -580,15 +541,6 @@ mod tests {
                     value: logic(rng),
                 }
             }
-            fn message(rng: &mut impl Rng) -> TwMessage {
-                TwMessage {
-                    src: rng.gen_range(0..=u32::MAX),
-                    dst: rng.gen_range(0..=u32::MAX),
-                    seq: wide(rng),
-                    ev: event(rng),
-                    anti: rng.gen(),
-                }
-            }
             let processed: Vec<NetEvent> = (0..len(rng)).map(|_| event(rng)).collect();
             Checkpoint {
                 schema: CHECKPOINT_SCHEMA,
@@ -598,11 +550,9 @@ mod tests {
                 pending: (0..len(rng)).map(|_| event(rng)).collect(),
                 replaced: processed.iter().map(|_| logic(rng)).collect(),
                 processed,
-                outlog: (0..len(rng)).map(|_| message(rng)).collect(),
                 stim_cycle: wide(rng),
                 last_time: wide(rng),
                 settled: rng.gen(),
-                mseq: wide(rng),
                 stats: SimStats {
                     events: wide(rng),
                     gate_evals: wide(rng),
@@ -668,7 +618,7 @@ mod tests {
         });
         assert_eq!(
             (CHECKPOINT_SCHEMA, fnv1a),
-            (6, 0x1787_ba2f_4acd_8e98),
+            (7, 0x433b_a903_44fc_a70f),
             "{text}"
         );
     }

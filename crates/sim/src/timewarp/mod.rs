@@ -12,21 +12,23 @@
 //!   epoch without waiting for neighbours, bounded by an optional optimism
 //!   window above GVT;
 //! * **state saving** — one history log: the processed events, each with
-//!   the value it found on its net in a one-byte `replaced` column. It is
-//!   cluster-level: gates inside a cluster save nothing individually, and a
-//!   rollback of the cluster rolls back all of its children together,
-//!   exactly as the paper describes for Verilog-instance LPs (§4.3);
+//!   the value it found on its net in a one-byte `replaced` column, and no
+//!   log of sends. It is cluster-level: gates inside a cluster save nothing
+//!   individually, and a rollback of the cluster rolls back all of its
+//!   children together, exactly as the paper describes for Verilog-instance
+//!   LPs (§4.3);
 //! * **rollback** — a straggler or anti-message with a timestamp at or below
 //!   the cluster's local clock walks the undone processed events backwards,
-//!   restoring each net an event changed from its `replaced` value,
-//!   requeues processed events that remain valid, discards locally scheduled
-//!   events created by undone epochs, and emits anti-messages for undone
-//!   sends. Unit delay fixes both send times — an epoch at `t` schedules
-//!   and sends for `t + 1` — so a rollback to `t` drops the local events
-//!   (those after `t` on a net an owned gate drives) and cancels the sends
-//!   timed after `t`. Every event is the 16-byte [`NetEvent`] the
-//!   sequential simulator queues; one time's events drain in the order they
-//!   were queued, and a requeue keeps that order;
+//!   restoring each net an event changed from its `replaced` value, drops
+//!   the local events of undone epochs, requeues the other processed events
+//!   and emits anti-messages for undone sends. Unit delay fixes both send
+//!   times — an epoch at `t` schedules and sends for `t + 1` — so a rollback
+//!   to `t` drops the local events (those after `t` on a net an owned gate
+//!   drives) and cancels the sends timed after `t`: one per reader of each
+//!   dropped event on an exported net, in the order they were sent. Every
+//!   event is the 16-byte [`NetEvent`] the sequential simulator queues; one
+//!   time's events drain in the order they were queued, and a requeue keeps
+//!   that order;
 //! * **anti-messages with annihilation** — positive messages always precede
 //!   their anti-message in channel order (FIFO per sender), so when the
 //!   anti-message arrives its positive is in the pending queue (put back by
@@ -39,8 +41,7 @@
 //!   no send intervened (checked with a send-epoch counter), making the
 //!   minimum published LVT a correct lower bound;
 //! * **fossil collection** — processed events (with their `replaced`
-//!   values) strictly below GVT, and output-log messages sent below it,
-//!   are reclaimed.
+//!   values) strictly below GVT are reclaimed.
 //!
 //! Determinism: the final circuit state equals the sequential simulator's
 //! (asserted in tests) under every transport. Under [`Transport::Threads`]
@@ -81,15 +82,14 @@ use gvt::GvtState;
 use proc::ClusterProcess;
 use std::sync::atomic::Ordering;
 
-/// A timestamped inter-cluster message. `src` and `seq` name it on the wire
-/// and in the supervisor's logs: its sender and that sender's send count.
+/// A timestamped inter-cluster message: 32 bytes. `src` picks the
+/// supervisor's queue it waits in, and its position in that FIFO names it.
 /// An anti-message annihilates the pending event at its `ev.time` on its
 /// `ev.net`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwMessage {
     pub src: u32,
     pub dst: u32,
-    pub seq: u64,
     pub ev: NetEvent,
     pub anti: bool,
 }
@@ -531,6 +531,14 @@ fn worker_loop(
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// The records every queue and channel of the kernel moves: an event is
+    /// `SeqSim`'s 16 bytes, and a message adds its two endpoints and its
+    /// polarity to one.
+    #[test]
+    fn event_and_message_sizes_are_pinned() {
+        assert_eq!((size_of::<NetEvent>(), size_of::<TwMessage>()), (16, 32));
+    }
 
     /// Every invalid setting, set through its public field, on a transport
     /// that would otherwise run it: `run_timewarp` refuses each before

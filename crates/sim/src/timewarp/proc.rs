@@ -3,8 +3,8 @@
 //! Each [`ClusterProcess`] owns one block of the partitioned circuit and
 //! simulates it optimistically: events are processed in local timestamp
 //! order without waiting for other clusters, with enough history retained
-//! (the processed events with the values they replaced, and the output
-//! log) to roll back when a straggler or anti-message arrives. See the
+//! (the processed events with the values they replaced, and no log of
+//! sends) to roll back when a straggler or anti-message arrives. See the
 //! module docs of [`crate::timewarp`] for the protocol overview.
 
 use super::checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
@@ -47,9 +47,6 @@ pub struct ClusterProcess<'p> {
     processed: Vec<NetEvent>,
     /// State saving: the value each processed event found on its net.
     replaced: Vec<Logic>,
-    /// Sent messages awaiting fossil collection (for anti-messages). The
-    /// epoch at `t` sends for `t + 1`, so their times are nondecreasing.
-    outlog: Vec<TwMessage>,
 
     /// The vector source, restricted to this cluster's stimulus inputs.
     stim: VectorStimulus,
@@ -58,7 +55,6 @@ pub struct ClusterProcess<'p> {
 
     last_time: VTime,
     settled: bool,
-    mseq: u64,
     stats: SimStats,
 
     // Per-epoch scratch.
@@ -108,13 +104,11 @@ impl<'p> ClusterProcess<'p> {
             stray_antis: 0,
             processed: Vec::new(),
             replaced: Vec::new(),
-            outlog: Vec::new(),
             stim,
             stim_cycle: 0,
             cycles,
             last_time: 0,
             settled: false,
-            mseq: 0,
             stats,
             epoch_buf: Vec::with_capacity(64),
             stim_buf: Vec::with_capacity(16),
@@ -136,11 +130,9 @@ impl<'p> ClusterProcess<'p> {
             pending,
             processed: self.processed.clone(),
             replaced: self.replaced.clone(),
-            outlog: self.outlog.clone(),
             stim_cycle: self.stim_cycle,
             last_time: self.last_time,
             settled: self.settled,
-            mseq: self.mseq,
             stats: self.stats.clone(),
         }
     }
@@ -173,13 +165,14 @@ impl<'p> ClusterProcess<'p> {
         for &e in &ck.pending {
             p.pending.insert(e);
         }
+        // Bring the head to the earliest event, where processing leaves it:
+        // `rollback` finds the events at `last_time + 1` in the ring.
+        p.pending.next_time();
         p.processed.clone_from(&ck.processed);
         p.replaced.clone_from(&ck.replaced);
-        p.outlog.clone_from(&ck.outlog);
         p.stim_cycle = ck.stim_cycle;
         p.last_time = ck.last_time;
         p.settled = ck.settled;
-        p.mseq = ck.mseq;
         p.stats = ck.stats.clone();
         p
     }
@@ -266,30 +259,9 @@ impl<'p> ClusterProcess<'p> {
                 // to a time ≥ 1.
                 self.pending.insert(ev);
                 if gate.exported {
-                    self.emit(ev, send);
+                    self.stats.messages += tell(self.me, self.exports, ev, false, send);
                 }
             }
-        }
-    }
-
-    /// Send `ev`, a change of an exported net, to every remote reader.
-    fn emit(&mut self, ev: NetEvent, send: &mut impl FnMut(TwMessage)) {
-        let exports = self.exports;
-        let at = exports
-            .binary_search_by_key(&ev.net, |e| e.0)
-            .expect("only drivers of `exports` are marked exported");
-        for &d in &exports[at].1 {
-            let msg = TwMessage {
-                src: self.me,
-                dst: d,
-                seq: self.mseq,
-                ev,
-                anti: false,
-            };
-            self.mseq += 1;
-            self.outlog.push(msg);
-            self.stats.messages += 1;
-            send(msg);
         }
     }
 
@@ -339,34 +311,40 @@ impl<'p> ClusterProcess<'p> {
         }
         debug_assert!(self.front.covers(&self.tables, &self.values));
 
-        // 2. Requeue processed events, except the local ones an undone
-        // epoch created: reprocessing regenerates those. Nothing pending is
-        // at or below `last_time`, so the requeued events refill empty
-        // buckets in their old drain order, and a straggler at `t` queues
-        // behind them. An event on a net an owned gate drives is local
-        // (settling's, at t = 1, is never after `t`).
-        debug_assert!(self.pending.iter().all(|p| p.time > self.last_time));
-        let drives = &self.drives;
+        // 2. Cancel the sends timed after `t`. Each went out with a local
+        // event on an exported net, dropped here: processed up to
+        // `last_time`, pending at `last_time + 1`, in send order either way.
+        // The pending ones go before the requeue rewinds the wheel, which
+        // would spill their bucket into the unordered overflow heap where
+        // `t + 64 <= last_time + 1`. An event on a net an owned gate drives
+        // is local (settling's, at t = 1, is never after `t`).
+        let (me, exports, drives) = (self.me, self.exports, &self.drives);
         let undone_local = |p: &NetEvent| p.time > t && drives[p.net.idx()];
+        let mut antis = 0;
+        let mut cancel = |p: &NetEvent| {
+            let dead = undone_local(p);
+            if dead {
+                antis += tell(me, exports, *p, true, send);
+            }
+            dead
+        };
+        for p in &self.processed[split..] {
+            cancel(p);
+        }
+        debug_assert!(self.pending.iter().all(|p| p.time > self.last_time));
+        self.pending.discard(t + 1, self.last_time + 1, &mut cancel);
+        self.stats.anti_messages += antis;
+
+        // 3. Requeue the other processed events: reprocessing regenerates
+        // the local ones. Nothing pending is at or below `last_time`, so
+        // the requeued events refill empty buckets in their old drain
+        // order, and a straggler at `t` queues behind them.
         self.stats.rolled_back_events += (self.processed.len() - split) as u64;
         self.replaced.truncate(split);
         for rec in self.processed.drain(split..) {
             if !undone_local(&rec) {
                 self.pending.insert(rec);
             }
-        }
-
-        // 3. Discard not-yet-processed local events created by undone
-        // epochs.
-        self.pending
-            .discard(t + 1, self.last_time + 1, undone_local);
-
-        // 4. Anti-messages for undone sends: those for times after `t`.
-        let oidx = self.outlog.partition_point(|m| m.ev.time <= t);
-        for mut anti in self.outlog.split_off(oidx) {
-            anti.anti = true;
-            self.stats.anti_messages += 1;
-            send(anti);
         }
 
         self.last_time = t.saturating_sub(1);
@@ -381,9 +359,6 @@ impl<'p> ClusterProcess<'p> {
         self.stats.fossil_collected += p as u64;
         self.processed.drain(..p);
         self.replaced.drain(..p);
-        // Messages for times up to `gvt` were sent below it.
-        let o = self.outlog.partition_point(|m| m.ev.time <= gvt);
-        self.outlog.drain(..o);
     }
 
     /// Process the earliest pending epoch if its time is ≤ `limit`.
@@ -452,10 +427,34 @@ impl<'p> ClusterProcess<'p> {
                 };
                 self.pending.insert(ev);
                 if gate.exported {
-                    self.emit(ev, send);
+                    self.stats.messages += tell(self.me, self.exports, ev, false, send);
                 }
             }
         }
         true
     }
+}
+
+/// Send `ev` from cluster `me` to every cluster that reads its net, as a
+/// positive or as the anti-message that cancels it; returns how many went.
+fn tell(
+    me: u32,
+    exports: &[(NetId, Vec<u32>)],
+    ev: NetEvent,
+    anti: bool,
+    send: &mut impl FnMut(TwMessage),
+) -> u64 {
+    let readers = match exports.binary_search_by_key(&ev.net, |e| e.0) {
+        Ok(at) => &exports[at].1[..],
+        Err(_) => &[],
+    };
+    for &dst in readers {
+        send(TwMessage {
+            src: me,
+            dst,
+            ev,
+            anti,
+        });
+    }
+    readers.len() as u64
 }

@@ -326,7 +326,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         if let Some(log) = self.log.as_mut() {
             log.record_step(c, limit);
         }
-        self.commit_sends(sends);
+        self.commit_sends(c, sends)?;
         self.lvts[c] = lvt;
         self.shared.publish_lvt(c, lvt);
         Ok(())
@@ -371,7 +371,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         if let Some(log) = self.log.as_mut() {
             log.record_deliver(msg);
         }
-        self.commit_sends(&sends);
+        self.commit_sends(dst, &sends)?;
         self.lvts[dst] = lvt;
         // Same ordering discipline as the threaded kernel: the in-transit
         // counter drops only after the receiver's LVT reflects the
@@ -381,9 +381,19 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         Ok(())
     }
 
-    /// Enqueue messages a worker emitted during a successful op.
-    fn commit_sends(&mut self, sends: &[TwMessage]) {
+    /// Enqueue messages worker `from` emitted during a successful op. A
+    /// worker sends as itself to another cluster of the run; a send that
+    /// does not is a protocol failure of the worker that reported it.
+    fn commit_sends(&mut self, from: usize, sends: &[TwMessage]) -> Result<(), Halt> {
         for &m in sends {
+            let (src, dst) = (m.src as usize, m.dst as usize);
+            if src != from || dst >= self.k || dst == src {
+                let detail = format!("reported a send from cluster {src} to cluster {dst}");
+                return Err(Halt::Failed(fatal(
+                    from as u32,
+                    WorkerFailure::Protocol { detail },
+                )));
+            }
             if self.check {
                 let g = self.shared.gvt.load(Ordering::SeqCst);
                 assert!(
@@ -397,8 +407,9 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             }
             self.shared.in_transit.fetch_add(1, Ordering::SeqCst);
             self.shared.send_epoch.fetch_add(1, Ordering::SeqCst);
-            self.queues[m.src as usize * self.k + m.dst as usize].push_back(m);
+            self.queues[src * self.k + dst].push_back(m);
         }
+        Ok(())
     }
 
     /// One GVT round: fossil-collect everyone and — unless the run is

@@ -38,7 +38,6 @@ fn replay_ops_round_trip() {
         ReplayOp::Deliver(TwMessage {
             src: 1,
             dst: 0,
-            seq: 4,
             ev: crate::wheel::NetEvent {
                 time: 9,
                 net: dvs_verilog::netlist::NetId(3),
@@ -57,16 +56,18 @@ fn replay_ops_round_trip() {
 #[test]
 fn hello_mismatch_shuts_the_worker_down_quietly() {
     // Both directions of wire skew: a future supervisor with a newer
-    // wire version, a v5 supervisor that would probe with `ping`, a v4
-    // supervisor that would ask for delta images and ship chains in
-    // `restore`, a v3 supervisor that would deliver one
-    // `msg` per frame and ask for `fossil` and `ckpt` separately, and a
-    // stale v2 supervisor predating checksummed frames; plus current-wire
-    // supervisors still on checkpoint schema 2 or 3. Hellos stay on
-    // the legacy length-only framing precisely so this exchange parses
-    // on both sides regardless of version.
+    // wire version, a v6 supervisor on checkpoint schema 6 whose messages
+    // carry a sequence number and whose images carry the output log, a v5
+    // supervisor that would probe with `ping`, a v4 supervisor that would
+    // ask for delta images and ship chains in `restore`, a v3 supervisor
+    // that would deliver one `msg` per frame and ask for `fossil` and
+    // `ckpt` separately, and a stale v2 supervisor predating checksummed
+    // frames; plus current-wire supervisors still on checkpoint schema 2
+    // or 3. Hellos stay on the legacy length-only framing precisely so
+    // this exchange parses on both sides regardless of version.
     for (wire, schema) in [
         (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
+        (6, 6),
         (5, CHECKPOINT_SCHEMA),
         (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
@@ -258,7 +259,8 @@ fn broker_parks_out_of_order_dialins() {
 
 /// A correct-token peer with a mismatched wire version or checkpoint
 /// schema is fatal — the checkpoint payload must never cross a
-/// mixed-version pair. A v5 worker (which expects `ping` probes), a v4
+/// mixed-version pair. A v6 worker on checkpoint schema 6 (whose messages
+/// carry `seq` and whose images carry the output log), a v5 worker (which expects `ping` probes), a v4
 /// worker (which answers `restore` only when it carries a `deltas` chain),
 /// a v3 worker (one message per `deliver`, no `gvt` command), a v2 worker
 /// (pre-checksum framing), a schema-2 worker (the only kind that could
@@ -269,6 +271,7 @@ fn broker_parks_out_of_order_dialins() {
 #[test]
 fn broker_rejects_version_mismatch_as_fatal() {
     for theirs in [
+        (6, 6),
         (5, CHECKPOINT_SCHEMA),
         (4, CHECKPOINT_SCHEMA),
         (3, CHECKPOINT_SCHEMA),
@@ -479,7 +482,7 @@ fn ids_beyond_u32_are_refused_on_decode() {
         Json::Object(members.iter().map(swap).collect())
     };
     let wide = |n: i64| Json::Int((1 << 32) + n);
-    let msg = with(&channel_msg(1, 1, Logic::One).to_json(), "dst", wide(0));
+    let msg = with(&channel_msg(1, Logic::One).to_json(), "dst", wide(0));
     let err = TwMessage::from_json(&msg).expect_err("dst 2^32 is no cluster");
     assert!(err.msg.contains("overflows u32"), "{}", err.msg);
 
@@ -522,7 +525,6 @@ fn checkpoint_payload_crosses_a_real_socket() {
     assert_eq!(back.values, ck.values);
     assert_eq!(back.replaced, ck.replaced);
     assert_eq!(back.stim_cycle, ck.stim_cycle);
-    assert_eq!(back.mseq, ck.mseq);
     writer.join().expect("writer thread");
 }
 
@@ -598,11 +600,10 @@ fn worker_session() -> WorkerSession {
     (sink, source, handle)
 }
 
-fn channel_msg(seq: u64, time: VTime, value: Logic) -> TwMessage {
+fn channel_msg(time: VTime, value: Logic) -> TwMessage {
     TwMessage {
         src: 0,
         dst: 1,
-        seq,
         ev: crate::wheel::NetEvent {
             time,
             net: NetId(1),
@@ -626,7 +627,7 @@ fn deliver_cmd(msgs: &[TwMessage]) -> Json {
 #[test]
 fn deliver_round_trips_through_a_real_worker() {
     let (mut sink, mut source, handle) = worker_session();
-    let m = |seq| channel_msg(seq, seq, Logic::One);
+    let m = |time| channel_msg(time, Logic::One);
     for run in [&[m(1)][..], &[m(2), m(3)]] {
         sink.send_json(&deliver_cmd(run)).expect("send deliver");
         let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
@@ -667,7 +668,7 @@ fn refusal_of(cmd: &Json) -> String {
 /// `deliver` frame with a typed `error` frame and hangs up.
 #[test]
 fn lone_anti_message_is_refused() {
-    let mut anti = channel_msg(7, 3, Logic::One);
+    let mut anti = channel_msg(3, Logic::One);
     anti.anti = true;
 
     let init = worker_init_from_json(&tiny_init_json()).expect("init parses");
@@ -725,7 +726,7 @@ fn run_dry(w: &mut InProcWorker<'_, '_>) {
 #[test]
 fn second_anti_message_for_one_time_and_net_is_stray() {
     with_tiny_worker("second-anti", |w| {
-        let positive = channel_msg(1, 4, Logic::One);
+        let positive = channel_msg(4, Logic::One);
         let anti = TwMessage {
             anti: true,
             ..positive
@@ -746,13 +747,9 @@ fn check_mode_refuses_an_anti_message_that_annihilates_two_events() {
         with_tiny_worker("two-positives", |w| {
             let anti = TwMessage {
                 anti: true,
-                ..channel_msg(1, 4, Logic::One)
+                ..channel_msg(4, Logic::One)
             };
-            for m in [
-                channel_msg(1, 4, Logic::One),
-                channel_msg(2, 4, Logic::X),
-                anti,
-            ] {
+            for m in [channel_msg(4, Logic::One), channel_msg(4, Logic::X), anti] {
                 w.deliver(&[m]).expect("in-proc deliver");
             }
         })
@@ -771,7 +768,7 @@ fn check_mode_refuses_an_anti_message_that_annihilates_two_events() {
 #[test]
 fn resent_positive_after_a_rollback_wins() {
     let (stats, values) = with_tiny_worker("resend", |w| {
-        let positive = channel_msg(1, 4, Logic::One);
+        let positive = channel_msg(4, Logic::One);
         w.deliver(&[positive]).expect("positive");
         run_dry(w);
         let anti = TwMessage {
@@ -779,7 +776,7 @@ fn resent_positive_after_a_rollback_wins() {
             ..positive
         };
         w.deliver(&[anti]).expect("anti");
-        w.deliver(&[channel_msg(2, 4, Logic::X)]).expect("re-send");
+        w.deliver(&[channel_msg(4, Logic::X)]).expect("re-send");
         run_dry(w);
         w.check_quiescence().expect("quiescent");
         w.finish().expect("finish")
@@ -798,7 +795,7 @@ fn resent_positive_after_a_rollback_wins() {
 /// `deltas` chain.
 #[test]
 fn removed_batch_commands_are_unknown() {
-    let m = channel_msg(1, 1, Logic::One);
+    let m = channel_msg(1, Logic::One);
     let at_gvt = |kind: &str| {
         ObjBuilder::new()
             .str("kind", kind)
@@ -817,7 +814,7 @@ fn removed_batch_commands_are_unknown() {
             ObjBuilder::new()
                 .str("kind", "deliver_next")
                 .uint("src", 0)
-                .uint("seq", m.seq)
+                .uint("seq", 1)
                 .bool("anti", m.anti)
                 .build(),
             "unknown command kind",
@@ -907,20 +904,20 @@ fn deliveries_and_images_naming_foreign_nets_are_refused() {
     let on_net = |net: u32| TwMessage {
         ev: crate::wheel::NetEvent {
             net: NetId(net),
-            ..channel_msg(1, 3, Logic::One).ev
+            ..channel_msg(3, Logic::One).ev
         },
-        ..channel_msg(1, 3, Logic::One)
+        ..channel_msg(3, Logic::One)
     };
     let for_cluster_0 = TwMessage {
         dst: 0,
-        ..channel_msg(1, 3, Logic::One)
+        ..channel_msg(3, Logic::One)
     };
     for (msg, why) in [
         (on_net(99), "cluster 1 on net 99"),
         (for_cluster_0, "cluster 0 on net 1"),
         (on_net(2), "cluster 1 on net 2"),
     ] {
-        let detail = refusal_of(&deliver_cmd(&[channel_msg(0, 2, Logic::Zero), msg]));
+        let detail = refusal_of(&deliver_cmd(&[channel_msg(2, Logic::Zero), msg]));
         assert!(detail.contains(why), "{detail}");
     }
 
@@ -1011,10 +1008,7 @@ fn done_for(n: usize) -> String {
 /// panic, and never stored.
 #[test]
 fn replies_that_do_not_fit_their_command_are_protocol_failures() {
-    let run = [
-        channel_msg(1, 1, Logic::One),
-        channel_msg(2, 2, Logic::Zero),
-    ];
+    let run = [channel_msg(1, Logic::One), channel_msg(2, Logic::Zero)];
     for (n, fits) in [(0, false), (1, true), (2, true), (3, false)] {
         let (mut w, peer) = attached(
             1,
@@ -1068,6 +1062,61 @@ fn replies_that_do_not_fit_their_command_are_protocol_failures() {
     }
 }
 
+/// A worker sends as itself to another cluster of the run. A `done` frame
+/// reporting any other send ends the run as a protocol failure of the
+/// cluster that reported it: never an index out of bounds, and never a
+/// message queued on another pair's channel, where its receiver would take
+/// the blame.
+#[test]
+fn sends_a_worker_does_not_own_are_its_protocol_failure() {
+    let (nl, gate_block) = wired_case();
+    let plan = ClusterPlan::new(&nl, &gate_block, 3);
+    let stim = VectorStimulus::from_netlist(&nl, 10, 7);
+    let label = "forged sends";
+    for (src, dst) in [(0, 9), (0, 40), (0, 7), (2, 1), (0, 0)] {
+        let forged = TwMessage {
+            src,
+            dst,
+            ..channel_msg(3, Logic::One)
+        };
+        let done = delivered_json(ObjBuilder::new().str("kind", "done"), &(5, vec![forged]));
+        let done = done.emit().expect("emit");
+        let (mut workers, peers): (Vec<_>, Vec<_>) = (0..3)
+            .map(|me| {
+                let init = init_json(&nl, &plan, &stim, 12, true, me, label);
+                if me == 0 {
+                    attached(me, init, TEST_TIMING, scripted(vec![done.clone()]))
+                } else {
+                    attached(me, init, TEST_TIMING, |stream| serve_wire(stream, None, ""))
+                }
+            })
+            .unzip();
+        let run = run_supervisor(
+            &nl,
+            &plan,
+            &stim,
+            12,
+            &wired_cfg(),
+            &mut Eager,
+            true,
+            label,
+            &mut workers,
+            false,
+        );
+        match run {
+            Err(TimeWarpError::Transport { cluster: 0, detail }) => assert!(
+                detail.contains(&format!("from cluster {src} to cluster {dst}")),
+                "{detail}"
+            ),
+            other => panic!("a send {src} -> {dst} reported by cluster 0: {other:?}"),
+        }
+        drop(workers);
+        for peer in peers {
+            peer.join().expect("join").expect("peer exits Ok");
+        }
+    }
+}
+
 fn sample_checkpoint() -> Checkpoint {
     Checkpoint {
         schema: CHECKPOINT_SCHEMA,
@@ -1081,11 +1130,9 @@ fn sample_checkpoint() -> Checkpoint {
             value: Logic::One,
         }],
         replaced: vec![Logic::X],
-        outlog: Vec::new(),
         stim_cycle: 5,
         last_time: 16,
         settled: true,
-        mseq: 11,
         stats: SimStats::default(),
     }
 }
@@ -1098,7 +1145,7 @@ fn restore_frame_around_kept_text_is_the_canonical_frame() {
     let base = sample_checkpoint();
     let ops = [
         ReplayOp::Step { limit: 39 },
-        ReplayOp::Deliver(channel_msg(4, 25, Logic::One)),
+        ReplayOp::Deliver(channel_msg(25, Logic::One)),
         ReplayOp::Fossil(VTime::MAX),
     ];
     let text = |j: Json| j.emit().expect("emit");
@@ -1229,8 +1276,8 @@ fn a_delivery_that_emits_ends_its_run_even_if_the_lvt_stays() {
     let plan = ClusterPlan::new(&init.netlist, &init.gate_block, init.k);
     let (stim, cycles) = (init.stim, init.cycles);
     let mut w = InProcWorker::new(&init.netlist, &plan, stim, cycles, true, "emits", 1);
-    let positive = channel_msg(1, 5, Logic::One);
-    let pending = channel_msg(2, 25, Logic::Zero);
+    let positive = channel_msg(5, Logic::One);
+    let pending = channel_msg(25, Logic::Zero);
     w.deliver(&[positive, pending]).expect("deliver");
     let mut sent = Vec::new();
     while w.step(6, &mut sent).expect("step") <= 6 {}
@@ -1244,7 +1291,7 @@ fn a_delivery_that_emits_ends_its_run_even_if_the_lvt_stays() {
         anti: true,
         ..positive
     };
-    let after = channel_msg(3, 30, Logic::One);
+    let after = channel_msg(30, Logic::One);
     let answered = w.deliver(&[anti, after]).expect("deliver");
     assert_eq!(
         answered.len(),

@@ -47,8 +47,10 @@ use std::time::Duration;
 /// `image: "delta"`, `restore` lost its required `deltas` key, and with it
 /// went the reply kind for a chain that did not apply. Version 6 removed
 /// `ping` and `pong`: over TCP a silent peer is one read deadline, and every
-/// frame is a command or the reply to one.
-pub const WIRE_VERSION: u32 = 6;
+/// frame is a command or the reply to one. Version 7 dropped `seq` from
+/// every message (`deliver`'s `msgs`, the `sends` of a reply and a replayed
+/// `deliver` op): a message is `{src, dst, time, net, value, anti}`.
+pub const WIRE_VERSION: u32 = 7;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix above this is
 /// a protocol error, not an allocation request.

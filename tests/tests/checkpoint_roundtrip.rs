@@ -18,8 +18,7 @@ use proptest::prelude::*;
 
 /// Drive a two-cluster system by hand for `epochs` scheduling steps,
 /// shuttling messages between the processes, and return the processes —
-/// a realistic mid-run state with pending events, rollback
-/// history and outstanding output log entries.
+/// a realistic mid-run state with pending events and rollback history.
 fn pump_two_clusters<'a>(
     nl: &'a Netlist,
     plan: &'a ClusterPlan,
@@ -142,7 +141,7 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
         assert!(err.msg.contains("expected kind `tw_checkpoint`"), "{err}");
     }
 
-    for schema in [999, 2, 3, 4] {
+    for schema in [999, 2, 3, 4, 6] {
         let mut wrong_schema = ck.to_json();
         if let Json::Object(members) = &mut wrong_schema {
             for (k, v) in members.iter_mut() {
@@ -157,8 +156,8 @@ fn checkpoint_rejects_wrong_kind_and_schema() {
 }
 
 /// Cluster 0 of `built` on its own, nothing delivered from cluster 1,
-/// driven through every epoch at or below `limit`.
-fn cluster0_through(built: &Built, limit: u64) -> ClusterProcess<'_> {
+/// driven through every epoch at or below `limit`, with what it sent.
+fn cluster0_through(built: &Built, limit: u64) -> (ClusterProcess<'_>, Vec<TwMessage>) {
     let mut p = ClusterProcess::new(
         &built.nl,
         &built.plan,
@@ -167,25 +166,33 @@ fn cluster0_through(built: &Built, limit: u64) -> ClusterProcess<'_> {
         12,
         StateSaving::IncrementalUndo,
     );
-    while p.process_next_epoch(limit, &mut |_| {}) {}
-    p
+    let mut sent = Vec::new();
+    while p.process_next_epoch(limit, &mut |m| sent.push(m)) {}
+    (p, sent)
 }
 
 /// A rollback leaves exactly the history of a process that never ran past
-/// the straggler: for every straggler time `t`, cluster 0 driven to the
-/// end and then handed a message at `t` holds the values, processed
-/// events, replaced values and output log of a twin driven only through
-/// the epochs below `t`.
+/// the straggler, and cancels exactly what it sent after it: for every
+/// straggler time `t`, cluster 0 driven to a stop and then handed a message
+/// at `t` holds the values, processed events and replaced values of a twin
+/// driven only through the epochs below `t`, and sends one anti-message for
+/// each of its sends timed after `t`, in the order it sent them. It is
+/// driven to two stops: the end of the run, and a mid-run stop where
+/// exported events it scheduled still wait at `last_time + 1`, so a
+/// straggler more than 64 ticks below them makes the rollback's requeue
+/// spill their bucket into the wheel's overflow heap.
 #[test]
 fn rollback_leaves_the_history_of_a_process_that_stopped_short() {
     let hier = Circuit::random_hier(8);
     let built = Scenario::new(hier, Partition::Blocks(vec![0, 1]), 0, 12).build();
+    let exports = &built.plan.clusters[0].exports;
+    let exported = |e: &NetEvent| exports.iter().any(|(net, _)| *net == e.net);
     let (import, _) = built.plan.clusters[1]
         .exports
         .iter()
         .find(|(_, readers)| readers.contains(&0))
         .expect("cluster 1 feeds cluster 0");
-    let end = cluster0_through(&built, u64::MAX).checkpoint(0);
+    let end = cluster0_through(&built, u64::MAX).0.checkpoint(0);
     // Settling and epoch 0 both put an event on one net at t = 1, and the
     // later one finds the value it carries: a processed record that
     // changed nothing, which the rollback walk must step over.
@@ -195,28 +202,63 @@ fn rollback_leaves_the_history_of_a_process_that_stopped_short() {
     assert!(at_1.iter().enumerate().any(|(i, &(e, &old))| {
         e.value == old && at_1[..i].iter().any(|(earlier, _)| earlier.net == e.net)
     }));
-    for t in 1..=end.last_time {
-        let mut rolled = cluster0_through(&built, u64::MAX);
-        let straggler = TwMessage {
-            src: 1,
-            dst: 0,
-            seq: 0,
-            ev: NetEvent {
-                time: t,
-                net: *import,
-                value: Logic::One,
-            },
-            anti: false,
-        };
-        rolled.handle_message(straggler, &mut |_| {});
-        let a = rolled.checkpoint(0);
-        let b = cluster0_through(&built, t - 1).checkpoint(0);
-        assert_eq!(
-            (a.values, a.processed, a.replaced, a.outlog),
-            (b.values, b.processed, b.replaced, b.outlog),
-            "straggler at {t}"
-        );
+    // The first stop above the ring's reach with more than one exported
+    // event waiting at `last_time + 1`: their order is what a spill could
+    // break.
+    let waiting = |limit: u64| {
+        let ck = cluster0_through(&built, limit).0.checkpoint(0);
+        let next = ck.last_time + 1;
+        let n = ck
+            .pending
+            .iter()
+            .filter(|e| e.time == next && exported(e))
+            .count();
+        (next, n)
+    };
+    let mid = (64..end.last_time)
+        .find(|&limit| waiting(limit).1 > 1)
+        .expect("a stop with exported events waiting");
+    let mut spilled = 0;
+    for limit in [u64::MAX, mid] {
+        let last_time = cluster0_through(&built, limit).0.checkpoint(0).last_time;
+        for t in 1..=last_time {
+            let (mut rolled, sent) = cluster0_through(&built, limit);
+            let straggler = TwMessage {
+                src: 1,
+                dst: 0,
+                ev: NetEvent {
+                    time: t,
+                    net: *import,
+                    value: Logic::One,
+                },
+                anti: false,
+            };
+            let mut antis = Vec::new();
+            rolled.handle_message(straggler, &mut |m| antis.push(m));
+            let undone: Vec<_> = (sent.iter())
+                .filter(|m| m.ev.time > t)
+                .map(|&m| TwMessage { anti: true, ..m })
+                .collect();
+            assert_eq!(antis, undone, "stop {limit}, straggler at {t}");
+            if antis
+                .iter()
+                .any(|m| m.ev.time == last_time + 1 && t + 64 <= m.ev.time)
+            {
+                spilled += 1;
+            }
+            let a = rolled.checkpoint(0);
+            let b = cluster0_through(&built, t - 1).0.checkpoint(0);
+            assert_eq!(
+                (a.values, a.processed, a.replaced),
+                (b.values, b.processed, b.replaced),
+                "stop {limit}, straggler at {t}"
+            );
+        }
     }
+    assert!(
+        spilled > 0,
+        "no straggler cancelled a spilled send (stop {mid})"
+    );
 }
 
 /// The satellite acceptance sweep: a crash-and-restore in the middle of a
