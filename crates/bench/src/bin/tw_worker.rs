@@ -7,12 +7,12 @@
 //! * `--socket <path>` — the supervisor spawned this worker and owns the
 //!   per-cluster Unix-domain socket; connect back and serve.
 //! * `--connect <host:port> --cluster <id> [--token <tok>]` — dial a TCP
-//!   supervisor (retrying refused connections with deterministically
-//!   jittered exponential backoff — seeded from the run token and cluster
-//!   id, so retry schedules are reproducible yet decorrelated across
-//!   workers — for the 10 s connect window) and serve cluster `<id>`. The
-//!   run token scopes the dial-in to one supervisor run, so a stray or
-//!   stale worker cannot disturb somebody else's simulation.
+//!   supervisor (retrying refused connections with doubling backoff for
+//!   the 10 s connect window, for a worker started before its supervisor
+//!   listens) and serve cluster `<id>`. The run token scopes the dial-in
+//!   to one supervisor run, so a stray or stale worker cannot disturb
+//!   somebody else's simulation. A worker never redials: EOF or a corrupt
+//!   frame ends it, and the supervisor's recovery starts a new one.
 //!
 //! All simulation state lives here, which is what makes a `SIGKILL` of
 //! this process — or a dropped TCP connection — a true crash-stop fault

@@ -1,14 +1,16 @@
 //! Netlist → hypergraph builders.
 //!
-//! Two views of the same circuit:
+//! One builder, [`design_level`], yields two views of the same circuit:
 //!
-//! * [`gate_level`] — one vertex per gate (weight 1), one hyperedge per net.
-//!   This is the flattened view that conventional partitioners (the hMetis
-//!   baseline) operate on.
-//! * [`design_level`] — one vertex per *frontier* instance (a **super-gate**,
-//!   weighted by its subtree gate count) plus one vertex per loose gate.
-//!   Nets entirely inside a super-gate vanish; this is the compact,
-//!   hierarchy-preserving view the paper's design-driven algorithm uses.
+//! * over a hierarchy frontier, one vertex per *frontier* instance (a
+//!   **super-gate**, weighted by its subtree gate count) plus one vertex
+//!   per loose gate. Nets entirely inside a super-gate vanish; this is the
+//!   compact, hierarchy-preserving view the paper's design-driven
+//!   algorithm uses;
+//! * over [`Frontier::flat`], no super-gates: one vertex per gate (weight
+//!   1, in gate order) and one hyperedge per net. This is the flattened
+//!   view conventional partitioners (the hMetis baseline) operate on, and
+//!   [`gate_level`] is its name.
 //!
 //! [`HierHypergraph`] keeps the vertex↔netlist correspondence so partitions
 //! can be projected down to gates (for simulation) and carried across
@@ -78,37 +80,11 @@ impl HierHypergraph {
     }
 }
 
-/// Build the gate-level (flattened) hypergraph: vertex per gate, hyperedge
-/// per net joining the driver and all readers.
+/// Build the gate-level (flattened) hypergraph: the design-level one with
+/// no super-gates, so a vertex per gate and a hyperedge per net joining
+/// the driver and all readers.
 pub fn gate_level(nl: &Netlist) -> HierHypergraph {
-    let fanout = nl.build_fanout();
-    let mut b = HypergraphBuilder::with_capacity(nl.gate_count(), nl.net_count());
-    let mut origins = Vec::with_capacity(nl.gate_count());
-    let mut gate_vertex = Vec::with_capacity(nl.gate_count());
-    for gi in 0..nl.gate_count() {
-        let v = b.add_vertex(1);
-        origins.push(VertexOrigin::Gate(GateId(gi as u32)));
-        gate_vertex.push(v.0);
-    }
-    let mut edge_nets = Vec::new();
-    let mut pins: Vec<VertexId> = Vec::with_capacity(16);
-    for ni in 0..nl.net_count() {
-        let net = NetId(ni as u32);
-        pins.clear();
-        if let Some(d) = nl.nets[ni].driver {
-            pins.push(VertexId(d.0));
-        }
-        pins.extend(fanout.readers(net).iter().map(|g| VertexId(g.0)));
-        if b.add_edge(pins.iter().copied(), 1) {
-            edge_nets.push(net);
-        }
-    }
-    HierHypergraph {
-        hg: b.build(),
-        origins,
-        gate_vertex,
-        edge_nets,
-    }
+    design_level(nl, &Frontier::flat())
 }
 
 /// Build the design-level hypergraph for a given hierarchy `frontier`:
@@ -136,43 +112,38 @@ pub fn design_level_with(
     }
     let weight_of = |gi: usize| gate_weights.map_or(1, |w| w[gi]);
     let gate_frontier = frontier.gate_assignment(nl);
+    let super_weight = match gate_weights {
+        None => frontier.weights(nl),
+        Some(_) => {
+            let mut w = vec![0u64; frontier.nodes.len()];
+            for (gi, fa) in gate_frontier.iter().enumerate() {
+                if let Some(fi) = fa {
+                    w[*fi as usize] += weight_of(gi);
+                }
+            }
+            w
+        }
+    };
 
+    // Super-gate vertices first, in frontier order (so vertex = frontier
+    // index), then one vertex per loose gate, in gate order.
     let mut b = HypergraphBuilder::new();
     let mut origins = Vec::new();
-
-    // Super-gate vertices, in frontier order.
-    let mut frontier_vertex = Vec::with_capacity(frontier.nodes.len());
-    let mut super_weight = vec![0u64; frontier.nodes.len()];
-    if gate_weights.is_some() {
-        for (gi, fa) in gate_frontier.iter().enumerate() {
-            if let Some(fi) = fa {
-                super_weight[*fi as usize] += weight_of(gi);
-            }
-        }
-    }
-    for (fi, &inst) in frontier.nodes.iter().enumerate() {
-        let w = if gate_weights.is_some() {
-            super_weight[fi]
-        } else {
-            nl.instances[inst.idx()].subtree_gates
-        };
-        let v = b.add_vertex(w);
+    for (&inst, &w) in frontier.nodes.iter().zip(&super_weight) {
+        b.add_vertex(w);
         origins.push(VertexOrigin::Super(inst));
-        frontier_vertex.push(v.0);
     }
-
-    // Loose gates get their own vertices.
-    let mut gate_vertex = vec![u32::MAX; nl.gate_count()];
-    for (gi, fa) in gate_frontier.iter().enumerate() {
-        match fa {
-            Some(fi) => gate_vertex[gi] = frontier_vertex[*fi as usize],
+    let gate_vertex: Vec<u32> = gate_frontier
+        .iter()
+        .enumerate()
+        .map(|(gi, fa)| match fa {
+            Some(fi) => *fi,
             None => {
-                let v = b.add_vertex(weight_of(gi));
                 origins.push(VertexOrigin::Gate(GateId(gi as u32)));
-                gate_vertex[gi] = v.0;
+                b.add_vertex(weight_of(gi)).0
             }
-        }
-    }
+        })
+        .collect();
 
     let mut edge_nets = Vec::new();
     let mut pins: Vec<VertexId> = Vec::with_capacity(16);

@@ -213,11 +213,7 @@ impl FromJson for TwMessage {
         Ok(TwMessage {
             src: v.field("src")?.as_u32()?,
             dst: v.field("dst")?.as_u32()?,
-            ev: NetEvent {
-                time: v.field("time")?.as_u64()?,
-                net: NetId(v.field("net")?.as_u32()?),
-                value: logic_from_json(v.field("value")?)?,
-            },
+            ev: NetEvent::from_json(v)?,
             anti: v.field("anti")?.as_bool()?,
         })
     }

@@ -11,30 +11,22 @@ use crate::timewarp::recovery::ReplayOp;
 use crate::timewarp::wire::json_kind;
 use crate::timewarp::TwMessage;
 use crate::wheel::VTime;
-use dvs_json::{uint_array, FromJson, Json, ObjBuilder, ToJson};
+use dvs_json::{uint_array, uint_json, FromJson, Json, ObjBuilder, ToJson};
 use dvs_verilog::netlist::{GateId, GateKind, InstId, Net, NetId, Netlist};
 
-/// Virtual times go on the wire as integers, with the idle sentinel
-/// `VTime::MAX` as `null` (it does not fit a JSON int).
+/// Virtual times go on the wire as unsigned integers, with the idle
+/// sentinel `VTime::MAX` as `null`.
 pub(super) fn vtime_json(t: VTime) -> Json {
     if t == VTime::MAX {
         Json::Null
-    } else if let Ok(i) = i64::try_from(t) {
-        Json::Int(i)
     } else {
-        // Virtual times beyond i64 don't occur in practice (they are
-        // bounded by cycles × period), but the codec must not silently
-        // saturate: fall back to a decimal string.
-        Json::Str(t.to_string())
+        uint_json(t)
     }
 }
 
 pub(super) fn vtime_from(v: &Json) -> Result<VTime, String> {
     match v {
         Json::Null => Ok(VTime::MAX),
-        Json::Str(s) => s
-            .parse::<VTime>()
-            .map_err(|e| format!("bad vtime string {s:?}: {e}")),
         other => other.as_u64().map_err(|e| e.msg),
     }
 }
@@ -217,17 +209,27 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         ));
     }
     let nets = v.field("nets").and_then(Json::as_usize).map_err(err)?;
-    let opt_net = |x: &Json| -> Result<Option<NetId>, String> {
-        match x {
-            Json::Null => Ok(None),
-            other => Ok(Some(NetId(other.as_u32().map_err(err)?))),
+    // Every net id the frame names, gate terminal or not, must name one of
+    // the `nets`: a worker indexes its tables by them unchecked.
+    let net = |x: &Json| -> Result<NetId, String> {
+        let id = x.as_u32().map_err(err)?;
+        if (id as usize) < nets {
+            Ok(NetId(id))
+        } else {
+            Err(format!("net {id} out of range for {nets} nets"))
         }
+    };
+    let opt_net = |x: &Json| match x {
+        Json::Null => Ok(None),
+        other => net(other).map(Some),
+    };
+    let net_ids = |x: &Json| -> Result<Vec<NetId>, String> {
+        x.as_array().map_err(err)?.iter().map(net).collect()
     };
     let ids = |x: &Json| -> Result<Vec<u32>, String> {
         let ids = x.as_array().map_err(err)?.iter().map(Json::as_u32);
         ids.collect::<Result<_, _>>().map_err(err)
     };
-    let net_ids = |x: &Json| ids(x).map(|ids| ids.into_iter().map(NetId).collect::<Vec<_>>());
     // No names travel: the worker's nets are named by their ids.
     let mut netlist = Netlist::default();
     netlist.nets = vec![Net::default(); nets];
@@ -248,18 +250,9 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         let kind_name = parts[0].as_str().map_err(err)?;
         let kind = GateKind::from_name(kind_name)
             .ok_or_else(|| format!("gate {i}: unknown gate kind {kind_name:?}"))?;
-        let output = NetId(parts[1].as_u32().map_err(err)?);
-        if output.idx() >= nets {
-            return Err(format!("gate {i}: output net {} out of range", output.0));
-        }
-        let inputs = parts[2..]
-            .iter()
-            .map(|p| p.as_u32().map(NetId))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(err)?;
-        if inputs.iter().any(|n| n.idx() >= nets) {
-            return Err(format!("gate {i}: input net out of range"));
-        }
+        let output = net(&parts[1]).map_err(|e| format!("gate {i} output: {e}"))?;
+        let inputs = parts[2..].iter().map(net).collect::<Result<Vec<_>, _>>();
+        let inputs = inputs.map_err(|e| format!("gate {i} input: {e}"))?;
         netlist.add_gate(kind, output, &inputs, InstId(0), None);
     }
     let gate_block = ids(v.field("gate_block").map_err(err)?)?;

@@ -4,7 +4,7 @@
 //! served worker (`serve.rs`) owns one too and puts the frame codec in
 //! front of it, so what a command does to a cluster is written once.
 
-use super::{protocol, ClusterWorker, Delivered, Image, WorkerFailure};
+use super::{protocol, ClusterWorker, Delivered, WorkerFailure};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
@@ -84,9 +84,9 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
     }
 
     /// This worker's share of [`ClusterWorker::gvt_round`]: fossil-collect
-    /// below `gvt`, then capture `image`. The text is the reply frame of a
-    /// served worker.
-    pub(super) fn capture(&mut self, gvt: VTime, image: Image) -> Result<String, WorkerFailure> {
+    /// below `gvt`, then capture an image if `image`. The text is the reply
+    /// frame of a served worker.
+    pub(super) fn capture(&mut self, gvt: VTime, image: bool) -> Result<String, WorkerFailure> {
         let (me, label) = (self.me, &self.label);
         let p = alive(&mut self.proc)?;
         let before = self.check.then(|| p.history_at_or_after(gvt));
@@ -98,7 +98,7 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
                 "fossil collection on cluster {me} reclaimed history at or above GVT {gvt} ({label})"
             );
         }
-        if image == Image::None {
+        if !image {
             return Ok(String::new());
         }
         let ck = p.checkpoint(gvt);
@@ -192,7 +192,7 @@ impl ClusterWorker for InProcWorker<'_, '_> {
     fn gvt_round(
         workers: &mut [Self],
         gvt: VTime,
-        image: Image,
+        image: bool,
     ) -> Vec<Result<String, WorkerFailure>> {
         workers.iter_mut().map(|w| w.capture(gvt, image)).collect()
     }

@@ -355,27 +355,6 @@ pub(crate) struct WireCounters {
 /// the messages its application emitted (rollback anti-messages).
 pub(crate) type Delivered = (VTime, Vec<TwMessage>);
 
-/// What a GVT round captures from a worker after fossil-collecting it.
-/// The names are the wire's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Image {
-    /// Nothing: the run is untracked, or has just quiesced.
-    None,
-    /// A full [`super::Checkpoint`].
-    Base,
-}
-
-impl Image {
-    const ALL: [Image; 2] = [Image::None, Image::Base];
-
-    fn name(self) -> &'static str {
-        match self {
-            Image::None => "none",
-            Image::Base => "base",
-        }
-    }
-}
-
 /// One Time Warp cluster as seen by the transport-generic supervisor.
 /// Implementations must be deterministic state machines: the same command
 /// sequence produces the same responses, counters included — that is the
@@ -403,15 +382,16 @@ pub(crate) trait ClusterWorker: Sized {
     fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure>;
     /// One GVT round on every worker of `workers` — all of them, or the
     /// one being re-asked after a recovery: fossil-collect history
-    /// strictly below `gvt`, then capture `image`. Returns, per worker, the
-    /// image as the canonical JSON text it was captured as — empty for
-    /// [`Image::None`].
+    /// strictly below `gvt`, then, if `image` (a tracked run that has not
+    /// quiesced), capture a full [`super::Checkpoint`]. Returns, per
+    /// worker, the image as the canonical JSON text it was captured as —
+    /// empty when no image was asked for.
     /// Taking the workers together lets a wire transport write every
     /// command before it reads the first reply.
     fn gvt_round(
         workers: &mut [Self],
         gvt: VTime,
-        image: Image,
+        image: bool,
     ) -> Vec<Result<String, WorkerFailure>>;
     /// Rebuild the worker from the encoded image `base` and replay `ops`
     /// (re-sends suppressed). Returns the restored LVT.

@@ -12,8 +12,8 @@ use super::frames::{
 };
 use super::supervisor::run_supervisor;
 use super::{
-    fatal, protocol, ClusterWorker, Delivered, Image, TcpWorkers, Transport, WireCounters,
-    WorkerFailure, CONNECT_TIMEOUT,
+    fatal, protocol, ClusterWorker, Delivered, TcpWorkers, Transport, WireCounters, WorkerFailure,
+    CONNECT_TIMEOUT,
 };
 use crate::artifact::{image_envelope, logic_vec, ImageEnvelope};
 use crate::cluster::ClusterPlan;
@@ -614,12 +614,12 @@ impl ClusterWorker for ProcessWorker {
     fn gvt_round(
         workers: &mut [Self],
         gvt: VTime,
-        image: Image,
+        image: bool,
     ) -> Vec<Result<String, WorkerFailure>> {
         let cmd = ObjBuilder::new()
             .str("kind", "gvt")
             .field("gvt", vtime_json(gvt))
-            .str("image", image.name())
+            .str("image", if image { "base" } else { "none" })
             .build();
         // Every command is on its way before the first reply is awaited,
         // so the workers fossil-collect, capture and emit side by side
@@ -627,12 +627,11 @@ impl ClusterWorker for ProcessWorker {
         let written: Vec<_> = workers.iter_mut().map(|w| w.send(&cmd)).collect();
         let read = |(written, w): (Result<(), WorkerFailure>, &mut Self)| {
             written?;
-            match image {
-                Image::None => {
-                    let r = w.read_response()?;
-                    w.expect_kind(&r, "ok").map(|()| String::new())
-                }
-                Image::Base => w.read_image(gvt),
+            if image {
+                w.read_image(gvt)
+            } else {
+                let r = w.read_response()?;
+                w.expect_kind(&r, "ok").map(|()| String::new())
             }
         };
         written.into_iter().zip(workers).map(read).collect()

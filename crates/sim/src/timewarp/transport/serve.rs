@@ -8,14 +8,14 @@ use super::frames::{
     worker_init_from_json, WorkerInit,
 };
 use super::in_proc::InProcWorker;
-use super::{protocol, ClusterWorker, Image, WorkerFailure, CONNECT_TIMEOUT};
+use super::{protocol, ClusterWorker, WorkerFailure, CONNECT_TIMEOUT};
 use crate::artifact::logic_str;
 use crate::cluster::ClusterPlan;
 use crate::timewarp::checkpoint::CHECKPOINT_SCHEMA;
 use crate::timewarp::recovery::ReplayOp;
 use crate::timewarp::wire::{
-    hello_json, hello_parse, json_kind, parse_json, read_frame, send_json, DialJitter, FrameSink,
-    FrameSource, WireError, WireStream, WIRE_VERSION,
+    hello_json, hello_parse, json_kind, parse_json, read_frame, send_json, FrameSink, FrameSource,
+    WireError, WireStream, WIRE_VERSION,
 };
 use crate::timewarp::TwMessage;
 use dvs_json::{FromJson, Json, JsonError, ObjBuilder, ToJson};
@@ -65,30 +65,21 @@ pub fn serve_worker(socket: &Path) -> io::Result<()> {
 }
 
 /// TCP entry point for the `tw_worker` binary: dial the supervisor at
-/// `addr` (retrying refused connections with jittered doubling backoff
-/// for 10 s (`CONNECT_TIMEOUT`) — the supervisor may not have reached
-/// this cluster's accept yet, or the worker may be reconnecting after a
-/// network fault) and serve `cluster` until `finish` or EOF. The backoff
-/// jitter is deterministic, seeded from the run token and cluster id, so a
-/// cluster-wide reconnect storm de-synchronises reproducibly instead of
-/// hammering the listener in lockstep. The hello exchange presents
-/// `token`; a supervisor with a different token (another run) is abandoned
-/// quietly.
+/// `addr` and serve `cluster` until `finish` or EOF. A refused dial is
+/// retried with doubling backoff (10 ms up to 500 ms) for 10 s
+/// (`CONNECT_TIMEOUT`): a worker started by hand may come up before its
+/// supervisor listens. The hello exchange presents `token`; a supervisor
+/// with a different token (another run) is abandoned quietly.
 pub fn serve_worker_tcp(addr: &str, cluster: u32, token: &str) -> io::Result<()> {
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let mut jitter = DialJitter::new(token, cluster);
-    let base = Duration::from_millis(10);
-    let cap = Duration::from_millis(500);
-    let mut delay = base;
+    let mut delay = Duration::from_millis(10);
     let stream = loop {
         match TcpStream::connect(addr) {
             Ok(s) => break s,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => {
                 std::thread::sleep(delay);
-                delay = jitter.next_delay(delay, base, cap);
+                delay = (delay * 2).min(Duration::from_millis(500));
             }
         }
     };
@@ -283,8 +274,11 @@ fn dispatch(
         "gvt" => {
             let gvt = vtime("gvt")?;
             let image = cmd.field("image").and_then(Json::as_str).map_err(bad)?;
-            let image = Image::ALL.into_iter().find(|i| i.name() == image);
-            let image = image.ok_or_else(|| protocol("unknown image kind".to_string()))?;
+            let image = match image {
+                "base" => true,
+                "none" => false,
+                _ => return Err(protocol("unknown image kind".to_string())),
+            };
             // The image, when one is asked for, is the whole reply.
             match worker.capture(gvt, image)? {
                 captured if captured.is_empty() => ok_json_cmd("ok"),

@@ -2,7 +2,7 @@
 //! loop, delivery runs, GVT rounds and crash recovery over any
 //! [`ClusterWorker`]. It knows no wire and no frame.
 
-use super::{fatal, ClusterWorker, Delivered, Image, WorkerFailure};
+use super::{fatal, ClusterWorker, Delivered, WorkerFailure};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
@@ -48,10 +48,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
     let mut outcome = RecoveryOutcome::default();
     let log = if track {
         let mut bases = Vec::with_capacity(k);
-        for (i, base) in W::gvt_round(workers, 0, Image::Base)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, base) in W::gvt_round(workers, 0, true).into_iter().enumerate() {
             let base = base.map_err(|f| fatal(i as u32, f))?;
             outcome.checkpoint_bytes_full += base.len() as u64;
             bases.push(base);
@@ -417,11 +414,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
     /// cut, in one exchange per worker. `quiesce` marks the no-action path,
     /// the only place quiescence checks run.
     fn gvt_round(&mut self, new_gvt: VTime, quiesce: bool) -> Result<(), Halt> {
-        let image = if self.log.is_some() && new_gvt != VTime::MAX {
-            Image::Base
-        } else {
-            Image::None
-        };
+        let image = self.log.is_some() && new_gvt != VTime::MAX;
         debug_assert!(self.in_hand.is_empty(), "a GVT round inside a delivery run");
         let replies = W::gvt_round(self.workers, new_gvt, image);
         for (i, reply) in replies.into_iter().enumerate() {
@@ -440,7 +433,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // round and its finish must replay the fossil collection or
             // its counter would diverge. (A capture truncates it away.)
             log.record_fossil(i, new_gvt);
-            if image == Image::Base {
+            if image {
                 self.outcome.checkpoint_bytes_full += captured.len() as u64;
                 log.set_base(i, captured);
             }

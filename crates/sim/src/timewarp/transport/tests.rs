@@ -467,22 +467,24 @@ fn unix_silence_after_the_handshake_is_worker_timeout() {
     peer.join().expect("join").expect("peer exits Ok");
 }
 
+/// `j` with its member `key` replaced by `value`.
+fn with_field(j: &Json, key: &str, value: Json) -> Json {
+    let Json::Object(members) = j else {
+        panic!("not an object: {j:?}")
+    };
+    let swap =
+        |(k, v): &(String, Json)| (k.clone(), if k == key { value.clone() } else { v.clone() });
+    Json::Object(members.iter().map(swap).collect())
+}
+
 /// An id beyond `u32` is refused on decode, never truncated onto a real
 /// cluster or net: a message for cluster `2^32` does not reach cluster 0,
 /// and an `init` naming cluster, gate output, gate input, gate block or
 /// primary input `2^32 + n` builds no worker.
 #[test]
 fn ids_beyond_u32_are_refused_on_decode() {
-    let with = |j: &Json, key: &str, value: Json| {
-        let Json::Object(members) = j else {
-            panic!("not an object: {j:?}")
-        };
-        let swap =
-            |(k, v): &(String, Json)| (k.clone(), if k == key { value.clone() } else { v.clone() });
-        Json::Object(members.iter().map(swap).collect())
-    };
     let wide = |n: i64| Json::Int((1 << 32) + n);
-    let msg = with(&channel_msg(1, Logic::One).to_json(), "dst", wide(0));
+    let msg = with_field(&channel_msg(1, Logic::One).to_json(), "dst", wide(0));
     let err = TwMessage::from_json(&msg).expect_err("dst 2^32 is no cluster");
     assert!(err.msg.contains("overflows u32"), "{}", err.msg);
 
@@ -497,12 +499,54 @@ fn ids_beyond_u32_are_refused_on_decode() {
         ("gate_block", pair(wide(0), Json::Int(1))),
         ("primary_inputs", Json::Array(vec![wide(0)])),
     ] {
-        let err = worker_init_from_json(&with(&init, key, value.clone()))
+        let err = worker_init_from_json(&with_field(&init, key, value.clone()))
             .err()
             .expect("refused");
         assert!(err.contains("overflows u32"), "{key} = {value:?}: {err}");
     }
     assert!(worker_init_from_json(&init).is_ok());
+}
+
+/// An `init` naming a net outside its `nets` builds no worker, in every
+/// field that names nets: a served worker answers it with a typed `error`
+/// frame instead of panicking while it builds its cluster.
+#[test]
+fn init_nets_outside_the_netlist_are_refused() {
+    let init = tiny_init_json();
+    let stim = |key: &str, value: Json| with_field(init.field("stim").expect("stim"), key, value);
+    let beyond = Json::Int(9); // the chain has 3 nets
+    let cases = [
+        ("primary_inputs", Json::Array(vec![beyond.clone()])),
+        ("const0", beyond.clone()),
+        ("const1", beyond.clone()),
+        (
+            "stim",
+            stim("data_inputs", Json::Array(vec![beyond.clone()])),
+        ),
+        ("stim", stim("clock", beyond.clone())),
+    ];
+    for (key, value) in &cases {
+        let err = worker_init_from_json(&with_field(&init, key, value.clone()))
+            .err()
+            .expect("refused");
+        assert!(
+            err.contains("net 9 out of range"),
+            "{key} = {value:?}: {err}"
+        );
+    }
+
+    let (mut sink, mut source, handle) = hello_session();
+    sink.send_json(&with_field(&init, "const1", beyond))
+        .expect("send init");
+    let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+    assert_eq!(json_kind(&reply).expect("kind"), "error");
+    let detail = reply
+        .field("detail")
+        .and_then(Json::as_str)
+        .expect("detail");
+    assert!(detail.contains("net 9 out of range"), "{detail}");
+    assert_eq!(source.recv().expect("clean eof"), None);
+    handle.join().expect("join").expect("serve_wire exits Ok");
 }
 
 #[test]
@@ -581,6 +625,17 @@ type WorkerSession = (
 /// worker over a Unix socketpair, returning the supervisor side of
 /// the checksummed v3 framing with the worker ready for commands.
 fn worker_session() -> WorkerSession {
+    let (mut sink, mut source, handle) = hello_session();
+    sink.send_json(&tiny_init_json()).expect("send init");
+    let ready = source.recv().expect("read").expect("ready frame");
+    let ready = parse_json(&ready).expect("parse ready");
+    assert_eq!(json_kind(&ready).expect("kind"), "ready");
+    (sink, source, handle)
+}
+
+/// Complete the hello exchange against a real [`serve_wire`] worker over
+/// a Unix socketpair; the worker waits for its `init`.
+fn hello_session() -> WorkerSession {
     let (sup, worker) = UnixStream::pair().expect("socketpair");
     let handle = std::thread::spawn(move || serve_wire(Box::new(worker), None, ""));
     let mut writer: WireStream = Box::new(sup);
@@ -591,13 +646,7 @@ fn worker_session() -> WorkerSession {
         .expect("worker hello");
     let reply = hello_parse(&parse_json(&reply).expect("parse")).expect("hello");
     assert_eq!(reply.versions(), (WIRE_VERSION, CHECKPOINT_SCHEMA));
-    let mut sink = FrameSink::new(writer);
-    let mut source = FrameSource::new(reader);
-    sink.send_json(&tiny_init_json()).expect("send init");
-    let ready = source.recv().expect("read").expect("ready frame");
-    let ready = parse_json(&ready).expect("parse ready");
-    assert_eq!(json_kind(&ready).expect("kind"), "ready");
-    (sink, source, handle)
+    (FrameSink::new(writer), FrameSource::new(reader), handle)
 }
 
 fn channel_msg(time: VTime, value: Logic) -> TwMessage {
@@ -1051,7 +1100,7 @@ fn replies_that_do_not_fit_their_command_are_protocol_failures() {
             scripted(vec![reply.clone()]),
         );
         let mut workers = [w];
-        let answered = ProcessWorker::gvt_round(&mut workers, 17, Image::Base);
+        let answered = ProcessWorker::gvt_round(&mut workers, 17, true);
         match answered.into_iter().next().expect("one reply per worker") {
             Ok(kept) if fits => assert_eq!(kept, reply, "the image is kept as received"),
             Err(WorkerFailure::Protocol { .. }) if !fits => {}
@@ -1255,7 +1304,7 @@ fn stop_rule_holds(
         }
     }
     let state = |workers: &mut [InProcWorker<'_, '_>]| -> Vec<String> {
-        let images = InProcWorker::gvt_round(workers, 0, Image::Base);
+        let images = InProcWorker::gvt_round(workers, 0, true);
         images.into_iter().map(|i| i.expect("capture")).collect()
     };
     assert_eq!(state(&mut subject), state(&mut model), "final checkpoints");

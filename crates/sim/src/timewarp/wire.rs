@@ -550,53 +550,6 @@ pub(crate) fn run_token() -> String {
     format!("{:08x}-{:x}-{:x}", std::process::id(), nanos, serial)
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Deterministic decorrelated jitter for the worker dial-in backoff,
-/// seeded from the run token and the worker's cluster id. After a
-/// partition heals, every worker of a run retries on its *own* schedule —
-/// same worker, same token: same schedule (replayable); different
-/// clusters: decorrelated schedules (no reconnect stampede on the
-/// broker).
-#[derive(Debug)]
-pub(crate) struct DialJitter {
-    state: u64,
-}
-
-impl DialJitter {
-    pub fn new(token: &str, cluster: u32) -> DialJitter {
-        let mut h = FNV_OFFSET;
-        for b in token.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        h ^= (cluster as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // xorshift64* needs a non-zero state.
-        DialJitter {
-            state: if h == 0 { FNV_OFFSET } else { h },
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64* — tiny, seedable, and plenty for spreading retries.
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// The decorrelated-jitter step: `min(cap, base + rand(prev * 3))`.
-    /// Grows like the doubling backoff it replaces on average, but two
-    /// workers never share a retry cadence.
-    pub fn next_delay(&mut self, prev: Duration, base: Duration, cap: Duration) -> Duration {
-        let span = (prev.as_millis() as u64).saturating_mul(3).max(1);
-        let jittered = base + Duration::from_millis(self.next_u64() % span);
-        jittered.min(cap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -944,27 +897,5 @@ mod tests {
         let b = run_token();
         assert_ne!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn dial_jitter_is_deterministic_and_decorrelated() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(500);
-        let sample = |token: &str, cluster: u32| {
-            let mut j = DialJitter::new(token, cluster);
-            let mut prev = base;
-            let mut out = Vec::new();
-            for _ in 0..6 {
-                prev = j.next_delay(prev, base, cap);
-                assert!(prev >= base && prev <= cap);
-                out.push(prev);
-            }
-            out
-        };
-        // Same identity: same schedule (replayable).
-        assert_eq!(sample("run-1", 0), sample("run-1", 0));
-        // Different cluster or run: decorrelated schedules.
-        assert_ne!(sample("run-1", 0), sample("run-1", 1));
-        assert_ne!(sample("run-1", 0), sample("run-2", 0));
     }
 }

@@ -6,6 +6,7 @@
 //! [`crate::design::Design`].
 
 use crate::error::Loc;
+use crate::netlist::GateKind;
 
 /// A parsed source file: an ordered list of module declarations.
 #[derive(Debug, Clone, Default)]
@@ -108,7 +109,7 @@ pub enum Item {
     },
     /// `and #1 g1 (o, a, b), g2 (o2, c, d);`
     GateInst {
-        prim: GatePrim,
+        prim: GateKind,
         delay: Option<u64>,
         instances: Vec<GateInstance>,
         loc: Loc,
@@ -121,40 +122,6 @@ pub enum Item {
     },
     /// `assign lhs = rhs;`
     Assign { lhs: Expr, rhs: Expr, loc: Loc },
-}
-
-/// Built-in primitive gate types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatePrim {
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
-    Buf,
-    Not,
-    Dff,
-    Dffr,
-    Latch,
-}
-
-impl GatePrim {
-    pub fn name(&self) -> &'static str {
-        match self {
-            GatePrim::And => "and",
-            GatePrim::Or => "or",
-            GatePrim::Nand => "nand",
-            GatePrim::Nor => "nor",
-            GatePrim::Xor => "xor",
-            GatePrim::Xnor => "xnor",
-            GatePrim::Buf => "buf",
-            GatePrim::Not => "not",
-            GatePrim::Dff => "dff",
-            GatePrim::Dffr => "dffr",
-            GatePrim::Latch => "latch",
-        }
-    }
 }
 
 /// One instance within a gate instantiation statement: optional name plus

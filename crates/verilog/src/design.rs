@@ -519,7 +519,7 @@ impl<'a> Elaborator<'a, '_> {
 
     fn elab_gate(
         &mut self,
-        prim: GatePrim,
+        prim: GateKind,
         delay: Option<u64>,
         gi: &GateInstance,
         owner: InstId,
@@ -527,17 +527,17 @@ impl<'a> Elaborator<'a, '_> {
         net_map: &NetMap,
     ) -> Result<()> {
         let n = gi.terminals.len();
+        let name = prim.name();
         match prim {
-            GatePrim::And
-            | GatePrim::Or
-            | GatePrim::Nand
-            | GatePrim::Nor
-            | GatePrim::Xor
-            | GatePrim::Xnor => {
+            GateKind::And
+            | GateKind::Or
+            | GateKind::Nand
+            | GateKind::Nor
+            | GateKind::Xor
+            | GateKind::Xnor => {
                 if n < 3 {
                     return Err(Error::elab(format!(
-                        "`{path}`: `{}` gate needs an output and at least two inputs",
-                        prim.name()
+                        "`{path}`: `{name}` gate needs an output and at least two inputs"
                     )));
                 }
                 let out = self.scalar(&gi.terminals[0], path, net_map, "gate output")?;
@@ -545,54 +545,33 @@ impl<'a> Elaborator<'a, '_> {
                 for t in &gi.terminals[1..] {
                     inputs.push(self.scalar(t, path, net_map, "gate input")?);
                 }
-                let kind = match prim {
-                    GatePrim::And => GateKind::And,
-                    GatePrim::Or => GateKind::Or,
-                    GatePrim::Nand => GateKind::Nand,
-                    GatePrim::Nor => GateKind::Nor,
-                    GatePrim::Xor => GateKind::Xor,
-                    GatePrim::Xnor => GateKind::Xnor,
-                    _ => unreachable!(),
-                };
-                self.add_gate(kind, out, &inputs, owner, delay, path)?;
+                self.add_gate(prim, out, &inputs, owner, delay, path)?;
             }
-            GatePrim::Buf | GatePrim::Not => {
+            GateKind::Buf | GateKind::Not => {
                 if n < 2 {
                     return Err(Error::elab(format!(
-                        "`{path}`: `{}` needs at least one output and one input",
-                        prim.name()
+                        "`{path}`: `{name}` needs at least one output and one input"
                     )));
                 }
                 let input = self.scalar(&gi.terminals[n - 1], path, net_map, "gate input")?;
-                let kind = if prim == GatePrim::Buf {
-                    GateKind::Buf
-                } else {
-                    GateKind::Not
-                };
                 for t in &gi.terminals[..n - 1] {
                     let out = self.scalar(t, path, net_map, "gate output")?;
-                    self.add_gate(kind, out, &[input], owner, delay, path)?;
+                    self.add_gate(prim, out, &[input], owner, delay, path)?;
                 }
             }
-            GatePrim::Dff | GatePrim::Latch => {
+            GateKind::Dff | GateKind::Latch => {
                 if n != 3 {
                     return Err(Error::elab(format!(
-                        "`{path}`: `{}` needs exactly (q, {}, d) terminals",
-                        prim.name(),
-                        if prim == GatePrim::Dff { "clk" } else { "en" }
+                        "`{path}`: `{name}` needs exactly (q, {}, d) terminals",
+                        if prim == GateKind::Dff { "clk" } else { "en" }
                     )));
                 }
                 let q = self.scalar(&gi.terminals[0], path, net_map, "dff output")?;
                 let ctl = self.scalar(&gi.terminals[1], path, net_map, "dff clock/enable")?;
                 let d = self.scalar(&gi.terminals[2], path, net_map, "dff data")?;
-                let kind = if prim == GatePrim::Dff {
-                    GateKind::Dff
-                } else {
-                    GateKind::Latch
-                };
-                self.add_gate(kind, q, &[ctl, d], owner, delay, path)?;
+                self.add_gate(prim, q, &[ctl, d], owner, delay, path)?;
             }
-            GatePrim::Dffr => {
+            GateKind::Dffr => {
                 if n != 4 {
                     return Err(Error::elab(format!(
                         "`{path}`: `dffr` needs exactly (q, clk, rst, d) terminals"
@@ -602,7 +581,13 @@ impl<'a> Elaborator<'a, '_> {
                 let clk = self.scalar(&gi.terminals[1], path, net_map, "dffr clock")?;
                 let rst = self.scalar(&gi.terminals[2], path, net_map, "dffr reset")?;
                 let d = self.scalar(&gi.terminals[3], path, net_map, "dffr data")?;
-                self.add_gate(GateKind::Dffr, q, &[clk, rst, d], owner, delay, path)?;
+                self.add_gate(prim, q, &[clk, rst, d], owner, delay, path)?;
+            }
+            // The lexer never yields these, but the AST is public.
+            GateKind::Const0 | GateKind::Const1 => {
+                return Err(Error::elab(format!(
+                    "`{path}`: `{name}` is not a Verilog primitive"
+                )));
             }
         }
         Ok(())
@@ -1126,6 +1111,45 @@ mod tests {
                 e.to_string().contains("port `i` connected twice"),
                 "{conns}: {e}"
             );
+        }
+    }
+
+    /// The lexer never yields `const0` or `const1` as a gate keyword, but
+    /// the AST is public: a hand-built statement naming one is a typed
+    /// elaboration error.
+    #[test]
+    fn hand_built_constant_gate_is_an_elaboration_error() {
+        let loc = crate::error::Loc::default();
+        let unit = SourceUnit {
+            modules: vec![ModuleDecl {
+                name: "top".into(),
+                ports: vec!["o".into()],
+                items: vec![
+                    Item::PortDecl {
+                        direction: Direction::Output,
+                        range: None,
+                        names: vec!["o".into()],
+                        loc,
+                    },
+                    Item::GateInst {
+                        prim: GateKind::Const1,
+                        delay: None,
+                        instances: vec![GateInstance {
+                            name: None,
+                            terminals: vec![Expr::Ident("o".into())],
+                            loc,
+                        }],
+                        loc,
+                    },
+                ],
+                loc,
+            }],
+        };
+        match elaborate(&unit, &ElabOptions::default()) {
+            Err(Error::Elab { msg }) => {
+                assert!(msg.contains("`const1` is not a Verilog primitive"), "{msg}")
+            }
+            other => panic!("expected an elaboration error, got {other:?}"),
         }
     }
 }

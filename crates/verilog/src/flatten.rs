@@ -2,10 +2,12 @@
 //!
 //! The netlist produced by elaboration is already flat at the gate level;
 //! what distinguishes the paper's *design-driven* algorithm from flat-netlist
-//! partitioners (hMetis) is whether the instance tree is consulted. The
-//! hMetis baseline never looks at it: it partitions the gate-level
-//! hypergraph (`dvs_hypergraph::builder::gate_level`). This module provides
-//! the frontier helpers used by the super-gate machinery.
+//! partitioners (hMetis) is whether the instance tree is consulted. Both
+//! partition a hypergraph built over a [`Frontier`]: the design-driven one
+//! starts from [`Frontier::initial`], and the hMetis baseline's gate-level
+//! hypergraph (`dvs_hypergraph::builder::gate_level`) is the one over
+//! [`Frontier::flat`], which has no super-gates. This module provides the
+//! frontier helpers used by the super-gate machinery.
 
 use crate::netlist::{InstId, Netlist};
 

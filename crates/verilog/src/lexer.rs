@@ -445,6 +445,19 @@ mod tests {
     }
 
     #[test]
+    fn gate_names_lex_as_their_gate_kind() {
+        use crate::netlist::GateKind;
+        for kind in GateKind::ALL.into_iter().filter(|k| !k.is_const()) {
+            let tok = kinds(kind.name()).remove(0);
+            assert_eq!(tok, TokenKind::Keyword(Keyword::Gate(kind)));
+            assert_eq!(tok.to_string(), format!("keyword `{}`", kind.name()));
+        }
+        for name in ["const0", "const1"] {
+            assert_eq!(kinds(name)[0], TokenKind::Ident(name.into()));
+        }
+    }
+
+    #[test]
     fn dollar_in_identifier() {
         let k = kinds("n$123 _abc$");
         assert_eq!(k[0], TokenKind::Ident("n$123".into()));

@@ -23,7 +23,10 @@
 //!   (positive-edge D flip-flop, terminals `(q, clk, d)`), `dffr` (with
 //!   asynchronous active-high reset, terminals `(q, clk, rst, d)`) and
 //!   `latch` (level-sensitive, terminals `(q, en, d)`) that synthesized
-//!   netlists map library cells onto
+//!   netlists map library cells onto. [`GateKind`] is the one primitive
+//!   set from the lexer to the simulator's gate tables: a gate keyword is
+//!   the name of a non-constant kind, and the AST and the netlist carry
+//!   the kind itself
 //! * hierarchical module instantiation
 //! * continuous assignment `assign lhs = rhs;` where `rhs` is an identifier,
 //!   bit/part select, literal or concatenation (elaborated to `buf` gates)

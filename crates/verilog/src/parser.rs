@@ -25,6 +25,7 @@
 use crate::ast::*;
 use crate::error::{Error, Loc, Result};
 use crate::lexer::Lexer;
+use crate::netlist::GateKind;
 use crate::token::{Keyword, Token, TokenKind};
 
 /// Parser state over a fully lexed token vector.
@@ -172,7 +173,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::Supply0) => self.parse_net_decl(NetKind::Supply0),
             TokenKind::Keyword(Keyword::Supply1) => self.parse_net_decl(NetKind::Supply1),
             TokenKind::Keyword(Keyword::Assign) => self.parse_assign(),
-            TokenKind::Keyword(kw) if kw.is_gate() => self.parse_gate_inst(kw),
+            TokenKind::Keyword(Keyword::Gate(prim)) => self.parse_gate_inst(prim),
             TokenKind::Ident(_) => self.parse_module_inst(),
             other => Err(Error::parse(
                 loc,
@@ -253,23 +254,9 @@ impl Parser {
         Ok(Item::Assign { lhs, rhs, loc })
     }
 
-    fn parse_gate_inst(&mut self, kw: Keyword) -> Result<Item> {
+    fn parse_gate_inst(&mut self, prim: GateKind) -> Result<Item> {
         let loc = self.loc();
         self.bump(); // gate keyword
-        let prim = match kw {
-            Keyword::And => GatePrim::And,
-            Keyword::Or => GatePrim::Or,
-            Keyword::Nand => GatePrim::Nand,
-            Keyword::Nor => GatePrim::Nor,
-            Keyword::Xor => GatePrim::Xor,
-            Keyword::Xnor => GatePrim::Xnor,
-            Keyword::Buf => GatePrim::Buf,
-            Keyword::Not => GatePrim::Not,
-            Keyword::Dff => GatePrim::Dff,
-            Keyword::Dffr => GatePrim::Dffr,
-            Keyword::Latch => GatePrim::Latch,
-            _ => unreachable!("caller checked is_gate()"),
-        };
         let delay = self.parse_optional_delay()?;
         let mut instances = Vec::new();
         loop {
@@ -488,7 +475,7 @@ mod tests {
                 instances,
                 ..
             } => {
-                assert_eq!(*prim, GatePrim::And);
+                assert_eq!(*prim, GateKind::And);
                 assert_eq!(*delay, Some(2));
                 assert_eq!(instances.len(), 2);
                 assert_eq!(instances[0].name.as_deref(), Some("g1"));
@@ -617,6 +604,6 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(gates, vec![GatePrim::Dff, GatePrim::Latch]);
+        assert_eq!(gates, vec![GateKind::Dff, GateKind::Latch]);
     }
 }

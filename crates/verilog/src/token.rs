@@ -1,6 +1,7 @@
 //! Token definitions for the gate-level Verilog subset.
 
 use crate::error::Loc;
+use crate::netlist::GateKind;
 use std::fmt;
 
 /// A lexed token together with its source location.
@@ -68,7 +69,8 @@ impl fmt::Display for TokenKind {
     }
 }
 
-/// Reserved words recognized by the subset.
+/// Reserved words recognized by the subset: ten structural words and the
+/// primitive gate names, which are [`GateKind`]'s own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     Module,
@@ -81,19 +83,9 @@ pub enum Keyword {
     Assign,
     Supply0,
     Supply1,
-    // Gate primitives.
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
-    Buf,
-    Not,
-    // Sequential extension primitives (see crate docs).
-    Dff,
-    Dffr,
-    Latch,
+    /// A primitive gate; never [`GateKind::is_const`], so `const0` and
+    /// `const1` stay identifiers.
+    Gate(GateKind),
 }
 
 impl Keyword {
@@ -112,37 +104,12 @@ impl Keyword {
             "assign" => Keyword::Assign,
             "supply0" => Keyword::Supply0,
             "supply1" => Keyword::Supply1,
-            "and" => Keyword::And,
-            "or" => Keyword::Or,
-            "nand" => Keyword::Nand,
-            "nor" => Keyword::Nor,
-            "xor" => Keyword::Xor,
-            "xnor" => Keyword::Xnor,
-            "buf" => Keyword::Buf,
-            "not" => Keyword::Not,
-            "dff" => Keyword::Dff,
-            "dffr" => Keyword::Dffr,
-            "latch" => Keyword::Latch,
-            _ => return None,
+            _ => {
+                return GateKind::from_name(s)
+                    .filter(|k| !k.is_const())
+                    .map(Keyword::Gate)
+            }
         })
-    }
-
-    /// True if this keyword begins a primitive gate instantiation.
-    pub fn is_gate(self) -> bool {
-        matches!(
-            self,
-            Keyword::And
-                | Keyword::Or
-                | Keyword::Nand
-                | Keyword::Nor
-                | Keyword::Xor
-                | Keyword::Xnor
-                | Keyword::Buf
-                | Keyword::Not
-                | Keyword::Dff
-                | Keyword::Dffr
-                | Keyword::Latch
-        )
     }
 }
 
@@ -159,17 +126,7 @@ impl fmt::Display for Keyword {
             Keyword::Assign => "assign",
             Keyword::Supply0 => "supply0",
             Keyword::Supply1 => "supply1",
-            Keyword::And => "and",
-            Keyword::Or => "or",
-            Keyword::Nand => "nand",
-            Keyword::Nor => "nor",
-            Keyword::Xor => "xor",
-            Keyword::Xnor => "xnor",
-            Keyword::Buf => "buf",
-            Keyword::Not => "not",
-            Keyword::Dff => "dff",
-            Keyword::Dffr => "dffr",
-            Keyword::Latch => "latch",
+            Keyword::Gate(k) => k.name(),
         };
         f.write_str(s)
     }
@@ -192,17 +149,17 @@ mod tests {
             Keyword::Assign,
             Keyword::Supply0,
             Keyword::Supply1,
-            Keyword::And,
-            Keyword::Or,
-            Keyword::Nand,
-            Keyword::Nor,
-            Keyword::Xor,
-            Keyword::Xnor,
-            Keyword::Buf,
-            Keyword::Not,
-            Keyword::Dff,
-            Keyword::Dffr,
-            Keyword::Latch,
+            Keyword::Gate(GateKind::And),
+            Keyword::Gate(GateKind::Or),
+            Keyword::Gate(GateKind::Nand),
+            Keyword::Gate(GateKind::Nor),
+            Keyword::Gate(GateKind::Xor),
+            Keyword::Gate(GateKind::Xnor),
+            Keyword::Gate(GateKind::Buf),
+            Keyword::Gate(GateKind::Not),
+            Keyword::Gate(GateKind::Dff),
+            Keyword::Gate(GateKind::Dffr),
+            Keyword::Gate(GateKind::Latch),
         ] {
             assert_eq!(Keyword::from_str(&kw.to_string()), Some(kw));
         }
@@ -211,9 +168,10 @@ mod tests {
 
     #[test]
     fn gate_classification() {
-        assert!(Keyword::And.is_gate());
-        assert!(Keyword::Dff.is_gate());
-        assert!(!Keyword::Module.is_gate());
-        assert!(!Keyword::Wire.is_gate());
+        let lexes_as_gate = |s| matches!(Keyword::from_str(s), Some(Keyword::Gate(_)));
+        assert!(lexes_as_gate("and"));
+        assert!(lexes_as_gate("dff"));
+        assert!(!lexes_as_gate("module"));
+        assert!(!lexes_as_gate("wire"));
     }
 }
