@@ -1,11 +1,11 @@
 //! `fullscale_probe` — a one-point feasibility check of the paper-scale
 //! (~1.1 M gate) decoder: generation, elaboration, design-driven
-//! partitioning at (k=4, b=7.5), a 100-vector modeled cluster run, and the
-//! same 100 vectors measured: `SeqSim` against the shipped kernel
-//! (`Transport::Threads`, k=2 b=10 — the `decoder_1m_threads` shape), checked
-//! net by net. The full `repro --scale full` grid takes hours; this answers
-//! "does the stack handle a megagate netlist, and is the speedup positive?"
-//! in seconds. See EXPERIMENTS.md §Running at full scale.
+//! partitioning at (k=4, b=7.5) and its quality, and 100 vectors measured:
+//! `SeqSim` against the shipped kernel (`Transport::Threads`, k=2 b=10 —
+//! the `decoder_1m_threads` shape), checked net by net. The full `repro
+//! --scale full` grid takes hours; this answers "does the stack handle a
+//! megagate netlist, and is the speedup positive?" in seconds. See
+//! EXPERIMENTS.md §Running at full scale.
 //!
 //! Progress goes to stderr; the result is a schema-versioned JSON
 //! artifact (the same serializers as the golden test and `repro`) on stdout, or
@@ -69,23 +69,10 @@ fn main() {
         "dd partition: cut {} bal {} in {:.1}s",
         r.cut, r.balanced, partition_seconds
     );
-    let t0 = Instant::now();
-    let plan = dvs_sim::cluster::ClusterPlan::new(&nl, &r.gate_blocks, K as usize);
-    let model = dvs_sim::cluster_model::ClusterModel::new(
-        &nl,
-        plan,
-        dvs_sim::cluster_model::ClusterModelConfig::athlon_cluster(nl.gate_count()),
-    );
     let stim = dvs_sim::stimulus::VectorStimulus::from_netlist(&nl, 10, 1);
-    let run = model.run(&stim, VECTORS);
-    let model_seconds = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "modeled {VECTORS} vectors in {model_seconds:.1}s: speedup {:.2} msgs {}",
-        run.speedup, run.stats.messages
-    );
 
-    // The measured leg: real wall-clock of the two event loops on the
-    // vectors the model just ran. k = 2 because that is what fits two cores.
+    // The measured leg: real wall-clock of the two event loops on the same
+    // vectors. k = 2 because that is what fits two cores.
     const MEASURED_K: u32 = 2;
     const MEASURED_B: f64 = 10.0;
     let t0 = Instant::now();
@@ -150,10 +137,7 @@ fn main() {
         "committed events per cluster {committed:?}: the heaviest holds {:.0} % of the events",
         100.0 * heaviest_share
     );
-    eprintln!(
-        "measured speedup {measured_speedup:.2} (Threads k={MEASURED_K}, this host) beside modeled {:.2} (athlon cluster, k={K})",
-        run.speedup
-    );
+    eprintln!("measured speedup {measured_speedup:.2} (Threads k={MEASURED_K}, this host)");
     let peak_rss_mb = peak_rss_mb();
     eprintln!("peak resident memory {peak_rss_mb:.0} MB");
 
@@ -171,13 +155,11 @@ fn main() {
                 .build(),
         )
         .uint("vectors", VECTORS)
-        .field("run", run.to_json())
         .field(
             "host",
             ObjBuilder::new()
                 .float("elaborate_seconds", elaborate_seconds)
                 .float("partition_seconds", partition_seconds)
-                .float("model_seconds", model_seconds)
                 .uint("measured_k", MEASURED_K as u64)
                 .uint("seq_events", seq_stats.events)
                 .uint("seq_gate_evals", seq_stats.gate_evals)

@@ -16,12 +16,12 @@
 
 use dvs_core::engine::{map_indexed, Parallelism};
 use dvs_core::multiway::{partition_multiway_sweep, MultiwayConfig, MultiwayResult};
-use dvs_core::presim::{evaluate_partitions, Candidate, PresimConfig, PresimPoint};
+use dvs_core::presim::{evaluate_partitions, Candidate, PresimConfig, PresimPoint, PERIOD};
 use dvs_core::report::{secs, speedup, Table};
 use dvs_hmetis::{partition_kway, HmetisConfig};
 use dvs_hypergraph::builder::{cut_size_gates, gate_level};
 use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::cluster_model::{run_batch, ClusterRun};
+use dvs_sim::cluster_model::{run_batch, ClusterModelConfig, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_verilog::netlist::Netlist;
 use dvs_verilog::stats::{stats, DesignStats};
@@ -300,9 +300,9 @@ pub fn full_runs(wl: &Workload, data: &ReproData) -> FullRuns {
             .map(|&k| ClusterPlan::new(nl, &data.best_for_k(k).presim.gate_blocks, k as usize)),
     );
     let plans: Vec<&ClusterPlan> = plans.iter().collect();
-    let mcfg = PresimConfig::paper_defaults().model;
-    let stim = VectorStimulus::from_netlist(nl, 10, 0x1234);
-    let mut runs = run_batch(nl, &plans, &mcfg, &stim, data.cfg.full_vectors).into_iter();
+    let model = ClusterModelConfig::athlon_cluster(nl.gate_count());
+    let stim = VectorStimulus::from_netlist(nl, PERIOD, PresimConfig::paper_defaults().stim_seed);
+    let mut runs = run_batch(nl, &plans, &model, &stim, data.cfg.full_vectors).into_iter();
     let seq = runs.next().expect("the one-machine plan leads the batch");
     FullRuns {
         seq,

@@ -4,7 +4,7 @@
 //! a synthesized netlist (or source text) and it runs the whole methodology
 //! of the paper — parse and elaborate, pre-simulate the (k, b) candidates
 //! (brute force or the Fig. 3 heuristic), pick the best partition, and run
-//! the full-length simulation on the modeled cluster.
+//! the full-length simulation on the calibrated cluster model.
 //!
 //! Flows are constructed with [`FlowBuilder`]:
 //!
@@ -30,9 +30,10 @@
 use crate::engine::Parallelism;
 use crate::presim::{
     best_point, brute_force_presim, heuristic_presim, PresimConfig, PresimPoint, TwPresimConfig,
+    PERIOD,
 };
 use dvs_sim::cluster::ClusterPlan;
-use dvs_sim::cluster_model::{ClusterModel, ClusterRun};
+use dvs_sim::cluster_model::{ClusterModel, ClusterModelConfig, ClusterRun};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_verilog::stats::{stats, DesignStats};
 use dvs_verilog::{Error, Netlist};
@@ -257,8 +258,9 @@ impl<'a> FlowBuilder<'a> {
     }
 
     /// Additionally run each candidate partition under the deterministic
-    /// Time Warp executor, recording exact protocol counters (rollbacks,
-    /// anti-messages, GVT rounds, fossil collections) in every
+    /// Time Warp executor — the stock kernel, in process, under the
+    /// config's seed and schedule — recording exact protocol counters
+    /// (rollbacks, anti-messages, GVT rounds, fossil collections) in every
     /// [`PresimPoint::tw`]. Deterministic for any thread count, so the
     /// counters appear in canonical artifacts.
     pub fn timewarp_presim(mut self, tw: TwPresimConfig) -> Self {
@@ -389,8 +391,12 @@ impl Flow<'_> {
         // Full simulation with the chosen partition.
         let t_full = Instant::now();
         let plan = ClusterPlan::new(nl, &chosen.gate_blocks, chosen.k as usize);
-        let model = ClusterModel::new(nl, plan, cfg.presim.model.clone());
-        let stim = VectorStimulus::from_netlist(nl, cfg.presim.period, cfg.presim.stim_seed);
+        let model = ClusterModel::new(
+            nl,
+            plan,
+            ClusterModelConfig::athlon_cluster(nl.gate_count()),
+        );
+        let stim = VectorStimulus::from_netlist(nl, PERIOD, cfg.presim.stim_seed);
         let full = model.run(&stim, cfg.full_vectors);
         let full_run_seconds = t_full.elapsed().as_secs_f64();
         let full_speedup = full.speedup;

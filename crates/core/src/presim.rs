@@ -35,6 +35,9 @@ use std::time::Instant;
 /// fossil collections — are exact, seed-reproducible protocol counters
 /// (where the cluster model only *estimates* messages and rollbacks), so
 /// they land in canonical artifacts and are byte-compared by the perf gate.
+/// The leg runs the stock kernel ([`TimeWarpConfig::default`]) on the
+/// in-process executor under `seed` and `schedule`, so it is always
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct TwPresimConfig {
     /// Seed for the virtual scheduler.
@@ -44,10 +47,6 @@ pub struct TwPresimConfig {
     /// Vectors simulated under the executor. Kept smaller than the modeled
     /// run's `vectors` — the executor simulates every gate for real.
     pub vectors: u64,
-    /// Kernel tuning (window, epochs per quantum). Its `transport` is
-    /// ignored: the leg runs on the in-process deterministic executor under
-    /// `seed` and `schedule` above, so it is always deterministic.
-    pub kernel: TimeWarpConfig,
     /// When set, run a second deterministic leg with this crash fault
     /// injected and record its counters in [`PresimPoint::tw_crash`].
     /// Recovery is exact, so the crash leg's counters must equal the clean
@@ -57,30 +56,30 @@ pub struct TwPresimConfig {
 }
 
 impl TwPresimConfig {
-    /// Defaults: round-robin schedule, 100 vectors, stock kernel tuning,
-    /// no crash leg.
+    /// Defaults: round-robin schedule, 100 vectors, no crash leg.
     pub fn new(seed: u64) -> Self {
         TwPresimConfig {
             seed,
             schedule: SchedulePolicy::RoundRobin,
             vectors: 100,
-            kernel: TimeWarpConfig::default(),
             fault: None,
         }
     }
 }
 
-/// Pre-simulation parameters.
+/// Vector period in gate delays, of every pre-simulation and of the full
+/// run after it.
+pub const PERIOD: u64 = 10;
+
+/// Pre-simulation parameters. Every point is measured on the one calibrated
+/// cluster model ([`ClusterModelConfig::athlon_cluster`]) with vectors
+/// [`PERIOD`] gate delays apart.
 #[derive(Debug, Clone)]
 pub struct PresimConfig {
     /// Random vectors for the pre-simulation run (paper: 10 000).
     pub vectors: u64,
-    /// Vector period in gate delays.
-    pub period: u64,
     /// Stimulus seed.
     pub stim_seed: u64,
-    /// Cluster cost model.
-    pub model: ClusterModelConfig,
     /// Partitioner seed.
     pub part_seed: u64,
     /// When set, each point additionally runs the deterministic Time Warp
@@ -90,15 +89,11 @@ pub struct PresimConfig {
 }
 
 impl PresimConfig {
-    /// Defaults matching the paper's setup. The cost model is the same at
-    /// every design size ([`ClusterModelConfig::athlon_cluster`] ignores
-    /// its gate count).
+    /// Defaults matching the paper's setup.
     pub fn paper_defaults() -> Self {
         PresimConfig {
             vectors: 10_000,
-            period: 10,
             stim_seed: 0x1234,
-            model: ClusterModelConfig::athlon_cluster(0),
             part_seed: 0xD5,
             timewarp: None,
         }
@@ -278,7 +273,7 @@ pub fn evaluate_partitions(
     cfg: &PresimConfig,
     par: Parallelism,
 ) -> Vec<PresimPoint> {
-    let stim = VectorStimulus::from_netlist(nl, cfg.period, cfg.stim_seed);
+    let stim = VectorStimulus::from_netlist(nl, PERIOD, cfg.stim_seed);
     let staged = map_indexed(cands.len(), par, |i| {
         let t_stage = Instant::now();
         let Candidate {
@@ -292,12 +287,11 @@ pub fn evaluate_partitions(
         // Deterministic mode makes a leg a pure function of its inputs, so
         // points stay bit-identical for any evaluation order or thread count.
         let run_leg = |t: &TwPresimConfig, fault: FaultPlan| {
-            // The presim leg is always deterministic, whatever the kernel
-            // config says: the in-process executor under the presim's own
-            // seed and schedule.
-            let mut twcfg = t.kernel.clone();
-            twcfg.transport = Transport::in_proc(t.seed, t.schedule);
-            twcfg.fault = fault;
+            let twcfg = TimeWarpConfig {
+                transport: Transport::in_proc(t.seed, t.schedule),
+                fault,
+                ..TimeWarpConfig::default()
+            };
             match run_timewarp(nl, &plan, &stim, t.vectors, &twcfg) {
                 Ok(r) => r.stats,
                 // A wedged kernel during pre-simulation is a configuration/
@@ -328,7 +322,8 @@ pub fn evaluate_partitions(
         (point, plan, t_stage.elapsed().as_secs_f64())
     });
     let plans: Vec<&ClusterPlan> = staged.iter().map(|(_, plan, _)| plan).collect();
-    let runs = run_batch(nl, &plans, &cfg.model, &stim, cfg.vectors);
+    let model = ClusterModelConfig::athlon_cluster(nl.gate_count());
+    let runs = run_batch(nl, &plans, &model, &stim, cfg.vectors);
     let complete = |((point, _, stage_seconds), run): ((PresimPoint, _, f64), ClusterRun)| {
         let host = run.timing;
         PresimPoint {
@@ -634,6 +629,29 @@ mod tests {
         // Disabled leg stays disabled.
         cfg.timewarp = None;
         assert!(presim_point(&nl, 2, 10.0, &cfg).tw.is_none());
+    }
+
+    /// The leg is the stock kernel on the in-process executor under the
+    /// leg's own seed and schedule: its counters are those of a direct run.
+    #[test]
+    fn timewarp_leg_is_a_direct_in_proc_run() {
+        let nl = pipeline_netlist();
+        let mut cfg = quick_cfg();
+        let tw = TwPresimConfig {
+            schedule: SchedulePolicy::SeededRandom,
+            vectors: 40,
+            ..TwPresimConfig::new(7)
+        };
+        cfg.timewarp = Some(tw.clone());
+        let p = presim_point(&nl, 2, 10.0, &cfg);
+        let plan = ClusterPlan::new(&nl, &p.gate_blocks, 2);
+        let stim = VectorStimulus::from_netlist(&nl, PERIOD, cfg.stim_seed);
+        let direct = TimeWarpConfig {
+            transport: Transport::in_proc(tw.seed, tw.schedule),
+            ..TimeWarpConfig::default()
+        };
+        let run = run_timewarp(&nl, &plan, &stim, tw.vectors, &direct).expect("direct run");
+        assert_eq!(p.tw, Some(run.stats));
     }
 
     #[test]

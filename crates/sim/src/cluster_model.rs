@@ -8,7 +8,9 @@
 //! every gate evaluation and every cut-net toggle to a (machine, cycle)
 //! bucket — and a discrete model of the machines' wall-clock progression
 //! replays that workload with per-event CPU cost, per-message CPU overhead,
-//! network latency and an optimism/rollback penalty.
+//! network latency and an optimism/rollback penalty. The model has one
+//! calibration, that testbed's: the costs are the constants below, and
+//! [`ClusterModelConfig::athlon_cluster`] is the only configuration.
 //!
 //! What the model preserves (and what the tables/figures need):
 //!
@@ -39,61 +41,39 @@ use dvs_verilog::netlist::{GateId, GateKind, NetId, Netlist};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Cost model constants. Defaults approximate the paper's testbed: a 1 GHz
-/// Athlon evaluating roughly one gate event per microsecond, MPICH-over-TCP
-/// per-message CPU cost in the tens of microseconds, and gigabit-Ethernet
-/// one-way latency around 60 µs for small messages.
+/// Modeled sequential nanoseconds per vector: the paper's 38.93 s for
+/// 10 000 vectors on the 1 GHz Athlon. The per-event cost of a run is
+/// derived from it, so the compute/communication balance that decides
+/// speedup is the testbed's at every circuit scale and activity.
+const SEQ_NS_PER_VECTOR: f64 = 3.893e6;
+/// Per-event cost of a run with no cycle or no evaluation to anchor.
+const UNANCHORED_EVENT_NS: f64 = 1_000.0;
+/// CPU nanoseconds per message sent or received (the MPICH stack), fitted
+/// so the per-cycle communication budget at the paper's best configuration
+/// (k = 4, b = 7.5) reproduces its measured parallel inefficiency; see
+/// EXPERIMENTS.md.
+const MSG_CPU_NS: f64 = 5_000.0;
+/// One-way gigabit-Ethernet latency of a small message.
+const LATENCY_NS: f64 = 60_000.0;
+/// Wasted-work multiplier on the wall-clock gap by which a machine had run
+/// ahead when a straggler arrived.
+const ROLLBACK_PENALTY: f64 = 0.5;
+
+/// The calibrated paper-testbed model.
 #[derive(Debug, Clone)]
 pub struct ClusterModelConfig {
-    /// CPU nanoseconds per gate event.
-    pub event_cost_ns: f64,
-    /// CPU nanoseconds per message sent or received (MPICH stack overhead).
-    pub msg_cpu_ns: f64,
-    /// One-way network latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Wasted-work multiplier applied to the wall-clock gap by which a
-    /// machine had run ahead when a straggler arrived.
-    pub rollback_penalty: f64,
     /// Cycle-bucket cap: long runs are folded into at most this many
     /// buckets to bound memory (counts stay exact; timing granularity
     /// coarsens).
-    pub max_buckets: usize,
-    /// When set, `event_cost_ns` is re-derived after profiling so the
-    /// modeled *sequential* time per vector equals this many nanoseconds —
-    /// anchoring the compute/communication balance to a measured testbed
-    /// figure regardless of circuit scale or activity. The paper reports
-    /// 38.93 s for 10 000 vectors sequentially, i.e. 3.893 ms/vector.
-    pub calibrate_seq_ns_per_cycle: Option<f64>,
-}
-
-impl Default for ClusterModelConfig {
-    fn default() -> Self {
-        ClusterModelConfig {
-            event_cost_ns: 1_000.0,
-            msg_cpu_ns: 25_000.0,
-            latency_ns: 60_000.0,
-            rollback_penalty: 0.5,
-            max_buckets: 16_384,
-            calibrate_seq_ns_per_cycle: None,
-        }
-    }
+    max_buckets: usize,
 }
 
 impl ClusterModelConfig {
-    /// The calibrated paper-testbed model: per-event cost is anchored so
-    /// that the sequential simulation of one vector costs what the paper
-    /// measured on the 1 GHz Athlon (38.93 s / 10 000 vectors), keeping the
-    /// compute/communication balance that determines speedup at paper scale
-    /// even on scaled-down circuit instances. Message CPU cost is fitted so
-    /// the per-cycle communication budget at the paper's best configuration
-    /// (k=4, b=7.5) reproduces its measured parallel inefficiency; see
-    /// EXPERIMENTS.md for the derivation. The gate count is ignored — the
+    /// The model of the paper's testbed. The gate count is ignored — the
     /// anchor is a cost per vector, the same at every design size.
     pub fn athlon_cluster(_actual_gates: usize) -> Self {
         ClusterModelConfig {
-            calibrate_seq_ns_per_cycle: Some(3.893e6),
-            msg_cpu_ns: 5_000.0,
-            ..Default::default()
+            max_buckets: 16_384,
         }
     }
 }
@@ -218,10 +198,6 @@ impl<'a> ClusterModel<'a> {
         ClusterModel { nl, plan, cfg }
     }
 
-    pub fn plan(&self) -> &ClusterPlan {
-        &self.plan
-    }
-
     /// Profile `cycles` vectors of `stim` and model the cluster's execution.
     pub fn run(&self, stim: &VectorStimulus, cycles: u64) -> ClusterRun {
         let mut runs = run_batch(self.nl, &[&self.plan], &self.cfg, stim, cycles);
@@ -342,7 +318,7 @@ fn profile_and_model<B: Copy + Into<u32> + TryFrom<u32>>(
     plans
         .iter()
         .zip(origin)
-        .map(|(plan, at)| model(&prof, plan.k, at, cfg, sim.stats().clone(), profile_seconds))
+        .map(|(plan, at)| model(&prof, plan.k, at, sim.stats().clone(), profile_seconds))
         .collect()
 }
 
@@ -352,7 +328,6 @@ fn model<B>(
     prof: &Profiler<B>,
     k: usize,
     (slot0, cell0): (usize, usize),
-    cfg: &ClusterModelConfig,
     base: SimStats,
     profile_seconds: f64,
 ) -> ClusterRun {
@@ -364,14 +339,11 @@ fn model<B>(
     let recv = |b: usize, p: usize| at(b, 2 * width + slot0 + p);
     let msg = |b: usize, q: usize, p: usize| at(b, cell0 + q * k + p);
 
-    let ev_ns = match cfg.calibrate_seq_ns_per_cycle {
-        Some(per_cycle) if base.gate_evals > 0 && base.cycles > 0 => {
-            per_cycle * base.cycles as f64 / base.gate_evals as f64
-        }
-        _ => cfg.event_cost_ns,
+    let ev_ns = if base.gate_evals > 0 && base.cycles > 0 {
+        SEQ_NS_PER_VECTOR * base.cycles as f64 / base.gate_evals as f64
+    } else {
+        UNANCHORED_EVENT_NS
     };
-    let msg_ns = cfg.msg_cpu_ns;
-    let lat_ns = cfg.latency_ns;
 
     let mut finish = vec![0.0f64; k]; // committed wall time per machine
     let mut start = vec![0.0f64; k]; // bucket start per machine
@@ -389,7 +361,7 @@ fn model<B>(
             machine_events[p] += e;
             machine_messages[p] += sent(b, p);
             start[p] = finish[p];
-            local[p] = finish[p] + e as f64 * ev_ns + (sent(b, p) + recv(b, p)) as f64 * msg_ns;
+            local[p] = finish[p] + e as f64 * ev_ns + (sent(b, p) + recv(b, p)) as f64 * MSG_CPU_NS;
         }
         // Arrivals and rollbacks. A sender's messages are spread
         // uniformly over its compute span; the fraction arriving after
@@ -406,8 +378,8 @@ fn model<B>(
                 if q == p || mcount == 0 {
                     continue;
                 }
-                let a_first = start[q] + lat_ns;
-                let a_last = local[q] + lat_ns;
+                let a_first = start[q] + LATENCY_NS;
+                let a_last = local[q] + LATENCY_NS;
                 latest_arrival = latest_arrival.max(a_last);
                 let spread = (a_last - a_first).max(1.0);
                 let late_frac = ((a_last - local[p]) / spread).clamp(0.0, 1.0);
@@ -427,7 +399,7 @@ fn model<B>(
                 let gap = latest_arrival - local[p];
                 let span = (local[p] - start[p]).max(0.0);
                 let undone = gap.min(span);
-                let redo = undone * cfg.rollback_penalty;
+                let redo = undone * ROLLBACK_PENALTY;
                 rolled_back_events += (undone / ev_ns) as u64;
                 // Sends made during the undone optimistic span are
                 // cancelled with anti-messages, pro rata over the span.
@@ -499,6 +471,10 @@ mod tests {
         parse_and_elaborate(&src).unwrap().into_netlist()
     }
 
+    fn calibrated(nl: &Netlist) -> ClusterModelConfig {
+        ClusterModelConfig::athlon_cluster(nl.gate_count())
+    }
+
     fn block_split(nl: &Netlist, k: usize) -> Vec<u32> {
         // Contiguous split by gate index.
         let n = nl.gate_count();
@@ -509,7 +485,7 @@ mod tests {
     fn single_machine_has_no_overhead() {
         let nl = pipeline_netlist();
         let plan = ClusterPlan::new(&nl, &vec![0; nl.gate_count()], 1);
-        let model = ClusterModel::new(&nl, plan, ClusterModelConfig::default());
+        let model = ClusterModel::new(&nl, plan, calibrated(&nl));
         let stim = VectorStimulus::from_netlist(&nl, 10, 1);
         let run = model.run(&stim, 200);
         assert_eq!(run.stats.messages, 0);
@@ -525,7 +501,7 @@ mod tests {
         let nl = pipeline_netlist();
         let gb = block_split(&nl, 2);
         let plan = ClusterPlan::new(&nl, &gb, 2);
-        let model = ClusterModel::new(&nl, plan, ClusterModelConfig::default());
+        let model = ClusterModel::new(&nl, plan, calibrated(&nl));
         let stim = VectorStimulus::from_netlist(&nl, 10, 7);
         let r1 = model.run(&stim, 100);
         let r2 = model.run(&stim, 100);
@@ -545,7 +521,7 @@ mod tests {
         let bad_gb: Vec<u32> = (0..nl.gate_count()).map(|i| (i % 2) as u32).collect();
         let bad = ClusterPlan::new(&nl, &bad_gb, 2);
         assert!(bad.cut_nets() > good.cut_nets());
-        let cfg = ClusterModelConfig::default();
+        let cfg = calibrated(&nl);
         let rg = ClusterModel::new(&nl, good, cfg.clone()).run(&stim, 100);
         let rb = ClusterModel::new(&nl, bad, cfg).run(&stim, 100);
         assert!(
@@ -562,17 +538,10 @@ mod tests {
         let nl = pipeline_netlist();
         let gb = block_split(&nl, 2);
         let stim = VectorStimulus::from_netlist(&nl, 10, 5);
-        let small = ClusterModelConfig {
-            max_buckets: 4,
-            ..Default::default()
-        };
+        let small = ClusterModelConfig { max_buckets: 4 };
         let r_small = ClusterModel::new(&nl, ClusterPlan::new(&nl, &gb, 2), small).run(&stim, 100);
-        let r_big = ClusterModel::new(
-            &nl,
-            ClusterPlan::new(&nl, &gb, 2),
-            ClusterModelConfig::default(),
-        )
-        .run(&stim, 100);
+        let r_big =
+            ClusterModel::new(&nl, ClusterPlan::new(&nl, &gb, 2), calibrated(&nl)).run(&stim, 100);
         assert_eq!(r_small.stats.messages, r_big.stats.messages);
         assert_eq!(r_small.stats.gate_evals, r_big.stats.gate_evals);
     }
@@ -600,10 +569,7 @@ mod tests {
         let plan = ClusterPlan::new(&nl, &block_split(&nl, 2), 2);
         let stim = VectorStimulus::from_netlist(&nl, 10, 5);
         let run = |max_buckets| {
-            let cfg = ClusterModelConfig {
-                max_buckets,
-                ..Default::default()
-            };
+            let cfg = ClusterModelConfig { max_buckets };
             ClusterModel::new(&nl, plan.clone(), cfg).run(&stim, 100)
         };
         let (one, per_cycle) = (run(1), run(16_384));
@@ -645,7 +611,6 @@ mod tests {
             plans.push(plans[0].clone());
             let cfg = ClusterModelConfig {
                 max_buckets: if fold { 4 } else { 16_384 },
-                ..ClusterModelConfig::athlon_cluster(nl.gate_count())
             };
             let stim = VectorStimulus::from_netlist(&nl, 10, seed);
             let refs: Vec<&ClusterPlan> = plans.iter().collect();
@@ -662,25 +627,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn athlon_config_calibrates() {
-        let c = ClusterModelConfig::athlon_cluster(12_000);
-        assert_eq!(c.calibrate_seq_ns_per_cycle, Some(3.893e6));
-        assert!(c.msg_cpu_ns > 0.0 && c.latency_ns > 0.0);
-    }
-
+    /// Every run pays the paper's 3.893 ms per sequential vector, whatever
+    /// the design size `athlon_cluster` is handed.
     #[test]
     fn calibration_pins_seq_time_per_cycle() {
         let nl = pipeline_netlist();
-        let plan = ClusterPlan::new(&nl, &vec![0; nl.gate_count()], 1);
-        let cfg = ClusterModelConfig {
-            calibrate_seq_ns_per_cycle: Some(2.0e6), // 2 ms per vector
-            ..Default::default()
-        };
-        let model = ClusterModel::new(&nl, plan, cfg);
         let stim = VectorStimulus::from_netlist(&nl, 10, 1);
-        let run = model.run(&stim, 100);
+        let one = ClusterPlan::new(&nl, &vec![0; nl.gate_count()], 1);
+        let run = ClusterModel::new(&nl, one, calibrated(&nl)).run(&stim, 100);
         let per_cycle = run.seq_seconds / 100.0;
-        assert!((per_cycle - 2.0e-3).abs() < 1e-9, "per-cycle {per_cycle}");
+        assert!((per_cycle - 3.893e-3).abs() < 1e-9, "per-cycle {per_cycle}");
+
+        let two = ClusterPlan::new(&nl, &block_split(&nl, 2), 2);
+        let runs: Vec<_> = [0, 12_238, 1_128_206]
+            .map(|gates| {
+                let cfg = ClusterModelConfig::athlon_cluster(gates);
+                exact(&ClusterModel::new(&nl, two.clone(), cfg).run(&stim, 100))
+            })
+            .into();
+        assert!(runs.windows(2).all(|w| w[0] == w[1]));
     }
 }

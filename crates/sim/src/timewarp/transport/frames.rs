@@ -12,7 +12,7 @@ use crate::timewarp::wire::json_kind;
 use crate::timewarp::TwMessage;
 use crate::wheel::VTime;
 use dvs_json::{uint_array, uint_json, FromJson, Json, ObjBuilder, ToJson};
-use dvs_verilog::netlist::{GateId, GateKind, InstId, Net, NetId, Netlist};
+use dvs_verilog::netlist::{GateId, GateKind, InstId, Instance, Net, NetId, Netlist};
 
 /// Virtual times go on the wire as unsigned integers, with the idle
 /// sentinel `VTime::MAX` as `null`.
@@ -230,8 +230,18 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         let ids = x.as_array().map_err(err)?.iter().map(Json::as_u32);
         ids.collect::<Result<_, _>>().map_err(err)
     };
-    // No names travel: the worker's nets are named by their ids.
+    // No names or hierarchy travel: the worker's nets are named by their
+    // ids, and one root instance owns every gate.
     let mut netlist = Netlist::default();
+    netlist.instances.push(Instance {
+        name: "worker".to_string(),
+        module: "worker".to_string(),
+        parent: None,
+        children: Vec::new(),
+        depth: 0,
+        own_gates: 0,
+        subtree_gates: 0,
+    });
     netlist.nets = vec![Net::default(); nets];
     netlist.const0_net = opt_net(v.field("const0").map_err(err)?)?;
     netlist.const1_net = opt_net(v.field("const1").map_err(err)?)?;
@@ -255,6 +265,10 @@ pub(super) fn worker_init_from_json(v: &Json) -> Result<WorkerInit, String> {
         let inputs = inputs.map_err(|e| format!("gate {i} input: {e}"))?;
         netlist.add_gate(kind, output, &inputs, InstId(0), None);
     }
+    // Arity, one driver per net and undriven primary inputs: a worker's
+    // tables assume them all.
+    netlist.recount_gates();
+    netlist.validate()?;
     let gate_block = ids(v.field("gate_block").map_err(err)?)?;
     if gate_block.len() != netlist.gate_count() {
         return Err("gate_block length does not match the gate count".to_string());

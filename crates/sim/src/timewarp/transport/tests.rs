@@ -549,6 +549,52 @@ fn init_nets_outside_the_netlist_are_refused() {
     handle.join().expect("join").expect("serve_wire exits Ok");
 }
 
+/// An `init` whose netlist breaks a rule the worker's tables assume — a
+/// gate's arity, one driver per net, undriven primary inputs — builds no
+/// worker: a served worker answers it with a typed `error` frame instead of
+/// panicking while it builds its cluster.
+#[test]
+fn init_netlists_that_fail_validation_are_refused() {
+    let init = tiny_init_json();
+    let gate = |kind: &str, pins: &[i64]| {
+        let pins = pins.iter().map(|&n| Json::Int(n));
+        Json::Array(
+            std::iter::once(Json::Str(kind.to_string()))
+                .chain(pins)
+                .collect(),
+        )
+    };
+    let gates = |second: Json| Json::Array(vec![gate("not", &[1, 0]), second]);
+    let no_clock = with_field(&init, "gates", gates(gate("dff", &[2])));
+    let cases = [
+        (no_clock.clone(), "(dff) has invalid arity 0"),
+        (
+            with_field(&init, "gates", gates(gate("not", &[1, 0]))),
+            "expected g0",
+        ),
+        (
+            with_field(&init, "primary_inputs", uint_array(&[1])),
+            "has a driver",
+        ),
+    ];
+    for (frame, why) in &cases {
+        let err = worker_init_from_json(frame).err().expect("refused");
+        assert!(err.contains(why), "{err}");
+    }
+
+    let (mut sink, mut source, handle) = hello_session();
+    sink.send_json(&no_clock).expect("send init");
+    let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
+    assert_eq!(json_kind(&reply).expect("kind"), "error");
+    let detail = reply
+        .field("detail")
+        .and_then(Json::as_str)
+        .expect("detail");
+    assert!(detail.contains("invalid arity"), "{detail}");
+    assert_eq!(source.recv().expect("clean eof"), None);
+    handle.join().expect("join").expect("serve_wire exits Ok");
+}
+
 #[test]
 fn checkpoint_payload_crosses_a_real_socket() {
     let ck = sample_checkpoint();

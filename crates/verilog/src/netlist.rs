@@ -460,7 +460,8 @@ impl Netlist {
 
     /// Consistency check: every index in range, drivers consistent, input
     /// offsets and name runs well formed, hierarchy acyclic with correct
-    /// depths and gate counts. Intended for tests and debug assertions;
+    /// depths and gate counts. Run by debug assertions, by tests, and on
+    /// every netlist a Time Warp worker decodes from its `init` frame;
     /// returns a description of the first violation.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.instances.is_empty() {

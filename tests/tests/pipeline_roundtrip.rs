@@ -40,7 +40,11 @@ fn roundtrip(src: &str, k: u32, b: f64) {
     }
 
     // The modeled cluster runs and reports sane numbers.
-    let model = ClusterModel::new(&nl, plan, ClusterModelConfig::default());
+    let model = ClusterModel::new(
+        &nl,
+        plan,
+        ClusterModelConfig::athlon_cluster(nl.gate_count()),
+    );
     let stim = VectorStimulus::from_netlist(&nl, 10, 11);
     let run = model.run(&stim, 50);
     assert!(run.wall_seconds > 0.0);
