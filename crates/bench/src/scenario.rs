@@ -85,8 +85,8 @@ pub enum Partition {
 /// What runs the clusters.
 #[derive(Debug, Clone)]
 pub enum Executor {
-    /// One OS thread per cluster, optionally under seeded scheduler noise.
-    Threads { jitter: Option<u64> },
+    /// One OS thread per cluster, in lock-step rounds.
+    Threads,
     /// The deterministic executor, called directly: `check` forces the
     /// protocol invariants on whatever the build profile.
     Dst {
@@ -135,7 +135,7 @@ impl Scenario {
             cycles,
             window: 8,
             epochs_per_quantum: 2,
-            executor: Executor::Threads { jitter: None },
+            executor: Executor::Threads,
             fault: FaultPlan::default(),
             chaos: None,
             silence: None,
@@ -210,17 +210,16 @@ impl Scenario {
     }
 
     fn config(&self) -> TimeWarpConfig {
-        let (transport, thread_jitter) = match &self.executor {
-            Executor::Threads { jitter } => (Transport::Threads, *jitter),
-            Executor::Dst { seed, policy, .. } => (Transport::in_proc(*seed, *policy), None),
-            Executor::Wire(transport) => (transport.clone(), None),
+        let transport = match &self.executor {
+            Executor::Threads => Transport::Threads,
+            Executor::Dst { seed, policy, .. } => Transport::in_proc(*seed, *policy),
+            Executor::Wire(transport) => transport.clone(),
         };
         let mut cfg = TimeWarpConfig {
             transport,
             window: self.window,
             epochs_per_quantum: self.epochs_per_quantum,
             fault: self.fault,
-            thread_jitter,
             chaos: self.chaos.clone(),
             ..TimeWarpConfig::default()
         };

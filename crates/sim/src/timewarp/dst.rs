@@ -7,9 +7,9 @@
 //! and consults a pluggable [`Schedule`] to decide, at every step, whether a
 //! cluster processes its next epoch or an in-transit message is delivered.
 //!
-//! The only sources of nondeterminism in the threaded kernel are thread
-//! interleaving and message latency; fixing the schedule therefore fixes the
-//! entire execution. Every rollback, anti-message, GVT round and fossil
+//! What a schedule fixes is all an execution may vary in: which cluster
+//! steps, and which message lands, next. So it fixes the entire execution.
+//! Every rollback, anti-message, GVT round and fossil
 //! collection is reproduced exactly for a given `(seed, schedule)` pair,
 //! which is what lets [`crate::stats::SimStats`] counters be compared
 //! byte-for-byte across runs and machines.

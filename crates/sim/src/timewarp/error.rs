@@ -10,16 +10,16 @@ use crate::wheel::VTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TimeWarpError {
-    /// The livelock watchdog tripped: GVT made no progress for `idle`
-    /// scheduling decisions (deterministic executor) or idle scheduling
-    /// quanta (threaded executor). A healthy run always advances GVT —
-    /// the optimism window throttles every cluster to `GVT + window`, so
-    /// five million of them without GVT progress (the fixed limit) means
-    /// the protocol is wedged.
+    /// The deterministic supervisor's livelock watchdog tripped: GVT made
+    /// no progress for `idle` scheduling decisions. A healthy run always
+    /// advances GVT — the optimism window throttles every cluster to
+    /// `GVT + window`, so five million decisions without GVT progress (the
+    /// fixed limit) means the protocol is wedged. [`super::Transport::Threads`]
+    /// never stalls: its GVT rises every round.
     Stalled {
         /// GVT value the run was stuck at.
         gvt: VTime,
-        /// Decisions/quanta executed since GVT last advanced.
+        /// Decisions executed since GVT last advanced.
         idle: u64,
     },
     /// The configuration cannot run: [`super::TimeWarpConfig::validate`]
@@ -30,7 +30,9 @@ pub enum TimeWarpError {
         reason: String,
     },
     /// A worker panicked. Under [`super::Transport::Threads`] the worker's
-    /// thread catches it, building its cluster included; on the process and
+    /// thread catches it, building its cluster included, and still meets its
+    /// peers at the round's barrier, so none of them waits forever; the
+    /// lowest-numbered cluster that panicked is named. On the process and
     /// TCP transports it is caught worker-side and shipped back as a typed
     /// frame rather than an opaque exit code. Panics are deterministic —
     /// replaying the same operation would panic again — so they are fatal

@@ -3,8 +3,8 @@
 //! This reproduces the role of OOCTW (the object-oriented Clustered Time
 //! Warp kernel underneath the paper's DVS) with threads standing in for MPI
 //! ranks: one worker thread per "machine", each owning one cluster of the
-//! partitioned circuit, exchanging timestamped net-change messages over
-//! channels.
+//! partitioned circuit, exchanging timestamped net-change messages in
+//! lock-step rounds.
 //!
 //! Protocol features implemented:
 //!
@@ -36,20 +36,22 @@
 //!   time bucket on the spot. It is found by time and net: each net has one
 //!   driving cluster, which sends at most one positive per time until the
 //!   anti-message that precedes a re-send;
-//! * **GVT** — a coordinator-free sampling scheme: each worker publishes its
-//!   local virtual time; a sample is valid when no message is in transit and
-//!   no send intervened (checked with a send-epoch counter), making the
-//!   minimum published LVT a correct lower bound;
+//! * **GVT** — read by whoever holds every message in flight. Between two
+//!   rounds of [`Transport::Threads`] each message sits in its sender's
+//!   outbox, so GVT is the least LVT or outbox time, exactly. The
+//!   supervisor of the other transports holds every message in its queues,
+//!   and advances GVT to the least LVT whenever they are empty;
 //! * **fossil collection** — processed events (with their `replaced`
 //!   values) strictly below GVT are reclaimed.
 //!
 //! Determinism: the final circuit state equals the sequential simulator's
-//! (asserted in tests) under every transport. Under [`Transport::Threads`]
-//! the message/rollback *counts* depend on thread timing; under
-//! [`Transport::InProc`], [`Transport::Process`] and [`Transport::Tcp`]
-//! the same cluster state machines are driven by the single-threaded
-//! deterministic supervisor (see [`dst`] and [`transport`]) and every
-//! counter is an exact, seed-reproducible value — byte-identical between
+//! (asserted in tests) under every transport, and every counter is exact.
+//! [`Transport::Threads`] runs the clusters at once in lock-step rounds,
+//! whose order depends on nothing but the plan, so a rerun reproduces its
+//! counters. Under [`Transport::InProc`], [`Transport::Process`] and
+//! [`Transport::Tcp`] the same cluster state machines are driven by the
+//! single-threaded deterministic supervisor (see [`dst`] and [`transport`]),
+//! and every counter is a seed-reproducible value, byte-identical between
 //! them, whether the workers are in-process state machines, `SIGKILL`-able
 //! OS processes on Unix sockets, or processes dialing in over TCP.
 //! ([`crate::cluster_model`] remains as the fast *modeled* estimate of
@@ -59,7 +61,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod dst;
 pub mod error;
-pub mod gvt;
 pub mod proc;
 pub mod recovery;
 pub mod transport;
@@ -78,9 +79,10 @@ use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::wheel::{NetEvent, VTime};
 use dvs_verilog::netlist::Netlist;
-use gvt::GvtState;
 use proc::ClusterProcess;
-use std::sync::atomic::Ordering;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Barrier, Mutex};
 
 /// A timestamped inter-cluster message: 32 bytes. `src` picks the
 /// supervisor's queue it waits in, and its position in that FIFO names it.
@@ -114,10 +116,10 @@ pub struct TimeWarpConfig {
     /// How the cluster workers execute and exchange messages (see
     /// [`Transport`]).
     pub transport: Transport,
-    /// Epochs processed per scheduling quantum: the span between two
-    /// publications of local virtual time, GVT attempts (one per quantum;
-    /// under the deterministic executor, one every this many decisions) and
-    /// fossil collections. Incoming messages are taken before every epoch.
+    /// The deterministic supervisor's GVT cadence: one GVT attempt, and
+    /// with it a fossil collection, every this many decisions.
+    /// [`Transport::Threads`] ignores it: it runs one epoch per cluster a
+    /// round, and reads GVT after every round.
     pub epochs_per_quantum: usize,
     /// Optimism window: a cluster will not execute events more than this far
     /// (in virtual time) above the current GVT. `u64::MAX` = unthrottled.
@@ -131,14 +133,6 @@ pub struct TimeWarpConfig {
     /// restore-and-replay is exact: [`TimeWarpConfig::validate`] refuses one
     /// under [`Transport::Threads`].
     pub fault: FaultPlan,
-    /// Scheduler-noise injection for [`Transport::Threads`]: when set, each
-    /// worker derives a seeded RNG from this value and sprinkles
-    /// `yield_now` / short sleeps between scheduling quanta. Final state is
-    /// unaffected (that is what the threads fuzz suite asserts); only
-    /// thread interleaving — and therefore rollback/message counts —
-    /// varies. `None` (the default) injects nothing; any other transport
-    /// refuses a seed.
-    pub thread_jitter: Option<u64>,
     /// How long a TCP worker may send nothing, once its handshake is done,
     /// before the supervisor drops the connection and recovers the cluster
     /// like a crash. The supervisor only waits on a worker that owes it a
@@ -170,18 +164,11 @@ impl Default for TimeWarpConfig {
             epochs_per_quantum: 16,
             window: 16,
             fault: FaultPlan::default(),
-            thread_jitter: None,
             silence_timeout: std::time::Duration::from_secs(30),
             chaos: None,
         }
     }
 }
-
-/// Livelock watchdog: when GVT makes no progress for this many scheduling
-/// decisions (deterministic executor) or idle scheduling quanta (threaded
-/// executor), the run fails with [`TimeWarpError::Stalled`] instead of
-/// hanging.
-pub(crate) const STALL_LIMIT: u64 = 5_000_000;
 
 impl TimeWarpConfig {
     /// Reject a configuration no run can use, or a setting the chosen
@@ -199,8 +186,7 @@ impl TimeWarpConfig {
         if self.silence_timeout.is_zero() {
             return invalid("silence timeout must be longer than zero");
         }
-        let threads = self.transport == Transport::Threads;
-        if threads && self.fault.crash_at.is_some() {
+        if self.transport == Transport::Threads && self.fault.crash_at.is_some() {
             return invalid("a crash fault needs the deterministic supervisor, not Threads");
         }
         let wired = matches!(
@@ -209,9 +195,6 @@ impl TimeWarpConfig {
         );
         if self.chaos.is_some() && !wired {
             return invalid("a network fault plan needs a wire transport (Process or Tcp)");
-        }
-        if self.thread_jitter.is_some() && !threads {
-            return invalid("thread jitter perturbs only the Threads transport");
         }
         Ok(())
     }
@@ -279,14 +262,28 @@ pub fn run_timewarp(
     }
 }
 
-/// The threaded execution path: one scoped attempt, no recovery. Message
-/// delivery order is not logged under free-running threads, so a dead
-/// worker cannot be replayed exactly, and a panic is deterministic, so a
-/// restart would panic again. Each worker's whole life — building its
-/// [`ClusterProcess`] included — runs inside its unwind boundary; a panic
-/// raises `abort` at once and the run ends as [`TimeWarpError::WorkerPanic`]
-/// for the lowest-numbered cluster that panicked, as on every other
-/// transport. [`TimeWarpConfig::validate`] refuses a crash fault here.
+/// The threaded execution path: one scoped thread per cluster, in lock-step
+/// rounds behind one [`Barrier`]. Each round, a worker
+/// 1. hands its cluster the messages sent to it the round before, in
+///    ascending source order, FIFO per channel;
+/// 2. processes at most one epoch, within GVT + `window`;
+/// 3. leaves its sends in its own outbox per destination and publishes
+///    min(LVT, earliest send);
+/// 4. waits at the barrier, reads GVT as the least published value and
+///    fossil-collects below it.
+///
+/// That GVT is exact, because every message in flight sits in an outbox, and
+/// it rises every round, because every cluster at GVT processes its epoch
+/// there. Outboxes and published values are double-buffered by round
+/// parity, so one barrier a round suffices. No counter depends on thread
+/// timing.
+///
+/// One attempt, no recovery: a panic is deterministic, so a restart would
+/// panic again. A worker that panics, building its cluster or in a round,
+/// raises `abort` and still waits at the barrier once, so no peer hangs.
+/// Every worker checks `abort` after each barrier, and the run ends as
+/// [`TimeWarpError::WorkerPanic`] for the lowest-numbered cluster that
+/// panicked. [`TimeWarpConfig::validate`] refuses a crash fault here.
 fn run_threads(
     nl: &Netlist,
     plan: &ClusterPlan,
@@ -294,33 +291,73 @@ fn run_threads(
     cycles: u64,
     cfg: &TimeWarpConfig,
 ) -> Result<TwRunResult, TimeWarpError> {
-    let shared = GvtState::new(plan.k);
-    // One channel per worker; every worker holds every sender.
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..plan.k)
-        .map(|_| crossbeam::channel::unbounded::<TwMessage>())
-        .unzip();
-    let (senders, shared) = (&senders[..], &shared);
-    let per_cluster = std::thread::scope(|scope| {
-        let workers: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(me, rx)| {
+    let k = plan.k;
+    let (barrier, abort) = (&Barrier::new(k), &AtomicBool::new(false));
+    // Per round parity: each worker's published value, and the outbox of
+    // each channel `src * k + dst`. `Relaxed` suffices for these and for
+    // `abort`: each is stored before a `barrier.wait()` and loaded after
+    // one, and the barrier's lock orders the two.
+    let published: &[Vec<AtomicU64>; 2] =
+        &std::array::from_fn(|_| (0..k).map(|_| AtomicU64::new(0)).collect());
+    let outboxes: &[Vec<Mutex<Vec<TwMessage>>>; 2] =
+        &std::array::from_fn(|_| (0..k * k).map(|_| Mutex::default()).collect());
+    let outbox = |p: usize, src: usize, dst: usize| {
+        outboxes[p][src * k + dst]
+            .lock()
+            .expect("no worker panics holding an outbox")
+    };
+    let lived = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..k)
+            .map(|me| {
                 scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut proc = ClusterProcess::new(
-                            nl,
-                            plan,
-                            me as u32,
-                            stim.clone(),
-                            cycles,
-                            StateSaving::IncrementalUndo,
-                        );
-                        worker_loop(&mut proc, rx, senders, shared, cfg, me);
-                        (proc.take_stats(), proc.into_values())
+                    // The peers expect this worker at the barrier until the
+                    // round that ends the run.
+                    let mut owed = true;
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let saving = StateSaving::IncrementalUndo;
+                        let mut proc =
+                            ClusterProcess::new(nl, plan, me as u32, stim.clone(), cycles, saving);
+                        let mut out = vec![Vec::new(); k];
+                        let (mut gvt, mut rounds, mut sent) = (0, 0u64, (0, 0));
+                        while gvt != VTime::MAX {
+                            let p = rounds as usize % 2;
+                            let mut earliest = VTime::MAX;
+                            let mut send = |m: TwMessage| {
+                                earliest = earliest.min(m.ev.time);
+                                out[m.dst as usize].push(m);
+                            };
+                            for src in 0..k {
+                                let inbox = std::mem::take(&mut *outbox(1 - p, src, me));
+                                for m in inbox {
+                                    proc.handle_message(m, &mut send);
+                                }
+                            }
+                            proc.process_next_epoch(gvt.saturating_add(cfg.window), &mut send);
+                            for (dst, msgs) in out.iter_mut().enumerate() {
+                                if !msgs.is_empty() {
+                                    sent = (sent.0 + msgs.len() as u64, sent.1 + 1);
+                                    std::mem::swap(&mut *outbox(p, me, dst), msgs);
+                                }
+                            }
+                            published[p][me].store(proc.lvt().min(earliest), Relaxed);
+                            barrier.wait();
+                            if abort.load(Relaxed) {
+                                owed = false;
+                                return None;
+                            }
+                            let next = published[p].iter().map(|v| v.load(Relaxed)).min();
+                            let next = next.expect("a plan has a cluster");
+                            debug_assert!(next > gvt, "GVT stuck at {gvt} (cluster {me})");
+                            (gvt, rounds, owed) = (next, rounds + 1, next != VTime::MAX);
+                            proc.fossil_collect(gvt);
+                        }
+                        Some((proc.take_stats(), proc.into_values(), rounds, sent))
                     }))
                     .map_err(|payload| {
-                        // Wake the survivors so they stop waiting for us.
-                        shared.abort.store(true, Ordering::SeqCst);
+                        abort.store(true, Relaxed);
+                        if owed {
+                            barrier.wait();
+                        }
                         TimeWarpError::WorkerPanic {
                             cluster: me as u32,
                             message: transport::panic_message(payload.as_ref()),
@@ -334,25 +371,20 @@ fn run_threads(
             .map(|w| w.join().expect("a worker's panic is caught inside it"))
             .collect::<Result<Vec<_>, _>>()
     })?;
-    if shared.stalled.load(Ordering::SeqCst) {
-        return Err(TimeWarpError::Stalled {
-            gvt: shared.gvt.load(Ordering::SeqCst),
-            idle: STALL_LIMIT,
-        });
-    }
-    let mut r = merge_results(
-        nl,
-        plan,
-        stim,
-        cycles,
-        per_cluster,
-        shared.gvt_rounds.load(Ordering::SeqCst),
-    );
-    // Transport provenance: one channel push per message. Under
-    // free-running threads the value depends on interleaving (unlike the
-    // deterministic transports).
-    r.recovery.messages_sent = shared.messages_sent.load(Ordering::SeqCst);
-    r.recovery.frames_sent = r.recovery.messages_sent;
+    let (mut gvt_rounds, mut sent) = (0, (0, 0));
+    let per_cluster = lived
+        .into_iter()
+        .map(|done| {
+            let (stats, values, rounds, (messages, outboxes)) =
+                done.expect("only a panic raises abort");
+            (gvt_rounds, sent) = (rounds, (sent.0 + messages, sent.1 + outboxes));
+            (stats, values)
+        })
+        .collect();
+    let mut r = merge_results(nl, plan, stim, cycles, per_cluster, gvt_rounds);
+    // Provenance: the messages moved, and the non-empty outboxes that
+    // carried them, one per channel per round at most.
+    (r.recovery.messages_sent, r.recovery.frames_sent) = sent;
     Ok(r)
 }
 
@@ -408,122 +440,6 @@ fn merge_results(
         values,
         gvt_rounds,
         recovery: RecoveryOutcome::default(),
-    }
-}
-
-/// Hand every message waiting in `rx` to `proc`. The in-transit counter is
-/// decremented only after the published local virtual time reflects the
-/// insertions, keeping GVT samples sound.
-fn take_messages(
-    proc: &mut ClusterProcess<'_>,
-    rx: &crossbeam::channel::Receiver<TwMessage>,
-    send: &mut impl FnMut(TwMessage),
-    shared: &GvtState,
-    me: usize,
-) {
-    let mut taken = 0i64;
-    while let Ok(msg) = rx.try_recv() {
-        proc.handle_message(msg, send);
-        taken += 1;
-    }
-    if taken > 0 {
-        shared.publish_lvt(me, proc.lvt());
-        shared.in_transit.fetch_sub(taken, Ordering::SeqCst);
-    }
-}
-
-fn worker_loop(
-    proc: &mut ClusterProcess<'_>,
-    rx: crossbeam::channel::Receiver<TwMessage>,
-    senders: &[crossbeam::channel::Sender<TwMessage>],
-    shared: &GvtState,
-    cfg: &TimeWarpConfig,
-    me: usize,
-) {
-    // Messages count as in transit from the moment they are pushed, so GVT
-    // can never advance past one. A failed send means the receiver's worker
-    // panicked and is gone; the run ends as `WorkerPanic`, so the message
-    // is moot.
-    let mut send = |m: TwMessage| {
-        shared.send_epoch.fetch_add(1, Ordering::SeqCst);
-        shared.in_transit.fetch_add(1, Ordering::SeqCst);
-        shared.messages_sent.fetch_add(1, Ordering::Relaxed);
-        let _ = senders[m.dst as usize].send(m);
-    };
-    // Scheduler-noise injection: a per-worker seeded RNG (the shared seed
-    // xor'd with the cluster id, so workers de-correlate) decides between
-    // quanta whether to yield the OS slice or sleep a few tens of
-    // microseconds. This perturbs interleavings the way a loaded host
-    // would, without touching the protocol itself.
-    let mut jitter = cfg.thread_jitter.map(|seed| {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    });
-    // Livelock watchdog: consecutive quanta without local work and without
-    // a GVT advance. Any progress — own epochs or a moving GVT — resets it.
-    let mut idle_spins = 0u64;
-    let mut seen_gvt: VTime = 0;
-    loop {
-        if let Some(rng) = jitter.as_mut() {
-            use rand::Rng;
-            let roll: u32 = rng.gen_range(0..100);
-            if roll < 10 {
-                std::thread::sleep(std::time::Duration::from_micros(u64::from(roll) * 10));
-            } else if roll < 35 {
-                std::thread::yield_now();
-            }
-        }
-        // A peer panicked or the watchdog tripped: the run is over.
-        if shared.abort.load(Ordering::SeqCst) {
-            break;
-        }
-
-        take_messages(proc, &rx, &mut send, shared, me);
-        shared.publish_lvt(me, proc.lvt());
-
-        let gvt = shared.gvt.load(Ordering::SeqCst);
-        if gvt == VTime::MAX {
-            break; // global quiescence
-        }
-        if gvt > seen_gvt {
-            seen_gvt = gvt;
-            idle_spins = 0;
-        }
-
-        // Process a quantum of epochs within the optimism window.
-        let limit = gvt.saturating_add(cfg.window);
-        let mut worked = false;
-        for _ in 0..cfg.epochs_per_quantum {
-            // An epoch run past a message already in the channel is an
-            // epoch rolled back: look before each one, not once a quantum.
-            take_messages(proc, &rx, &mut send, shared, me);
-            if !proc.process_next_epoch(limit, &mut send) {
-                break;
-            }
-            worked = true;
-        }
-        shared.publish_lvt(me, proc.lvt());
-
-        // One GVT attempt per quantum.
-        if let Some(new_gvt) = shared.try_compute_gvt() {
-            proc.fossil_collect(new_gvt);
-        } else {
-            let g = shared.gvt.load(Ordering::SeqCst);
-            if g != VTime::MAX {
-                proc.fossil_collect(g);
-            }
-        }
-        if worked {
-            idle_spins = 0;
-        } else {
-            idle_spins += 1;
-            if idle_spins >= STALL_LIMIT {
-                shared.stalled.store(true, Ordering::SeqCst);
-                shared.abort.store(true, Ordering::SeqCst);
-                break;
-            }
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -611,13 +527,6 @@ mod tests {
                     ..on(Transport::in_proc(1, policy))
                 },
                 "network fault plan",
-            ),
-            (
-                TimeWarpConfig {
-                    thread_jitter: Some(7),
-                    ..on(Transport::in_proc(1, policy))
-                },
-                "thread jitter",
             ),
         ];
         for (cfg, why) in rejected {

@@ -12,14 +12,12 @@
 //! [`super::TimeWarpConfig::silence_timeout`] — is folded into the same
 //! event, because over a network a silent peer and a dead one cannot
 //! be told apart. Under [`super::Transport::Threads`] nothing is injected
-//! and nothing is recovered: delivery order is not logged under
-//! free-running threads, so a lost worker could not be replayed exactly,
-//! and a worker panic ends the run as
-//! [`super::TimeWarpError::WorkerPanic`]. Recovery is identical every way
-//! and rests on two facts:
+//! and nothing is recovered: it has no supervisor holding the messages, and
+//! a worker panic ends the run as [`super::TimeWarpError::WorkerPanic`].
+//! Recovery is identical every way and rests on two facts:
 //!
-//! * **coordinated checkpoints at GVT rounds** — a valid GVT sample requires
-//!   `in_transit == 0`, i.e. empty channels, so the set of per-cluster
+//! * **coordinated checkpoints at GVT rounds** — the supervisor advances
+//!   GVT only when every queue is empty, so the set of per-cluster
 //!   images taken right after a GVT advance is a consistent global cut with
 //!   no channel state (see [`super::checkpoint`]). A full
 //!   [`super::Checkpoint`] is captured at every tracked round and is the
@@ -153,17 +151,15 @@ pub struct RecoveryOutcome {
     /// Network faults from the [`super::NetPlan`] that actually fired
     /// (benign ones — duplicates, split writes, latency — included).
     pub chaos_faults_injected: u64,
-    /// Messages shipped toward their receivers: channel pushes under
-    /// [`super::Transport::Threads`], supervisor→worker `deliver` payloads
-    /// on the wire transports. Exact and seed-reproducible on the
-    /// deterministic transports, interleaving-dependent under
-    /// free-running threads.
+    /// Messages shipped toward their receivers: the messages left in an
+    /// outbox under [`super::Transport::Threads`], every one the clusters
+    /// emitted, and supervisor→worker `deliver` payloads on the wire
+    /// transports. Exact on every transport.
     pub messages_sent: u64,
-    /// What carried those messages: channel pushes under
-    /// [`super::Transport::Threads`] (one per message, so equal to
-    /// [`messages_sent`](RecoveryOutcome::messages_sent) there), answered
-    /// `deliver` frames on the wire transports — one per delivery *run*,
-    /// so at most `messages_sent` and exact for a given `(seed, schedule)`.
+    /// What carried those messages: the non-empty outboxes handed over
+    /// under [`super::Transport::Threads`], at most one per channel a
+    /// round, and answered `deliver` frames on the wire transports — one
+    /// per delivery *run*. Either way at most `messages_sent`, and exact.
     pub frames_sent: u64,
     /// The restart budget ran out and the run fell back to the sequential
     /// simulator; `values`/`stats` are the sequential run's.

@@ -128,14 +128,17 @@ pub(crate) use supervisor::run_supervisor;
 pub use super::wire::{MAX_FRAME, WIRE_VERSION};
 
 /// Where the Time Warp workers execute. Selecting a transport also selects
-/// the execution discipline: `Threads` is free-running (wall-clock fast,
-/// counters timing-dependent), the other three are deterministically
-/// scheduled by `(seed, schedule)`.
+/// the execution discipline: `Threads` runs the clusters at once in
+/// lock-step rounds, the other three are scheduled one decision at a time
+/// by `(seed, schedule)`. Every counter is exact on all four.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Transport {
-    /// One free-running OS thread per cluster, exchanging messages over
-    /// channels. Fastest wall-clock; counters depend on thread timing. No
+    /// One OS thread per cluster, in lock-step rounds: each round every
+    /// cluster takes the messages sent to it the round before and runs one
+    /// epoch, then all meet at a barrier and read GVT from what they
+    /// published. [`super::TimeWarpConfig::epochs_per_quantum`] plays no
+    /// part. The only transport that runs clusters at the same time; no
     /// crash recovery: a worker panic ends the run.
     #[default]
     Threads,

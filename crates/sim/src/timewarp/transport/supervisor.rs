@@ -9,13 +9,38 @@ use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::timewarp::dst::{DstAction, DstView, Schedule};
 use crate::timewarp::error::TimeWarpError;
-use crate::timewarp::gvt::GvtState;
 use crate::timewarp::recovery::{degrade_sequential, RecoveryLog, RecoveryOutcome};
-use crate::timewarp::{merge_results, TimeWarpConfig, TwMessage, TwRunResult, STALL_LIMIT};
+use crate::timewarp::{merge_results, TimeWarpConfig, TwMessage, TwRunResult};
 use crate::wheel::VTime;
 use dvs_verilog::netlist::Netlist;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+
+/// Livelock watchdog: when GVT makes no progress for this many scheduling
+/// decisions, the run fails with [`TimeWarpError::Stalled`] instead of
+/// hanging.
+const STALL_LIMIT: u64 = 5_000_000;
+
+/// GVT as the supervisor keeps it. With no message queued, every message
+/// sent has been applied, so GVT advances to the least LVT. It never moves
+/// back; `VTime::MAX` means quiescence.
+#[derive(Debug, Default)]
+struct Gvt {
+    now: VTime,
+    /// Advances made: the run's `gvt_rounds`.
+    rounds: u64,
+}
+
+impl Gvt {
+    /// Apply the rule; returns the new GVT when it rose.
+    fn advance(&mut self, lvts: &[VTime], queued: bool) -> Option<VTime> {
+        let least = lvts.iter().copied().min().unwrap_or(VTime::MAX);
+        if queued || least <= self.now {
+            return None;
+        }
+        (self.now, self.rounds) = (least, self.rounds + 1);
+        Some(least)
+    }
+}
 
 /// Run the deterministic executor over an arbitrary set of workers. This is
 /// the loop formerly private to the DST module, now generic over
@@ -66,7 +91,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         label,
         workers,
         k,
-        shared: GvtState::new(k),
+        gvt: Gvt::default(),
         queues: vec![VecDeque::new(); k * k],
         lvts,
         in_hand: VecDeque::new(),
@@ -77,14 +102,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         // Clean completion: per-cluster `(stats, values)` ready to merge.
         Ok(per_cluster) => {
             sup.fold_wire_counters();
-            let mut result = merge_results(
-                nl,
-                plan,
-                stim,
-                cycles,
-                per_cluster,
-                sup.shared.gvt_rounds.load(Ordering::SeqCst),
-            );
+            let mut result = merge_results(nl, plan, stim, cycles, per_cluster, sup.gvt.rounds);
             result.recovery = sup.outcome;
             Ok(result)
         }
@@ -110,7 +128,7 @@ struct Supervisor<'a, W: ClusterWorker> {
     label: &'a str,
     workers: &'a mut [W],
     k: usize,
-    shared: GvtState,
+    gvt: Gvt,
     /// One FIFO queue per directed cluster pair, indexed `src * k + dst`.
     /// FIFO within a queue is the per-channel ordering the annihilation
     /// protocol relies on; the schedule only controls *which* queue head
@@ -146,7 +164,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         let mut previous: Option<DstAction> = None;
 
         loop {
-            let gvt = self.shared.gvt.load(Ordering::SeqCst);
+            let gvt = self.gvt.now;
             if gvt == VTime::MAX {
                 break; // global quiescence
             }
@@ -156,11 +174,10 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             }
             let limit = gvt.saturating_add(self.cfg.window);
 
-            // Refresh the view: publish every LVT, list legal actions.
+            // Refresh the view: list legal actions.
             steppable.clear();
             deliverable.clear();
             for (i, &l) in self.lvts.iter().enumerate() {
-                self.shared.publish_lvt(i, l);
                 if l != VTime::MAX && l <= limit {
                     steppable.push(i as u32);
                 }
@@ -175,11 +192,10 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
 
             if steppable.is_empty() && deliverable.is_empty() {
                 // Everyone is idle or throttled and nothing is in transit:
-                // the GVT sample is valid by construction and must advance
-                // (the minimum LVT exceeds the current GVT, or is MAX =
-                // done). If it does not, the protocol is wedged — no retry
-                // can fix that.
-                let Some(new_gvt) = self.shared.try_compute_gvt() else {
+                // GVT must advance (the minimum LVT exceeds the current GVT,
+                // or is MAX = done). If it does not, the protocol is wedged
+                // — no retry can fix that.
+                let Some(new_gvt) = self.gvt.advance(&self.lvts, false) else {
                     return Err(Halt::Failed(TimeWarpError::Stalled { gvt, idle }));
                 };
                 self.gvt_round(new_gvt, true)?;
@@ -267,10 +283,11 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 }
             }
 
-            // Periodic GVT, mirroring the threaded workers' cadence of one
-            // attempt per quantum of `epochs_per_quantum` epochs.
+            // Periodic GVT: one attempt every `epochs_per_quantum`
+            // decisions.
             if decision.is_multiple_of(gvt_cadence) {
-                if let Some(new_gvt) = self.shared.try_compute_gvt() {
+                let queued = self.queues.iter().any(|q| !q.is_empty());
+                if let Some(new_gvt) = self.gvt.advance(&self.lvts, queued) {
                     self.gvt_round(new_gvt, false)?;
                 }
             }
@@ -325,7 +342,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         }
         self.commit_sends(c, sends)?;
         self.lvts[c] = lvt;
-        self.shared.publish_lvt(c, lvt);
         Ok(())
     }
 
@@ -370,11 +386,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         }
         self.commit_sends(dst, &sends)?;
         self.lvts[dst] = lvt;
-        // Same ordering discipline as the threaded kernel: the in-transit
-        // counter drops only after the receiver's LVT reflects the
-        // insertion, keeping GVT samples sound.
-        self.shared.publish_lvt(dst, lvt);
-        self.shared.in_transit.fetch_sub(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -392,7 +403,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 )));
             }
             if self.check {
-                let g = self.shared.gvt.load(Ordering::SeqCst);
+                let g = self.gvt.now;
                 assert!(
                     m.ev.time >= g,
                     "message {}->{} at t={} sent below GVT {g} ({})",
@@ -402,8 +413,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                     self.label
                 );
             }
-            self.shared.in_transit.fetch_add(1, Ordering::SeqCst);
-            self.shared.send_epoch.fetch_add(1, Ordering::SeqCst);
             self.queues[src * self.k + dst].push_back(m);
         }
         Ok(())
@@ -472,7 +481,6 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 Ok(lvt) => {
                     self.outcome.replayed_ops += log.ops(v).len() as u64;
                     self.lvts[v] = lvt;
-                    self.shared.publish_lvt(v, lvt);
                     return Ok(());
                 }
                 // The replacement died during respawn (possible only with
@@ -510,5 +518,52 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             self.outcome.messages_sent += c.messages_sent;
             self.outcome.frames_sent += c.frames_sent;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Gvt;
+    use crate::wheel::VTime;
+
+    #[test]
+    fn gvt_is_min_of_published_lvts() {
+        let mut g = Gvt::default();
+        assert_eq!(g.advance(&[10, 7, 12], false), Some(7));
+        assert_eq!(g.now, 7);
+    }
+
+    #[test]
+    fn gvt_never_regresses() {
+        let mut g = Gvt::default();
+        assert_eq!(g.advance(&[100, 100], false), Some(100));
+        assert_eq!(g.advance(&[50, 100], false), None);
+        assert_eq!(g.now, 100);
+    }
+
+    #[test]
+    fn in_transit_blocks_sampling() {
+        let mut g = Gvt::default();
+        assert_eq!(g.advance(&[5], true), None);
+        assert_eq!(g.advance(&[5], false), Some(5));
+    }
+
+    #[test]
+    fn quiescence_is_max() {
+        let mut g = Gvt::default();
+        assert_eq!(
+            g.advance(&[VTime::MAX, VTime::MAX], false),
+            Some(VTime::MAX)
+        );
+    }
+
+    #[test]
+    fn rounds_count_only_progress() {
+        let mut g = Gvt::default();
+        g.advance(&[3], false);
+        g.advance(&[3], false);
+        assert_eq!(g.rounds, 1);
+        g.advance(&[9], false);
+        assert_eq!(g.rounds, 2);
     }
 }

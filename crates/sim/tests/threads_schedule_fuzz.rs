@@ -1,24 +1,20 @@
-//! Scheduler-noise fuzz suite for the real-thread Time Warp transport.
+//! Determinism suite for the threaded Time Warp transport.
 //!
-//! The deterministic executor (`dst_schedule_fuzz`) proves the protocol
-//! correct under *chosen* adversarial schedules; this suite attacks the
-//! same property from the other side, with *real* OS-thread interleavings
-//! perturbed by seeded jitter ([`TimeWarpConfig::thread_jitter`]): each
-//! worker rolls a per-quantum chance to sleep tens of microseconds or
-//! yield its timeslice, so quantum boundaries land in places the OS
-//! scheduler would rarely pick on an idle machine — stragglers, bursty
-//! channels, mid-window preemption. Whatever the interleaving, the final
-//! state must match the sequential simulator on every driven net and
-//! primary input.
+//! [`Transport::Threads`] runs every cluster on its own OS thread, in
+//! lock-step rounds; what a round does may not depend on which thread gets
+//! there first. So every case runs twice, and both runs must leave
+//! byte-identical canonical artifacts, match the sequential simulator on
+//! every driven net and primary input, and ship every message the clusters
+//! emitted exactly once.
 //!
-//! A case is a [`Scenario`]; a failing one (circuit, partition, jitter seed,
-//! kernel knobs) is written to
+//! A case is a [`Scenario`]; a failing one (circuit, partition, stimulus
+//! seed, kernel knobs) is written to
 //! `target/tmp/threads_fuzz_failure_<test>_<hash>.txt` — same dump
 //! convention as the DST fuzzers, and CI uploads the set.
 //!
-//! [`TimeWarpConfig::thread_jitter`]: dvs_sim::timewarp::TimeWarpConfig::thread_jitter
+//! [`Transport::Threads`]: dvs_sim::timewarp::Transport::Threads
 
-use dvs_bench::scenario::{Circuit, Dump, Executor, Partition, Scenario};
+use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
 use proptest::prelude::*;
 
 const DUMP: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "threads_fuzz_failure");
@@ -26,71 +22,62 @@ const DUMP: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "threads_fuzz_failure"
 /// A case from the strategy's tuples.
 fn case(
     (counter, bits, k, part_seed): (bool, u32, usize, u64),
-    (stim_seed, jitter_seed): (u64, u64),
-    (window, epochs_per_quantum, cycles): (u64, usize, u64),
+    stim_seed: u64,
+    (window, cycles): (u64, u64),
 ) -> Scenario {
     let circuit = Circuit::seqcirc(counter, bits);
     let partition = Partition::Random { k, seed: part_seed };
-    let jitter = Some(jitter_seed);
     Scenario {
         window,
-        epochs_per_quantum,
-        executor: Executor::Threads { jitter },
+        executor: Executor::Threads,
         ..Scenario::new(circuit, partition, stim_seed, cycles)
     }
 }
 
 fn case_strategy() -> impl Strategy<Value = Scenario> {
     let circuit = (any::<bool>(), 2u32..6, 2usize..4, any::<u64>());
-    let seeds = (any::<u64>(), any::<u64>());
-    let kernel = (
-        prop_oneof![Just(4u64), Just(16u64), Just(64u64)],
-        prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
-        10u64..30,
-    );
-    (circuit, seeds, kernel).prop_map(|(circuit, seeds, kernel)| case(circuit, seeds, kernel))
+    let kernel = (prop_oneof![Just(4u64), Just(16u64), Just(64u64)], 10u64..30);
+    (circuit, any::<u64>(), kernel).prop_map(|(circuit, seed, kernel)| case(circuit, seed, kernel))
 }
 
 fn run_case(case: &Scenario) {
     let built = case.build();
-    let tw = case.run_ok(&built);
-
-    // Conservation: every message the clusters emitted was shipped into a
-    // channel exactly once, one message per push.
-    let emitted = tw.stats.messages + tw.stats.anti_messages;
-    assert_eq!(
-        emitted, tw.recovery.messages_sent,
-        "emitted messages must equal shipped messages"
-    );
-    assert_eq!(
-        tw.recovery.frames_sent, tw.recovery.messages_sent,
-        "sends ship one message per push"
-    );
-
-    // Sequential equivalence on every driven net and primary input — the
-    // jitter may change *when* rollbacks happen, never *what* converges.
-    case.assert_sequential(&built, &tw, "under jitter");
+    let first = case.run_ok(&built);
+    let again = case.run_ok(&built);
+    DUMP.expect_identical(&canonical(&first), &canonical(&again), "threads_rerun");
+    for tw in [&first, &again] {
+        // Conservation: every message the clusters emitted was left in an
+        // outbox exactly once, and no outbox was handed over empty.
+        let emitted = tw.stats.messages + tw.stats.anti_messages;
+        assert_eq!(
+            emitted, tw.recovery.messages_sent,
+            "emitted messages must equal shipped messages"
+        );
+        assert!(
+            tw.recovery.frames_sent <= tw.recovery.messages_sent,
+            "an outbox carries at least one message"
+        );
+        case.assert_sequential(&built, tw, "on threads");
+    }
+    assert_eq!(first.recovery, again.recovery, "the provenance diverged");
 }
 
 proptest! {
     // Real threads are slower than the deterministic executor, so the case
     // count is deliberately modest; the DST sweep covers schedule *space*,
-    // this one covers physical interleavings.
+    // this one covers the threaded executor on real threads.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn jittered_threads_match_sequential(case in case_strategy()) {
-        DUMP.with_dump(&case, "jittered_threads", run_case);
+    fn threads_reruns_are_identical_and_sequential(case in case_strategy()) {
+        DUMP.with_dump(&case, "threads_reruns", run_case);
     }
 }
 
-/// A fixed case across several jitter seeds — a deterministic, always-run
-/// complement to the random sweep (and a regression anchor if the jitter
-/// knob's seeding scheme changes).
+/// A fixed case — a deterministic, always-run complement to the random
+/// sweep.
 #[test]
-fn fixed_case_across_jitter_seeds() {
-    for jitter_seed in [1u64, 0x00FF_00FF, u64::MAX] {
-        let case = case((true, 4, 3, 11), (22, jitter_seed), (8, 2, 25));
-        DUMP.with_dump(&case, "fixed_case_across_jitter_seeds", run_case);
-    }
+fn fixed_case_reruns_identically() {
+    let case = case((true, 4, 3, 11), 22, (8, 25));
+    DUMP.with_dump(&case, "fixed_case_reruns_identically", run_case);
 }

@@ -474,12 +474,26 @@ fn decoder_6k() -> (Netlist, Vec<u32>) {
     })
 }
 
-/// Threads bit-identity at a benchmark shape, where free-running workers
-/// roll back far deeper than on the counters above.
+/// Threads bit-identity at a benchmark shape. The rounds depend on nothing
+/// but the plan, so every counter is exact and pinned like the `InProc` one
+/// below; free-running workers would move them from run to run.
 #[test]
 fn threads_match_sequential_on_the_6k_decoder() {
     let (nl, gate_blocks) = decoder_6k();
-    assert_tw_matches_seq(&nl, &gate_blocks, 2, 200, 2008);
+    let cfg = TimeWarpConfig::default();
+    let tw = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, 200, 1, &cfg);
+    let s = &tw.stats;
+    assert_eq!(
+        (
+            s.events,
+            s.rolled_back_events,
+            s.rollbacks,
+            s.messages,
+            s.anti_messages,
+            tw.gvt_rounds
+        ),
+        (809_154, 230, 1, 14_245, 0, 2_020)
+    );
 }
 
 /// The same decoder under the deterministic in-process transport, where every
@@ -571,39 +585,45 @@ fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
     assert_eq!(format!("{fnv1a:016x}"), "234c33e9cf722c05");
 }
 
-/// A worker that panics while its cluster is being built is inside the
-/// unwind boundary like any other: the threaded run ends at once as a typed
-/// `WorkerPanic` naming the cluster, not as a watchdog stall after five
-/// million idle quanta of its peer.
+/// A `Threads` worker that panics, while its cluster is being built (its
+/// export list reversed) or inside a round (a send to a cluster the run does
+/// not have), ends the run at once as a typed `WorkerPanic` naming it. It
+/// sits between its peers at k = 3, and both are released from the round's
+/// barrier rather than left waiting for it.
 #[test]
 fn threads_worker_panic_is_typed_and_prompt() {
     let src = dvs_workloads::seqcirc::generate_counter(6);
     let nl = parse_and_elaborate(&src).unwrap().into_netlist();
-    let mut plan = ClusterPlan::new(&nl, &round_robin(&nl, 2), 2);
-    assert!(
-        plan.clusters[1].exports.len() > 1,
-        "cluster 1 needs two exports to reverse"
-    );
-    plan.clusters[1].exports.reverse();
     let stim = VectorStimulus::from_netlist(&nl, 10, 1);
-
-    let start = Instant::now();
-    let outcome = run_timewarp(&nl, &plan, &stim, 20, &TimeWarpConfig::default());
-    let took = start.elapsed();
-    match outcome {
-        Err(TimeWarpError::WorkerPanic {
-            cluster: 1,
-            message,
-        }) => assert!(
-            message.contains("exports must ascend"),
-            "wrong panic: {message}"
-        ),
-        other => panic!("expected cluster 1's panic, got {other:?}"),
+    for k in [2, 3] {
+        let plan = ClusterPlan::new(&nl, &round_robin(&nl, k), k);
+        assert!(
+            plan.clusters[1].exports.len() > 1,
+            "cluster 1 needs two exports to reverse"
+        );
+        let mut reversed = plan.clone();
+        reversed.clusters[1].exports.reverse();
+        let mut stray = plan;
+        for (_, readers) in &mut stray.clusters[1].exports {
+            readers.push(k as u32);
+        }
+        for (plan, why) in [(reversed, "exports must ascend"), (stray, "out of bounds")] {
+            let start = Instant::now();
+            let outcome = run_timewarp(&nl, &plan, &stim, 20, &TimeWarpConfig::default());
+            let took = start.elapsed();
+            match outcome {
+                Err(TimeWarpError::WorkerPanic {
+                    cluster: 1,
+                    message,
+                }) => assert!(message.contains(why), "k = {k}, wrong panic: {message}"),
+                other => panic!("k = {k}: expected cluster 1's panic ({why}), got {other:?}"),
+            }
+            assert!(
+                took < Duration::from_secs(1),
+                "k = {k}: the panic ({why}) took {took:?} to surface"
+            );
+        }
     }
-    assert!(
-        took < Duration::from_secs(1),
-        "the panic took {took:?} to surface"
-    );
 }
 
 #[test]
