@@ -260,12 +260,13 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("time warp run failed: {e}\n{self:#?}"))
     }
 
-    /// Run on the deterministic executor and also hand back every decision
-    /// its schedule made.
+    /// Run on the deterministic executor under a per-decision policy (any
+    /// but `RoundRobin`, which runs in rounds) and also hand back every
+    /// decision its schedule made.
     pub fn record(&self, b: &Built) -> (TwRunResult, Vec<DstAction>) {
         let (seed, policy, check) = self.dst().expect("only Executor::Dst makes decisions");
         let mut schedule = Recording {
-            inner: policy.build(seed),
+            inner: policy.build(seed).expect("a policy that makes decisions"),
             decisions: Vec::new(),
         };
         let cfg = self.config();
@@ -315,8 +316,7 @@ pub fn assert_same_run(got: &TwRunResult, want: &TwRunResult, label: &str) {
 }
 
 /// The first burst in `decisions` — three consecutive deliveries on one
-/// channel, i.e. a delivery run of at least three: the index of its first
-/// decision and the receiving cluster.
+/// channel: the index of its first decision and the receiving cluster.
 pub fn first_burst(decisions: &[DstAction]) -> Option<(usize, u32)> {
     let start = decisions
         .windows(3)
@@ -357,9 +357,7 @@ pub fn policies(plan: &ClusterPlan) -> [SchedulePolicy; 4] {
     ]
 }
 
-/// A policy's schedule that also notes down every decision it makes. Its
-/// fork is the policy's own, so it sizes delivery runs exactly as the
-/// policy does.
+/// A policy's schedule that also notes down every decision it makes.
 struct Recording {
     inner: Box<dyn Schedule + Send>,
     decisions: Vec<DstAction>,
@@ -370,10 +368,6 @@ impl Schedule for Recording {
         let action = self.inner.next(view);
         self.decisions.push(action);
         action
-    }
-
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        self.inner.fork()
     }
 }
 

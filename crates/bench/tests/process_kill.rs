@@ -42,15 +42,14 @@ fn sigkilled_worker_recovers_byte_identically() {
 #[test]
 fn selfkilled_worker_converges() {
     let _g = serial();
-    // Cluster 1's commands under this schedule open with `gvt` (the GVT-0
-    // image), `step`, `gvt`, `step`, a `deliver` of three messages (which
-    // stops after the first), a `deliver` of the other two, `gvt`. Die
-    // before the 5th — a run of several, of which nothing may count as
-    // delivered — before the 6th, and before the 7th: a GVT round in which
-    // cluster 0 has already answered when the loss is seen. The operations
-    // replayed say where each death landed: the `step` alone, the `step`
-    // and the one message the first run applied, the whole interval.
-    for (before, replayed) in [(5, 1u64), (6, 2), (7, 4)] {
+    // Under this schedule cluster 1's 1st command captures the GVT-0 image
+    // and the `n`-th after it is round `n - 2`; round 15 captures the next
+    // image. Die in round 1, in round 3 — a death no cluster's answer of
+    // that round may survive into the log — and in round 17. The
+    // operations replayed say where each death landed: round 0's step and
+    // deliveries; rounds 0 to 2 with their fossil collections; round 16
+    // alone, past the image.
+    for (before, replayed) in [(3, 1u64), (5, 8), (19, 3)] {
         let tw = wire_kill::selfkilled_worker_converges(PROCESS, before);
         assert_eq!(
             tw.recovery.replayed_ops, replayed,
@@ -98,17 +97,17 @@ fn a_worker_that_cannot_be_launched_leaves_no_socket_file() {
     assert!(left.is_empty(), "socket files left behind: {left:?}");
 }
 
-/// Delivery runs are sized by a fork of the schedule, so every schedule
-/// family gets its turn: under each policy the process run is
-/// byte-identical to the in-process run, and both are the artifact the
-/// commit before delivery runs produced (its FNV-1a hash, recorded there).
+/// Under each policy the process run is byte-identical to the
+/// in-process run, and both are the recorded artifact (its FNV-1a hash):
+/// the one the per-decision executor has produced since before delivery
+/// runs, and for `RoundRobin` the lock-step rounds' own.
 #[test]
 fn every_policy_keeps_its_recorded_artifact() {
     let _g = serial();
     let base = viterbi();
     let built = base.build();
     let recorded = [
-        0x9808_30da_a9d1_7c60_u64,
+        0x27aa_8e32_be09_0af2_u64,
         0xb514_c580_3c23_c027,
         0x4c44_0256_b502_2e54,
         0x4396_ddfe_27ce_1184,
@@ -126,12 +125,13 @@ fn every_policy_keeps_its_recorded_artifact() {
             hash,
             "{policy:?}: not the recorded artifact"
         );
-        // One answered frame per delivery run: never more than one per
-        // message, and under every one of these policies some run is
-        // longer than one.
+        // A round carries every message its receiver takes in it; a
+        // delivery decision carries one.
         let wire = &b.recovery;
+        let rounds = policy == SchedulePolicy::RoundRobin;
         assert!(
-            wire.frames_sent < wire.messages_sent,
+            (wire.frames_sent < wire.messages_sent) == rounds
+                && wire.frames_sent <= wire.messages_sent,
             "{policy:?}: {} frames for {} messages",
             wire.frames_sent,
             wire.messages_sent
@@ -139,24 +139,20 @@ fn every_policy_keeps_its_recorded_artifact() {
     }
 }
 
-/// `SIGKILL`s aimed *inside* a delivery run: the receiver of the first
-/// burst of three consecutive decisions on one channel is killed at the
-/// burst's 2nd and at its 3rd decision. The run handed to the worker ends
-/// where the armed fault fires, so the recovery replays exactly what the
-/// per-message executor had logged by then — `replayed_ops` is pinned to
-/// what the commit before delivery runs replayed for the same kills — and
-/// the artifact is the undisturbed one.
+/// `SIGKILL`s aimed *inside* a burst: the receiver of the first burst of
+/// three consecutive deliveries on one channel is killed at the burst's
+/// 2nd and at its 3rd decision. Each delivery is one exchange, so the
+/// recovery replays exactly what the per-message executor had logged by
+/// then — `replayed_ops` is pinned to what it replayed for the same kills
+/// — and the artifact is the undisturbed one.
 #[test]
 fn sigkill_inside_a_burst_recovers_byte_identically() {
     let _g = serial();
     let base = viterbi();
     let built = base.build();
     // (policy, first decision of the burst, operations replayed after a
-    // kill at its 2nd and at its 3rd decision), recorded at that commit.
-    let recorded = [
-        (SchedulePolicy::RoundRobin, 7usize, [2u64, 3]),
-        (SchedulePolicy::SeededRandom, 168, [21, 22]),
-    ];
+    // kill at its 2nd and at its 3rd decision).
+    let recorded = [(SchedulePolicy::SeededRandom, 168usize, [21u64, 22])];
     for (policy, start, replayed) in recorded {
         let (clean, decisions) = base.in_proc(SCHED_SEED, policy).record(&built);
         let (burst, dst) = first_burst(&decisions).expect("a burst");
@@ -170,4 +166,26 @@ fn sigkill_inside_a_burst_recovers_byte_identically() {
             assert_eq!(canonical(&tw), canonical(&clean), "{label}");
         }
     }
+}
+
+/// `RoundRobin` over Unix sockets runs `Threads`' rounds on the 6 k
+/// decoder: its counters and its artifact.
+#[test]
+fn process_rounds_match_threads_on_the_6k_decoder() {
+    let _g = serial();
+    rounds_match_threads_on_the_6k_decoder(PROCESS);
+}
+
+/// A `SIGKILL` and a cut reply inside a round (see
+/// [`deaths_inside_a_round_recover_byte_identically`]): in round 5, whose
+/// replay reaches back to the GVT-0 image, and in round 18, two rounds
+/// past the image of round 15.
+#[test]
+fn deaths_inside_a_round_recover_byte_identically() {
+    let _g = serial();
+    wire_kill::deaths_inside_a_round_recover_byte_identically(
+        PROCESS,
+        &[(5, 12), (18, 5)],
+        &[(8, 12), (23, 7)],
+    );
 }

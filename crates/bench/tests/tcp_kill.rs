@@ -86,13 +86,13 @@ fn killed_and_reset_mid_run_still_byte_identical() {
     assert!(killed.recovery.crashes >= 1, "kill leg fired no fault");
     TCP.dump
         .expect_identical(&clean, &canonical(&killed), "acceptance kill leg");
-    // Leg 2: reset cluster 2 later in the run.
-    let reset = run_reset(policy, 2, 211, "acceptance reset leg");
+    // Leg 2: reset cluster 2 later in the run, in round 119.
+    let reset = run_reset(policy, 2, 128, "acceptance reset leg");
     assert!(reset.recovery.crashes >= 1, "reset leg fired no fault");
 }
 
-/// After the initial GVT-0 checkpoint (command 1), die before the 6th
-/// command.
+/// After the initial GVT-0 image (command 1), die before the 6th command:
+/// in round 4.
 #[test]
 fn selfkilled_tcp_worker_converges() {
     let _g = serial();
@@ -103,4 +103,25 @@ fn selfkilled_tcp_worker_converges() {
 fn exhausted_budget_degrades_gracefully() {
     let _g = serial();
     wire_kill::exhausted_budget_degrades_gracefully(TCP);
+}
+
+/// `RoundRobin` over TCP runs `Threads`' rounds on the 6 k decoder: its
+/// counters and its artifact.
+#[test]
+fn tcp_rounds_match_threads_on_the_6k_decoder() {
+    let _g = serial();
+    rounds_match_threads_on_the_6k_decoder(TCP);
+}
+
+/// The process suite's deaths inside a round, over TCP: a `SIGKILL` and a
+/// connection reset where cluster 1's reply would come, in round 5 and two
+/// rounds past the image of round 15.
+#[test]
+fn deaths_inside_a_round_recover_byte_identically() {
+    let _g = serial();
+    wire_kill::deaths_inside_a_round_recover_byte_identically(
+        TCP,
+        &[(5, 12), (18, 5)],
+        &[(8, 12), (23, 7)],
+    );
 }

@@ -15,8 +15,10 @@
 
 use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
 use dvs_sim::timewarp::{
-    FaultPlan, NetDir, NetFault, NetFaultKind, NetPlan, SchedulePolicy, Transport, TwRunResult,
+    FaultPlan, NetDir, NetFault, NetFaultKind, NetPlan, SchedulePolicy, TimeWarpConfig, Transport,
+    TwRunResult,
 };
+use dvs_workloads::ViterbiParams;
 use std::path::PathBuf;
 
 pub const STIM_SEED: u64 = 7;
@@ -148,12 +150,113 @@ pub fn sigkilled_worker_recovers_byte_identically(wire: Wire) {
 /// worker process stays up. Frame 0 is `init`, frame `n` the `n`-th command
 /// after it.
 pub fn cut(cluster: u32, frame: u64) -> NetPlan {
+    cut_at(cluster, NetDir::ToWorker, frame)
+}
+
+/// [`cut`] in either direction. Worker→supervisor frame 0 is `ready`; each
+/// round is answered by a `done` frame, followed by an image frame when the
+/// round asked for one.
+pub fn cut_at(cluster: u32, dir: NetDir, frame: u64) -> NetPlan {
     NetPlan::new().fault(NetFault {
         cluster,
-        dir: NetDir::ToWorker,
+        dir,
         frame,
         kind: NetFaultKind::Truncate,
     })
+}
+
+/// The benchmark's 6 126-gate decoder under its design-driven two-way
+/// partition, 200 vectors of stimulus seed 1, on the stock kernel — the
+/// shape `Threads` pins in `timewarp_vs_sequential`.
+pub fn decoder_6k() -> Scenario {
+    let params = ViterbiParams {
+        constraint_len: 6,
+        ..ViterbiParams::paper_class()
+    };
+    let stock = TimeWarpConfig::default();
+    let two = Partition::Multiway { k: 2, b: 10.0 };
+    Scenario {
+        window: stock.window,
+        epochs_per_quantum: stock.epochs_per_quantum,
+        ..Scenario::new(Circuit::Viterbi(params), two, 1, 200)
+    }
+}
+
+/// One order on every transport: under `RoundRobin` the wire runs the
+/// rounds `Threads` runs, so on the 6 k decoder it gives `Threads`' pinned
+/// counters and a canonical artifact byte-identical to `Threads`' and to
+/// the in-process run's, in at most one message-carrying frame per
+/// receiver a round.
+pub fn rounds_match_threads_on_the_6k_decoder(wire: Wire) {
+    let base = decoder_6k();
+    let built = base.build();
+    let threads = canonical(&base.on(Executor::Threads).run_ok(&built));
+    let in_proc = canonical(
+        &base
+            .in_proc(SCHED_SEED, SchedulePolicy::RoundRobin)
+            .run_ok(&built),
+    );
+    let tw = wire.on(&base, SchedulePolicy::RoundRobin).run_ok(&built);
+    let s = &tw.stats;
+    let tuple = (
+        s.events,
+        s.rolled_back_events,
+        s.rollbacks,
+        s.messages,
+        s.anti_messages,
+        tw.gvt_rounds,
+    );
+    assert_eq!(tuple, (809_154, 230, 1, 14_245, 0, 2_020));
+    wire.dump
+        .expect_identical(&threads, &in_proc, "6k: in-process vs threads");
+    wire.dump
+        .expect_identical(&threads, &canonical(&tw), "6k: wire vs threads");
+    let r = &tw.recovery;
+    assert_eq!(r.messages_sent, s.messages + s.anti_messages);
+    assert!(
+        r.frames_sent <= 2 * tw.gvt_rounds,
+        "{} frames in {} rounds",
+        r.frames_sent,
+        tw.gvt_rounds
+    );
+}
+
+/// Faults inside a round under `RoundRobin`, on the fixture: every frame
+/// of the round is written, cluster 0 has answered, and cluster 1 dies
+/// before its answer is read — by a `SIGKILL` at round `r` for each
+/// `(r, replayed)` of `kills`, and by its reply [`cut_at`] worker→supervisor
+/// frame `f` for each `(f, replayed)` of `cuts`. Each run must equal the
+/// undisturbed one byte for byte, and its recovery must replay exactly
+/// `replayed` operations: the rounds since cluster 1's last image — every
+/// 16th round captures one — with their fossil collections.
+pub fn deaths_inside_a_round_recover_byte_identically(
+    wire: Wire,
+    kills: &[(u64, u64)],
+    cuts: &[(u64, u64)],
+) {
+    let (base, policy) = (viterbi(), SchedulePolicy::RoundRobin);
+    let built = base.build();
+    let clean = canonical(&base.in_proc(SCHED_SEED, policy).run_ok(&built));
+    let kill = |r| wire.on(&base, policy).faulted(FaultPlan::crash(1, r));
+    let cut = |f| Scenario {
+        chaos: Some(cut_at(1, NetDir::FromWorker, f)),
+        ..wire.on(&base, policy)
+    };
+    let legs = kills
+        .iter()
+        .map(|&(r, n)| (format!("sigkill in round {r}"), kill(r), n));
+    let legs = legs.chain(
+        cuts.iter()
+            .map(|&(f, n)| (format!("reply {f} cut"), cut(f), n)),
+    );
+    for (label, case, replayed) in legs {
+        let tw = case.run_ok(&built);
+        let r = &tw.recovery;
+        assert_eq!((r.crashes, r.restarts), (1, 1), "{label}");
+        assert_eq!(r.victims, vec![1], "{label}");
+        assert_eq!(r.replayed_ops, replayed, "{label}");
+        wire.dump.expect_identical(&clean, &canonical(&tw), &label);
+    }
 }
 
 /// Asynchronous death: cluster 1's connection is [`cut`] in the frame of

@@ -1,14 +1,12 @@
-//! GVT-consistent cluster checkpoints.
+//! Cluster checkpoints: the images crash recovery restores.
 //!
 //! A [`Checkpoint`] is the complete fossil-stable image of one
-//! [`super::proc::ClusterProcess`] taken at a successful GVT round. GVT
-//! rounds are *consistent global cuts* for the kernel: a sample is only
-//! valid while no message is in transit, so at the moment GVT advances
-//! every channel is empty and the global state is exactly the union of the
-//! per-cluster states — nothing is "on the wire". Capturing every cluster
-//! right after the fossil collection for that round therefore yields a
-//! coordinated checkpoint at minimal size (history strictly below GVT has
-//! just been reclaimed).
+//! [`super::proc::ClusterProcess`], taken at the end of a round whose
+//! fossil collection has just reclaimed the history strictly below GVT, so
+//! it is near its minimal size. It is its cluster's restore point: the
+//! supervisor keeps every message the cluster has not answered for, so an
+//! image and the operations logged since it rebuild that cluster alone,
+//! whatever its peers did meanwhile.
 //!
 //! The image is *behaviorally exact*: restoring it produces a process whose
 //! subsequent execution is bit-identical to the original's — including the

@@ -3,9 +3,11 @@
 //! [`run_deterministic`] drives the same [`super::proc::ClusterProcess`] state machines
 //! as the threaded kernel, but under a single-threaded virtual scheduler:
 //! the executor owns one FIFO queue per directed cluster pair (so a positive
-//! message always precedes its anti-message, exactly as on a real channel)
-//! and consults a pluggable [`Schedule`] to decide, at every step, whether a
-//! cluster processes its next epoch or an in-transit message is delivered.
+//! message always precedes its anti-message, exactly as on a real channel).
+//! Under [`SchedulePolicy::RoundRobin`] it runs the lock-step rounds of
+//! [`super::Transport::Threads`]; under every other policy it consults a
+//! pluggable [`Schedule`] to decide, at every step, whether a cluster
+//! processes its next epoch or an in-transit message is delivered.
 //!
 //! What a schedule fixes is all an execution may vary in: which cluster
 //! steps, and which message lands, next. So it fixes the entire execution.
@@ -99,34 +101,13 @@ impl DstView<'_> {
 /// A deterministic scheduling policy: given the current legal actions,
 /// choose exactly one. Implementations must be deterministic functions of
 /// their own state and the view — no wall-clock, no OS entropy — or the
-/// reproducibility guarantee of [`run_deterministic`] is lost.
+/// reproducibility guarantee of [`run_deterministic`] is lost. Each
+/// decision is one exchange with one worker: a step, or one delivered
+/// message.
 pub trait Schedule {
     /// Choose one of the legal actions in `view`. Returning an illegal
     /// action is a bug in the schedule and panics the executor.
     fn next(&mut self, view: &DstView<'_>) -> DstAction;
-
-    /// An independent copy of this schedule in its present state, with
-    /// which the executor sizes a *delivery run*. Right after [`next`] chose
-    /// `Deliver { src, dst }` at decision `d`, the fork — never the schedule
-    /// itself — is shown the views of decisions `d + 1`, `d + 2`, … as they
-    /// will be *if the run continues*: the view `next` just answered (same
-    /// GVT, LVTs, steppable and deliverable sets — the channel still has a
-    /// head) with only `decision` advanced. For as long as it answers the
-    /// same delivery, the worker is handed one more queued message of that
-    /// channel in the same exchange; then the fork is dropped.
-    ///
-    /// This is exact, not speculative: the worker stops a run after the
-    /// first message that emits a message or moves its LVT, no GVT round
-    /// can complete while the channel is non-empty, and the executor still
-    /// consults `next` on the real view at every decision, asserting that
-    /// it picks what the fork forecast — so a fork must answer exactly as
-    /// the schedule it was taken from would. `None`, the default, keeps
-    /// every run at one message, which is always correct.
-    ///
-    /// [`next`]: Schedule::next
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        None
-    }
 }
 
 /// Built-in schedule families, nameable in configs and artifacts. A policy
@@ -134,9 +115,16 @@ pub trait Schedule {
 /// by implementing [`Schedule`] and calling [`run_with_schedule`] directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
-    /// Deliver eagerly (rotating over non-empty channels), step clusters in
-    /// rotation otherwise. Low-latency and fair — the benign baseline that
-    /// mimics an idealised network. Ignores the seed.
+    /// Lock-step rounds, the order [`super::Transport::Threads`] runs in:
+    /// each round every cluster fossil-collects below GVT, takes every
+    /// message queued to it (ascending source, FIFO per channel) and
+    /// processes at most one epoch within GVT + `window`; its sends wait
+    /// for the next round, and GVT becomes the least LVT or queued send
+    /// time. Every counter and the canonical artifact equal `Threads'`. It
+    /// makes no per-decision choice, so it has no [`Schedule`], and it
+    /// ignores the seed and `epochs_per_quantum`. On a wire transport a
+    /// round is one `round` frame per worker, every frame written before
+    /// the first reply is read, so the workers run at the same time.
     RoundRobin,
     /// Pick uniformly at random among all legal actions using a seeded
     /// xoshiro256++ generator. Different seeds explore different
@@ -149,7 +137,7 @@ pub enum SchedulePolicy {
     StragglerHeavy,
     /// Adversarial: hold every message on the `src → dst` channel until its
     /// delivery is the only legal action left (the maximum protocol-legal
-    /// delay), behaving round-robin otherwise. Forces rollback storms on
+    /// delay), rotating over the other actions otherwise. Forces rollback storms on
     /// the receiving cluster while preserving FIFO within the channel.
     DelayChannel { src: u32, dst: u32 },
     /// Adversarial for queue depth: alternate a *build* phase that
@@ -157,23 +145,22 @@ pub enum SchedulePolicy {
     /// nothing is delivered — with a *drain* phase that prefers delivering,
     /// releasing the backlog all at once. The sudden drains land stale
     /// timestamps on clusters that ran ahead during the build phase, so
-    /// long delivery runs interleave with rollback storms. Ignores the
-    /// seed.
+    /// long bursts of deliveries interleave with rollback storms. Ignores
+    /// the seed.
     Bursty,
 }
 
 impl SchedulePolicy {
-    /// Instantiate the schedule for `seed`.
-    pub fn build(&self, seed: u64) -> Box<dyn Schedule + Send> {
-        match *self {
-            SchedulePolicy::RoundRobin => Box::new(Cloned(RoundRobin::default())),
-            SchedulePolicy::SeededRandom => Box::new(Cloned(SeededRandom::new(seed))),
-            SchedulePolicy::StragglerHeavy => Box::new(Cloned(StragglerHeavy)),
-            SchedulePolicy::DelayChannel { src, dst } => {
-                Box::new(Cloned(DelayChannel::new(src, dst)))
-            }
-            SchedulePolicy::Bursty => Box::new(Cloned(Bursty::default())),
-        }
+    /// The per-decision schedule for `seed`; `None` for
+    /// [`SchedulePolicy::RoundRobin`], which runs in rounds.
+    pub fn build(&self, seed: u64) -> Option<Box<dyn Schedule + Send>> {
+        Some(match *self {
+            SchedulePolicy::RoundRobin => return None,
+            SchedulePolicy::SeededRandom => Box::new(SeededRandom::new(seed)),
+            SchedulePolicy::StragglerHeavy => Box::new(StragglerHeavy),
+            SchedulePolicy::DelayChannel { src, dst } => Box::new(DelayChannel::new(src, dst)),
+            SchedulePolicy::Bursty => Box::new(Bursty::default()),
+        })
     }
 
     /// Stable name for logs and artifacts.
@@ -206,41 +193,8 @@ pub fn first_cut_channel(plan: &ClusterPlan) -> Option<(u32, u32)> {
     best
 }
 
-/// A built-in schedule. All five are plain data, so a fork is a clone.
-struct Cloned<S>(S);
-
-impl<S: Schedule + Clone + Send + 'static> Schedule for Cloned<S> {
-    fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        self.0.next(view)
-    }
-
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        Some(Box::new(Cloned(self.0.clone())))
-    }
-}
-
-/// See [`SchedulePolicy::RoundRobin`].
-#[derive(Debug, Clone, Default)]
-struct RoundRobin {
-    cursor: u64,
-}
-
-impl Schedule for RoundRobin {
-    fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        let a = if !view.deliverable.is_empty() {
-            let (src, dst) =
-                view.deliverable[(self.cursor % view.deliverable.len() as u64) as usize];
-            DstAction::Deliver { src, dst }
-        } else {
-            DstAction::Step(view.steppable[(self.cursor % view.steppable.len() as u64) as usize])
-        };
-        self.cursor += 1;
-        a
-    }
-}
-
 /// See [`SchedulePolicy::SeededRandom`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SeededRandom {
     rng: StdRng,
 }
@@ -260,7 +214,7 @@ impl Schedule for SeededRandom {
 }
 
 /// See [`SchedulePolicy::StragglerHeavy`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct StragglerHeavy;
 
 impl Schedule for StragglerHeavy {
@@ -293,7 +247,7 @@ impl Schedule for StragglerHeavy {
 }
 
 /// See [`SchedulePolicy::DelayChannel`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DelayChannel {
     src: u32,
     dst: u32,
@@ -337,7 +291,7 @@ impl Schedule for DelayChannel {
 }
 
 /// See [`SchedulePolicy::Bursty`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Bursty {
     cursor: u64,
 }
@@ -390,16 +344,8 @@ pub fn run_deterministic(
 ) -> Result<TwRunResult, TimeWarpError> {
     let mut schedule = policy.build(seed);
     let label = format!("seed {seed}, schedule {policy:?}");
-    run_with_schedule(
-        nl,
-        plan,
-        stim,
-        cycles,
-        cfg,
-        schedule.as_mut(),
-        check,
-        &label,
-    )
+    let schedule = schedule.as_deref_mut().map(|s| s as &mut dyn Schedule);
+    run_in_proc(nl, plan, stim, cycles, cfg, schedule, check, &label)
 }
 
 /// Run the Time Warp kernel under an arbitrary [`Schedule`] implementation.
@@ -431,6 +377,22 @@ pub fn run_with_schedule(
     cycles: u64,
     cfg: &TimeWarpConfig,
     schedule: &mut dyn Schedule,
+    check: bool,
+    label: &str,
+) -> Result<TwRunResult, TimeWarpError> {
+    run_in_proc(nl, plan, stim, cycles, cfg, Some(schedule), check, label)
+}
+
+/// [`run_with_schedule`], or the rounds of [`SchedulePolicy::RoundRobin`]
+/// when `schedule` is `None`.
+#[allow(clippy::too_many_arguments)]
+fn run_in_proc(
+    nl: &Netlist,
+    plan: &ClusterPlan,
+    stim: &VectorStimulus,
+    cycles: u64,
+    cfg: &TimeWarpConfig,
+    schedule: Option<&mut dyn Schedule>,
     check: bool,
     label: &str,
 ) -> Result<TwRunResult, TimeWarpError> {

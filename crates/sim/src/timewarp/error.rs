@@ -14,12 +14,16 @@ pub enum TimeWarpError {
     /// no progress for `idle` scheduling decisions. A healthy run always
     /// advances GVT — the optimism window throttles every cluster to
     /// `GVT + window`, so five million decisions without GVT progress (the
-    /// fixed limit) means the protocol is wedged. [`super::Transport::Threads`]
-    /// never stalls: its GVT rises every round.
+    /// fixed limit) means the protocol is wedged. Lock-step rounds —
+    /// [`super::Transport::Threads`], and
+    /// [`super::SchedulePolicy::RoundRobin`] under the supervisor — raise
+    /// GVT every round, so there one round without a rise is a stall, and
+    /// only a worker that broke the protocol can cause one.
     Stalled {
         /// GVT value the run was stuck at.
         gvt: VTime,
-        /// Decisions executed since GVT last advanced.
+        /// Decisions (rounds, in lock-step rounds) executed since GVT last
+        /// advanced.
         idle: u64,
     },
     /// The configuration cannot run: [`super::TimeWarpConfig::validate`]

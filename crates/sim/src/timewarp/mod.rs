@@ -39,8 +39,10 @@
 //! * **GVT** — read by whoever holds every message in flight. Between two
 //!   rounds of [`Transport::Threads`] each message sits in its sender's
 //!   outbox, so GVT is the least LVT or outbox time, exactly. The
-//!   supervisor of the other transports holds every message in its queues,
-//!   and advances GVT to the least LVT whenever they are empty;
+//!   supervisor of the other transports holds every message in its queues:
+//!   between two of its rounds ([`SchedulePolicy::RoundRobin`]) GVT is the
+//!   least LVT or queued send time, the same rule; one decision at a time,
+//!   it advances GVT to the least LVT whenever the queues are empty;
 //! * **fossil collection** — processed events (with their `replaced`
 //!   values) strictly below GVT are reclaimed.
 //!
@@ -50,10 +52,13 @@
 //! whose order depends on nothing but the plan, so a rerun reproduces its
 //! counters. Under [`Transport::InProc`], [`Transport::Process`] and
 //! [`Transport::Tcp`] the same cluster state machines are driven by the
-//! single-threaded deterministic supervisor (see [`dst`] and [`transport`]),
-//! and every counter is a seed-reproducible value, byte-identical between
-//! them, whether the workers are in-process state machines, `SIGKILL`-able
-//! OS processes on Unix sockets, or processes dialing in over TCP.
+//! deterministic supervisor (see [`dst`] and [`transport`]), and every
+//! counter is a seed-reproducible value, byte-identical between them,
+//! whether the workers are in-process state machines, `SIGKILL`-able OS
+//! processes on Unix sockets, or processes dialing in over TCP. Under
+//! [`SchedulePolicy::RoundRobin`] that supervisor runs `Threads`' rounds,
+//! so all four transports leave one and the same canonical artifact, and
+//! the wire workers run each round at the same time.
 //! ([`crate::cluster_model`] remains as the fast *modeled* estimate of
 //! those counts for pre-simulation sweeps.)
 
@@ -116,10 +121,11 @@ pub struct TimeWarpConfig {
     /// How the cluster workers execute and exchange messages (see
     /// [`Transport`]).
     pub transport: Transport,
-    /// The deterministic supervisor's GVT cadence: one GVT attempt, and
-    /// with it a fossil collection, every this many decisions.
-    /// [`Transport::Threads`] ignores it: it runs one epoch per cluster a
-    /// round, and reads GVT after every round.
+    /// The per-decision GVT cadence of the deterministic supervisor: under
+    /// every [`SchedulePolicy`] but `RoundRobin`, one GVT attempt, and with
+    /// it a fossil collection, every this many decisions. Lock-step rounds
+    /// ignore it — [`Transport::Threads`] and `RoundRobin` run one epoch
+    /// per cluster a round and read GVT after every round.
     pub epochs_per_quantum: usize,
     /// Optimism window: a cluster will not execute events more than this far
     /// (in virtual time) above the current GVT. `u64::MAX` = unthrottled.

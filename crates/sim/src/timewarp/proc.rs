@@ -116,10 +116,10 @@ impl<'p> ClusterProcess<'p> {
     }
 
     /// Capture the complete behavioral state image of this cluster at GVT
-    /// `gvt`. Called right after the fossil collection of a successful GVT
-    /// round, so the image is both minimal and part of a consistent global
-    /// cut (see [`super::checkpoint`]). The pending events are captured in
-    /// drain order, so equal states yield equal checkpoints.
+    /// `gvt`. Called at the end of a round whose fossil collection ran at
+    /// `gvt`, so the image is near its minimal size (see
+    /// [`super::checkpoint`]). The pending events are captured in drain
+    /// order, so equal states yield equal checkpoints.
     pub fn checkpoint(&self, gvt: VTime) -> Checkpoint {
         let pending = self.pending.iter().copied().collect();
         Checkpoint {

@@ -16,23 +16,23 @@
 //! a worker panic ends the run as [`super::TimeWarpError::WorkerPanic`].
 //! Recovery is identical every way and rests on two facts:
 //!
-//! * **coordinated checkpoints at GVT rounds** — the supervisor advances
-//!   GVT only when every queue is empty, so the set of per-cluster
-//!   images taken right after a GVT advance is a consistent global cut with
-//!   no channel state (see [`super::checkpoint`]). A full
-//!   [`super::Checkpoint`] is captured at every tracked round and is the
-//!   victim's restore image;
-//! * **the supervisor pops a message only after its receiver answered for
-//!   it** — a worker lost mid-delivery has consumed nothing as far as the
-//!   supervisor knows, so the queues toward the victim are still exactly
-//!   what it has yet to receive.
+//! * **images at rounds** — a full [`super::Checkpoint`] of every worker
+//!   is captured at every per-decision GVT round and on every 16th round
+//!   under [`super::SchedulePolicy::RoundRobin`], in the round's own
+//!   exchange; each is its worker's restore image;
+//! * **the supervisor drops a message only after its receiver answered
+//!   for it** — a worker lost inside a round has consumed nothing as far
+//!   as the supervisor knows, so the messages toward the victim, queued or
+//!   in the round it is asked again, are still exactly what it has yet to
+//!   receive.
 //!
 //! On a crash the supervisor rebuilds the victim from its last image and
-//! **replays its input log** (the exact sequence of step/deliver/fossil
-//! operations applied since that image — the cluster state machine is
-//! deterministic, so replay reproduces the pre-crash state bit-for-bit,
-//! counters included, with re-sends suppressed because the originals are
-//! already queued or delivered). Its incoming queues are left as they are.
+//! **replays its input log** (the exact sequence of fossil/deliver/step
+//! operations applied since that image, across as many rounds as there
+//! were — the cluster state machine is deterministic, so replay reproduces
+//! the pre-crash state bit-for-bit, counters included, with re-sends
+//! suppressed because the originals are already queued or delivered). Its
+//! incoming queues are left as they are.
 //! The global state after recovery is therefore *exactly* the pre-crash
 //! state, which is what makes crash runs byte-identical to no-crash runs
 //! under the deterministic transports — determinism is the correctness
@@ -45,6 +45,7 @@
 //! error.
 
 use super::proc::ClusterProcess;
+use super::transport::RoundCmd;
 use super::{TimeWarpError, TwMessage, TwRunResult};
 use crate::seq::{NullObserver, SeqSim, SimConfig};
 use crate::stimulus::VectorStimulus;
@@ -56,18 +57,21 @@ use dvs_verilog::netlist::{NetId, Netlist};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Crash cluster `.0` when the deterministic supervisor reaches
-    /// decision index `.1` (under the in-proc transport the cluster state
-    /// machine is discarded; under the process and TCP transports the
-    /// worker process is killed with `SIGKILL`). `None` disables crash
-    /// injection. [`super::Transport::Threads`] has no supervisor, so
+    /// decision index `.1` — round index `.1` under
+    /// [`super::SchedulePolicy::RoundRobin`], where it dies inside the
+    /// round, once every command is written and before its reply is read
+    /// (under the in-proc transport the cluster state machine is
+    /// discarded; under the process and TCP transports the worker process
+    /// is killed with `SIGKILL`). `None` disables crash injection. [`super::Transport::Threads`] has no supervisor, so
     /// [`super::TimeWarpConfig::validate`] refuses `Some` there; a cluster
     /// the plan does not have is refused as well, before any worker starts.
     pub crash_at: Option<(u32, u64)>,
     /// How many times the fault fires in total. Treated as at least 1 when
     /// `crash_at` is set. Recovery consumes no decision, so after each one
-    /// the re-armed fault fires again at the same decision index, back to
-    /// back, until this budget is spent; `crashes > max_restarts` is how a
-    /// plan reaches the sequential fallback.
+    /// the re-armed fault fires again at the same decision index — inside
+    /// the same round, asked again — back to back, until this budget is
+    /// spent; `crashes > max_restarts` is how a plan reaches the sequential
+    /// fallback.
     pub crashes: u32,
     /// Restarts the supervisor attempts before giving up and degrading to
     /// the sequential simulator.
@@ -153,13 +157,15 @@ pub struct RecoveryOutcome {
     pub chaos_faults_injected: u64,
     /// Messages shipped toward their receivers: the messages left in an
     /// outbox under [`super::Transport::Threads`], every one the clusters
-    /// emitted, and supervisor→worker `deliver` payloads on the wire
-    /// transports. Exact on every transport.
+    /// emitted, and the messages of answered supervisor→worker `round`
+    /// frames on the wire transports. Exact on every transport.
     pub messages_sent: u64,
     /// What carried those messages: the non-empty outboxes handed over
     /// under [`super::Transport::Threads`], at most one per channel a
-    /// round, and answered `deliver` frames on the wire transports — one
-    /// per delivery *run*. Either way at most `messages_sent`, and exact.
+    /// round, and answered `round` frames that carried a message on the
+    /// wire transports — at most one per receiver a round under
+    /// [`super::SchedulePolicy::RoundRobin`], one per delivery decision
+    /// otherwise. Either way at most `messages_sent`, and exact.
     pub frames_sent: u64,
     /// The restart budget ran out and the run fell back to the sequential
     /// simulator; `values`/`stats` are the sequential run's.
@@ -178,11 +184,9 @@ pub(crate) enum ReplayOp {
     Step { limit: VTime },
     /// This exact message was delivered.
     Deliver(TwMessage),
-    /// Fossil collection ran at this GVT. A GVT round that captures an
-    /// image truncates the log in the same exchange, so this is replayed
-    /// in one place only: after the final round (GVT = MAX, no image) by a
-    /// worker that dies before its `finish` — skipping it there would
-    /// leave the `fossil_collected` counter behind the undisturbed run's.
+    /// Fossil collection ran at this GVT, above 0. Replayed wherever it
+    /// ran: skipping one would leave the `fossil_collected` counter behind
+    /// the undisturbed run's.
     Fossil(VTime),
 }
 
@@ -207,10 +211,9 @@ pub(crate) fn replay_ops(p: &mut ClusterProcess<'_>, ops: &[ReplayOp]) {
 /// images with their input logs. Images are held *encoded* — the canonical
 /// JSON text the worker captured them as — because the supervisor only
 /// stores them and hands them back in a restore; whoever rebuilds a process
-/// from one decodes it. Everything is scoped to one window, "since the last
-/// tracked GVT round": that round captured an image of every cluster, and
-/// its valid sample implies every channel was drained, so a restore never
-/// reaches behind it. Unlike the worker state it protects, this lives
+/// from one decodes it. Each cluster's log is scoped to "since its last
+/// image", so a restore never reaches behind it. Unlike the worker state
+/// it protects, this lives
 /// supervisor-side on **all** deterministic transports, which is what keeps
 /// the recovery protocol identical whether the worker is a struct in this
 /// process or an OS process on a socket.
@@ -226,20 +229,19 @@ impl RecoveryLog {
         RecoveryLog { bases, input_log }
     }
 
-    pub fn record_step(&mut self, c: usize, limit: VTime) {
-        self.input_log[c].push(ReplayOp::Step { limit });
+    /// Cluster `c` answered `cmd`, which asked for no image: log what it
+    /// applied, in the order it applied it.
+    pub fn record(&mut self, c: usize, cmd: &RoundCmd) {
+        let log = &mut self.input_log[c];
+        if cmd.gvt > 0 {
+            log.push(ReplayOp::Fossil(cmd.gvt));
+        }
+        log.extend(cmd.msgs.iter().map(|&m| ReplayOp::Deliver(m)));
+        log.extend(cmd.step.map(|limit| ReplayOp::Step { limit }));
     }
 
-    pub fn record_deliver(&mut self, m: TwMessage) {
-        self.input_log[m.dst as usize].push(ReplayOp::Deliver(m));
-    }
-
-    pub fn record_fossil(&mut self, c: usize, gvt: VTime) {
-        self.input_log[c].push(ReplayOp::Fossil(gvt));
-    }
-
-    /// A fresh image of cluster `i` was captured at a GVT round; its input
-    /// log restarts from this image.
+    /// A fresh image of cluster `i` was captured at the end of a round; its
+    /// input log restarts from this image.
     pub fn set_base(&mut self, i: usize, ck: String) {
         self.bases[i] = ck;
         self.input_log[i].clear();

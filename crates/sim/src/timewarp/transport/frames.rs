@@ -4,14 +4,14 @@
 //! do lives in `serve.rs`, what the supervisor makes of a reply in
 //! `remote.rs`.
 
-use super::Delivered;
+use super::RoundCmd;
 use crate::cluster::ClusterPlan;
 use crate::stimulus::VectorStimulus;
 use crate::timewarp::recovery::ReplayOp;
 use crate::timewarp::wire::json_kind;
 use crate::timewarp::TwMessage;
 use crate::wheel::VTime;
-use dvs_json::{uint_array, uint_json, FromJson, Json, ObjBuilder, ToJson};
+use dvs_json::{uint_array, uint_json, FromJson, Json, JsonError, ObjBuilder, ToJson};
 use dvs_verilog::netlist::{GateId, GateKind, InstId, Instance, Net, NetId, Netlist};
 
 /// Virtual times go on the wire as unsigned integers, with the idle
@@ -43,15 +43,43 @@ pub(super) fn ready_json(lvt: VTime) -> Json {
         .build()
 }
 
-/// The `lvt` + `sends` pair a `step` answers with (under `kind: done`) and
-/// a `deliver` once per message applied (under `results`).
-pub(super) fn delivered_json(open: ObjBuilder, (lvt, sends): &Delivered) -> Json {
-    open.field("lvt", vtime_json(*lvt))
+/// The `round` frame of `cmd`, without `step` when the round steps
+/// nothing.
+pub(super) fn round_frame(cmd: &RoundCmd) -> String {
+    let mut frame = ObjBuilder::new()
+        .str("kind", "round")
+        .field("gvt", vtime_json(cmd.gvt))
+        .array("msgs", cmd.msgs.iter().map(ToJson::to_json).collect());
+    if let Some(limit) = cmd.step {
+        frame = frame.field("step", vtime_json(limit));
+    }
+    let frame = frame.bool("image", cmd.image).build();
+    frame.emit().expect("round frames hold no floats")
+}
+
+pub(super) fn round_from_json(j: &Json) -> Result<RoundCmd, String> {
+    let err = |e: JsonError| e.msg;
+    let msgs = j.field("msgs").and_then(Json::as_array);
+    let msgs = msgs.and_then(|a| a.iter().map(TwMessage::from_json).collect());
+    Ok(RoundCmd {
+        gvt: vtime_from(j.field("gvt").map_err(err)?)?,
+        msgs: msgs.map_err(err)?,
+        step: j.get("step").map(vtime_from).transpose()?,
+        image: j.field("image").and_then(Json::as_bool).map_err(err)?,
+    })
+}
+
+/// The `done` frame a round is answered with. The image, when one was
+/// asked for, follows as a frame of its own.
+pub(super) fn done_json(lvt: VTime, sends: &[TwMessage]) -> Json {
+    ObjBuilder::new()
+        .str("kind", "done")
+        .field("lvt", vtime_json(lvt))
         .array("sends", sends.iter().map(ToJson::to_json).collect())
         .build()
 }
 
-pub(super) fn delivered_from(j: &Json) -> Result<Delivered, String> {
+pub(super) fn done_from(j: &Json) -> Result<(VTime, Vec<TwMessage>), String> {
     let lvt = vtime_from(j.field("lvt").map_err(|e| e.msg)?)?;
     let sends = j.field("sends").and_then(Json::as_array);
     let sends = sends.and_then(|a| a.iter().map(TwMessage::from_json).collect());

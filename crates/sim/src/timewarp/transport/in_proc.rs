@@ -4,7 +4,7 @@
 //! served worker (`serve.rs`) owns one too and puts the frame codec in
 //! front of it, so what a command does to a cluster is written once.
 
-use super::{protocol, ClusterWorker, Delivered, WorkerFailure};
+use super::{protocol, ClusterWorker, RoundCmd, RoundReply, WorkerFailure};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
@@ -83,13 +83,13 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
         Ok(alive(&mut self.proc)?.stray_anti_messages())
     }
 
-    /// This worker's share of [`ClusterWorker::gvt_round`]: fossil-collect
-    /// below `gvt`, then capture an image if `image`. The text is the reply
-    /// frame of a served worker.
-    pub(super) fn capture(&mut self, gvt: VTime, image: bool) -> Result<String, WorkerFailure> {
-        let (me, label) = (self.me, &self.label);
+    /// This worker's share of [`ClusterWorker::round`], in the order
+    /// [`RoundCmd`] lists. The image text is a served worker's second
+    /// reply frame.
+    pub(super) fn serve(&mut self, cmd: &RoundCmd) -> Result<RoundReply, WorkerFailure> {
+        let (me, label, check, gvt) = (self.me, &self.label, self.check, cmd.gvt);
         let p = alive(&mut self.proc)?;
-        let before = self.check.then(|| p.history_at_or_after(gvt));
+        let before = check.then(|| p.history_at_or_after(gvt));
         p.fossil_collect(gvt);
         if let Some(before) = before {
             assert_eq!(
@@ -98,19 +98,33 @@ impl<'nl, 'p> InProcWorker<'nl, 'p> {
                 "fossil collection on cluster {me} reclaimed history at or above GVT {gvt} ({label})"
             );
         }
-        if !image {
-            return Ok(String::new());
+        let mut sends = Vec::new();
+        for &m in &cmd.msgs {
+            let gone = p.handle_message(m, &mut |m: TwMessage| sends.push(m));
+            if check {
+                assert!(
+                    gone <= 1,
+                    "an anti-message to cluster {me} annihilated {gone} events ({label})"
+                );
+            }
         }
-        let ck = p.checkpoint(gvt);
-        let text = ck.to_text();
-        if self.check {
-            let reference = ck.to_json().emit().map_err(|e| protocol(e.msg))?;
-            assert!(
-                text == reference,
-                "the image of cluster {me} at GVT {gvt} differs from its reference encoding ({label})"
-            );
+        if let Some(limit) = cmd.step {
+            p.process_next_epoch(limit, &mut |m: TwMessage| sends.push(m));
         }
-        Ok(text)
+        let mut image = String::new();
+        if cmd.image {
+            let ck = p.checkpoint(gvt);
+            image = ck.to_text();
+            if check {
+                let reference = ck.to_json().emit().map_err(|e| protocol(e.msg))?;
+                assert!(
+                    image == reference,
+                    "the image of cluster {me} at GVT {gvt} differs from its reference encoding ({label})"
+                );
+            }
+        }
+        let lvt = p.lvt();
+        Ok(RoundReply { lvt, sends, image })
     }
 
     /// [`ClusterWorker::respawn`] on a decoded image: rebuild the process
@@ -159,42 +173,26 @@ impl ClusterWorker for InProcWorker<'_, '_> {
         Ok(alive(&mut self.proc)?.lvt())
     }
 
-    fn step(&mut self, limit: VTime, sends: &mut Vec<TwMessage>) -> Result<VTime, WorkerFailure> {
-        let p = alive(&mut self.proc)?;
-        p.process_next_epoch(limit, &mut |m: TwMessage| sends.push(m));
-        Ok(p.lvt())
-    }
-
-    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure> {
-        let (me, label, check) = (self.me, &self.label, self.check);
-        let p = alive(&mut self.proc)?;
-        let mut results = Vec::with_capacity(msgs.len());
-        let lvt = p.lvt();
-        for &m in msgs {
-            let mut sends = Vec::new();
-            let gone = p.handle_message(m, &mut |m: TwMessage| sends.push(m));
-            if check {
-                assert!(
-                    gone <= 1,
-                    "an anti-message to cluster {me} annihilated {gone} events ({label})"
-                );
-            }
-            let after = p.lvt();
-            let stop = !sends.is_empty() || after != lvt;
-            results.push((after, sends));
-            if stop {
-                break;
-            }
-        }
-        Ok(results)
-    }
-
-    fn gvt_round(
+    fn round(
         workers: &mut [Self],
-        gvt: VTime,
-        image: bool,
-    ) -> Vec<Result<String, WorkerFailure>> {
-        workers.iter_mut().map(|w| w.capture(gvt, image)).collect()
+        cmds: &[RoundCmd],
+        kill: Option<usize>,
+    ) -> Vec<Result<RoundReply, WorkerFailure>> {
+        let serve = |(i, (w, cmd)): (usize, (&mut Self, &RoundCmd))| {
+            if kill != Some(i) {
+                return w.serve(cmd);
+            }
+            w.inject_crash();
+            Err(WorkerFailure::Lost {
+                detail: "crashed inside the round".to_string(),
+            })
+        };
+        workers
+            .iter_mut()
+            .zip(cmds)
+            .enumerate()
+            .map(serve)
+            .collect()
     }
 
     fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure> {

@@ -1,8 +1,8 @@
 //! Pluggable worker transports for the Time Warp kernel.
 //!
 //! The deterministic executor ([`super::dst`]) drives one worker per
-//! cluster through a small command vocabulary — step, deliver, GVT round,
-//! restore, finish. `ClusterWorker` abstracts *where* that worker lives:
+//! cluster through a small command vocabulary — round, restore, finish.
+//! `ClusterWorker` abstracts *where* that worker lives:
 //!
 //! * `InProcWorker` — the worker is a `ClusterProcess` owned by the
 //!   supervisor itself, commands are direct method calls. This is the
@@ -18,18 +18,18 @@
 //!   surfaces as a socket EOF; a dropped TCP connection (EOF, reset, or
 //!   silence past the deadline) surfaces the same way — and the supervisor
 //!   treats every one of them exactly like an injected crash fault:
-//!   restore from the last GVT-coordinated checkpoint and replay the input
-//!   log (see [`super::recovery`]). Workers never message each other
-//!   directly, so the supervisor's queues still hold everything sent
-//!   toward the victim and nothing else needs rebuilding.
+//!   restore from the worker's last image and replay its input log (see
+//!   [`super::recovery`]). Workers never message each other directly, so
+//!   the supervisor still holds everything sent toward the victim and
+//!   nothing else needs rebuilding.
 //!
 //! One file per seam, each importing only what is listed before it:
 //!
 //! * `mod.rs` — [`Transport`], the `ClusterWorker` contract and the
 //!   `WorkerFailure` it fails with; imports no sibling.
-//! * `in_proc.rs` — `InProcWorker`: what each command does to a cluster.
-//! * `supervisor.rs` — `run_supervisor`: decisions, delivery runs, GVT
-//!   rounds, recovery, over any `ClusterWorker`; no wire, no frame.
+//! * `in_proc.rs` — `InProcWorker`: what a round does to a cluster.
+//! * `supervisor.rs` — `run_supervisor`: lock-step rounds or one decision
+//!   at a time, GVT, recovery, over any `ClusterWorker`; no wire, no frame.
 //! * `frames.rs` — how every frame is spelled as JSON; no socket, no
 //!   worker.
 //! * `remote.rs` — the supervisor's end of the wire: `ProcessWorker`, the
@@ -42,7 +42,7 @@
 //! *identical* for all of them, which is what makes the canonical run
 //! artifact of a process- or TCP-transport run — crashed and recovered or
 //! not — byte-identical to the same-seed in-proc run: every transport
-//! executes the same decision sequence against the same deterministic
+//! executes the same command sequence against the same deterministic
 //! cluster state machines.
 //!
 //! # Wire protocol
@@ -71,14 +71,16 @@
 //! Each command frame is written with a single buffered syscall and the
 //! response is read back under a timeout. A blocking round trip costs tens
 //! of microseconds of wake-up latency whatever the frame holds (see
-//! EXPERIMENTS.md, "Wire path: round trips, not bytes"), so the vocabulary
-//! is shaped to need few of them: a `deliver` carries a *run* of one
-//! channel's queued messages (see `ClusterWorker::deliver`), and a GVT
-//! round is one `gvt` command per worker, all of them written before the
-//! first reply is read (see `ClusterWorker::gvt_round`); the image a
-//! round captures travels, is stored and is shipped back in a `restore` as
-//! the text the worker emitted, decoded only by whoever rebuilds a process
-//! from it.
+//! EXPERIMENTS.md, "Wire path: round trips, not bytes"), so the work of a
+//! cluster is one `round` command: fossil-collect, take messages, step,
+//! capture (see `ClusterWorker::round`). Under
+//! [`SchedulePolicy::RoundRobin`] a round sends one such frame to every
+//! worker, every frame written before the first reply is read, so the
+//! workers run at the same time and a run costs one exchange per worker
+//! per round (see EXPERIMENTS.md, "The wire in rounds"). The image a
+//! round captures travels, is stored and is shipped back in a `restore`
+//! as the text the worker emitted, decoded only by whoever rebuilds a
+//! process from it.
 //! That text is streamed by [`super::Checkpoint::to_text`] (its `ToJson`
 //! tree is the reference it must equal), and the frame CRC runs slice-by-8,
 //! so an image costs about what moving its bytes does.
@@ -127,10 +129,11 @@ pub(crate) use supervisor::run_supervisor;
 
 pub use super::wire::{MAX_FRAME, WIRE_VERSION};
 
-/// Where the Time Warp workers execute. Selecting a transport also selects
-/// the execution discipline: `Threads` runs the clusters at once in
-/// lock-step rounds, the other three are scheduled one decision at a time
-/// by `(seed, schedule)`. Every counter is exact on all four.
+/// Where the Time Warp workers execute. `Threads` runs the clusters at once
+/// in lock-step rounds; the other three are driven by the deterministic
+/// supervisor under `(seed, schedule)`: in the same rounds under
+/// [`SchedulePolicy::RoundRobin`], one decision at a time under the other
+/// policies. Every counter is exact on all four.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Transport {
@@ -348,15 +351,35 @@ pub(crate) struct WireCounters {
     pub silent_peers: u64,
     /// Faults the chaos shim actually injected on this worker's streams.
     pub chaos_faults_injected: u64,
-    /// Messages this worker answered for, over all its `deliver` frames.
+    /// Messages this worker answered for, over all its `round` frames.
     pub messages_sent: u64,
-    /// `deliver` frames this worker answered, one per delivery run.
+    /// `round` frames this worker answered that carried a message: one per
+    /// round it received in under [`SchedulePolicy::RoundRobin`], one per
+    /// delivery decision under the other policies.
     pub frames_sent: u64,
 }
 
-/// What one delivered message did to its receiver: the LVT afterwards and
-/// the messages its application emitted (rollback anti-messages).
-pub(crate) type Delivered = (VTime, Vec<TwMessage>);
+/// One worker's part of a round, done in this order: fossil-collect the
+/// history strictly below `gvt` (0 collects nothing), apply `msgs` in
+/// order, process the next epoch within `step` when it is set, then, if
+/// `image`, capture a full [`super::Checkpoint`] labelled `gvt`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RoundCmd {
+    pub gvt: VTime,
+    pub msgs: Vec<TwMessage>,
+    pub step: Option<VTime>,
+    pub image: bool,
+}
+
+/// A worker's answer to a [`RoundCmd`]: its LVT afterwards, every message
+/// it emitted in emission order, and the image as the canonical JSON text
+/// it was captured as — empty when none was asked for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RoundReply {
+    pub lvt: VTime,
+    pub sends: Vec<TwMessage>,
+    pub image: String,
+}
 
 /// One Time Warp cluster as seen by the transport-generic supervisor.
 /// Implementations must be deterministic state machines: the same command
@@ -365,37 +388,19 @@ pub(crate) type Delivered = (VTime, Vec<TwMessage>);
 /// guarantee both rest on.
 pub(crate) trait ClusterWorker: Sized {
     /// Current local virtual time (used once, at startup; afterwards the
-    /// supervisor caches the LVT returned by each step/deliver).
+    /// supervisor caches the LVT each round returns).
     fn lvt(&mut self) -> Result<VTime, WorkerFailure>;
-    /// Process the next pending epoch within `limit`; emitted messages are
-    /// appended to `sends`. Returns the new LVT.
-    fn step(&mut self, limit: VTime, sends: &mut Vec<TwMessage>) -> Result<VTime, WorkerFailure>;
-    /// Deliver a *run*: `msgs` is a prefix of one channel's queue, applied
-    /// in order up to and including the first message whose application
-    /// emits a message or moves the LVT. Returns one [`Delivered`] per
-    /// message applied — at least one, at most `msgs.len()`.
-    ///
-    /// The stop rule is what lets the supervisor hand over a run without
-    /// guessing. Until the worker stops, the view the schedule sees changes
-    /// by one queue pop per delivery and nothing else — no new message, no
-    /// LVT move, and no GVT round, which cannot complete while the channel
-    /// is non-empty — so what a [`Schedule::fork`] forecast on that view
-    /// is what the schedule will decide. A run of one is a plain delivery;
-    /// nothing is staged, and the unapplied remainder stays queued.
-    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure>;
-    /// One GVT round on every worker of `workers` — all of them, or the
-    /// one being re-asked after a recovery: fossil-collect history
-    /// strictly below `gvt`, then, if `image` (a tracked run that has not
-    /// quiesced), capture a full [`super::Checkpoint`]. Returns, per
-    /// worker, the image as the canonical JSON text it was captured as —
-    /// empty when no image was asked for.
+    /// One round: `cmds[i]` on `workers[i]` — every worker, or the one a
+    /// decision or a recovery addresses. Returns one reply per worker.
     /// Taking the workers together lets a wire transport write every
-    /// command before it reads the first reply.
-    fn gvt_round(
+    /// command before it reads the first reply, so they run at once.
+    /// `kill` names a worker to crash inside the round, once every command
+    /// is on its way and before its reply is read: it answers as lost.
+    fn round(
         workers: &mut [Self],
-        gvt: VTime,
-        image: bool,
-    ) -> Vec<Result<String, WorkerFailure>>;
+        cmds: &[RoundCmd],
+        kill: Option<usize>,
+    ) -> Vec<Result<RoundReply, WorkerFailure>>;
     /// Rebuild the worker from the encoded image `base` and replay `ops`
     /// (re-sends suppressed). Returns the restored LVT.
     fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure>;

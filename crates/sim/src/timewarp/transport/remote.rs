@@ -7,13 +7,11 @@
 //! local child, fatal; TCP: past the silence deadline, recovered like a
 //! crash).
 
-use super::frames::{
-    delivered_from, init_json, ok_json_cmd, restore_frame, vtime_from, vtime_json,
-};
+use super::frames::{done_from, init_json, ok_json_cmd, restore_frame, round_frame, vtime_from};
 use super::supervisor::run_supervisor;
 use super::{
-    fatal, protocol, ClusterWorker, Delivered, TcpWorkers, Transport, WireCounters, WorkerFailure,
-    CONNECT_TIMEOUT,
+    fatal, protocol, ClusterWorker, RoundCmd, RoundReply, TcpWorkers, Transport, WireCounters,
+    WorkerFailure, CONNECT_TIMEOUT,
 };
 use crate::artifact::{image_envelope, logic_vec, ImageEnvelope};
 use crate::cluster::ClusterPlan;
@@ -22,15 +20,16 @@ use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::timewarp::chaos::{ChaosStream, ClusterChaos};
 use crate::timewarp::checkpoint::CHECKPOINT_SCHEMA;
+use crate::timewarp::dst::Schedule;
 use crate::timewarp::error::TimeWarpError;
 use crate::timewarp::recovery::ReplayOp;
 use crate::timewarp::wire::{
     hello_json, hello_parse, json_kind, parse_json, read_frame, run_token, send_json, FrameSink,
     FrameSource, Hello, WireError, WireStream, WIRE_VERSION,
 };
-use crate::timewarp::{TimeWarpConfig, TwMessage, TwRunResult};
+use crate::timewarp::{TimeWarpConfig, TwRunResult};
 use crate::wheel::VTime;
-use dvs_json::{FromJson, Json, ObjBuilder, ToJson};
+use dvs_json::{FromJson, Json};
 use dvs_verilog::netlist::Netlist;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -504,12 +503,11 @@ impl ProcessWorker {
         typed_response(&self.read_frame()?)
     }
 
-    /// Read the reply to a `gvt` command that asked for an image: the
-    /// image itself, as the canonical text the worker captured it as and
-    /// kept as received — the supervisor only stores it, so only its
-    /// envelope is looked at. Any other frame is handled as
-    /// [`Self::read_response`] would, and a well-formed one that is no
-    /// image is a protocol error.
+    /// Read the image frame that follows the `done` of a round that asked
+    /// for one: the canonical text the worker captured it as, kept as
+    /// received — the supervisor only stores it, so only its envelope is
+    /// looked at. Any other frame is handled as [`Self::read_response`]
+    /// would, and a well-formed one that is no image is a protocol error.
     fn read_image(&mut self, gvt: VTime) -> Result<String, WorkerFailure> {
         let asked_for = ImageEnvelope {
             schema: CHECKPOINT_SCHEMA,
@@ -524,7 +522,7 @@ impl ProcessWorker {
         }
         typed_response(text.as_bytes())?;
         Err(protocol(format!(
-            "the gvt round asked for {asked_for:?}, the worker answered {text:.120}"
+            "the round asked for {asked_for:?}, the worker answered {text:.120}"
         )))
     }
 
@@ -576,65 +574,44 @@ impl ClusterWorker for ProcessWorker {
         Ok(self.last_lvt)
     }
 
-    fn step(&mut self, limit: VTime, sends: &mut Vec<TwMessage>) -> Result<VTime, WorkerFailure> {
-        let cmd = ObjBuilder::new()
-            .str("kind", "step")
-            .field("limit", vtime_json(limit))
-            .build();
-        let r = self.call(&cmd)?;
-        self.expect_kind(&r, "done")?;
-        let (lvt, emitted) = delivered_from(&r).map_err(protocol)?;
-        sends.extend(emitted);
-        Ok(lvt)
-    }
-
-    fn deliver(&mut self, msgs: &[TwMessage]) -> Result<Vec<Delivered>, WorkerFailure> {
-        let cmd = ObjBuilder::new()
-            .str("kind", "deliver")
-            .array("msgs", msgs.iter().map(ToJson::to_json).collect())
-            .build();
-        let r = self.call(&cmd)?;
-        self.expect_kind(&r, "done")?;
-        let results = r.field("results").and_then(Json::as_array);
-        let results = results.map_err(|e| protocol(e.msg))?;
-        if results.is_empty() || results.len() > msgs.len() {
-            return Err(protocol(format!(
-                "a delivery of {} messages was answered with {} results",
-                msgs.len(),
-                results.len()
-            )));
-        }
-        let results: Result<Vec<Delivered>, String> = results.iter().map(delivered_from).collect();
-        let results = results.map_err(protocol)?;
-        self.counters.messages_sent += results.len() as u64;
-        self.counters.frames_sent += 1;
-        Ok(results)
-    }
-
-    fn gvt_round(
+    fn round(
         workers: &mut [Self],
-        gvt: VTime,
-        image: bool,
-    ) -> Vec<Result<String, WorkerFailure>> {
-        let cmd = ObjBuilder::new()
-            .str("kind", "gvt")
-            .field("gvt", vtime_json(gvt))
-            .str("image", if image { "base" } else { "none" })
-            .build();
+        cmds: &[RoundCmd],
+        kill: Option<usize>,
+    ) -> Vec<Result<RoundReply, WorkerFailure>> {
         // Every command is on its way before the first reply is awaited,
-        // so the workers fossil-collect, capture and emit side by side
-        // instead of one after the other.
-        let written: Vec<_> = workers.iter_mut().map(|w| w.send(&cmd)).collect();
-        let read = |(written, w): (Result<(), WorkerFailure>, &mut Self)| {
+        // so the workers run their rounds side by side instead of one
+        // after the other.
+        let written: Vec<_> = workers
+            .iter_mut()
+            .zip(cmds)
+            .map(|(w, cmd)| w.send_text(&round_frame(cmd)))
+            .collect();
+        if let Some(victim) = kill {
+            workers[victim].inject_crash();
+        }
+        let read = |((written, w), cmd): ((Result<(), WorkerFailure>, &mut Self), &RoundCmd)| {
             written?;
-            if image {
-                w.read_image(gvt)
+            let r = w.read_response()?;
+            w.expect_kind(&r, "done")?;
+            let (lvt, sends) = done_from(&r).map_err(protocol)?;
+            let image = if cmd.image {
+                w.read_image(cmd.gvt)?
             } else {
-                let r = w.read_response()?;
-                w.expect_kind(&r, "ok").map(|()| String::new())
+                String::new()
+            };
+            if !cmd.msgs.is_empty() {
+                w.counters.messages_sent += cmd.msgs.len() as u64;
+                w.counters.frames_sent += 1;
             }
+            Ok(RoundReply { lvt, sends, image })
         };
-        written.into_iter().zip(workers).map(read).collect()
+        written
+            .into_iter()
+            .zip(workers)
+            .zip(cmds)
+            .map(read)
+            .collect()
     }
 
     fn respawn(&mut self, base: &str, ops: &[ReplayOp]) -> Result<VTime, WorkerFailure> {
@@ -806,7 +783,7 @@ pub(crate) fn run_wire(
         stim,
         cycles,
         cfg,
-        schedule.as_mut(),
+        schedule.as_deref_mut().map(|s| s as &mut dyn Schedule),
         check,
         &label,
         &mut workers,

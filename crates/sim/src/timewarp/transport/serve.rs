@@ -4,7 +4,7 @@
 //! [`ClusterWorker`] operation it names and encodes the answer.
 
 use super::frames::{
-    delivered_json, error_json, ok_json_cmd, ready_json, replay_op_from_json, vtime_from,
+    done_json, error_json, ok_json_cmd, ready_json, replay_op_from_json, round_from_json,
     worker_init_from_json, WorkerInit,
 };
 use super::in_proc::InProcWorker;
@@ -18,7 +18,7 @@ use crate::timewarp::wire::{
     WireError, WireStream, WIRE_VERSION,
 };
 use crate::timewarp::TwMessage;
-use dvs_json::{FromJson, Json, JsonError, ObjBuilder, ToJson};
+use dvs_json::{Json, JsonError, ObjBuilder, ToJson};
 use std::io;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -39,14 +39,12 @@ use std::time::{Duration, Instant};
 /// 3. supervisor sends `init` (netlist + gate block + stimulus + config);
 ///    worker replies `ready` with its LVT;
 /// 4. command loop, one reply per command:
-///    * `step` (`limit`) → `done` (`lvt`, `sends`);
-///    * `deliver` (`msgs`: a run, see [`crate::timewarp::Schedule::fork`]) →
-///      `done`
-///      (`results`: one `lvt` + `sends` per message applied);
-///    * `gvt` (`gvt`, `image`: `base` | `none`) → fossil-collect below
-///      `gvt`, then `ok` for `none`, else the image itself — the canonical
-///      `tw_checkpoint` document is the whole reply frame, which is how
-///      the supervisor can keep it as received;
+///    * `round` (`gvt`, `msgs`, `step` if the round steps, `image`) →
+///      fossil-collect below `gvt`, apply `msgs` in order, process one
+///      epoch within `step`, then `done` (`lvt`, `sends`); when `image` is
+///      true the image follows as a second frame — the canonical
+///      `tw_checkpoint` document is that whole frame, which is how the
+///      supervisor can keep it as received;
 ///    * `restore` (`ck`, `ops`) → `ready`;
 ///    * `quiesce` → `ok`; `finish` → `finished`, after which the worker
 ///      hangs up.
@@ -187,18 +185,20 @@ fn serve_cluster(
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&cmd, &mut worker)));
         // Every way out of a command but an answered one hangs up.
-        let (reply, stop) = match outcome {
+        let (replies, stop) = match outcome {
             Ok(Ok(answered)) => answered,
-            Ok(Err(WorkerFailure::Protocol { detail })) => (text(error_json(&detail)), true),
-            Ok(Err(other)) => (text(error_json(&format!("{other:?}"))), true),
+            Ok(Err(WorkerFailure::Protocol { detail })) => (vec![text(error_json(&detail))], true),
+            Ok(Err(other)) => (vec![text(error_json(&format!("{other:?}")))], true),
             Err(payload) => {
                 let panic = ObjBuilder::new()
                     .str("kind", "panic")
                     .str("message", &panic_message(payload.as_ref()));
-                (text(panic.build()), true)
+                (vec![text(panic.build())], true)
             }
         };
-        sink.send(reply.as_bytes()).map_err(wire_io)?;
+        for reply in replies {
+            sink.send(reply.as_bytes()).map_err(wire_io)?;
+        }
         if stop {
             return Ok(());
         }
@@ -222,68 +222,41 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Decode one supervisor command, have `worker` do the [`ClusterWorker`]
-/// operation it names and encode the answer. `Ok((reply, stop))` answers —
-/// and, for `finish`, then hangs up; `Err` is a protocol error (typed
-/// `error` reply + hang up). What only a wire can get wrong is handled
-/// here: a delivery of nothing, a message for another cluster or on a net
-/// this cluster does not import, and an anti-message that annihilated
-/// nothing are refused; a `quiesce` sent to a worker built without check
-/// mode asserts nothing.
+/// operation it names and encode the answer. `Ok((replies, stop))` answers
+/// with those frames — and, for `finish`, then hangs up; `Err` is a
+/// protocol error (typed `error` reply + hang up). What only a wire can get
+/// wrong is handled here: a message for another cluster or on a net this
+/// cluster does not import, and an anti-message that annihilated nothing
+/// are refused; a `quiesce` sent to a worker built without check mode
+/// asserts nothing.
 fn dispatch(
     cmd: &Json,
     worker: &mut InProcWorker<'_, '_>,
-) -> Result<(String, bool), WorkerFailure> {
+) -> Result<(Vec<String>, bool), WorkerFailure> {
     let bad = |e: JsonError| protocol(e.msg);
-    let vtime = |key: &str| vtime_from(cmd.field(key).map_err(bad)?).map_err(protocol);
-    let done = || ObjBuilder::new().str("kind", "done");
     let reply = match json_kind(cmd).map_err(protocol)? {
-        "step" => {
-            let mut sends = Vec::new();
-            let lvt = worker.step(vtime("limit")?, &mut sends)?;
-            delivered_json(done(), &(lvt, sends))
-        }
-        "deliver" => {
-            let msgs = cmd.field("msgs").and_then(Json::as_array);
-            let msgs = msgs.and_then(|a| a.iter().map(TwMessage::from_json).collect());
-            let msgs: Vec<TwMessage> = msgs.map_err(bad)?;
-            if msgs.is_empty() {
-                return Err(protocol(
-                    "a delivery must carry at least one message".to_string(),
-                ));
-            }
+        "round" => {
+            let round = round_from_json(cmd).map_err(protocol)?;
             let (me, imports) = (worker.me, worker.imports());
             let foreign = |m: &&TwMessage| m.dst != me || imports.binary_search(&m.ev.net).is_err();
-            if let Some(m) = msgs.iter().find(foreign) {
+            if let Some(m) = round.msgs.iter().find(foreign) {
                 return Err(protocol(format!(
                     "a message for cluster {} on net {} is not an input of cluster {me}",
                     m.dst, m.ev.net.0
                 )));
             }
             let strays = worker.stray_anti_messages()?;
-            let results = worker.deliver(&msgs)?;
+            let reply = worker.serve(&round)?;
             if worker.stray_anti_messages()? != strays {
-                let antis = msgs[..results.len()].iter().filter(|m| m.anti);
+                let antis = round.msgs.iter().filter(|m| m.anti);
                 return Err(protocol(format!(
                     "an anti-message among (time, net) {:?} has no positive to annihilate",
                     antis.map(|m| (m.ev.time, m.ev.net.0)).collect::<Vec<_>>()
                 )));
             }
-            let results = results.iter().map(|d| delivered_json(ObjBuilder::new(), d));
-            done().array("results", results.collect()).build()
-        }
-        "gvt" => {
-            let gvt = vtime("gvt")?;
-            let image = cmd.field("image").and_then(Json::as_str).map_err(bad)?;
-            let image = match image {
-                "base" => true,
-                "none" => false,
-                _ => return Err(protocol("unknown image kind".to_string())),
-            };
-            // The image, when one is asked for, is the whole reply.
-            match worker.capture(gvt, image)? {
-                captured if captured.is_empty() => ok_json_cmd("ok"),
-                captured => return Ok((captured, false)),
-            }
+            let done = text(done_json(reply.lvt, &reply.sends));
+            let image = Some(reply.image).filter(|i| !i.is_empty());
+            return Ok((std::iter::once(done).chain(image).collect(), false));
         }
         "restore" => {
             // Ignoring a chain would silently restore an older round than
@@ -313,9 +286,9 @@ fn dispatch(
                 .str("kind", "finished")
                 .field("stats", stats.to_json())
                 .str("values", &logic_str(&values));
-            return Ok((text(finished.build()), true));
+            return Ok((vec![text(finished.build())], true));
         }
         other => return Err(protocol(format!("unknown command kind {other:?}"))),
     };
-    Ok((text(reply), false))
+    Ok((vec![text(reply)], false))
 }

@@ -1,8 +1,8 @@
-//! The transport-generic supervisor: the deterministic executor's decision
-//! loop, delivery runs, GVT rounds and crash recovery over any
-//! [`ClusterWorker`]. It knows no wire and no frame.
+//! The transport-generic supervisor: the deterministic executor's
+//! lock-step rounds and its per-decision loop, GVT, images and crash
+//! recovery over any [`ClusterWorker`]. It knows no wire and no frame.
 
-use super::{fatal, ClusterWorker, Delivered, WorkerFailure};
+use super::{fatal, ClusterWorker, RoundCmd, WorkerFailure};
 use crate::cluster::ClusterPlan;
 use crate::logic::Logic;
 use crate::stats::SimStats;
@@ -20,9 +20,15 @@ use std::collections::VecDeque;
 /// hanging.
 const STALL_LIMIT: u64 = 5_000_000;
 
-/// GVT as the supervisor keeps it. With no message queued, every message
-/// sent has been applied, so GVT advances to the least LVT. It never moves
-/// back; `VTime::MAX` means quiescence.
+/// A tracked run in rounds captures an image of every worker on every this
+/// many rounds, in the round's own exchange. Every round would ship two
+/// images of ≈ 43 KB per round on the 6 k decoder; this spacing bounds a
+/// replay to 16 rounds of operations.
+const IMAGE_ROUNDS: u64 = 16;
+
+/// GVT as the supervisor keeps it: the least LVT, once nothing is in
+/// flight, or — between two rounds — the least LVT or queued send time. It
+/// never moves back; `VTime::MAX` means quiescence.
 #[derive(Debug, Default)]
 struct Gvt {
     now: VTime,
@@ -42,12 +48,12 @@ impl Gvt {
     }
 }
 
-/// Run the deterministic executor over an arbitrary set of workers. This is
-/// the loop formerly private to the DST module, now generic over
-/// [`ClusterWorker`]; `track` arms the recovery log (always on for the
-/// process transport — real workers can die at any time — and on for
-/// in-proc only when a crash fault is configured, so undisturbed in-proc
-/// runs pay nothing).
+/// Run the deterministic executor over an arbitrary set of workers: in
+/// lock-step rounds when `schedule` is `None` (see [`Supervisor::rounds`]),
+/// one decision of `schedule` at a time otherwise. `track` arms the
+/// recovery log (always on for the wire transports — real workers can die
+/// at any time — and on for in-proc only when a crash fault is configured,
+/// so undisturbed in-proc runs pay nothing).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervisor<W: ClusterWorker>(
     nl: &Netlist,
@@ -55,7 +61,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
     stim: &VectorStimulus,
     cycles: u64,
     cfg: &TimeWarpConfig,
-    schedule: &mut dyn Schedule,
+    schedule: Option<&mut dyn Schedule>,
     check: bool,
     label: &str,
     workers: &mut [W],
@@ -67,16 +73,23 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
     for (i, l) in lvts.iter_mut().enumerate() {
         *l = workers[i].lvt().map_err(|f| fatal(i as u32, f))?;
     }
-    // The initial coordinated "checkpoint" is the fresh state at GVT 0. A
-    // worker death this early has nothing to restore from, so it is fatal
-    // rather than recovered.
+    // The first images are the fresh state at GVT 0. A worker death this
+    // early has nothing to restore from, so it is fatal rather than
+    // recovered.
     let mut outcome = RecoveryOutcome::default();
     let log = if track {
+        let base = RoundCmd {
+            image: true,
+            ..RoundCmd::default()
+        };
         let mut bases = Vec::with_capacity(k);
-        for (i, base) in W::gvt_round(workers, 0, true).into_iter().enumerate() {
-            let base = base.map_err(|f| fatal(i as u32, f))?;
-            outcome.checkpoint_bytes_full += base.len() as u64;
-            bases.push(base);
+        for (i, reply) in W::round(workers, &vec![base; k], None)
+            .into_iter()
+            .enumerate()
+        {
+            let image = reply.map_err(|f| fatal(i as u32, f))?.image;
+            outcome.checkpoint_bytes_full += image.len() as u64;
+            bases.push(image);
         }
         Some(RecoveryLog::from_checkpoints(bases))
     } else {
@@ -94,11 +107,15 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         gvt: Gvt::default(),
         queues: vec![VecDeque::new(); k * k],
         lvts,
-        in_hand: VecDeque::new(),
         log,
         outcome,
+        crashes_left: cfg.fault.crash_budget(),
     };
-    match sup.run(schedule) {
+    let run = match schedule {
+        Some(schedule) => sup.decisions(schedule),
+        None => sup.rounds(),
+    };
+    match run.and_then(|()| sup.finish()) {
         // Clean completion: per-cluster `(stats, values)` ready to merge.
         Ok(per_cluster) => {
             sup.fold_wire_counters();
@@ -131,42 +148,86 @@ struct Supervisor<'a, W: ClusterWorker> {
     gvt: Gvt,
     /// One FIFO queue per directed cluster pair, indexed `src * k + dst`.
     /// FIFO within a queue is the per-channel ordering the annihilation
-    /// protocol relies on; the schedule only controls *which* queue head
-    /// is delivered next.
+    /// protocol relies on; a schedule only controls *which* queue head is
+    /// delivered next, and a round takes every queue into a cluster.
     queues: Vec<VecDeque<TwMessage>>,
     /// Cached per-cluster LVTs. `ClusterProcess::lvt` is idempotent
-    /// between operations, so caching the value returned by each
-    /// step/deliver is equivalent to re-querying every iteration — and
-    /// under the process transport it saves a full round-trip per cluster
-    /// per decision.
+    /// between operations, so caching the value each round returns is
+    /// equivalent to re-querying — and under the wire transports it saves
+    /// a round trip per cluster.
     lvts: Vec<VTime>,
-    /// Results of the delivery run in progress that no decision has
-    /// consumed yet: the worker applied these messages — still at the head
-    /// of their channel's queue — in one exchange, and each coming
-    /// decision, which the schedule's fork forecast to be that same
-    /// delivery, takes the next one instead of a round trip.
-    in_hand: VecDeque<Delivered>,
     log: Option<RecoveryLog>,
     outcome: RecoveryOutcome,
+    /// Times the armed crash fault may still fire.
+    crashes_left: u32,
 }
 
 impl<W: ClusterWorker> Supervisor<'_, W> {
-    fn run(&mut self, schedule: &mut dyn Schedule) -> Result<Vec<(SimStats, Vec<Logic>)>, Halt> {
-        let fault = self.cfg.fault;
-        let mut crashes_left = fault.crash_budget();
+    /// [`SchedulePolicy::RoundRobin`]: the order [`Transport::Threads`]
+    /// runs in, a round at a time. Each round every worker fossil-collects
+    /// below GVT, takes every message queued to it (ascending source, FIFO
+    /// per channel) and processes at most one epoch within GVT + `window`;
+    /// its sends wait in the queues for the next round. GVT then becomes
+    /// the least LVT or queued send time — exact, because every message in
+    /// flight is queued here, and rising every round, so `gvt_rounds`
+    /// counts rounds. A crash armed at round `r` fires inside round `r`.
+    ///
+    /// [`SchedulePolicy::RoundRobin`]: crate::timewarp::SchedulePolicy::RoundRobin
+    /// [`Transport::Threads`]: crate::timewarp::Transport::Threads
+    fn rounds(&mut self) -> Result<(), Halt> {
+        let k = self.k;
+        let mut round = 0u64;
+        while self.gvt.now != VTime::MAX {
+            let gvt = self.gvt.now;
+            let step = Some(gvt.saturating_add(self.cfg.window));
+            let image = self.log.is_some() && round % IMAGE_ROUNDS == IMAGE_ROUNDS - 1;
+            let mut cmds = vec![
+                RoundCmd {
+                    gvt,
+                    msgs: Vec::new(),
+                    step,
+                    image,
+                };
+                k
+            ];
+            for (ch, queue) in self.queues.iter_mut().enumerate() {
+                cmds[ch % k].msgs.extend(queue.drain(..));
+            }
+            let at = self.cfg.fault.crash_at.filter(|&(_, at)| at == round);
+            self.exchange(0, &cmds, at.map(|(victim, _)| victim as usize))?;
+            let mut published = self.lvts.clone();
+            published.extend(self.queues.iter().flatten().map(|m| m.ev.time).min());
+            if self.gvt.advance(&published, false).is_none() {
+                return Err(Halt::Failed(TimeWarpError::Stalled { gvt, idle: 1 }));
+            }
+            round += 1;
+        }
+        // The last fossil collection, at GVT = MAX, as `Threads` makes it
+        // after its last barrier.
+        let last = RoundCmd {
+            gvt: VTime::MAX,
+            ..RoundCmd::default()
+        };
+        self.exchange(0, &vec![last; k], None)
+    }
+
+    /// One decision of `schedule` at a time: a `Step` is a one-worker round
+    /// that steps, a `Deliver` a one-worker round with one message, and a
+    /// GVT round, every `epochs_per_quantum` decisions or whenever no
+    /// action is left, a round on every worker that fossil-collects and
+    /// captures.
+    fn decisions(&mut self, schedule: &mut dyn Schedule) -> Result<(), Halt> {
         let gvt_cadence = self.cfg.epochs_per_quantum.max(1) as u64;
         let mut decision: u64 = 0;
         let mut last_gvt: VTime = 0;
         let mut idle: u64 = 0;
         let mut steppable: Vec<u32> = Vec::with_capacity(self.k);
         let mut deliverable: Vec<(u32, u32)> = Vec::with_capacity(self.k * self.k);
-        let mut sends: Vec<TwMessage> = Vec::new();
-        let mut previous: Option<DstAction> = None;
 
         loop {
             let gvt = self.gvt.now;
             if gvt == VTime::MAX {
-                break; // global quiescence
+                return Ok(()); // global quiescence
             }
             if gvt > last_gvt {
                 last_gvt = gvt;
@@ -198,7 +259,7 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                 let Some(new_gvt) = self.gvt.advance(&self.lvts, false) else {
                     return Err(Halt::Failed(TimeWarpError::Stalled { gvt, idle }));
                 };
-                self.gvt_round(new_gvt, true)?;
+                self.gvt_round(new_gvt)?;
                 continue;
             }
 
@@ -207,67 +268,28 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             // consulted — so the decision sequence after recovery is
             // identical to the no-crash run's, which is what makes
             // artifacts byte-identical.
-            let armed = fault.crash_at.filter(|_| crashes_left > 0);
-            if let Some((victim, at)) = armed {
-                if decision == at {
-                    crashes_left -= 1;
+            if let Some((victim, at)) = self.cfg.fault.crash_at {
+                if decision == at && self.crashes_left > 0 {
+                    self.crashes_left -= 1;
                     self.workers[victim as usize].inject_crash();
                     self.recover(victim as usize)?;
                     continue;
                 }
             }
 
-            let (action, run) = {
-                let mut view = DstView {
-                    gvt,
-                    lvts: &self.lvts,
-                    steppable: &steppable,
-                    deliverable: &deliverable,
-                    decision,
-                };
-                let action = schedule.next(&view);
-                assert!(
-                    view.is_legal(action),
-                    "schedule returned illegal action {action:?} at decision {decision} ({})",
-                    self.label
-                );
-                // Inside a delivery run the view changed by one queue pop
-                // since the run's previous decision, exactly as the fork
-                // was shown, so the schedule must be repeating itself.
-                assert!(
-                    self.in_hand.is_empty() || previous == Some(action),
-                    "the schedule chose {action:?} at decision {decision} where its fork \
-                     forecast {previous:?} again ({})",
-                    self.label
-                );
-                previous = Some(action);
-                // Size the delivery run this decision opens: ask a fork of
-                // the schedule what it would pick next if the run went on,
-                // and stop at the first other answer, at the end of the
-                // queue, or where the armed crash fires before the
-                // schedule is consulted.
-                let mut run = 1;
-                if let DstAction::Deliver { src, dst } = action {
-                    let queued = self.queues[src as usize * self.k + dst as usize].len();
-                    let fork = if self.in_hand.is_empty() && queued > 1 {
-                        schedule.fork()
-                    } else {
-                        None
-                    };
-                    if let Some(mut fork) = fork {
-                        while run < queued {
-                            view.decision = decision + run as u64;
-                            if armed.is_some_and(|(_, at)| at == view.decision)
-                                || fork.next(&view) != action
-                            {
-                                break;
-                            }
-                            run += 1;
-                        }
-                    }
-                }
-                (action, run)
+            let view = DstView {
+                gvt,
+                lvts: &self.lvts,
+                steppable: &steppable,
+                deliverable: &deliverable,
+                decision,
             };
+            let action = schedule.next(&view);
+            assert!(
+                view.is_legal(action),
+                "schedule returned illegal action {action:?} at decision {decision} ({})",
+                self.label
+            );
             decision += 1;
             idle += 1;
             if idle >= STALL_LIMIT {
@@ -277,9 +299,34 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             }
 
             match action {
-                DstAction::Step(c) => self.do_step(c as usize, gvt, limit, &mut sends)?,
+                DstAction::Step(c) => {
+                    if self.check {
+                        assert!(
+                            self.lvts[c as usize] >= gvt,
+                            "cluster {c} would step an epoch at t={} below GVT {gvt} ({})",
+                            self.lvts[c as usize],
+                            self.label
+                        );
+                    }
+                    let step = RoundCmd {
+                        step: Some(limit),
+                        ..RoundCmd::default()
+                    };
+                    self.exchange(c as usize, &[step], None)?;
+                }
                 DstAction::Deliver { src, dst } => {
-                    self.do_deliver(src as usize, dst as usize, run, gvt)?
+                    // Peek, don't pop: a message leaves its queue only once
+                    // the receiver has answered for it, so a worker lost
+                    // mid-delivery is recovered and handed the same message
+                    // again, and recovery never touches a queue.
+                    let ch = src as usize * self.k + dst as usize;
+                    let msg = self.queues[ch].front().copied();
+                    let deliver = RoundCmd {
+                        msgs: vec![msg.expect("deliverable channel is non-empty")],
+                        ..RoundCmd::default()
+                    };
+                    self.exchange(dst as usize, &[deliver], None)?;
+                    self.queues[ch].pop_front();
                 }
             }
 
@@ -288,13 +335,21 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
             if decision.is_multiple_of(gvt_cadence) {
                 let queued = self.queues.iter().any(|q| !q.is_empty());
                 if let Some(new_gvt) = self.gvt.advance(&self.lvts, queued) {
-                    self.gvt_round(new_gvt, false)?;
+                    self.gvt_round(new_gvt)?;
                 }
             }
         }
+    }
 
-        // Quiescent: collect final state. A worker lost here is recovered
-        // like any other (its log includes the final fossil collection).
+    /// Quiescent: check it (check mode only) and collect the final state.
+    /// A worker lost here is recovered like any other (its log includes
+    /// the final fossil collection).
+    fn finish(&mut self) -> Result<Vec<(SimStats, Vec<Logic>)>, Halt> {
+        if self.check {
+            for i in 0..self.k {
+                self.supervised(i, W::check_quiescence)?;
+            }
+        }
         (0..self.k).map(|i| self.supervised(i, W::finish)).collect()
     }
 
@@ -315,78 +370,69 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         }
     }
 
-    /// Execute a `Step(c)` decision, recovering `c` as often as needed.
-    fn do_step(
+    /// Run `cmds` as one round on workers `first..first + cmds.len()`, then
+    /// commit what each did, in worker order: its input log or its new
+    /// image, its sends, its LVT. A worker lost in the round has applied
+    /// none of it as far as its log knows: it is recovered and asked again,
+    /// alone, until it answers. `victim` is crashed inside the round, and
+    /// inside each re-ask, while the fault's budget lasts.
+    fn exchange(
         &mut self,
-        c: usize,
-        gvt: VTime,
-        limit: VTime,
-        sends: &mut Vec<TwMessage>,
+        first: usize,
+        cmds: &[RoundCmd],
+        victim: Option<usize>,
     ) -> Result<(), Halt> {
         if self.check {
-            assert!(
-                self.lvts[c] >= gvt,
-                "cluster {c} would step an epoch at t={} below GVT {gvt} ({})",
-                self.lvts[c],
-                self.label
-            );
+            let g = self.gvt.now;
+            for m in cmds.iter().flat_map(|c| &c.msgs) {
+                assert!(
+                    m.ev.time >= g,
+                    "message {}->{} at t={} delivered below GVT {g} ({})",
+                    m.src,
+                    m.dst,
+                    m.ev.time,
+                    self.label
+                );
+            }
         }
-        let lvt = self.supervised(c, |w| {
-            sends.clear();
-            w.step(limit, sends)
-        })?;
-        // Recorded only after success: replay must not include an op the
-        // worker died in.
-        if let Some(log) = self.log.as_mut() {
-            log.record_step(c, limit);
+        let kill = self.arm(victim).map(|v| v - first);
+        let workers = &mut self.workers[first..first + cmds.len()];
+        let replies = W::round(workers, cmds, kill);
+        let mut answered = Vec::with_capacity(cmds.len());
+        for (j, (cmd, mut reply)) in cmds.iter().zip(replies).enumerate() {
+            let i = first + j;
+            while let Err(WorkerFailure::Lost { .. }) = reply {
+                self.recover(i)?;
+                let kill = self.arm(victim.filter(|&v| v == i)).map(|_| 0);
+                let alone = std::slice::from_mut(&mut self.workers[i]);
+                reply = W::round(alone, std::slice::from_ref(cmd), kill)
+                    .pop()
+                    .expect("one reply per worker");
+            }
+            answered.push(reply.map_err(|f| Halt::Failed(fatal(i as u32, f)))?);
         }
-        self.commit_sends(c, sends)?;
-        self.lvts[c] = lvt;
+        for (j, (cmd, reply)) in cmds.iter().zip(answered).enumerate() {
+            let i = first + j;
+            if let Some(log) = self.log.as_mut() {
+                if cmd.image {
+                    self.outcome.checkpoint_bytes_full += reply.image.len() as u64;
+                    log.set_base(i, reply.image);
+                } else {
+                    log.record(i, cmd);
+                }
+            }
+            self.commit_sends(i, &reply.sends)?;
+            self.lvts[i] = reply.lvt;
+        }
         Ok(())
     }
 
-    /// Execute a `Deliver { src, dst }` decision. With no results in hand
-    /// it opens a run: `dst` is handed the first `run` messages of the
-    /// channel in one exchange (recovering it as often as needed) and
-    /// answers for as many as its stop rule let it apply. Either way the
-    /// decision itself delivers one message — the head of the queue, with
-    /// the next result in hand.
-    fn do_deliver(&mut self, src: usize, dst: usize, run: usize, gvt: VTime) -> Result<(), Halt> {
-        let ch = src * self.k + dst;
-        if self.in_hand.is_empty() {
-            // Peek, don't pop: a message leaves its queue only once the
-            // receiver has answered for it. That makes the queues the one
-            // copy of everything in flight: a worker lost mid-run is
-            // recovered and handed the same messages again, still at the
-            // head of the queue, and recovery never touches a queue. A run
-            // is one reply frame, so a worker lost inside it has had none
-            // of it logged.
-            let msgs: Vec<TwMessage> = self.queues[ch].iter().take(run).copied().collect();
-            self.in_hand = self.supervised(dst, |w| w.deliver(&msgs))?.into();
-        }
-        let msg = self.queues[ch]
-            .pop_front()
-            .expect("deliverable channel is non-empty");
-        let (lvt, sends) = self
-            .in_hand
-            .pop_front()
-            .expect("a delivery answers for at least one message");
-        if self.check {
-            assert!(
-                msg.ev.time >= gvt,
-                "message {src}->{dst} at t={} delivered below GVT {gvt} ({})",
-                msg.ev.time,
-                self.label
-            );
-        }
-        // Logged only now, one message per decision: replay after a crash
-        // must cover exactly what the decision sequence has consumed.
-        if let Some(log) = self.log.as_mut() {
-            log.record_deliver(msg);
-        }
-        self.commit_sends(dst, &sends)?;
-        self.lvts[dst] = lvt;
-        Ok(())
+    /// `victim`, if the armed crash fault has a firing left, which this
+    /// spends.
+    fn arm(&mut self, victim: Option<usize>) -> Option<usize> {
+        let victim = victim.filter(|_| self.crashes_left > 0)?;
+        self.crashes_left -= 1;
+        Some(victim)
     }
 
     /// Enqueue messages worker `from` emitted during a successful op. A
@@ -418,54 +464,25 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
         Ok(())
     }
 
-    /// One GVT round: fossil-collect everyone and — unless the run is
-    /// untracked or just quiesced — capture the next coordinated checkpoint
-    /// cut, in one exchange per worker. `quiesce` marks the no-action path,
-    /// the only place quiescence checks run.
-    fn gvt_round(&mut self, new_gvt: VTime, quiesce: bool) -> Result<(), Halt> {
-        let image = self.log.is_some() && new_gvt != VTime::MAX;
-        debug_assert!(self.in_hand.is_empty(), "a GVT round inside a delivery run");
-        let replies = W::gvt_round(self.workers, new_gvt, image);
-        for (i, reply) in replies.into_iter().enumerate() {
-            // Fossil collection and capture are one command, so a worker
-            // lost anywhere in the round has done neither as far as its log
-            // knows: once recovered, it alone is asked again.
-            let mut reply = Some(reply);
-            let captured = self.supervised(i, |w| {
-                let again = || W::gvt_round(std::slice::from_mut(w), new_gvt, image).pop();
-                reply.take().or_else(again).expect("one reply per worker")
-            })?;
-            let Some(log) = self.log.as_mut() else {
-                continue;
-            };
-            // Recorded even at GVT = MAX: a worker dying between this
-            // round and its finish must replay the fossil collection or
-            // its counter would diverge. (A capture truncates it away.)
-            log.record_fossil(i, new_gvt);
-            if image {
-                self.outcome.checkpoint_bytes_full += captured.len() as u64;
-                log.set_base(i, captured);
-            }
-        }
-        if quiesce && self.check && new_gvt == VTime::MAX {
-            for i in 0..self.k {
-                self.supervised(i, W::check_quiescence)?;
-            }
-        }
-        Ok(())
+    /// The per-decision GVT round: every worker fossil-collects below
+    /// `new_gvt` and — unless the run is untracked or just quiesced —
+    /// captures its next image, in one exchange.
+    fn gvt_round(&mut self, new_gvt: VTime) -> Result<(), Halt> {
+        let gvt_round = RoundCmd {
+            gvt: new_gvt,
+            image: self.log.is_some() && new_gvt != VTime::MAX,
+            ..RoundCmd::default()
+        };
+        self.exchange(0, &vec![gvt_round; self.k], None)
     }
 
     /// Crash-stop recovery of cluster `v`: respawn it from its last image
-    /// and replay its input log. Its incoming queues stay as they are —
-    /// they still hold everything it has not answered for. Counts every
-    /// death (including deaths during respawn itself) against the restart
-    /// budget and degrades to the sequential simulator when it runs out.
+    /// and replay its input log. Everything sent to it that it has not
+    /// answered for is still here — queued, or in the round being asked
+    /// again. Counts every death (including deaths during respawn itself)
+    /// against the restart budget and degrades to the sequential simulator
+    /// when it runs out.
     fn recover(&mut self, v: usize) -> Result<(), Halt> {
-        assert!(
-            self.in_hand.is_empty(),
-            "cluster {v} is being recovered inside a delivery run ({})",
-            self.label
-        );
         loop {
             self.outcome.crashes += 1;
             self.outcome.victims.push(v as u32);

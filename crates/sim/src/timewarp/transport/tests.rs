@@ -56,8 +56,10 @@ fn replay_ops_round_trip() {
 #[test]
 fn hello_mismatch_shuts_the_worker_down_quietly() {
     // Both directions of wire skew: a future supervisor with a newer
-    // wire version, a v6 supervisor on checkpoint schema 6 whose messages
-    // carry a sequence number and whose images carry the output log, a v5
+    // wire version, a v7 supervisor that would send `step`, `deliver` and
+    // `gvt` where one `round` goes now, a v6 supervisor on checkpoint
+    // schema 6 whose messages carry a sequence number and whose images
+    // carry the output log, a v5
     // supervisor that would probe with `ping`, a v4 supervisor that would
     // ask for delta images and ship chains in `restore`, a v3 supervisor
     // that would deliver one `msg` per frame and ask for `fossil` and
@@ -67,6 +69,7 @@ fn hello_mismatch_shuts_the_worker_down_quietly() {
     // this exchange parses on both sides regardless of version.
     for (wire, schema) in [
         (WIRE_VERSION + 1, CHECKPOINT_SCHEMA),
+        (7, CHECKPOINT_SCHEMA),
         (6, 6),
         (5, CHECKPOINT_SCHEMA),
         (4, CHECKPOINT_SCHEMA),
@@ -708,33 +711,54 @@ fn channel_msg(time: VTime, value: Logic) -> TwMessage {
     }
 }
 
+/// The `round` frame that delivers `msgs` and nothing else.
 fn deliver_cmd(msgs: &[TwMessage]) -> Json {
-    ObjBuilder::new()
-        .str("kind", "deliver")
-        .array("msgs", msgs.iter().map(ToJson::to_json).collect())
-        .build()
+    let round = RoundCmd {
+        msgs: msgs.to_vec(),
+        ..RoundCmd::default()
+    };
+    parse_json(round_frame(&round).as_bytes()).expect("a round frame parses")
 }
 
-/// `deliver` frames round-trip through a real worker over a real
-/// socket — a worker whose `init` carried a stimulus seed above
-/// `i64::MAX` (see [`tiny_init_json`]) — a run of one and a run of two,
-/// each answered with `done` and its `results`.
+/// `round` frames round-trip through a real worker over a real socket —
+/// a worker whose `init` carried a stimulus seed above `i64::MAX` (see
+/// [`tiny_init_json`]): a round of one message, a round of two that also
+/// steps, each answered with one `done`, and a round that asks for an
+/// image, answered with `done` and then the image of the worker's cluster
+/// at the round's GVT.
 #[test]
 fn deliver_round_trips_through_a_real_worker() {
     let (mut sink, mut source, handle) = worker_session();
     let m = |time| channel_msg(time, Logic::One);
-    for run in [&[m(1)][..], &[m(2), m(3)]] {
-        sink.send_json(&deliver_cmd(run)).expect("send deliver");
+    let rounds = [
+        (vec![m(1)], None, false),
+        (vec![m(2), m(3)], Some(2), false),
+        (Vec::new(), None, true),
+    ];
+    for (msgs, step, image) in rounds {
+        let round = RoundCmd {
+            gvt: 1,
+            msgs,
+            step,
+            image,
+        };
+        let frame = parse_json(round_frame(&round).as_bytes()).expect("parse");
+        assert_eq!(
+            round_from_json(&frame),
+            Ok(round.clone()),
+            "the frame decodes"
+        );
+        sink.send(round_frame(&round).as_bytes())
+            .expect("send round");
         let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
         assert_eq!(json_kind(&reply).expect("kind"), "done");
-        let results = reply.field("results").and_then(Json::as_array);
-        let results = results.expect("results");
-        assert!(
-            (1..=run.len()).contains(&results.len()),
-            "a run of {} answered with {} results",
-            run.len(),
-            results.len()
-        );
+        done_from(&reply).expect("an LVT and the sends");
+        if image {
+            let image = source.recv().expect("read").expect("image");
+            let ck = Checkpoint::from_json(&parse_json(&image).expect("parse"));
+            let ck = ck.expect("an image");
+            assert_eq!((ck.cluster, ck.gvt), (1, 1));
+        }
     }
     sink.send_json(&ok_json_cmd("finish")).expect("send finish");
     let reply = parse_json(&source.recv().expect("read").expect("reply")).expect("parse");
@@ -777,11 +801,8 @@ fn lone_anti_message_is_refused() {
         "lone-anti",
         init.cluster,
     );
-    let mut sends = Vec::new();
-    w.deliver(&[anti]).expect("in-proc deliver");
-    while w.lvt().expect("in-proc lvt") != VTime::MAX {
-        w.step(VTime::MAX, &mut sends).expect("in-proc step");
-    }
+    deliver(&mut w, &[anti]);
+    run_dry(&mut w);
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.check_quiescence()))
         .expect_err("quiescence check must fail");
     let message = panic_message(refused.as_ref());
@@ -810,10 +831,22 @@ fn with_tiny_worker<R>(label: &str, f: impl FnOnce(&mut InProcWorker<'_, '_>) ->
 
 /// Process everything `w` holds.
 fn run_dry(w: &mut InProcWorker<'_, '_>) {
-    let mut sends = Vec::new();
+    let step = RoundCmd {
+        step: Some(VTime::MAX),
+        ..RoundCmd::default()
+    };
     while w.lvt().expect("in-proc lvt") != VTime::MAX {
-        w.step(VTime::MAX, &mut sends).expect("in-proc step");
+        w.serve(&step).expect("in-proc step");
     }
+}
+
+/// Hand `msgs` to `w` in a round that does nothing else.
+fn deliver(w: &mut InProcWorker<'_, '_>, msgs: &[TwMessage]) -> RoundReply {
+    let round = RoundCmd {
+        msgs: msgs.to_vec(),
+        ..RoundCmd::default()
+    };
+    w.serve(&round).expect("in-proc round")
 }
 
 /// An anti-message names its positive by time and net, so a second anti
@@ -826,10 +859,10 @@ fn second_anti_message_for_one_time_and_net_is_stray() {
             anti: true,
             ..positive
         };
-        w.deliver(&[positive]).expect("positive");
-        w.deliver(&[anti]).expect("anti");
+        deliver(w, &[positive]);
+        deliver(w, &[anti]);
         assert_eq!(w.stray_anti_messages().expect("alive"), 0);
-        w.deliver(&[anti]).expect("second anti");
+        deliver(w, &[anti]);
         assert_eq!(w.stray_anti_messages().expect("alive"), 1);
     });
 }
@@ -845,7 +878,7 @@ fn check_mode_refuses_an_anti_message_that_annihilates_two_events() {
                 ..channel_msg(4, Logic::One)
             };
             for m in [channel_msg(4, Logic::One), channel_msg(4, Logic::X), anti] {
-                w.deliver(&[m]).expect("in-proc deliver");
+                deliver(w, &[m]);
             }
         })
     })
@@ -864,14 +897,14 @@ fn check_mode_refuses_an_anti_message_that_annihilates_two_events() {
 fn resent_positive_after_a_rollback_wins() {
     let (stats, values) = with_tiny_worker("resend", |w| {
         let positive = channel_msg(4, Logic::One);
-        w.deliver(&[positive]).expect("positive");
+        deliver(w, &[positive]);
         run_dry(w);
         let anti = TwMessage {
             anti: true,
             ..positive
         };
-        w.deliver(&[anti]).expect("anti");
-        w.deliver(&[channel_msg(4, Logic::X)]).expect("re-send");
+        deliver(w, &[anti]);
+        deliver(w, &[channel_msg(4, Logic::X)]);
         run_dry(w);
         w.check_quiescence().expect("quiescent");
         w.finish().expect("finish")
@@ -882,12 +915,11 @@ fn resent_positive_after_a_rollback_wins() {
 
 /// Removed vocabulary is rejected, not ignored: a worker handed the
 /// batching PR's `msg_batch` or `deliver_next`, wire v3's `fossil`,
-/// `ckpt` or `ckpt_delta`, or a v3 `deliver` carrying one `msg`,
-/// answers with a typed `error` frame (which the supervisor maps to
-/// [`WorkerFailure::Protocol`]) and hangs up. So does one handed a
-/// delivery of nothing, a `gvt` asking for an image kind that does not
-/// exist — wire v4's `delta` among them — or a v4 `restore` carrying a
-/// `deltas` chain.
+/// `ckpt` or `ckpt_delta`, wire v7's `step`, `deliver` or `gvt` (which
+/// one `round` replaced), answers with a typed `error` frame (which the
+/// supervisor maps to [`WorkerFailure::Protocol`]) and hangs up. So does
+/// one handed a `round` without its `msgs` or `image`, or a v4 `restore`
+/// carrying a `deltas` chain.
 #[test]
 fn removed_batch_commands_are_unknown() {
     let m = channel_msg(1, Logic::One);
@@ -918,20 +950,30 @@ fn removed_batch_commands_are_unknown() {
         (at_gvt("ckpt").build(), "unknown command kind"),
         (at_gvt("ckpt_delta").build(), "unknown command kind"),
         (
+            at_gvt("gvt").str("image", "base").build(),
+            "unknown command kind",
+        ),
+        (
+            ObjBuilder::new()
+                .str("kind", "step")
+                .field("limit", vtime_json(9))
+                .build(),
+            "unknown command kind",
+        ),
+        (
             ObjBuilder::new()
                 .str("kind", "deliver")
-                .field("msg", m.to_json())
+                .array("msgs", vec![m.to_json()])
                 .build(),
+            "unknown command kind",
+        ),
+        (
+            at_gvt("round").bool("image", false).build(),
             "missing field `msgs`",
         ),
-        (deliver_cmd(&[]), "at least one message"),
         (
-            at_gvt("gvt").str("image", "full").build(),
-            "unknown image kind",
-        ),
-        (
-            at_gvt("gvt").str("image", "delta").build(),
-            "unknown image kind",
+            at_gvt("round").array("msgs", Vec::new()).build(),
+            "missing field `image`",
         ),
         (
             ObjBuilder::new()
@@ -1068,9 +1110,10 @@ fn attached(
 }
 
 /// A peer that completes the handshake like a real worker, then answers
-/// the commands it is sent with `replies`, in order, whatever they ask,
-/// and reads on without answering until the supervisor hangs up.
-fn scripted(replies: Vec<String>) -> impl FnOnce(WireStream) -> io::Result<()> + Send {
+/// the commands it is sent with the frames of `replies`, one entry per
+/// command, in order, whatever they ask, and reads on without answering
+/// until the supervisor hangs up.
+fn scripted(replies: Vec<Vec<String>>) -> impl FnOnce(WireStream) -> io::Result<()> + Send {
     move |mut stream| {
         let mut writer = stream.try_clone()?;
         let _hello = read_frame(&mut stream)?;
@@ -1079,79 +1122,82 @@ fn scripted(replies: Vec<String>) -> impl FnOnce(WireStream) -> io::Result<()> +
         let mut sink = FrameSink::new(writer);
         let _init = source.recv().map_err(wire_io)?;
         sink.send_json(&ready_json(0)).map_err(wire_io)?;
-        for reply in replies {
+        for frames in replies {
             let _command = source.recv().map_err(wire_io)?;
-            sink.send(reply.as_bytes()).map_err(wire_io)?;
+            for frame in frames {
+                sink.send(frame.as_bytes()).map_err(wire_io)?;
+            }
         }
         while source.recv().map_err(wire_io)?.is_some() {}
         Ok(())
     }
 }
 
-/// A `done` frame answering for `n` messages that did nothing.
-fn done_for(n: usize) -> String {
-    let quiet = |_| delivered_json(ObjBuilder::new(), &(5, Vec::new()));
-    let done = ObjBuilder::new().str("kind", "done");
-    let done = done.array("results", (0..n).map(quiet).collect());
-    done.build().emit().expect("emit")
-}
-
-/// What a worker says is checked where it enters the supervisor: a
-/// delivery answered for no message, or for more than it was handed,
-/// is a typed protocol failure — and so is a GVT round answered with an
-/// image of another cluster, another GVT, or the other kind. Never a
-/// panic, and never stored.
+/// What a worker says is checked where it enters the supervisor: a round
+/// answered with anything but `done`, or with a `done` that lacks its
+/// LVT, and a round that asked for an image answered with an image of
+/// another cluster, another GVT, or the other kind — or with no image —
+/// is a typed protocol failure. Never a panic, never stored, and never
+/// counted as a frame that carried its messages.
 #[test]
 fn replies_that_do_not_fit_their_command_are_protocol_failures() {
-    let run = [channel_msg(1, Logic::One), channel_msg(2, Logic::Zero)];
-    for (n, fits) in [(0, false), (1, true), (2, true), (3, false)] {
-        let (mut w, peer) = attached(
-            1,
-            ok_json_cmd("init"),
-            TEST_TIMING,
-            scripted(vec![done_for(n)]),
-        );
-        let answered = w.deliver(&run);
-        match answered {
-            Ok(results) if fits => assert_eq!(results.len(), n),
-            Err(WorkerFailure::Protocol { detail }) if !fits => {
-                assert!(detail.contains(&format!("{n} results")), "{detail}")
-            }
-            other => panic!("{n} results for a run of 2: {other:?}"),
-        }
-        let counted = w.wire_counters();
-        let expected = if fits { (1, n as u64) } else { (0, 0) };
-        assert_eq!((counted.frames_sent, counted.messages_sent), expected);
-        drop(w);
-        peer.join().expect("join").expect("peer exits Ok");
-    }
-
+    let done = |j: Json| j.emit().expect("emit");
+    let quiet = done(done_json(5, &[]));
     let image_of = |cluster: u32, gvt: VTime| {
         let mut ck = sample_checkpoint();
         (ck.cluster, ck.gvt) = (cluster, gvt);
         ck.to_json().emit().expect("emit")
     };
     let delta = image_of(1, 17).replace("\"tw_checkpoint\"", "\"tw_checkpoint_delta\"");
-    for (reply, fits) in [
-        (image_of(1, 17), true),
-        (image_of(2, 17), false),
-        (image_of(1, 16), false),
-        (delta, false),
-        (done_for(1), false),
-    ] {
+    let lvt_less = done(
+        ObjBuilder::new()
+            .str("kind", "done")
+            .array("sends", Vec::new())
+            .build(),
+    );
+    let cases = [
+        (false, vec![quiet.clone()], true),
+        (false, vec![done(ready_json(5))], false),
+        (false, vec![lvt_less], false),
+        (true, vec![quiet.clone(), image_of(1, 17)], true),
+        (true, vec![quiet.clone(), image_of(2, 17)], false),
+        (true, vec![quiet.clone(), image_of(1, 16)], false),
+        (true, vec![quiet.clone(), delta], false),
+        (true, vec![quiet.clone(), quiet.clone()], false),
+    ];
+    for (image, replies, fits) in cases {
+        let label = format!("{replies:.120?}");
         let (w, peer) = attached(
             1,
             ok_json_cmd("init"),
             TEST_TIMING,
-            scripted(vec![reply.clone()]),
+            scripted(vec![replies.clone()]),
         );
+        let round = RoundCmd {
+            gvt: 17,
+            msgs: vec![channel_msg(18, Logic::One), channel_msg(19, Logic::Zero)],
+            step: None,
+            image,
+        };
         let mut workers = [w];
-        let answered = ProcessWorker::gvt_round(&mut workers, 17, true);
+        let answered = ProcessWorker::round(&mut workers, &[round], None);
         match answered.into_iter().next().expect("one reply per worker") {
-            Ok(kept) if fits => assert_eq!(kept, reply, "the image is kept as received"),
+            Ok(reply) if fits => {
+                assert_eq!(reply.lvt, 5, "{label}");
+                if image {
+                    assert_eq!(reply.image, replies[1], "the image is kept as received");
+                }
+            }
             Err(WorkerFailure::Protocol { .. }) if !fits => {}
-            other => panic!("{reply:.120}: {other:?}"),
+            other => panic!("{label}: {other:?}"),
         }
+        let counted = workers[0].wire_counters();
+        let expected = if fits { (1, 2) } else { (0, 0) };
+        assert_eq!(
+            (counted.frames_sent, counted.messages_sent),
+            expected,
+            "{label}"
+        );
         drop(workers);
         peer.join().expect("join").expect("peer exits Ok");
     }
@@ -1174,13 +1220,12 @@ fn sends_a_worker_does_not_own_are_its_protocol_failure() {
             dst,
             ..channel_msg(3, Logic::One)
         };
-        let done = delivered_json(ObjBuilder::new().str("kind", "done"), &(5, vec![forged]));
-        let done = done.emit().expect("emit");
+        let done = done_json(5, &[forged]).emit().expect("emit");
         let (mut workers, peers): (Vec<_>, Vec<_>) = (0..3)
             .map(|me| {
                 let init = init_json(&nl, &plan, &stim, 12, true, me, label);
                 if me == 0 {
-                    attached(me, init, TEST_TIMING, scripted(vec![done.clone()]))
+                    attached(me, init, TEST_TIMING, scripted(vec![vec![done.clone()]]))
                 } else {
                     attached(me, init, TEST_TIMING, |stream| serve_wire(stream, None, ""))
                 }
@@ -1192,7 +1237,7 @@ fn sends_a_worker_does_not_own_are_its_protocol_failure() {
             &stim,
             12,
             &wired_cfg(),
-            &mut Eager,
+            Some(&mut Eager),
             true,
             label,
             &mut workers,
@@ -1255,7 +1300,7 @@ fn restore_frame_around_kept_text_is_the_canonical_frame() {
     assert_eq!(ck, base);
 }
 
-// -- Delivery runs ------------------------------------------------------
+// -- Rounds ---------------------------------------------------------------
 
 use dvs_workloads::seqcirc::{generate_counter, generate_lfsr};
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
@@ -1267,33 +1312,22 @@ fn elaborate(src: &str) -> Netlist {
         .into_netlist()
 }
 
-/// What [`stop_rule_holds`] saw: runs handed over, runs that applied
-/// more than one message, and runs stopped short of their queue.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct RunCensus {
-    runs: usize,
-    longer_than_one: usize,
-    stopped_short: usize,
-}
-
-/// The stop rule against its model. Two copies of a two-cluster run are
-/// driven in lockstep: every `burst` epochs the messages cluster 0 sent
-/// are delivered to cluster 1 — to the *model* one message per call, to
-/// the *subject* as the whole queue in one slice, re-offering the
-/// unapplied remainder until it is empty. The subject must answer,
-/// message for message, what the model answered; every run must stop
-/// exactly where the rule says — after the first message that emitted
-/// or moved the LVT, or at the end of the queue, and nowhere else; and
-/// both copies must end in the same state. (Cluster 1's messages go
-/// back one at a time on both sides, so cluster 0 rolls back and its
-/// queues carry anti-messages too.)
-fn stop_rule_holds(
+/// A round's deliveries against their model. Two copies of a two-cluster
+/// run are driven in lockstep, `burst` epochs per cluster at a time, each
+/// cluster then handed what the other sent: the *model* one message per
+/// round and then a round per epoch, the *subject* the whole queue in the
+/// round of its first epoch — the two orders a per-decision schedule and
+/// the lock-step rounds hand messages over in. Each cluster must emit the
+/// same messages in the same order and reach the same LVT on both sides,
+/// and both copies must end in the same state. Returns how many subject
+/// rounds carried more than one message.
+fn a_round_applies_what_single_deliveries_apply(
     nl: &Netlist,
     gate_block: &[u32],
     stim_seed: u64,
     cycles: u64,
     burst: usize,
-) -> RunCensus {
+) -> usize {
     let plan = ClusterPlan::new(nl, gate_block, 2);
     let stim = VectorStimulus::from_netlist(nl, 10, stim_seed);
     let pair = |label: &str| -> Vec<InProcWorker<'_, '_>> {
@@ -1301,108 +1335,67 @@ fn stop_rule_holds(
         vec![worker(0), worker(1)]
     };
     let (mut model, mut subject) = (pair("model"), pair("subject"));
-    let mut census = RunCensus::default();
+    let serve = |w: &mut InProcWorker<'_, '_>, cmd: RoundCmd| w.serve(&cmd).expect("round");
+    let step = RoundCmd {
+        step: Some(VTime::MAX),
+        ..RoundCmd::default()
+    };
+    let mut queued: [Vec<TwMessage>; 2] = [Vec::new(), Vec::new()];
+    let mut several = 0;
     loop {
-        // Both sides run ahead of each other, identically.
-        let mut queues: [Vec<TwMessage>; 2] = [Vec::new(), Vec::new()];
-        for (c, queue) in queues.iter_mut().enumerate() {
-            for _ in 0..burst {
-                let mut ignored = Vec::new();
-                model[c].step(VTime::MAX, queue).expect("step");
-                subject[c].step(VTime::MAX, &mut ignored).expect("step");
+        for c in 0..2 {
+            let msgs = std::mem::take(&mut queued[c]);
+            several += usize::from(msgs.len() > 1);
+            let mut want = Vec::new();
+            for &m in &msgs {
+                let one = RoundCmd {
+                    msgs: vec![m],
+                    ..RoundCmd::default()
+                };
+                want.extend(serve(&mut model[c], one).sends);
             }
-        }
-        let [to_one, mut to_zero] = queues;
-
-        let mut offered = 0;
-        while offered < to_one.len() {
-            let before = model[1].lvt().expect("lvt");
-            let answered = subject[1].deliver(&to_one[offered..]).expect("deliver");
-            assert!(!answered.is_empty(), "a delivery applies something");
-            census.runs += 1;
-            census.longer_than_one += usize::from(answered.len() > 1);
-            let applied = offered + answered.len();
-            census.stopped_short += usize::from(applied < to_one.len());
-            for (i, got) in answered.iter().enumerate() {
-                let m = to_one[offered + i];
-                let want = model[1].deliver(&[m]).expect("deliver").remove(0);
-                assert_eq!(got, &want, "message {} of the queue", offered + i);
-                let stops = !want.1.is_empty() || want.0 != before;
-                let last = i + 1 == answered.len();
-                assert!(
-                    stops == last || (last && applied == to_one.len()),
-                    "message {} (stops: {stops}) was {}the last of its run",
-                    offered + i,
-                    if last { "" } else { "not " }
-                );
-                to_zero.extend(want.1);
+            let mut got = serve(
+                &mut subject[c],
+                RoundCmd {
+                    msgs,
+                    ..step.clone()
+                },
+            )
+            .sends;
+            want.extend(serve(&mut model[c], step.clone()).sends);
+            for _ in 1..burst {
+                got.extend(serve(&mut subject[c], step.clone()).sends);
+                want.extend(serve(&mut model[c], step.clone()).sends);
             }
-            offered = applied;
+            assert_eq!(got, want, "cluster {c}'s sends");
+            let lvts = (model[c].lvt().expect("lvt"), subject[c].lvt().expect("lvt"));
+            assert_eq!(lvts.1, lvts.0, "cluster {c}'s LVT");
+            queued[1 - c].extend(got);
         }
-        for m in to_zero {
-            let want = model[0].deliver(&[m]).expect("deliver");
-            assert_eq!(subject[0].deliver(&[m]).expect("deliver"), want);
-        }
-
         let idle = |w: &mut InProcWorker<'_, '_>| w.lvt().expect("lvt") == VTime::MAX;
-        if model.iter_mut().all(idle) {
+        if model.iter_mut().all(idle) && queued.iter().all(Vec::is_empty) {
             break;
         }
     }
-    let state = |workers: &mut [InProcWorker<'_, '_>]| -> Vec<String> {
-        let images = InProcWorker::gvt_round(workers, 0, true);
-        images.into_iter().map(|i| i.expect("capture")).collect()
+    let image = RoundCmd {
+        image: true,
+        ..RoundCmd::default()
     };
-    assert_eq!(state(&mut subject), state(&mut model), "final checkpoints");
-    census
-}
-
-/// The half of the stop rule random traffic hardly ever isolates: a
-/// delivery that emits while the LVT stays where it was. Cluster 1 of
-/// `net0 → not → net1 → not → net2 → not → net3` (the middle inverter)
-/// has processed a lone positive whose evaluation it exported, with a
-/// later message still pending; the anti-message for that positive
-/// rolls it back and emits the export's anti-message, and the LVT —
-/// the next stimulus cycle, below the pending message — does not
-/// move. The run must end there all the same.
-#[test]
-fn a_delivery_that_emits_ends_its_run_even_if_the_lvt_stays() {
-    let init = worker_init_from_json(&chain_init_json(&[0, 1, 0], 10)).expect("init parses");
-    let plan = ClusterPlan::new(&init.netlist, &init.gate_block, init.k);
-    let (stim, cycles) = (init.stim, init.cycles);
-    let mut w = InProcWorker::new(&init.netlist, &plan, stim, cycles, true, "emits", 1);
-    let positive = channel_msg(5, Logic::One);
-    let pending = channel_msg(25, Logic::Zero);
-    w.deliver(&[positive, pending]).expect("deliver");
-    let mut sent = Vec::new();
-    while w.step(6, &mut sent).expect("step") <= 6 {}
-    assert!(
-        sent.iter().any(|m| m.ev.time == 6),
-        "the positive's evaluation was exported: {sent:?}"
-    );
-
-    let lvt = w.lvt().expect("lvt");
-    let anti = TwMessage {
-        anti: true,
-        ..positive
-    };
-    let after = channel_msg(30, Logic::One);
-    let answered = w.deliver(&[anti, after]).expect("deliver");
-    assert_eq!(
-        answered.len(),
-        1,
-        "the run went past a delivery that emitted"
-    );
-    let (lvt_after, emitted) = &answered[0];
-    assert_eq!(*lvt_after, lvt, "the case must leave the LVT where it was");
-    assert!(emitted.iter().all(|m| m.anti) && !emitted.is_empty());
+    for c in 0..2 {
+        let (want, got) = (
+            serve(&mut model[c], image.clone()),
+            serve(&mut subject[c], image.clone()),
+        );
+        assert_eq!(got.image, want.image, "cluster {c}'s final image");
+    }
+    several
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn delivery_runs_stop_where_the_model_stops(
+    fn a_round_applies_what_single_deliveries_apply_on_any_split(
         circuit in (any::<bool>(), 2u32..6),
         seeds in (any::<u64>(), any::<u64>()),
         pace in (6u64..24, 1usize..12),
@@ -1423,15 +1416,15 @@ proptest! {
             .collect();
         gate_block[0] = 0;
         gate_block[1] = 1;
-        stop_rule_holds(&nl, &gate_block, stim_seed, cycles, burst);
+        a_round_applies_what_single_deliveries_apply(&nl, &gate_block, stim_seed, cycles, burst);
     }
 }
 
 /// The fixed case: the benchmark's 6 126-gate decoder under its
-/// design-driven two-way partition, where bursts are long — runs of
-/// several messages and runs stopped short both occur in number.
+/// design-driven two-way partition, where a cluster's queue often holds
+/// several messages, anti-messages among them.
 #[test]
-fn delivery_runs_stop_where_the_model_stops_on_the_decoder() {
+fn a_round_applies_what_single_deliveries_apply_on_the_decoder() {
     let params = ViterbiParams {
         constraint_len: 6,
         ..ViterbiParams::paper_class()
@@ -1439,22 +1432,22 @@ fn delivery_runs_stop_where_the_model_stops_on_the_decoder() {
     let nl = elaborate(&generate_viterbi(&params));
     assert_eq!(nl.gate_count(), 6_126);
     let part = dvs_core::partition_multiway(&nl, &dvs_core::MultiwayConfig::new(2, 10.0));
-    let census = stop_rule_holds(&nl, &part.gate_blocks, 1, 6, 3);
+    let several = a_round_applies_what_single_deliveries_apply(&nl, &part.gate_blocks, 1, 6, 3);
     assert!(
-        census.longer_than_one >= 10 && census.stopped_short >= 10,
-        "the case no longer exercises the rule: {census:?}"
+        several >= 10,
+        "only {several} rounds carried several messages"
     );
 }
 
 /// Real served workers — `serve_wire` threads on socketpairs — driven
-/// by the supervisor under a schedule. Returns the run and the workers'
-/// folded wire counters.
+/// by the supervisor, in rounds when `schedule` is `None`. `track` arms
+/// the images.
 fn run_wired(
     nl: &Netlist,
     plan: &ClusterPlan,
     stim: &VectorStimulus,
     cycles: u64,
-    schedule: &mut dyn Schedule,
+    schedule: Option<&mut dyn Schedule>,
 ) -> TwRunResult {
     let label = "wired";
     let (mut workers, peers): (Vec<_>, Vec<_>) = (0..plan.k as u32)
@@ -1483,51 +1476,12 @@ fn run_wired(
     run.expect("wired run")
 }
 
-/// A hand-written schedule — deliver whenever something is queued —
-/// that does not implement [`Schedule::fork`].
+/// A hand-written schedule: deliver whenever something is queued.
 struct Eager;
 
 impl Schedule for Eager {
     fn next(&mut self, view: &DstView<'_>) -> DstAction {
         view.action_at(0)
-    }
-}
-
-/// [`Eager`] with a faithful fork.
-#[derive(Clone)]
-struct Forked;
-
-impl Schedule for Forked {
-    fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        view.action_at(0)
-    }
-
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        Some(Box::new(Forked))
-    }
-}
-
-/// A schedule that rotates over the legal actions by decision index,
-/// under a fork that forecasts it will repeat itself forever.
-#[derive(Default)]
-struct Fickle {
-    chose: Option<DstAction>,
-}
-
-impl Schedule for Fickle {
-    fn next(&mut self, view: &DstView<'_>) -> DstAction {
-        let turn = view.decision as usize % view.action_count();
-        *self.chose.insert(view.action_at(turn))
-    }
-
-    fn fork(&self) -> Option<Box<dyn Schedule + Send>> {
-        struct Stuck(DstAction);
-        impl Schedule for Stuck {
-            fn next(&mut self, _: &DstView<'_>) -> DstAction {
-                self.0
-            }
-        }
-        Some(Box::new(Stuck(self.chose?)))
     }
 }
 
@@ -1546,69 +1500,52 @@ fn wired_case() -> (Netlist, Vec<u32>) {
     (nl, part.gate_blocks)
 }
 
-/// A schedule without a fork keeps today's one message per frame; the
-/// same schedule with a faithful fork makes the same decisions — the
-/// run is identical down to every counter — in fewer frames.
+/// Rounds over real served workers are the in-process rounds, counter
+/// for counter, with images on the way; a receiver takes every message of
+/// a round in one frame, where a per-decision schedule pays a frame per
+/// message.
 #[test]
-fn a_schedule_without_a_fork_delivers_one_message_per_frame() {
+fn a_round_carries_every_message_of_a_receiver_in_one_frame() {
     let (nl, gate_block) = wired_case();
     let plan = ClusterPlan::new(&nl, &gate_block, 3);
     let stim = VectorStimulus::from_netlist(&nl, 10, 7);
-    let plain = run_wired(&nl, &plan, &stim, 12, &mut Eager);
-    assert!(plain.recovery.messages_sent > 0);
-    assert_eq!(plain.recovery.frames_sent, plain.recovery.messages_sent);
-
-    let forked = run_wired(&nl, &plan, &stim, 12, &mut Forked);
-    assert_eq!(forked.recovery.messages_sent, plain.recovery.messages_sent);
-    assert!(
-        forked.recovery.frames_sent < plain.recovery.frames_sent,
-        "no run longer than one message in {} frames",
-        forked.recovery.frames_sent
-    );
-    assert_eq!(forked.stats, plain.stats);
-    assert_eq!(forked.cluster_stats, plain.cluster_stats);
-    assert_eq!(forked.values, plain.values);
-    assert_eq!(
-        forked.recovery.checkpoint_bytes_full,
-        plain.recovery.checkpoint_bytes_full
-    );
-}
-
-/// A fork that forecasts what its schedule then does not choose is
-/// caught at the first decision that leaves the run, by name.
-#[test]
-fn an_unfaithful_fork_is_caught_at_the_decision_it_misforecast() {
-    let (nl, gate_block) = wired_case();
-    let plan = ClusterPlan::new(&nl, &gate_block, 3);
-    let stim = VectorStimulus::from_netlist(&nl, 10, 7);
-    let workers = |label: &str| -> Vec<InProcWorker<'_, '_>> {
-        let worker = |me| InProcWorker::new(&nl, &plan, stim.clone(), 12, true, label, me);
-        (0..3).map(worker).collect()
-    };
+    let rounds = run_wired(&nl, &plan, &stim, 12, None);
+    let mut workers: Vec<_> = (0..3)
+        .map(|me| InProcWorker::new(&nl, &plan, stim.clone(), 12, true, "in-proc", me))
+        .collect();
     let cfg = wired_cfg();
-    let label = "seed 7, schedule Fickle";
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut workers = workers(label);
-        let mut schedule = Fickle::default();
-        let schedule: &mut dyn Schedule = &mut schedule;
-        let _ = run_supervisor(
-            &nl,
-            &plan,
-            &stim,
-            12,
-            &cfg,
-            schedule,
-            true,
-            label,
-            &mut workers,
-            false,
-        );
-    }));
-    let message = panic_message(caught.expect_err("the lie must be caught").as_ref());
-    assert!(
-        message.contains("fork") && message.contains(label),
-        "unexpected: {message}"
+    let in_proc = run_supervisor(
+        &nl,
+        &plan,
+        &stim,
+        12,
+        &cfg,
+        None,
+        true,
+        "in-proc",
+        &mut workers,
+        false,
     );
+    let in_proc = in_proc.expect("in-proc rounds");
+    assert_eq!(rounds.stats, in_proc.stats);
+    assert_eq!(rounds.cluster_stats, in_proc.cluster_stats);
+    assert_eq!(rounds.values, in_proc.values);
+    assert_eq!(rounds.gvt_rounds, in_proc.gvt_rounds);
+    let wire = &rounds.recovery;
+    assert!(wire.checkpoint_bytes_full > 0, "no image was taken");
+    let emitted = rounds.stats.messages + rounds.stats.anti_messages;
+    assert_eq!(wire.messages_sent, emitted);
+    assert!(
+        wire.frames_sent < wire.messages_sent && wire.frames_sent <= 3 * rounds.gvt_rounds,
+        "{} frames for {} messages in {} rounds",
+        wire.frames_sent,
+        wire.messages_sent,
+        rounds.gvt_rounds
+    );
+
+    let eager = run_wired(&nl, &plan, &stim, 12, Some(&mut Eager));
+    assert!(eager.recovery.messages_sent > 0);
+    assert_eq!(eager.recovery.frames_sent, eager.recovery.messages_sent);
 }
 
 // -- Net names ----------------------------------------------------------

@@ -50,7 +50,10 @@ use std::time::Duration;
 /// frame is a command or the reply to one. Version 7 dropped `seq` from
 /// every message (`deliver`'s `msgs`, the `sends` of a reply and a replayed
 /// `deliver` op): a message is `{src, dst, time, net, value, anti}`.
-pub const WIRE_VERSION: u32 = 7;
+/// Version 8 folded `step`, `deliver` and `gvt` into one `round` command
+/// (`gvt`, `msgs`, `step`, `image`), answered by `done` (`lvt`, `sends`)
+/// and, when asked, the image as a frame of its own.
+pub const WIRE_VERSION: u32 = 8;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix above this is
 /// a protocol error, not an allocation request.

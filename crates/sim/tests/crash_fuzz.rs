@@ -1,7 +1,8 @@
 //! Crash-fault fuzz suite for the deterministic Time Warp executor.
 //!
 //! Random small circuits, random partitions, random schedules — and a
-//! random crash: one cluster is killed at a property-drawn decision index,
+//! random crash: one cluster is killed at a property-drawn decision index
+//! (a round index under `RoundRobin`, where it dies inside the round),
 //! losing its in-memory state. The messages queued toward it stay in the
 //! supervisor's queues, which one schedule family holds back on purpose so
 //! the crash lands while a channel into the victim is full. The recovery
@@ -49,6 +50,12 @@ fn case(
         },
     ][policy_sel as usize];
     let partition = Partition::Random { k, seed: part_seed };
+    // `RoundRobin` counts rounds, about one per gate delay of the run's
+    // `cycles` vectors of period 10: its crash point is drawn among them.
+    let crash_at = match policy {
+        SchedulePolicy::RoundRobin => crash_at % (cycles * 10),
+        _ => crash_at,
+    };
     Scenario {
         executor: Executor::Dst {
             seed,
@@ -150,23 +157,18 @@ fn fixed_cases_per_policy() {
     }
 }
 
-/// Crashes aimed *inside* a delivery run: the receiver of the first burst
-/// of three consecutive decisions on one channel dies at the burst's 2nd
-/// and at its 3rd decision. The run the supervisor hands the worker must
-/// end where the armed fault fires — the crash is injected before the
-/// schedule is consulted, with no results in hand — so recovery replays
-/// exactly the operations the per-message executor had logged by then:
-/// `replayed_ops` is pinned to what the commit before delivery runs (one
-/// message per delivery) replayed for the same crash points.
+/// Crashes aimed *inside* a burst: the receiver of the first burst of
+/// three consecutive deliveries on one channel dies at the burst's 2nd and
+/// at its 3rd decision, each delivery one exchange. The crash is injected
+/// before the schedule is consulted, so recovery replays exactly the
+/// operations logged by then: `replayed_ops` is pinned for the same crash
+/// points. (`RoundRobin` makes no decisions; its crashes land inside
+/// rounds, in the sweep above.)
 #[test]
 fn crashes_inside_a_burst_are_invisible() {
     // (policy, first decision of the burst, operations replayed after a
-    // crash at its 2nd and at its 3rd decision), recorded at that commit.
-    let recorded = [
-        (0u8, 358usize, [8u64, 9]),
-        (1, 52, [10, 11]),
-        (2, 159, [5, 6]),
-    ];
+    // crash at its 2nd and at its 3rd decision).
+    let recorded = [(1u8, 52usize, [10u64, 11]), (2, 159, [5, 6])];
     for (policy_sel, start, replayed) in recorded {
         let clean = case((true, 4, 3, 13), (22, 33, policy_sel), ((25, 0), (0, 1)))
             .faulted(FaultPlan::default());

@@ -5,7 +5,10 @@
 //! there first. So every case runs twice, and both runs must leave
 //! byte-identical canonical artifacts, match the sequential simulator on
 //! every driven net and primary input, and ship every message the clusters
-//! emitted exactly once.
+//! emitted exactly once. The deterministic supervisor's `RoundRobin` runs
+//! the same rounds one cluster after another, so every case also runs
+//! under `InProc { RoundRobin }`, which must leave `Threads`' artifact byte
+//! for byte.
 //!
 //! A case is a [`Scenario`]; a failing one (circuit, partition, stimulus
 //! seed, kernel knobs) is written to
@@ -15,6 +18,7 @@
 //! [`Transport::Threads`]: dvs_sim::timewarp::Transport::Threads
 
 use dvs_bench::scenario::{canonical, Circuit, Dump, Executor, Partition, Scenario};
+use dvs_sim::timewarp::SchedulePolicy;
 use proptest::prelude::*;
 
 const DUMP: Dump = Dump::new(env!("CARGO_TARGET_TMPDIR"), "threads_fuzz_failure");
@@ -45,6 +49,12 @@ fn run_case(case: &Scenario) {
     let first = case.run_ok(&built);
     let again = case.run_ok(&built);
     DUMP.expect_identical(&canonical(&first), &canonical(&again), "threads_rerun");
+    let rounds = case.in_proc(0, SchedulePolicy::RoundRobin).run_ok(&built);
+    DUMP.expect_identical(
+        &canonical(&first),
+        &canonical(&rounds),
+        "threads_vs_inproc_rounds",
+    );
     for tw in [&first, &again] {
         // Conservation: every message the clusters emitted was left in an
         // outbox exactly once, and no outbox was handed over empty.

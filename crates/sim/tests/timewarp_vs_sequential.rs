@@ -496,11 +496,10 @@ fn threads_match_sequential_on_the_6k_decoder() {
     );
 }
 
-/// The same decoder under the deterministic in-process transport, where every
-/// counter is a pure function of the kernel's decision sequence: the values
-/// below were recorded before the pending queue was replaced, so a queue that
-/// pops in any other `(time, order)` order, or cancels anything else, moves
-/// them.
+/// The same decoder under the deterministic in-process transport, whose
+/// `RoundRobin` runs the rounds `Threads` runs: every counter is `Threads'`
+/// pinned value above, and a supervisor whose rounds take messages, step
+/// or read GVT in any other order moves them.
 #[test]
 fn inproc_counters_are_pinned_on_the_6k_decoder() {
     use dvs_sim::timewarp::{SchedulePolicy, Transport};
@@ -521,17 +520,18 @@ fn inproc_counters_are_pinned_on_the_6k_decoder() {
             s.anti_messages,
             tw.gvt_rounds
         ),
-        (1_055_270, 246_346, 429, 19_800, 5_555, 394)
+        (809_154, 230, 1, 14_245, 0, 2_020)
     );
 }
 
 /// The benchmark decoders' flop share at a size tier-1 can afford:
 /// `paper_class()` with a 512-deep survivor memory is 42 958 gates, about
 /// 77 % of them flip-flops on one clock net — the shape of the 1.1 M-gate
-/// decoder. Every number below was recorded with both event loops still
+/// decoder. The `SeqSim` numbers were recorded with both event loops still
 /// reading the `Netlist` through `Fanout`, so tables that list a reader in
 /// another order, evaluate a gate once more or once less, or miss an export
-/// move them.
+/// move them; the Time Warp ones are those of the lock-step rounds, which
+/// `Threads` must reproduce byte for byte.
 #[test]
 fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
     use dvs_sim::timewarp::{SchedulePolicy, Transport};
@@ -574,15 +574,19 @@ fn counters_are_pinned_on_the_flop_heavy_43k_decoder() {
             s.anti_messages,
             tw.gvt_rounds
         ),
-        (383_370, 19, 2, 3_191, 0, 87)
+        (383_378, 27, 8, 3_191, 0, 521)
     );
     let evals: Vec<u64> = tw.cluster_stats.iter().map(|c| c.gate_evals).collect();
-    assert_eq!(evals, [1_304_800, 887_808]);
-    let canonical = dvs_sim::tw_run_canonical_json(&tw)
-        .emit()
-        .expect("canonical emit");
-    let fnv1a = dvs_bench::scenario::fnv1a(canonical.as_bytes());
-    assert_eq!(format!("{fnv1a:016x}"), "234c33e9cf722c05");
+    assert_eq!(evals, [1_304_800, 922_624]);
+    let canonical = |tw: &TwRunResult| {
+        let canonical = dvs_sim::tw_run_canonical_json(tw).emit();
+        canonical.expect("canonical emit")
+    };
+    let fnv1a = dvs_bench::scenario::fnv1a(canonical(&tw).as_bytes());
+    assert_eq!(format!("{fnv1a:016x}"), "bac4c7b8362bee23");
+    let threads = TimeWarpConfig::default();
+    let threads = assert_tw_matches_seq_under(&nl, &gate_blocks, 2, cycles, seed, &threads);
+    assert!(canonical(&threads) == canonical(&tw), "Threads diverged");
 }
 
 /// A `Threads` worker that panics, while its cluster is being built (its

@@ -15,12 +15,17 @@
 //! `--transport tcp` binds a localhost listener and has each spawned
 //! `tw_worker` dial back in over TCP (`tw_worker --connect`), exercising
 //! the remote-worker wire path end to end on one machine.
+//!
+//! The three supervised transports run `SchedulePolicy::RoundRobin`, the
+//! lock-step rounds `threads` runs, so all four print the same `artifact
+//! fnv1a`: a 64-bit FNV-1a hash of the run's canonical artifact.
 
 use dvs_core::multiway::{partition_multiway, MultiwayConfig};
 use dvs_sim::cluster::ClusterPlan;
 use dvs_sim::seq::{NullObserver, SeqSim, SimConfig};
 use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::{run_timewarp, SchedulePolicy, TimeWarpConfig, Transport};
+use dvs_sim::tw_run_canonical_json;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 use std::time::Instant;
 
@@ -127,6 +132,11 @@ fn main() {
     println!("  rollbacks     : {}", tw.stats.rollbacks);
     println!("  rolled-back ev: {}", tw.stats.rolled_back_events);
     println!("  GVT rounds    : {}", tw.gvt_rounds);
+    let canonical = tw_run_canonical_json(&tw).emit().expect("canonical emit");
+    let fnv1a = canonical.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    println!("  artifact fnv1a: {fnv1a:016x}");
     // Where the work is: committed events per cluster beside the gate loads.
     let committed: Vec<u64> = tw
         .cluster_stats

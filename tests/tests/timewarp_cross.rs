@@ -71,7 +71,7 @@ fn deterministic_mode_matches_golden_counters() {
 
     // (policy, events, rollbacks, anti_messages, messages, fossil, gvt_rounds)
     let golden = [
-        (SchedulePolicy::RoundRobin, 15823, 114, 103, 835, 13413, 386),
+        (SchedulePolicy::RoundRobin, 13439, 4, 0, 732, 13413, 413),
         (
             SchedulePolicy::StragglerHeavy,
             89366,
