@@ -137,8 +137,9 @@ pub enum SchedulePolicy {
     StragglerHeavy,
     /// Adversarial: hold every message on the `src → dst` channel until its
     /// delivery is the only legal action left (the maximum protocol-legal
-    /// delay), rotating over the other actions otherwise. Forces rollback storms on
-    /// the receiving cluster while preserving FIFO within the channel.
+    /// delay), rotating over the other actions otherwise. Forces rollback
+    /// storms on the receiving cluster while preserving FIFO within the
+    /// channel.
     DelayChannel { src: u32, dst: u32 },
     /// Adversarial for queue depth: alternate a *build* phase that
     /// prefers stepping clusters — letting per-channel queues deepen while

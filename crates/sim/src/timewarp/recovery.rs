@@ -62,7 +62,8 @@ pub struct FaultPlan {
     /// round, once every command is written and before its reply is read
     /// (under the in-proc transport the cluster state machine is
     /// discarded; under the process and TCP transports the worker process
-    /// is killed with `SIGKILL`). `None` disables crash injection. [`super::Transport::Threads`] has no supervisor, so
+    /// is killed with `SIGKILL`). `None` disables crash injection.
+    /// [`super::Transport::Threads`] has no supervisor, so
     /// [`super::TimeWarpConfig::validate`] refuses `Some` there; a cluster
     /// the plan does not have is refused as well, before any worker starts.
     pub crash_at: Option<(u32, u64)>,
